@@ -1,0 +1,170 @@
+"""Built-in algebra catalog and the structure-constant file format.
+
+Files are JSON:
+
+    {"dim": 3,
+     "basis_names": ["x", "y", "z"],
+     "brackets": [{"i": 0, "j": 1, "result": [{"k": 2, "coeff": "1"}]}]}
+
+with i < j and coefficients given as exact rational strings ("3/2", "-1")
+or integers.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from fractions import Fraction
+from .linalg import ZERO
+from .algebra import (JacobiViolation, LieAlgebra, LieError, make_lie_algebra)
+
+
+class CatalogError(KeyError):
+    pass
+
+
+class AlgebraFileError(LieError):
+    pass
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    name: str
+    algebra: LieAlgebra
+    notes: str = ""
+
+
+def _abelian(n: int) -> LieAlgebra:
+    return make_lie_algebra(n, [])
+
+
+def _affine2() -> LieAlgebra:
+    return make_lie_algebra(2, [(0, 1, [0, 1])])
+
+
+def _heisenberg3() -> LieAlgebra:
+    return make_lie_algebra(3, [(0, 1, [0, 0, 1])], basis_names=("x", "y", "z"))
+
+
+_SL2_BRACKETS = [
+    (0, 1, [0, 2, 0]),    # [h, e] = 2e
+    (0, 2, [0, 0, -2]),   # [h, f] = -2f
+    (1, 2, [1, 0, 0]),    # [e, f] = h
+]
+
+
+def _sl2() -> LieAlgebra:
+    return make_lie_algebra(3, _SL2_BRACKETS, basis_names=("h", "e", "f"))
+
+
+def _sl2_plus_abelian1() -> LieAlgebra:
+    brackets = [(i, j, vec + [0]) for (i, j, vec) in _SL2_BRACKETS]
+    return make_lie_algebra(4, brackets, basis_names=("h", "e", "f", "u"))
+
+
+def catalog() -> list[CatalogEntry]:
+    return [
+        CatalogEntry("abelian1", _abelian(1), "dim Der = 1"),
+        CatalogEntry("abelian2", _abelian(2), "dim Der = 4 (all 2x2 matrices)"),
+        CatalogEntry("abelian3", _abelian(3), "dim Der = 9"),
+        CatalogEntry("affine2", _affine2(), "[e1,e2]=e2; complete, dim Der = 2"),
+        CatalogEntry("heisenberg3", _heisenberg3(), "[x,y]=z; dim Der = 6"),
+        CatalogEntry("sl2", _sl2(), "[h,e]=2e, [h,f]=-2f, [e,f]=h; dim Der = 3"),
+        CatalogEntry("sl2_plus_abelian1", _sl2_plus_abelian1(),
+                     "sl2 direct sum a 1-dim abelian factor; dim Der = 4"),
+    ]
+
+
+def _normalize(name: str) -> str:
+    # accept "abelian(2)" style spellings
+    return name.strip().lower().replace("(", "").replace(")", "")
+
+
+def lookup(name: str) -> CatalogEntry:
+    wanted = _normalize(name)
+    for entry in catalog():
+        if _normalize(entry.name) == wanted:
+            return entry
+    raise CatalogError(f"no catalog algebra named {name!r}")
+
+
+def _parse_coeff(text, where: str) -> Fraction:
+    if isinstance(text, bool) or isinstance(text, float):
+        raise AlgebraFileError(f"{where}: coefficient must be an exact "
+                               f"rational string or integer, got {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise AlgebraFileError(f"{where}: bad rational literal {text!r}") from None
+
+
+def parse_algebra_file(text: str) -> LieAlgebra:
+    """Parse and fully validate a JSON structure-constant document."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise AlgebraFileError(f"malformed JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise AlgebraFileError("top level must be an object")
+    try:
+        n = doc["dim"]
+    except KeyError:
+        raise AlgebraFileError("missing field 'dim'") from None
+    if not isinstance(n, int) or n <= 0:
+        raise AlgebraFileError(f"'dim' must be a positive integer, got {n!r}")
+    names = doc.get("basis_names")
+    if names is not None:
+        if (not isinstance(names, list) or len(names) != n
+                or not all(isinstance(s, str) for s in names)):
+            raise AlgebraFileError(f"'basis_names' must be {n} strings")
+    brackets = []
+    seen = set()
+    for pos, item in enumerate(doc.get("brackets", [])):
+        where = f"brackets[{pos}]"
+        if not isinstance(item, dict):
+            raise AlgebraFileError(f"{where}: must be an object")
+        try:
+            i, j = item["i"], item["j"]
+        except KeyError as exc:
+            raise AlgebraFileError(f"{where}: missing field {exc}") from None
+        if not (isinstance(i, int) and isinstance(j, int)):
+            raise AlgebraFileError(f"{where}: i and j must be integers")
+        if not (0 <= i < n and 0 <= j < n):
+            raise AlgebraFileError(f"{where}: indices ({i},{j}) out of range "
+                                   f"for dim {n}")
+        if i >= j:
+            raise AlgebraFileError(f"{where}: requires i < j, got ({i},{j})")
+        if (i, j) in seen:
+            raise AlgebraFileError(f"{where}: duplicate pair ({i},{j})")
+        seen.add((i, j))
+        vec = [ZERO] * n
+        for term in item.get("result", []):
+            if not isinstance(term, dict) or "k" not in term or "coeff" not in term:
+                raise AlgebraFileError(f"{where}: result terms need 'k' and 'coeff'")
+            k = term["k"]
+            if not isinstance(k, int) or not 0 <= k < n:
+                raise AlgebraFileError(f"{where}: k={k!r} out of range for dim {n}")
+            vec[k] += _parse_coeff(term["coeff"], where)
+        brackets.append((i, j, vec))
+    try:
+        return make_lie_algebra(n, brackets, names)
+    except JacobiViolation:
+        raise
+    except LieError as exc:
+        raise AlgebraFileError(str(exc)) from None
+
+
+def serialize_algebra(g: LieAlgebra) -> str:
+    """Canonical JSON for a LieAlgebra; round-trips through parse_algebra_file."""
+    brackets = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            vec = g.table[i][j]
+            if any(vec):
+                brackets.append({
+                    "i": i, "j": j,
+                    "result": [{"k": k, "coeff": str(c)}
+                               for k, c in enumerate(vec) if c],
+                })
+    doc = {"dim": g.dim, "basis_names": list(g.basis_names), "brackets": brackets}
+    return json.dumps(doc, indent=2) + "\n"

@@ -1,0 +1,328 @@
+"""Command-line interface.
+
+Subcommands: info, der, dder, full-graph, verify, corpus-verify.
+Exit codes: 0 all requested checks pass, 1 a verification failed,
+2 input/usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from typing import Optional, Sequence
+
+from . import fullgraph as fg_mod
+from .algebra import (LieAlgebra, LieError, center, derivation_algebra,
+                      derived_subalgebra, inner_derivations)
+from .catalog import (CatalogError, catalog, lookup, parse_algebra_file)
+from .dtheory import d_center, d_derivations
+from .fullgraph import VerificationReport, build_full_graph
+from .linalg import Matrix
+
+EXIT_OK = 0
+EXIT_VERIFY_FAILED = 1
+EXIT_USAGE = 2
+
+
+def _load_algebra(args) -> tuple[str, LieAlgebra]:
+    if args.file:
+        try:
+            with open(args.file) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise LieError(f"cannot read {args.file}: {exc}") from None
+        return args.file, parse_algebra_file(text)
+    if not args.algebra:
+        raise LieError("an algebra name or --file is required")
+    entry = lookup(args.algebra)
+    return entry.name, entry.algebra
+
+
+def _fmt_matrix(m: Matrix, indent: str = "  ") -> str:
+    cells = [[str(m[r, c]) for c in range(m.cols)] for r in range(m.rows)]
+    width = max((len(x) for row in cells for x in row), default=1)
+    return "\n".join(indent + "[" + "  ".join(x.rjust(width) for x in row) + "]"
+                     for row in cells)
+
+
+def _matrix_json(m: Matrix) -> list[list[str]]:
+    return [[str(m[r, c]) for c in range(m.cols)] for r in range(m.rows)]
+
+
+def _table_lines(alg: LieAlgebra) -> list[str]:
+    out = []
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            vec = alg.table[i][j]
+            if not any(vec):
+                continue
+            terms = " + ".join(
+                (f"{alg.basis_names[k]}" if c == 1 else f"({c})*{alg.basis_names[k]}")
+                for k, c in enumerate(vec) if c)
+            out.append(f"[{alg.basis_names[i]}, {alg.basis_names[j]}] = {terms}")
+    return out or ["(abelian)"]
+
+
+def report_to_dict(rep: VerificationReport) -> dict:
+    doc: dict = {"algebra": rep.algebra_name, "passed": rep.passed}
+    if rep.theorem1 is not None:
+        t = rep.theorem1
+        doc["theorem1"] = {
+            "each_generator_is_derivation": t.each_generator_is_derivation,
+            "bracket_homomorphism": t.bracket_homomorphism,
+            "injective": t.injective,
+            "dim_h": t.dim_h,
+            "dim_der_cg": t.dim_der_cg,
+            "image_equals_der_cg": t.image_equals_der_cg,
+            "passed": t.passed,
+        }
+    if rep.lemma is not None:
+        doc["lemma"] = {
+            "center_cg_dim": rep.lemma.center_cg_dim,
+            "d_center_dim": rep.lemma.d_center_dim,
+            "match": rep.lemma.match,
+            "passed": rep.lemma.passed,
+        }
+    if rep.theorem2 is not None:
+        doc["theorem2"] = {
+            "d_complete": rep.theorem2.d_complete,
+            "full_graph_complete": rep.theorem2.full_graph_complete,
+            "equivalent": rep.theorem2.equivalent,
+            "passed": rep.theorem2.passed,
+        }
+    if rep.d_evidence is not None:
+        doc["d_completeness"] = {
+            "d_center_dim": rep.d_evidence.d_center_dim,
+            "d_space_dim": rep.d_evidence.d_space_dim,
+            "inner_d_dim": rep.d_evidence.inner_d_dim,
+        }
+    if rep.cg_evidence is not None:
+        doc["full_graph_completeness"] = {
+            "center_dim": rep.cg_evidence.center_dim,
+            "der_dim": rep.cg_evidence.der_dim,
+            "inner_dim": rep.cg_evidence.inner_dim,
+        }
+    return doc
+
+
+def _print_report(rep: VerificationReport, out) -> None:
+    ok = lambda b: "pass" if b else "FAIL"
+    print(f"== {rep.algebra_name} ==", file=out)
+    if rep.theorem1 is not None:
+        t = rep.theorem1
+        print(f"theorem1: {ok(t.passed)}", file=out)
+        print(f"  generators are derivations: {ok(t.each_generator_is_derivation)}",
+              file=out)
+        print(f"  bracket homomorphism:       {ok(t.bracket_homomorphism)}", file=out)
+        print(f"  injective:                  {ok(t.injective)}", file=out)
+        print(f"  dim H = {t.dim_h}, dim Der(C(G)) = {t.dim_der_cg}, "
+              f"spans equal: {ok(t.image_equals_der_cg)}", file=out)
+    if rep.lemma is not None:
+        l = rep.lemma
+        print(f"lemma:    {ok(l.passed)}  "
+              f"(dim center C(G) = {l.center_cg_dim}, dim d-center = {l.d_center_dim})",
+              file=out)
+    if rep.theorem2 is not None:
+        t2 = rep.theorem2
+        print(f"theorem2: {ok(t2.passed)}  "
+              f"(d-complete: {t2.d_complete}, C(G) complete: {t2.full_graph_complete})",
+              file=out)
+    print(f"overall:  {ok(rep.passed)}", file=out)
+
+
+def _cmd_info(args, out) -> int:
+    name, g = _load_algebra(args)
+    der = derivation_algebra(g)
+    dspace = d_derivations(g, der)
+    data = {
+        "algebra": name,
+        "dim": g.dim,
+        "basis_names": list(g.basis_names),
+        "center_dim": center(g).dim,
+        "derived_subalgebra_dim": derived_subalgebra(g).dim,
+        "der_dim": der.dim,
+        "inner_der_dim": inner_derivations(g).dim,
+        "d_space_dim": dspace.dim,
+        "inner_d_dim": dspace.inner.dim,
+        "d_center_dim": d_center(g, der).dim,
+    }
+    if args.json:
+        json.dump(data, out, indent=2, sort_keys=True)
+        out.write("\n")
+    else:
+        print(f"{name}: dim {g.dim}, basis {', '.join(g.basis_names)}", file=out)
+        for line in _table_lines(g):
+            print("  " + line, file=out)
+        for key in ("center_dim", "derived_subalgebra_dim", "der_dim",
+                    "inner_der_dim", "d_space_dim", "inner_d_dim", "d_center_dim"):
+            print(f"{key.replace('_', ' ')}: {data[key]}", file=out)
+    return EXIT_OK
+
+
+def _cmd_der(args, out) -> int:
+    name, g = _load_algebra(args)
+    der = derivation_algebra(g)
+    if args.json:
+        data = {
+            "algebra": name,
+            "der_dim": der.dim,
+            "basis": [_matrix_json(d.matrix) for d in der.basis],
+            "structure_constants": _sparse_table(der.as_lie_algebra),
+        }
+        json.dump(data, out, indent=2, sort_keys=True)
+        out.write("\n")
+    else:
+        print(f"Der({name}): dimension {der.dim}", file=out)
+        for i, d in enumerate(der.basis):
+            print(f"D{i + 1} =", file=out)
+            print(_fmt_matrix(d.matrix), file=out)
+        print("bracket table:", file=out)
+        for line in _table_lines(der.as_lie_algebra):
+            print("  " + line, file=out)
+    return EXIT_OK
+
+
+def _cmd_dder(args, out) -> int:
+    name, g = _load_algebra(args)
+    dspace = d_derivations(g)
+    if args.json:
+        data = {
+            "algebra": name,
+            "d_space_dim": dspace.dim,
+            "inner_d_dim": dspace.inner.dim,
+            "basis": [_matrix_json(l.matrix) for l in dspace.basis],
+            "structure_constants": (_sparse_table(dspace.as_lie_algebra)
+                                    if dspace.as_lie_algebra else []),
+        }
+        json.dump(data, out, indent=2, sort_keys=True)
+        out.write("\n")
+    else:
+        print(f"d-derivations of {name}: dimension {dspace.dim} "
+              f"(inner: {dspace.inner.dim})", file=out)
+        for i, l in enumerate(dspace.basis):
+            print(f"L{i + 1} (columns indexed by the Der basis) =", file=out)
+            print(_fmt_matrix(l.matrix), file=out)
+        if dspace.as_lie_algebra is not None:
+            print("bracket table:", file=out)
+            for line in _table_lines(dspace.as_lie_algebra):
+                print("  " + line, file=out)
+    return EXIT_OK
+
+
+def _cmd_full_graph(args, out) -> int:
+    name, g = _load_algebra(args)
+    fg = build_full_graph(g)
+    if args.json:
+        data = {
+            "algebra": name,
+            "dim": fg.algebra.dim,
+            "basis_names": list(fg.algebra.basis_names),
+            "structure_constants": _sparse_table(fg.algebra),
+        }
+        json.dump(data, out, indent=2, sort_keys=True)
+        out.write("\n")
+    else:
+        print(f"C({name}): dimension {fg.algebra.dim} "
+              f"(Der block {fg.m}, algebra block {fg.n})", file=out)
+        for line in _table_lines(fg.algebra):
+            print("  " + line, file=out)
+    return EXIT_OK
+
+
+def _sparse_table(alg: LieAlgebra) -> list[dict]:
+    out = []
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            vec = alg.table[i][j]
+            if any(vec):
+                out.append({"i": i, "j": j,
+                            "result": [{"k": k, "coeff": str(c)}
+                                       for k, c in enumerate(vec) if c]})
+    return out
+
+
+def _cmd_verify(args, out) -> int:
+    name, g = _load_algebra(args)
+    which = {"1": "1", "2": "2", "lemma": "lemma", "all": "all"}[args.theorem]
+    rep = fg_mod.verify(g, name, which)
+    if args.json:
+        json.dump(report_to_dict(rep), out, indent=2, sort_keys=True)
+        out.write("\n")
+    else:
+        _print_report(rep, out)
+    return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
+
+
+def _cmd_corpus_verify(args, out) -> int:
+    reports = [fg_mod.verify(entry.algebra, entry.name, "all")
+               for entry in catalog()]
+    if args.json:
+        json.dump([report_to_dict(r) for r in reports], out, indent=2,
+                  sort_keys=True)
+        out.write("\n")
+    else:
+        for rep in reports:
+            _print_report(rep, out)
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="liegraph",
+        description="Exact verification of holomorph constructions on "
+                    "finite-dimensional Lie algebras over Q.")
+    parser.add_argument("--json", action="store_true",
+                        help="machine-readable output")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_algebra_args(p):
+        p.add_argument("algebra", nargs="?",
+                       help="catalog algebra name (see corpus-verify for the list)")
+        p.add_argument("--file", help="structure-constant JSON file")
+
+    p = sub.add_parser("info", help="dimensions of the derived objects")
+    add_algebra_args(p)
+    p.set_defaults(func=_cmd_info)
+
+    p = sub.add_parser("der", help="derivation algebra basis and table")
+    add_algebra_args(p)
+    p.set_defaults(func=_cmd_der)
+
+    p = sub.add_parser("dder", help="d-derivation basis and bracket table")
+    add_algebra_args(p)
+    p.set_defaults(func=_cmd_dder)
+
+    p = sub.add_parser("full-graph", help="structure constants of C(G)")
+    add_algebra_args(p)
+    p.set_defaults(func=_cmd_full_graph)
+
+    p = sub.add_parser("verify", help="run the theorem checks on one algebra")
+    add_algebra_args(p)
+    p.add_argument("--theorem", choices=["1", "2", "lemma", "all"],
+                   default="all")
+    p.set_defaults(func=_cmd_verify)
+
+    p = sub.add_parser("corpus-verify",
+                       help="run all checks on every catalog entry")
+    p.set_defaults(func=_cmd_corpus_verify)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
+    out = out or sys.stdout
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    try:
+        return args.func(args, out)
+    except (LieError, CatalogError, ValueError) as exc:
+        msg = exc.args[0] if exc.args else str(exc)
+        print(f"error: {msg}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

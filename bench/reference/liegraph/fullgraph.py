@@ -1,0 +1,261 @@
+"""The holomorph C(G) = Der(G) ⋉ G and the three machine checks.
+
+verify_theorem1 tests that the explicit action of H = Der(G) ⋉ cocycles
+on C(G) gives exactly the derivation algebra of C(G); verify_center_lemma
+compares the center of C(G) with the embedded d-center; verify_theorem2
+compares d-completeness of G with completeness of C(G).
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Optional, Sequence
+
+from .linalg import Matrix, Subspace, Vector, ZERO, as_vector, rank
+from .algebra import (CompletenessEvidence, DerivationAlgebra, LieAlgebra,
+                      center, derivation_algebra, is_complete,
+                      lie_algebra_from_table, _unit)
+from .dtheory import (DCompletenessEvidence, DDerivationSpace, SemidirectSum,
+                      build_h, d_center, d_derivations, is_d_complete)
+
+
+@dataclass(frozen=True)
+class FullGraph:
+    parent: LieAlgebra
+    der: DerivationAlgebra
+    algebra: LieAlgebra  # dimension m + n on basis (Der basis, G basis)
+
+    @property
+    def m(self) -> int:
+        return self.der.dim
+
+    @property
+    def n(self) -> int:
+        return self.parent.dim
+
+    def embed_g(self, x: Sequence) -> Vector:
+        x = as_vector(x)
+        return tuple([ZERO] * self.m) + tuple(x)
+
+    def embed_der(self, coords: Sequence) -> Vector:
+        coords = as_vector(coords)
+        return tuple(coords) + tuple([ZERO] * self.n)
+
+
+def build_full_graph(g: LieAlgebra,
+                     der: Optional[DerivationAlgebra] = None) -> FullGraph:
+    """[(D1,x1),(D2,x2)] = ([D1,D2], D1 x2 - D2 x1 + [x1,x2])."""
+    if der is None:
+        der = derivation_algebra(g)
+    n, m = g.dim, der.dim
+    total = m + n
+    table = [[[ZERO] * total for _ in range(total)] for _ in range(total)]
+    s = der.as_lie_algebra.table
+    for i, j in combinations(range(m), 2):
+        for k, c in enumerate(s[i][j]):
+            table[i][j][k] = c
+            table[j][i][k] = -c
+    for i in range(m):
+        di = der.basis[i].matrix
+        for j in range(n):
+            col = di.column(j)
+            for k, c in enumerate(col):
+                table[i][m + j][m + k] = c
+                table[m + j][i][m + k] = -c
+    for i, j in combinations(range(n), 2):
+        for k, c in enumerate(g.table[i][j]):
+            table[m + i][m + j][m + k] = c
+            table[m + j][m + i][m + k] = -c
+    names = tuple(f"D{i + 1}" for i in range(m)) + tuple(g.basis_names)
+    return FullGraph(g, der, lie_algebra_from_table(table, names,
+                                                    check_antisymmetry=False))
+
+
+def h_derivation(fg: FullGraph, dspace: DDerivationSpace,
+                 d_coords: Sequence, l_coords: Sequence) -> Matrix:
+    """Matrix on C(G) of the pair (D, L):
+        (D1, g) -> ([D,D1], D(g) + L(ad(g)) + L(D1))
+    """
+    g, der = fg.parent, fg.der
+    n, m = fg.n, fg.m
+    D = der.matrix_of(d_coords)
+    L = dspace.matrix_of(l_coords) if dspace.dim else Matrix.zero(n, 0)
+    total = m + n
+    entries = [[ZERO] * total for _ in range(total)]
+    for j in range(m):  # image of (D_j, 0)
+        top = der.coordinates_of(D.commutator(der.basis[j].matrix))
+        for k, c in enumerate(top):
+            entries[k][j] = c
+        for k in range(n):
+            entries[m + k][j] = L[k, j] if dspace.dim else ZERO
+    for j in range(n):  # image of (0, e_j)
+        bottom = D.column(j)
+        if dspace.dim:
+            ad_coords = der.coordinates_of(g.ad(_unit(n, j)))
+            corr = L.apply(ad_coords)
+            bottom = tuple(a + b for a, b in zip(bottom, corr))
+        for k, c in enumerate(bottom):
+            entries[m + k][m + j] = c
+    return Matrix.from_rows(entries)
+
+
+def _is_derivation_of(alg: LieAlgebra, mat: Matrix) -> bool:
+    n = alg.dim
+    for i, j in combinations(range(n), 2):
+        lhs = mat.apply(alg.table[i][j])
+        rhs_l = alg.bracket(mat.column(i), _unit(n, j))
+        rhs_r = alg.bracket(_unit(n, i), mat.column(j))
+        if any(a != b + c for a, b, c in zip(lhs, rhs_l, rhs_r)):
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class Theorem1Evidence:
+    each_generator_is_derivation: bool
+    bracket_homomorphism: bool
+    injective: bool
+    dim_h: int
+    dim_der_cg: int
+    image_equals_der_cg: bool
+
+    @property
+    def passed(self) -> bool:
+        return (self.each_generator_is_derivation and self.bracket_homomorphism
+                and self.injective and self.dim_h == self.dim_der_cg
+                and self.image_equals_der_cg)
+
+
+@dataclass(frozen=True)
+class LemmaEvidence:
+    center_cg_dim: int
+    d_center_dim: int
+    match: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.match
+
+
+@dataclass(frozen=True)
+class Theorem2Evidence:
+    d_complete: bool
+    full_graph_complete: bool
+    equivalent: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.equivalent
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    algebra_name: str
+    theorem1: Optional[Theorem1Evidence] = None
+    lemma: Optional[LemmaEvidence] = None
+    theorem2: Optional[Theorem2Evidence] = None
+    d_evidence: Optional[DCompletenessEvidence] = None
+    cg_evidence: Optional[CompletenessEvidence] = None
+    elapsed: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        parts = [p for p in (self.theorem1, self.lemma, self.theorem2)
+                 if p is not None]
+        return all(p.passed for p in parts) if parts else False
+
+
+class _Workspace:
+    """Shared intermediates so `verify all` builds Der(G) etc. once."""
+
+    def __init__(self, g: LieAlgebra):
+        self.g = g
+        self.der = derivation_algebra(g)
+        self.dspace = d_derivations(g, self.der)
+        self.fg = build_full_graph(g, self.der)
+
+    _h = None
+
+    @property
+    def h(self) -> SemidirectSum:
+        if self._h is None:
+            self._h = build_h(self.g, self.der, self.dspace)
+        return self._h
+
+
+def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
+    fg, dspace, h = ws.fg, ws.dspace, ws.h
+    m, p = ws.der.dim, dspace.dim
+    total = m + p
+    cg = fg.algebra
+
+    def mat_of(coords: Sequence) -> Matrix:
+        coords = as_vector(coords)
+        return h_derivation(fg, dspace, coords[:m], coords[m:])
+
+    gens = [mat_of(_unit(total, i)) for i in range(total)]
+    each_der = all(_is_derivation_of(cg, M) for M in gens)
+
+    homomorphism = True
+    for i, j in combinations(range(total), 2):
+        lhs = gens[i].commutator(gens[j])
+        rhs = mat_of(h.algebra.table[i][j])
+        if lhs != rhs:
+            homomorphism = False
+            break
+
+    flat = Matrix.from_rows([M.flatten() for M in gens])
+    injective = rank(flat) == total
+
+    der_cg = derivation_algebra(cg)
+    image = Subspace.from_rows(cg.dim * cg.dim, [M.flatten() for M in gens])
+    return Theorem1Evidence(each_der, homomorphism, injective,
+                            total, der_cg.dim, image == der_cg.flat_span)
+
+
+def check_lemma(ws: _Workspace) -> LemmaEvidence:
+    cg_center = center(ws.fg.algebra)
+    cd = d_center(ws.g, ws.der)
+    embedded = Subspace.from_rows(
+        ws.fg.m + ws.fg.n, [ws.fg.embed_g(v) for v in cd.basis_vectors()]) \
+        if cd.dim else Subspace.zero(ws.fg.m + ws.fg.n)
+    return LemmaEvidence(cg_center.dim, cd.dim, cg_center == embedded)
+
+
+def check_theorem2(ws: _Workspace) -> tuple[Theorem2Evidence,
+                                            DCompletenessEvidence,
+                                            CompletenessEvidence]:
+    dc = is_d_complete(ws.g, ws.der, ws.dspace)
+    cc = is_complete(ws.fg.algebra)
+    return (Theorem2Evidence(dc.d_complete, cc.complete,
+                             dc.d_complete == cc.complete), dc, cc)
+
+
+def verify(g: LieAlgebra, name: str = "",
+           which: str = "all") -> VerificationReport:
+    """Run the requested checks; which is one of 1 / 2 / lemma / all."""
+    start = time.monotonic()
+    ws = _Workspace(g)
+    t1 = lemma = t2 = dc = cc = None
+    if which in ("1", "all"):
+        t1 = check_theorem1(ws)
+    if which in ("lemma", "all"):
+        lemma = check_lemma(ws)
+    if which in ("2", "all"):
+        t2, dc, cc = check_theorem2(ws)
+    return VerificationReport(name, t1, lemma, t2, dc, cc,
+                              time.monotonic() - start)
+
+
+def verify_theorem1(g: LieAlgebra, name: str = "") -> VerificationReport:
+    return verify(g, name, "1")
+
+
+def verify_center_lemma(g: LieAlgebra, name: str = "") -> VerificationReport:
+    return verify(g, name, "lemma")
+
+
+def verify_theorem2(g: LieAlgebra, name: str = "") -> VerificationReport:
+    return verify(g, name, "2")
