@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -208,12 +209,18 @@ class Derivation:
 class DerivationAlgebra:
     parent: LieAlgebra
     basis: tuple[Derivation, ...]
-    as_lie_algebra: LieAlgebra  # commutator structure constants in this basis
     flat_span: Subspace  # span of row-major flattened basis matrices in Q^(n^2)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def as_lie_algebra(self) -> LieAlgebra:
+        """Commutator structure constants in this basis, built on first read."""
+        names = tuple(f"D{i + 1}" for i in range(self.dim))
+        return induced_lie_structure([d.matrix for d in self.basis],
+                                     basis_names=names)
 
     def matrix_of(self, coords: Sequence) -> Matrix:
         """The n x n matrix of a coordinate vector in the canonical basis."""
@@ -227,15 +234,10 @@ class DerivationAlgebra:
 
     def coordinates_of(self, m: Matrix) -> Vector:
         """Coordinates of a matrix known to lie in the span; raises otherwise."""
-        if self.dim == 0:
-            if m.is_zero():
-                return ()
-            raise InternalConsistencyError("nonzero matrix in a zero-dim span")
-        cols = Matrix.from_rows([d.matrix.flatten() for d in self.basis]).transpose()
-        sol = solve(cols, m.flatten())
-        if sol is None:
+        coords = self.flat_span.coordinates(m.flatten())
+        if coords is None:
             raise InternalConsistencyError("matrix does not lie in the derivation span")
-        return sol
+        return coords
 
 
 def _leibniz_system(g: LieAlgebra) -> Matrix:
@@ -274,10 +276,7 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
     if not mats:
         # cannot happen for dim >= 1 over Q (ad(g) or a grading derivation is nonzero)
         raise InternalConsistencyError("empty derivation algebra")
-    basis = tuple(Derivation(g, m) for m in mats)
-    names = tuple(f"D{i + 1}" for i in range(len(mats)))
-    lie = induced_lie_structure(mats, basis_names=names)
-    return DerivationAlgebra(g, basis, lie, sol)
+    return DerivationAlgebra(g, tuple(Derivation(g, m) for m in mats), sol)
 
 
 def inner_derivations(g: LieAlgebra) -> Subspace:

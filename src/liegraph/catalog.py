@@ -13,10 +13,12 @@ or integers.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from .linalg import ZERO
-from .algebra import (JacobiViolation, LieAlgebra, LieError, make_lie_algebra)
+from .algebra import (JacobiViolation, LieAlgebra, LieError, abelian,
+                      make_lie_algebra)
 
 
 class CatalogError(KeyError):
@@ -32,10 +34,6 @@ class CatalogEntry:
     name: str
     algebra: LieAlgebra
     notes: str = ""
-
-
-def _abelian(n: int) -> LieAlgebra:
-    return make_lie_algebra(n, [])
 
 
 def _affine2() -> LieAlgebra:
@@ -64,9 +62,9 @@ def _sl2_plus_abelian1() -> LieAlgebra:
 
 def catalog() -> list[CatalogEntry]:
     return [
-        CatalogEntry("abelian1", _abelian(1), "dim Der = 1"),
-        CatalogEntry("abelian2", _abelian(2), "dim Der = 4 (all 2x2 matrices)"),
-        CatalogEntry("abelian3", _abelian(3), "dim Der = 9"),
+        CatalogEntry("abelian1", abelian(1), "dim Der = 1"),
+        CatalogEntry("abelian2", abelian(2), "dim Der = 4 (all 2x2 matrices)"),
+        CatalogEntry("abelian3", abelian(3), "dim Der = 9"),
         CatalogEntry("affine2", _affine2(), "[e1,e2]=e2; complete, dim Der = 2"),
         CatalogEntry("heisenberg3", _heisenberg3(), "[x,y]=z; dim Der = 6"),
         CatalogEntry("sl2", _sl2(), "[h,e]=2e, [h,f]=-2f, [e,f]=h; dim Der = 3"),
@@ -88,13 +86,22 @@ def lookup(name: str) -> CatalogEntry:
     raise CatalogError(f"no catalog algebra named {name!r}")
 
 
+# "p" or "p/q" only: Fraction would also take decimals and exponents, and
+# "1e999999999" builds a billion-digit integer before any check runs
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
 def _parse_coeff(text, where: str) -> Fraction:
     if isinstance(text, bool) or isinstance(text, float):
         raise AlgebraFileError(f"{where}: coefficient must be an exact "
                                f"rational string or integer, got {text!r}")
+    if isinstance(text, int):
+        return Fraction(text)
+    if not (isinstance(text, str) and _RATIONAL.fullmatch(text)):
+        raise AlgebraFileError(f"{where}: bad rational literal {text!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError, TypeError):
+    except (ValueError, ZeroDivisionError):
         raise AlgebraFileError(f"{where}: bad rational literal {text!r}") from None
 
 

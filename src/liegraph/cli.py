@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Subcommands: info, der, dder, full-graph, verify, corpus-verify.
-Exit codes: 0 all requested checks pass, 1 a verification failed,
-2 input/usage error.
+Exit codes: 0 all requested checks pass, 1 a verification failed or
+stdout was closed before all output was written, 2 input/usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -317,7 +318,18 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed early (`liegraph ... | head`). Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again, and
+        # exit 1 as Python does after EPIPE.
+        if out is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_VERIFY_FAILED
     except (LieError, CatalogError, ValueError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)

@@ -11,12 +11,14 @@ together into a semidirect product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .linalg import Matrix, Subspace, Vector, ZERO, as_vector, nullspace
-from .algebra import (Derivation, DerivationAlgebra, LieAlgebra,
-                      derivation_algebra, lie_algebra_from_table, _unit)
+from .algebra import (Derivation, DerivationAlgebra, InternalConsistencyError,
+                      LieAlgebra, derivation_algebra, lie_algebra_from_table,
+                      _unit)
 
 
 @dataclass(frozen=True)
@@ -105,13 +107,27 @@ class DDerivationSpace:
     parent: LieAlgebra
     der: DerivationAlgebra
     basis: tuple[DDerivation, ...]  # canonical RREF order of flattenings
-    as_lie_algebra: Optional[LieAlgebra]  # None only if the space is zero
     flat_span: Subspace  # in Q^(n*m)
     inner: Subspace  # flattened inner d-derivations, subspace of flat_span
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def as_lie_algebra(self) -> Optional[LieAlgebra]:
+        """The d_bracket structure constants in this basis, built on first
+        read; None only if the space is zero."""
+        p = self.dim
+        if p == 0:
+            return None
+        table = [[[ZERO] * p for _ in range(p)] for _ in range(p)]
+        for i, j in combinations(range(p), 2):
+            coords = self.coordinates_of(d_bracket(self.basis[i], self.basis[j]))
+            table[i][j] = list(coords)
+            table[j][i] = [-c for c in coords]
+        return lie_algebra_from_table(
+            table, tuple(f"L{i + 1}" for i in range(p)), check_antisymmetry=False)
 
     def matrix_of(self, coords: Sequence) -> Matrix:
         coords = as_vector(coords)
@@ -123,22 +139,15 @@ class DDerivationSpace:
         return out
 
     def coordinates_of(self, l: DDerivation) -> Vector:
-        from .linalg import solve
-        from .algebra import InternalConsistencyError
-        if self.dim == 0:
-            if l.matrix.is_zero():
-                return ()
-            raise InternalConsistencyError("nonzero map in a zero-dim space")
-        cols = Matrix.from_rows([b.matrix.flatten() for b in self.basis]).transpose()
-        sol = solve(cols, l.matrix.flatten())
-        if sol is None:
+        coords = self.flat_span.coordinates(l.matrix.flatten())
+        if coords is None:
             raise InternalConsistencyError("map does not lie in the cocycle space")
-        return sol
+        return coords
 
 
 def d_derivations(g: LieAlgebra,
                   der: Optional[DerivationAlgebra] = None) -> DDerivationSpace:
-    """Solve the cocycle system; populate bracket table and inner span."""
+    """Solve the cocycle system and span the inner d-derivations."""
     if der is None:
         der = derivation_algebra(g)
     n, m = g.dim, der.dim
@@ -147,18 +156,7 @@ def d_derivations(g: LieAlgebra,
     inner = Subspace.from_rows(
         n * m, [inner_d_derivation(g, der, _unit(n, i)).matrix.flatten()
                 for i in range(n)])
-    lie = None
-    if basis:
-        p = len(basis)
-        space = DDerivationSpace(g, der, basis, None, span, inner)
-        table = [[[ZERO] * p for _ in range(p)] for _ in range(p)]
-        for i, j in combinations(range(p), 2):
-            coords = space.coordinates_of(d_bracket(basis[i], basis[j]))
-            table[i][j] = list(coords)
-            table[j][i] = [-c for c in coords]
-        lie = lie_algebra_from_table(
-            table, tuple(f"L{i + 1}" for i in range(p)), check_antisymmetry=False)
-    return DDerivationSpace(g, der, basis, lie, span, inner)
+    return DDerivationSpace(g, der, basis, span, inner)
 
 
 def d_bracket(l1: DDerivation, l2: DDerivation) -> DDerivation:

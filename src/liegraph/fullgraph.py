@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .linalg import Matrix, Subspace, Vector, ZERO, as_vector, rank
-from .algebra import (CompletenessEvidence, DerivationAlgebra, LieAlgebra,
-                      center, derivation_algebra, is_complete,
+from .algebra import (CompletenessEvidence, Derivation, DerivationAlgebra,
+                      LieAlgebra, center, derivation_algebra, is_complete,
                       lie_algebra_from_table, _unit)
 from .dtheory import (DCompletenessEvidence, DDerivationSpace, SemidirectSum,
                       build_h, d_center, d_derivations, is_d_complete)
@@ -101,17 +102,6 @@ def h_derivation(fg: FullGraph, dspace: DDerivationSpace,
     return Matrix.from_rows(entries)
 
 
-def _is_derivation_of(alg: LieAlgebra, mat: Matrix) -> bool:
-    n = alg.dim
-    for i, j in combinations(range(n), 2):
-        lhs = mat.apply(alg.table[i][j])
-        rhs_l = alg.bracket(mat.column(i), _unit(n, j))
-        rhs_r = alg.bracket(_unit(n, i), mat.column(j))
-        if any(a != b + c for a, b, c in zip(lhs, rhs_l, rhs_r)):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class Theorem1Evidence:
     each_generator_is_derivation: bool
@@ -168,21 +158,25 @@ class VerificationReport:
 
 
 class _Workspace:
-    """Shared intermediates so `verify all` builds Der(G) etc. once."""
+    """Shared intermediates, each built once and only when a check reads it."""
 
     def __init__(self, g: LieAlgebra):
         self.g = g
         self.der = derivation_algebra(g)
-        self.dspace = d_derivations(g, self.der)
         self.fg = build_full_graph(g, self.der)
 
-    _h = None
+    @cached_property
+    def dspace(self) -> DDerivationSpace:
+        return d_derivations(self.g, self.der)
 
-    @property
+    @cached_property
     def h(self) -> SemidirectSum:
-        if self._h is None:
-            self._h = build_h(self.g, self.der, self.dspace)
-        return self._h
+        return build_h(self.g, self.der, self.dspace)
+
+    @cached_property
+    def der_cg(self) -> DerivationAlgebra:
+        """Der(C(G)), read by theorem1 and theorem2."""
+        return derivation_algebra(self.fg.algebra)
 
 
 def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
@@ -196,7 +190,7 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
         return h_derivation(fg, dspace, coords[:m], coords[m:])
 
     gens = [mat_of(_unit(total, i)) for i in range(total)]
-    each_der = all(_is_derivation_of(cg, M) for M in gens)
+    each_der = all(Derivation(cg, M).is_leibniz() for M in gens)
 
     homomorphism = True
     for i, j in combinations(range(total), 2):
@@ -209,7 +203,7 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
     flat = Matrix.from_rows([M.flatten() for M in gens])
     injective = rank(flat) == total
 
-    der_cg = derivation_algebra(cg)
+    der_cg = ws.der_cg
     image = Subspace.from_rows(cg.dim * cg.dim, [M.flatten() for M in gens])
     return Theorem1Evidence(each_der, homomorphism, injective,
                             total, der_cg.dim, image == der_cg.flat_span)
@@ -228,7 +222,7 @@ def check_theorem2(ws: _Workspace) -> tuple[Theorem2Evidence,
                                             DCompletenessEvidence,
                                             CompletenessEvidence]:
     dc = is_d_complete(ws.g, ws.der, ws.dspace)
-    cc = is_complete(ws.fg.algebra)
+    cc = is_complete(ws.fg.algebra, ws.der_cg)
     return (Theorem2Evidence(dc.d_complete, cc.complete,
                              dc.d_complete == cc.complete), dc, cc)
 

@@ -44,6 +44,18 @@ class Matrix:
         self._e = entries
 
     @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple) -> "Matrix":
+        """Wrap a tuple of rows * cols Fractions without coercing or checking.
+
+        Only for results of operations on Matrix entries, which are
+        Fractions already."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._e = entries
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
         rows = [tuple(r) for r in rows]
         if not rows:
@@ -79,52 +91,58 @@ class Matrix:
         return self._e
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [self._e[r * self.cols + c]
-                       for c in range(self.cols) for r in range(self.rows)])
+        e, cols, rows = self._e, self.cols, self.rows
+        return Matrix._trusted(cols, rows, tuple(
+            e[r * cols + c] for c in range(cols) for r in range(rows)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self._e, other._e)])
+        return Matrix._trusted(self.rows, self.cols, tuple(
+            a + b if b else a for a, b in zip(self._e, other._e)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self._e, other._e)])
+        return Matrix._trusted(self.rows, self.cols, tuple(
+            a - b if b else a for a, b in zip(self._e, other._e)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self._e])
+        return Matrix._trusted(self.rows, self.cols, tuple(-a for a in self._e))
 
     def scale(self, s) -> "Matrix":
         s = as_scalar(s)
-        return Matrix(self.rows, self.cols, [s * a for a in self._e])
+        return Matrix._trusted(self.rows, self.cols, tuple(s * a for a in self._e))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        k_dim, n = self.cols, other.cols
+        # nonzero (column, entry) pairs of each row of the right operand
+        right = [[(c, b) for c, b in enumerate(other._e[k * n:(k + 1) * n]) if b]
+                 for k in range(other.rows)]
         out = []
         for r in range(self.rows):
-            row = self.row(r)
-            for c in range(other.cols):
-                acc = ZERO
-                for k, a in enumerate(row):
-                    if a:
-                        acc += a * other._e[k * other.cols + c]
-                out.append(acc)
-        return Matrix(self.rows, other.cols, out)
+            acc = [ZERO] * n
+            for k, a in enumerate(self._e[r * k_dim:(r + 1) * k_dim]):
+                if a:
+                    for c, b in right[k]:
+                        acc[c] += a * b
+            out.extend(acc)
+        return Matrix._trusted(self.rows, n, tuple(out))
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix-vector product."""
         v = as_vector(v)
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
+        nz = [(c, x) for c, x in enumerate(v) if x]
+        e, cols = self._e, self.cols
         out = []
         for r in range(self.rows):
+            base = r * cols
             acc = ZERO
-            row = self.row(r)
-            for a, x in zip(row, v):
-                if a and x:
+            for c, x in nz:
+                a = e[base + c]
+                if a:
                     acc += a * x
             out.append(acc)
         return tuple(out)
@@ -237,13 +255,14 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
 class Subspace:
     """A subspace of Q^n held as an RREF row basis; equality is syntactic."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_rows")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         if basis.cols != ambient_dim:
             raise ValueError("basis width != ambient dimension")
         self.ambient_dim = ambient_dim
         self.basis = basis  # trusted canonical; use from_rows to canonicalize
+        self._rows = None  # (pivot, nonzero (column, entry) pairs) per row
 
     @classmethod
     def from_rows(cls, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
@@ -269,13 +288,34 @@ class Subspace:
     def basis_vectors(self) -> list[Vector]:
         return self.basis.row_list()
 
-    def contains_vector(self, v: Sequence) -> bool:
+    def coordinates(self, v: Sequence) -> Optional[Vector]:
+        """Coordinates of v in the basis, or None if v is not in the span.
+
+        In RREF each basis row is 1 at its pivot column and every other row
+        is 0 there, so the coordinate of a row is the entry of v at its
+        pivot. One exact reconstruction confirms that v lies in the span.
+        """
         v = as_vector(v)
-        if not any(v):
-            return True
-        if self.dim == 0:
-            return False
-        return solve(self.basis.transpose(), v) is not None
+        if len(v) != self.ambient_dim:
+            raise ValueError(
+                f"vector length {len(v)} != ambient dimension {self.ambient_dim}")
+        if self._rows is None:
+            self._rows = []
+            for row in self.basis.row_list():
+                nz = [(c, x) for c, x in enumerate(row) if x]
+                self._rows.append((nz[0][0], nz))
+        coords = []
+        recon = [ZERO] * self.ambient_dim
+        for pivot, nz in self._rows:
+            a = v[pivot]
+            coords.append(a)
+            if a:
+                for c, x in nz:
+                    recon[c] += a * x
+        return tuple(coords) if tuple(recon) == v else None
+
+    def contains_vector(self, v: Sequence) -> bool:
+        return self.coordinates(v) is not None
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)

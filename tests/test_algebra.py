@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from liegraph.algebra import (AntisymmetryConflict, DependentBasis, Derivation,
-                              IndexOutOfRange, JacobiViolation, LieError,
-                              NotClosed, abelian, center, derivation_algebra,
-                              derived_subalgebra, induced_lie_structure,
-                              inner_derivations, is_complete, make_lie_algebra)
+                              IndexOutOfRange, InternalConsistencyError,
+                              JacobiViolation, LieError, NotClosed, abelian,
+                              center, derivation_algebra, derived_subalgebra,
+                              induced_lie_structure, inner_derivations,
+                              is_complete, make_lie_algebra)
 from liegraph.catalog import lookup
 from liegraph.linalg import Matrix, Subspace
 
@@ -126,6 +127,12 @@ class TestDerivationAlgebra:
         b = derivation_algebra(sl2)
         assert [d.matrix for d in a.basis] == [d.matrix for d in b.basis]
         assert a.as_lie_algebra.table == b.as_lie_algebra.table
+
+    def test_coordinates_of_matrix_outside_span_raises(self, h3):
+        # the identity is no derivation of heisenberg3: D[x,y] = z, not 2z
+        der = derivation_algebra(h3)
+        with pytest.raises(InternalConsistencyError):
+            der.coordinates_of(Matrix.identity(3))
 
 
 class TestInnerDerivations:

@@ -1,5 +1,11 @@
+import errno
 import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +58,24 @@ class TestAlgebraFile:
             {"i": 0, "j": 1, "result": [{"k": 0, "coeff": 0.5}]}]})
         with pytest.raises(AlgebraFileError):
             parse_algebra_file(text)
+
+    @pytest.mark.parametrize("literal", ["1e3", "0.5", "1e999999999"])
+    def test_decimal_and_exponent_strings_rejected(self, literal, tmp_path):
+        text = json.dumps({"dim": 2, "brackets": [
+            {"i": 0, "j": 1, "result": [{"k": 0, "coeff": literal}]}]})
+        with pytest.raises(AlgebraFileError, match="bad rational literal"):
+            parse_algebra_file(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["info", "--file", str(path)], out=io.StringIO()) == 2
+
+    @pytest.mark.parametrize("literal,value", [
+        ("3/2", Fraction(3, 2)), ("-3/2", Fraction(-3, 2)), ("+4", Fraction(4)),
+        (7, Fraction(7))])
+    def test_integer_and_fraction_literals_accepted(self, literal, value):
+        text = json.dumps({"dim": 2, "brackets": [
+            {"i": 0, "j": 1, "result": [{"k": 1, "coeff": literal}]}]})
+        assert parse_algebra_file(text).table[0][1] == (Fraction(0), value)
 
     def test_jacobi_violation_passthrough(self):
         text = json.dumps({"dim": 3, "brackets": [
@@ -182,3 +206,40 @@ class TestCli:
         code, text = run_cli("verify", "sl2", "--theorem", "1")
         assert code == 1
         assert "FAIL" in text
+
+
+class ClosedStream(io.StringIO):
+    """An output stream whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["--json", "corpus-verify"], ["der", "abelian3"]])
+def test_closed_output_stream_ends_without_traceback(argv, capsys):
+    assert main(argv, out=ClosedStream()) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_reader_closing_after_one_byte_leaves_stderr_empty():
+    import fcntl  # F_SETPIPE_SZ is Linux-only
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    r, w = os.pipe()
+    # a 4096-byte pipe holds less than the 4.5 kB report, so the writer is
+    # still blocked when the reader closes and must see EPIPE
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "liegraph.cli", "--json", "der", "abelian3"],
+            stdout=w, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(w)
+    try:
+        first = os.read(r, 1)
+    finally:
+        os.close(r)
+    _, err = proc.communicate(timeout=120)
+    assert len(first) == 1
+    assert err == b""
+    assert proc.returncode == 1

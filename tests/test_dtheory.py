@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from liegraph.algebra import Derivation, abelian, derivation_algebra
+from liegraph.algebra import (Derivation, InternalConsistencyError, abelian,
+                              derivation_algebra)
 from liegraph.catalog import catalog, lookup
-from liegraph.dtheory import (build_h, d_algebra, d_bracket, d_center,
-                              d_derivations, der_action, inner_d_derivation,
-                              is_d_complete)
+from liegraph.dtheory import (DDerivation, build_h, d_algebra, d_bracket,
+                              d_center, d_derivations, der_action,
+                              inner_d_derivation, is_d_complete)
 from liegraph.linalg import Matrix, Subspace
 
 F = Fraction
@@ -52,6 +53,17 @@ class TestDDerivations:
                 x = [1 if t == i else 0 for t in range(g.dim)]
                 lx = inner_d_derivation(g, space.der, x)
                 assert space.flat_span.contains_vector(lx.matrix.flatten()), entry.name
+
+
+def test_coordinates_of_map_outside_cocycle_space_raises(sl2_setup):
+    g, der, space = sl2_setup
+    basis = space.flat_span.basis_vectors()
+    # a unit vector that raises the rank lies outside the span
+    outside = next(DDerivation(g, der, Matrix(g.dim, der.dim, v))
+                   for v in Subspace.full(g.dim * der.dim).basis_vectors()
+                   if Subspace.from_rows(len(v), basis + [v]).dim > space.dim)
+    with pytest.raises(InternalConsistencyError):
+        space.coordinates_of(outside)
 
 
 class TestDCenter:

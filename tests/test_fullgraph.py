@@ -136,3 +136,23 @@ class TestVerifiers:
         assert rep.lemma.passed
         assert rep.theorem2.d_complete and not rep.theorem2.full_graph_complete
         assert not rep.theorem2.equivalent
+
+
+def test_verify_all_builds_each_derivation_algebra_once(monkeypatch):
+    import liegraph.algebra as algebra_mod
+    import liegraph.dtheory as dtheory_mod
+    import liegraph.fullgraph as fullgraph_mod
+    inputs = []
+    real = algebra_mod.derivation_algebra
+
+    def counting(g):
+        inputs.append(g)
+        return real(g)
+
+    for mod in (algebra_mod, dtheory_mod, fullgraph_mod):
+        monkeypatch.setattr(mod, "derivation_algebra", counting)
+    g = lookup("heisenberg3").algebra
+    verify(g, "heisenberg3", which="all")
+    # Der(G), then Der(C(G)) shared by theorem1 and theorem2
+    assert len(inputs) == 2
+    assert inputs[0] == g and inputs[1].dim == 3 + 6

@@ -141,3 +141,67 @@ def test_sum_intersection_dimension_formula(m1, m2):
     assert ops["sum"].dim + ops["intersection"].dim == a.dim + b.dim
     assert ops["sum"].contains(a) and ops["sum"].contains(b)
     assert a.contains(ops["intersection"]) and b.contains(ops["intersection"])
+
+
+# Differential checks of the fast paths against their references: pivot
+# coordinates against solve, sparse matmul against the triple loop.
+
+@st.composite
+def spans_and_vectors(draw):
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 5))
+    rows = [draw(st.lists(entries, min_size=d, max_size=d)) for _ in range(k)]
+    span = Subspace.from_rows(d, rows) if rows else Subspace.zero(d)
+    coeffs = draw(st.lists(entries, min_size=span.dim, max_size=span.dim))
+    inside = [sum((c * b[t] for c, b in zip(coeffs, span.basis_vectors())), F(0))
+              for t in range(d)]
+    anywhere = draw(st.lists(entries, min_size=d, max_size=d))
+    return span, inside, anywhere
+
+
+@given(spans_and_vectors())
+@settings(max_examples=150, deadline=None)
+def test_coordinates_agree_with_solve(case):
+    span, inside, anywhere = case
+    reference = span.basis.transpose()
+    coords = span.coordinates(inside)
+    assert coords is not None
+    assert coords == solve(reference, inside)
+    # anywhere may or may not lie in the span; both sides give None when not
+    assert span.coordinates(anywhere) == solve(reference, anywhere)
+    assert span.contains_vector(anywhere) == (solve(reference, anywhere) is not None)
+
+
+def test_coordinates_outside_span_is_none():
+    line = Subspace.from_rows(3, [[1, 2, 3]])
+    assert line.coordinates([2, 4, 6]) == (F(2),)
+    assert line.coordinates([1, 0, 0]) is None
+    assert Subspace.zero(2).coordinates([0, 0]) == ()
+    assert Subspace.zero(2).coordinates([0, 1]) is None
+    with pytest.raises(ValueError):
+        line.coordinates([1, 2])
+
+
+sparse_entries = st.one_of(st.just(F(0)), st.just(F(0)), entries)
+
+
+@st.composite
+def matmul_pairs(draw):
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    a = Matrix(r, k, draw(st.lists(sparse_entries, min_size=r * k, max_size=r * k)))
+    b = Matrix(k, c, draw(st.lists(sparse_entries, min_size=k * c, max_size=k * c)))
+    return a, b
+
+
+@given(matmul_pairs())
+@settings(max_examples=150, deadline=None)
+def test_matmul_matches_triple_loop(pair):
+    a, b = pair
+    naive = [sum((a[i, t] * b[t, j] for t in range(a.cols)), F(0))
+             for i in range(a.rows) for j in range(b.cols)]
+    assert a @ b == Matrix(a.rows, b.cols, naive)
+
+
+def test_matmul_shape_mismatch_raises():
+    with pytest.raises(ValueError):
+        Matrix.identity(2) @ Matrix.identity(3)
