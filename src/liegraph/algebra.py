@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .linalg import (Matrix, Subspace, Vector, ZERO, as_scalar, as_vector,
                      nullspace, rank, solve, vstack)
@@ -84,9 +84,6 @@ class LieAlgebra:
         cols = [self.bracket(x, _unit(self.dim, j)) for j in range(self.dim)]
         return Matrix(self.dim, self.dim,
                       [cols[c][r] for r in range(self.dim) for c in range(self.dim)])
-
-    def basis_bracket(self, i: int, j: int) -> Vector:
-        return self.table[i][j]
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, basis={list(self.basis_names)})"
@@ -164,9 +161,28 @@ def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
             continue
         seen[key] = val
     for (i, j), vec in seen.items():
-        table[i][j] = list(vec)
-        table[j][i] = [-c for c in vec]
+        if any(vec):  # zero pairs keep the shared ZERO entries
+            table[i][j] = list(vec)
+            table[j][i] = [-c for c in vec]
     return lie_algebra_from_table(table, basis_names, check_antisymmetry=False)
+
+
+def semidirect(k: LieAlgebra, v: LieAlgebra,
+               action: Callable[[int, int], Vector]) -> LieAlgebra:
+    """The semidirect product k ⋉ v on k's basis followed by v's.
+
+    k and v keep their own brackets, and [k_i, v_j] = action(i, j), given
+    as coordinates in v's basis; action must make k act on v by derivations.
+    """
+    m, n = k.dim, v.dim
+    pad_k, pad_v = (ZERO,) * n, (ZERO,) * m
+    brackets = [(i, j, k.table[i][j] + pad_k)
+                for i, j in combinations(range(m), 2)]
+    brackets += [(i, m + j, pad_v + action(i, j))
+                 for i in range(m) for j in range(n)]
+    brackets += [(m + i, m + j, pad_v + v.table[i][j])
+                 for i, j in combinations(range(n), 2)]
+    return make_lie_algebra(m + n, brackets, k.basis_names + v.basis_names)
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -206,38 +222,68 @@ class Derivation:
 
 
 @dataclass(frozen=True)
-class DerivationAlgebra:
-    parent: LieAlgebra
-    basis: tuple[Derivation, ...]
-    flat_span: Subspace  # span of row-major flattened basis matrices in Q^(n^2)
+class MatrixSpan:
+    """A span of equal-shape matrices, held as the canonical RREF basis of
+    their row-major flattenings; coordinates are read at its pivots."""
+    shape: tuple[int, int]
+    flat_span: Subspace  # in Q^(rows * cols)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.flat_span.dim
+
+    @cached_property
+    def matrices(self) -> tuple[Matrix, ...]:
+        """The basis matrices, in canonical order."""
+        return tuple(Matrix._trusted(*self.shape, v)
+                     for v in self.flat_span.basis_vectors())
+
+    def matrix_of(self, coords: Sequence) -> Matrix:
+        """The matrix of a coordinate vector in the canonical basis."""
+        out = Matrix.zero(*self.shape)
+        for c, b in zip(as_vector(coords), self.matrices):
+            if c:
+                out = out + b.scale(c)
+        return out
+
+    def coordinates(self, m: Matrix) -> Vector:
+        """Coordinates of a matrix known to lie in the span; raises otherwise."""
+        coords = self.flat_span.coordinates(m.flatten())
+        if coords is None:
+            raise InternalConsistencyError(
+                f"matrix does not lie in the span of {type(self).__name__}")
+        return coords
+
+    def lie_algebra(self, bracket: Callable[[int, int], Matrix],
+                    prefix: str) -> LieAlgebra:
+        """The span as a Lie algebra with basis names prefix1, prefix2, ...;
+        bracket(i, j) is the matrix of the bracket of basis elements i < j."""
+        return make_lie_algebra(
+            self.dim, [(i, j, self.coordinates(bracket(i, j)))
+                       for i, j in combinations(range(self.dim), 2)],
+            tuple(f"{prefix}{i + 1}" for i in range(self.dim)))
+
+
+@dataclass(frozen=True)
+class DerivationAlgebra(MatrixSpan):
+    """Der(G) in the canonical basis of the Leibniz system's kernel."""
+    parent: LieAlgebra
+
+    @cached_property
+    def basis(self) -> tuple[Derivation, ...]:
+        return tuple(Derivation(self.parent, m) for m in self.matrices)
 
     @cached_property
     def as_lie_algebra(self) -> LieAlgebra:
         """Commutator structure constants in this basis, built on first read."""
-        names = tuple(f"D{i + 1}" for i in range(self.dim))
-        return induced_lie_structure([d.matrix for d in self.basis],
-                                     basis_names=names)
+        b = self.matrices
+        return self.lie_algebra(lambda i, j: b[i].commutator(b[j]), "D")
 
-    def matrix_of(self, coords: Sequence) -> Matrix:
-        """The n x n matrix of a coordinate vector in the canonical basis."""
-        coords = as_vector(coords)
-        n = self.parent.dim
-        out = Matrix.zero(n, n)
-        for c, d in zip(coords, self.basis):
-            if c:
-                out = out + d.matrix.scale(c)
-        return out
-
+    # defined here, not inherited: bench/trace_cli.py traces it through
+    # this class's __dict__, as it does DDerivationSpace.coordinates_of
     def coordinates_of(self, m: Matrix) -> Vector:
         """Coordinates of a matrix known to lie in the span; raises otherwise."""
-        coords = self.flat_span.coordinates(m.flatten())
-        if coords is None:
-            raise InternalConsistencyError("matrix does not lie in the derivation span")
-        return coords
+        return self.coordinates(m)
 
 
 def _leibniz_system(g: LieAlgebra) -> Matrix:
@@ -270,13 +316,11 @@ def _leibniz_system(g: LieAlgebra) -> Matrix:
 
 def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
     """Solve the Leibniz system; basis in canonical RREF order of flattenings."""
-    n = g.dim
     sol = nullspace(_leibniz_system(g))
-    mats = [Matrix(n, n, v) for v in sol.basis_vectors()]
-    if not mats:
+    if sol.dim == 0:
         # cannot happen for dim >= 1 over Q (ad(g) or a grading derivation is nonzero)
         raise InternalConsistencyError("empty derivation algebra")
-    return DerivationAlgebra(g, tuple(Derivation(g, m) for m in mats), sol)
+    return DerivationAlgebra((g.dim, g.dim), sol, g)
 
 
 def inner_derivations(g: LieAlgebra) -> Subspace:
@@ -323,7 +367,12 @@ def is_complete(g: LieAlgebra,
     """Trivial center and every derivation inner."""
     if der is None:
         der = derivation_algebra(g)
-    z = center(g)
+    return completeness(g, der, center(g))
+
+
+def completeness(g: LieAlgebra, der: DerivationAlgebra,
+                 z: Subspace) -> CompletenessEvidence:
+    """is_complete from the derivation algebra and the center z of g."""
     inner = inner_derivations(g)
     all_inner = inner == der.flat_span
     return CompletenessEvidence(z.dim == 0 and all_inner, z.dim, der.dim, inner.dim)

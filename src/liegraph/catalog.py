@@ -105,6 +105,18 @@ def _parse_coeff(text, where: str) -> Fraction:
         raise AlgebraFileError(f"{where}: bad rational literal {text!r}") from None
 
 
+def _is_int(x) -> bool:
+    # JSON true and false load as bool, which is a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list(obj: dict, key: str, where: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise AlgebraFileError(f"{where}: '{key}' must be a list, got {value!r}")
+    return value
+
+
 def parse_algebra_file(text: str) -> LieAlgebra:
     """Parse and fully validate a JSON structure-constant document."""
     try:
@@ -117,7 +129,7 @@ def parse_algebra_file(text: str) -> LieAlgebra:
         n = doc["dim"]
     except KeyError:
         raise AlgebraFileError("missing field 'dim'") from None
-    if not isinstance(n, int) or n <= 0:
+    if not _is_int(n) or n <= 0:
         raise AlgebraFileError(f"'dim' must be a positive integer, got {n!r}")
     names = doc.get("basis_names")
     if names is not None:
@@ -126,7 +138,7 @@ def parse_algebra_file(text: str) -> LieAlgebra:
             raise AlgebraFileError(f"'basis_names' must be {n} strings")
     brackets = []
     seen = set()
-    for pos, item in enumerate(doc.get("brackets", [])):
+    for pos, item in enumerate(_list(doc, "brackets", "top level")):
         where = f"brackets[{pos}]"
         if not isinstance(item, dict):
             raise AlgebraFileError(f"{where}: must be an object")
@@ -134,7 +146,7 @@ def parse_algebra_file(text: str) -> LieAlgebra:
             i, j = item["i"], item["j"]
         except KeyError as exc:
             raise AlgebraFileError(f"{where}: missing field {exc}") from None
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (_is_int(i) and _is_int(j)):
             raise AlgebraFileError(f"{where}: i and j must be integers")
         if not (0 <= i < n and 0 <= j < n):
             raise AlgebraFileError(f"{where}: indices ({i},{j}) out of range "
@@ -145,11 +157,11 @@ def parse_algebra_file(text: str) -> LieAlgebra:
             raise AlgebraFileError(f"{where}: duplicate pair ({i},{j})")
         seen.add((i, j))
         vec = [ZERO] * n
-        for term in item.get("result", []):
+        for term in _list(item, "result", where):
             if not isinstance(term, dict) or "k" not in term or "coeff" not in term:
                 raise AlgebraFileError(f"{where}: result terms need 'k' and 'coeff'")
             k = term["k"]
-            if not isinstance(k, int) or not 0 <= k < n:
+            if not _is_int(k) or not 0 <= k < n:
                 raise AlgebraFileError(f"{where}: k={k!r} out of range for dim {n}")
             vec[k] += _parse_coeff(term["coeff"], where)
         brackets.append((i, j, vec))
@@ -161,17 +173,17 @@ def parse_algebra_file(text: str) -> LieAlgebra:
         raise AlgebraFileError(str(exc)) from None
 
 
+def sparse_brackets(g: LieAlgebra) -> list[dict]:
+    """The nonzero brackets [e_i, e_j], i < j, in the file format's form."""
+    return [{"i": i, "j": j,
+             "result": [{"k": k, "coeff": str(c)}
+                        for k, c in enumerate(g.table[i][j]) if c]}
+            for i in range(g.dim) for j in range(i + 1, g.dim)
+            if any(g.table[i][j])]
+
+
 def serialize_algebra(g: LieAlgebra) -> str:
     """Canonical JSON for a LieAlgebra; round-trips through parse_algebra_file."""
-    brackets = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            vec = g.table[i][j]
-            if any(vec):
-                brackets.append({
-                    "i": i, "j": j,
-                    "result": [{"k": k, "coeff": str(c)}
-                               for k, c in enumerate(vec) if c],
-                })
-    doc = {"dim": g.dim, "basis_names": list(g.basis_names), "brackets": brackets}
+    doc = {"dim": g.dim, "basis_names": list(g.basis_names),
+           "brackets": sparse_brackets(g)}
     return json.dumps(doc, indent=2) + "\n"

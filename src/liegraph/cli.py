@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 from . import fullgraph as fg_mod
 from .algebra import (LieAlgebra, LieError, center, derivation_algebra,
                       derived_subalgebra, inner_derivations)
-from .catalog import (CatalogError, catalog, lookup, parse_algebra_file)
+from .catalog import (CatalogError, catalog, lookup, parse_algebra_file,
+                      sparse_brackets)
 from .dtheory import d_center, d_derivations
 from .fullgraph import VerificationReport, build_full_graph
 from .linalg import Matrix
@@ -169,7 +170,7 @@ def _cmd_der(args, out) -> int:
             "algebra": name,
             "der_dim": der.dim,
             "basis": [_matrix_json(d.matrix) for d in der.basis],
-            "structure_constants": _sparse_table(der.as_lie_algebra),
+            "structure_constants": sparse_brackets(der.as_lie_algebra),
         }
         json.dump(data, out, indent=2, sort_keys=True)
         out.write("\n")
@@ -193,8 +194,7 @@ def _cmd_dder(args, out) -> int:
             "d_space_dim": dspace.dim,
             "inner_d_dim": dspace.inner.dim,
             "basis": [_matrix_json(l.matrix) for l in dspace.basis],
-            "structure_constants": (_sparse_table(dspace.as_lie_algebra)
-                                    if dspace.as_lie_algebra else []),
+            "structure_constants": sparse_brackets(dspace.as_lie_algebra),
         }
         json.dump(data, out, indent=2, sort_keys=True)
         out.write("\n")
@@ -204,10 +204,9 @@ def _cmd_dder(args, out) -> int:
         for i, l in enumerate(dspace.basis):
             print(f"L{i + 1} (columns indexed by the Der basis) =", file=out)
             print(_fmt_matrix(l.matrix), file=out)
-        if dspace.as_lie_algebra is not None:
-            print("bracket table:", file=out)
-            for line in _table_lines(dspace.as_lie_algebra):
-                print("  " + line, file=out)
+        print("bracket table:", file=out)
+        for line in _table_lines(dspace.as_lie_algebra):
+            print("  " + line, file=out)
     return EXIT_OK
 
 
@@ -219,7 +218,7 @@ def _cmd_full_graph(args, out) -> int:
             "algebra": name,
             "dim": fg.algebra.dim,
             "basis_names": list(fg.algebra.basis_names),
-            "structure_constants": _sparse_table(fg.algebra),
+            "structure_constants": sparse_brackets(fg.algebra),
         }
         json.dump(data, out, indent=2, sort_keys=True)
         out.write("\n")
@@ -229,18 +228,6 @@ def _cmd_full_graph(args, out) -> int:
         for line in _table_lines(fg.algebra):
             print("  " + line, file=out)
     return EXIT_OK
-
-
-def _sparse_table(alg: LieAlgebra) -> list[dict]:
-    out = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            vec = alg.table[i][j]
-            if any(vec):
-                out.append({"i": i, "j": j,
-                            "result": [{"k": k, "coeff": str(c)}
-                                       for k, c in enumerate(vec) if c]})
-    return out
 
 
 def _cmd_verify(args, out) -> int:

@@ -15,10 +15,10 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .linalg import Matrix, Subspace, Vector, ZERO, as_vector, nullspace
-from .algebra import (Derivation, DerivationAlgebra, InternalConsistencyError,
-                      LieAlgebra, derivation_algebra, lie_algebra_from_table,
-                      _unit)
+from .linalg import (Matrix, Subspace, Vector, ZERO, as_vector, nullspace,
+                     vstack)
+from .algebra import (Derivation, DerivationAlgebra, LieAlgebra, MatrixSpan,
+                      derivation_algebra, semidirect, _unit)
 
 
 @dataclass(frozen=True)
@@ -33,36 +33,22 @@ class DDerivation:
         if self.matrix.shape != (self.parent.dim, self.der.dim):
             raise ValueError("d-derivation matrix has wrong shape")
 
-    def value(self, der_coords: Sequence) -> Vector:
-        """Image of the derivation with the given canonical coordinates."""
-        return self.matrix.apply(der_coords)
-
     def is_cocycle(self) -> bool:
-        s = self.der.as_lie_algebra
+        """L([D_i, D_j]) = D_i L(D_j) - D_j L(D_i) on every basis pair."""
+        s, d, l = self.der.as_lie_algebra, self.der.matrices, self.matrix
         for i, j in combinations(range(self.der.dim), 2):
-            lhs = self.matrix.apply(s.table[i][j])
-            rhs = _pair_rhs(self, i, j)
-            if lhs != rhs:
+            rhs = tuple(a - b for a, b in zip(d[i].apply(l.column(j)),
+                                              d[j].apply(l.column(i))))
+            if l.apply(s.table[i][j]) != rhs:
                 return False
         return True
-
-
-def _pair_rhs(l: DDerivation, i: int, j: int) -> Vector:
-    di = l.der.basis[i].matrix
-    dj = l.der.basis[j].matrix
-    a = di.apply(l.matrix.column(j))
-    b = dj.apply(l.matrix.column(i))
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def d_center(g: LieAlgebra, der: Optional[DerivationAlgebra] = None) -> Subspace:
     """{x : D x = 0 for every derivation D}; kernel of the stacked Der basis."""
     if der is None:
         der = derivation_algebra(g)
-    stacked_rows = []
-    for d in der.basis:
-        stacked_rows.extend(d.matrix.row_list())
-    return nullspace(Matrix.from_rows(stacked_rows))
+    return nullspace(vstack(der.matrices))
 
 
 def inner_d_derivation(g: LieAlgebra, der: DerivationAlgebra,
@@ -71,9 +57,8 @@ def inner_d_derivation(g: LieAlgebra, der: DerivationAlgebra,
     x = as_vector(x)
     if len(x) != g.dim:
         raise ValueError("vector length != dim")
-    cols = [tuple(-v for v in d.matrix.apply(x)) for d in der.basis]
-    n, m = g.dim, der.dim
-    return DDerivation(g, der, Matrix(n, m, [cols[c][r] for r in range(n) for c in range(m)]))
+    cols = [tuple(-v for v in d.apply(x)) for d in der.matrices]
+    return DDerivation(g, der, Matrix.from_rows(cols).transpose())
 
 
 def _cocycle_system(g: LieAlgebra, der: DerivationAlgebra) -> Matrix:
@@ -103,46 +88,27 @@ def _cocycle_system(g: LieAlgebra, der: DerivationAlgebra) -> Matrix:
 
 
 @dataclass(frozen=True)
-class DDerivationSpace:
+class DDerivationSpace(MatrixSpan):
+    """The cocycle space in the canonical basis of the cocycle system's kernel."""
     parent: LieAlgebra
     der: DerivationAlgebra
-    basis: tuple[DDerivation, ...]  # canonical RREF order of flattenings
-    flat_span: Subspace  # in Q^(n*m)
     inner: Subspace  # flattened inner d-derivations, subspace of flat_span
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    @cached_property
+    def basis(self) -> tuple[DDerivation, ...]:
+        return tuple(DDerivation(self.parent, self.der, m) for m in self.matrices)
 
     @cached_property
-    def as_lie_algebra(self) -> Optional[LieAlgebra]:
+    def as_lie_algebra(self) -> LieAlgebra:
         """The d_bracket structure constants in this basis, built on first
-        read; None only if the space is zero."""
-        p = self.dim
-        if p == 0:
-            return None
-        table = [[[ZERO] * p for _ in range(p)] for _ in range(p)]
-        for i, j in combinations(range(p), 2):
-            coords = self.coordinates_of(d_bracket(self.basis[i], self.basis[j]))
-            table[i][j] = list(coords)
-            table[j][i] = [-c for c in coords]
-        return lie_algebra_from_table(
-            table, tuple(f"L{i + 1}" for i in range(p)), check_antisymmetry=False)
-
-    def matrix_of(self, coords: Sequence) -> Matrix:
-        coords = as_vector(coords)
-        n, m = self.parent.dim, self.der.dim
-        out = Matrix.zero(n, m)
-        for c, l in zip(coords, self.basis):
-            if c:
-                out = out + l.matrix.scale(c)
-        return out
+        read. The space is never zero: a nonzero derivation D moves some
+        basis vector x, and the inner cocycle L_x is then nonzero."""
+        b = self.basis
+        return self.lie_algebra(lambda i, j: d_bracket(b[i], b[j]).matrix, "L")
 
     def coordinates_of(self, l: DDerivation) -> Vector:
-        coords = self.flat_span.coordinates(l.matrix.flatten())
-        if coords is None:
-            raise InternalConsistencyError("map does not lie in the cocycle space")
-        return coords
+        """Coordinates of a map known to lie in the span; raises otherwise."""
+        return self.coordinates(l.matrix)
 
 
 def d_derivations(g: LieAlgebra,
@@ -152,11 +118,10 @@ def d_derivations(g: LieAlgebra,
         der = derivation_algebra(g)
     n, m = g.dim, der.dim
     span = nullspace(_cocycle_system(g, der))
-    basis = tuple(DDerivation(g, der, Matrix(n, m, v)) for v in span.basis_vectors())
     inner = Subspace.from_rows(
         n * m, [inner_d_derivation(g, der, _unit(n, i)).matrix.flatten()
                 for i in range(n)])
-    return DDerivationSpace(g, der, basis, span, inner)
+    return DDerivationSpace((n, m), span, g, der, inner)
 
 
 def d_bracket(l1: DDerivation, l2: DDerivation) -> DDerivation:
@@ -164,35 +129,22 @@ def d_bracket(l1: DDerivation, l2: DDerivation) -> DDerivation:
     if l1.parent is not l2.parent and l1.parent != l2.parent:
         raise ValueError("mismatched parents")
     g, der = l1.parent, l1.der
-    n, m = g.dim, der.dim
     cols = []
-    for j in range(m):
+    for j in range(der.dim):
         a1 = der.coordinates_of(g.ad(l2.matrix.column(j)))
         a2 = der.coordinates_of(g.ad(l1.matrix.column(j)))
         v1 = l1.matrix.apply(a1)
         v2 = l2.matrix.apply(a2)
         cols.append(tuple(x - y for x, y in zip(v1, v2)))
-    return DDerivation(g, der, Matrix(n, m, [cols[c][r] for r in range(n) for c in range(m)]))
+    return DDerivation(g, der, Matrix.from_rows(cols).transpose())
 
 
 def der_action(d: Derivation, l: DDerivation) -> DDerivation:
     """D(L) = D∘L - L∘ad(D), ad(D) taken inside Der(G)."""
-    g, der = l.parent, l.der
-    m = der.dim
-    ad_d_cols = [der.coordinates_of(d.matrix.commutator(der.basis[j].matrix))
-                 for j in range(m)]
-    ad_d = Matrix(m, m, [ad_d_cols[c][r] for r in range(m) for c in range(m)])
-    return DDerivation(g, der, d.matrix @ l.matrix - l.matrix @ ad_d)
-
-
-def d_algebra(g: LieAlgebra,
-              space: Optional[DDerivationSpace] = None) -> LieAlgebra:
-    """The cocycle space as a Lie algebra in its canonical basis."""
-    if space is None:
-        space = d_derivations(g)
-    if space.as_lie_algebra is None:
-        raise ValueError("zero-dimensional cocycle space has no algebra value")
-    return space.as_lie_algebra
+    der = l.der
+    ad_d = Matrix.from_rows([der.coordinates_of(d.matrix.commutator(b))
+                             for b in der.matrices]).transpose()
+    return DDerivation(l.parent, der, d.matrix @ l.matrix - l.matrix @ ad_d)
 
 
 @dataclass(frozen=True)
@@ -202,13 +154,6 @@ class SemidirectSum:
     der: DerivationAlgebra
     dspace: DDerivationSpace
     algebra: LieAlgebra  # dimension m + p
-    der_embed: tuple[int, ...]  # coordinate positions of the Der block
-    dd_embed: tuple[int, ...]  # coordinate positions of the cocycle block
-
-    def split(self, coords: Sequence) -> tuple[Vector, Vector]:
-        coords = as_vector(coords)
-        m = self.der.dim
-        return coords[:m], coords[m:]
 
 
 def build_h(g: LieAlgebra, der: Optional[DerivationAlgebra] = None,
@@ -220,30 +165,12 @@ def build_h(g: LieAlgebra, der: Optional[DerivationAlgebra] = None,
         der = derivation_algebra(g)
     if dspace is None:
         dspace = d_derivations(g, der)
-    m, p = der.dim, dspace.dim
-    total = m + p
-    table = [[[ZERO] * total for _ in range(total)] for _ in range(total)]
-    s = der.as_lie_algebra.table
-    for i, j in combinations(range(m), 2):
-        for k, c in enumerate(s[i][j]):
-            table[i][j][k] = c
-            table[j][i][k] = -c
-    for i in range(m):
-        for j in range(p):
-            act = dspace.coordinates_of(der_action(der.basis[i], dspace.basis[j]))
-            for k, c in enumerate(act):
-                table[i][m + j][m + k] = c
-                table[m + j][i][m + k] = -c
-    if dspace.as_lie_algebra is not None:
-        t = dspace.as_lie_algebra.table
-        for i, j in combinations(range(p), 2):
-            for k, c in enumerate(t[i][j]):
-                table[m + i][m + j][m + k] = c
-                table[m + j][m + i][m + k] = -c
-    names = tuple(f"D{i + 1}" for i in range(m)) + tuple(f"L{i + 1}" for i in range(p))
-    alg = lie_algebra_from_table(table, names, check_antisymmetry=False)
-    return SemidirectSum(g, der, dspace, alg,
-                         tuple(range(m)), tuple(range(m, total)))
+
+    def act(i: int, j: int) -> Vector:
+        return dspace.coordinates_of(der_action(der.basis[i], dspace.basis[j]))
+
+    return SemidirectSum(g, der, dspace,
+                         semidirect(der.as_lie_algebra, dspace.as_lie_algebra, act))
 
 
 @dataclass(frozen=True)
@@ -261,7 +188,12 @@ def is_d_complete(g: LieAlgebra, der: Optional[DerivationAlgebra] = None,
         der = derivation_algebra(g)
     if dspace is None:
         dspace = d_derivations(g, der)
-    cd = d_center(g, der)
+    return d_completeness(dspace, d_center(g, der))
+
+
+def d_completeness(dspace: DDerivationSpace,
+                   cd: Subspace) -> DCompletenessEvidence:
+    """is_d_complete from the cocycle space and the d-center cd."""
     all_inner = dspace.inner == dspace.flat_span
     return DCompletenessEvidence(cd.dim == 0 and all_inner,
                                  cd.dim, dspace.dim, dspace.inner.dim)

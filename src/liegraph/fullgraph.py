@@ -1,9 +1,9 @@
 """The holomorph C(G) = Der(G) ⋉ G and the three machine checks.
 
-verify_theorem1 tests that the explicit action of H = Der(G) ⋉ cocycles
-on C(G) gives exactly the derivation algebra of C(G); verify_center_lemma
-compares the center of C(G) with the embedded d-center; verify_theorem2
-compares d-completeness of G with completeness of C(G).
+verify runs any of them on one algebra: theorem1 tests that the explicit
+action of H = Der(G) ⋉ cocycles on C(G) gives exactly the derivation
+algebra of C(G); the lemma compares the center of C(G) with the embedded
+d-center; theorem2 compares d-completeness of G with completeness of C(G).
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .linalg import Matrix, Subspace, Vector, ZERO, as_vector, rank
+from .linalg import Matrix, Subspace, Vector, ZERO, as_vector
 from .algebra import (CompletenessEvidence, Derivation, DerivationAlgebra,
-                      LieAlgebra, center, derivation_algebra, is_complete,
-                      lie_algebra_from_table, _unit)
+                      LieAlgebra, center, completeness, derivation_algebra,
+                      semidirect, _unit)
 from .dtheory import (DCompletenessEvidence, DDerivationSpace, SemidirectSum,
-                      build_h, d_center, d_derivations, is_d_complete)
+                      build_h, d_center, d_completeness, d_derivations)
 
 
 @dataclass(frozen=True)
@@ -40,38 +40,14 @@ class FullGraph:
         x = as_vector(x)
         return tuple([ZERO] * self.m) + tuple(x)
 
-    def embed_der(self, coords: Sequence) -> Vector:
-        coords = as_vector(coords)
-        return tuple(coords) + tuple([ZERO] * self.n)
-
 
 def build_full_graph(g: LieAlgebra,
                      der: Optional[DerivationAlgebra] = None) -> FullGraph:
     """[(D1,x1),(D2,x2)] = ([D1,D2], D1 x2 - D2 x1 + [x1,x2])."""
     if der is None:
         der = derivation_algebra(g)
-    n, m = g.dim, der.dim
-    total = m + n
-    table = [[[ZERO] * total for _ in range(total)] for _ in range(total)]
-    s = der.as_lie_algebra.table
-    for i, j in combinations(range(m), 2):
-        for k, c in enumerate(s[i][j]):
-            table[i][j][k] = c
-            table[j][i][k] = -c
-    for i in range(m):
-        di = der.basis[i].matrix
-        for j in range(n):
-            col = di.column(j)
-            for k, c in enumerate(col):
-                table[i][m + j][m + k] = c
-                table[m + j][i][m + k] = -c
-    for i, j in combinations(range(n), 2):
-        for k, c in enumerate(g.table[i][j]):
-            table[m + i][m + j][m + k] = c
-            table[m + j][m + i][m + k] = -c
-    names = tuple(f"D{i + 1}" for i in range(m)) + tuple(g.basis_names)
-    return FullGraph(g, der, lie_algebra_from_table(table, names,
-                                                    check_antisymmetry=False))
+    return FullGraph(g, der, semidirect(der.as_lie_algebra, g,
+                                       lambda i, j: der.matrices[i].column(j)))
 
 
 def h_derivation(fg: FullGraph, dspace: DDerivationSpace,
@@ -80,26 +56,13 @@ def h_derivation(fg: FullGraph, dspace: DDerivationSpace,
         (D1, g) -> ([D,D1], D(g) + L(ad(g)) + L(D1))
     """
     g, der = fg.parent, fg.der
-    n, m = fg.n, fg.m
-    D = der.matrix_of(d_coords)
-    L = dspace.matrix_of(l_coords) if dspace.dim else Matrix.zero(n, 0)
-    total = m + n
-    entries = [[ZERO] * total for _ in range(total)]
-    for j in range(m):  # image of (D_j, 0)
-        top = der.coordinates_of(D.commutator(der.basis[j].matrix))
-        for k, c in enumerate(top):
-            entries[k][j] = c
-        for k in range(n):
-            entries[m + k][j] = L[k, j] if dspace.dim else ZERO
-    for j in range(n):  # image of (0, e_j)
-        bottom = D.column(j)
-        if dspace.dim:
-            ad_coords = der.coordinates_of(g.ad(_unit(n, j)))
-            corr = L.apply(ad_coords)
-            bottom = tuple(a + b for a, b in zip(bottom, corr))
-        for k, c in enumerate(bottom):
-            entries[m + k][m + j] = c
-    return Matrix.from_rows(entries)
+    D, L = der.matrix_of(d_coords), dspace.matrix_of(l_coords)
+    cols = [der.coordinates_of(D.commutator(der.matrices[j])) + L.column(j)
+            for j in range(fg.m)]  # images of (D_j, 0)
+    for j in range(fg.n):  # images of (0, e_j)
+        corr = L.apply(der.coordinates_of(g.ad(_unit(fg.n, j))))
+        cols.append(fg.embed_g(a + b for a, b in zip(D.column(j), corr)))
+    return Matrix.from_rows(cols).transpose()
 
 
 @dataclass(frozen=True)
@@ -178,6 +141,16 @@ class _Workspace:
         """Der(C(G)), read by theorem1 and theorem2."""
         return derivation_algebra(self.fg.algebra)
 
+    @cached_property
+    def cg_center(self) -> Subspace:
+        """The center of C(G), read by the lemma and theorem2."""
+        return center(self.fg.algebra)
+
+    @cached_property
+    def dcenter(self) -> Subspace:
+        """The d-center of G, read by the lemma and theorem2."""
+        return d_center(self.g, self.der)
+
 
 def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
     fg, dspace, h = ws.fg, ws.dspace, ws.h
@@ -200,29 +173,24 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
             homomorphism = False
             break
 
-    flat = Matrix.from_rows([M.flatten() for M in gens])
-    injective = rank(flat) == total
-
     der_cg = ws.der_cg
     image = Subspace.from_rows(cg.dim * cg.dim, [M.flatten() for M in gens])
-    return Theorem1Evidence(each_der, homomorphism, injective,
+    return Theorem1Evidence(each_der, homomorphism, image.dim == total,
                             total, der_cg.dim, image == der_cg.flat_span)
 
 
 def check_lemma(ws: _Workspace) -> LemmaEvidence:
-    cg_center = center(ws.fg.algebra)
-    cd = d_center(ws.g, ws.der)
+    cg_center, cd = ws.cg_center, ws.dcenter
     embedded = Subspace.from_rows(
-        ws.fg.m + ws.fg.n, [ws.fg.embed_g(v) for v in cd.basis_vectors()]) \
-        if cd.dim else Subspace.zero(ws.fg.m + ws.fg.n)
+        ws.fg.algebra.dim, [ws.fg.embed_g(v) for v in cd.basis_vectors()])
     return LemmaEvidence(cg_center.dim, cd.dim, cg_center == embedded)
 
 
 def check_theorem2(ws: _Workspace) -> tuple[Theorem2Evidence,
                                             DCompletenessEvidence,
                                             CompletenessEvidence]:
-    dc = is_d_complete(ws.g, ws.der, ws.dspace)
-    cc = is_complete(ws.fg.algebra, ws.der_cg)
+    dc = d_completeness(ws.dspace, ws.dcenter)
+    cc = completeness(ws.fg.algebra, ws.der_cg, ws.cg_center)
     return (Theorem2Evidence(dc.d_complete, cc.complete,
                              dc.d_complete == cc.complete), dc, cc)
 
@@ -241,15 +209,3 @@ def verify(g: LieAlgebra, name: str = "",
         t2, dc, cc = check_theorem2(ws)
     return VerificationReport(name, t1, lemma, t2, dc, cc,
                               time.monotonic() - start)
-
-
-def verify_theorem1(g: LieAlgebra, name: str = "") -> VerificationReport:
-    return verify(g, name, "1")
-
-
-def verify_center_lemma(g: LieAlgebra, name: str = "") -> VerificationReport:
-    return verify(g, name, "lemma")
-
-
-def verify_theorem2(g: LieAlgebra, name: str = "") -> VerificationReport:
-    return verify(g, name, "2")

@@ -329,22 +329,6 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace.from_rows(
-            self.ambient_dim, self.basis_vectors() + other.basis_vectors())
-
-    def perp(self) -> "Subspace":
-        """Orthogonal complement for the standard bilinear form."""
-        if self.dim == 0:
-            return Subspace.full(self.ambient_dim)
-        return nullspace(self.basis)
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        # rowspace(A) = perp(null(A)), so A ∩ B = perp(null A + null B)
-        self._check_ambient(other)
-        return self.perp().sum(other.perp()).perp()
-
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError(
@@ -366,13 +350,3 @@ def nullspace(m: Matrix) -> Subspace:
             v[pc] = -rows[r][fc]
         vecs.append(v)
     return Subspace.from_rows(m.cols, vecs)
-
-
-def subspace_ops(a: Subspace, b: Subspace) -> dict:
-    """Bundled containment/equality/sum/intersection of two subspaces."""
-    return {
-        "contains": a.contains(b),
-        "equal": a == b,
-        "sum": a.sum(b),
-        "intersection": a.intersection(b),
-    }

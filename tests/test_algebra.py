@@ -7,8 +7,8 @@ from liegraph.algebra import (AntisymmetryConflict, DependentBasis, Derivation,
                               JacobiViolation, LieError, NotClosed, abelian,
                               center, derivation_algebra, derived_subalgebra,
                               induced_lie_structure, inner_derivations,
-                              is_complete, make_lie_algebra)
-from liegraph.catalog import lookup
+                              is_complete, make_lie_algebra, semidirect)
+from liegraph.catalog import catalog, lookup
 from liegraph.linalg import Matrix, Subspace
 
 F = Fraction
@@ -191,3 +191,25 @@ class TestInducedStructure:
         m = Matrix.identity(2)
         with pytest.raises(DependentBasis):
             induced_lie_structure([m, m.scale(2)])
+
+    @pytest.mark.parametrize("name", [e.name for e in catalog()])
+    def test_der_table_matches_solve_reference(self, name):
+        # Der(G) reads commutator coordinates at the RREF pivots of its
+        # span; induced_lie_structure solves for them and is the reference
+        der = derivation_algebra(lookup(name).algebra)
+        ref = induced_lie_structure([d.matrix for d in der.basis],
+                                    basis_names=der.as_lie_algebra.basis_names)
+        assert der.as_lie_algebra == ref
+
+
+class TestSemidirect:
+    def test_line_acting_on_line_by_scaling_is_affine2(self):
+        line = abelian(1)
+        alg = semidirect(line, line, lambda i, j: (F(1),))
+        assert alg.table == lookup("affine2").algebra.table
+
+    def test_action_that_is_no_representation_fails_jacobi(self):
+        # two commuting generators acting by E12 and E21, which do not commute
+        e12, e21 = ((F(0), F(0)), (F(1), F(0))), ((F(0), F(1)), (F(0), F(0)))
+        with pytest.raises(JacobiViolation):
+            semidirect(abelian(2), abelian(2), lambda i, j: (e12, e21)[i][j])

@@ -107,6 +107,27 @@ class TestAlgebraFile:
         with pytest.raises(AlgebraFileError, match="malformed"):
             parse_algebra_file("{not json")
 
+    @pytest.mark.parametrize("doc", [
+        {"dim": 2, "brackets": 5},
+        {"dim": 2, "brackets": None},
+        {"dim": 2, "brackets": [{"i": 0, "j": 1, "result": 5}]},
+        {"dim": 2, "brackets": [{"i": 0, "j": 1, "result": {"k": 0}}]},
+        {"dim": True},
+        {"dim": 2, "brackets": [{"i": False, "j": 1, "result": []}]},
+        {"dim": 2, "brackets": [{"i": 0, "j": True, "result": []}]},
+        {"dim": 2, "brackets": [
+            {"i": 0, "j": 1, "result": [{"k": True, "coeff": 1}]}]},
+    ], ids=["brackets-int", "brackets-null", "result-int", "result-object",
+            "dim-bool", "i-bool", "j-bool", "k-bool"])
+    def test_wrong_json_types_are_file_errors(self, doc, tmp_path, capsys):
+        text = json.dumps(doc)
+        with pytest.raises(AlgebraFileError):
+            parse_algebra_file(text)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["info", "--file", str(path)], out=io.StringIO()) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("name", [e.name for e in catalog()])
     def test_round_trip(self, name):
         g = lookup(name).algebra

@@ -6,9 +6,9 @@ import pytest
 from liegraph.algebra import (Derivation, InternalConsistencyError, abelian,
                               derivation_algebra)
 from liegraph.catalog import catalog, lookup
-from liegraph.dtheory import (DDerivation, build_h, d_algebra, d_bracket,
-                              d_center, d_derivations, der_action,
-                              inner_d_derivation, is_d_complete)
+from liegraph.dtheory import (DDerivation, build_h, d_bracket, d_center,
+                              d_derivations, der_action, inner_d_derivation,
+                              is_d_complete)
 from liegraph.linalg import Matrix, Subspace
 
 F = Fraction
@@ -162,7 +162,7 @@ class TestDerAction:
 
 class TestDAlgebra:
     def test_abelian1(self):
-        alg = d_algebra(abelian(1))
+        alg = d_derivations(abelian(1)).as_lie_algebra
         assert alg.dim == 1 and not any(alg.table[0][0])
 
     def test_sl2_isomorphic_under_inner_map(self, sl2_setup):
@@ -178,7 +178,7 @@ class TestDAlgebra:
 
     def test_table_is_antisymmetric(self):
         for entry in catalog():
-            alg = d_algebra(entry.algebra)
+            alg = d_derivations(entry.algebra).as_lie_algebra
             for i in range(alg.dim):
                 for j in range(alg.dim):
                     assert alg.table[i][j] == tuple(-c for c in alg.table[j][i])

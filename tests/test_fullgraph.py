@@ -6,9 +6,7 @@ import pytest
 from liegraph.algebra import abelian, derivation_algebra
 from liegraph.catalog import catalog, lookup
 from liegraph.dtheory import d_derivations
-from liegraph.fullgraph import (build_full_graph, h_derivation, verify,
-                                verify_center_lemma, verify_theorem1,
-                                verify_theorem2)
+from liegraph.fullgraph import build_full_graph, h_derivation, verify
 from liegraph.linalg import Matrix
 
 F = Fraction
@@ -58,7 +56,7 @@ class TestBuildFullGraph:
             for j in range(fg.n):
                 d_part = [1 if t == i else 0 for t in range(fg.m)]
                 x_part = [1 if t == j else 0 for t in range(fg.n)]
-                out = fg.algebra.bracket(fg.embed_der(d_part), fg.embed_g(x_part))
+                out = fg.algebra.bracket(d_part + [0] * fg.n, fg.embed_g(x_part))
                 assert out == fg.embed_g(der.basis[i].matrix.column(j))
 
 
@@ -99,26 +97,26 @@ PASSING = ["abelian1", "abelian2", "abelian3", "affine2", "sl2",
 class TestVerifiers:
     @pytest.mark.parametrize("name", PASSING)
     def test_theorem1_on_passing_entries(self, name):
-        rep = verify_theorem1(lookup(name).algebra, name)
+        rep = verify(lookup(name).algebra, name, "1")
         assert rep.theorem1.passed, rep.theorem1
 
     def test_theorem1_dims_abelian1(self):
-        rep = verify_theorem1(abelian(1), "abelian1")
+        rep = verify(abelian(1), "abelian1", "1")
         assert rep.theorem1.dim_h == rep.theorem1.dim_der_cg == 2
 
     def test_theorem1_dims_sl2(self):
-        rep = verify_theorem1(lookup("sl2").algebra, "sl2")
+        rep = verify(lookup("sl2").algebra, "sl2", "1")
         assert rep.theorem1.dim_h == rep.theorem1.dim_der_cg == 6
 
     @pytest.mark.parametrize("name", PASSING + ["heisenberg3"])
     def test_center_lemma_all_entries(self, name):
-        rep = verify_center_lemma(lookup(name).algebra, name)
+        rep = verify(lookup(name).algebra, name, "lemma")
         assert rep.lemma.passed
         assert rep.lemma.center_cg_dim == rep.lemma.d_center_dim == 0
 
     @pytest.mark.parametrize("name", PASSING)
     def test_theorem2_on_passing_entries(self, name):
-        rep = verify_theorem2(lookup(name).algebra, name)
+        rep = verify(lookup(name).algebra, name, "2")
         assert rep.theorem2.passed
 
     def test_heisenberg3_counterexample_pinned(self):
@@ -156,3 +154,27 @@ def test_verify_all_builds_each_derivation_algebra_once(monkeypatch):
     # Der(G), then Der(C(G)) shared by theorem1 and theorem2
     assert len(inputs) == 2
     assert inputs[0] == g and inputs[1].dim == 3 + 6
+
+
+def test_verify_all_computes_each_center_once(monkeypatch):
+    import liegraph.algebra as algebra_mod
+    import liegraph.dtheory as dtheory_mod
+    import liegraph.fullgraph as fullgraph_mod
+    calls = {"center": [], "d_center": []}
+
+    def counting(name, real):
+        def wrapper(g, *args):
+            calls[name].append(g)
+            return real(g, *args)
+        return wrapper
+
+    for name, real in (("center", algebra_mod.center),
+                       ("d_center", dtheory_mod.d_center)):
+        for mod in (algebra_mod, dtheory_mod, fullgraph_mod):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(name, real))
+    g = lookup("heisenberg3").algebra
+    verify(g, "heisenberg3", which="all")
+    # center(C(G)) and d_center(G), each shared by the lemma and theorem2
+    assert [h.dim for h in calls["center"]] == [3 + 6]
+    assert calls["d_center"] == [g]
