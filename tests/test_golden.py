@@ -1,4 +1,5 @@
-"""Byte-identical `--json` output of every subcommand on the catalog.
+"""Byte-identical `--json` output of every subcommand on the catalog, and
+of the benchmark's ladder and explore requests on its larger algebras.
 
 The hashes were recorded before the derivation spans and the semidirect
 products were rebuilt on shared code; a refactor that changes a basis
@@ -7,6 +8,9 @@ order, a structure constant or a report field changes a hash here.
 
 import hashlib
 import io
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +62,26 @@ def test_json_output_matches_recorded_hash(args, code, digest):
     out = io.StringIO()
     assert main(["--json", *args.split()], out=out) == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# The larger algebras of the benchmark: the ladder and explore requests of
+# bench/run.py, on the inputs bench/fixtures.py writes at the default seed,
+# against the exit codes and hashes pinned in bench/pins.json.
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))  # bench/run.py imports its fixtures by name
+import fixtures  # noqa: E402
+from run import workload_requests  # noqa: E402
+
+PINS = json.loads((BENCH / "pins.json").read_text())
+BENCH_REQUESTS = workload_requests("ladder") + workload_requests("explore")
+
+
+@pytest.mark.parametrize("req", BENCH_REQUESTS, ids=[r.id for r in BENCH_REQUESTS])
+def test_bench_request_matches_pin(req, tmp_path, monkeypatch):
+    pin = PINS["requests"][req.id]
+    fixtures.write_inputs(fixtures.LADDER + fixtures.EXPLORE,
+                          PINS["default_seed"], tmp_path)
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    assert main(["--json", *req.args], out=out) == pin["exit"]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == pin["sha256"]
