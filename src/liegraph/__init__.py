@@ -5,8 +5,8 @@ from .linalg import Matrix, Subspace, nullspace, rank, rref, solve
 from .algebra import (AntisymmetryConflict, CompletenessEvidence, DependentBasis,
                       Derivation, DerivationAlgebra, IndexOutOfRange,
                       InternalConsistencyError, JacobiViolation, LieAlgebra,
-                      LieError, MatrixSpan, NotClosed, abelian, center,
-                      derivation_algebra, derived_subalgebra,
+                      LieError, MatrixSpan, NotClosed, Representation,
+                      abelian, center, derivation_algebra, derived_subalgebra,
                       induced_lie_structure, inner_derivations, is_complete,
                       lie_algebra_from_table, make_lie_algebra, semidirect)
 from .dtheory import (DCompletenessEvidence, DDerivation, DDerivationSpace,

@@ -3,6 +3,11 @@
 A LieAlgebra is a validated antisymmetric table c[i][j][k] with
 [e_i, e_j] = sum_k c[i][j][k] e_k; Jacobi is checked at construction so
 downstream code never rechecks it.
+
+A Representation is a Lie algebra acting on Q^n. Its invariants, 1-cocycles
+and 1-coboundaries (Chevalley-Eilenberg) are computed in one place: for the
+adjoint action of G they are the center, Der(G) and the inner derivations,
+and dtheory reads the d-analogues off the natural action of Der(G) on G.
 """
 
 from __future__ import annotations
@@ -85,6 +90,12 @@ class LieAlgebra:
         return Matrix(self.dim, self.dim,
                       [cols[c][r] for r in range(self.dim) for c in range(self.dim)])
 
+    @cached_property
+    def adjoint(self) -> Representation:
+        """G acting on itself by ad, built on first read."""
+        return Representation(
+            tuple(self.ad(_unit(self.dim, i)) for i in range(self.dim)), lambda: self)
+
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, basis={list(self.basis_names)})"
 
@@ -112,19 +123,19 @@ def _validate_jacobi(n: int, table) -> None:
             raise JacobiViolation((i, j, l), tuple(acc))
 
 
-def lie_algebra_from_table(table, basis_names: Optional[Sequence[str]] = None,
-                           check_antisymmetry: bool = True) -> LieAlgebra:
+def lie_algebra_from_table(table,
+                           basis_names: Optional[Sequence[str]] = None) -> LieAlgebra:
     """Validate a full c[i][j][k] table (antisymmetry + Jacobi) and wrap it."""
     n = len(table)
     if n == 0:
         raise LieError("dimension 0 is not supported")
     tbl = tuple(tuple(tuple(as_scalar(c) for c in table[i][j]) for j in range(n))
                 for i in range(n))
-    if check_antisymmetry:
-        for i in range(n):
-            for j in range(i, n):
-                if any(a != -b for a, b in zip(tbl[i][j], tbl[j][i])):
-                    raise AntisymmetryConflict(f"c[{i}][{j}] != -c[{j}][{i}]")
+    for i in range(n):
+        for j in range(i, n):
+            # most entries are zero; `a or b` skips those without negating
+            if any((a or b) and a != -b for a, b in zip(tbl[i][j], tbl[j][i])):
+                raise AntisymmetryConflict(f"c[{i}][{j}] != -c[{j}][{i}]")
     _validate_jacobi(n, tbl)
     names = tuple(basis_names) if basis_names is not None else _default_names(n)
     if len(names) != n:
@@ -137,7 +148,7 @@ def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
     """Build an algebra from sparse (i, j, [e_i,e_j]-coefficients) entries.
 
     The antisymmetric completion is automatic; giving both (i,j) and (j,i)
-    inconsistently raises AntisymmetryConflict.
+    inconsistently, or a nonzero (i,i), raises AntisymmetryConflict.
     """
     if n <= 0:
         raise LieError("dimension must be positive")
@@ -149,10 +160,6 @@ def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
         vec = as_vector(vec)
         if len(vec) != n:
             raise LieError(f"bracket result for ({i},{j}) has length {len(vec)}, want {n}")
-        if i == j:
-            if any(vec):
-                raise AntisymmetryConflict(f"[e_{i},e_{i}] must vanish")
-            continue
         key, val = ((i, j), vec) if i < j else ((j, i), tuple(-c for c in vec))
         if key in seen:
             if seen[key] != val:
@@ -164,7 +171,7 @@ def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
         if any(vec):  # zero pairs keep the shared ZERO entries
             table[i][j] = list(vec)
             table[j][i] = [-c for c in vec]
-    return lie_algebra_from_table(table, basis_names, check_antisymmetry=False)
+    return lie_algebra_from_table(table, basis_names)
 
 
 def semidirect(k: LieAlgebra, v: LieAlgebra,
@@ -189,10 +196,69 @@ def abelian(n: int) -> LieAlgebra:
     return make_lie_algebra(n, [])
 
 
+@dataclass(frozen=True)
+class Representation:
+    """A Lie algebra L acting on V = Q^n: rho[i] is the n x n matrix of L's
+    i-th basis element. A linear map phi: L -> V is held as the n x m matrix
+    whose column t is phi(e_t), flattened row-major (phi[k][t] at k*m + t).
+
+    algebra() returns L; only the cocycle rule reads its structure constants,
+    so the invariants and coboundaries of Der(G) never build its table.
+    """
+    rho: tuple[Matrix, ...]
+    algebra: Callable[[], LieAlgebra]
+
+    def invariants(self) -> Subspace:
+        """{v : rho_i v = 0 for every i}, the kernel of the stacked rho."""
+        return nullspace(vstack(self.rho))
+
+    def cocycles(self) -> Subspace:
+        """The 1-cocycles, the kernel of one row per basis pair i < j and
+        coordinate k of phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i)."""
+        m, n, s = len(self.rho), self.rho[0].rows, self.algebra().table
+        rows = []
+        for i, j in combinations(range(m), 2):
+            for k in range(n):
+                row = [ZERO] * (n * m)
+                for t, c in enumerate(s[i][j]):
+                    if c:
+                        row[k * m + t] += c
+                for a, c in enumerate(self.rho[i].row(k)):
+                    if c:
+                        row[a * m + j] -= c
+                for a, c in enumerate(self.rho[j].row(k)):
+                    if c:
+                        row[a * m + i] += c
+                rows.append(row)
+        rows = rows or [[ZERO] * (n * m)]
+        return nullspace(Matrix._trusted(len(rows), n * m,
+                                         tuple(c for row in rows for c in row)))
+
+    def coboundary(self, v: Sequence) -> Matrix:
+        """The cocycle e_i -> -rho_i v."""
+        return Matrix.from_rows([tuple(-c for c in r.apply(v))
+                                 for r in self.rho]).transpose()
+
+    def coboundaries(self) -> Subspace:
+        """The span of the coboundaries of V's basis vectors."""
+        n = self.rho[0].rows
+        return Subspace.from_rows(n * len(self.rho), [
+            self.coboundary(_unit(n, k)).flatten() for k in range(n)])
+
+    def is_cocycle(self, phi: Matrix) -> bool:
+        """phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i) for every i < j."""
+        s, rho = self.algebra().table, self.rho
+        for i, j in combinations(range(len(rho)), 2):
+            rhs = tuple(a - b for a, b in zip(rho[i].apply(phi.column(j)),
+                                              rho[j].apply(phi.column(i))))
+            if phi.apply(s[i][j]) != rhs:
+                return False
+        return True
+
+
 def center(g: LieAlgebra) -> Subspace:
-    """{x : [x, y] = 0 for all y}, as the kernel of the stacked ad maps."""
-    stacked = vstack([g.ad(_unit(g.dim, i)) for i in range(g.dim)])
-    return nullspace(stacked)
+    """{x : [x, y] = 0 for all y}: the invariants of the adjoint action."""
+    return g.adjoint.invariants()
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
@@ -209,16 +275,6 @@ class Derivation:
     def __post_init__(self):
         if self.matrix.shape != (self.algebra.dim, self.algebra.dim):
             raise LieError("derivation matrix has wrong shape")
-
-    def is_leibniz(self) -> bool:
-        n = self.algebra.dim
-        for i, j in combinations(range(n), 2):
-            lhs = self.matrix.apply(self.algebra.table[i][j])
-            rhs_l = self.algebra.bracket(self.matrix.column(i), _unit(n, j))
-            rhs_r = self.algebra.bracket(_unit(n, i), self.matrix.column(j))
-            if any(a != b + c for a, b, c in zip(lhs, rhs_l, rhs_r)):
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -240,8 +296,12 @@ class MatrixSpan:
 
     def matrix_of(self, coords: Sequence) -> Matrix:
         """The matrix of a coordinate vector in the canonical basis."""
+        coords = as_vector(coords)
+        if len(coords) != self.dim:
+            raise ValueError(
+                f"{len(coords)} coordinates for a span of dimension {self.dim}")
         out = Matrix.zero(*self.shape)
-        for c, b in zip(as_vector(coords), self.matrices):
+        for c, b in zip(coords, self.matrices):
             if c:
                 out = out + b.scale(c)
         return out
@@ -266,7 +326,7 @@ class MatrixSpan:
 
 @dataclass(frozen=True)
 class DerivationAlgebra(MatrixSpan):
-    """Der(G) in the canonical basis of the Leibniz system's kernel."""
+    """Der(G) in the canonical basis of the adjoint cocycle system's kernel."""
     parent: LieAlgebra
 
     @cached_property
@@ -279,6 +339,11 @@ class DerivationAlgebra(MatrixSpan):
         b = self.matrices
         return self.lie_algebra(lambda i, j: b[i].commutator(b[j]), "D")
 
+    @cached_property
+    def natural(self) -> Representation:
+        """Der(G) acting on G; its table is built only if a cocycle rule reads it."""
+        return Representation(self.matrices, lambda: self.as_lie_algebra)
+
     # defined here, not inherited: bench/trace_cli.py traces it through
     # this class's __dict__, as it does DDerivationSpace.coordinates_of
     def coordinates_of(self, m: Matrix) -> Vector:
@@ -286,37 +351,10 @@ class DerivationAlgebra(MatrixSpan):
         return self.coordinates(m)
 
 
-def _leibniz_system(g: LieAlgebra) -> Matrix:
-    """Linear system on D[a][b] (flattened a*n+b) expressing the Leibniz rule.
-
-    For each basis pair i<j and output coordinate k:
-        sum_t c[i][j][t] D[k][t] - sum_a D[a][i] c[a][j][k] - sum_a D[a][j] c[i][a][k] = 0
-    """
-    n = g.dim
-    rows = []
-    for i, j in combinations(range(n), 2):
-        cij = g.table[i][j]
-        for k in range(n):
-            row = [ZERO] * (n * n)
-            for t, ct in enumerate(cij):
-                if ct:
-                    row[k * n + t] += ct
-            for a in range(n):
-                caj = g.table[a][j][k]
-                if caj:
-                    row[a * n + i] -= caj
-                cia = g.table[i][a][k]
-                if cia:
-                    row[a * n + j] -= cia
-            rows.append(row)
-    if not rows:
-        rows = [[ZERO] * (n * n)]
-    return Matrix.from_rows(rows)
-
-
 def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
-    """Solve the Leibniz system; basis in canonical RREF order of flattenings."""
-    sol = nullspace(_leibniz_system(g))
+    """Der(G): the 1-cocycles of the adjoint action, whose cocycle rule is
+    the Leibniz rule; basis in canonical RREF order of flattenings."""
+    sol = g.adjoint.cocycles()
     if sol.dim == 0:
         # cannot happen for dim >= 1 over Q (ad(g) or a grading derivation is nonzero)
         raise InternalConsistencyError("empty derivation algebra")
@@ -324,9 +362,8 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
 
 
 def inner_derivations(g: LieAlgebra) -> Subspace:
-    """Span in Q^(n^2) of the flattened ad(e_i)."""
-    vecs = [g.ad(_unit(g.dim, i)).flatten() for i in range(g.dim)]
-    return Subspace.from_rows(g.dim * g.dim, vecs)
+    """Span in Q^(n^2) of the flattened ad(e_i), the adjoint coboundaries."""
+    return g.adjoint.coboundaries()
 
 
 def induced_lie_structure(matrices: Sequence[Matrix],
@@ -351,7 +388,7 @@ def induced_lie_structure(matrices: Sequence[Matrix],
             raise NotClosed((i, j), comm)
         table[i][j] = list(coords)
         table[j][i] = [-c for c in coords]
-    return lie_algebra_from_table(table, basis_names, check_antisymmetry=False)
+    return lie_algebra_from_table(table, basis_names)
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,8 @@ def parse_algebra_file(text: str) -> LieAlgebra:
         if (not isinstance(names, list) or len(names) != n
                 or not all(isinstance(s, str) for s in names)):
             raise AlgebraFileError(f"'basis_names' must be {n} strings")
+        if len(set(names)) != n:
+            raise AlgebraFileError(f"'basis_names' has duplicates: {names!r}")
     brackets = []
     seen = set()
     for pos, item in enumerate(_list(doc, "brackets", "top level")):

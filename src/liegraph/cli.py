@@ -232,8 +232,7 @@ def _cmd_full_graph(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     name, g = _load_algebra(args)
-    which = {"1": "1", "2": "2", "lemma": "lemma", "all": "all"}[args.theorem]
-    rep = fg_mod.verify(g, name, which)
+    rep = fg_mod.verify(g, name, args.theorem)
     if args.json:
         json.dump(report_to_dict(rep), out, indent=2, sort_keys=True)
         out.write("\n")

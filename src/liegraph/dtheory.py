@@ -1,8 +1,12 @@
 """Cocycle maps Der(G) -> G, their bracket, the Der(G)-action, and H.
 
 A "d-derivation" is a linear map L from the derivation algebra to the
-algebra itself with L([D1,D2]) = D1(L(D2)) - D2(L(D1)); equivalently a
-degree-1 cocycle of Der(G) with coefficients in G. They carry a bracket
+algebra itself with L([D1,D2]) = D1(L(D2)) - D2(L(D1)): a 1-cocycle of
+Der(G) acting on G (``DerivationAlgebra.natural``). The d-center, the
+d-derivations and the inner ones L_x(D) = -D(x) are the invariants,
+cocycles and coboundaries of that action, computed by the
+``algebra.Representation`` code that gives the center, Der(G) and the
+inner derivations of the adjoint action. They carry a bracket
     [L1,L2](D) = L1(ad(L2(D))) - L2(ad(L1(D)))
 and Der(G) acts on them by D(L) = D∘L - L∘ad(D), which lets the two fit
 together into a semidirect product.
@@ -12,13 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Optional, Sequence
 
-from .linalg import (Matrix, Subspace, Vector, ZERO, as_vector, nullspace,
-                     vstack)
+from .linalg import Matrix, Subspace, Vector
 from .algebra import (Derivation, DerivationAlgebra, LieAlgebra, MatrixSpan,
-                      derivation_algebra, semidirect, _unit)
+                      derivation_algebra, semidirect)
 
 
 @dataclass(frozen=True)
@@ -33,58 +35,16 @@ class DDerivation:
         if self.matrix.shape != (self.parent.dim, self.der.dim):
             raise ValueError("d-derivation matrix has wrong shape")
 
-    def is_cocycle(self) -> bool:
-        """L([D_i, D_j]) = D_i L(D_j) - D_j L(D_i) on every basis pair."""
-        s, d, l = self.der.as_lie_algebra, self.der.matrices, self.matrix
-        for i, j in combinations(range(self.der.dim), 2):
-            rhs = tuple(a - b for a, b in zip(d[i].apply(l.column(j)),
-                                              d[j].apply(l.column(i))))
-            if l.apply(s.table[i][j]) != rhs:
-                return False
-        return True
-
 
 def d_center(g: LieAlgebra, der: Optional[DerivationAlgebra] = None) -> Subspace:
-    """{x : D x = 0 for every derivation D}; kernel of the stacked Der basis."""
-    if der is None:
-        der = derivation_algebra(g)
-    return nullspace(vstack(der.matrices))
+    """{x : D x = 0 for every derivation D}: the invariants of Der(G) on G."""
+    return (der or derivation_algebra(g)).natural.invariants()
 
 
 def inner_d_derivation(g: LieAlgebra, der: DerivationAlgebra,
                        x: Sequence) -> DDerivation:
-    """L_x with L_x(D) = -D(x)."""
-    x = as_vector(x)
-    if len(x) != g.dim:
-        raise ValueError("vector length != dim")
-    cols = [tuple(-v for v in d.apply(x)) for d in der.matrices]
-    return DDerivation(g, der, Matrix.from_rows(cols).transpose())
-
-
-def _cocycle_system(g: LieAlgebra, der: DerivationAlgebra) -> Matrix:
-    """Constraints on L[a][b] (flattened a*m+b), one n-block per Der pair i<j:
-        sum_t s[i][j][t] L[k][t] - (D_i L[:,j])_k + (D_j L[:,i])_k = 0
-    """
-    n, m = g.dim, der.dim
-    s = der.as_lie_algebra.table
-    rows = []
-    for i, j in combinations(range(m), 2):
-        di = der.basis[i].matrix
-        dj = der.basis[j].matrix
-        for k in range(n):
-            row = [ZERO] * (n * m)
-            for t, st in enumerate(s[i][j]):
-                if st:
-                    row[k * m + t] += st
-            for a in range(n):
-                if di[k, a]:
-                    row[a * m + j] -= di[k, a]
-                if dj[k, a]:
-                    row[a * m + i] += dj[k, a]
-            rows.append(row)
-    if not rows:
-        rows = [[ZERO] * (n * m)]
-    return Matrix.from_rows(rows)
+    """L_x with L_x(D) = -D(x), the coboundary of x."""
+    return DDerivation(g, der, der.natural.coboundary(x))
 
 
 @dataclass(frozen=True)
@@ -113,15 +73,12 @@ class DDerivationSpace(MatrixSpan):
 
 def d_derivations(g: LieAlgebra,
                   der: Optional[DerivationAlgebra] = None) -> DDerivationSpace:
-    """Solve the cocycle system and span the inner d-derivations."""
+    """The cocycles and the coboundaries of Der(G) acting on G."""
     if der is None:
         der = derivation_algebra(g)
-    n, m = g.dim, der.dim
-    span = nullspace(_cocycle_system(g, der))
-    inner = Subspace.from_rows(
-        n * m, [inner_d_derivation(g, der, _unit(n, i)).matrix.flatten()
-                for i in range(n)])
-    return DDerivationSpace((n, m), span, g, der, inner)
+    natural = der.natural
+    return DDerivationSpace((g.dim, der.dim), natural.cocycles(), g, der,
+                            natural.coboundaries())
 
 
 def d_bracket(l1: DDerivation, l2: DDerivation) -> DDerivation:

@@ -15,9 +15,9 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .linalg import Matrix, Subspace, Vector, ZERO, as_vector
-from .algebra import (CompletenessEvidence, Derivation, DerivationAlgebra,
-                      LieAlgebra, center, completeness, derivation_algebra,
-                      semidirect, _unit)
+from .algebra import (CompletenessEvidence, DerivationAlgebra, LieAlgebra,
+                      center, completeness, derivation_algebra, semidirect,
+                      _unit)
 from .dtheory import (DCompletenessEvidence, DDerivationSpace, SemidirectSum,
                       build_h, d_center, d_completeness, d_derivations)
 
@@ -60,7 +60,7 @@ def h_derivation(fg: FullGraph, dspace: DDerivationSpace,
     cols = [der.coordinates_of(D.commutator(der.matrices[j])) + L.column(j)
             for j in range(fg.m)]  # images of (D_j, 0)
     for j in range(fg.n):  # images of (0, e_j)
-        corr = L.apply(der.coordinates_of(g.ad(_unit(fg.n, j))))
+        corr = L.apply(der.coordinates_of(g.adjoint.rho[j]))
         cols.append(fg.embed_g(a + b for a, b in zip(D.column(j), corr)))
     return Matrix.from_rows(cols).transpose()
 
@@ -163,7 +163,7 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
         return h_derivation(fg, dspace, coords[:m], coords[m:])
 
     gens = [mat_of(_unit(total, i)) for i in range(total)]
-    each_der = all(Derivation(cg, M).is_leibniz() for M in gens)
+    each_der = all(cg.adjoint.is_cocycle(M) for M in gens)
 
     homomorphism = True
     for i, j in combinations(range(total), 2):
@@ -198,6 +198,8 @@ def check_theorem2(ws: _Workspace) -> tuple[Theorem2Evidence,
 def verify(g: LieAlgebra, name: str = "",
            which: str = "all") -> VerificationReport:
     """Run the requested checks; which is one of 1 / 2 / lemma / all."""
+    if which not in ("1", "2", "lemma", "all"):
+        raise ValueError(f"which must be 1, 2, lemma or all, got {which!r}")
     start = time.monotonic()
     ws = _Workspace(g)
     t1 = lemma = t2 = dc = cc = None

@@ -7,7 +7,8 @@ from liegraph.algebra import (AntisymmetryConflict, DependentBasis, Derivation,
                               JacobiViolation, LieError, NotClosed, abelian,
                               center, derivation_algebra, derived_subalgebra,
                               induced_lie_structure, inner_derivations,
-                              is_complete, make_lie_algebra, semidirect)
+                              is_complete, lie_algebra_from_table,
+                              make_lie_algebra, semidirect)
 from liegraph.catalog import catalog, lookup
 from liegraph.linalg import Matrix, Subspace
 
@@ -48,6 +49,22 @@ class TestConstruction:
     def test_inconsistent_pair(self):
         with pytest.raises(AntisymmetryConflict):
             make_lie_algebra(2, [(0, 1, [0, 1]), (1, 0, [0, 1])])
+
+    def test_nonzero_self_bracket(self):
+        with pytest.raises(AntisymmetryConflict):
+            make_lie_algebra(2, [(1, 1, [1, 0])])
+        assert make_lie_algebra(2, [(1, 1, [0, 0])]) == abelian(2)
+
+    @pytest.mark.parametrize("c01,c10,c00", [
+        ([0, 1], [0, 1], [0, 0]),    # [e1,e2] = [e2,e1] = e2
+        ([0, 1], [0, 0], [0, 0]),    # [e2,e1] missing
+        ([0, 0], [0, 1], [0, 0]),    # [e1,e2] missing
+        ([0, 0], [0, 0], [1, 0]),    # [e1,e1] = e1
+    ])
+    def test_table_must_be_antisymmetric(self, c01, c10, c00):
+        table = [[c00, c01], [c10, [0, 0]]]
+        with pytest.raises(AntisymmetryConflict):
+            lie_algebra_from_table(table)
 
     def test_dim_zero_rejected(self):
         with pytest.raises(LieError):
@@ -111,8 +128,9 @@ class TestDerivationAlgebra:
 
     def test_every_basis_element_is_leibniz(self):
         for name in ("sl2", "heisenberg3", "affine2", "sl2_plus_abelian1"):
-            der = derivation_algebra(lookup(name).algebra)
-            assert all(d.is_leibniz() for d in der.basis)
+            g = lookup(name).algebra
+            der = derivation_algebra(g)
+            assert all(g.adjoint.is_cocycle(d.matrix) for d in der.basis)
 
     def test_commutator_closure(self, sl2):
         der = derivation_algebra(sl2)
@@ -127,6 +145,16 @@ class TestDerivationAlgebra:
         b = derivation_algebra(sl2)
         assert [d.matrix for d in a.basis] == [d.matrix for d in b.basis]
         assert a.as_lie_algebra.table == b.as_lie_algebra.table
+
+    def test_is_cocycle_rejects_a_non_derivation(self, sl2):
+        assert abelian(3).adjoint.is_cocycle(Matrix.identity(3))
+        # I[h, e] = 2e but [Ih, e] + [h, Ie] = 4e
+        assert not sl2.adjoint.is_cocycle(Matrix.identity(3))
+
+    @pytest.mark.parametrize("coords", [(1,), (1, 0, 0, 5, 7)])
+    def test_matrix_of_rejects_wrong_length(self, sl2, coords):
+        with pytest.raises(ValueError, match="dimension 3"):
+            derivation_algebra(sl2).matrix_of(coords)
 
     def test_coordinates_of_matrix_outside_span_raises(self, h3):
         # the identity is no derivation of heisenberg3: D[x,y] = z, not 2z

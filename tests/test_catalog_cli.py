@@ -117,8 +117,10 @@ class TestAlgebraFile:
         {"dim": 2, "brackets": [{"i": 0, "j": True, "result": []}]},
         {"dim": 2, "brackets": [
             {"i": 0, "j": 1, "result": [{"k": True, "coeff": 1}]}]},
+        {"dim": 3, "basis_names": ["x", "x", "x"], "brackets": [
+            {"i": 0, "j": 1, "result": [{"k": 2, "coeff": 1}]}]},
     ], ids=["brackets-int", "brackets-null", "result-int", "result-object",
-            "dim-bool", "i-bool", "j-bool", "k-bool"])
+            "dim-bool", "i-bool", "j-bool", "k-bool", "duplicate-names"])
     def test_wrong_json_types_are_file_errors(self, doc, tmp_path, capsys):
         text = json.dumps(doc)
         with pytest.raises(AlgebraFileError):

@@ -136,6 +136,12 @@ class TestVerifiers:
         assert not rep.theorem2.equivalent
 
 
+@pytest.mark.parametrize("which", ["thm1", "", "ALL", 1])
+def test_verify_rejects_unknown_check(which):
+    with pytest.raises(ValueError, match="which must be"):
+        verify(lookup("sl2").algebra, "sl2", which)
+
+
 def test_verify_all_builds_each_derivation_algebra_once(monkeypatch):
     import liegraph.algebra as algebra_mod
     import liegraph.dtheory as dtheory_mod
