@@ -18,8 +18,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from .linalg import (Matrix, Subspace, Vector, ZERO, as_scalar, as_vector,
-                     nullspace, rank, solve, vstack)
+from .linalg import (Matrix, SparseRow, Subspace, Vector, ZERO, as_scalar,
+                     as_vector, nullspace, rank, solve, sparse_nullspace, vstack)
 
 
 class LieError(Exception):
@@ -109,18 +109,17 @@ def _default_names(n: int) -> tuple[str, ...]:
 
 
 def _validate_jacobi(n: int, table) -> None:
+    nz = [[[(k, c) for k, c in enumerate(table[a][b]) if c] for b in range(n)]
+          for a in range(n)]
     for i, j, l in combinations(range(n), 3):
-        acc = [ZERO] * n
+        acc: dict[int, Fraction] = {}
         for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
-            inner = table[b][c]
-            for t, coeff in enumerate(inner):
-                if coeff:
-                    outer = table[a][t]
-                    for k, ck in enumerate(outer):
-                        if ck:
-                            acc[k] += coeff * ck
-        if any(acc):
-            raise JacobiViolation((i, j, l), tuple(acc))
+            for t, coeff in nz[b][c]:
+                for k, ck in nz[a][t]:
+                    acc[k] = acc.get(k, ZERO) + coeff * ck
+        if any(acc.values()):
+            raise JacobiViolation((i, j, l),
+                                  tuple(acc.get(k, ZERO) for k in range(n)))
 
 
 def lie_algebra_from_table(table,
@@ -204,6 +203,10 @@ class Representation:
 
     algebra() returns L; only the cocycle rule reads its structure constants,
     so the invariants and coboundaries of Der(G) never build its table.
+
+    The cocycle rule is built once, as the sparse rows of cocycle_system,
+    and has two readers: cocycles() hands the rows to the sparse kernel for
+    their common kernel, and is_cocycle(phi) evaluates them on phi.
     """
     rho: tuple[Matrix, ...]
     algebra: Callable[[], LieAlgebra]
@@ -212,27 +215,34 @@ class Representation:
         """{v : rho_i v = 0 for every i}, the kernel of the stacked rho."""
         return nullspace(vstack(self.rho))
 
-    def cocycles(self) -> Subspace:
-        """The 1-cocycles, the kernel of one row per basis pair i < j and
-        coordinate k of phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i)."""
+    @cached_property
+    def cocycle_system(self) -> tuple[SparseRow, ...]:
+        """The cocycle rule as sparse rows over the entries of phi: one row
+        per basis pair i < j and coordinate k of
+        phi([e_i, e_j]) - rho_i phi(e_j) + rho_j phi(e_i), read off the
+        nonzero structure constants and the nonzero entries of rho. Rows
+        that are identically zero are left out."""
         m, n, s = len(self.rho), self.rho[0].rows, self.algebra().table
+        rho_nz = [[[(a, c) for a, c in enumerate(r.row(k)) if c] for k in range(n)]
+                  for r in self.rho]
         rows = []
         for i, j in combinations(range(m), 2):
+            bracket = [(t, c) for t, c in enumerate(s[i][j]) if c]
             for k in range(n):
-                row = [ZERO] * (n * m)
-                for t, c in enumerate(s[i][j]):
-                    if c:
-                        row[k * m + t] += c
-                for a, c in enumerate(self.rho[i].row(k)):
-                    if c:
-                        row[a * m + j] -= c
-                for a, c in enumerate(self.rho[j].row(k)):
-                    if c:
-                        row[a * m + i] += c
-                rows.append(row)
-        rows = rows or [[ZERO] * (n * m)]
-        return nullspace(Matrix._trusted(len(rows), n * m,
-                                         tuple(c for row in rows for c in row)))
+                row = {k * m + t: c for t, c in bracket}
+                for a, c in rho_nz[i][k]:
+                    row[a * m + j] = row.get(a * m + j, ZERO) - c
+                for a, c in rho_nz[j][k]:
+                    row[a * m + i] = row.get(a * m + i, ZERO) + c
+                row = {col: c for col, c in row.items() if c}
+                if row:
+                    rows.append(row)
+        return tuple(rows)
+
+    def cocycles(self) -> Subspace:
+        """The 1-cocycles, the kernel of the cocycle system."""
+        return sparse_nullspace(self.rho[0].rows * len(self.rho),
+                                self.cocycle_system)
 
     def coboundary(self, v: Sequence) -> Matrix:
         """The cocycle e_i -> -rho_i v."""
@@ -246,12 +256,15 @@ class Representation:
             self.coboundary(_unit(n, k)).flatten() for k in range(n)])
 
     def is_cocycle(self, phi: Matrix) -> bool:
-        """phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i) for every i < j."""
-        s, rho = self.algebra().table, self.rho
-        for i, j in combinations(range(len(rho)), 2):
-            rhs = tuple(a - b for a, b in zip(rho[i].apply(phi.column(j)),
-                                              rho[j].apply(phi.column(i))))
-            if phi.apply(s[i][j]) != rhs:
+        """phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i) for every i < j:
+        every row of the cocycle system vanishes on phi."""
+        if phi.shape != (self.rho[0].rows, len(self.rho)):
+            raise ValueError(f"a map to Q^{self.rho[0].rows} from a "
+                             f"{len(self.rho)}-dim algebra cannot be {phi.shape}")
+        nz = {col: x for col, x in enumerate(phi.flatten()) if x}
+        for row in self.cocycle_system:
+            terms = [c * nz[col] for col, c in row.items() if col in nz]
+            if terms and sum(terms):
                 return False
         return True
 

@@ -158,23 +158,27 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
     total = m + p
     cg = fg.algebra
 
-    def mat_of(coords: Sequence) -> Matrix:
-        coords = as_vector(coords)
-        return h_derivation(fg, dspace, coords[:m], coords[m:])
-
-    gens = [mat_of(_unit(total, i)) for i in range(total)]
+    units = [_unit(total, i) for i in range(total)]
+    gens = [h_derivation(fg, dspace, u[:m], u[m:]) for u in units]
     each_der = all(cg.adjoint.is_cocycle(M) for M in gens)
 
+    # h_derivation is linear in its coordinates, so the image of
+    # [x_i, x_j] = sum_k c_k x_k is sum_k c_k gens[k]
+    flat = [M.flatten() for M in gens]
+    flat_nz = [[(t, x) for t, x in enumerate(f) if x] for f in flat]
     homomorphism = True
     for i, j in combinations(range(total), 2):
-        lhs = gens[i].commutator(gens[j])
-        rhs = mat_of(h.algebra.table[i][j])
-        if lhs != rhs:
+        rhs = [ZERO] * len(flat[0])
+        for k, c in enumerate(h.algebra.table[i][j]):
+            if c:
+                for t, x in flat_nz[k]:
+                    rhs[t] += c * x
+        if gens[i].commutator(gens[j]).flatten() != tuple(rhs):
             homomorphism = False
             break
 
     der_cg = ws.der_cg
-    image = Subspace.from_rows(cg.dim * cg.dim, [M.flatten() for M in gens])
+    image = Subspace.from_rows(cg.dim * cg.dim, flat)
     return Theorem1Evidence(each_der, homomorphism, image.dim == total,
                             total, der_cg.dim, image == der_cg.flat_span)
 

@@ -3,15 +3,25 @@
 Everything downstream is a rank decision, so all arithmetic is over
 ``fractions.Fraction`` and every subspace is kept in a canonical RREF
 basis: two subspaces are equal iff their basis matrices are identical.
+
+All elimination is done by one sparse Gauss-Jordan kernel, ``sparse_rref``,
+on rows held as ``{column: nonzero entry}``: the systems solved here are
+almost all zeros (the Leibniz rule of Der(C(G)) has a few thousand rows of
+one or two nonzeros each), and the kernel never touches a zero. The RREF
+of a row space is unique, so it gives the same canonical basis as any exact
+Gauss-Jordan elimination. ``rref``, ``rank``, ``solve``, ``nullspace`` and
+``Subspace.from_rows`` call it on dense input; ``sparse_nullspace`` takes
+sparse rows, so a system built sparse is never made dense.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
+SparseRow = dict[int, Fraction]  # column -> nonzero entry
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -185,56 +195,75 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place Gauss-Jordan to unique RREF. Returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    # drop all-zero rows up front; typical inputs here are sparse systems
-    rows = [r for r in rows if any(r)]
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, len(rows)):
-            if rows[r][pc]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+def sparse_rref(rows: Iterable[Mapping[int, Fraction]]
+                ) -> tuple[list[SparseRow], list[int]]:
+    """The nonzero rows of the unique RREF of the given sparse rows, in pivot
+    order, and their pivot columns. The input rows are not changed.
+
+    The pivot rows are kept fully reduced: 1 at their pivot, 0 at every
+    other pivot column. So one pass of subtractions clears every pivot
+    column from an incoming row, and what is left has non-pivot columns
+    only. If it is nonzero, its smallest column becomes a new pivot: the
+    row is scaled to 1 there, and the column is cleared from every pivot
+    row that holds it. Each pivot row only ever gains columns larger than
+    its pivot, so at the end the rows are in reduced row echelon form and
+    span the input's row space; that form is unique, so the result is the
+    canonical basis whatever the order of the input rows.
+    """
+    piv: dict[int, SparseRow] = {}
+    for src in rows:
+        r = {c: x for c, x in src.items() if x}
+        for c in [c for c in r if c in piv]:
+            # the other pivot rows are 0 at c, so r[c] is still r's own entry
+            _subtract(r, r[c], piv[c])
+        if not r:
             continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        prow = rows[pr]
-        inv = ONE / prow[pc]
-        if inv != ONE:
-            for c in range(pc, ncols):
-                if prow[c]:
-                    prow[c] *= inv
-        nzc = [c for c in range(pc, ncols) if prow[c]]
-        for r in range(len(rows)):
-            if r == pr:
-                continue
-            f = rows[r][pc]
-            if f:
-                rr = rows[r]
-                for c in nzc:
-                    rr[c] -= f * prow[c]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(rows):
-            break
-    rows = [r for r in rows[:pr]]
-    return rows, pivots
+        p = min(r)
+        lead = r[p]
+        if lead != ONE:
+            r = {k: x / lead for k, x in r.items()}
+        for row in piv.values():
+            if p in row:
+                _subtract(row, row[p], r)
+        piv[p] = r
+    pivots = sorted(piv)
+    return [piv[p] for p in pivots], pivots
+
+
+def _subtract(row: SparseRow, f: Fraction, other: Mapping[int, Fraction]) -> None:
+    """row -= f * other, in place, keeping only nonzero entries."""
+    for k, v in other.items():
+        x = row.get(k, ZERO) - f * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+def _sparse_rows(m: Matrix) -> list[SparseRow]:
+    return [{c: x for c, x in enumerate(m.row(r)) if x} for r in range(m.rows)]
+
+
+def _dense(rows: Sequence[SparseRow], ncols: int) -> tuple:
+    """The row-major entries of sparse rows of width ncols."""
+    out = []
+    for row in rows:
+        v = [ZERO] * ncols
+        for c, x in row.items():
+            v[c] = x
+        out.extend(v)
+    return tuple(out)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Unique reduced row echelon form of m (zero rows kept) and pivot columns."""
-    rows, pivots = _rref_rows([list(m.row(r)) for r in range(m.rows)])
-    out = rows + [[ZERO] * m.cols for _ in range(m.rows - len(rows))]
-    return Matrix.from_rows(out) if out else Matrix.zero(0, m.cols), pivots
+    rows, pivots = sparse_rref(_sparse_rows(m))
+    zero_rows = (ZERO,) * ((m.rows - len(rows)) * m.cols)
+    return Matrix._trusted(m.rows, m.cols, _dense(rows, m.cols) + zero_rows), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref_rows([list(m.row(r)) for r in range(m.rows)])[1])
+    return len(sparse_rref(_sparse_rows(m))[1])
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
@@ -242,13 +271,16 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     b = as_vector(b)
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
-    aug = [list(m.row(r)) + [b[r]] for r in range(m.rows)]
-    rows, pivots = _rref_rows(aug)
+    aug = _sparse_rows(m)
+    for row, x in zip(aug, b):
+        if x:
+            row[m.cols] = x
+    rows, pivots = sparse_rref(aug)
+    if pivots and pivots[-1] == m.cols:  # pivot in the rhs column: inconsistent
+        return None
     x = [ZERO] * m.cols
-    for r, pc in enumerate(pivots):
-        if pc == m.cols:  # pivot in the rhs column: inconsistent
-            return None
-        x[pc] = rows[r][m.cols]
+    for row, pc in zip(rows, pivots):
+        x[pc] = row.get(m.cols, ZERO)
     return tuple(x)
 
 
@@ -266,12 +298,20 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        vecs = [list(as_vector(v)) for v in vectors]
-        for v in vecs:
+        rows = []
+        for v in vectors:
+            v = as_vector(v)
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient dimension")
-        rows, _ = _rref_rows(vecs)
-        return cls(ambient_dim, Matrix.from_rows(rows) if rows else Matrix.zero(0, ambient_dim))
+            rows.append({c: x for c, x in enumerate(v) if x})
+        return cls._span(ambient_dim, rows)
+
+    @classmethod
+    def _span(cls, ambient_dim: int, rows: Iterable[SparseRow]) -> "Subspace":
+        """The span of sparse rows, reduced to its canonical basis."""
+        reduced, _ = sparse_rref(rows)
+        return cls(ambient_dim, Matrix._trusted(len(reduced), ambient_dim,
+                                                _dense(reduced, ambient_dim)))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -340,13 +380,19 @@ class Subspace:
 
 def nullspace(m: Matrix) -> Subspace:
     """Canonical basis of {v : m v = 0}."""
-    rows, pivots = _rref_rows([list(m.row(r)) for r in range(m.rows)])
-    free = [c for c in range(m.cols) if c not in pivots]
-    vecs = []
-    for fc in free:
-        v = [ZERO] * m.cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        vecs.append(v)
-    return Subspace.from_rows(m.cols, vecs)
+    return sparse_nullspace(m.cols, _sparse_rows(m))
+
+
+def sparse_nullspace(ncols: int, rows: Iterable[Mapping[int, Fraction]]) -> Subspace:
+    """Canonical basis of the common kernel of sparse rows of width ncols.
+
+    Each free column f of the RREF gives the kernel vector that is 1 at f
+    and minus the RREF's column f at the pivots."""
+    reduced, pivots = sparse_rref(rows)
+    pivot_set = set(pivots)
+    kernel = {f: {f: ONE} for f in range(ncols) if f not in pivot_set}
+    for p, row in zip(pivots, reduced):
+        for c, x in row.items():
+            if c != p:
+                kernel[c][p] = -x
+    return Subspace._span(ncols, kernel.values())

@@ -1,0 +1,114 @@
+"""Dense reference forms of the package's sparse fast paths.
+
+The package reduces every linear system with one sparse Gauss-Jordan kernel
+(``linalg.sparse_rref``), builds each cocycle system as sparse rows and
+checks a cocycle by evaluating those rows. The dense forms below are the
+straightforward versions of the same three computations; the differential
+tests require the fast paths to give exactly what these give.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def rref_rows(rows):
+    """In-place Gauss-Jordan to unique RREF. Returns (rows, pivot columns)."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    # drop all-zero rows up front; typical inputs here are sparse systems
+    rows = [r for r in rows if any(r)]
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        pivot_row = None
+        for r in range(pr, len(rows)):
+            if rows[r][pc]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        prow = rows[pr]
+        inv = ONE / prow[pc]
+        if inv != ONE:
+            for c in range(pc, ncols):
+                if prow[c]:
+                    prow[c] *= inv
+        nzc = [c for c in range(pc, ncols) if prow[c]]
+        for r in range(len(rows)):
+            if r == pr:
+                continue
+            f = rows[r][pc]
+            if f:
+                rr = rows[r]
+                for c in nzc:
+                    rr[c] -= f * prow[c]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(rows):
+            break
+    rows = [r for r in rows[:pr]]
+    return rows, pivots
+
+
+def dense_rows(rows, ncols):
+    """Sparse {column: entry} rows written out as dense lists of width ncols."""
+    out = []
+    for r in rows:
+        v = [ZERO] * ncols
+        for c, x in r.items():
+            v[c] = x
+        out.append(v)
+    return out
+
+
+def nullspace_basis(rows, ncols):
+    """Canonical (RREF) basis of the kernel of dense rows of width ncols."""
+    reduced, pivots = rref_rows([list(r) for r in rows])
+    vecs = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        vecs.append(v)
+    return rref_rows(vecs)[0]
+
+
+def cocycle_rows(rep):
+    """The dense cocycle system of a Representation: one row per basis pair
+    i < j and coordinate k of phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i),
+    over the entries phi[k][t] at k*m + t."""
+    m, n, s = len(rep.rho), rep.rho[0].rows, rep.algebra().table
+    rows = []
+    for i, j in combinations(range(m), 2):
+        for k in range(n):
+            row = [ZERO] * (n * m)
+            for t, c in enumerate(s[i][j]):
+                if c:
+                    row[k * m + t] += c
+            for a, c in enumerate(rep.rho[i].row(k)):
+                if c:
+                    row[a * m + j] -= c
+            for a, c in enumerate(rep.rho[j].row(k)):
+                if c:
+                    row[a * m + i] += c
+            rows.append(row)
+    return rows
+
+
+def is_cocycle(rep, phi):
+    """phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i) for every i < j."""
+    s, rho = rep.algebra().table, rep.rho
+    for i, j in combinations(range(len(rho)), 2):
+        rhs = tuple(a - b for a, b in zip(rho[i].apply(phi.column(j)),
+                                          rho[j].apply(phi.column(i))))
+        if phi.apply(s[i][j]) != rhs:
+            return False
+    return True

@@ -1,16 +1,22 @@
+import functools
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
 from liegraph.algebra import (AntisymmetryConflict, DependentBasis, Derivation,
                               IndexOutOfRange, InternalConsistencyError,
-                              JacobiViolation, LieError, NotClosed, abelian,
+                              JacobiViolation, LieError, NotClosed,
+                              Representation, abelian,
                               center, derivation_algebra, derived_subalgebra,
                               induced_lie_structure, inner_derivations,
                               is_complete, lie_algebra_from_table,
                               make_lie_algebra, semidirect)
 from liegraph.catalog import catalog, lookup
-from liegraph.linalg import Matrix, Subspace
+from liegraph.linalg import Matrix, Subspace, sparse_rref
 
 F = Fraction
 
@@ -241,3 +247,79 @@ class TestSemidirect:
         e12, e21 = ((F(0), F(0)), (F(1), F(0))), ((F(0), F(1)), (F(0), F(0)))
         with pytest.raises(JacobiViolation):
             semidirect(abelian(2), abelian(2), lambda i, j: (e12, e21)[i][j])
+
+
+# The sparse cocycle system of a Representation against the dense reference:
+# the same rows (zero rows left out), the same canonical RREF and kernel,
+# and the row-based is_cocycle against the loop over basis pairs.
+
+def _load_fixtures():
+    path = Path(__file__).resolve().parents[1] / "bench" / "fixtures.py"
+    spec = importlib.util.spec_from_file_location("bench_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+FIXTURES = _load_fixtures()
+CATALOG_NAMES = [e.name for e in catalog()]
+
+
+@functools.lru_cache(maxsize=None)
+def _representation(name: str, action: str) -> Representation:
+    g = (FIXTURES.build(name, 1) if name in FIXTURES.SPECS
+         else lookup(name).algebra)
+    return g.adjoint if action == "adjoint" else derivation_algebra(g).natural
+
+
+@pytest.mark.parametrize("action", ["adjoint", "natural"])
+@pytest.mark.parametrize("name", CATALOG_NAMES + sorted(FIXTURES.SPECS))
+def test_cocycle_system_matches_dense_reference(name, action):
+    rep = _representation(name, action)
+    width = rep.rho[0].rows * len(rep.rho)
+    dense = reference.cocycle_rows(rep)
+    nonzero = [r for r in dense if any(r)]
+    assert reference.dense_rows(rep.cocycle_system, width) == nonzero
+    reduced, pivots = sparse_rref(rep.cocycle_system)
+    ref_rows, ref_pivots = reference.rref_rows([list(r) for r in dense])
+    assert pivots == ref_pivots and reference.dense_rows(reduced, width) == ref_rows
+    assert rep.cocycles().basis_vectors() == [
+        tuple(v) for v in reference.nullspace_basis(dense, width)]
+
+
+def test_one_dimensional_algebra_makes_every_map_a_cocycle():
+    # one basis element: no bracket pairs, so the system has no rows
+    rep = Representation((Matrix.from_rows([[1, 2], [0, 3]]),), lambda: abelian(1))
+    assert rep.cocycle_system == () and reference.cocycle_rows(rep) == []
+    assert rep.cocycles() == Subspace.full(2)
+    assert reference.nullspace_basis([], 2) == [[1, 0], [0, 1]]
+    for phi in (Matrix.from_rows([[5], [F(-7, 2)]]), Matrix.zero(2, 1)):
+        assert rep.is_cocycle(phi) and reference.is_cocycle(rep, phi)
+
+
+def test_is_cocycle_rejects_a_map_of_the_wrong_shape(sl2):
+    with pytest.raises(ValueError):
+        sl2.adjoint.is_cocycle(Matrix.identity(2))
+
+
+entries = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+sparse_entries = st.one_of(st.just(F(0)), st.just(F(0)), entries)
+
+
+@given(st.sampled_from(CATALOG_NAMES), st.sampled_from(["adjoint", "natural"]),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_is_cocycle_matches_loop_reference(name, action, data):
+    rep = _representation(name, action)
+    n, m = rep.rho[0].rows, len(rep.rho)
+    space = rep.cocycles()
+    coeffs = data.draw(st.lists(entries, min_size=space.dim, max_size=space.dim))
+    accepted = [sum((c * b[t] for c, b in zip(coeffs, space.basis_vectors())), F(0))
+                for t in range(n * m)]
+    noise = data.draw(st.lists(sparse_entries, min_size=n * m, max_size=n * m))
+    perturbed = [a + b for a, b in zip(accepted, noise)]
+    phi = Matrix(n, m, accepted)
+    assert rep.is_cocycle(phi) and reference.is_cocycle(rep, phi)
+    phi = Matrix(n, m, perturbed)
+    assert (rep.is_cocycle(phi) == reference.is_cocycle(rep, phi)
+            == space.contains_vector(perturbed))

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from liegraph.algebra import abelian, derivation_algebra
+from liegraph.algebra import abelian, derivation_algebra, make_lie_algebra
 from liegraph.catalog import catalog, lookup
 from liegraph.dtheory import d_derivations
-from liegraph.fullgraph import build_full_graph, h_derivation, verify
+from liegraph.fullgraph import _Workspace, build_full_graph, h_derivation, verify
 from liegraph.linalg import Matrix
 
 F = Fraction
@@ -184,3 +184,22 @@ def test_verify_all_computes_each_center_once(monkeypatch):
     # center(C(G)) and d_center(G), each shared by the lemma and theorem2
     assert [h.dim for h in calls["center"]] == [3 + 6]
     assert calls["d_center"] == [g]
+
+
+def _heisenberg(k: int):
+    """h_{2k+1}: [x_i, y_i] = z for i = 1..k, basis x1, y1, ..., xk, yk, z."""
+    n = 2 * k + 1
+    z = [1 if t == n - 1 else 0 for t in range(n)]
+    return make_lie_algebra(n, [(2 * i, 2 * i + 1, z) for i in range(k)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_heisenberg_family_closed_forms(k):
+    # dim Der(h_{2k+1}) = 2k²+3k+1, dim H = dim C(G) = 2k²+5k+2, and
+    # Der(C(G)) is one larger: the outer derivation 2·id_G − ad_G on G.
+    # An oracle for sizes where the sympy one is too slow: at k = 3, C(G)
+    # is 35-dim and its Leibniz rule is 20825 equations in 1225 unknowns.
+    ws = _Workspace(_heisenberg(k))
+    assert ws.der.dim == 2 * k * k + 3 * k + 1
+    assert ws.h.algebra.dim == ws.fg.algebra.dim == 2 * k * k + 5 * k + 2
+    assert ws.der_cg.dim == 2 * k * k + 5 * k + 3

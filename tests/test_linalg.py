@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liegraph.linalg import Matrix, Subspace, nullspace, rank, rref, solve
+import reference
+from liegraph.linalg import (Matrix, Subspace, nullspace, rank, rref, solve,
+                             sparse_nullspace, sparse_rref)
 
 F = Fraction
 
@@ -188,3 +190,58 @@ def test_matmul_matches_triple_loop(pair):
 def test_matmul_shape_mismatch_raises():
     with pytest.raises(ValueError):
         Matrix.identity(2) @ Matrix.identity(3)
+
+
+# The sparse kernel against the dense Gauss-Jordan reference: the same
+# canonical rows and pivots on random sparse systems, including no rows,
+# all-zero rows, repeated rows and a single column.
+
+@st.composite
+def sparse_systems(draw):
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(sparse_entries, min_size=ncols, max_size=ncols),
+                         max_size=9))
+    if rows and draw(st.booleans()):
+        rows += [list(rows[draw(st.integers(0, len(rows) - 1))])]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [F(0)] * ncols)
+    return ncols, rows
+
+
+def _sparse(rows):
+    return [{c: x for c, x in enumerate(r) if x} for r in rows]
+
+
+@given(sparse_systems())
+@settings(max_examples=200, deadline=None)
+def test_sparse_rref_matches_dense_reference(system):
+    ncols, rows = system
+    sparse_in = _sparse(rows)
+    before = [dict(r) for r in sparse_in]
+    reduced, pivots = sparse_rref(sparse_in)
+    assert sparse_in == before  # the input rows are read, not changed
+    ref_rows, ref_pivots = reference.rref_rows([list(r) for r in rows])
+    assert pivots == ref_pivots
+    assert reference.dense_rows(reduced, ncols) == ref_rows
+    assert all(min(r) == p and r[p] == 1 for r, p in zip(reduced, pivots))
+
+
+@given(sparse_systems())
+@settings(max_examples=200, deadline=None)
+def test_sparse_nullspace_matches_dense_reference(system):
+    ncols, rows = system
+    expected = reference.nullspace_basis(rows, ncols)
+    assert sparse_nullspace(ncols, _sparse(rows)).basis_vectors() == [
+        tuple(v) for v in expected]
+    if rows:
+        assert nullspace(Matrix.from_rows(rows)).basis_vectors() == [
+            tuple(v) for v in expected]
+
+
+def test_sparse_kernel_edge_cases():
+    assert sparse_rref([]) == ([], [])
+    assert sparse_rref([{}, {0: F(0)}]) == ([], [])
+    assert sparse_rref([{0: F(3)}, {0: F(-1, 2)}]) == ([{0: F(1)}], [0])
+    assert sparse_nullspace(1, []) == Subspace.full(1)
+    assert sparse_nullspace(1, [{0: F(2)}]) == Subspace.zero(1)
+    assert sparse_nullspace(3, []) == Subspace.full(3)
