@@ -1,8 +1,12 @@
 """Lie algebras from structure constants: brackets, ad, center, Der(G).
 
-A LieAlgebra is a validated antisymmetric table c[i][j][k] with
-[e_i, e_j] = sum_k c[i][j][k] e_k; Jacobi is checked at construction so
-downstream code never rechecks it.
+A LieAlgebra holds its structure constants once, sparse: pairs[i][j] is
+the nonzero (k, c) of [e_i, e_j] = sum_k c e_k. Every reader in the package
+(bracket, ad, the Jacobi check, the cocycle rule, semidirect products, the
+printers) walks these pairs and never touches a zero. The dense table
+c[i][j][k] is only a view, built on first read for tests and oracles.
+Antisymmetry holds by construction and Jacobi is checked in full when an
+algebra is built, so downstream code never rechecks either.
 
 A Representation is a Lie algebra acting on Q^n. Its invariants, 1-cocycles
 and 1-coboundaries (Chevalley-Eilenberg) are computed in one place: for the
@@ -57,38 +61,59 @@ class InternalConsistencyError(LieError):
     """A solve that must succeed by construction failed; data is corrupted."""
 
 
+Terms = tuple[tuple[int, Fraction], ...]  # nonzero (k, c), k increasing
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
+    """Structure constants held once, as the nonzero terms of each bracket:
+    pairs[i][j] gives [e_i, e_j] = sum of c e_k over its (k, c), and
+    pairs[j][i] is its negation. Build one with make_lie_algebra,
+    lie_algebra_from_table or semidirect, which check Jacobi."""
     dim: int
     basis_names: tuple[str, ...]
-    table: tuple  # table[i][j] = tuple of n coefficients of [e_i, e_j]
+    pairs: tuple[tuple[Terms, ...], ...]
+
+    @cached_property
+    def table(self) -> tuple:
+        """Dense view: table[i][j] is the n coefficients of [e_i, e_j].
+        Built on first read, for tests and oracles; the package reads pairs."""
+        def dense(terms: Terms) -> Vector:
+            v = [ZERO] * self.dim
+            for k, c in terms:
+                v[k] = c
+            return tuple(v)
+        return tuple(tuple(dense(t) for t in row) for row in self.pairs)
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         x, y = as_vector(x), as_vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length != dim")
         out = [ZERO] * self.dim
+        y_nz = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                row = self.table[i][j]
+            row = self.pairs[i]
+            for j, yj in y_nz:
                 s = xi * yj
-                for k, ck in enumerate(row):
-                    if ck:
-                        out[k] += s * ck
+                for k, c in row[j]:
+                    out[k] += s * c
         return tuple(out)
 
     def ad(self, x: Sequence) -> Matrix:
-        """Matrix of y -> [x, y]."""
+        """Matrix of y -> [x, y]: entry (k, j) is the e_k term of [x, e_j]."""
         x = as_vector(x)
-        if len(x) != self.dim:
+        n = self.dim
+        if len(x) != n:
             raise ValueError("vector length != dim")
-        cols = [self.bracket(x, _unit(self.dim, j)) for j in range(self.dim)]
-        return Matrix(self.dim, self.dim,
-                      [cols[c][r] for r in range(self.dim) for c in range(self.dim)])
+        e = [ZERO] * (n * n)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, terms in enumerate(self.pairs[i]):
+                    for k, c in terms:
+                        e[k * n + j] += xi * c
+        return Matrix._trusted(n, n, tuple(e))
 
     @cached_property
     def adjoint(self) -> Representation:
@@ -108,18 +133,42 @@ def _default_names(n: int) -> tuple[str, ...]:
     return tuple(f"e{i + 1}" for i in range(n))
 
 
-def _validate_jacobi(n: int, table) -> None:
-    nz = [[[(k, c) for k, c in enumerate(table[a][b]) if c] for b in range(n)]
-          for a in range(n)]
+def _terms(vec: Vector) -> Terms:
+    return tuple((k, c) for k, c in enumerate(vec) if c)
+
+
+def _negated(terms: Terms) -> Terms:
+    return tuple((k, -c) for k, c in terms)
+
+
+def _validate_jacobi(n: int, pairs) -> None:
+    """Raise JacobiViolation on the first basis triple i < j < l, in
+    combinations order, whose cyclic sum [e_i,[e_j,e_l]] + ... is nonzero."""
     for i, j, l in combinations(range(n), 3):
         acc: dict[int, Fraction] = {}
         for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
-            for t, coeff in nz[b][c]:
-                for k, ck in nz[a][t]:
+            for t, coeff in pairs[b][c]:
+                for k, ck in pairs[a][t]:
                     acc[k] = acc.get(k, ZERO) + coeff * ck
         if any(acc.values()):
             raise JacobiViolation((i, j, l),
                                   tuple(acc.get(k, ZERO) for k in range(n)))
+
+
+def _from_brackets(n: int, upper: dict[tuple[int, int], Terms],
+                   basis_names: Optional[Sequence[str]]) -> LieAlgebra:
+    """The algebra with [e_i, e_j] = upper[i, j] for i < j (absent pairs
+    commute), after the full Jacobi check."""
+    rows = [[()] * n for _ in range(n)]
+    for (i, j), terms in upper.items():
+        rows[i][j] = terms
+        rows[j][i] = _negated(terms)
+    pairs = tuple(tuple(r) for r in rows)
+    _validate_jacobi(n, pairs)
+    names = tuple(basis_names) if basis_names is not None else _default_names(n)
+    if len(names) != n:
+        raise LieError("basis_names length != dim")
+    return LieAlgebra(n, names, pairs)
 
 
 def lie_algebra_from_table(table,
@@ -135,11 +184,8 @@ def lie_algebra_from_table(table,
             # most entries are zero; `a or b` skips those without negating
             if any((a or b) and a != -b for a, b in zip(tbl[i][j], tbl[j][i])):
                 raise AntisymmetryConflict(f"c[{i}][{j}] != -c[{j}][{i}]")
-    _validate_jacobi(n, tbl)
-    names = tuple(basis_names) if basis_names is not None else _default_names(n)
-    if len(names) != n:
-        raise LieError("basis_names length != dim")
-    return LieAlgebra(n, names, tbl)
+    upper = {(i, j): _terms(tbl[i][j]) for i, j in combinations(range(n), 2)}
+    return _from_brackets(n, upper, basis_names)
 
 
 def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
@@ -151,26 +197,25 @@ def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
     """
     if n <= 0:
         raise LieError("dimension must be positive")
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    seen: dict[tuple[int, int], Vector] = {}
+    seen: dict[tuple[int, int], Terms] = {}
     for (i, j, vec) in brackets:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"bracket indices ({i},{j}) out of range for dim {n}")
         vec = as_vector(vec)
         if len(vec) != n:
             raise LieError(f"bracket result for ({i},{j}) has length {len(vec)}, want {n}")
-        key, val = ((i, j), vec) if i < j else ((j, i), tuple(-c for c in vec))
+        terms = _terms(vec)
+        key, val = ((i, j), terms) if i < j else ((j, i), _negated(terms))
         if key in seen:
             if seen[key] != val:
                 raise AntisymmetryConflict(
                     f"pair {key} given twice with inconsistent values")
             continue
         seen[key] = val
-    for (i, j), vec in seen.items():
-        if any(vec):  # zero pairs keep the shared ZERO entries
-            table[i][j] = list(vec)
-            table[j][i] = [-c for c in vec]
-    return lie_algebra_from_table(table, basis_names)
+    for i in range(n):
+        if seen.get((i, i)):
+            raise AntisymmetryConflict(f"c[{i}][{i}] != -c[{i}][{i}]")
+    return _from_brackets(n, seen, basis_names)
 
 
 def semidirect(k: LieAlgebra, v: LieAlgebra,
@@ -181,14 +226,16 @@ def semidirect(k: LieAlgebra, v: LieAlgebra,
     as coordinates in v's basis; action must make k act on v by derivations.
     """
     m, n = k.dim, v.dim
-    pad_k, pad_v = (ZERO,) * n, (ZERO,) * m
-    brackets = [(i, j, k.table[i][j] + pad_k)
-                for i, j in combinations(range(m), 2)]
-    brackets += [(i, m + j, pad_v + action(i, j))
-                 for i in range(m) for j in range(n)]
-    brackets += [(m + i, m + j, pad_v + v.table[i][j])
-                 for i, j in combinations(range(n), 2)]
-    return make_lie_algebra(m + n, brackets, k.basis_names + v.basis_names)
+    upper = {(i, j): k.pairs[i][j] for i, j in combinations(range(m), 2)}
+    for i in range(m):
+        for j in range(n):
+            vec = as_vector(action(i, j))
+            if len(vec) != n:
+                raise LieError(f"action({i},{j}) has length {len(vec)}, want {n}")
+            upper[i, m + j] = tuple((m + t, c) for t, c in enumerate(vec) if c)
+    for i, j in combinations(range(n), 2):
+        upper[m + i, m + j] = tuple((m + t, c) for t, c in v.pairs[i][j])
+    return _from_brackets(m + n, upper, k.basis_names + v.basis_names)
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -222,14 +269,13 @@ class Representation:
         phi([e_i, e_j]) - rho_i phi(e_j) + rho_j phi(e_i), read off the
         nonzero structure constants and the nonzero entries of rho. Rows
         that are identically zero are left out."""
-        m, n, s = len(self.rho), self.rho[0].rows, self.algebra().table
+        m, n, s = len(self.rho), self.rho[0].rows, self.algebra().pairs
         rho_nz = [[[(a, c) for a, c in enumerate(r.row(k)) if c] for k in range(n)]
                   for r in self.rho]
         rows = []
         for i, j in combinations(range(m), 2):
-            bracket = [(t, c) for t, c in enumerate(s[i][j]) if c]
             for k in range(n):
-                row = {k * m + t: c for t, c in bracket}
+                row = {k * m + t: c for t, c in s[i][j]}
                 for a, c in rho_nz[i][k]:
                     row[a * m + j] = row.get(a * m + j, ZERO) - c
                 for a, c in rho_nz[j][k]:
@@ -275,8 +321,8 @@ def center(g: LieAlgebra) -> Subspace:
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
-    vecs = [g.table[i][j] for i, j in combinations(range(g.dim), 2)]
-    return Subspace.from_rows(g.dim, vecs)
+    return Subspace._span(g.dim, [dict(g.pairs[i][j])
+                                  for i, j in combinations(range(g.dim), 2)])
 
 
 @dataclass(frozen=True)
@@ -321,7 +367,7 @@ class MatrixSpan:
 
     def coordinates(self, m: Matrix) -> Vector:
         """Coordinates of a matrix known to lie in the span; raises otherwise."""
-        coords = self.flat_span.coordinates(m.flatten())
+        coords = self.flat_span._coordinates(m.flatten())
         if coords is None:
             raise InternalConsistencyError(
                 f"matrix does not lie in the span of {type(self).__name__}")
@@ -331,10 +377,10 @@ class MatrixSpan:
                     prefix: str) -> LieAlgebra:
         """The span as a Lie algebra with basis names prefix1, prefix2, ...;
         bracket(i, j) is the matrix of the bracket of basis elements i < j."""
-        return make_lie_algebra(
-            self.dim, [(i, j, self.coordinates(bracket(i, j)))
-                       for i, j in combinations(range(self.dim), 2)],
-            tuple(f"{prefix}{i + 1}" for i in range(self.dim)))
+        upper = {(i, j): _terms(self.coordinates(bracket(i, j)))
+                 for i, j in combinations(range(self.dim), 2)}
+        return _from_brackets(
+            self.dim, upper, tuple(f"{prefix}{i + 1}" for i in range(self.dim)))
 
 
 @dataclass(frozen=True)
@@ -351,6 +397,12 @@ class DerivationAlgebra(MatrixSpan):
         """Commutator structure constants in this basis, built on first read."""
         b = self.matrices
         return self.lie_algebra(lambda i, j: b[i].commutator(b[j]), "D")
+
+    @cached_property
+    def ad_coordinates(self) -> Matrix:
+        """The m x n matrix whose column t is the coordinates of ad(e_t)."""
+        return Matrix.from_rows([self.coordinates_of(r)
+                                 for r in self.parent.adjoint.rho]).transpose()
 
     @cached_property
     def natural(self) -> Representation:

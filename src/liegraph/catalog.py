@@ -178,10 +178,9 @@ def parse_algebra_file(text: str) -> LieAlgebra:
 def sparse_brackets(g: LieAlgebra) -> list[dict]:
     """The nonzero brackets [e_i, e_j], i < j, in the file format's form."""
     return [{"i": i, "j": j,
-             "result": [{"k": k, "coeff": str(c)}
-                        for k, c in enumerate(g.table[i][j]) if c]}
-            for i in range(g.dim) for j in range(i + 1, g.dim)
-            if any(g.table[i][j])]
+             "result": [{"k": k, "coeff": str(c)} for k, c in terms]}
+            for i, row in enumerate(g.pairs)
+            for j, terms in enumerate(row[i + 1:], i + 1) if terms]
 
 
 def serialize_algebra(g: LieAlgebra) -> str:

@@ -53,16 +53,14 @@ def _matrix_json(m: Matrix) -> list[list[str]]:
 
 
 def _table_lines(alg: LieAlgebra) -> list[str]:
+    names = alg.basis_names
     out = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            vec = alg.table[i][j]
-            if not any(vec):
-                continue
-            terms = " + ".join(
-                (f"{alg.basis_names[k]}" if c == 1 else f"({c})*{alg.basis_names[k]}")
-                for k, c in enumerate(vec) if c)
-            out.append(f"[{alg.basis_names[i]}, {alg.basis_names[j]}] = {terms}")
+    for i, row in enumerate(alg.pairs):
+        for j, terms in enumerate(row[i + 1:], i + 1):
+            if terms:
+                rhs = " + ".join(names[k] if c == 1 else f"({c})*{names[k]}"
+                                 for k, c in terms)
+                out.append(f"[{names[i]}, {names[j]}] = {rhs}")
     return out or ["(abelian)"]
 
 

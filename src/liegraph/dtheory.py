@@ -62,9 +62,15 @@ class DDerivationSpace(MatrixSpan):
     def as_lie_algebra(self) -> LieAlgebra:
         """The d_bracket structure constants in this basis, built on first
         read. The space is never zero: a nonzero derivation D moves some
-        basis vector x, and the inner cocycle L_x is then nonzero."""
-        b = self.basis
-        return self.lie_algebra(lambda i, j: d_bracket(b[i], b[j]).matrix, "L")
+        basis vector x, and the inner cocycle L_x is then nonzero.
+
+        Column j of the m x m matrix A_a is the Der coordinates of
+        ad(L_a(D_j)), so [L_a, L_b] = L_a @ A_b - L_b @ A_a. Since ad and
+        the coordinates are linear, A_a = C @ L_a, where column t of C is
+        the coordinates of ad(e_t); each A_a is built once."""
+        b = self.matrices
+        a = [self.der.ad_coordinates @ l for l in b]
+        return self.lie_algebra(lambda i, j: b[i] @ a[j] - b[j] @ a[i], "L")
 
     def coordinates_of(self, l: DDerivation) -> Vector:
         """Coordinates of a map known to lie in the span; raises otherwise."""
@@ -123,8 +129,12 @@ def build_h(g: LieAlgebra, der: Optional[DerivationAlgebra] = None,
     if dspace is None:
         dspace = d_derivations(g, der)
 
+    # der_action per pair, with each ad(D_i) inside Der(G) built once: it is
+    # D_i's adjoint matrix in the Der(G) structure constants
+    ad, d, l = der.as_lie_algebra.adjoint.rho, der.matrices, dspace.matrices
+
     def act(i: int, j: int) -> Vector:
-        return dspace.coordinates_of(der_action(der.basis[i], dspace.basis[j]))
+        return dspace.coordinates(d[i] @ l[j] - l[j] @ ad[i])
 
     return SemidirectSum(g, der, dspace,
                          semidirect(der.as_lie_algebra, dspace.as_lie_algebra, act))

@@ -55,13 +55,16 @@ def h_derivation(fg: FullGraph, dspace: DDerivationSpace,
     """Matrix on C(G) of the pair (D, L):
         (D1, g) -> ([D,D1], D(g) + L(ad(g)) + L(D1))
     """
-    g, der = fg.parent, fg.der
+    der = fg.der
     D, L = der.matrix_of(d_coords), dspace.matrix_of(l_coords)
-    cols = [der.coordinates_of(D.commutator(der.matrices[j])) + L.column(j)
+    # column j of ad_d is the coordinates of [D, D_j]; column j of corr is
+    # L(ad(e_j)), both read off structures built once per algebra
+    ad_d = der.as_lie_algebra.ad(d_coords)
+    corr = L @ der.ad_coordinates
+    cols = [ad_d.column(j) + L.column(j)
             for j in range(fg.m)]  # images of (D_j, 0)
     for j in range(fg.n):  # images of (0, e_j)
-        corr = L.apply(der.coordinates_of(g.adjoint.rho[j]))
-        cols.append(fg.embed_g(a + b for a, b in zip(D.column(j), corr)))
+        cols.append(fg.embed_g(a + b for a, b in zip(D.column(j), corr.column(j))))
     return Matrix.from_rows(cols).transpose()
 
 
@@ -169,10 +172,9 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
     homomorphism = True
     for i, j in combinations(range(total), 2):
         rhs = [ZERO] * len(flat[0])
-        for k, c in enumerate(h.algebra.table[i][j]):
-            if c:
-                for t, x in flat_nz[k]:
-                    rhs[t] += c * x
+        for k, c in h.algebra.pairs[i][j]:
+            for t, x in flat_nz[k]:
+                rhs[t] += c * x
         if gens[i].commutator(gens[j]).flatten() != tuple(rhs):
             homomorphism = False
             break

@@ -339,6 +339,11 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ValueError(
                 f"vector length {len(v)} != ambient dimension {self.ambient_dim}")
+        return self._coordinates(v)
+
+    def _coordinates(self, v: Vector) -> Optional[Vector]:
+        """Coordinates of a tuple of ambient_dim Fractions, taken as given,
+        such as the entries of a Matrix."""
         if self._rows is None:
             self._rows = []
             for row in self.basis.row_list():

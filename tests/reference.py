@@ -1,14 +1,19 @@
 """Dense reference forms of the package's sparse fast paths.
 
 The package reduces every linear system with one sparse Gauss-Jordan kernel
-(``linalg.sparse_rref``), builds each cocycle system as sparse rows and
-checks a cocycle by evaluating those rows. The dense forms below are the
-straightforward versions of the same three computations; the differential
-tests require the fast paths to give exactly what these give.
+(``linalg.sparse_rref``), builds each cocycle system as sparse rows, checks
+a cocycle by evaluating those rows, and holds structure constants as the
+nonzero terms of each bracket (``LieAlgebra.pairs``). The dense forms below
+are the straightforward versions of the same computations, on the dense
+n x n x n table; the differential tests require the fast paths to give
+exactly what these give.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from liegraph.algebra import JacobiViolation, make_lie_algebra
+from liegraph.linalg import Matrix, as_vector
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -112,3 +117,69 @@ def is_cocycle(rep, phi):
         if phi.apply(s[i][j]) != rhs:
             return False
     return True
+
+
+def bracket(table, x, y):
+    """[x, y] summed over every entry of the dense table."""
+    x, y = as_vector(x), as_vector(y)
+    n = len(table)
+    out = [ZERO] * n
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            s = xi * yj
+            for k, ck in enumerate(table[i][j]):
+                if ck:
+                    out[k] += s * ck
+    return tuple(out)
+
+
+def ad(table, x):
+    """Matrix of y -> [x, y], one dense bracket per unit vector."""
+    n = len(table)
+    units = [tuple(ONE if t == j else ZERO for t in range(n)) for j in range(n)]
+    cols = [bracket(table, x, u) for u in units]
+    return Matrix(n, n, [cols[c][r] for r in range(n) for c in range(n)])
+
+
+def validate_jacobi(n, table):
+    """Raise JacobiViolation on the first basis triple i < j < l whose
+    cyclic sum, read off the dense table, is nonzero."""
+    for i, j, l in combinations(range(n), 3):
+        acc = [ZERO] * n
+        for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
+            for t, coeff in enumerate(table[b][c]):
+                if coeff:
+                    for k, ck in enumerate(table[a][t]):
+                        acc[k] += coeff * ck
+        if any(acc):
+            raise JacobiViolation((i, j, l), tuple(acc))
+
+
+def semidirect(k, v, action):
+    """k ⋉ v from dense bracket vectors, each padded to dimension m + n."""
+    m, n = k.dim, v.dim
+    pad_k, pad_v = (ZERO,) * n, (ZERO,) * m
+    brackets = [(i, j, k.table[i][j] + pad_k)
+                for i, j in combinations(range(m), 2)]
+    brackets += [(i, m + j, pad_v + tuple(action(i, j)))
+                 for i in range(m) for j in range(n)]
+    brackets += [(m + i, m + j, pad_v + v.table[i][j])
+                 for i, j in combinations(range(n), 2)]
+    return make_lie_algebra(m + n, brackets, k.basis_names + v.basis_names)
+
+
+def h_derivation(fg, dspace, d_coords, l_coords):
+    """The matrix of (D, L) on C(G), each column found by its own
+    coordinates_of: (D_j, 0) -> ([D, D_j], L(D_j)), (0, e_j) -> D e_j + L(ad e_j)."""
+    g, der = fg.parent, fg.der
+    D, L = der.matrix_of(d_coords), dspace.matrix_of(l_coords)
+    cols = [der.coordinates_of(D.commutator(der.matrices[j])) + L.column(j)
+            for j in range(fg.m)]
+    for j in range(fg.n):
+        corr = L.apply(der.coordinates_of(g.adjoint.rho[j]))
+        cols.append(fg.embed_g(a + b for a, b in zip(D.column(j), corr)))
+    return Matrix.from_rows(cols).transpose()

@@ -1,16 +1,16 @@
 import functools
-import importlib.util
 from fractions import Fraction
-from pathlib import Path
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from algebras import CATALOG_NAMES, NAMES, algebra
 from liegraph.algebra import (AntisymmetryConflict, DependentBasis, Derivation,
                               IndexOutOfRange, InternalConsistencyError,
-                              JacobiViolation, LieError, NotClosed,
-                              Representation, abelian,
+                              JacobiViolation, LieAlgebra, LieError, NotClosed,
+                              Representation, _unit, abelian,
                               center, derivation_algebra, derived_subalgebra,
                               induced_lie_structure, inner_derivations,
                               is_complete, lie_algebra_from_table,
@@ -253,27 +253,14 @@ class TestSemidirect:
 # the same rows (zero rows left out), the same canonical RREF and kernel,
 # and the row-based is_cocycle against the loop over basis pairs.
 
-def _load_fixtures():
-    path = Path(__file__).resolve().parents[1] / "bench" / "fixtures.py"
-    spec = importlib.util.spec_from_file_location("bench_fixtures", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-FIXTURES = _load_fixtures()
-CATALOG_NAMES = [e.name for e in catalog()]
-
-
 @functools.lru_cache(maxsize=None)
 def _representation(name: str, action: str) -> Representation:
-    g = (FIXTURES.build(name, 1) if name in FIXTURES.SPECS
-         else lookup(name).algebra)
+    g = algebra(name)
     return g.adjoint if action == "adjoint" else derivation_algebra(g).natural
 
 
 @pytest.mark.parametrize("action", ["adjoint", "natural"])
-@pytest.mark.parametrize("name", CATALOG_NAMES + sorted(FIXTURES.SPECS))
+@pytest.mark.parametrize("name", NAMES)
 def test_cocycle_system_matches_dense_reference(name, action):
     rep = _representation(name, action)
     width = rep.rho[0].rows * len(rep.rho)
@@ -323,3 +310,91 @@ def test_is_cocycle_matches_loop_reference(name, action, data):
     phi = Matrix(n, m, perturbed)
     assert (rep.is_cocycle(phi) == reference.is_cocycle(rep, phi)
             == space.contains_vector(perturbed))
+
+
+# The sparse structure constants against the dense references: ad, bracket,
+# the Jacobi check and the semidirect builder read LieAlgebra.pairs and must
+# give exactly what the dense forms give on the dense table.
+
+def _pairs(table):
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row)
+                 for row in table)
+
+
+@st.composite
+def antisymmetric_tables(draw, max_dim=6):
+    n = draw(st.integers(1, max_dim))
+    table = [[(F(0),) * n for _ in range(n)] for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        v = tuple(draw(st.lists(sparse_entries, min_size=n, max_size=n)))
+        table[i][j], table[j][i] = v, tuple(-c for c in v)
+    return tuple(tuple(row) for row in table)
+
+
+def _jacobi_outcome(build):
+    try:
+        return build()
+    except JacobiViolation as exc:
+        return exc.triple, exc.residual
+
+
+@given(antisymmetric_tables(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sparse_structure_constants_match_dense_reference(table, data):
+    n = len(table)
+    # ad and bracket need no Jacobi, so the table is wrapped unchecked
+    g = LieAlgebra(n, tuple(f"e{i + 1}" for i in range(n)), _pairs(table))
+    assert g.table == table
+    x, y = (data.draw(st.lists(sparse_entries, min_size=n, max_size=n))
+            for _ in range(2))
+    assert g.bracket(x, y) == reference.bracket(table, x, y)
+    assert g.ad(x) == reference.ad(table, x)
+    for j in range(n):
+        assert g.adjoint.rho[j] == reference.ad(table, _unit(n, j))
+    built = _jacobi_outcome(lambda: lie_algebra_from_table(table))
+    expected = _jacobi_outcome(lambda: reference.validate_jacobi(n, table))
+    if expected is None:
+        assert built == g and built.table == table
+    else:
+        assert built == expected
+        upper = [(i, j, table[i][j]) for i, j in combinations(range(n), 2)]
+        assert _jacobi_outcome(lambda: make_lie_algebra(n, upper)) == expected
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_ad_and_bracket_of_every_sample_algebra_match_dense(name):
+    g = algebra(name)
+    n = g.dim
+    assert reference.validate_jacobi(n, g.table) is None
+    x = [F(i - 2, i + 1) for i in range(n)]
+    assert g.ad(x) == reference.ad(g.table, x)
+    for i in range(n):
+        assert g.adjoint.rho[i] == reference.ad(g.table, _unit(n, i))
+        assert g.bracket(x, _unit(n, i)) == reference.bracket(g.table, x, _unit(n, i))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_semidirect_matches_padded_reference(name):
+    g = algebra(name)
+    der = derivation_algebra(g)
+    act = lambda i, j: der.matrices[i].column(j)
+    built = semidirect(der.as_lie_algebra, g, act)
+    expected = reference.semidirect(der.as_lie_algebra, g, act)
+    assert built == expected and built.table == expected.table
+
+
+@given(st.sampled_from(CATALOG_NAMES), st.integers(1, 2), st.data())
+@settings(max_examples=100, deadline=None)
+def test_semidirect_by_any_action_matches_padded_reference(name, m, data):
+    # an arbitrary action is seldom one by derivations: both builders must
+    # then report the same failing triple and residual
+    v = algebra(name)
+    vecs = {(i, j): data.draw(st.lists(sparse_entries, min_size=v.dim,
+                                       max_size=v.dim))
+            for i in range(m) for j in range(v.dim)}
+    act = lambda i, j: vecs[i, j]
+    built = _jacobi_outcome(lambda: semidirect(abelian(m), v, act))
+    expected = _jacobi_outcome(lambda: reference.semidirect(abelian(m), v, act))
+    assert built == expected
+    if isinstance(built, LieAlgebra):
+        assert built.table == expected.table

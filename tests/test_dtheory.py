@@ -1,7 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+
+import reference
+from algebras import NAMES, algebra
 
 from liegraph.algebra import (Derivation, InternalConsistencyError, abelian,
                               derivation_algebra)
@@ -231,3 +235,32 @@ class TestDCompleteness:
         ev = is_d_complete(lookup("heisenberg3").algebra)
         assert (ev.d_center_dim, ev.d_space_dim, ev.inner_d_dim) == (0, 3, 3)
         assert ev.d_complete
+
+
+# The tables of the cocycle space and of H are built from matrices made once
+# per basis element; the per-pair d_bracket and der_action are the reference.
+
+@functools.lru_cache(maxsize=None)
+def _spaces(name):
+    g = algebra(name)
+    der = derivation_algebra(g)
+    return g, der, d_derivations(g, der)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_d_algebra_matches_per_pair_d_bracket(name):
+    _, _, space = _spaces(name)
+    b = space.basis
+    expected = space.lie_algebra(lambda i, j: d_bracket(b[i], b[j]).matrix, "L")
+    assert space.as_lie_algebra == expected
+    assert space.as_lie_algebra.table == expected.table
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_h_matches_per_pair_der_action(name):
+    g, der, space = _spaces(name)
+    expected = reference.semidirect(
+        der.as_lie_algebra, space.as_lie_algebra,
+        lambda i, j: space.coordinates_of(der_action(der.basis[i], space.basis[j])))
+    h = build_h(g, der, space).algebra
+    assert h == expected and h.table == expected.table

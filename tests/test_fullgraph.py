@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference
 
 from liegraph.algebra import abelian, derivation_algebra, make_lie_algebra
 from liegraph.catalog import catalog, lookup
@@ -203,3 +206,18 @@ def test_heisenberg_family_closed_forms(k):
     assert ws.der.dim == 2 * k * k + 3 * k + 1
     assert ws.h.algebra.dim == ws.fg.algebra.dim == 2 * k * k + 5 * k + 2
     assert ws.der_cg.dim == 2 * k * k + 5 * k + 3
+
+
+@given(st.sampled_from([e.name for e in catalog()]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_h_derivation_matches_per_column_reference(name, data):
+    # ad inside Der(G) and the coordinates of each ad(e_j) are read once
+    # per algebra; the reference finds each column's coordinates anew
+    g = lookup(name).algebra
+    der = derivation_algebra(g)
+    dspace, fg = d_derivations(g, der), build_full_graph(g, der)
+    coeffs = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    d = data.draw(st.lists(coeffs, min_size=fg.m, max_size=fg.m))
+    l = data.draw(st.lists(coeffs, min_size=dspace.dim, max_size=dspace.dim))
+    assert (h_derivation(fg, dspace, d, l)
+            == reference.h_derivation(fg, dspace, d, l))

@@ -1,9 +1,12 @@
-"""Byte-identical `--json` output of every subcommand on the catalog, and
-of the benchmark's ladder and explore requests on its larger algebras.
+"""Byte-identical `--json` and text output of every subcommand on the
+catalog, and `--json` output of the benchmark's ladder and explore requests
+on its larger algebras.
 
-The hashes were recorded before the derivation spans and the semidirect
-products were rebuilt on shared code; a refactor that changes a basis
-order, a structure constant or a report field changes a hash here.
+The `--json` hashes were recorded before the derivation spans and the
+semidirect products were rebuilt on shared code, and the text hashes
+before the structure constants were held sparse; a refactor that changes
+a basis order, a structure constant, a printed bracket or a report field
+changes a hash here.
 """
 
 import hashlib
@@ -61,6 +64,56 @@ GOLDEN = [
 def test_json_output_matches_recorded_hash(args, code, digest):
     out = io.StringIO()
     assert main(["--json", *args.split()], out=out) == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# (arguments, exit code, sha256 of stdout) of the same subcommands without
+# --json: the text form prints bracket tables through its own code path.
+TEXT_GOLDEN = [
+    ('info abelian1', 0, "b16ba241213fc3b7929d95ff009f8f6e0c793b5a4485bf8cf8a62e93e230d7bd"),
+    ('der abelian1', 0, "71bc9d01a7be7f4818b7bc1dfa6604cfeb202bb10e04fe44d26fe757807f22f2"),
+    ('dder abelian1', 0, "da69200f2cde9009e342609d9c05a0b34cb2bbbf8bd7b7a078da3d5bf0eb1cd6"),
+    ('full-graph abelian1', 0, "79c379a3e937f47a9c81b3977f17a076ab84c8dff9104ed698dd368438b8c1e3"),
+    ('verify abelian1', 0, "73c5d52a4a535d51dabfa7d4adbedfd5c8f2cffa800235688b4e9b1f9268496b"),
+    ('info abelian2', 0, "0ec101c525b48f95cd6cdb0477267f794d994ee6893fa215b8ea018e5eba5fa0"),
+    ('der abelian2', 0, "ce16a7bb2ee9d982ada4f33706e196825e567ed176e4243f0351b5e093aff1cf"),
+    ('dder abelian2', 0, "1b0ed60d73b9198a6ae4045214276a688f1ae580370682957342ba4b4d98182e"),
+    ('full-graph abelian2', 0, "50ae7d52e4da848ee5ae22fec8d10aaeb145b23749cb0c1eb55a70e1692052b0"),
+    ('verify abelian2', 0, "635f10a18fec19f868ecd04fabeb42334cfdf1aa155230a12ca93c8be3e45916"),
+    ('info abelian3', 0, "e58f2a4f7d5d59376e3099d9f4d1ccd6d6566e19c8e7298ce6cabcfbe53c82d4"),
+    ('der abelian3', 0, "d7c9191bc1a1a25f1d3e8046f16a31922f862a94e187f62f2852b54e2984c21a"),
+    ('dder abelian3', 0, "bff6f49e8013ff0adea5af0d3f37c1e9c52651150e0f6ca459a23209d6d58cbd"),
+    ('full-graph abelian3', 0, "3d2c8523069e47a7020c8e054551ccf93fa7f6701bb8b907c4ff8a960b895996"),
+    ('verify abelian3', 0, "47cc1b823aaf88e034405e1efeb5c8f89994cd3eb6121e0e2e19a05a0a9c702e"),
+    ('info affine2', 0, "abcd18910863e26660c606096ac7fbbf64fff879adde9955df88402075b158ff"),
+    ('der affine2', 0, "bd9a62bf1b02ed07464db45aab05d052d210023205522427718b8e6f3628a401"),
+    ('dder affine2', 0, "d7cecd99fdbac66a90075873e87b87127f2cf1f01e5bd701ea851c9b5ee835d4"),
+    ('full-graph affine2', 0, "5a2b8e134a804571b249b2839b6b1d83396ebd38fd6493bcb202e7cde0059e68"),
+    ('verify affine2', 0, "44158249f0646fa6c5f4efccac3ba1bce518ec13c83a4367aff32c98e9ae443d"),
+    ('info heisenberg3', 0, "36bee5271b8901a54479cbe549c20434aab96d7ba96cefac85a9c4bab0d46ac9"),
+    ('der heisenberg3', 0, "d0574a1b28eec5dfcb5e2f4d83531ca0500772ea62b9e0afee4bdeb4b3ee7542"),
+    ('dder heisenberg3', 0, "ebc34e9926f72884aac305d45d87d822145f296a9c15390b52a3aded1f1ad82b"),
+    ('full-graph heisenberg3', 0, "bc38c539573f78ee41cc969cc0943cf9a031bddf3367c05d9087fa0938d46c50"),
+    ('verify heisenberg3', 1, "e6bbb3795efc0c4c5e066e92a832439b49e19032cede0a05014c8fbe6bf55d06"),
+    ('info sl2', 0, "5552d58528f0928892f0e5e5e9bd2a739191232b67080ad45b8b807b5c6ee9df"),
+    ('der sl2', 0, "3a7076addb35d2feb785732cbf6e93c35f1886b8d89eb74c1333f28afc221a37"),
+    ('dder sl2', 0, "6924d653713455ecdc8dd7bf85392c671b5794eb1e756b39228cdb886a2c037d"),
+    ('full-graph sl2', 0, "d84398e62936ab7d8fde71e4f663a4442cea9d9829190311e622d087609023ca"),
+    ('verify sl2', 0, "19260941e315b66c513b5097a6a5f93835cd31b9fa9fb8fb162e7fb66f222b8f"),
+    ('info sl2_plus_abelian1', 0, "812f5c59a50d4ff0ce5c8a435dc39fd3b8519924c32c35d132951b075c7e4276"),
+    ('der sl2_plus_abelian1', 0, "b33749529b86c4d193aa885cac89d96348a76522fef974a69f06007d5b1e52da"),
+    ('dder sl2_plus_abelian1', 0, "3b049d79248eeb64dc30b9041d25d0b5991f52e16661c6be46811939da5f79b4"),
+    ('full-graph sl2_plus_abelian1', 0, "968ce97c434a6f3f90f3dc3f70f75abf2d01978d6657026ec952b79a1cf48c00"),
+    ('verify sl2_plus_abelian1', 0, "e2947553a8d0a8ff76ca77ea9d5864b4ccc773412f37f6e612252f9245dce617"),
+    ('corpus-verify', 1, "748c68deb49cadce1be263d8a8375036378a2822fc2163a52abfc6e1a80321ab"),
+]
+
+
+@pytest.mark.parametrize("args,code,digest", TEXT_GOLDEN,
+                         ids=[g[0] for g in TEXT_GOLDEN])
+def test_text_output_matches_recorded_hash(args, code, digest):
+    out = io.StringIO()
+    assert main(args.split(), out=out) == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
