@@ -173,10 +173,13 @@ def _from_brackets(n: int, upper: dict[tuple[int, int], Terms],
 
 def lie_algebra_from_table(table,
                            basis_names: Optional[Sequence[str]] = None) -> LieAlgebra:
-    """Validate a full c[i][j][k] table (antisymmetry + Jacobi) and wrap it."""
+    """Validate a full n x n x n table c[i][j][k] (shape, antisymmetry,
+    Jacobi) and wrap it."""
     n = len(table)
     if n == 0:
         raise LieError("dimension 0 is not supported")
+    if any(len(row) != n or any(len(v) != n for v in row) for row in table):
+        raise LieError(f"structure constants must form a {n} x {n} x {n} table")
     tbl = tuple(tuple(tuple(as_scalar(c) for c in table[i][j]) for j in range(n))
                 for i in range(n))
     for i in range(n):
@@ -253,7 +256,8 @@ class Representation:
 
     The cocycle rule is built once, as the sparse rows of cocycle_system,
     and has two readers: cocycles() hands the rows to the sparse kernel for
-    their common kernel, and is_cocycle(phi) evaluates them on phi.
+    their common kernel, and is_cocycle(phi) evaluates, through the rows'
+    column index, only the rows that phi's nonzero entries reach.
     """
     rho: tuple[Matrix, ...]
     algebra: Callable[[], LieAlgebra]
@@ -269,21 +273,30 @@ class Representation:
         phi([e_i, e_j]) - rho_i phi(e_j) + rho_j phi(e_i), read off the
         nonzero structure constants and the nonzero entries of rho. Rows
         that are identically zero are left out."""
-        m, n, s = len(self.rho), self.rho[0].rows, self.algebra().pairs
-        rho_nz = [[[(a, c) for a, c in enumerate(r.row(k)) if c] for k in range(n)]
-                  for r in self.rho]
+        rho, s = self.rho, self.algebra().pairs
+        m, n = len(rho), rho[0].rows
         rows = []
         for i, j in combinations(range(m), 2):
             for k in range(n):
                 row = {k * m + t: c for t, c in s[i][j]}
-                for a, c in rho_nz[i][k]:
+                for a, c in rho[i].nonzeros[k]:
                     row[a * m + j] = row.get(a * m + j, ZERO) - c
-                for a, c in rho_nz[j][k]:
+                for a, c in rho[j].nonzeros[k]:
                     row[a * m + i] = row.get(a * m + i, ZERO) + c
                 row = {col: c for col, c in row.items() if c}
                 if row:
                     rows.append(row)
         return tuple(rows)
+
+    @cached_property
+    def _cocycle_columns(self) -> dict[int, list[tuple[int, Fraction]]]:
+        """The cocycle system by column: col -> the (row, entry) pairs of
+        the rows that hold it."""
+        index: dict[int, list[tuple[int, Fraction]]] = {}
+        for r, row in enumerate(self.cocycle_system):
+            for col, c in row.items():
+                index.setdefault(col, []).append((r, c))
+        return index
 
     def cocycles(self) -> Subspace:
         """The 1-cocycles, the kernel of the cocycle system."""
@@ -296,23 +309,32 @@ class Representation:
                                  for r in self.rho]).transpose()
 
     def coboundaries(self) -> Subspace:
-        """The span of the coboundaries of V's basis vectors."""
-        n = self.rho[0].rows
-        return Subspace.from_rows(n * len(self.rho), [
-            self.coboundary(_unit(n, k)).flatten() for k in range(n)])
+        """The span of the coboundaries of V's basis vectors. The
+        coboundary of e_k is -rho_i[a][k] at (a, i), read off the
+        nonzeros of rho."""
+        m, n = len(self.rho), self.rho[0].rows
+        flat: list[SparseRow] = [{} for _ in range(n)]
+        for i, r in enumerate(self.rho):
+            for a, row in enumerate(r.nonzeros):
+                for k, c in row:
+                    flat[k][a * m + i] = -c
+        return Subspace._span(n * m, flat)
 
     def is_cocycle(self, phi: Matrix) -> bool:
         """phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i) for every i < j:
-        every row of the cocycle system vanishes on phi."""
-        if phi.shape != (self.rho[0].rows, len(self.rho)):
+        every row of the cocycle system vanishes on phi. Only the rows that
+        hold a column where phi is nonzero can be nonzero on it."""
+        m = len(self.rho)
+        if phi.shape != (self.rho[0].rows, m):
             raise ValueError(f"a map to Q^{self.rho[0].rows} from a "
-                             f"{len(self.rho)}-dim algebra cannot be {phi.shape}")
-        nz = {col: x for col, x in enumerate(phi.flatten()) if x}
-        for row in self.cocycle_system:
-            terms = [c * nz[col] for col, c in row.items() if col in nz]
-            if terms and sum(terms):
-                return False
-        return True
+                             f"{m}-dim algebra cannot be {phi.shape}")
+        index = self._cocycle_columns
+        acc: dict[int, Fraction] = {}
+        for k, row in enumerate(phi.nonzeros):
+            for t, x in row:
+                for r, c in index.get(k * m + t, ()):
+                    acc[r] = acc.get(r, ZERO) + c * x
+        return not any(acc.values())
 
 
 def center(g: LieAlgebra) -> Subspace:
@@ -359,11 +381,12 @@ class MatrixSpan:
         if len(coords) != self.dim:
             raise ValueError(
                 f"{len(coords)} coordinates for a span of dimension {self.dim}")
-        out = Matrix.zero(*self.shape)
-        for c, b in zip(coords, self.matrices):
+        e = [ZERO] * (self.shape[0] * self.shape[1])
+        for c, row in zip(coords, self.flat_span.basis.nonzeros):
             if c:
-                out = out + b.scale(c)
-        return out
+                for t, x in row:
+                    e[t] += c * x
+        return Matrix._trusted(*self.shape, tuple(e))
 
     def coordinates(self, m: Matrix) -> Vector:
         """Coordinates of a matrix known to lie in the span; raises otherwise."""

@@ -167,20 +167,20 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
 
     # h_derivation is linear in its coordinates, so the image of
     # [x_i, x_j] = sum_k c_k x_k is sum_k c_k gens[k]
-    flat = [M.flatten() for M in gens]
-    flat_nz = [[(t, x) for t, x in enumerate(f) if x] for f in flat]
+    size = cg.dim
     homomorphism = True
     for i, j in combinations(range(total), 2):
-        rhs = [ZERO] * len(flat[0])
+        rhs = [ZERO] * (size * size)
         for k, c in h.algebra.pairs[i][j]:
-            for t, x in flat_nz[k]:
-                rhs[t] += c * x
+            for r, row in enumerate(gens[k].nonzeros):
+                for t, x in row:
+                    rhs[r * size + t] += c * x
         if gens[i].commutator(gens[j]).flatten() != tuple(rhs):
             homomorphism = False
             break
 
     der_cg = ws.der_cg
-    image = Subspace.from_rows(cg.dim * cg.dim, flat)
+    image = Subspace.from_rows(size * size, [M.flatten() for M in gens])
     return Theorem1Evidence(each_der, homomorphism, image.dim == total,
                             total, der_cg.dim, image == der_cg.flat_span)
 

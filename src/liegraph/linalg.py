@@ -12,6 +12,11 @@ of a row space is unique, so it gives the same canonical basis as any exact
 Gauss-Jordan elimination. ``rref``, ``rank``, ``solve``, ``nullspace`` and
 ``Subspace.from_rows`` call it on dense input; ``sparse_nullspace`` takes
 sparse rows, so a system built sparse is never made dense.
+
+A Matrix keeps one view of its nonzeros, ``Matrix.nonzeros``: per row, the
+nonzero (column, entry) pairs, built on first read. Products, commutators,
+matrix-vector products, the kernel's input rows and subspace coordinates all
+walk that view, so none of them tests a zero entry more than once per matrix.
 """
 
 from __future__ import annotations
@@ -41,9 +46,12 @@ def as_vector(v: Iterable) -> Vector:
 
 
 class Matrix:
-    """Immutable row-major matrix of exact rationals."""
+    """Immutable row-major matrix of exact rationals.
 
-    __slots__ = ("rows", "cols", "_e")
+    Equality and hashing read the entries alone; ``nonzeros`` is a view of
+    them, built once, for the loops that must not walk the zeros."""
+
+    __slots__ = ("rows", "cols", "_e", "_nz")
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
         entries = tuple(as_scalar(x) for x in entries)
@@ -52,6 +60,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self._e = entries
+        self._nz = None
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, entries: tuple) -> "Matrix":
@@ -63,6 +72,7 @@ class Matrix:
         m.rows = rows
         m.cols = cols
         m._e = entries
+        m._nz = None
         return m
 
     @classmethod
@@ -89,6 +99,17 @@ class Matrix:
 
     def row(self, r: int) -> Vector:
         return self._e[r * self.cols : (r + 1) * self.cols]
+
+    @property
+    def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Per row, its nonzero (column, entry) pairs in column order;
+        built on first read."""
+        if self._nz is None:
+            e, n = self._e, self.cols
+            self._nz = tuple(
+                tuple([(c, x) for c, x in enumerate(e[r * n:(r + 1) * n]) if x])
+                for r in range(self.rows))
+        return self._nz
 
     def column(self, c: int) -> Vector:
         return tuple(self._e[r * self.cols + c] for r in range(self.rows))
@@ -125,17 +146,13 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        k_dim, n = self.cols, other.cols
-        # nonzero (column, entry) pairs of each row of the right operand
-        right = [[(c, b) for c, b in enumerate(other._e[k * n:(k + 1) * n]) if b]
-                 for k in range(other.rows)]
+        n, right = other.cols, other.nonzeros
         out = []
-        for r in range(self.rows):
+        for row in self.nonzeros:
             acc = [ZERO] * n
-            for k, a in enumerate(self._e[r * k_dim:(r + 1) * k_dim]):
-                if a:
-                    for c, b in right[k]:
-                        acc[c] += a * b
+            for k, a in row:
+                for c, b in right[k]:
+                    acc[c] += a * b
             out.extend(acc)
         return Matrix._trusted(self.rows, n, tuple(out))
 
@@ -144,21 +161,34 @@ class Matrix:
         v = as_vector(v)
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        nz = [(c, x) for c, x in enumerate(v) if x]
-        e, cols = self._e, self.cols
         out = []
-        for r in range(self.rows):
-            base = r * cols
+        for row in self.nonzeros:
             acc = ZERO
-            for c, x in nz:
-                a = e[base + c]
-                if a:
+            for c, a in row:
+                x = v[c]
+                if x:
                     acc += a * x
             out.append(acc)
         return tuple(out)
 
     def commutator(self, other: "Matrix") -> "Matrix":
-        return self @ other - other @ self
+        """self @ other - other @ self, summed row by row into one
+        accumulator; both must be square of the same size."""
+        n = self.rows
+        if self.shape != other.shape or self.cols != n:
+            raise ValueError(f"no commutator of {self.shape} and {other.shape}")
+        a_nz, b_nz = self.nonzeros, other.nonzeros
+        out = []
+        for r in range(n):
+            acc = [ZERO] * n
+            for k, a in a_nz[r]:
+                for c, b in b_nz[k]:
+                    acc[c] += a * b
+            for k, b in b_nz[r]:
+                for c, a in a_nz[k]:
+                    acc[c] -= b * a
+            out.extend(acc)
+        return Matrix._trusted(n, n, tuple(out))
 
     def is_zero(self) -> bool:
         return not any(self._e)
@@ -189,10 +219,8 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ValueError("column count mismatch")
-    rows = []
-    for m in mats:
-        rows.extend(m.row_list())
-    return Matrix.from_rows(rows)
+    return Matrix._trusted(sum(m.rows for m in mats), cols,
+                           tuple(x for m in mats for x in m.flatten()))
 
 
 def sparse_rref(rows: Iterable[Mapping[int, Fraction]]
@@ -241,7 +269,8 @@ def _subtract(row: SparseRow, f: Fraction, other: Mapping[int, Fraction]) -> Non
 
 
 def _sparse_rows(m: Matrix) -> list[SparseRow]:
-    return [{c: x for c, x in enumerate(m.row(r)) if x} for r in range(m.rows)]
+    """Fresh {column: entry} dicts of m's rows, which solve may extend."""
+    return [dict(row) for row in m.nonzeros]
 
 
 def _dense(rows: Sequence[SparseRow], ncols: int) -> tuple:
@@ -287,14 +316,13 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
 class Subspace:
     """A subspace of Q^n held as an RREF row basis; equality is syntactic."""
 
-    __slots__ = ("ambient_dim", "basis", "_rows")
+    __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         if basis.cols != ambient_dim:
             raise ValueError("basis width != ambient dimension")
         self.ambient_dim = ambient_dim
         self.basis = basis  # trusted canonical; use from_rows to canonicalize
-        self._rows = None  # (pivot, nonzero (column, entry) pairs) per row
 
     @classmethod
     def from_rows(cls, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
@@ -344,15 +372,10 @@ class Subspace:
     def _coordinates(self, v: Vector) -> Optional[Vector]:
         """Coordinates of a tuple of ambient_dim Fractions, taken as given,
         such as the entries of a Matrix."""
-        if self._rows is None:
-            self._rows = []
-            for row in self.basis.row_list():
-                nz = [(c, x) for c, x in enumerate(row) if x]
-                self._rows.append((nz[0][0], nz))
         coords = []
         recon = [ZERO] * self.ambient_dim
-        for pivot, nz in self._rows:
-            a = v[pivot]
+        for nz in self.basis.nonzeros:
+            a = v[nz[0][0]]  # the entry at the row's pivot
             coords.append(a)
             if a:
                 for c, x in nz:

@@ -1,10 +1,14 @@
-"""The algebras the differential tests run on: the catalog entries, and the
-six algebras of the benchmark's ``bench/fixtures.py`` at seed 1."""
+"""The algebras the differential tests run on: the catalog entries, the
+six algebras of the benchmark's ``bench/fixtures.py`` at seed 1, and seeded
+random 2-step nilpotent algebras."""
 
 import functools
 import importlib.util
+import random
+from itertools import combinations
 from pathlib import Path
 
+from liegraph.algebra import LieAlgebra, make_lie_algebra
 from liegraph.catalog import catalog, lookup
 
 
@@ -25,3 +29,15 @@ NAMES = CATALOG_NAMES + sorted(FIXTURES.SPECS)
 def algebra(name: str):
     return (FIXTURES.build(name, 1) if name in FIXTURES.SPECS
             else lookup(name).algebra)
+
+
+def two_step_nilpotent(seed: int, n: int) -> LieAlgebra:
+    """An n-dim algebra V + W, n >= 2, with [V, V] in W and W central: the
+    bracket on V is a seeded random integer alternating map V x V -> W.
+    dim V is drawn from 1 .. n - 1, and the map may be zero, so some draws
+    are abelian. Jacobi holds because every double bracket is 0."""
+    rng = random.Random(f"two-step:{seed}:{n}")
+    v = rng.randint(1, n - 1)
+    brackets = [(i, j, [0] * v + [rng.randint(-2, 2) for _ in range(n - v)])
+                for i, j in combinations(range(v), 2)]
+    return make_lie_algebra(n, brackets)

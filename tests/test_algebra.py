@@ -72,6 +72,17 @@ class TestConstruction:
         with pytest.raises(AntisymmetryConflict):
             lie_algebra_from_table(table)
 
+    @pytest.mark.parametrize("table", [
+        # two basis elements whose brackets have three coordinates: the
+        # third would name an e3 the algebra does not have
+        [[[0, 0, 0], [0, 0, 1]], [[0, 0, -1], [0, 0, 0]]],
+        [[[0, 0], [0, 1]], [[0, -1]]],  # ragged: the second row is short
+        [[[0, 0], [0, 1]], [[0, -1], [0]]],  # ragged: a short bracket
+    ], ids=["wide-brackets", "short-row", "short-bracket"])
+    def test_table_must_be_n_by_n_by_n(self, table):
+        with pytest.raises(LieError, match="2 x 2 x 2"):
+            lie_algebra_from_table(table)
+
     def test_dim_zero_rejected(self):
         with pytest.raises(LieError):
             make_lie_algebra(0, [])
@@ -282,6 +293,30 @@ def test_one_dimensional_algebra_makes_every_map_a_cocycle():
     assert reference.nullspace_basis([], 2) == [[1, 0], [0, 1]]
     for phi in (Matrix.from_rows([[5], [F(-7, 2)]]), Matrix.zero(2, 1)):
         assert rep.is_cocycle(phi) and reference.is_cocycle(rep, phi)
+
+
+@pytest.mark.parametrize("action", ["adjoint", "natural"])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_coboundaries_match_the_span_of_each_coboundary(name, action):
+    rep = _representation(name, action)
+    n = rep.rho[0].rows
+    expected = Subspace.from_rows(n * len(rep.rho), [
+        rep.coboundary(_unit(n, k)).flatten() for k in range(n)])
+    assert rep.coboundaries() == expected
+
+
+@pytest.mark.parametrize("action", ["adjoint", "natural"])
+@pytest.mark.parametrize("name", NAMES)
+def test_is_cocycle_on_columns_no_row_touches(name, action):
+    # the column index of the cocycle system has no entry for these columns,
+    # so a map supported there meets no row: it is a cocycle (the zero map
+    # where every column is in some row)
+    rep = _representation(name, action)
+    n, m = rep.rho[0].rows, len(rep.rho)
+    touched = {col for row in rep.cocycle_system for col in row}
+    phi = Matrix(n, m, [F(0) if col in touched else F(col % 5 + 1, 2)
+                        for col in range(n * m)])
+    assert rep.is_cocycle(phi) and reference.is_cocycle(rep, phi)
 
 
 def test_is_cocycle_rejects_a_map_of_the_wrong_shape(sl2):

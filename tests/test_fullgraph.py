@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from algebras import two_step_nilpotent
 
 from liegraph.algebra import abelian, derivation_algebra, make_lie_algebra
 from liegraph.catalog import catalog, lookup
 from liegraph.dtheory import d_derivations
 from liegraph.fullgraph import _Workspace, build_full_graph, h_derivation, verify
-from liegraph.linalg import Matrix
+from liegraph.linalg import Matrix, Subspace
 
 F = Fraction
 
@@ -221,3 +222,31 @@ def test_h_derivation_matches_per_column_reference(name, data):
     l = data.draw(st.lists(coeffs, min_size=dspace.dim, max_size=dspace.dim))
     assert (h_derivation(fg, dspace, d, l)
             == reference.h_derivation(fg, dspace, d, l))
+
+
+@given(st.integers(0, 10**6), st.sampled_from([3, 4]))
+@settings(max_examples=25, deadline=None)
+def test_two_step_nilpotent_full_graph_has_the_outer_derivation(seed, n):
+    # [G, G] central: delta, 0 on Der(G) and g -> 2g - ad g on G, is a
+    # derivation of C(G); the image of H holds it only when G is abelian,
+    # where delta = 2 ad(id) is inner
+    g = two_step_nilpotent(seed, n)
+    ws = _Workspace(g)
+    fg, m = ws.fg, ws.der.dim
+    size = m + n
+    ad = ws.der.ad_coordinates  # column j: the Der coordinates of ad(e_j)
+    delta = [F(0)] * (size * size)
+    for j in range(n):
+        delta[(m + j) * size + m + j] = F(2)
+        for r in range(m):
+            delta[r * size + m + j] = -ad[r, j]
+    delta = Matrix(size, size, delta)
+    cg = fg.algebra.adjoint
+    assert cg.is_cocycle(delta) and reference.is_cocycle(cg, delta)
+
+    total = m + ws.dspace.dim
+    units = [[F(int(t == i)) for t in range(total)] for i in range(total)]
+    image = Subspace.from_rows(size * size, [
+        h_derivation(fg, ws.dspace, u[:m], u[m:]).flatten() for u in units])
+    is_abelian = not any(any(row) for row in g.pairs)
+    assert image.contains_vector(delta.flatten()) == is_abelian

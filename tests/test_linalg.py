@@ -129,7 +129,8 @@ def test_equality_agrees_with_mutual_containment(m1, m2):
 
 
 # Differential checks of the fast paths against their references: pivot
-# coordinates against solve, sparse matmul against the triple loop.
+# coordinates against solve, the sparse product and commutator against the
+# triple loop.
 
 @st.composite
 def spans_and_vectors(draw):
@@ -178,18 +179,66 @@ def matmul_pairs(draw):
     return a, b
 
 
+def _triple_loop(a, b):
+    """The entries of a @ b, one sum over every index."""
+    return [sum((a[i, t] * b[t, j] for t in range(a.cols)), F(0))
+            for i in range(a.rows) for j in range(b.cols)]
+
+
 @given(matmul_pairs())
 @settings(max_examples=150, deadline=None)
 def test_matmul_matches_triple_loop(pair):
     a, b = pair
-    naive = [sum((a[i, t] * b[t, j] for t in range(a.cols)), F(0))
-             for i in range(a.rows) for j in range(b.cols)]
-    assert a @ b == Matrix(a.rows, b.cols, naive)
+    assert a @ b == Matrix(a.rows, b.cols, _triple_loop(a, b))
 
 
 def test_matmul_shape_mismatch_raises():
     with pytest.raises(ValueError):
         Matrix.identity(2) @ Matrix.identity(3)
+
+
+@st.composite
+def square_pairs(draw):
+    n = draw(st.integers(0, 6))
+    a, b = (Matrix(n, n, draw(st.lists(sparse_entries, min_size=n * n,
+                                       max_size=n * n)))
+            for _ in range(2))
+    return a, b
+
+
+@given(square_pairs())
+@settings(max_examples=200, deadline=None)
+def test_commutator_matches_triple_loop(pair):
+    a, b = pair
+    expected = [x - y for x, y in zip(_triple_loop(a, b), _triple_loop(b, a))]
+    assert a.commutator(b) == Matrix(a.rows, a.cols, expected)
+
+
+def test_commutator_of_empty_and_one_by_one():
+    assert Matrix(0, 0, []).commutator(Matrix(0, 0, [])) == Matrix(0, 0, [])
+    assert mat([[3]]).commutator(mat([[F(-1, 2)]])) == mat([[0]])
+
+
+@pytest.mark.parametrize("a,b", [
+    (Matrix.identity(2), Matrix.identity(3)),
+    (Matrix.zero(2, 3), Matrix.zero(3, 2)),  # both products exist
+    (Matrix.zero(2, 3), Matrix.zero(2, 3)),
+])
+def test_commutator_shape_mismatch_raises(a, b):
+    with pytest.raises(ValueError):
+        a.commutator(b)
+
+
+@given(matmul_pairs())
+@settings(max_examples=100, deadline=None)
+def test_nonzero_view_changes_neither_equality_nor_hash(pair):
+    a, _ = pair
+    twin = Matrix(a.rows, a.cols, a.flatten())
+    before = hash(a)
+    assert a.nonzeros == tuple(tuple((c, x) for c, x in enumerate(r) if x)
+                               for r in a.row_list())
+    assert hash(a) == before == hash(twin) and a == twin and twin == a
+    assert a.apply([1] * a.cols) == tuple(sum(r, F(0)) for r in a.row_list())
 
 
 # The sparse kernel against the dense Gauss-Jordan reference: the same
