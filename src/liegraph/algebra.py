@@ -348,17 +348,6 @@ def derived_subalgebra(g: LieAlgebra) -> Subspace:
 
 
 @dataclass(frozen=True)
-class Derivation:
-    """An n x n matrix satisfying the Leibniz rule on its algebra."""
-    algebra: LieAlgebra
-    matrix: Matrix
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.algebra.dim, self.algebra.dim):
-            raise LieError("derivation matrix has wrong shape")
-
-
-@dataclass(frozen=True)
 class MatrixSpan:
     """A span of equal-shape matrices, held as the canonical RREF basis of
     their row-major flattenings; coordinates are read at its pivots."""
@@ -410,10 +399,6 @@ class MatrixSpan:
 class DerivationAlgebra(MatrixSpan):
     """Der(G) in the canonical basis of the adjoint cocycle system's kernel."""
     parent: LieAlgebra
-
-    @cached_property
-    def basis(self) -> tuple[Derivation, ...]:
-        return tuple(Derivation(self.parent, m) for m in self.matrices)
 
     @cached_property
     def as_lie_algebra(self) -> LieAlgebra:
@@ -487,17 +472,14 @@ class CompletenessEvidence:
     inner_dim: int
 
 
-def is_complete(g: LieAlgebra,
-                der: Optional[DerivationAlgebra] = None) -> CompletenessEvidence:
-    """Trivial center and every derivation inner."""
+def is_complete(g: LieAlgebra, der: Optional[DerivationAlgebra] = None,
+                z: Optional[Subspace] = None) -> CompletenessEvidence:
+    """Trivial center and every derivation inner; Der(G) and the center z
+    of g are built here unless the caller already has them."""
     if der is None:
         der = derivation_algebra(g)
-    return completeness(g, der, center(g))
-
-
-def completeness(g: LieAlgebra, der: DerivationAlgebra,
-                 z: Subspace) -> CompletenessEvidence:
-    """is_complete from the derivation algebra and the center z of g."""
+    if z is None:
+        z = center(g)
     inner = inner_derivations(g)
     all_inner = inner == der.flat_span
     return CompletenessEvidence(z.dim == 0 and all_inner, z.dim, der.dim, inner.dim)

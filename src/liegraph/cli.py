@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import fullgraph as fg_mod
@@ -41,14 +42,19 @@ def _load_algebra(args) -> tuple[str, LieAlgebra]:
     return entry.name, entry.algebra
 
 
+def _write_json(data, out) -> None:
+    json.dump(data, out, indent=2, sort_keys=True)
+    out.write("\n")
+
+
 def _fmt_matrix(m: Matrix, indent: str = "  ") -> str:
-    cells = [[str(m[r, c]) for c in range(m.cols)] for r in range(m.rows)]
+    cells = _matrix_cells(m)
     width = max((len(x) for row in cells for x in row), default=1)
     return "\n".join(indent + "[" + "  ".join(x.rjust(width) for x in row) + "]"
                      for row in cells)
 
 
-def _matrix_json(m: Matrix) -> list[list[str]]:
+def _matrix_cells(m: Matrix) -> list[list[str]]:
     return [[str(m[r, c]) for c in range(m.cols)] for r in range(m.rows)]
 
 
@@ -65,44 +71,17 @@ def _table_lines(alg: LieAlgebra) -> list[str]:
 
 
 def report_to_dict(rep: VerificationReport) -> dict:
+    """Each check's evidence fields and verdict, and the dimensions behind
+    the two completeness tests that theorem2 compares."""
     doc: dict = {"algebra": rep.algebra_name, "passed": rep.passed}
-    if rep.theorem1 is not None:
-        t = rep.theorem1
-        doc["theorem1"] = {
-            "each_generator_is_derivation": t.each_generator_is_derivation,
-            "bracket_homomorphism": t.bracket_homomorphism,
-            "injective": t.injective,
-            "dim_h": t.dim_h,
-            "dim_der_cg": t.dim_der_cg,
-            "image_equals_der_cg": t.image_equals_der_cg,
-            "passed": t.passed,
-        }
-    if rep.lemma is not None:
-        doc["lemma"] = {
-            "center_cg_dim": rep.lemma.center_cg_dim,
-            "d_center_dim": rep.lemma.d_center_dim,
-            "match": rep.lemma.match,
-            "passed": rep.lemma.passed,
-        }
-    if rep.theorem2 is not None:
-        doc["theorem2"] = {
-            "d_complete": rep.theorem2.d_complete,
-            "full_graph_complete": rep.theorem2.full_graph_complete,
-            "equivalent": rep.theorem2.equivalent,
-            "passed": rep.theorem2.passed,
-        }
-    if rep.d_evidence is not None:
-        doc["d_completeness"] = {
-            "d_center_dim": rep.d_evidence.d_center_dim,
-            "d_space_dim": rep.d_evidence.d_space_dim,
-            "inner_d_dim": rep.d_evidence.inner_d_dim,
-        }
-    if rep.cg_evidence is not None:
-        doc["full_graph_completeness"] = {
-            "center_dim": rep.cg_evidence.center_dim,
-            "der_dim": rep.cg_evidence.der_dim,
-            "inner_dim": rep.cg_evidence.inner_dim,
-        }
+    for key in ("theorem1", "lemma", "theorem2"):
+        part = getattr(rep, key)
+        if part is not None:
+            doc[key] = {**asdict(part), "passed": part.passed}
+    for key, part in (("d_completeness", rep.d_evidence),
+                      ("full_graph_completeness", rep.cg_evidence)):
+        if part is not None:
+            doc[key] = {k: v for k, v in asdict(part).items() if k.endswith("_dim")}
     return doc
 
 
@@ -148,8 +127,7 @@ def _cmd_info(args, out) -> int:
         "d_center_dim": d_center(g, der).dim,
     }
     if args.json:
-        json.dump(data, out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(data, out)
     else:
         print(f"{name}: dim {g.dim}, basis {', '.join(g.basis_names)}", file=out)
         for line in _table_lines(g):
@@ -160,52 +138,39 @@ def _cmd_info(args, out) -> int:
     return EXIT_OK
 
 
+def _write_span(args, out, data: dict, span, header: str, label: str) -> int:
+    """A span's basis matrices and bracket table: as JSON, beside data; as
+    text, under header, each matrix after label.format(its number)."""
+    alg = span.as_lie_algebra
+    if args.json:
+        _write_json({**data, "basis": [_matrix_cells(b) for b in span.matrices],
+                     "structure_constants": sparse_brackets(alg)}, out)
+    else:
+        print(header, file=out)
+        for i, b in enumerate(span.matrices, 1):
+            print(label.format(i), file=out)
+            print(_fmt_matrix(b), file=out)
+        print("bracket table:", file=out)
+        for line in _table_lines(alg):
+            print("  " + line, file=out)
+    return EXIT_OK
+
+
 def _cmd_der(args, out) -> int:
     name, g = _load_algebra(args)
     der = derivation_algebra(g)
-    if args.json:
-        data = {
-            "algebra": name,
-            "der_dim": der.dim,
-            "basis": [_matrix_json(d.matrix) for d in der.basis],
-            "structure_constants": sparse_brackets(der.as_lie_algebra),
-        }
-        json.dump(data, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        print(f"Der({name}): dimension {der.dim}", file=out)
-        for i, d in enumerate(der.basis):
-            print(f"D{i + 1} =", file=out)
-            print(_fmt_matrix(d.matrix), file=out)
-        print("bracket table:", file=out)
-        for line in _table_lines(der.as_lie_algebra):
-            print("  " + line, file=out)
-    return EXIT_OK
+    return _write_span(args, out, {"algebra": name, "der_dim": der.dim}, der,
+                       f"Der({name}): dimension {der.dim}", "D{} =")
 
 
 def _cmd_dder(args, out) -> int:
     name, g = _load_algebra(args)
     dspace = d_derivations(g)
-    if args.json:
-        data = {
-            "algebra": name,
-            "d_space_dim": dspace.dim,
-            "inner_d_dim": dspace.inner.dim,
-            "basis": [_matrix_json(l.matrix) for l in dspace.basis],
-            "structure_constants": sparse_brackets(dspace.as_lie_algebra),
-        }
-        json.dump(data, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        print(f"d-derivations of {name}: dimension {dspace.dim} "
-              f"(inner: {dspace.inner.dim})", file=out)
-        for i, l in enumerate(dspace.basis):
-            print(f"L{i + 1} (columns indexed by the Der basis) =", file=out)
-            print(_fmt_matrix(l.matrix), file=out)
-        print("bracket table:", file=out)
-        for line in _table_lines(dspace.as_lie_algebra):
-            print("  " + line, file=out)
-    return EXIT_OK
+    p, inner = dspace.dim, dspace.inner.dim
+    return _write_span(
+        args, out, {"algebra": name, "d_space_dim": p, "inner_d_dim": inner},
+        dspace, f"d-derivations of {name}: dimension {p} (inner: {inner})",
+        "L{} (columns indexed by the Der basis) =")
 
 
 def _cmd_full_graph(args, out) -> int:
@@ -218,8 +183,7 @@ def _cmd_full_graph(args, out) -> int:
             "basis_names": list(fg.algebra.basis_names),
             "structure_constants": sparse_brackets(fg.algebra),
         }
-        json.dump(data, out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(data, out)
     else:
         print(f"C({name}): dimension {fg.algebra.dim} "
               f"(Der block {fg.m}, algebra block {fg.n})", file=out)
@@ -232,8 +196,7 @@ def _cmd_verify(args, out) -> int:
     name, g = _load_algebra(args)
     rep = fg_mod.verify(g, name, args.theorem)
     if args.json:
-        json.dump(report_to_dict(rep), out, indent=2, sort_keys=True)
-        out.write("\n")
+        _write_json(report_to_dict(rep), out)
     else:
         _print_report(rep, out)
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
@@ -243,9 +206,7 @@ def _cmd_corpus_verify(args, out) -> int:
     reports = [fg_mod.verify(entry.algebra, entry.name, "all")
                for entry in catalog()]
     if args.json:
-        json.dump([report_to_dict(r) for r in reports], out, indent=2,
-                  sort_keys=True)
-        out.write("\n")
+        _write_json([report_to_dict(r) for r in reports], out)
     else:
         for rep in reports:
             _print_report(rep, out)

@@ -9,7 +9,13 @@ cocycles and coboundaries of that action, computed by the
 inner derivations of the adjoint action. They carry a bracket
     [L1,L2](D) = L1(ad(L2(D))) - L2(ad(L1(D)))
 and Der(G) acts on them by D(L) = D∘L - L∘ad(D), which lets the two fit
-together into a semidirect product.
+together into a semidirect product H, returned by build_h as a LieAlgebra.
+
+Every map is a plain Matrix: a derivation is n x n, and a d-derivation is
+the n x m matrix whose column j is its value on the j-th Der basis element.
+The cocycle table and H are built from matrices made once per basis
+element; d_bracket and der_action are their per-pair references, taking
+Der(G) and matrices.
 """
 
 from __future__ import annotations
@@ -19,44 +25,27 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .linalg import Matrix, Subspace, Vector
-from .algebra import (Derivation, DerivationAlgebra, LieAlgebra, MatrixSpan,
+from .algebra import (DerivationAlgebra, LieAlgebra, MatrixSpan,
                       derivation_algebra, semidirect)
-
-
-@dataclass(frozen=True)
-class DDerivation:
-    """Column j of ``matrix`` is the image of the j-th canonical Der basis
-    element, as a vector of the parent algebra."""
-    parent: LieAlgebra
-    der: DerivationAlgebra
-    matrix: Matrix  # n x m
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.parent.dim, self.der.dim):
-            raise ValueError("d-derivation matrix has wrong shape")
 
 
 def d_center(g: LieAlgebra, der: Optional[DerivationAlgebra] = None) -> Subspace:
     """{x : D x = 0 for every derivation D}: the invariants of Der(G) on G."""
-    return (der or derivation_algebra(g)).natural.invariants()
+    if der is None:
+        der = derivation_algebra(g)
+    return der.natural.invariants()
 
 
-def inner_d_derivation(g: LieAlgebra, der: DerivationAlgebra,
-                       x: Sequence) -> DDerivation:
+def inner_d_derivation(der: DerivationAlgebra, x: Sequence) -> Matrix:
     """L_x with L_x(D) = -D(x), the coboundary of x."""
-    return DDerivation(g, der, der.natural.coboundary(x))
+    return der.natural.coboundary(x)
 
 
 @dataclass(frozen=True)
 class DDerivationSpace(MatrixSpan):
     """The cocycle space in the canonical basis of the cocycle system's kernel."""
-    parent: LieAlgebra
     der: DerivationAlgebra
     inner: Subspace  # flattened inner d-derivations, subspace of flat_span
-
-    @cached_property
-    def basis(self) -> tuple[DDerivation, ...]:
-        return tuple(DDerivation(self.parent, self.der, m) for m in self.matrices)
 
     @cached_property
     def as_lie_algebra(self) -> LieAlgebra:
@@ -72,9 +61,9 @@ class DDerivationSpace(MatrixSpan):
         a = [self.der.ad_coordinates @ l for l in b]
         return self.lie_algebra(lambda i, j: b[i] @ a[j] - b[j] @ a[i], "L")
 
-    def coordinates_of(self, l: DDerivation) -> Vector:
+    def coordinates_of(self, l: Matrix) -> Vector:
         """Coordinates of a map known to lie in the span; raises otherwise."""
-        return self.coordinates(l.matrix)
+        return self.coordinates(l)
 
 
 def d_derivations(g: LieAlgebra,
@@ -83,45 +72,32 @@ def d_derivations(g: LieAlgebra,
     if der is None:
         der = derivation_algebra(g)
     natural = der.natural
-    return DDerivationSpace((g.dim, der.dim), natural.cocycles(), g, der,
+    return DDerivationSpace((g.dim, der.dim), natural.cocycles(), der,
                             natural.coboundaries())
 
 
-def d_bracket(l1: DDerivation, l2: DDerivation) -> DDerivation:
-    """[L1,L2](D) = L1(ad(L2(D))) - L2(ad(L1(D)))."""
-    if l1.parent is not l2.parent and l1.parent != l2.parent:
-        raise ValueError("mismatched parents")
-    g, der = l1.parent, l1.der
+def d_bracket(der: DerivationAlgebra, l1: Matrix, l2: Matrix) -> Matrix:
+    """[L1,L2](D) = L1(ad(L2(D))) - L2(ad(L1(D))), one Der basis element
+    D at a time."""
+    g = der.parent
     cols = []
     for j in range(der.dim):
-        a1 = der.coordinates_of(g.ad(l2.matrix.column(j)))
-        a2 = der.coordinates_of(g.ad(l1.matrix.column(j)))
-        v1 = l1.matrix.apply(a1)
-        v2 = l2.matrix.apply(a2)
-        cols.append(tuple(x - y for x, y in zip(v1, v2)))
-    return DDerivation(g, der, Matrix.from_rows(cols).transpose())
+        a1 = der.coordinates_of(g.ad(l2.column(j)))
+        a2 = der.coordinates_of(g.ad(l1.column(j)))
+        cols.append(tuple(x - y for x, y in zip(l1.apply(a1), l2.apply(a2))))
+    return Matrix.from_rows(cols).transpose()
 
 
-def der_action(d: Derivation, l: DDerivation) -> DDerivation:
+def der_action(der: DerivationAlgebra, d: Matrix, l: Matrix) -> Matrix:
     """D(L) = D∘L - L∘ad(D), ad(D) taken inside Der(G)."""
-    der = l.der
-    ad_d = Matrix.from_rows([der.coordinates_of(d.matrix.commutator(b))
+    ad_d = Matrix.from_rows([der.coordinates_of(d.commutator(b))
                              for b in der.matrices]).transpose()
-    return DDerivation(l.parent, der, d.matrix @ l.matrix - l.matrix @ ad_d)
-
-
-@dataclass(frozen=True)
-class SemidirectSum:
-    """H = Der(G) ⋉ cocycle space, on the concatenated canonical bases."""
-    parent: LieAlgebra
-    der: DerivationAlgebra
-    dspace: DDerivationSpace
-    algebra: LieAlgebra  # dimension m + p
+    return d @ l - l @ ad_d
 
 
 def build_h(g: LieAlgebra, der: Optional[DerivationAlgebra] = None,
-            dspace: Optional[DDerivationSpace] = None) -> SemidirectSum:
-    """Bracket on pairs (D, L):
+            dspace: Optional[DDerivationSpace] = None) -> LieAlgebra:
+    """H = Der(G) ⋉ cocycle space, on the concatenated canonical bases:
         [(D1,L1),(D2,L2)] = ([D1,D2], [L1,L2] + D1(L2) - D2(L1))
     """
     if der is None:
@@ -136,8 +112,7 @@ def build_h(g: LieAlgebra, der: Optional[DerivationAlgebra] = None,
     def act(i: int, j: int) -> Vector:
         return dspace.coordinates(d[i] @ l[j] - l[j] @ ad[i])
 
-    return SemidirectSum(g, der, dspace,
-                         semidirect(der.as_lie_algebra, dspace.as_lie_algebra, act))
+    return semidirect(der.as_lie_algebra, dspace.as_lie_algebra, act)
 
 
 @dataclass(frozen=True)
@@ -149,18 +124,16 @@ class DCompletenessEvidence:
 
 
 def is_d_complete(g: LieAlgebra, der: Optional[DerivationAlgebra] = None,
-                  dspace: Optional[DDerivationSpace] = None) -> DCompletenessEvidence:
-    """Trivial d-center and every cocycle inner."""
+                  dspace: Optional[DDerivationSpace] = None,
+                  cd: Optional[Subspace] = None) -> DCompletenessEvidence:
+    """Trivial d-center and every cocycle inner; Der(G), the cocycle space
+    and the d-center cd are built here unless the caller already has them."""
     if der is None:
         der = derivation_algebra(g)
     if dspace is None:
         dspace = d_derivations(g, der)
-    return d_completeness(dspace, d_center(g, der))
-
-
-def d_completeness(dspace: DDerivationSpace,
-                   cd: Subspace) -> DCompletenessEvidence:
-    """is_d_complete from the cocycle space and the d-center cd."""
+    if cd is None:
+        cd = d_center(g, der)
     all_inner = dspace.inner == dspace.flat_span
     return DCompletenessEvidence(cd.dim == 0 and all_inner,
                                  cd.dim, dspace.dim, dspace.inner.dim)

@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 
 from .linalg import Matrix, Subspace, Vector, ZERO, as_vector
 from .algebra import (CompletenessEvidence, DerivationAlgebra, LieAlgebra,
-                      center, completeness, derivation_algebra, semidirect,
+                      center, derivation_algebra, is_complete, semidirect,
                       _unit)
-from .dtheory import (DCompletenessEvidence, DDerivationSpace, SemidirectSum,
-                      build_h, d_center, d_completeness, d_derivations)
+from .dtheory import (DCompletenessEvidence, DDerivationSpace, build_h,
+                      d_center, d_derivations, is_d_complete)
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,19 @@ def h_derivation(fg: FullGraph, dspace: DDerivationSpace,
     """Matrix on C(G) of the pair (D, L):
         (D1, g) -> ([D,D1], D(g) + L(ad(g)) + L(D1))
     """
-    der = fg.der
+    der, m, size = fg.der, fg.m, fg.algebra.dim
     D, L = der.matrix_of(d_coords), dspace.matrix_of(l_coords)
     # column j of ad_d is the coordinates of [D, D_j]; column j of corr is
     # L(ad(e_j)), both read off structures built once per algebra
     ad_d = der.as_lie_algebra.ad(d_coords)
     corr = L @ der.ad_coordinates
-    cols = [ad_d.column(j) + L.column(j)
-            for j in range(fg.m)]  # images of (D_j, 0)
-    for j in range(fg.n):  # images of (0, e_j)
-        cols.append(fg.embed_g(a + b for a, b in zip(D.column(j), corr.column(j))))
-    return Matrix.from_rows(cols).transpose()
+    # column j < m is the image of (D_j, 0), column m + j that of (0, e_j)
+    e = [ZERO] * (size * size)
+    for block, r0, c0 in ((ad_d, 0, 0), (L, m, 0), (D + corr, m, m)):
+        for r, row in enumerate(block.nonzeros, r0):
+            for c, x in row:
+                e[r * size + c0 + c] = x
+    return Matrix._trusted(size, size, tuple(e))
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ class _Workspace:
         return d_derivations(self.g, self.der)
 
     @cached_property
-    def h(self) -> SemidirectSum:
+    def h(self) -> LieAlgebra:
         return build_h(self.g, self.der, self.dspace)
 
     @cached_property
@@ -165,22 +167,24 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
     gens = [h_derivation(fg, dspace, u[:m], u[m:]) for u in units]
     each_der = all(cg.adjoint.is_cocycle(M) for M in gens)
 
+    # each generator's nonzero entries, keyed by their row-major index
+    size = cg.dim
+    flat = [{r * size + c: x for r, row in enumerate(M.nonzeros) for c, x in row}
+            for M in gens]
+
     # h_derivation is linear in its coordinates, so the image of
     # [x_i, x_j] = sum_k c_k x_k is sum_k c_k gens[k]
-    size = cg.dim
     homomorphism = True
     for i, j in combinations(range(total), 2):
         rhs = [ZERO] * (size * size)
-        for k, c in h.algebra.pairs[i][j]:
-            for r, row in enumerate(gens[k].nonzeros):
-                for t, x in row:
-                    rhs[r * size + t] += c * x
+        for k, c in h.pairs[i][j]:
+            for t, x in flat[k].items():
+                rhs[t] += c * x
         if gens[i].commutator(gens[j]).flatten() != tuple(rhs):
             homomorphism = False
             break
 
-    der_cg = ws.der_cg
-    image = Subspace.from_rows(size * size, [M.flatten() for M in gens])
+    der_cg, image = ws.der_cg, Subspace._span(size * size, flat)
     return Theorem1Evidence(each_der, homomorphism, image.dim == total,
                             total, der_cg.dim, image == der_cg.flat_span)
 
@@ -195,8 +199,8 @@ def check_lemma(ws: _Workspace) -> LemmaEvidence:
 def check_theorem2(ws: _Workspace) -> tuple[Theorem2Evidence,
                                             DCompletenessEvidence,
                                             CompletenessEvidence]:
-    dc = d_completeness(ws.dspace, ws.dcenter)
-    cc = completeness(ws.fg.algebra, ws.der_cg, ws.cg_center)
+    dc = is_d_complete(ws.g, ws.der, ws.dspace, ws.dcenter)
+    cc = is_complete(ws.fg.algebra, ws.der_cg, ws.cg_center)
     return (Theorem2Evidence(dc.d_complete, cc.complete,
                              dc.d_complete == cc.complete), dc, cc)
 

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import pytest
 
-from liegraph.algebra import Derivation, center, derivation_algebra
+from liegraph.algebra import center, derivation_algebra
 from liegraph.catalog import catalog, lookup
 from liegraph.cli import main
 from liegraph.dtheory import (build_h, d_bracket, d_center, d_derivations,
@@ -132,7 +132,7 @@ def test_heisenberg3_outer_derivation_certificate(setups):
         return [[cols[c][r] for c in range(n)] for r in range(n)]
 
     def der_basis(k, sign=1):
-        b = der.basis[k].matrix
+        b = der.matrices[k]
         return [[sign * b[r, c] for c in range(n)] for r in range(n)]
 
     # in the canonical Der basis ad x = D6 (y -> z), ad y = -D5 (x -> -z)
@@ -235,10 +235,10 @@ def test_law_cocycle_identity_on_random_pairs(setups):
         d1 = der.matrix_of(a)
         d2 = der.matrix_of(b)
         comm = der.coordinates_of(d1.commutator(d2))
-        for l in dspace.basis:
-            lhs = l.matrix.apply(comm)
-            rhs = tuple(x - y for x, y in zip(d1.apply(l.matrix.apply(b)),
-                                             d2.apply(l.matrix.apply(a))))
+        for l in dspace.matrices:
+            lhs = l.apply(comm)
+            rhs = tuple(x - y for x, y in zip(d1.apply(l.apply(b)),
+                                             d2.apply(l.apply(a))))
             assert lhs == rhs
         checked += 1
     report(f"law[cocycle identity on {checked} random non-basis pairs]",
@@ -250,10 +250,10 @@ def test_law_inner_map_is_bracket_homomorphism(setups):
     checked = 0
     for g, der, _ in _cases(setups, rng, 100):
         x, y = _rand_vec(rng, g.dim), _rand_vec(rng, g.dim)
-        lhs = inner_d_derivation(g, der, g.bracket(x, y))
-        rhs = d_bracket(inner_d_derivation(g, der, x),
-                        inner_d_derivation(g, der, y))
-        assert lhs.matrix == rhs.matrix
+        lhs = inner_d_derivation(der, g.bracket(x, y))
+        rhs = d_bracket(der, inner_d_derivation(der, x),
+                        inner_d_derivation(der, y))
+        assert lhs == rhs
         checked += 1
     report(f"law[L_[x,y] = [L_x, L_y] on {checked} cases]", checked >= 100)
 
@@ -263,10 +263,10 @@ def test_law_action_on_inner(setups):
     checked = 0
     for g, der, _ in _cases(setups, rng, 100):
         x = _rand_vec(rng, g.dim)
-        d = Derivation(g, der.matrix_of(_rand_vec(rng, der.dim)))
-        lhs = der_action(d, inner_d_derivation(g, der, x))
-        rhs = inner_d_derivation(g, der, d.matrix.apply(x))
-        assert lhs.matrix == rhs.matrix
+        d = der.matrix_of(_rand_vec(rng, der.dim))
+        lhs = der_action(der, d, inner_d_derivation(der, x))
+        rhs = inner_d_derivation(der, d.apply(x))
+        assert lhs == rhs
         checked += 1
     report(f"law[action(d, L_x) = L_d(x) on {checked} cases]", checked >= 100)
 
@@ -275,14 +275,14 @@ def test_law_action_is_lie_action(setups):
     rng = random.Random(104)
     checked = 0
     for g, der, dspace in _cases(setups, rng, 100):
-        d1 = Derivation(g, der.matrix_of(_rand_vec(rng, der.dim)))
-        d2 = Derivation(g, der.matrix_of(_rand_vec(rng, der.dim)))
-        comm = Derivation(g, d1.matrix.commutator(d2.matrix))
-        for l in dspace.basis:
-            lhs = der_action(comm, l)
-            rhs = (der_action(d1, der_action(d2, l)).matrix
-                   - der_action(d2, der_action(d1, l)).matrix)
-            assert lhs.matrix == rhs
+        d1 = der.matrix_of(_rand_vec(rng, der.dim))
+        d2 = der.matrix_of(_rand_vec(rng, der.dim))
+        comm = d1.commutator(d2)
+        for l in dspace.matrices:
+            lhs = der_action(der, comm, l)
+            rhs = (der_action(der, d1, der_action(der, d2, l))
+                   - der_action(der, d2, der_action(der, d1, l)))
+            assert lhs == rhs
         checked += 1
     report(f"law[action([d1,d2]) = [action(d1), action(d2)] on {checked} cases]",
            checked >= 100)
@@ -292,16 +292,13 @@ def test_law_action_is_derivation_of_cocycle_bracket(setups):
     rng = random.Random(105)
     checked = 0
     for g, der, dspace in _cases(setups, rng, 100):
-        d = Derivation(g, der.matrix_of(_rand_vec(rng, der.dim)))
+        d = der.matrix_of(_rand_vec(rng, der.dim))
         l1 = dspace.matrix_of(_rand_vec(rng, dspace.dim))
         l2 = dspace.matrix_of(_rand_vec(rng, dspace.dim))
-        from liegraph.dtheory import DDerivation
-        l1 = DDerivation(g, der, l1)
-        l2 = DDerivation(g, der, l2)
-        lhs = der_action(d, d_bracket(l1, l2))
-        rhs = (d_bracket(der_action(d, l1), l2).matrix
-               + d_bracket(l1, der_action(d, l2)).matrix)
-        assert lhs.matrix == rhs
+        lhs = der_action(der, d, d_bracket(der, l1, l2))
+        rhs = (d_bracket(der, der_action(der, d, l1), l2)
+               + d_bracket(der, l1, der_action(der, d, l2)))
+        assert lhs == rhs
         checked += 1
     report(f"law[action is a derivation of the cocycle bracket, {checked} cases]",
            checked >= 100)
@@ -315,7 +312,7 @@ def test_law_jacobi_of_derived_tables(setups):
         assert der.as_lie_algebra is not None
         if dspace.as_lie_algebra is not None:
             assert dspace.as_lie_algebra.dim == dspace.dim
-        assert build_h(g, der, dspace).algebra.dim == der.dim + dspace.dim
+        assert build_h(g, der, dspace).dim == der.dim + dspace.dim
         assert build_full_graph(g, der).algebra.dim == der.dim + g.dim
         count += 1
     report(f"law[Jacobi holds for cocycle/H/C(G) tables, {count} algebras]",
@@ -332,9 +329,9 @@ def test_law_kernel_of_inner_map_is_d_center(setups):
     ok = True
     for g, der, _ in setups.values():
         n, m = g.dim, der.dim
-        cols = [inner_d_derivation(g, der,
+        cols = [inner_d_derivation(der,
                                    [1 if t == i else 0 for t in range(n)]
-                                   ).matrix.flatten() for i in range(n)]
+                                   ).flatten() for i in range(n)]
         flat = Matrix.from_rows(cols).transpose()  # (n*m) x n
         from liegraph.linalg import nullspace
         ok = ok and nullspace(flat) == d_center(g, der)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from algebras import CATALOG_NAMES, NAMES, algebra
-from liegraph.algebra import (AntisymmetryConflict, DependentBasis, Derivation,
+from liegraph.algebra import (AntisymmetryConflict, DependentBasis,
                               IndexOutOfRange, InternalConsistencyError,
                               JacobiViolation, LieAlgebra, LieError, NotClosed,
                               Representation, _unit, abelian,
@@ -147,20 +147,20 @@ class TestDerivationAlgebra:
         for name in ("sl2", "heisenberg3", "affine2", "sl2_plus_abelian1"):
             g = lookup(name).algebra
             der = derivation_algebra(g)
-            assert all(g.adjoint.is_cocycle(d.matrix) for d in der.basis)
+            assert all(g.adjoint.is_cocycle(d) for d in der.matrices)
 
     def test_commutator_closure(self, sl2):
         der = derivation_algebra(sl2)
         for i in range(der.dim):
             for j in range(der.dim):
-                comm = der.basis[i].matrix.commutator(der.basis[j].matrix)
+                comm = der.matrices[i].commutator(der.matrices[j])
                 coords = der.coordinates_of(comm)
                 assert der.matrix_of(coords) == comm
 
     def test_deterministic(self, sl2):
         a = derivation_algebra(sl2)
         b = derivation_algebra(sl2)
-        assert [d.matrix for d in a.basis] == [d.matrix for d in b.basis]
+        assert a.matrices == b.matrices
         assert a.as_lie_algebra.table == b.as_lie_algebra.table
 
     def test_is_cocycle_rejects_a_non_derivation(self, sl2):
@@ -212,6 +212,11 @@ class TestCompleteness:
         ev = is_complete(lookup("affine2").algebra)
         assert ev.complete and ev.der_dim == ev.inner_dim == 2
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_given_der_and_center_give_the_same_evidence(self, name):
+        g = lookup(name).algebra
+        assert is_complete(g, derivation_algebra(g), center(g)) == is_complete(g)
+
 
 class TestInducedStructure:
     def test_ad_basis_of_sl2(self, sl2):
@@ -242,7 +247,7 @@ class TestInducedStructure:
         # Der(G) reads commutator coordinates at the RREF pivots of its
         # span; induced_lie_structure solves for them and is the reference
         der = derivation_algebra(lookup(name).algebra)
-        ref = induced_lie_structure([d.matrix for d in der.basis],
+        ref = induced_lie_structure(der.matrices,
                                     basis_names=der.as_lie_algebra.basis_names)
         assert der.as_lie_algebra == ref
 

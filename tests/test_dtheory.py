@@ -7,12 +7,11 @@ import pytest
 import reference
 from algebras import NAMES, algebra
 
-from liegraph.algebra import (Derivation, InternalConsistencyError, abelian,
+from liegraph.algebra import (InternalConsistencyError, abelian,
                               derivation_algebra)
 from liegraph.catalog import catalog, lookup
-from liegraph.dtheory import (DDerivation, build_h, d_bracket, d_center,
-                              d_derivations, der_action, inner_d_derivation,
-                              is_d_complete)
+from liegraph.dtheory import (build_h, d_bracket, d_center, d_derivations,
+                              der_action, inner_d_derivation, is_d_complete)
 from liegraph.linalg import Matrix, Subspace
 
 F = Fraction
@@ -48,7 +47,7 @@ class TestDDerivations:
         for entry in catalog():
             space = d_derivations(entry.algebra)
             natural = space.der.natural
-            assert all(natural.is_cocycle(l.matrix) for l in space.basis), entry.name
+            assert all(natural.is_cocycle(l) for l in space.matrices), entry.name
 
     def test_inner_maps_lie_in_span(self):
         for entry in catalog():
@@ -56,20 +55,20 @@ class TestDDerivations:
             space = d_derivations(g)
             for i in range(g.dim):
                 x = [1 if t == i else 0 for t in range(g.dim)]
-                lx = inner_d_derivation(g, space.der, x)
-                assert space.flat_span.contains_vector(lx.matrix.flatten()), entry.name
+                lx = inner_d_derivation(space.der, x)
+                assert space.flat_span.contains_vector(lx.flatten()), entry.name
 
 
 def test_coordinates_of_map_outside_cocycle_space_raises(sl2_setup):
     g, der, space = sl2_setup
     basis = space.flat_span.basis_vectors()
     # a unit vector that raises the rank lies outside the span
-    outside = next(DDerivation(g, der, Matrix(g.dim, der.dim, v))
+    outside = next(Matrix(g.dim, der.dim, v)
                    for v in Subspace.full(g.dim * der.dim).basis_vectors()
                    if Subspace.from_rows(len(v), basis + [v]).dim > space.dim)
     with pytest.raises(InternalConsistencyError):
         space.coordinates_of(outside)
-    assert not der.natural.is_cocycle(outside.matrix)
+    assert not der.natural.is_cocycle(outside)
 
 
 class TestDCenter:
@@ -89,86 +88,86 @@ class TestDCenter:
 class TestInnerDDerivation:
     def test_zero_vector_gives_zero_map(self, sl2_setup):
         g, der, _ = sl2_setup
-        assert inner_d_derivation(g, der, [0, 0, 0]).matrix.is_zero()
+        assert inner_d_derivation(der, [0, 0, 0]).is_zero()
 
     def test_kernel_equals_d_center(self):
         for entry in catalog():
             g = entry.algebra
             der = derivation_algebra(g)
-            rows = [inner_d_derivation(g, der,
+            rows = [inner_d_derivation(der,
                                        [1 if t == i else 0 for t in range(g.dim)]
-                                       ).matrix.flatten()
+                                       ).flatten()
                     for i in range(g.dim)]
             kernel_dim = g.dim - Subspace.from_rows(g.dim * der.dim, rows).dim
             assert kernel_dim == d_center(g, der).dim, entry.name
 
     def test_sl2_l_h_golden(self, sl2_setup):
         g, der, _ = sl2_setup
-        lh = inner_d_derivation(g, der, [1, 0, 0])
-        assert lh.matrix == Matrix(3, 3, [0, 0, 0, 0, 2, 0, 2, 0, 0])
+        lh = inner_d_derivation(der, [1, 0, 0])
+        assert lh == Matrix(3, 3, [0, 0, 0, 0, 2, 0, 2, 0, 0])
 
 
 class TestDBracket:
     def test_self_bracket_vanishes(self, sl2_setup):
-        _, _, space = sl2_setup
-        for l in space.basis:
-            assert d_bracket(l, l).matrix.is_zero()
+        _, der, space = sl2_setup
+        for l in space.matrices:
+            assert d_bracket(der, l, l).is_zero()
 
     def test_abelian_brackets_vanish(self):
         g = abelian(2)
         space = d_derivations(g)
-        for a in space.basis:
-            for b in space.basis:
-                assert d_bracket(a, b).matrix.is_zero()
+        for a in space.matrices:
+            for b in space.matrices:
+                assert d_bracket(space.der, a, b).is_zero()
 
     def test_inner_bracket_homomorphism_random(self, sl2_setup):
         g, der, _ = sl2_setup
         rng = random.Random(7)
         for _ in range(50):
             x, y = rand_vec(rng, 3), rand_vec(rng, 3)
-            lhs = d_bracket(inner_d_derivation(g, der, x),
-                            inner_d_derivation(g, der, y))
-            rhs = inner_d_derivation(g, der, g.bracket(x, y))
-            assert lhs.matrix == rhs.matrix
+            lhs = d_bracket(der, inner_d_derivation(der, x),
+                            inner_d_derivation(der, y))
+            rhs = inner_d_derivation(der, g.bracket(x, y))
+            assert lhs == rhs
 
     def test_result_is_cocycle(self, sl2_setup):
-        _, _, space = sl2_setup
-        for a in space.basis:
-            for b in space.basis:
-                assert space.der.natural.is_cocycle(d_bracket(a, b).matrix)
+        _, der, space = sl2_setup
+        for a in space.matrices:
+            for b in space.matrices:
+                assert der.natural.is_cocycle(d_bracket(der, a, b))
 
 
 class TestDerAction:
     def test_zero_derivation_acts_as_zero(self, sl2_setup):
         g, der, space = sl2_setup
-        zero = Derivation(g, Matrix.zero(3, 3))
-        for l in space.basis:
-            assert der_action(zero, l).matrix.is_zero()
+        zero = Matrix.zero(3, 3)
+        for l in space.matrices:
+            assert der_action(der, zero, l).is_zero()
 
     def test_action_on_inner_random(self, sl2_setup):
         g, der, _ = sl2_setup
         rng = random.Random(11)
         for _ in range(50):
             x = rand_vec(rng, 3)
-            d = Derivation(g, der.matrix_of(rand_vec(rng, der.dim)))
-            lhs = der_action(d, inner_d_derivation(g, der, x))
-            rhs = inner_d_derivation(g, der, d.matrix.apply(x))
-            assert lhs.matrix == rhs.matrix
+            d = der.matrix_of(rand_vec(rng, der.dim))
+            lhs = der_action(der, d, inner_d_derivation(der, x))
+            rhs = inner_d_derivation(der, d.apply(x))
+            assert lhs == rhs
 
     def test_sl2_adh_on_l_e_golden(self, sl2_setup):
         g, der, _ = sl2_setup
-        adh = Derivation(g, g.ad([1, 0, 0]))
-        le = inner_d_derivation(g, der, [0, 1, 0])
-        acted = der_action(adh, le)
-        l2e = inner_d_derivation(g, der, [0, 2, 0])
-        assert acted.matrix == l2e.matrix
-        assert acted.matrix == Matrix(3, 3, [-2, 0, 0, 0, 0, -2, 0, 0, 0])
+        adh = g.ad([1, 0, 0])
+        le = inner_d_derivation(der, [0, 1, 0])
+        acted = der_action(der, adh, le)
+        l2e = inner_d_derivation(der, [0, 2, 0])
+        assert acted == l2e
+        assert acted == Matrix(3, 3, [-2, 0, 0, 0, 0, -2, 0, 0, 0])
 
     def test_lands_in_cocycle_space(self, sl2_setup):
         g, der, space = sl2_setup
-        for d in der.basis:
-            for l in space.basis:
-                assert der.natural.is_cocycle(der_action(d, l).matrix)
+        for d in der.matrices:
+            for l in space.matrices:
+                assert der.natural.is_cocycle(der_action(der, d, l))
 
 
 class TestDAlgebra:
@@ -179,13 +178,13 @@ class TestDAlgebra:
     def test_sl2_isomorphic_under_inner_map(self, sl2_setup):
         g, der, space = sl2_setup
         # x -> L_x is a bracket homomorphism; transport sl2's table through it
-        imgs = [inner_d_derivation(g, der, [1 if t == i else 0 for t in range(3)])
+        imgs = [inner_d_derivation(der, [1 if t == i else 0 for t in range(3)])
                 for i in range(3)]
         for i in range(3):
             for j in range(3):
-                lhs = d_bracket(imgs[i], imgs[j])
-                rhs = inner_d_derivation(g, der, g.table[i][j])
-                assert lhs.matrix == rhs.matrix
+                lhs = d_bracket(der, imgs[i], imgs[j])
+                rhs = inner_d_derivation(der, g.table[i][j])
+                assert lhs == rhs
 
     def test_table_is_antisymmetric(self):
         for entry in catalog():
@@ -198,26 +197,28 @@ class TestDAlgebra:
 class TestBuildH:
     def test_abelian1_two_dimensional(self):
         h = build_h(abelian(1))
-        assert h.algebra.dim == 2
+        assert h.dim == 2
         # [(D,0),(0,L)] = (0, D(L)); here both generators are the scalar 1
-        assert h.algebra.table[0][1] == (F(0), F(1))
+        assert h.table[0][1] == (F(0), F(1))
 
-    def test_der_embedding_is_subalgebra(self, sl2):
-        h = build_h(sl2)
-        m = h.der.dim
+    def test_der_embedding_is_subalgebra(self, sl2_setup):
+        g, der, space = sl2_setup
+        h = build_h(g, der, space)
+        m = der.dim
         for i in range(m):
             for j in range(m):
-                assert not any(h.algebra.table[i][j][m:])
-                assert h.algebra.table[i][j][:m] == h.der.as_lie_algebra.table[i][j]
+                assert not any(h.table[i][j][m:])
+                assert h.table[i][j][:m] == der.as_lie_algebra.table[i][j]
 
-    def test_cocycle_embedding_is_subalgebra(self, sl2):
-        h = build_h(sl2)
-        m, p = h.der.dim, h.dspace.dim
+    def test_cocycle_embedding_is_subalgebra(self, sl2_setup):
+        g, der, space = sl2_setup
+        h = build_h(g, der, space)
+        m, p = der.dim, space.dim
         for i in range(p):
             for j in range(p):
-                assert not any(h.algebra.table[m + i][m + j][:m])
-                assert (h.algebra.table[m + i][m + j][m:]
-                        == h.dspace.as_lie_algebra.table[i][j])
+                assert not any(h.table[m + i][m + j][:m])
+                assert (h.table[m + i][m + j][m:]
+                        == space.as_lie_algebra.table[i][j])
 
 
 class TestDCompleteness:
@@ -236,6 +237,13 @@ class TestDCompleteness:
         assert (ev.d_center_dim, ev.d_space_dim, ev.inner_d_dim) == (0, 3, 3)
         assert ev.d_complete
 
+    @pytest.mark.parametrize("name", [e.name for e in catalog()])
+    def test_given_parts_give_the_same_evidence(self, name):
+        g = lookup(name).algebra
+        der = derivation_algebra(g)
+        assert (is_d_complete(g, der, d_derivations(g, der), d_center(g, der))
+                == is_d_complete(g))
+
 
 # The tables of the cocycle space and of H are built from matrices made once
 # per basis element; the per-pair d_bracket and der_action are the reference.
@@ -249,9 +257,9 @@ def _spaces(name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_d_algebra_matches_per_pair_d_bracket(name):
-    _, _, space = _spaces(name)
-    b = space.basis
-    expected = space.lie_algebra(lambda i, j: d_bracket(b[i], b[j]).matrix, "L")
+    _, der, space = _spaces(name)
+    b = space.matrices
+    expected = space.lie_algebra(lambda i, j: d_bracket(der, b[i], b[j]), "L")
     assert space.as_lie_algebra == expected
     assert space.as_lie_algebra.table == expected.table
 
@@ -261,6 +269,7 @@ def test_h_matches_per_pair_der_action(name):
     g, der, space = _spaces(name)
     expected = reference.semidirect(
         der.as_lie_algebra, space.as_lie_algebra,
-        lambda i, j: space.coordinates_of(der_action(der.basis[i], space.basis[j])))
-    h = build_h(g, der, space).algebra
+        lambda i, j: space.coordinates_of(
+            der_action(der, der.matrices[i], space.matrices[j])))
+    h = build_h(g, der, space)
     assert h == expected and h.table == expected.table

@@ -61,7 +61,7 @@ class TestBuildFullGraph:
                 d_part = [1 if t == i else 0 for t in range(fg.m)]
                 x_part = [1 if t == j else 0 for t in range(fg.n)]
                 out = fg.algebra.bracket(d_part + [0] * fg.n, fg.embed_g(x_part))
-                assert out == fg.embed_g(der.basis[i].matrix.column(j))
+                assert out == fg.embed_g(der.matrices[i].column(j))
 
 
 class TestHDerivation:
@@ -205,7 +205,7 @@ def test_heisenberg_family_closed_forms(k):
     # is 35-dim and its Leibniz rule is 20825 equations in 1225 unknowns.
     ws = _Workspace(_heisenberg(k))
     assert ws.der.dim == 2 * k * k + 3 * k + 1
-    assert ws.h.algebra.dim == ws.fg.algebra.dim == 2 * k * k + 5 * k + 2
+    assert ws.h.dim == ws.fg.algebra.dim == 2 * k * k + 5 * k + 2
     assert ws.der_cg.dim == 2 * k * k + 5 * k + 3
 
 
