@@ -17,13 +17,13 @@ and dtheory reads the d-analogues off the natural action of Der(G) on G.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from .linalg import (Matrix, SparseRow, Subspace, Vector, ZERO, as_scalar,
-                     as_vector, nullspace, rank, solve, sparse_nullspace, vstack)
+from .linalg import (ONE, Matrix, Scalar, SparseRow, Subspace, Vector, ZERO,
+                     as_scalar, as_vector, nullspace, rank, rref_kernel, solve,
+                     sparse_rref, vstack)
 
 
 class LieError(Exception):
@@ -61,7 +61,7 @@ class InternalConsistencyError(LieError):
     """A solve that must succeed by construction failed; data is corrupted."""
 
 
-Terms = tuple[tuple[int, Fraction], ...]  # nonzero (k, c), k increasing
+Terms = tuple[tuple[int, Scalar], ...]  # nonzero (k, c), k increasing
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class LieAlgebra:
 
 
 def _unit(n: int, j: int) -> Vector:
-    return tuple(Fraction(1) if t == j else ZERO for t in range(n))
+    return tuple(ONE if t == j else ZERO for t in range(n))
 
 
 def _default_names(n: int) -> tuple[str, ...]:
@@ -145,7 +145,7 @@ def _validate_jacobi(n: int, pairs) -> None:
     """Raise JacobiViolation on the first basis triple i < j < l, in
     combinations order, whose cyclic sum [e_i,[e_j,e_l]] + ... is nonzero."""
     for i, j, l in combinations(range(n), 3):
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Scalar] = {}
         for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
             for t, coeff in pairs[b][c]:
                 for k, ck in pairs[a][t]:
@@ -254,10 +254,15 @@ class Representation:
     algebra() returns L; only the cocycle rule reads its structure constants,
     so the invariants and coboundaries of Der(G) never build its table.
 
-    The cocycle rule is built once, as the sparse rows of cocycle_system,
-    and has two readers: cocycles() hands the rows to the sparse kernel for
-    their common kernel, and is_cocycle(phi) evaluates, through the rows'
-    column index, only the rows that phi's nonzero entries reach.
+    The cocycle rule is built as the sparse rows of cocycle_system for one
+    reader, cocycles(), which reduces them once (cocycle_rref) and takes
+    their common kernel. For the adjoint action of G the reduced rows are
+    the Leibniz rule of G, whose kernel is Der(G), and fullgraph reads them
+    again as equations.
+
+    is_cocycle(phi) needs no rows: it evaluates the rule on phi directly,
+    walking the algebra's pairs and the nonzeros of rho, so checking a map
+    on a large algebra never builds that algebra's system.
     """
     rho: tuple[Matrix, ...]
     algebra: Callable[[], LieAlgebra]
@@ -289,19 +294,14 @@ class Representation:
         return tuple(rows)
 
     @cached_property
-    def _cocycle_columns(self) -> dict[int, list[tuple[int, Fraction]]]:
-        """The cocycle system by column: col -> the (row, entry) pairs of
-        the rows that hold it."""
-        index: dict[int, list[tuple[int, Fraction]]] = {}
-        for r, row in enumerate(self.cocycle_system):
-            for col, c in row.items():
-                index.setdefault(col, []).append((r, c))
-        return index
+    def cocycle_rref(self) -> tuple[list[SparseRow], list[int]]:
+        """The RREF of the cocycle system and its pivot columns: the same
+        equations, reduced, built once."""
+        return sparse_rref(self.cocycle_system)
 
     def cocycles(self) -> Subspace:
         """The 1-cocycles, the kernel of the cocycle system."""
-        return sparse_nullspace(self.rho[0].rows * len(self.rho),
-                                self.cocycle_system)
+        return rref_kernel(self.rho[0].rows * len(self.rho), *self.cocycle_rref)
 
     def coboundary(self, v: Sequence) -> Matrix:
         """The cocycle e_i -> -rho_i v."""
@@ -320,21 +320,48 @@ class Representation:
                     flat[k][a * m + i] = -c
         return Subspace._span(n * m, flat)
 
+    @cached_property
+    def _rho_columns(self) -> tuple[tuple[list[tuple[int, Scalar]], ...], ...]:
+        """Per basis element i and column k, the nonzero (a, rho_i[a][k])."""
+        n = self.rho[0].rows
+        out = []
+        for r in self.rho:
+            cols: tuple[list, ...] = tuple([] for _ in range(n))
+            for a, row in enumerate(r.nonzeros):
+                for k, c in row:
+                    cols[k].append((a, c))
+            out.append(cols)
+        return tuple(out)
+
     def is_cocycle(self, phi: Matrix) -> bool:
-        """phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i) for every i < j:
-        every row of the cocycle system vanishes on phi. Only the rows that
-        hold a column where phi is nonzero can be nonzero on it."""
+        """phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i) for every i < j,
+        summed from the nonzero terms of [e_i, e_j], the nonzero entries of
+        phi's columns and the nonzero entries of rho in those columns."""
         m = len(self.rho)
         if phi.shape != (self.rho[0].rows, m):
             raise ValueError(f"a map to Q^{self.rho[0].rows} from a "
                              f"{m}-dim algebra cannot be {phi.shape}")
-        index = self._cocycle_columns
-        acc: dict[int, Fraction] = {}
+        cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(m)]
         for k, row in enumerate(phi.nonzeros):
             for t, x in row:
-                for r, c in index.get(k * m + t, ()):
-                    acc[r] = acc.get(r, ZERO) + c * x
-        return not any(acc.values())
+                cols[t].append((k, x))
+        s, rcols = self.algebra().pairs, self._rho_columns
+        for i, j in combinations(range(m), 2):
+            if not (s[i][j] or cols[i] or cols[j]):
+                continue
+            acc: dict[int, Scalar] = {}
+            for t, c in s[i][j]:
+                for k, x in cols[t]:
+                    acc[k] = acc.get(k, ZERO) + c * x
+            for k, x in cols[j]:
+                for a, c in rcols[i][k]:
+                    acc[a] = acc.get(a, ZERO) - c * x
+            for k, x in cols[i]:
+                for a, c in rcols[j][k]:
+                    acc[a] = acc.get(a, ZERO) + c * x
+            if any(acc.values()):
+                return False
+        return True
 
 
 def center(g: LieAlgebra) -> Subspace:
@@ -472,14 +499,16 @@ class CompletenessEvidence:
     inner_dim: int
 
 
-def is_complete(g: LieAlgebra, der: Optional[DerivationAlgebra] = None,
+def is_complete(g: LieAlgebra, der_dim: Optional[int] = None,
                 z: Optional[Subspace] = None) -> CompletenessEvidence:
-    """Trivial center and every derivation inner; Der(G) and the center z
-    of g are built here unless the caller already has them."""
-    if der is None:
-        der = derivation_algebra(g)
+    """Trivial center and every derivation inner. The inner derivations
+    always lie in Der(G), so they are all of it iff the dimensions agree;
+    dim Der(G) and the center z of g are computed here unless the caller
+    already has them."""
+    if der_dim is None:
+        der_dim = derivation_algebra(g).dim
     if z is None:
         z = center(g)
     inner = inner_derivations(g)
-    all_inner = inner == der.flat_span
-    return CompletenessEvidence(z.dim == 0 and all_inner, z.dim, der.dim, inner.dim)
+    return CompletenessEvidence(z.dim == 0 and inner.dim == der_dim, z.dim,
+                                der_dim, inner.dim)

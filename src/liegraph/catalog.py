@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from .linalg import ZERO
+from .linalg import ZERO, Scalar, as_scalar
 from .algebra import (JacobiViolation, LieAlgebra, LieError, abelian,
                       make_lie_algebra)
 
@@ -91,16 +90,16 @@ def lookup(name: str) -> CatalogEntry:
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
-def _parse_coeff(text, where: str) -> Fraction:
+def _parse_coeff(text, where: str) -> Scalar:
     if isinstance(text, bool) or isinstance(text, float):
         raise AlgebraFileError(f"{where}: coefficient must be an exact "
                                f"rational string or integer, got {text!r}")
     if isinstance(text, int):
-        return Fraction(text)
+        return text
     if not (isinstance(text, str) and _RATIONAL.fullmatch(text)):
         raise AlgebraFileError(f"{where}: bad rational literal {text!r}")
     try:
-        return Fraction(text)
+        return as_scalar(text)
     except (ValueError, ZeroDivisionError):
         raise AlgebraFileError(f"{where}: bad rational literal {text!r}") from None
 

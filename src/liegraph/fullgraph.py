@@ -4,6 +4,10 @@ verify runs any of them on one algebra: theorem1 tests that the explicit
 action of H = Der(G) ⋉ cocycles on C(G) gives exactly the derivation
 algebra of C(G); the lemma compares the center of C(G) with the embedded
 d-center; theorem2 compares d-completeness of G with completeness of C(G).
+
+Both theorems read only dim Der(C(G)), and der_cg_blocks gets it from the
+d-theory of G without the Leibniz system of C(G): dim Z¹ + dim S, where Z¹
+is the cocycle space of dtheory and S a system in n² + m·n unknowns.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .linalg import Matrix, Subspace, Vector, ZERO, as_vector
+from .linalg import (Matrix, Scalar, SparseRow, Subspace, Vector, ZERO,
+                     as_vector, sparse_nullspace)
 from .algebra import (CompletenessEvidence, DerivationAlgebra, LieAlgebra,
-                      center, derivation_algebra, is_complete, semidirect,
-                      _unit)
+                      center, derivation_algebra, derived_subalgebra,
+                      is_complete, semidirect, _unit)
 from .dtheory import (DCompletenessEvidence, DDerivationSpace, build_h,
                       d_center, d_derivations, is_d_complete)
 
@@ -48,6 +53,95 @@ def build_full_graph(g: LieAlgebra,
         der = derivation_algebra(g)
     return FullGraph(g, der, semidirect(der.as_lie_algebra, g,
                                        lambda i, j: der.matrices[i].column(j)))
+
+
+def der_cg_blocks(fg: FullGraph) -> Subspace:
+    """The space S of the (E, B) blocks of derivations of C(G); then
+    dim Der(C(G)) = dim Z¹ + dim S, with Z¹ the cocycle space of dtheory.
+
+    A linear map δ of C(G) = Der(G) ⋉ G (m = dim Der(G), n = dim G) has
+    four blocks: A: Der(G) → Der(G), C: Der(G) → G, B: G → Der(G) and
+    E: G → G. The Leibniz rule on the three kinds of basis pair says:
+    - (D₁, D₂): C is a cocycle, an element of Z¹, and A is a derivation
+      of Der(G);
+    - (D, x): B(Dx) = [D, Bx] in Der(G), and A(D) = [E, D] − ad(C(D)),
+      so A is fixed by E and C, and [E, D] must lie in Der(G);
+    - (x, y): B([G, G]) = 0 and E[x,y] − [Ex,y] − [x,Ey] = (Bx)y − (By)x.
+    A is then a derivation of Der(G) by itself: [E, ·] is one on the
+    normalizer, and D ↦ ad(C(D)) is one when C is a cocycle, because
+    [D, ad y] = ad(Dy). So δ ↦ (C, E, B) is an isomorphism of Der(C(G))
+    onto Z¹ ⊕ S, where S is the solution space of the (E, B) equations:
+    - [E, D_i] ∈ Der(G) for each basis derivation D_i: every reduced
+      Leibniz row of G, kept from the Der(G) solve, vanishes on it;
+    - B∘D_i = ad_Der(D_i)∘B, with ad_Der the adjoint of Der(G);
+    - B([G, G]) = 0;
+    - E[x,y] − [Ex,y] − [x,Ey] = (Bx)y − (By)x on basis pairs x, y.
+    S lies in Q^(n² + m·n): E[a][b] at a*n + b, then B, the m x n matrix
+    whose column j is the Der coordinates of B(e_j), with B[r][j] at
+    n² + r*n + j.
+
+    im H is the part with B = 0 (E = D + L∘ad, C = L), so
+    dim Der(C(G)) − dim H is the dimension of the projection of S onto B.
+    For heisenberg3 that projection is spanned by B = −ad with E = 2·id.
+    """
+    g, der = fg.parent, fg.der
+    m, n = fg.m, fg.n
+    nn = n * n
+    d = der.matrices
+    d_cols = [di.transpose().nonzeros for di in d]
+    ad_der = der.as_lie_algebra.adjoint.rho
+    # for each entry a*n + b, the nonzero (r, D_r[a][b]) over the Der basis
+    by_entry: list[list[tuple[int, Scalar]]] = [[] for _ in range(nn)]
+    for r, row in enumerate(der.flat_span.basis.nonzeros):
+        for c, x in row:
+            by_entry[c].append((r, x))
+
+    def add(row: SparseRow, col: int, x: Scalar) -> None:
+        row[col] = row.get(col, ZERO) + x
+
+    def rows():
+        # B([G, G]) = 0, on the canonical basis of the derived subalgebra
+        for v in derived_subalgebra(g).basis.nonzeros:
+            for r in range(m):
+                yield {nn + r * n + k: x for k, x in v}
+        # E[e_i,e_j] − [Ee_i,e_j] − [e_i,Ee_j] − (Be_i)e_j + (Be_j)e_i = 0
+        s, ad = g.pairs, g.adjoint.rho
+        for i, j in combinations(range(n), 2):
+            for k in range(n):
+                row = {k * n + t: c for t, c in s[i][j]}
+                for a, c in ad[i].nonzeros[k]:
+                    add(row, a * n + j, -c)
+                for a, c in ad[j].nonzeros[k]:
+                    add(row, a * n + i, c)
+                for r, x in by_entry[k * n + j]:
+                    add(row, nn + r * n + i, -x)
+                for r, x in by_entry[k * n + i]:
+                    add(row, nn + r * n + j, x)
+                yield row
+        # [E, D_i] = E D_i − D_i E in Der(G)
+        leibniz, _ = g.adjoint.cocycle_rref
+        for i in range(m):
+            di, dc = d[i].nonzeros, d_cols[i]
+            for lrow in leibniz:
+                row: SparseRow = {}
+                for c, y in lrow.items():
+                    a, b = divmod(c, n)
+                    for k, x in dc[b]:
+                        add(row, a * n + k, y * x)
+                    for k, x in di[a]:
+                        add(row, k * n + b, -y * x)
+                yield row
+        # B∘D_i = ad_Der(D_i)∘B, entry (r, j)
+        for i in range(m):
+            dc, adi = d_cols[i], ad_der[i].nonzeros
+            for r in range(m):
+                for j in range(n):
+                    row = {nn + r * n + k: x for k, x in dc[j]}
+                    for t, c in adi[r]:
+                        add(row, nn + t * n + j, -c)
+                    yield row
+
+    return sparse_nullspace(nn + m * n, rows())
 
 
 def h_derivation(fg: FullGraph, dspace: DDerivationSpace,
@@ -142,9 +236,9 @@ class _Workspace:
         return build_h(self.g, self.der, self.dspace)
 
     @cached_property
-    def der_cg(self) -> DerivationAlgebra:
-        """Der(C(G)), read by theorem1 and theorem2."""
-        return derivation_algebra(self.fg.algebra)
+    def der_cg_dim(self) -> int:
+        """dim Der(C(G)) = dim Z¹ + dim S, read by theorem1 and theorem2."""
+        return self.dspace.dim + der_cg_blocks(self.fg).dim
 
     @cached_property
     def cg_center(self) -> Subspace:
@@ -173,20 +267,32 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
             for M in gens]
 
     # h_derivation is linear in its coordinates, so the image of
-    # [x_i, x_j] = sum_k c_k x_k is sum_k c_k gens[k]
+    # [x_i, x_j] = sum_k c_k x_k is sum_k c_k gens[k]: the nonzeros of the
+    # commutator minus that sum must cancel
     homomorphism = True
     for i, j in combinations(range(total), 2):
-        rhs = [ZERO] * (size * size)
+        acc: dict[int, Scalar] = {}
         for k, c in h.pairs[i][j]:
             for t, x in flat[k].items():
-                rhs[t] += c * x
-        if gens[i].commutator(gens[j]).flatten() != tuple(rhs):
+                acc[t] = acc.get(t, ZERO) - c * x
+        a, b = gens[i].nonzeros, gens[j].nonzeros
+        for r in range(size):
+            base = r * size
+            for k, x in a[r]:
+                for c, y in b[k]:
+                    acc[base + c] = acc.get(base + c, ZERO) + x * y
+            for k, y in b[r]:
+                for c, x in a[k]:
+                    acc[base + c] = acc.get(base + c, ZERO) - y * x
+        if any(acc.values()):
             homomorphism = False
             break
 
-    der_cg, image = ws.der_cg, Subspace._span(size * size, flat)
+    # every generator in Der(C(G)) puts the image inside it; equal dimension
+    # then makes the two equal
+    dim, image = ws.der_cg_dim, Subspace._span(size * size, flat)
     return Theorem1Evidence(each_der, homomorphism, image.dim == total,
-                            total, der_cg.dim, image == der_cg.flat_span)
+                            total, dim, each_der and image.dim == dim)
 
 
 def check_lemma(ws: _Workspace) -> LemmaEvidence:
@@ -200,7 +306,7 @@ def check_theorem2(ws: _Workspace) -> tuple[Theorem2Evidence,
                                             DCompletenessEvidence,
                                             CompletenessEvidence]:
     dc = is_d_complete(ws.g, ws.der, ws.dspace, ws.dcenter)
-    cc = is_complete(ws.fg.algebra, ws.der_cg, ws.cg_center)
+    cc = is_complete(ws.fg.algebra, ws.der_cg_dim, ws.cg_center)
     return (Theorem2Evidence(dc.d_complete, cc.complete,
                              dc.d_complete == cc.complete), dc, cc)
 

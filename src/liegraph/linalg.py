@@ -1,17 +1,28 @@
 """Exact rational matrices, reduced row echelon form, and canonical subspaces.
 
-Everything downstream is a rank decision, so all arithmetic is over
-``fractions.Fraction`` and every subspace is kept in a canonical RREF
-basis: two subspaces are equal iff their basis matrices are identical.
+Everything downstream is a rank decision, so all arithmetic is exact: a
+scalar is an ``int`` when it is integral and a ``fractions.Fraction``
+otherwise, never a float. ``as_scalar`` is the one way in, and gives an
+``int`` for every integral value; sums, differences and products keep that
+type without help, and the one division, ``sparse_rref``'s scaling of a new
+pivot row, goes through ``Fraction`` and hands back an ``int`` again when
+the quotient is integral. Almost every entry of the systems solved here is a
+small integer, and ``int`` arithmetic skips the ``Fraction`` object work.
+``str``, ``==`` and ``hash`` agree between an ``int`` and the equal
+``Fraction``, so which type an entry has never shows in an output or in a
+comparison. Every subspace is kept in a canonical RREF basis: two subspaces
+are equal iff their basis matrices are equal.
 
 All elimination is done by one sparse Gauss-Jordan kernel, ``sparse_rref``,
 on rows held as ``{column: nonzero entry}``: the systems solved here are
-almost all zeros (the Leibniz rule of Der(C(G)) has a few thousand rows of
-one or two nonzeros each), and the kernel never touches a zero. The RREF
-of a row space is unique, so it gives the same canonical basis as any exact
-Gauss-Jordan elimination. ``rref``, ``rank``, ``solve``, ``nullspace`` and
+almost all zeros (a Leibniz row of G has a few nonzeros among n² columns),
+and the kernel never touches a zero. The RREF of a row space is
+unique, so it gives the same canonical basis as any exact Gauss-Jordan
+elimination. ``rref``, ``rank``, ``solve``, ``nullspace`` and
 ``Subspace.from_rows`` call it on dense input; ``sparse_nullspace`` takes
-sparse rows, so a system built sparse is never made dense.
+sparse rows, so a system built sparse is never made dense, and
+``rref_kernel`` gives the kernel of rows already reduced, for a caller that
+keeps the reduced rows as equations.
 
 A Matrix keeps one view of its nonzeros, ``Matrix.nonzeros``: per row, the
 nonzero (column, entry) pairs, built on first read. Products, commutators,
@@ -22,23 +33,32 @@ walk that view, so none of them tests a zero entry more than once per matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-Scalar = Fraction
-Vector = tuple[Fraction, ...]
-SparseRow = dict[int, Fraction]  # column -> nonzero entry
+Scalar = Union[int, Fraction]
+Vector = tuple[Scalar, ...]
+SparseRow = dict[int, Scalar]  # column -> nonzero entry
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
-def as_scalar(x) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to an exact rational."""
-    if isinstance(x, Fraction):
+def as_scalar(x) -> Scalar:
+    """Coerce ints, Fractions and "p/q" strings to an exact rational: an
+    int when the value is integral (a bool becomes 0 or 1), else a Fraction."""
+    if type(x) is int:
         return x
     if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+        x = Fraction(x)
+    elif not isinstance(x, Fraction):
+        raise TypeError(f"not an exact rational: {x!r}")
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(x: Scalar, d: Scalar) -> Scalar:
+    """x / d, exactly: an int when the quotient is integral."""
+    q = Fraction(x) / d
+    return q.numerator if q.denominator == 1 else q
 
 
 def as_vector(v: Iterable) -> Vector:
@@ -46,7 +66,7 @@ def as_vector(v: Iterable) -> Vector:
 
 
 class Matrix:
-    """Immutable row-major matrix of exact rationals.
+    """Immutable row-major matrix of exact rationals (ints and Fractions).
 
     Equality and hashing read the entries alone; ``nonzeros`` is a view of
     them, built once, for the loops that must not walk the zeros."""
@@ -64,10 +84,10 @@ class Matrix:
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, entries: tuple) -> "Matrix":
-        """Wrap a tuple of rows * cols Fractions without coercing or checking.
+        """Wrap a tuple of rows * cols scalars without coercing or checking.
 
         Only for results of operations on Matrix entries, which are
-        Fractions already."""
+        ints and Fractions already."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
@@ -93,7 +113,7 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
 
-    def __getitem__(self, rc: tuple[int, int]) -> Fraction:
+    def __getitem__(self, rc: tuple[int, int]) -> Scalar:
         r, c = rc
         return self._e[r * self.cols + c]
 
@@ -101,7 +121,7 @@ class Matrix:
         return self._e[r * self.cols : (r + 1) * self.cols]
 
     @property
-    def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    def nonzeros(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
         """Per row, its nonzero (column, entry) pairs in column order;
         built on first read."""
         if self._nz is None:
@@ -223,7 +243,7 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
                            tuple(x for m in mats for x in m.flatten()))
 
 
-def sparse_rref(rows: Iterable[Mapping[int, Fraction]]
+def sparse_rref(rows: Iterable[Mapping[int, Scalar]]
                 ) -> tuple[list[SparseRow], list[int]]:
     """The nonzero rows of the unique RREF of the given sparse rows, in pivot
     order, and their pivot columns. The input rows are not changed.
@@ -249,7 +269,7 @@ def sparse_rref(rows: Iterable[Mapping[int, Fraction]]
         p = min(r)
         lead = r[p]
         if lead != ONE:
-            r = {k: x / lead for k, x in r.items()}
+            r = {k: _quotient(x, lead) for k, x in r.items()}
         for row in piv.values():
             if p in row:
                 _subtract(row, row[p], r)
@@ -258,7 +278,7 @@ def sparse_rref(rows: Iterable[Mapping[int, Fraction]]
     return [piv[p] for p in pivots], pivots
 
 
-def _subtract(row: SparseRow, f: Fraction, other: Mapping[int, Fraction]) -> None:
+def _subtract(row: SparseRow, f: Scalar, other: Mapping[int, Scalar]) -> None:
     """row -= f * other, in place, keeping only nonzero entries."""
     for k, v in other.items():
         x = row.get(k, ZERO) - f * v
@@ -370,7 +390,7 @@ class Subspace:
         return self._coordinates(v)
 
     def _coordinates(self, v: Vector) -> Optional[Vector]:
-        """Coordinates of a tuple of ambient_dim Fractions, taken as given,
+        """Coordinates of a tuple of ambient_dim scalars, taken as given,
         such as the entries of a Matrix."""
         coords = []
         recon = [ZERO] * self.ambient_dim
@@ -411,12 +431,18 @@ def nullspace(m: Matrix) -> Subspace:
     return sparse_nullspace(m.cols, _sparse_rows(m))
 
 
-def sparse_nullspace(ncols: int, rows: Iterable[Mapping[int, Fraction]]) -> Subspace:
-    """Canonical basis of the common kernel of sparse rows of width ncols.
+def sparse_nullspace(ncols: int, rows: Iterable[Mapping[int, Scalar]]) -> Subspace:
+    """Canonical basis of the common kernel of sparse rows of width ncols."""
+    return rref_kernel(ncols, *sparse_rref(rows))
+
+
+def rref_kernel(ncols: int, reduced: Sequence[Mapping[int, Scalar]],
+                pivots: Sequence[int]) -> Subspace:
+    """Canonical basis of the kernel of rows in RREF with the given pivots,
+    as sparse_rref returns them.
 
     Each free column f of the RREF gives the kernel vector that is 1 at f
     and minus the RREF's column f at the pivots."""
-    reduced, pivots = sparse_rref(rows)
     pivot_set = set(pivots)
     kernel = {f: {f: ONE} for f in range(ncols) if f not in pivot_set}
     for p, row in zip(pivots, reduced):

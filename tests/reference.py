@@ -1,12 +1,14 @@
 """Dense reference forms of the package's sparse fast paths.
 
 The package reduces every linear system with one sparse Gauss-Jordan kernel
-(``linalg.sparse_rref``), builds each cocycle system as sparse rows, checks
-a cocycle by evaluating those rows, and holds structure constants as the
-nonzero terms of each bracket (``LieAlgebra.pairs``). The dense forms below
-are the straightforward versions of the same computations, on the dense
-n x n x n table; the differential tests require the fast paths to give
-exactly what these give.
+(``linalg.sparse_rref``) on ints and Fractions, builds each cocycle system
+as sparse rows, checks a cocycle by walking the structure constants, and
+holds structure constants as the nonzero terms of each bracket
+(``LieAlgebra.pairs``). The dense forms below are the straightforward
+versions of the same computations, on the dense n x n x n table, and
+``sparse_rref_fractions`` is the sparse kernel with every scalar a
+Fraction; the differential tests require the fast paths to give exactly
+what these give.
 """
 
 from fractions import Fraction
@@ -58,6 +60,40 @@ def rref_rows(rows):
             break
     rows = [r for r in rows[:pr]]
     return rows, pivots
+
+
+def sparse_rref_fractions(rows):
+    """The sparse Gauss-Jordan kernel with every scalar a Fraction: the RREF
+    rows of {column: entry} rows, in pivot order, and their pivot columns.
+
+    Each incoming row is cleared at the existing pivot columns; what is
+    left, if nonzero, is scaled to 1 at its smallest column, which becomes
+    a new pivot and is cleared from the other pivot rows."""
+    def subtract(row, f, other):
+        for k, v in other.items():
+            x = row.get(k, ZERO) - f * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+    piv = {}
+    for src in rows:
+        r = {c: Fraction(x) for c, x in src.items() if x}
+        for c in [c for c in r if c in piv]:
+            subtract(r, r[c], piv[c])
+        if not r:
+            continue
+        p = min(r)
+        lead = r[p]
+        if lead != ONE:
+            r = {k: x / lead for k, x in r.items()}
+        for row in piv.values():
+            if p in row:
+                subtract(row, row[p], r)
+        piv[p] = r
+    pivots = sorted(piv)
+    return [piv[p] for p in pivots], pivots
 
 
 def dense_rows(rows, ncols):

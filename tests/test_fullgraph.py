@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from algebras import two_step_nilpotent
+from algebras import CATALOG_NAMES, NAMES, algebra, two_step_nilpotent
 
 from liegraph.algebra import abelian, derivation_algebra, make_lie_algebra
-from liegraph.catalog import catalog, lookup
+from liegraph.catalog import catalog, lookup, parse_algebra_file, serialize_algebra
 from liegraph.dtheory import d_derivations
-from liegraph.fullgraph import _Workspace, build_full_graph, h_derivation, verify
+from liegraph.fullgraph import (_Workspace, build_full_graph, check_lemma,
+                                check_theorem1, check_theorem2, der_cg_blocks,
+                                h_derivation, verify)
 from liegraph.linalg import Matrix, Subspace
 
 F = Fraction
@@ -161,9 +163,9 @@ def test_verify_all_builds_each_derivation_algebra_once(monkeypatch):
         monkeypatch.setattr(mod, "derivation_algebra", counting)
     g = lookup("heisenberg3").algebra
     verify(g, "heisenberg3", which="all")
-    # Der(G), then Der(C(G)) shared by theorem1 and theorem2
-    assert len(inputs) == 2
-    assert inputs[0] == g and inputs[1].dim == 3 + 6
+    # Der(G) only: theorem1 and theorem2 share dim Der(C(G)), which comes
+    # from the blocks over G, not from a derivation algebra of C(G)
+    assert inputs == [g]
 
 
 def test_verify_all_computes_each_center_once(monkeypatch):
@@ -190,6 +192,17 @@ def test_verify_all_computes_each_center_once(monkeypatch):
     assert calls["d_center"] == [g]
 
 
+@pytest.mark.parametrize("name", ["heisenberg3", "sl2"])
+def test_checks_never_build_the_leibniz_system_of_the_full_graph(name):
+    # the generator check walks the structure constants of C(G), and the
+    # dimension of Der(C(G)) comes from the blocks over G
+    ws = _Workspace(lookup(name).algebra)
+    for check in (check_theorem1, check_lemma, check_theorem2):
+        check(ws)
+    assert "cocycle_system" not in vars(ws.fg.algebra.adjoint)
+    assert "cocycle_rref" in vars(ws.g.adjoint)
+
+
 def _heisenberg(k: int):
     """h_{2k+1}: [x_i, y_i] = z for i = 1..k, basis x1, y1, ..., xk, yk, z."""
     n = 2 * k + 1
@@ -197,16 +210,19 @@ def _heisenberg(k: int):
     return make_lie_algebra(n, [(2 * i, 2 * i + 1, z) for i in range(k)])
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_heisenberg_family_closed_forms(k):
     # dim Der(h_{2k+1}) = 2k²+3k+1, dim H = dim C(G) = 2k²+5k+2, and
     # Der(C(G)) is one larger: the outer derivation 2·id_G − ad_G on G.
     # An oracle for sizes where the sympy one is too slow: at k = 3, C(G)
-    # is 35-dim and its Leibniz rule is 20825 equations in 1225 unknowns.
+    # is 35-dim and its Leibniz rule is 20825 equations in 1225 unknowns,
+    # which the full system still checks; k = 4 and 5 read the blocks only.
     ws = _Workspace(_heisenberg(k))
     assert ws.der.dim == 2 * k * k + 3 * k + 1
     assert ws.h.dim == ws.fg.algebra.dim == 2 * k * k + 5 * k + 2
-    assert ws.der_cg.dim == 2 * k * k + 5 * k + 3
+    assert ws.der_cg_dim == 2 * k * k + 5 * k + 3
+    if k <= 3:
+        assert derivation_algebra(ws.fg.algebra).dim == ws.der_cg_dim
 
 
 @given(st.sampled_from([e.name for e in catalog()]), st.data())
@@ -250,3 +266,82 @@ def test_two_step_nilpotent_full_graph_has_the_outer_derivation(seed, n):
         h_derivation(fg, ws.dspace, u[:m], u[m:]).flatten() for u in units])
     is_abelian = not any(any(row) for row in g.pairs)
     assert image.contains_vector(delta.flatten()) == is_abelian
+
+
+# Der(C(G)) from its blocks: each basis element of Z¹ ⊕ S, with A = [E, ·]
+# − ad∘C on Der(G), assembled into a map of C(G), must give exactly the
+# canonical span of the full Leibniz system of C(G), and each must pass
+# the loop reference of the Leibniz rule.
+
+def _assemble(ws, c: Matrix, e: Matrix, b: Matrix) -> Matrix:
+    """δ on C(G) from C (n x m), E (n x n) and B (m x n): A(D_j) is the
+    Der coordinates of [E, D_j] − ad(C(D_j))."""
+    der = ws.der
+    a = Matrix.from_rows([
+        tuple(x - y for x, y in zip(der.coordinates_of(e.commutator(d)),
+                                    der.ad_coordinates.apply(c.column(j))))
+        for j, d in enumerate(der.matrices)]).transpose()
+    return Matrix.from_rows([a.row(r) + b.row(r) for r in range(a.rows)]
+                            + [c.row(r) + e.row(r) for r in range(c.rows)])
+
+
+def _block_derivations(ws) -> list[Matrix]:
+    m, n = ws.der.dim, ws.g.dim
+    zero_e, zero_b, zero_c = Matrix.zero(n, n), Matrix.zero(m, n), Matrix.zero(n, m)
+    out = [_assemble(ws, c, zero_e, zero_b) for c in ws.dspace.matrices]
+    for v in der_cg_blocks(ws.fg).basis_vectors():
+        out.append(_assemble(ws, zero_c, Matrix(n, n, v[:n * n]),
+                             Matrix(m, n, v[n * n:])))
+    return out
+
+
+BLOCK_CASES = [pytest.param(name, id=name) for name in NAMES] + [
+    pytest.param((seed, n), id=f"two_step_{seed}_{n}")
+    for seed in range(6) for n in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_blocks_assemble_to_the_derivations_of_the_full_graph(case):
+    g = algebra(case) if isinstance(case, str) else two_step_nilpotent(*case)
+    ws = _Workspace(g)
+    deltas = _block_derivations(ws)
+    size = ws.fg.algebra.dim
+    full = derivation_algebra(ws.fg.algebra)
+    assert len(deltas) == ws.der_cg_dim == full.dim
+    assert Subspace.from_rows(size * size, [d.flatten() for d in deltas]) == full.flat_span
+    cg = ws.fg.algebra.adjoint
+    assert all(reference.is_cocycle(cg, d) for d in deltas)
+
+
+def test_heisenberg3_blocks_hold_the_certified_outer_derivation():
+    # B = −ad and E = 2·id: the δ = 2·id_G − ad_G of the counterexample
+    g = lookup("heisenberg3").algebra
+    ws = _Workspace(g)
+    m, n = ws.der.dim, g.dim
+    ad = ws.der.ad_coordinates
+    v = [2 if a == b else 0 for a in range(n) for b in range(n)] + [
+        -ad[r, j] for r in range(m) for j in range(n)]
+    assert der_cg_blocks(ws.fg).contains_vector(v)
+
+
+# Scalars are ints and Fractions only: every matrix that verify builds,
+# subspace bases included, on a fresh parse of each catalog entry.
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_verify_builds_no_float(name, monkeypatch):
+    seen = set()
+    init, trusted = Matrix.__init__, Matrix._trusted.__func__
+
+    def counting_init(self, rows, cols, entries):
+        init(self, rows, cols, entries)
+        seen.update(map(type, self.flatten()))
+
+    def counting_trusted(cls, rows, cols, entries):
+        seen.update(map(type, entries))
+        return trusted(cls, rows, cols, entries)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    monkeypatch.setattr(Matrix, "_trusted", classmethod(counting_trusted))
+    g = parse_algebra_file(serialize_algebra(lookup(name).algebra))
+    verify(g, name)
+    assert int in seen and seen <= {int, F}

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from liegraph.linalg import (Matrix, Subspace, nullspace, rank, rref, solve,
-                             sparse_nullspace, sparse_rref)
+from liegraph.linalg import (Matrix, Subspace, as_scalar, nullspace, rank,
+                             rref, solve, sparse_nullspace, sparse_rref)
 
 F = Fraction
 
@@ -294,3 +294,48 @@ def test_sparse_kernel_edge_cases():
     assert sparse_nullspace(1, []) == Subspace.full(1)
     assert sparse_nullspace(1, [{0: F(2)}]) == Subspace.zero(1)
     assert sparse_nullspace(3, []) == Subspace.full(3)
+
+
+# The kernel keeps integral scalars as ints and divides through Fraction:
+# against the all-Fraction kernel it replaced, on rows that mix ints,
+# integral Fractions and p/q, the same RREF with every entry an int or a
+# Fraction (never a bool or a float).
+
+def _exact(x) -> bool:
+    return type(x) is int or type(x) is F
+
+
+mixed_entries = st.one_of(st.just(0), st.just(0), st.integers(-6, 6),
+                          st.builds(F, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def mixed_sparse_systems(draw):
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), mixed_entries,
+                                         max_size=ncols), max_size=10))
+    return ncols, rows
+
+
+@given(mixed_sparse_systems())
+@settings(max_examples=300, deadline=None)
+def test_sparse_rref_on_ints_matches_the_fraction_kernel(system):
+    ncols, rows = system
+    reduced, pivots = sparse_rref(rows)
+    ref_rows, ref_pivots = reference.sparse_rref_fractions(rows)
+    assert pivots == ref_pivots and reduced == ref_rows
+    assert all(_exact(x) for r in reduced for x in r.values())
+    kernel = sparse_nullspace(ncols, rows)
+    assert all(_exact(x) for x in kernel.basis.flatten())
+
+
+def test_as_scalar_gives_an_int_when_integral():
+    for x, want in ((3, 3), (True, 1), (F(4, 2), 2), ("-6/3", -2), ("5", 5)):
+        got = as_scalar(x)
+        assert type(got) is int and got == want
+    for x in (F(1, 2), "3/4", "-1/3"):
+        assert type(as_scalar(x)) is F
+    for x in (0.5, 2.0, None):
+        with pytest.raises(TypeError):
+            as_scalar(x)
+    assert all(type(x) is int for x in Matrix.from_rows([[F(2), True], ["4/2", 0]]).flatten())
