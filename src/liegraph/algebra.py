@@ -254,11 +254,12 @@ class Representation:
     algebra() returns L; only the cocycle rule reads its structure constants,
     so the invariants and coboundaries of Der(G) never build its table.
 
-    The cocycle rule is built as the sparse rows of cocycle_system for one
-    reader, cocycles(), which reduces them once (cocycle_rref) and takes
-    their common kernel. For the adjoint action of G the reduced rows are
+    The cocycle rule is built as the sparse rows of cocycle_system, which
+    has two readers. cocycles() reduces them once (cocycle_rref) and takes
+    their common kernel; for the adjoint action of G the reduced rows are
     the Leibniz rule of G, whose kernel is Der(G), and fullgraph reads them
-    again as equations.
+    again as equations. fullgraph.der_cg_blocks reads the rows of G acting
+    on C(G) through C(G)'s adjoint: the rule on δ restricted to G.
 
     is_cocycle(phi) needs no rows: it evaluates the rule on phi directly,
     walking the algebra's pairs and the nonzeros of rho, so checking a map

@@ -109,6 +109,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _known(obj: dict, keys: tuple[str, ...], where: str) -> None:
+    """Reject a key outside keys: a misspelled one would be ignored."""
+    for key in obj:
+        if key not in keys:
+            raise AlgebraFileError(f"{where}: unknown field {key!r}")
+
+
 def _list(obj: dict, key: str, where: str) -> list:
     value = obj.get(key, [])
     if not isinstance(value, list):
@@ -124,6 +131,7 @@ def parse_algebra_file(text: str) -> LieAlgebra:
         raise AlgebraFileError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise AlgebraFileError("top level must be an object")
+    _known(doc, ("dim", "basis_names", "brackets"), "top level")
     try:
         n = doc["dim"]
     except KeyError:
@@ -143,6 +151,7 @@ def parse_algebra_file(text: str) -> LieAlgebra:
         where = f"brackets[{pos}]"
         if not isinstance(item, dict):
             raise AlgebraFileError(f"{where}: must be an object")
+        _known(item, ("i", "j", "result"), where)
         try:
             i, j = item["i"], item["j"]
         except KeyError as exc:
@@ -159,6 +168,8 @@ def parse_algebra_file(text: str) -> LieAlgebra:
         seen.add((i, j))
         vec = [ZERO] * n
         for term in _list(item, "result", where):
+            if isinstance(term, dict):
+                _known(term, ("k", "coeff"), where)
             if not isinstance(term, dict) or "k" not in term or "coeff" not in term:
                 raise AlgebraFileError(f"{where}: result terms need 'k' and 'coeff'")
             k = term["k"]

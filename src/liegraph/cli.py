@@ -31,9 +31,9 @@ EXIT_USAGE = 2
 def _load_algebra(args) -> tuple[str, LieAlgebra]:
     if args.file:
         try:
-            with open(args.file) as fh:
+            with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise LieError(f"cannot read {args.file}: {exc}") from None
         return args.file, parse_algebra_file(text)
     if not args.algebra:

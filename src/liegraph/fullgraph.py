@@ -7,7 +7,8 @@ d-center; theorem2 compares d-completeness of G with completeness of C(G).
 
 Both theorems read only dim Der(C(G)), and der_cg_blocks gets it from the
 d-theory of G without the Leibniz system of C(G): dim Z¹ + dim S, where Z¹
-is the cocycle space of dtheory and S a system in n² + m·n unknowns.
+is the cocycle space of dtheory and S, in (m+n)·n unknowns, the space of
+δ restricted to G.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .linalg import (Matrix, Scalar, SparseRow, Subspace, Vector, ZERO,
+from .linalg import (Matrix, ONE, Scalar, SparseRow, Subspace, Vector, ZERO,
                      as_vector, sparse_nullspace)
 from .algebra import (CompletenessEvidence, DerivationAlgebra, LieAlgebra,
-                      center, derivation_algebra, derived_subalgebra,
+                      Representation, center, derivation_algebra,
                       is_complete, semidirect, _unit)
 from .dtheory import (DCompletenessEvidence, DDerivationSpace, build_h,
                       d_center, d_derivations, is_d_complete)
@@ -56,92 +57,66 @@ def build_full_graph(g: LieAlgebra,
 
 
 def der_cg_blocks(fg: FullGraph) -> Subspace:
-    """The space S of the (E, B) blocks of derivations of C(G); then
-    dim Der(C(G)) = dim Z¹ + dim S, with Z¹ the cocycle space of dtheory.
+    """The space S of the restrictions φ = δ|_G of the derivations δ of
+    C(G): dim Der(C(G)) = dim Z¹ + dim S, with Z¹ the cocycle space of
+    dtheory.
 
-    A linear map δ of C(G) = Der(G) ⋉ G (m = dim Der(G), n = dim G) has
-    four blocks: A: Der(G) → Der(G), C: Der(G) → G, B: G → Der(G) and
-    E: G → G. The Leibniz rule on the three kinds of basis pair says:
+    With m = dim Der(G) and n = dim G, a linear map δ of C(G) = Der(G) ⋉ G
+    is φ: G → C(G), with Der rows B and G rows E, and its parts
+    A: Der(G) → Der(G) and C: Der(G) → G. Write D·φ = φ∘D − ad(D)∘φ for D
+    in Der(G); its G rows are [E, D]. The Leibniz rule on the three kinds
+    of basis pair says:
+    - (x, y): δ|_G ∈ Z¹(G, C(G)); on the Der rows, B([G, G]) = 0;
+    - (D, x): (D·φ)(x) = [A(D) + C(D), x], so D·φ ∈ 0 ⊕ Der(G) for every
+      D, and A(D) = [E, D] − ad(C(D)) is fixed by φ and C;
     - (D₁, D₂): C is a cocycle, an element of Z¹, and A is a derivation
-      of Der(G);
-    - (D, x): B(Dx) = [D, Bx] in Der(G), and A(D) = [E, D] − ad(C(D)),
-      so A is fixed by E and C, and [E, D] must lie in Der(G);
-    - (x, y): B([G, G]) = 0 and E[x,y] − [Ex,y] − [x,Ey] = (Bx)y − (By)x.
+      of Der(G).
     A is then a derivation of Der(G) by itself: [E, ·] is one on the
     normalizer, and D ↦ ad(C(D)) is one when C is a cocycle, because
-    [D, ad y] = ad(Dy). So δ ↦ (C, E, B) is an isomorphism of Der(C(G))
-    onto Z¹ ⊕ S, where S is the solution space of the (E, B) equations:
-    - [E, D_i] ∈ Der(G) for each basis derivation D_i: every reduced
-      Leibniz row of G, kept from the Der(G) solve, vanishes on it;
-    - B∘D_i = ad_Der(D_i)∘B, with ad_Der the adjoint of Der(G);
-    - B([G, G]) = 0;
-    - E[x,y] − [Ex,y] − [x,Ey] = (Bx)y − (By)x on basis pairs x, y.
-    S lies in Q^(n² + m·n): E[a][b] at a*n + b, then B, the m x n matrix
-    whose column j is the Der coordinates of B(e_j), with B[r][j] at
-    n² + r*n + j.
+    [D, ad y] = ad(Dy). So δ ↦ (C, φ) is an isomorphism of Der(C(G)) onto
+    Z¹ ⊕ S, where S is the solution space of:
+    - the cocycle rows of G acting on C(G), Representation.cocycle_system;
+    - for each basis derivation D_i, the Der rows of D_i·φ, which vanish,
+      and its G rows [E, D_i], on which every reduced Leibniz row of G,
+      kept from the Der(G) solve, vanishes.
+    S lies in Q^((m+n)·n), in Representation's layout for a map G → C(G):
+    φ[k][t] at k·n + t, the m Der rows (B) first and the n G rows (E) after.
 
-    im H is the part with B = 0 (E = D + L∘ad, C = L), so
-    dim Der(C(G)) − dim H is the dimension of the projection of S onto B.
-    For heisenberg3 that projection is spanned by B = −ad with E = 2·id.
+    im H is the part of S whose Der rows vanish (E = D + L∘ad, C = L), so
+    dim Der(C(G)) − dim H is the dimension of the projection of S onto the
+    Der rows. For heisenberg3 that projection is spanned by B = −ad with
+    E = 2·id.
     """
-    g, der = fg.parent, fg.der
-    m, n = fg.m, fg.n
-    nn = n * n
-    d = der.matrices
-    d_cols = [di.transpose().nonzeros for di in d]
-    ad_der = der.as_lie_algebra.adjoint.rho
-    # for each entry a*n + b, the nonzero (r, D_r[a][b]) over the Der basis
-    by_entry: list[list[tuple[int, Scalar]]] = [[] for _ in range(nn)]
-    for r, row in enumerate(der.flat_span.basis.nonzeros):
-        for c, x in row:
-            by_entry[c].append((r, x))
-
-    def add(row: SparseRow, col: int, x: Scalar) -> None:
-        row[col] = row.get(col, ZERO) + x
+    g, m, n = fg.parent, fg.m, fg.n
+    ad = fg.algebra.adjoint.rho
+    leibniz, _ = g.adjoint.cocycle_rref
 
     def rows():
-        # B([G, G]) = 0, on the canonical basis of the derived subalgebra
-        for v in derived_subalgebra(g).basis.nonzeros:
-            for r in range(m):
-                yield {nn + r * n + k: x for k, x in v}
-        # E[e_i,e_j] − [Ee_i,e_j] − [e_i,Ee_j] − (Be_i)e_j + (Be_j)e_i = 0
-        s, ad = g.pairs, g.adjoint.rho
-        for i, j in combinations(range(n), 2):
-            for k in range(n):
-                row = {k * n + t: c for t, c in s[i][j]}
-                for a, c in ad[i].nonzeros[k]:
-                    add(row, a * n + j, -c)
-                for a, c in ad[j].nonzeros[k]:
-                    add(row, a * n + i, c)
-                for r, x in by_entry[k * n + j]:
-                    add(row, nn + r * n + i, -x)
-                for r, x in by_entry[k * n + i]:
-                    add(row, nn + r * n + j, x)
-                yield row
-        # [E, D_i] = E D_i − D_i E in Der(G)
-        leibniz, _ = g.adjoint.cocycle_rref
-        for i in range(m):
-            di, dc = d[i].nonzeros, d_cols[i]
+        yield from Representation(ad[m:], lambda: g).cocycle_system
+        for d, adi in zip(fg.der.matrices, ad):
+            dc, adi = d.transpose().nonzeros, adi.nonzeros
+
+            def put(row: SparseRow, k: int, j: int, y: Scalar) -> None:
+                # row += y · entry (k, j) of φ∘D_i − ad(D_i)∘φ
+                for t, x in dc[j]:
+                    row[k * n + t] = row.get(k * n + t, ZERO) + y * x
+                for a, x in adi[k]:
+                    row[a * n + j] = row.get(a * n + j, ZERO) - y * x
+
+            # the Der rows vanish, the G rows [E, D_i] lie in Der(G)
+            for k in range(m):
+                for j in range(n):
+                    row: SparseRow = {}
+                    put(row, k, j, ONE)
+                    yield row
             for lrow in leibniz:
-                row: SparseRow = {}
+                row = {}
                 for c, y in lrow.items():
                     a, b = divmod(c, n)
-                    for k, x in dc[b]:
-                        add(row, a * n + k, y * x)
-                    for k, x in di[a]:
-                        add(row, k * n + b, -y * x)
+                    put(row, m + a, b, y)
                 yield row
-        # B∘D_i = ad_Der(D_i)∘B, entry (r, j)
-        for i in range(m):
-            dc, adi = d_cols[i], ad_der[i].nonzeros
-            for r in range(m):
-                for j in range(n):
-                    row = {nn + r * n + k: x for k, x in dc[j]}
-                    for t, c in adi[r]:
-                        add(row, nn + t * n + j, -c)
-                    yield row
 
-    return sparse_nullspace(nn + m * n, rows())
+    return sparse_nullspace((m + n) * n, rows())
 
 
 def h_derivation(fg: FullGraph, dspace: DDerivationSpace,

@@ -119,8 +119,13 @@ class TestAlgebraFile:
             {"i": 0, "j": 1, "result": [{"k": True, "coeff": 1}]}]},
         {"dim": 3, "basis_names": ["x", "x", "x"], "brackets": [
             {"i": 0, "j": 1, "result": [{"k": 2, "coeff": 1}]}]},
+        {"dim": 3, "bracket": [{"i": 0, "j": 1, "result": [{"k": 2, "coeff": 1}]}]},
+        {"dim": 3, "brackets": [{"i": 0, "j": 1, "results": [{"k": 2, "coeff": 1}]}]},
+        {"dim": 3, "brackets": [
+            {"i": 0, "j": 1, "result": [{"k": 2, "coeff": 1, "c": 1}]}]},
     ], ids=["brackets-int", "brackets-null", "result-int", "result-object",
-            "dim-bool", "i-bool", "j-bool", "k-bool", "duplicate-names"])
+            "dim-bool", "i-bool", "j-bool", "k-bool", "duplicate-names",
+            "unknown-top-key", "unknown-bracket-key", "unknown-term-key"])
     def test_wrong_json_types_are_file_errors(self, doc, tmp_path, capsys):
         text = json.dumps(doc)
         with pytest.raises(AlgebraFileError):
@@ -129,6 +134,23 @@ class TestAlgebraFile:
         path.write_text(text)
         assert main(["info", "--file", str(path)], out=io.StringIO()) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("key, doc", [
+        ("bracket", {"dim": 2, "bracket": []}),
+        ("results", {"dim": 2, "brackets": [{"i": 0, "j": 1, "results": []}]}),
+        ("coef", {"dim": 2, "brackets": [
+            {"i": 0, "j": 1, "result": [{"k": 1, "coef": 1}]}]}),
+    ])
+    def test_unknown_field_is_named(self, key, doc):
+        with pytest.raises(AlgebraFileError, match=f"unknown field '{key}'"):
+            parse_algebra_file(json.dumps(doc))
+
+    def test_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["info", "--file", str(path)], out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
     @pytest.mark.parametrize("name", [e.name for e in catalog()])
     def test_round_trip(self, name):

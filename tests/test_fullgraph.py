@@ -290,8 +290,8 @@ def _block_derivations(ws) -> list[Matrix]:
     zero_e, zero_b, zero_c = Matrix.zero(n, n), Matrix.zero(m, n), Matrix.zero(n, m)
     out = [_assemble(ws, c, zero_e, zero_b) for c in ws.dspace.matrices]
     for v in der_cg_blocks(ws.fg).basis_vectors():
-        out.append(_assemble(ws, zero_c, Matrix(n, n, v[:n * n]),
-                             Matrix(m, n, v[n * n:])))
+        out.append(_assemble(ws, zero_c, Matrix(n, n, v[m * n:]),
+                             Matrix(m, n, v[:m * n])))
     return out
 
 
@@ -313,14 +313,35 @@ def test_blocks_assemble_to_the_derivations_of_the_full_graph(case):
     assert all(reference.is_cocycle(cg, d) for d in deltas)
 
 
+@st.composite
+def line_by_abelian(draw):
+    """G = Q ⋉_M Q^r: [e_0, e_(1+j)] = Σ_i M[i][j] e_(1+i)."""
+    r = draw(st.integers(1, 3))
+    m = draw(st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+                      min_size=r, max_size=r))
+    return make_lie_algebra(r + 1, [(0, 1 + j, [0] + [m[i][j] for i in range(r)])
+                                    for j in range(r)])
+
+
+@given(line_by_abelian())
+@settings(max_examples=50, deadline=None)
+def test_blocks_span_the_derivations_of_drawn_semidirect_sums(g):
+    ws = _Workspace(g)
+    deltas = _block_derivations(ws)
+    size = ws.fg.algebra.dim
+    full = derivation_algebra(ws.fg.algebra)
+    assert len(deltas) == full.dim
+    assert Subspace.from_rows(size * size, [d.flatten() for d in deltas]) == full.flat_span
+
+
 def test_heisenberg3_blocks_hold_the_certified_outer_derivation():
     # B = −ad and E = 2·id: the δ = 2·id_G − ad_G of the counterexample
     g = lookup("heisenberg3").algebra
     ws = _Workspace(g)
     m, n = ws.der.dim, g.dim
     ad = ws.der.ad_coordinates
-    v = [2 if a == b else 0 for a in range(n) for b in range(n)] + [
-        -ad[r, j] for r in range(m) for j in range(n)]
+    v = [-ad[r, j] for r in range(m) for j in range(n)] + [
+        2 if a == b else 0 for a in range(n) for b in range(n)]
     assert der_cg_blocks(ws.fg).contains_vector(v)
 
 
