@@ -12,8 +12,8 @@ from .algebra import (AntisymmetryConflict, CompletenessEvidence, DependentBasis
 from .dtheory import (DCompletenessEvidence, DDerivationSpace, build_h,
                       d_bracket, d_center, d_derivations, der_action,
                       inner_d_derivation, is_d_complete)
-from .fullgraph import (FullGraph, VerificationReport, build_full_graph,
-                        h_derivation, verify)
+from .fullgraph import (VerificationReport, build_full_graph, h_derivation,
+                        verify)
 from .catalog import (AlgebraFileError, CatalogEntry, CatalogError, catalog,
                       lookup, parse_algebra_file, serialize_algebra)
 

@@ -119,7 +119,7 @@ class LieAlgebra:
     def adjoint(self) -> Representation:
         """G acting on itself by ad, built on first read."""
         return Representation(
-            tuple(self.ad(_unit(self.dim, i)) for i in range(self.dim)), lambda: self)
+            tuple(self.ad(_unit(self.dim, i)) for i in range(self.dim)), self)
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, basis={list(self.basis_names)})"
@@ -251,8 +251,7 @@ class Representation:
     i-th basis element. A linear map phi: L -> V is held as the n x m matrix
     whose column t is phi(e_t), flattened row-major (phi[k][t] at k*m + t).
 
-    algebra() returns L; only the cocycle rule reads its structure constants,
-    so the invariants and coboundaries of Der(G) never build its table.
+    algebra is L, whose structure constants only the cocycle rule reads.
 
     The cocycle rule is built as the sparse rows of cocycle_system, which
     has two readers. cocycles() reduces them once (cocycle_rref) and takes
@@ -266,7 +265,7 @@ class Representation:
     on a large algebra never builds that algebra's system.
     """
     rho: tuple[Matrix, ...]
-    algebra: Callable[[], LieAlgebra]
+    algebra: LieAlgebra
 
     def invariants(self) -> Subspace:
         """{v : rho_i v = 0 for every i}, the kernel of the stacked rho."""
@@ -279,7 +278,7 @@ class Representation:
         phi([e_i, e_j]) - rho_i phi(e_j) + rho_j phi(e_i), read off the
         nonzero structure constants and the nonzero entries of rho. Rows
         that are identically zero are left out."""
-        rho, s = self.rho, self.algebra().pairs
+        rho, s = self.rho, self.algebra.pairs
         m, n = len(rho), rho[0].rows
         rows = []
         for i, j in combinations(range(m), 2):
@@ -346,7 +345,7 @@ class Representation:
         for k, row in enumerate(phi.nonzeros):
             for t, x in row:
                 cols[t].append((k, x))
-        s, rcols = self.algebra().pairs, self._rho_columns
+        s, rcols = self.algebra.pairs, self._rho_columns
         for i, j in combinations(range(m), 2):
             if not (s[i][j] or cols[i] or cols[j]):
                 continue
@@ -442,8 +441,8 @@ class DerivationAlgebra(MatrixSpan):
 
     @cached_property
     def natural(self) -> Representation:
-        """Der(G) acting on G; its table is built only if a cocycle rule reads it."""
-        return Representation(self.matrices, lambda: self.as_lie_algebra)
+        """Der(G) acting on G."""
+        return Representation(self.matrices, self.as_lie_algebra)
 
     # defined here, not inherited: bench/trace_cli.py traces it through
     # this class's __dict__, as it does DDerivationSpace.coordinates_of
@@ -500,16 +499,10 @@ class CompletenessEvidence:
     inner_dim: int
 
 
-def is_complete(g: LieAlgebra, der_dim: Optional[int] = None,
-                z: Optional[Subspace] = None) -> CompletenessEvidence:
-    """Trivial center and every derivation inner. The inner derivations
-    always lie in Der(G), so they are all of it iff the dimensions agree;
-    dim Der(G) and the center z of g are computed here unless the caller
-    already has them."""
-    if der_dim is None:
-        der_dim = derivation_algebra(g).dim
-    if z is None:
-        z = center(g)
+def is_complete(g: LieAlgebra, der_dim: int, z: Subspace) -> CompletenessEvidence:
+    """Trivial center z and every derivation inner. The inner derivations
+    always lie in Der(G), so they are all of it iff their dimension is
+    der_dim = dim Der(G)."""
     inner = inner_derivations(g)
     return CompletenessEvidence(z.dim == 0 and inner.dim == der_dim, z.dim,
                                 der_dim, inner.dim)

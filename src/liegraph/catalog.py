@@ -32,7 +32,6 @@ class AlgebraFileError(LieError):
 class CatalogEntry:
     name: str
     algebra: LieAlgebra
-    notes: str = ""
 
 
 def _affine2() -> LieAlgebra:
@@ -61,14 +60,13 @@ def _sl2_plus_abelian1() -> LieAlgebra:
 
 def catalog() -> list[CatalogEntry]:
     return [
-        CatalogEntry("abelian1", abelian(1), "dim Der = 1"),
-        CatalogEntry("abelian2", abelian(2), "dim Der = 4 (all 2x2 matrices)"),
-        CatalogEntry("abelian3", abelian(3), "dim Der = 9"),
-        CatalogEntry("affine2", _affine2(), "[e1,e2]=e2; complete, dim Der = 2"),
-        CatalogEntry("heisenberg3", _heisenberg3(), "[x,y]=z; dim Der = 6"),
-        CatalogEntry("sl2", _sl2(), "[h,e]=2e, [h,f]=-2f, [e,f]=h; dim Der = 3"),
-        CatalogEntry("sl2_plus_abelian1", _sl2_plus_abelian1(),
-                     "sl2 direct sum a 1-dim abelian factor; dim Der = 4"),
+        CatalogEntry("abelian1", abelian(1)),
+        CatalogEntry("abelian2", abelian(2)),
+        CatalogEntry("abelian3", abelian(3)),
+        CatalogEntry("affine2", _affine2()),
+        CatalogEntry("heisenberg3", _heisenberg3()),
+        CatalogEntry("sl2", _sl2()),
+        CatalogEntry("sl2_plus_abelian1", _sl2_plus_abelian1()),
     ]
 
 
@@ -166,7 +164,7 @@ def parse_algebra_file(text: str) -> LieAlgebra:
         if (i, j) in seen:
             raise AlgebraFileError(f"{where}: duplicate pair ({i},{j})")
         seen.add((i, j))
-        vec = [ZERO] * n
+        terms: dict[int, Scalar] = {}
         for term in _list(item, "result", where):
             if isinstance(term, dict):
                 _known(term, ("k", "coeff"), where)
@@ -175,8 +173,10 @@ def parse_algebra_file(text: str) -> LieAlgebra:
             k = term["k"]
             if not _is_int(k) or not 0 <= k < n:
                 raise AlgebraFileError(f"{where}: k={k!r} out of range for dim {n}")
-            vec[k] += _parse_coeff(term["coeff"], where)
-        brackets.append((i, j, vec))
+            if k in terms:
+                raise AlgebraFileError(f"{where}: bracket ({i},{j}) gives k={k} twice")
+            terms[k] = _parse_coeff(term["coeff"], where)
+        brackets.append((i, j, [terms.get(k, ZERO) for k in range(n)]))
     try:
         return make_lie_algebra(n, brackets, names)
     except JacobiViolation:

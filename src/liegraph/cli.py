@@ -29,6 +29,8 @@ EXIT_USAGE = 2
 
 
 def _load_algebra(args) -> tuple[str, LieAlgebra]:
+    if args.file and args.algebra:
+        raise LieError("give an algebra name or --file, not both")
     if args.file:
         try:
             with open(args.file, encoding="utf-8") as fh:
@@ -47,10 +49,10 @@ def _write_json(data, out) -> None:
     out.write("\n")
 
 
-def _fmt_matrix(m: Matrix, indent: str = "  ") -> str:
+def _fmt_matrix(m: Matrix) -> str:
     cells = _matrix_cells(m)
     width = max((len(x) for row in cells for x in row), default=1)
-    return "\n".join(indent + "[" + "  ".join(x.rjust(width) for x in row) + "]"
+    return "\n".join("  [" + "  ".join(x.rjust(width) for x in row) + "]"
                      for row in cells)
 
 
@@ -113,7 +115,7 @@ def _print_report(rep: VerificationReport, out) -> None:
 def _cmd_info(args, out) -> int:
     name, g = _load_algebra(args)
     der = derivation_algebra(g)
-    dspace = d_derivations(g, der)
+    dspace = d_derivations(der)
     data = {
         "algebra": name,
         "dim": g.dim,
@@ -124,7 +126,7 @@ def _cmd_info(args, out) -> int:
         "inner_der_dim": inner_derivations(g).dim,
         "d_space_dim": dspace.dim,
         "inner_d_dim": dspace.inner.dim,
-        "d_center_dim": d_center(g, der).dim,
+        "d_center_dim": d_center(der).dim,
     }
     if args.json:
         _write_json(data, out)
@@ -165,7 +167,7 @@ def _cmd_der(args, out) -> int:
 
 def _cmd_dder(args, out) -> int:
     name, g = _load_algebra(args)
-    dspace = d_derivations(g)
+    dspace = d_derivations(derivation_algebra(g))
     p, inner = dspace.dim, dspace.inner.dim
     return _write_span(
         args, out, {"algebra": name, "d_space_dim": p, "inner_d_dim": inner},
@@ -175,19 +177,20 @@ def _cmd_dder(args, out) -> int:
 
 def _cmd_full_graph(args, out) -> int:
     name, g = _load_algebra(args)
-    fg = build_full_graph(g)
+    der = derivation_algebra(g)
+    cg = build_full_graph(der)
     if args.json:
         data = {
             "algebra": name,
-            "dim": fg.algebra.dim,
-            "basis_names": list(fg.algebra.basis_names),
-            "structure_constants": sparse_brackets(fg.algebra),
+            "dim": cg.dim,
+            "basis_names": list(cg.basis_names),
+            "structure_constants": sparse_brackets(cg),
         }
         _write_json(data, out)
     else:
-        print(f"C({name}): dimension {fg.algebra.dim} "
-              f"(Der block {fg.m}, algebra block {fg.n})", file=out)
-        for line in _table_lines(fg.algebra):
+        print(f"C({name}): dimension {cg.dim} "
+              f"(Der block {der.dim}, algebra block {g.dim})", file=out)
+        for line in _table_lines(cg):
             print("  " + line, file=out)
     return EXIT_OK
 

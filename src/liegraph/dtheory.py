@@ -2,11 +2,11 @@
 
 A "d-derivation" is a linear map L from the derivation algebra to the
 algebra itself with L([D1,D2]) = D1(L(D2)) - D2(L(D1)): a 1-cocycle of
-Der(G) acting on G (``DerivationAlgebra.natural``). The d-center, the
-d-derivations and the inner ones L_x(D) = -D(x) are the invariants,
-cocycles and coboundaries of that action, computed by the
-``algebra.Representation`` code that gives the center, Der(G) and the
-inner derivations of the adjoint action. They carry a bracket
+Der(G) acting on G (``DerivationAlgebra.natural``). The d-center is the
+common kernel of that action. The d-derivations and the inner ones
+L_x(D) = -D(x) are its cocycles and coboundaries, computed by the
+``algebra.Representation`` code that gives Der(G) and the inner
+derivations of the adjoint action. They carry a bracket
     [L1,L2](D) = L1(ad(L2(D))) - L2(ad(L1(D)))
 and Der(G) acts on them by D(L) = D∘L - L∘ad(D), which lets the two fit
 together into a semidirect product H, returned by build_h as a LieAlgebra.
@@ -22,18 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .linalg import Matrix, Subspace, Vector
-from .algebra import (DerivationAlgebra, LieAlgebra, MatrixSpan,
-                      derivation_algebra, semidirect)
+from .linalg import Matrix, Subspace, Vector, nullspace, vstack
+from .algebra import DerivationAlgebra, LieAlgebra, MatrixSpan, semidirect
 
 
-def d_center(g: LieAlgebra, der: Optional[DerivationAlgebra] = None) -> Subspace:
-    """{x : D x = 0 for every derivation D}: the invariants of Der(G) on G."""
-    if der is None:
-        der = derivation_algebra(g)
-    return der.natural.invariants()
+def d_center(der: DerivationAlgebra) -> Subspace:
+    """{x : D x = 0 for every derivation D}, the common kernel of the basis
+    derivations; it reads no structure constants of Der(G)."""
+    return nullspace(vstack(der.matrices))
 
 
 def inner_d_derivation(der: DerivationAlgebra, x: Sequence) -> Matrix:
@@ -66,13 +64,10 @@ class DDerivationSpace(MatrixSpan):
         return self.coordinates(l)
 
 
-def d_derivations(g: LieAlgebra,
-                  der: Optional[DerivationAlgebra] = None) -> DDerivationSpace:
+def d_derivations(der: DerivationAlgebra) -> DDerivationSpace:
     """The cocycles and the coboundaries of Der(G) acting on G."""
-    if der is None:
-        der = derivation_algebra(g)
     natural = der.natural
-    return DDerivationSpace((g.dim, der.dim), natural.cocycles(), der,
+    return DDerivationSpace((der.parent.dim, der.dim), natural.cocycles(), der,
                             natural.coboundaries())
 
 
@@ -95,18 +90,13 @@ def der_action(der: DerivationAlgebra, d: Matrix, l: Matrix) -> Matrix:
     return d @ l - l @ ad_d
 
 
-def build_h(g: LieAlgebra, der: Optional[DerivationAlgebra] = None,
-            dspace: Optional[DDerivationSpace] = None) -> LieAlgebra:
+def build_h(dspace: DDerivationSpace) -> LieAlgebra:
     """H = Der(G) ⋉ cocycle space, on the concatenated canonical bases:
         [(D1,L1),(D2,L2)] = ([D1,D2], [L1,L2] + D1(L2) - D2(L1))
     """
-    if der is None:
-        der = derivation_algebra(g)
-    if dspace is None:
-        dspace = d_derivations(g, der)
-
     # der_action per pair, with each ad(D_i) inside Der(G) built once: it is
     # D_i's adjoint matrix in the Der(G) structure constants
+    der = dspace.der
     ad, d, l = der.as_lie_algebra.adjoint.rho, der.matrices, dspace.matrices
 
     def act(i: int, j: int) -> Vector:
@@ -123,17 +113,8 @@ class DCompletenessEvidence:
     inner_d_dim: int
 
 
-def is_d_complete(g: LieAlgebra, der: Optional[DerivationAlgebra] = None,
-                  dspace: Optional[DDerivationSpace] = None,
-                  cd: Optional[Subspace] = None) -> DCompletenessEvidence:
-    """Trivial d-center and every cocycle inner; Der(G), the cocycle space
-    and the d-center cd are built here unless the caller already has them."""
-    if der is None:
-        der = derivation_algebra(g)
-    if dspace is None:
-        dspace = d_derivations(g, der)
-    if cd is None:
-        cd = d_center(g, der)
+def is_d_complete(dspace: DDerivationSpace, cd: Subspace) -> DCompletenessEvidence:
+    """Trivial d-center cd and every cocycle in dspace inner."""
     all_inner = dspace.inner == dspace.flat_span
     return DCompletenessEvidence(cd.dim == 0 and all_inner,
                                  cd.dim, dspace.dim, dspace.inner.dim)

@@ -1,5 +1,8 @@
 """The holomorph C(G) = Der(G) ⋉ G and the three machine checks.
 
+build_full_graph returns C(G) as a plain LieAlgebra: the basis of Der(G),
+then that of G, so x in G sits at (0, x).
+
 verify runs any of them on one algebra: theorem1 tests that the explicit
 action of H = Der(G) ⋉ cocycles on C(G) gives exactly the derivation
 algebra of C(G); the lemma compares the center of C(G) with the embedded
@@ -13,14 +16,13 @@ is the cocycle space of dtheory and S, in (m+n)·n unknowns, the space of
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .linalg import (Matrix, ONE, Scalar, SparseRow, Subspace, Vector, ZERO,
-                     as_vector, sparse_nullspace)
+from .linalg import (Matrix, ONE, Scalar, SparseRow, Subspace, ZERO,
+                     sparse_nullspace)
 from .algebra import (CompletenessEvidence, DerivationAlgebra, LieAlgebra,
                       Representation, center, derivation_algebra,
                       is_complete, semidirect, _unit)
@@ -28,38 +30,17 @@ from .dtheory import (DCompletenessEvidence, DDerivationSpace, build_h,
                       d_center, d_derivations, is_d_complete)
 
 
-@dataclass(frozen=True)
-class FullGraph:
-    parent: LieAlgebra
-    der: DerivationAlgebra
-    algebra: LieAlgebra  # dimension m + n on basis (Der basis, G basis)
-
-    @property
-    def m(self) -> int:
-        return self.der.dim
-
-    @property
-    def n(self) -> int:
-        return self.parent.dim
-
-    def embed_g(self, x: Sequence) -> Vector:
-        x = as_vector(x)
-        return tuple([ZERO] * self.m) + tuple(x)
+def build_full_graph(der: DerivationAlgebra) -> LieAlgebra:
+    """C(G) for G = der.parent:
+        [(D1,x1),(D2,x2)] = ([D1,D2], D1 x2 - D2 x1 + [x1,x2])."""
+    return semidirect(der.as_lie_algebra, der.parent,
+                      lambda i, j: der.matrices[i].column(j))
 
 
-def build_full_graph(g: LieAlgebra,
-                     der: Optional[DerivationAlgebra] = None) -> FullGraph:
-    """[(D1,x1),(D2,x2)] = ([D1,D2], D1 x2 - D2 x1 + [x1,x2])."""
-    if der is None:
-        der = derivation_algebra(g)
-    return FullGraph(g, der, semidirect(der.as_lie_algebra, g,
-                                       lambda i, j: der.matrices[i].column(j)))
-
-
-def der_cg_blocks(fg: FullGraph) -> Subspace:
+def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
     """The space S of the restrictions φ = δ|_G of the derivations δ of
-    C(G): dim Der(C(G)) = dim Z¹ + dim S, with Z¹ the cocycle space of
-    dtheory.
+    cg = C(G), for G = der.parent: dim Der(C(G)) = dim Z¹ + dim S, with Z¹
+    the cocycle space of dtheory.
 
     With m = dim Der(G) and n = dim G, a linear map δ of C(G) = Der(G) ⋉ G
     is φ: G → C(G), with Der rows B and G rows E, and its parts
@@ -87,13 +68,12 @@ def der_cg_blocks(fg: FullGraph) -> Subspace:
     Der rows. For heisenberg3 that projection is spanned by B = −ad with
     E = 2·id.
     """
-    g, m, n = fg.parent, fg.m, fg.n
-    ad = fg.algebra.adjoint.rho
+    g, m, n, ad = der.parent, der.dim, der.parent.dim, cg.adjoint.rho
     leibniz, _ = g.adjoint.cocycle_rref
 
     def rows():
-        yield from Representation(ad[m:], lambda: g).cocycle_system
-        for d, adi in zip(fg.der.matrices, ad):
+        yield from Representation(ad[m:], g).cocycle_system
+        for d, adi in zip(der.matrices, ad):
             dc, adi = d.transpose().nonzeros, adi.nonzeros
 
             def put(row: SparseRow, k: int, j: int, y: Scalar) -> None:
@@ -119,12 +99,13 @@ def der_cg_blocks(fg: FullGraph) -> Subspace:
     return sparse_nullspace((m + n) * n, rows())
 
 
-def h_derivation(fg: FullGraph, dspace: DDerivationSpace,
-                 d_coords: Sequence, l_coords: Sequence) -> Matrix:
+def h_derivation(dspace: DDerivationSpace, d_coords: Sequence,
+                 l_coords: Sequence) -> Matrix:
     """Matrix on C(G) of the pair (D, L):
         (D1, g) -> ([D,D1], D(g) + L(ad(g)) + L(D1))
     """
-    der, m, size = fg.der, fg.m, fg.algebra.dim
+    der, (n, m) = dspace.der, dspace.shape
+    size = m + n
     D, L = der.matrix_of(d_coords), dspace.matrix_of(l_coords)
     # column j of ad_d is the coordinates of [D, D_j]; column j of corr is
     # L(ad(e_j)), both read off structures built once per algebra
@@ -185,7 +166,6 @@ class VerificationReport:
     theorem2: Optional[Theorem2Evidence] = None
     d_evidence: Optional[DCompletenessEvidence] = None
     cg_evidence: Optional[CompletenessEvidence] = None
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -198,42 +178,40 @@ class _Workspace:
     """Shared intermediates, each built once and only when a check reads it."""
 
     def __init__(self, g: LieAlgebra):
-        self.g = g
         self.der = derivation_algebra(g)
-        self.fg = build_full_graph(g, self.der)
+        self.cg = build_full_graph(self.der)
 
     @cached_property
     def dspace(self) -> DDerivationSpace:
-        return d_derivations(self.g, self.der)
+        return d_derivations(self.der)
 
     @cached_property
     def h(self) -> LieAlgebra:
-        return build_h(self.g, self.der, self.dspace)
+        return build_h(self.dspace)
 
     @cached_property
     def der_cg_dim(self) -> int:
         """dim Der(C(G)) = dim Z¹ + dim S, read by theorem1 and theorem2."""
-        return self.dspace.dim + der_cg_blocks(self.fg).dim
+        return self.dspace.dim + der_cg_blocks(self.der, self.cg).dim
 
     @cached_property
     def cg_center(self) -> Subspace:
         """The center of C(G), read by the lemma and theorem2."""
-        return center(self.fg.algebra)
+        return center(self.cg)
 
     @cached_property
     def dcenter(self) -> Subspace:
         """The d-center of G, read by the lemma and theorem2."""
-        return d_center(self.g, self.der)
+        return d_center(self.der)
 
 
 def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
-    fg, dspace, h = ws.fg, ws.dspace, ws.h
+    cg, dspace, h = ws.cg, ws.dspace, ws.h
     m, p = ws.der.dim, dspace.dim
     total = m + p
-    cg = fg.algebra
 
     units = [_unit(total, i) for i in range(total)]
-    gens = [h_derivation(fg, dspace, u[:m], u[m:]) for u in units]
+    gens = [h_derivation(dspace, u[:m], u[m:]) for u in units]
     each_der = all(cg.adjoint.is_cocycle(M) for M in gens)
 
     # each generator's nonzero entries, keyed by their row-major index
@@ -272,16 +250,17 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
 
 def check_lemma(ws: _Workspace) -> LemmaEvidence:
     cg_center, cd = ws.cg_center, ws.dcenter
+    pad = (ZERO,) * ws.der.dim
     embedded = Subspace.from_rows(
-        ws.fg.algebra.dim, [ws.fg.embed_g(v) for v in cd.basis_vectors()])
+        ws.cg.dim, [pad + v for v in cd.basis_vectors()])
     return LemmaEvidence(cg_center.dim, cd.dim, cg_center == embedded)
 
 
 def check_theorem2(ws: _Workspace) -> tuple[Theorem2Evidence,
                                             DCompletenessEvidence,
                                             CompletenessEvidence]:
-    dc = is_d_complete(ws.g, ws.der, ws.dspace, ws.dcenter)
-    cc = is_complete(ws.fg.algebra, ws.der_cg_dim, ws.cg_center)
+    dc = is_d_complete(ws.dspace, ws.dcenter)
+    cc = is_complete(ws.cg, ws.der_cg_dim, ws.cg_center)
     return (Theorem2Evidence(dc.d_complete, cc.complete,
                              dc.d_complete == cc.complete), dc, cc)
 
@@ -291,7 +270,6 @@ def verify(g: LieAlgebra, name: str = "",
     """Run the requested checks; which is one of 1 / 2 / lemma / all."""
     if which not in ("1", "2", "lemma", "all"):
         raise ValueError(f"which must be 1, 2, lemma or all, got {which!r}")
-    start = time.monotonic()
     ws = _Workspace(g)
     t1 = lemma = t2 = dc = cc = None
     if which in ("1", "all"):
@@ -300,5 +278,4 @@ def verify(g: LieAlgebra, name: str = "",
         lemma = check_lemma(ws)
     if which in ("2", "all"):
         t2, dc, cc = check_theorem2(ws)
-    return VerificationReport(name, t1, lemma, t2, dc, cc,
-                              time.monotonic() - start)
+    return VerificationReport(name, t1, lemma, t2, dc, cc)

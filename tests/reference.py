@@ -126,7 +126,7 @@ def cocycle_rows(rep):
     """The dense cocycle system of a Representation: one row per basis pair
     i < j and coordinate k of phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i),
     over the entries phi[k][t] at k*m + t."""
-    m, n, s = len(rep.rho), rep.rho[0].rows, rep.algebra().table
+    m, n, s = len(rep.rho), rep.rho[0].rows, rep.algebra.table
     rows = []
     for i, j in combinations(range(m), 2):
         for k in range(n):
@@ -146,7 +146,7 @@ def cocycle_rows(rep):
 
 def is_cocycle(rep, phi):
     """phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i) for every i < j."""
-    s, rho = rep.algebra().table, rep.rho
+    s, rho = rep.algebra.table, rep.rho
     for i, j in combinations(range(len(rho)), 2):
         rhs = tuple(a - b for a, b in zip(rho[i].apply(phi.column(j)),
                                           rho[j].apply(phi.column(i))))
@@ -208,14 +208,15 @@ def semidirect(k, v, action):
     return make_lie_algebra(m + n, brackets, k.basis_names + v.basis_names)
 
 
-def h_derivation(fg, dspace, d_coords, l_coords):
+def h_derivation(dspace, d_coords, l_coords):
     """The matrix of (D, L) on C(G), each column found by its own
     coordinates_of: (D_j, 0) -> ([D, D_j], L(D_j)), (0, e_j) -> D e_j + L(ad e_j)."""
-    g, der = fg.parent, fg.der
+    der = dspace.der
+    g, m = der.parent, der.dim
     D, L = der.matrix_of(d_coords), dspace.matrix_of(l_coords)
     cols = [der.coordinates_of(D.commutator(der.matrices[j])) + L.column(j)
-            for j in range(fg.m)]
-    for j in range(fg.n):
+            for j in range(m)]
+    for j in range(g.dim):
         corr = L.apply(der.coordinates_of(g.adjoint.rho[j]))
-        cols.append(fg.embed_g(a + b for a, b in zip(D.column(j), corr)))
+        cols.append((ZERO,) * m + tuple(a + b for a, b in zip(D.column(j), corr)))
     return Matrix.from_rows(cols).transpose()

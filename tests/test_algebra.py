@@ -5,20 +5,27 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 import reference
+import sympy as sp
 from algebras import CATALOG_NAMES, NAMES, algebra
-from liegraph.algebra import (AntisymmetryConflict, DependentBasis,
-                              IndexOutOfRange, InternalConsistencyError,
-                              JacobiViolation, LieAlgebra, LieError, NotClosed,
-                              Representation, _unit, abelian,
-                              center, derivation_algebra, derived_subalgebra,
-                              induced_lie_structure, inner_derivations,
-                              is_complete, lie_algebra_from_table,
-                              make_lie_algebra, semidirect)
+from liegraph.algebra import (AntisymmetryConflict, CompletenessEvidence,
+                              DependentBasis, IndexOutOfRange,
+                              InternalConsistencyError, JacobiViolation,
+                              LieAlgebra, LieError, NotClosed, Representation,
+                              _unit, abelian, center, derivation_algebra,
+                              derived_subalgebra, induced_lie_structure,
+                              inner_derivations, is_complete,
+                              lie_algebra_from_table, make_lie_algebra,
+                              semidirect)
 from liegraph.catalog import catalog, lookup
 from liegraph.linalg import Matrix, Subspace, sparse_rref
 
 F = Fraction
+
+
+def completeness(g):
+    return is_complete(g, derivation_algebra(g).dim, center(g))
 
 
 @pytest.fixture(scope="module")
@@ -201,23 +208,28 @@ class TestInnerDerivations:
 
 class TestCompleteness:
     def test_abelian1_not_complete(self):
-        ev = is_complete(abelian(1))
+        ev = completeness(abelian(1))
         assert not ev.complete and ev.center_dim == 1
 
     def test_sl2_complete(self, sl2):
-        ev = is_complete(sl2)
+        ev = completeness(sl2)
         assert ev.complete and (ev.center_dim, ev.der_dim, ev.inner_dim) == (0, 3, 3)
 
     def test_affine2_complete(self):
-        ev = is_complete(lookup("affine2").algebra)
+        ev = completeness(lookup("affine2").algebra)
         assert ev.complete and ev.der_dim == ev.inner_dim == 2
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_given_der_and_center_give_the_same_evidence(self, name):
-        # is_complete reads only the dimension of a Der(G) its caller has
-        g = lookup(name).algebra
-        assert (is_complete(g, derivation_algebra(g).dim, center(g))
-                == is_complete(g))
+        # the verdict from dim Der(G) and the center, against the sympy
+        # oracle: the flattened ad(e_i) have rank dim ad(G) = n - dim center
+        table = oracle.lie_table(lookup(name))
+        n = len(table)
+        der = len(oracle.derivation_matrices(table))
+        inner = sp.Matrix([list(oracle.ad(table, oracle._unit(n, i)))
+                           for i in range(n)]).rank()
+        assert completeness(lookup(name).algebra) == CompletenessEvidence(
+            inner == n and inner == der, n - inner, der, inner)
 
 
 class TestInducedStructure:
@@ -294,7 +306,7 @@ def test_cocycle_system_matches_dense_reference(name, action):
 
 def test_one_dimensional_algebra_makes_every_map_a_cocycle():
     # one basis element: no bracket pairs, so the system has no rows
-    rep = Representation((Matrix.from_rows([[1, 2], [0, 3]]),), lambda: abelian(1))
+    rep = Representation((Matrix.from_rows([[1, 2], [0, 3]]),), abelian(1))
     assert rep.cocycle_system == () and reference.cocycle_rows(rep) == []
     assert rep.cocycles() == Subspace.full(2)
     assert reference.nullspace_basis([], 2) == [[1, 0], [0, 1]]

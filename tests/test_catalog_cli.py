@@ -97,6 +97,13 @@ class TestAlgebraFile:
         with pytest.raises(AlgebraFileError, match="duplicate"):
             parse_algebra_file(text)
 
+    def test_repeated_k_names_the_bracket(self):
+        # adding the two terms up would load this as abelian
+        text = json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "result": [
+            {"k": 2, "coeff": "1"}, {"k": 2, "coeff": "-1"}]}]})
+        with pytest.raises(AlgebraFileError, match=r"\(0,1\) gives k=2 twice"):
+            parse_algebra_file(text)
+
     def test_index_out_of_range(self):
         text = json.dumps({"dim": 2, "brackets": [
             {"i": 0, "j": 5, "result": []}]})
@@ -123,9 +130,12 @@ class TestAlgebraFile:
         {"dim": 3, "brackets": [{"i": 0, "j": 1, "results": [{"k": 2, "coeff": 1}]}]},
         {"dim": 3, "brackets": [
             {"i": 0, "j": 1, "result": [{"k": 2, "coeff": 1, "c": 1}]}]},
+        {"dim": 3, "brackets": [{"i": 0, "j": 1, "result": [
+            {"k": 2, "coeff": "1"}, {"k": 2, "coeff": "-1"}]}]},
     ], ids=["brackets-int", "brackets-null", "result-int", "result-object",
             "dim-bool", "i-bool", "j-bool", "k-bool", "duplicate-names",
-            "unknown-top-key", "unknown-bracket-key", "unknown-term-key"])
+            "unknown-top-key", "unknown-bracket-key", "unknown-term-key",
+            "repeated-k"])
     def test_wrong_json_types_are_file_errors(self, doc, tmp_path, capsys):
         text = json.dumps(doc)
         with pytest.raises(AlgebraFileError):
@@ -209,6 +219,16 @@ class TestCli:
         code, _ = run_cli("verify")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["info", "der", "dder", "full-graph",
+                                         "verify"])
+    def test_name_and_file_together_usage_error(self, command, tmp_path, capsys):
+        path = tmp_path / "sl2.json"
+        path.write_text(serialize_algebra(lookup("sl2").algebra))
+        code, text = run_cli(command, "abelian1", "--file", str(path))
+        assert code == 2 and text == ""
+        assert (capsys.readouterr().err
+                == "error: give an algebra name or --file, not both\n")
+
     def test_verify_jacobi_violating_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"dim": 3, "brackets": [
@@ -238,10 +258,10 @@ class TestCli:
         # flip one sign in the holomorph action; theorem 1 must then fail
         real = fg_mod.h_derivation
 
-        def mutated(fg, dspace, d_coords, l_coords):
-            mat = real(fg, dspace, d_coords, l_coords)
+        def mutated(dspace, d_coords, l_coords):
+            mat = real(dspace, d_coords, l_coords)
             rows = [list(mat.row(r)) for r in range(mat.rows)]
-            for r in range(fg.m, mat.rows):  # negate the G-block output
+            for r in range(dspace.der.dim, mat.rows):  # negate the G-block output
                 for c in range(mat.cols):
                     rows[r][c] = -rows[r][c]
             from liegraph.linalg import Matrix

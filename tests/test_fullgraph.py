@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from algebras import CATALOG_NAMES, NAMES, algebra, two_step_nilpotent
 
 from liegraph.algebra import abelian, derivation_algebra, make_lie_algebra
 from liegraph.catalog import catalog, lookup, parse_algebra_file, serialize_algebra
+from liegraph.cli import main
 from liegraph.dtheory import d_derivations
 from liegraph.fullgraph import (_Workspace, build_full_graph, check_lemma,
                                 check_theorem1, check_theorem2, der_cg_blocks,
@@ -19,79 +21,83 @@ F = Fraction
 
 
 @pytest.fixture(scope="module")
-def sl2_fg():
+def sl2_parts():
     g = lookup("sl2").algebra
     der = derivation_algebra(g)
-    return g, der, d_derivations(g, der), build_full_graph(g, der)
+    return g, der, d_derivations(der), build_full_graph(der)
 
 
 def rand_vec(rng, n):
     return [F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(n)]
 
 
+def embed_g(m, x):
+    """x in G as the element (0, x) of C(G), after the m Der(G) coordinates."""
+    return (0,) * m + tuple(x)
+
+
 class TestBuildFullGraph:
     def test_abelian1_is_affine_line(self):
-        fg = build_full_graph(abelian(1))
-        assert fg.algebra.dim == 2
-        assert fg.algebra.table[0][1] == (F(0), F(1))
+        cg = build_full_graph(derivation_algebra(abelian(1)))
+        assert cg.dim == 2
+        assert cg.table[0][1] == (F(0), F(1))
 
     def test_dimension_is_sum(self):
         for entry in catalog():
-            fg = build_full_graph(entry.algebra)
-            assert fg.algebra.dim == fg.m + fg.n
+            der = derivation_algebra(entry.algebra)
+            assert build_full_graph(der).dim == der.dim + entry.algebra.dim
 
-    def test_der_block_matches_der_table(self, sl2_fg):
-        g, der, _, fg = sl2_fg
-        m = fg.m
+    def test_der_block_matches_der_table(self, sl2_parts):
+        g, der, _, cg = sl2_parts
+        m = der.dim
         for i in range(m):
             for j in range(m):
-                assert fg.algebra.table[i][j][:m] == der.as_lie_algebra.table[i][j]
-                assert not any(fg.algebra.table[i][j][m:])
+                assert cg.table[i][j][:m] == der.as_lie_algebra.table[i][j]
+                assert not any(cg.table[i][j][m:])
 
-    def test_g_embedding_preserves_brackets(self, sl2_fg):
-        g, _, _, fg = sl2_fg
+    def test_g_embedding_preserves_brackets(self, sl2_parts):
+        g, der, _, cg = sl2_parts
+        m = der.dim
         rng = random.Random(3)
         for _ in range(30):
             x, y = rand_vec(rng, 3), rand_vec(rng, 3)
-            lhs = fg.algebra.bracket(fg.embed_g(x), fg.embed_g(y))
-            assert lhs == fg.embed_g(g.bracket(x, y))
+            lhs = cg.bracket(embed_g(m, x), embed_g(m, y))
+            assert lhs == embed_g(m, g.bracket(x, y))
 
-    def test_mixed_bracket_is_application(self, sl2_fg):
-        g, der, _, fg = sl2_fg
-        for i in range(fg.m):
-            for j in range(fg.n):
-                d_part = [1 if t == i else 0 for t in range(fg.m)]
-                x_part = [1 if t == j else 0 for t in range(fg.n)]
-                out = fg.algebra.bracket(d_part + [0] * fg.n, fg.embed_g(x_part))
-                assert out == fg.embed_g(der.matrices[i].column(j))
+    def test_mixed_bracket_is_application(self, sl2_parts):
+        g, der, _, cg = sl2_parts
+        m, n = der.dim, g.dim
+        for i in range(m):
+            for j in range(n):
+                d_part = [1 if t == i else 0 for t in range(m)]
+                x_part = [1 if t == j else 0 for t in range(n)]
+                out = cg.bracket(d_part + [0] * n, embed_g(m, x_part))
+                assert out == embed_g(m, der.matrices[i].column(j))
 
 
 class TestHDerivation:
-    def test_zero_pair_gives_zero(self, sl2_fg):
-        _, _, dspace, fg = sl2_fg
-        mat = h_derivation(fg, dspace, [0] * fg.m, [0] * dspace.dim)
+    def test_zero_pair_gives_zero(self, sl2_parts):
+        _, der, dspace, _ = sl2_parts
+        mat = h_derivation(dspace, [0] * der.dim, [0] * dspace.dim)
         assert mat.is_zero()
 
-    def test_linearity(self, sl2_fg):
-        _, _, dspace, fg = sl2_fg
+    def test_linearity(self, sl2_parts):
+        _, der, dspace, _ = sl2_parts
         rng = random.Random(5)
         for _ in range(20):
-            d1, l1 = rand_vec(rng, fg.m), rand_vec(rng, dspace.dim)
-            d2, l2 = rand_vec(rng, fg.m), rand_vec(rng, dspace.dim)
+            d1, l1 = rand_vec(rng, der.dim), rand_vec(rng, dspace.dim)
+            d2, l2 = rand_vec(rng, der.dim), rand_vec(rng, dspace.dim)
             s = F(rng.randint(-3, 3))
-            lhs = h_derivation(fg, dspace,
+            lhs = h_derivation(dspace,
                                [a + s * b for a, b in zip(d1, d2)],
                                [a + s * b for a, b in zip(l1, l2)])
-            rhs = (h_derivation(fg, dspace, d1, l1)
-                   + h_derivation(fg, dspace, d2, l2).scale(s))
+            rhs = (h_derivation(dspace, d1, l1)
+                   + h_derivation(dspace, d2, l2).scale(s))
             assert lhs == rhs
 
     def test_abelian1_identity_derivation(self):
-        g = abelian(1)
-        der = derivation_algebra(g)
-        dspace = d_derivations(g, der)
-        fg = build_full_graph(g, der)
-        mat = h_derivation(fg, dspace, [1], [0])
+        dspace = d_derivations(derivation_algebra(abelian(1)))
+        mat = h_derivation(dspace, [1], [0])
         # [D, D] = 0 on the Der block; acts as the identity on the G block
         assert mat == Matrix.from_rows([[0, 0], [0, 1]])
 
@@ -148,9 +154,11 @@ def test_verify_rejects_unknown_check(which):
         verify(lookup("sl2").algebra, "sl2", which)
 
 
-def test_verify_all_builds_each_derivation_algebra_once(monkeypatch):
+def _count_derivation_algebras(monkeypatch) -> list:
+    """The inputs of every derivation_algebra call from now on, patched in
+    each package module that imports it."""
     import liegraph.algebra as algebra_mod
-    import liegraph.dtheory as dtheory_mod
+    import liegraph.cli as cli_mod
     import liegraph.fullgraph as fullgraph_mod
     inputs = []
     real = algebra_mod.derivation_algebra
@@ -159,13 +167,29 @@ def test_verify_all_builds_each_derivation_algebra_once(monkeypatch):
         inputs.append(g)
         return real(g)
 
-    for mod in (algebra_mod, dtheory_mod, fullgraph_mod):
+    for mod in (algebra_mod, cli_mod, fullgraph_mod):
         monkeypatch.setattr(mod, "derivation_algebra", counting)
+    return inputs
+
+
+def test_verify_all_builds_each_derivation_algebra_once(monkeypatch):
+    inputs = _count_derivation_algebras(monkeypatch)
     g = lookup("heisenberg3").algebra
     verify(g, "heisenberg3", which="all")
     # Der(G) only: theorem1 and theorem2 share dim Der(C(G)), which comes
     # from the blocks over G, not from a derivation algebra of C(G)
     assert inputs == [g]
+
+
+@pytest.mark.parametrize("command", [
+    "info", "der", "dder", "full-graph", "verify --theorem 1",
+    "verify --theorem 2", "verify --theorem lemma", "verify --theorem all"],
+    ids=lambda c: c.replace(" --theorem ", "-"))
+def test_each_subcommand_builds_der_once(monkeypatch, command):
+    inputs = _count_derivation_algebras(monkeypatch)
+    # heisenberg3 fails theorem1 and theorem2, so verify may exit 1
+    assert main(command.split() + ["heisenberg3"], io.StringIO()) in (0, 1)
+    assert inputs == [lookup("heisenberg3").algebra]
 
 
 def test_verify_all_computes_each_center_once(monkeypatch):
@@ -175,9 +199,9 @@ def test_verify_all_computes_each_center_once(monkeypatch):
     calls = {"center": [], "d_center": []}
 
     def counting(name, real):
-        def wrapper(g, *args):
-            calls[name].append(g)
-            return real(g, *args)
+        def wrapper(x, *args):
+            calls[name].append(x)
+            return real(x, *args)
         return wrapper
 
     for name, real in (("center", algebra_mod.center),
@@ -189,7 +213,7 @@ def test_verify_all_computes_each_center_once(monkeypatch):
     verify(g, "heisenberg3", which="all")
     # center(C(G)) and d_center(G), each shared by the lemma and theorem2
     assert [h.dim for h in calls["center"]] == [3 + 6]
-    assert calls["d_center"] == [g]
+    assert [der.parent for der in calls["d_center"]] == [g]
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "sl2"])
@@ -199,8 +223,8 @@ def test_checks_never_build_the_leibniz_system_of_the_full_graph(name):
     ws = _Workspace(lookup(name).algebra)
     for check in (check_theorem1, check_lemma, check_theorem2):
         check(ws)
-    assert "cocycle_system" not in vars(ws.fg.algebra.adjoint)
-    assert "cocycle_rref" in vars(ws.g.adjoint)
+    assert "cocycle_system" not in vars(ws.cg.adjoint)
+    assert "cocycle_rref" in vars(ws.der.parent.adjoint)
 
 
 def _heisenberg(k: int):
@@ -219,10 +243,10 @@ def test_heisenberg_family_closed_forms(k):
     # which the full system still checks; k = 4 and 5 read the blocks only.
     ws = _Workspace(_heisenberg(k))
     assert ws.der.dim == 2 * k * k + 3 * k + 1
-    assert ws.h.dim == ws.fg.algebra.dim == 2 * k * k + 5 * k + 2
+    assert ws.h.dim == ws.cg.dim == 2 * k * k + 5 * k + 2
     assert ws.der_cg_dim == 2 * k * k + 5 * k + 3
     if k <= 3:
-        assert derivation_algebra(ws.fg.algebra).dim == ws.der_cg_dim
+        assert derivation_algebra(ws.cg).dim == ws.der_cg_dim
 
 
 @given(st.sampled_from([e.name for e in catalog()]), st.data())
@@ -230,14 +254,13 @@ def test_heisenberg_family_closed_forms(k):
 def test_h_derivation_matches_per_column_reference(name, data):
     # ad inside Der(G) and the coordinates of each ad(e_j) are read once
     # per algebra; the reference finds each column's coordinates anew
-    g = lookup(name).algebra
-    der = derivation_algebra(g)
-    dspace, fg = d_derivations(g, der), build_full_graph(g, der)
+    dspace = d_derivations(derivation_algebra(lookup(name).algebra))
     coeffs = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
-    d = data.draw(st.lists(coeffs, min_size=fg.m, max_size=fg.m))
+    d = data.draw(st.lists(coeffs, min_size=dspace.der.dim,
+                           max_size=dspace.der.dim))
     l = data.draw(st.lists(coeffs, min_size=dspace.dim, max_size=dspace.dim))
-    assert (h_derivation(fg, dspace, d, l)
-            == reference.h_derivation(fg, dspace, d, l))
+    assert (h_derivation(dspace, d, l)
+            == reference.h_derivation(dspace, d, l))
 
 
 @given(st.integers(0, 10**6), st.sampled_from([3, 4]))
@@ -248,7 +271,7 @@ def test_two_step_nilpotent_full_graph_has_the_outer_derivation(seed, n):
     # where delta = 2 ad(id) is inner
     g = two_step_nilpotent(seed, n)
     ws = _Workspace(g)
-    fg, m = ws.fg, ws.der.dim
+    m = ws.der.dim
     size = m + n
     ad = ws.der.ad_coordinates  # column j: the Der coordinates of ad(e_j)
     delta = [F(0)] * (size * size)
@@ -257,13 +280,13 @@ def test_two_step_nilpotent_full_graph_has_the_outer_derivation(seed, n):
         for r in range(m):
             delta[r * size + m + j] = -ad[r, j]
     delta = Matrix(size, size, delta)
-    cg = fg.algebra.adjoint
+    cg = ws.cg.adjoint
     assert cg.is_cocycle(delta) and reference.is_cocycle(cg, delta)
 
     total = m + ws.dspace.dim
     units = [[F(int(t == i)) for t in range(total)] for i in range(total)]
     image = Subspace.from_rows(size * size, [
-        h_derivation(fg, ws.dspace, u[:m], u[m:]).flatten() for u in units])
+        h_derivation(ws.dspace, u[:m], u[m:]).flatten() for u in units])
     is_abelian = not any(any(row) for row in g.pairs)
     assert image.contains_vector(delta.flatten()) == is_abelian
 
@@ -286,10 +309,10 @@ def _assemble(ws, c: Matrix, e: Matrix, b: Matrix) -> Matrix:
 
 
 def _block_derivations(ws) -> list[Matrix]:
-    m, n = ws.der.dim, ws.g.dim
+    m, n = ws.der.dim, ws.der.parent.dim
     zero_e, zero_b, zero_c = Matrix.zero(n, n), Matrix.zero(m, n), Matrix.zero(n, m)
     out = [_assemble(ws, c, zero_e, zero_b) for c in ws.dspace.matrices]
-    for v in der_cg_blocks(ws.fg).basis_vectors():
+    for v in der_cg_blocks(ws.der, ws.cg).basis_vectors():
         out.append(_assemble(ws, zero_c, Matrix(n, n, v[m * n:]),
                              Matrix(m, n, v[:m * n])))
     return out
@@ -305,11 +328,11 @@ def test_blocks_assemble_to_the_derivations_of_the_full_graph(case):
     g = algebra(case) if isinstance(case, str) else two_step_nilpotent(*case)
     ws = _Workspace(g)
     deltas = _block_derivations(ws)
-    size = ws.fg.algebra.dim
-    full = derivation_algebra(ws.fg.algebra)
+    size = ws.cg.dim
+    full = derivation_algebra(ws.cg)
     assert len(deltas) == ws.der_cg_dim == full.dim
     assert Subspace.from_rows(size * size, [d.flatten() for d in deltas]) == full.flat_span
-    cg = ws.fg.algebra.adjoint
+    cg = ws.cg.adjoint
     assert all(reference.is_cocycle(cg, d) for d in deltas)
 
 
@@ -328,8 +351,8 @@ def line_by_abelian(draw):
 def test_blocks_span_the_derivations_of_drawn_semidirect_sums(g):
     ws = _Workspace(g)
     deltas = _block_derivations(ws)
-    size = ws.fg.algebra.dim
-    full = derivation_algebra(ws.fg.algebra)
+    size = ws.cg.dim
+    full = derivation_algebra(ws.cg)
     assert len(deltas) == full.dim
     assert Subspace.from_rows(size * size, [d.flatten() for d in deltas]) == full.flat_span
 
@@ -342,7 +365,7 @@ def test_heisenberg3_blocks_hold_the_certified_outer_derivation():
     ad = ws.der.ad_coordinates
     v = [-ad[r, j] for r in range(m) for j in range(n)] + [
         2 if a == b else 0 for a in range(n) for b in range(n)]
-    assert der_cg_blocks(ws.fg).contains_vector(v)
+    assert der_cg_blocks(ws.der, ws.cg).contains_vector(v)
 
 
 # Scalars are ints and Fractions only: every matrix that verify builds,
