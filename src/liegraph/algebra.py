@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from .linalg import (ONE, Matrix, Scalar, SparseRow, Subspace, Vector, ZERO,
-                     as_scalar, as_vector, nullspace, rank, rref_kernel, solve,
+                     as_vector, nullspace, rank, rref_kernel, solve,
                      sparse_rref, vstack)
 
 
@@ -176,19 +176,10 @@ def lie_algebra_from_table(table,
     """Validate a full n x n x n table c[i][j][k] (shape, antisymmetry,
     Jacobi) and wrap it."""
     n = len(table)
-    if n == 0:
-        raise LieError("dimension 0 is not supported")
     if any(len(row) != n or any(len(v) != n for v in row) for row in table):
         raise LieError(f"structure constants must form a {n} x {n} x {n} table")
-    tbl = tuple(tuple(tuple(as_scalar(c) for c in table[i][j]) for j in range(n))
-                for i in range(n))
-    for i in range(n):
-        for j in range(i, n):
-            # most entries are zero; `a or b` skips those without negating
-            if any((a or b) and a != -b for a, b in zip(tbl[i][j], tbl[j][i])):
-                raise AntisymmetryConflict(f"c[{i}][{j}] != -c[{j}][{i}]")
-    upper = {(i, j): _terms(tbl[i][j]) for i, j in combinations(range(n), 2)}
-    return _from_brackets(n, upper, basis_names)
+    return make_lie_algebra(
+        n, [(i, j, table[i][j]) for i in range(n) for j in range(n)], basis_names)
 
 
 def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
@@ -444,11 +435,9 @@ class DerivationAlgebra(MatrixSpan):
         """Der(G) acting on G."""
         return Representation(self.matrices, self.as_lie_algebra)
 
-    # defined here, not inherited: bench/trace_cli.py traces it through
+    # bound here, not inherited: bench/trace_cli.py traces it through
     # this class's __dict__, as it does DDerivationSpace.coordinates_of
-    def coordinates_of(self, m: Matrix) -> Vector:
-        """Coordinates of a matrix known to lie in the span; raises otherwise."""
-        return self.coordinates(m)
+    coordinates_of = MatrixSpan.coordinates
 
 
 def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:

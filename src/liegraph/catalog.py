@@ -16,8 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from .linalg import ZERO, Scalar, as_scalar
-from .algebra import (JacobiViolation, LieAlgebra, LieError, abelian,
-                      make_lie_algebra)
+from .algebra import JacobiViolation, LieAlgebra, LieError, make_lie_algebra
 
 
 class CatalogError(KeyError):
@@ -34,53 +33,40 @@ class CatalogEntry:
     algebra: LieAlgebra
 
 
-def _affine2() -> LieAlgebra:
-    return make_lie_algebra(2, [(0, 1, [0, 1])])
-
-
-def _heisenberg3() -> LieAlgebra:
-    return make_lie_algebra(3, [(0, 1, [0, 0, 1])], basis_names=("x", "y", "z"))
-
-
 _SL2_BRACKETS = [
     (0, 1, [0, 2, 0]),    # [h, e] = 2e
     (0, 2, [0, 0, -2]),   # [h, f] = -2f
     (1, 2, [1, 0, 0]),    # [e, f] = h
 ]
 
+# name -> (dim, sparse (i, j, [e_i, e_j]) brackets, basis names); an
+# entry's algebra is built, and its Jacobi identity checked, only on request
+_ENTRIES = {
+    "abelian1": (1, [], None),
+    "abelian2": (2, [], None),
+    "abelian3": (3, [], None),
+    "affine2": (2, [(0, 1, [0, 1])], None),
+    "heisenberg3": (3, [(0, 1, [0, 0, 1])], ("x", "y", "z")),
+    "sl2": (3, _SL2_BRACKETS, ("h", "e", "f")),
+    "sl2_plus_abelian1": (4, [(i, j, vec + [0]) for i, j, vec in _SL2_BRACKETS],
+                          ("h", "e", "f", "u")),
+}
 
-def _sl2() -> LieAlgebra:
-    return make_lie_algebra(3, _SL2_BRACKETS, basis_names=("h", "e", "f"))
 
-
-def _sl2_plus_abelian1() -> LieAlgebra:
-    brackets = [(i, j, vec + [0]) for (i, j, vec) in _SL2_BRACKETS]
-    return make_lie_algebra(4, brackets, basis_names=("h", "e", "f", "u"))
+def _entry(name: str) -> CatalogEntry:
+    return CatalogEntry(name, make_lie_algebra(*_ENTRIES[name]))
 
 
 def catalog() -> list[CatalogEntry]:
-    return [
-        CatalogEntry("abelian1", abelian(1)),
-        CatalogEntry("abelian2", abelian(2)),
-        CatalogEntry("abelian3", abelian(3)),
-        CatalogEntry("affine2", _affine2()),
-        CatalogEntry("heisenberg3", _heisenberg3()),
-        CatalogEntry("sl2", _sl2()),
-        CatalogEntry("sl2_plus_abelian1", _sl2_plus_abelian1()),
-    ]
-
-
-def _normalize(name: str) -> str:
-    # accept "abelian(2)" style spellings
-    return name.strip().lower().replace("(", "").replace(")", "")
+    return [_entry(name) for name in _ENTRIES]
 
 
 def lookup(name: str) -> CatalogEntry:
-    wanted = _normalize(name)
-    for entry in catalog():
-        if _normalize(entry.name) == wanted:
-            return entry
-    raise CatalogError(f"no catalog algebra named {name!r}")
+    # accept "abelian(2)" style spellings
+    wanted = name.strip().lower().replace("(", "").replace(")", "")
+    if wanted not in _ENTRIES:
+        raise CatalogError(f"no catalog algebra named {name!r}")
+    return _entry(wanted)
 
 
 # "p" or "p/q" only: Fraction would also take decimals and exponents, and

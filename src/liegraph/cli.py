@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: info, der, dder, full-graph, verify, corpus-verify.
+Subcommands: info, der, dder, full-graph, verify, corpus-verify. Each one
+returns its `--json` document, its text lines and its exit code, and
+`main` writes the form that was asked for.
 Exit codes: 0 all requested checks pass, 1 a verification failed or
 stdout was closed before all output was written, 2 input/usage error.
 """
@@ -44,20 +46,14 @@ def _load_algebra(args) -> tuple[str, LieAlgebra]:
     return entry.name, entry.algebra
 
 
-def _write_json(data, out) -> None:
-    json.dump(data, out, indent=2, sort_keys=True)
-    out.write("\n")
+def _matrix_cells(m: Matrix) -> list[list[str]]:
+    return [[str(m[r, c]) for c in range(m.cols)] for r in range(m.rows)]
 
 
-def _fmt_matrix(m: Matrix) -> str:
-    cells = _matrix_cells(m)
+def _fmt_cells(cells: list[list[str]]) -> str:
     width = max((len(x) for row in cells for x in row), default=1)
     return "\n".join("  [" + "  ".join(x.rjust(width) for x in row) + "]"
                      for row in cells)
-
-
-def _matrix_cells(m: Matrix) -> list[list[str]]:
-    return [[str(m[r, c]) for c in range(m.cols)] for r in range(m.rows)]
 
 
 def _table_lines(alg: LieAlgebra) -> list[str]:
@@ -87,39 +83,35 @@ def report_to_dict(rep: VerificationReport) -> dict:
     return doc
 
 
-def _print_report(rep: VerificationReport, out) -> None:
+def _report_lines(rep: VerificationReport) -> list[str]:
     ok = lambda b: "pass" if b else "FAIL"
-    print(f"== {rep.algebra_name} ==", file=out)
+    lines = [f"== {rep.algebra_name} =="]
     if rep.theorem1 is not None:
         t = rep.theorem1
-        print(f"theorem1: {ok(t.passed)}", file=out)
-        print(f"  generators are derivations: {ok(t.each_generator_is_derivation)}",
-              file=out)
-        print(f"  bracket homomorphism:       {ok(t.bracket_homomorphism)}", file=out)
-        print(f"  injective:                  {ok(t.injective)}", file=out)
-        print(f"  dim H = {t.dim_h}, dim Der(C(G)) = {t.dim_der_cg}, "
-              f"spans equal: {ok(t.image_equals_der_cg)}", file=out)
+        lines += [
+            f"theorem1: {ok(t.passed)}",
+            f"  generators are derivations: {ok(t.each_generator_is_derivation)}",
+            f"  bracket homomorphism:       {ok(t.bracket_homomorphism)}",
+            f"  injective:                  {ok(t.injective)}",
+            f"  dim H = {t.dim_h}, dim Der(C(G)) = {t.dim_der_cg}, "
+            f"spans equal: {ok(t.image_equals_der_cg)}"]
     if rep.lemma is not None:
         l = rep.lemma
-        print(f"lemma:    {ok(l.passed)}  "
-              f"(dim center C(G) = {l.center_cg_dim}, dim d-center = {l.d_center_dim})",
-              file=out)
+        lines.append(f"lemma:    {ok(l.passed)}  (dim center C(G) = "
+                     f"{l.center_cg_dim}, dim d-center = {l.d_center_dim})")
     if rep.theorem2 is not None:
         t2 = rep.theorem2
-        print(f"theorem2: {ok(t2.passed)}  "
-              f"(d-complete: {t2.d_complete}, C(G) complete: {t2.full_graph_complete})",
-              file=out)
-    print(f"overall:  {ok(rep.passed)}", file=out)
+        lines.append(f"theorem2: {ok(t2.passed)}  (d-complete: {t2.d_complete}, "
+                     f"C(G) complete: {t2.full_graph_complete})")
+    lines.append(f"overall:  {ok(rep.passed)}")
+    return lines
 
 
-def _cmd_info(args, out) -> int:
+def _cmd_info(args):
     name, g = _load_algebra(args)
     der = derivation_algebra(g)
     dspace = d_derivations(der)
-    data = {
-        "algebra": name,
-        "dim": g.dim,
-        "basis_names": list(g.basis_names),
+    dims = {
         "center_dim": center(g).dim,
         "derived_subalgebra_dim": derived_subalgebra(g).dim,
         "der_dim": der.dim,
@@ -128,92 +120,79 @@ def _cmd_info(args, out) -> int:
         "inner_d_dim": dspace.inner.dim,
         "d_center_dim": d_center(der).dim,
     }
-    if args.json:
-        _write_json(data, out)
-    else:
-        print(f"{name}: dim {g.dim}, basis {', '.join(g.basis_names)}", file=out)
-        for line in _table_lines(g):
-            print("  " + line, file=out)
-        for key in ("center_dim", "derived_subalgebra_dim", "der_dim",
-                    "inner_der_dim", "d_space_dim", "inner_d_dim", "d_center_dim"):
-            print(f"{key.replace('_', ' ')}: {data[key]}", file=out)
-    return EXIT_OK
+    doc = {"algebra": name, "dim": g.dim, "basis_names": list(g.basis_names),
+           **dims}
+    lines = [f"{name}: dim {g.dim}, basis {', '.join(g.basis_names)}",
+             *("  " + t for t in _table_lines(g)),
+             *(f"{key.replace('_', ' ')}: {v}" for key, v in dims.items())]
+    return doc, lines, EXIT_OK
 
 
-def _write_span(args, out, data: dict, span, header: str, label: str) -> int:
-    """A span's basis matrices and bracket table: as JSON, beside data; as
+def _span_result(doc: dict, span, header: str, label: str):
+    """A span's basis matrices and bracket table: as JSON, beside doc; as
     text, under header, each matrix after label.format(its number)."""
     alg = span.as_lie_algebra
-    if args.json:
-        _write_json({**data, "basis": [_matrix_cells(b) for b in span.matrices],
-                     "structure_constants": sparse_brackets(alg)}, out)
-    else:
-        print(header, file=out)
-        for i, b in enumerate(span.matrices, 1):
-            print(label.format(i), file=out)
-            print(_fmt_matrix(b), file=out)
-        print("bracket table:", file=out)
-        for line in _table_lines(alg):
-            print("  " + line, file=out)
-    return EXIT_OK
+    cells = [_matrix_cells(b) for b in span.matrices]
+    lines = [header]
+    for i, c in enumerate(cells, 1):
+        lines += [label.format(i), _fmt_cells(c)]
+    lines += ["bracket table:", *("  " + t for t in _table_lines(alg))]
+    return ({**doc, "basis": cells, "structure_constants": sparse_brackets(alg)},
+            lines, EXIT_OK)
 
 
-def _cmd_der(args, out) -> int:
+def _cmd_der(args):
     name, g = _load_algebra(args)
     der = derivation_algebra(g)
-    return _write_span(args, out, {"algebra": name, "der_dim": der.dim}, der,
-                       f"Der({name}): dimension {der.dim}", "D{} =")
+    return _span_result({"algebra": name, "der_dim": der.dim}, der,
+                        f"Der({name}): dimension {der.dim}", "D{} =")
 
 
-def _cmd_dder(args, out) -> int:
+def _cmd_dder(args):
     name, g = _load_algebra(args)
     dspace = d_derivations(derivation_algebra(g))
     p, inner = dspace.dim, dspace.inner.dim
-    return _write_span(
-        args, out, {"algebra": name, "d_space_dim": p, "inner_d_dim": inner},
-        dspace, f"d-derivations of {name}: dimension {p} (inner: {inner})",
+    return _span_result(
+        {"algebra": name, "d_space_dim": p, "inner_d_dim": inner}, dspace,
+        f"d-derivations of {name}: dimension {p} (inner: {inner})",
         "L{} (columns indexed by the Der basis) =")
 
 
-def _cmd_full_graph(args, out) -> int:
+def _cmd_full_graph(args):
     name, g = _load_algebra(args)
     der = derivation_algebra(g)
     cg = build_full_graph(der)
-    if args.json:
-        data = {
-            "algebra": name,
-            "dim": cg.dim,
-            "basis_names": list(cg.basis_names),
-            "structure_constants": sparse_brackets(cg),
-        }
-        _write_json(data, out)
-    else:
-        print(f"C({name}): dimension {cg.dim} "
-              f"(Der block {der.dim}, algebra block {g.dim})", file=out)
-        for line in _table_lines(cg):
-            print("  " + line, file=out)
-    return EXIT_OK
+    doc = {"algebra": name, "dim": cg.dim, "basis_names": list(cg.basis_names),
+           "structure_constants": sparse_brackets(cg)}
+    lines = [f"C({name}): dimension {cg.dim} "
+             f"(Der block {der.dim}, algebra block {g.dim})",
+             *("  " + t for t in _table_lines(cg))]
+    return doc, lines, EXIT_OK
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args):
     name, g = _load_algebra(args)
     rep = fg_mod.verify(g, name, args.theorem)
-    if args.json:
-        _write_json(report_to_dict(rep), out)
-    else:
-        _print_report(rep, out)
-    return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
+    return (report_to_dict(rep), _report_lines(rep),
+            EXIT_OK if rep.passed else EXIT_VERIFY_FAILED)
 
 
-def _cmd_corpus_verify(args, out) -> int:
+def _cmd_corpus_verify(args):
     reports = [fg_mod.verify(entry.algebra, entry.name, "all")
                for entry in catalog()]
-    if args.json:
-        _write_json([report_to_dict(r) for r in reports], out)
-    else:
-        for rep in reports:
-            _print_report(rep, out)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
+    return ([report_to_dict(r) for r in reports],
+            [line for r in reports for line in _report_lines(r)],
+            EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED)
+
+
+# the subcommands that read one algebra: name -> (handler, help)
+_ALGEBRA_COMMANDS = {
+    "info": (_cmd_info, "dimensions of the derived objects"),
+    "der": (_cmd_der, "derivation algebra basis and table"),
+    "dder": (_cmd_dder, "d-derivation basis and bracket table"),
+    "full-graph": (_cmd_full_graph, "structure constants of C(G)"),
+    "verify": (_cmd_verify, "run the theorem checks on one algebra"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,34 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_algebra_args(p):
+    for name, (func, help_text) in _ALGEBRA_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("algebra", nargs="?",
                        help="catalog algebra name (see corpus-verify for the list)")
         p.add_argument("--file", help="structure-constant JSON file")
-
-    p = sub.add_parser("info", help="dimensions of the derived objects")
-    add_algebra_args(p)
-    p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("der", help="derivation algebra basis and table")
-    add_algebra_args(p)
-    p.set_defaults(func=_cmd_der)
-
-    p = sub.add_parser("dder", help="d-derivation basis and bracket table")
-    add_algebra_args(p)
-    p.set_defaults(func=_cmd_dder)
-
-    p = sub.add_parser("full-graph", help="structure constants of C(G)")
-    add_algebra_args(p)
-    p.set_defaults(func=_cmd_full_graph)
-
-    p = sub.add_parser("verify", help="run the theorem checks on one algebra")
-    add_algebra_args(p)
-    p.add_argument("--theorem", choices=["1", "2", "lemma", "all"],
-                   default="all")
-    p.set_defaults(func=_cmd_verify)
-
+        p.set_defaults(func=func)
+    sub.choices["verify"].add_argument(
+        "--theorem", choices=["1", "2", "lemma", "all"], default="all")
     p = sub.add_parser("corpus-verify",
                        help="run all checks on every catalog entry")
     p.set_defaults(func=_cmd_corpus_verify)
@@ -266,9 +225,18 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        code = args.func(args, out)
+        doc, lines, code = args.func(args)
+    except (LieError, CatalogError, ValueError) as exc:
+        msg = exc.args[0] if exc.args else str(exc)
+        print(f"error: {msg}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        if args.json:
+            json.dump(doc, out, indent=2, sort_keys=True)
+            out.write("\n")
+        else:
+            out.write("\n".join(lines) + "\n")
         out.flush()
-        return code
     except BrokenPipeError:
         # The reader closed early (`liegraph ... | head`). Point stdout at
         # devnull so the flush at interpreter exit cannot raise again, and
@@ -278,10 +246,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return EXIT_VERIFY_FAILED
-    except (LieError, CatalogError, ValueError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
-        print(f"error: {msg}", file=sys.stderr)
-        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -59,9 +59,9 @@ class DDerivationSpace(MatrixSpan):
         a = [self.der.ad_coordinates @ l for l in b]
         return self.lie_algebra(lambda i, j: b[i] @ a[j] - b[j] @ a[i], "L")
 
-    def coordinates_of(self, l: Matrix) -> Vector:
-        """Coordinates of a map known to lie in the span; raises otherwise."""
-        return self.coordinates(l)
+    # bound here, not inherited: bench/trace_cli.py traces it through
+    # this class's __dict__, as it does DerivationAlgebra.coordinates_of
+    coordinates_of = MatrixSpan.coordinates
 
 
 def d_derivations(der: DerivationAlgebra) -> DDerivationSpace:

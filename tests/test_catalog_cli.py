@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import importlib
 import io
 import json
 import os
@@ -8,8 +10,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liegraph.algebra import JacobiViolation
+from liegraph.algebra import JacobiViolation, make_lie_algebra
 from liegraph.catalog import (AlgebraFileError, CatalogError, catalog, lookup,
                               parse_algebra_file, serialize_algebra)
 from liegraph.cli import main
@@ -35,6 +38,22 @@ class TestCatalog:
     def test_lookup_unknown(self):
         with pytest.raises(CatalogError):
             lookup("so8")
+
+    def test_lookup_builds_only_the_entry_it_returns(self, monkeypatch):
+        built = []
+
+        def counting(n, brackets, basis_names=None):
+            built.append(n)
+            return make_lie_algebra(n, brackets, basis_names)
+
+        # the package's `catalog` attribute is the function, not the module
+        module = importlib.import_module("liegraph.catalog")
+        monkeypatch.setattr(module, "make_lie_algebra", counting)
+        assert lookup("sl2").algebra.basis_names == ("h", "e", "f")
+        assert built == [3]
+        with pytest.raises(CatalogError):
+            lookup("so8")
+        assert built == [3]
 
 
 class TestAlgebraFile:
@@ -167,6 +186,64 @@ class TestAlgebraFile:
         g = lookup(name).algebra
         again = parse_algebra_file(serialize_algebra(g))
         assert again.table == g.table and again.basis_names == g.basis_names
+
+
+# JSON values of the wrong type for a field that wants an integer or a list
+_WRONG_TYPE = st.one_of(st.none(), st.booleans(), st.just(2.0), st.just("3"),
+                        st.lists(st.integers(0, 3), max_size=2))
+_GOOD_COEFFS = st.one_of(st.integers(-2, 2),
+                         st.sampled_from(["1", "-2", "+1", "0", "3/2", "-1/3"]))
+_BAD_COEFFS = st.one_of(st.booleans(), st.just(0.5), st.sampled_from(
+    ["1/0", "0.5", "1e3", "", "x", "1/-2", "\u0663"]))
+
+
+@st.composite
+def algebra_documents(draw):
+    """Small structure-constant documents in which each field is broken now
+    and then. dim stays at most 4: a large dim is beyond the budget of info."""
+    def mostly(good, bad):
+        # one field in five is broken, so that some documents are valid
+        return draw(bad if draw(st.integers(0, 4)) == 0 else good)
+
+    def with_unknown_key(obj):
+        if draw(st.integers(0, 9)) == 0:
+            obj["extra"] = 0
+        return obj
+
+    dim = mostly(st.integers(1, 4), _WRONG_TYPE)
+    n = dim if type(dim) is int else 2
+    index = lambda: mostly(st.integers(0, n - 1), st.sampled_from([-1, n]))
+    term = lambda: with_unknown_key(
+        {"k": index(), "coeff": mostly(_GOOD_COEFFS, _BAD_COEFFS)})
+    bracket = lambda: with_unknown_key(
+        {"i": index(), "j": index(),
+         "result": [term() for _ in range(draw(st.integers(0, 2)))]})
+    doc = with_unknown_key(
+        {"dim": dim, "brackets": [bracket() for _ in range(draw(st.integers(0, 3)))]})
+    if draw(st.booleans()):
+        doc["basis_names"] = mostly(
+            st.lists(st.text(max_size=2), min_size=n, max_size=n, unique=True),
+            st.one_of(_WRONG_TYPE, st.lists(st.text(max_size=2), max_size=5)))
+    return doc
+
+
+@pytest.mark.parametrize("command", ["info", "verify"])
+@given(doc=algebra_documents())
+@settings(max_examples=100, deadline=None)
+def test_drawn_file_gives_a_report_or_one_error_line(command, doc, tmp_path_factory):
+    path = tmp_path_factory.mktemp("doc") / "algebra.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--json", command, "--file", str(path)], out=out)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        json.loads(out.getvalue())
+        assert err.getvalue() == ""
 
 
 def run_cli(*argv):
