@@ -14,7 +14,7 @@ from .dtheory import (DCompletenessEvidence, DDerivationSpace, build_h,
                       inner_d_derivation, is_d_complete)
 from .fullgraph import (VerificationReport, build_full_graph, h_derivation,
                         verify)
-from .catalog import (AlgebraFileError, CatalogEntry, CatalogError, catalog,
-                      lookup, parse_algebra_file, serialize_algebra)
+from .catalog import (AlgebraFileError, CatalogEntry, CatalogError, lookup,
+                      parse_algebra_file, serialize_algebra)
 
 __version__ = "0.1.0"

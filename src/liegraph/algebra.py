@@ -16,10 +16,9 @@ and dtheory reads the d-analogues off the natural action of Der(G) on G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .linalg import (ONE, Matrix, Scalar, SparseRow, Subspace, Vector, ZERO,
                      as_vector, nullspace, rank, rref_kernel, solve,
@@ -64,15 +63,28 @@ class InternalConsistencyError(LieError):
 Terms = tuple[tuple[int, Scalar], ...]  # nonzero (k, c), k increasing
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
     """Structure constants held once, as the nonzero terms of each bracket:
     pairs[i][j] gives [e_i, e_j] = sum of c e_k over its (k, c), and
     pairs[j][i] is its negation. Build one with make_lie_algebra,
-    lie_algebra_from_table or semidirect, which check Jacobi."""
-    dim: int
-    basis_names: tuple[str, ...]
-    pairs: tuple[tuple[Terms, ...], ...]
+    lie_algebra_from_table or semidirect, which check Jacobi.
+
+    Equality and hashing read (dim, basis_names, pairs) alone; the views
+    built on first read (table, adjoint) never take part."""
+
+    def __init__(self, dim: int, basis_names: tuple[str, ...],
+                 pairs: tuple[tuple[Terms, ...], ...]):
+        self.dim = dim
+        self.basis_names = basis_names
+        self.pairs = pairs
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, LieAlgebra) and self.dim == other.dim
+                and self.basis_names == other.basis_names
+                and self.pairs == other.pairs)
+
+    def __hash__(self):
+        return hash((self.dim, self.basis_names, self.pairs))
 
     @cached_property
     def table(self) -> tuple:
@@ -236,7 +248,6 @@ def abelian(n: int) -> LieAlgebra:
     return make_lie_algebra(n, [])
 
 
-@dataclass(frozen=True)
 class Representation:
     """A Lie algebra L acting on V = Q^n: rho[i] is the n x n matrix of L's
     i-th basis element. A linear map phi: L -> V is held as the n x m matrix
@@ -255,8 +266,10 @@ class Representation:
     walking the algebra's pairs and the nonzeros of rho, so checking a map
     on a large algebra never builds that algebra's system.
     """
-    rho: tuple[Matrix, ...]
-    algebra: LieAlgebra
+
+    def __init__(self, rho: tuple[Matrix, ...], algebra: LieAlgebra):
+        self.rho = rho
+        self.algebra = algebra
 
     def invariants(self) -> Subspace:
         """{v : rho_i v = 0 for every i}, the kernel of the stacked rho."""
@@ -365,12 +378,13 @@ def derived_subalgebra(g: LieAlgebra) -> Subspace:
                                   for i, j in combinations(range(g.dim), 2)])
 
 
-@dataclass(frozen=True)
 class MatrixSpan:
     """A span of equal-shape matrices, held as the canonical RREF basis of
     their row-major flattenings; coordinates are read at its pivots."""
-    shape: tuple[int, int]
-    flat_span: Subspace  # in Q^(rows * cols)
+
+    def __init__(self, shape: tuple[int, int], flat_span: Subspace):
+        self.shape = shape
+        self.flat_span = flat_span  # in Q^(rows * cols)
 
     @property
     def dim(self) -> int:
@@ -413,10 +427,13 @@ class MatrixSpan:
             self.dim, upper, tuple(f"{prefix}{i + 1}" for i in range(self.dim)))
 
 
-@dataclass(frozen=True)
 class DerivationAlgebra(MatrixSpan):
     """Der(G) in the canonical basis of the adjoint cocycle system's kernel."""
-    parent: LieAlgebra
+
+    def __init__(self, shape: tuple[int, int], flat_span: Subspace,
+                 parent: LieAlgebra):
+        super().__init__(shape, flat_span)
+        self.parent = parent
 
     @cached_property
     def as_lie_algebra(self) -> LieAlgebra:
@@ -480,8 +497,7 @@ def induced_lie_structure(matrices: Sequence[Matrix],
     return lie_algebra_from_table(table, basis_names)
 
 
-@dataclass(frozen=True)
-class CompletenessEvidence:
+class CompletenessEvidence(NamedTuple):
     complete: bool
     center_dim: int
     der_dim: int

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .linalg import ZERO, Scalar, as_scalar
 from .algebra import JacobiViolation, LieAlgebra, LieError, make_lie_algebra
 
@@ -27,8 +28,7 @@ class AlgebraFileError(LieError):
     pass
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     algebra: LieAlgebra
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import fullgraph as fg_mod
@@ -75,11 +74,11 @@ def report_to_dict(rep: VerificationReport) -> dict:
     for key in ("theorem1", "lemma", "theorem2"):
         part = getattr(rep, key)
         if part is not None:
-            doc[key] = {**asdict(part), "passed": part.passed}
+            doc[key] = {**part._asdict(), "passed": part.passed}
     for key, part in (("d_completeness", rep.d_evidence),
                       ("full_graph_completeness", rep.cg_evidence)):
         if part is not None:
-            doc[key] = {k: v for k, v in asdict(part).items() if k.endswith("_dim")}
+            doc[key] = {k: v for k, v in part._asdict().items() if k.endswith("_dim")}
     return doc
 
 

@@ -20,9 +20,8 @@ Der(G) and matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import Matrix, Subspace, Vector, nullspace, vstack
 from .algebra import DerivationAlgebra, LieAlgebra, MatrixSpan, semidirect
@@ -39,11 +38,14 @@ def inner_d_derivation(der: DerivationAlgebra, x: Sequence) -> Matrix:
     return der.natural.coboundary(x)
 
 
-@dataclass(frozen=True)
 class DDerivationSpace(MatrixSpan):
     """The cocycle space in the canonical basis of the cocycle system's kernel."""
-    der: DerivationAlgebra
-    inner: Subspace  # flattened inner d-derivations, subspace of flat_span
+
+    def __init__(self, shape: tuple[int, int], flat_span: Subspace,
+                 der: DerivationAlgebra, inner: Subspace):
+        super().__init__(shape, flat_span)
+        self.der = der
+        self.inner = inner  # flattened inner d-derivations, subspace of flat_span
 
     @cached_property
     def as_lie_algebra(self) -> LieAlgebra:
@@ -105,8 +107,7 @@ def build_h(dspace: DDerivationSpace) -> LieAlgebra:
     return semidirect(der.as_lie_algebra, dspace.as_lie_algebra, act)
 
 
-@dataclass(frozen=True)
-class DCompletenessEvidence:
+class DCompletenessEvidence(NamedTuple):
     d_complete: bool
     d_center_dim: int
     d_space_dim: int

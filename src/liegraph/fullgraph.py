@@ -16,10 +16,9 @@ is the cocycle space of dtheory and S, in (m+n)·n unknowns, the space of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .linalg import (Matrix, ONE, Scalar, SparseRow, Subspace, ZERO,
                      sparse_nullspace)
@@ -120,8 +119,7 @@ def h_derivation(dspace: DDerivationSpace, d_coords: Sequence,
     return Matrix._trusted(size, size, tuple(e))
 
 
-@dataclass(frozen=True)
-class Theorem1Evidence:
+class Theorem1Evidence(NamedTuple):
     each_generator_is_derivation: bool
     bracket_homomorphism: bool
     injective: bool
@@ -136,8 +134,7 @@ class Theorem1Evidence:
                 and self.image_equals_der_cg)
 
 
-@dataclass(frozen=True)
-class LemmaEvidence:
+class LemmaEvidence(NamedTuple):
     center_cg_dim: int
     d_center_dim: int
     match: bool
@@ -147,8 +144,7 @@ class LemmaEvidence:
         return self.match
 
 
-@dataclass(frozen=True)
-class Theorem2Evidence:
+class Theorem2Evidence(NamedTuple):
     d_complete: bool
     full_graph_complete: bool
     equivalent: bool
@@ -158,8 +154,7 @@ class Theorem2Evidence:
         return self.equivalent
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     algebra_name: str
     theorem1: Optional[Theorem1Evidence] = None
     lemma: Optional[LemmaEvidence] = None

@@ -452,3 +452,14 @@ def test_semidirect_by_any_action_matches_padded_reference(name, m, data):
     assert built == expected
     if isinstance(built, LieAlgebra):
         assert built.table == expected.table
+
+
+def test_algebra_equality_ignores_views_built_on_first_read():
+    g = make_lie_algebra(3, [(0, 1, [0, 0, 1])], ("x", "y", "z"))
+    h = lookup("heisenberg3").algebra
+    assert g is not h
+    g.table, g.adjoint  # built on g only
+    assert "table" in vars(g) and "table" not in vars(h)
+    assert g == h and hash(g) == hash(h)
+    assert g != make_lie_algebra(3, [(0, 1, [0, 0, 1])])  # other names
+    assert g != make_lie_algebra(3, [(0, 1, [0, 0, 2])], ("x", "y", "z"))

@@ -12,9 +12,10 @@ from liegraph.algebra import abelian, derivation_algebra, make_lie_algebra
 from liegraph.catalog import catalog, lookup, parse_algebra_file, serialize_algebra
 from liegraph.cli import main
 from liegraph.dtheory import d_derivations
-from liegraph.fullgraph import (_Workspace, build_full_graph, check_lemma,
-                                check_theorem1, check_theorem2, der_cg_blocks,
-                                h_derivation, verify)
+from liegraph.fullgraph import (VerificationReport, _Workspace,
+                                build_full_graph, check_lemma, check_theorem1,
+                                check_theorem2, der_cg_blocks, h_derivation,
+                                verify)
 from liegraph.linalg import Matrix, Subspace
 
 F = Fraction
@@ -389,3 +390,42 @@ def test_verify_builds_no_float(name, monkeypatch):
     g = parse_algebra_file(serialize_algebra(lookup(name).algebra))
     verify(g, name)
     assert int in seen and seen <= {int, F}
+
+
+# Every result record: its field names in constructor order.
+RECORD_FIELDS = {
+    "Theorem1Evidence": ("each_generator_is_derivation", "bracket_homomorphism",
+                         "injective", "dim_h", "dim_der_cg",
+                         "image_equals_der_cg"),
+    "LemmaEvidence": ("center_cg_dim", "d_center_dim", "match"),
+    "Theorem2Evidence": ("d_complete", "full_graph_complete", "equivalent"),
+    "VerificationReport": ("algebra_name", "theorem1", "lemma", "theorem2",
+                           "d_evidence", "cg_evidence"),
+    "CompletenessEvidence": ("complete", "center_dim", "der_dim", "inner_dim"),
+    "DCompletenessEvidence": ("d_complete", "d_center_dim", "d_space_dim",
+                              "inner_d_dim"),
+    "CatalogEntry": ("name", "algebra"),
+}
+
+
+@pytest.mark.parametrize("name", ["sl2", "heisenberg3"])
+def test_records_are_immutable_values(name):
+    entry = lookup(name)
+    rep = verify(entry.algebra, name)
+    records = [entry, rep, rep.theorem1, rep.lemma, rep.theorem2,
+               rep.d_evidence, rep.cg_evidence]
+    assert sorted(type(r).__name__ for r in records) == sorted(RECORD_FIELDS)
+    for record in records:
+        fields = RECORD_FIELDS[type(record).__name__]
+        twin = type(record)(*(getattr(record, f) for f in fields))
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record)
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], getattr(record, fields[0]))
+
+
+def test_optional_report_parts_default_to_none():
+    rep = VerificationReport("g")
+    assert (rep.theorem1, rep.lemma, rep.theorem2, rep.d_evidence,
+            rep.cg_evidence) == (None,) * 5
+    assert not rep.passed
