@@ -21,8 +21,8 @@ from itertools import combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .linalg import (ONE, Matrix, Scalar, SparseRow, Subspace, Vector, ZERO,
-                     as_vector, nullspace, rank, rref_kernel, solve,
-                     sparse_rref, vstack)
+                     as_vector, common_kernel, rank, rref_kernel, solve,
+                     sparse_rref)
 
 
 class LieError(Exception):
@@ -261,10 +261,6 @@ class Representation:
     the Leibniz rule of G, whose kernel is Der(G), and fullgraph reads them
     again as equations. fullgraph.der_cg_blocks reads the rows of G acting
     on C(G) through C(G)'s adjoint: the rule on δ restricted to G.
-
-    is_cocycle(phi) needs no rows: it evaluates the rule on phi directly,
-    walking the algebra's pairs and the nonzeros of rho, so checking a map
-    on a large algebra never builds that algebra's system.
     """
 
     def __init__(self, rho: tuple[Matrix, ...], algebra: LieAlgebra):
@@ -272,8 +268,8 @@ class Representation:
         self.algebra = algebra
 
     def invariants(self) -> Subspace:
-        """{v : rho_i v = 0 for every i}, the kernel of the stacked rho."""
-        return nullspace(vstack(self.rho))
+        """{v : rho_i v = 0 for every i}, the common kernel of rho."""
+        return common_kernel(self.rho)
 
     @cached_property
     def cocycle_system(self) -> tuple[SparseRow, ...]:
@@ -323,49 +319,6 @@ class Representation:
                 for k, c in row:
                     flat[k][a * m + i] = -c
         return Subspace._span(n * m, flat)
-
-    @cached_property
-    def _rho_columns(self) -> tuple[tuple[list[tuple[int, Scalar]], ...], ...]:
-        """Per basis element i and column k, the nonzero (a, rho_i[a][k])."""
-        n = self.rho[0].rows
-        out = []
-        for r in self.rho:
-            cols: tuple[list, ...] = tuple([] for _ in range(n))
-            for a, row in enumerate(r.nonzeros):
-                for k, c in row:
-                    cols[k].append((a, c))
-            out.append(cols)
-        return tuple(out)
-
-    def is_cocycle(self, phi: Matrix) -> bool:
-        """phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i) for every i < j,
-        summed from the nonzero terms of [e_i, e_j], the nonzero entries of
-        phi's columns and the nonzero entries of rho in those columns."""
-        m = len(self.rho)
-        if phi.shape != (self.rho[0].rows, m):
-            raise ValueError(f"a map to Q^{self.rho[0].rows} from a "
-                             f"{m}-dim algebra cannot be {phi.shape}")
-        cols: list[list[tuple[int, Scalar]]] = [[] for _ in range(m)]
-        for k, row in enumerate(phi.nonzeros):
-            for t, x in row:
-                cols[t].append((k, x))
-        s, rcols = self.algebra.pairs, self._rho_columns
-        for i, j in combinations(range(m), 2):
-            if not (s[i][j] or cols[i] or cols[j]):
-                continue
-            acc: dict[int, Scalar] = {}
-            for t, c in s[i][j]:
-                for k, x in cols[t]:
-                    acc[k] = acc.get(k, ZERO) + c * x
-            for k, x in cols[j]:
-                for a, c in rcols[i][k]:
-                    acc[a] = acc.get(a, ZERO) - c * x
-            for k, x in cols[i]:
-                for a, c in rcols[j][k]:
-                    acc[a] = acc.get(a, ZERO) + c * x
-            if any(acc.values()):
-                return False
-        return True
 
 
 def center(g: LieAlgebra) -> Subspace:

@@ -23,14 +23,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .linalg import Matrix, Subspace, Vector, nullspace, vstack
+from .linalg import Matrix, Subspace, Vector, common_kernel
 from .algebra import DerivationAlgebra, LieAlgebra, MatrixSpan, semidirect
 
 
 def d_center(der: DerivationAlgebra) -> Subspace:
     """{x : D x = 0 for every derivation D}, the common kernel of the basis
     derivations; it reads no structure constants of Der(G)."""
-    return nullspace(vstack(der.matrices))
+    return common_kernel(der.matrices)
 
 
 def inner_d_derivation(der: DerivationAlgebra, x: Sequence) -> Matrix:

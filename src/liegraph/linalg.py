@@ -20,7 +20,8 @@ and the kernel never touches a zero. The RREF of a row space is
 unique, so it gives the same canonical basis as any exact Gauss-Jordan
 elimination. ``rref``, ``rank``, ``solve``, ``nullspace`` and
 ``Subspace.from_rows`` call it on dense input; ``sparse_nullspace`` takes
-sparse rows, so a system built sparse is never made dense, and
+sparse rows and ``common_kernel`` the nonzeros of several matrices, so a
+system built sparse or held as matrices is never stacked dense, and
 ``rref_kernel`` gives the kernel of rows already reduced, for a caller that
 keeps the reduced rows as equations.
 
@@ -233,16 +234,6 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
-def vstack(mats: Sequence[Matrix]) -> Matrix:
-    if not mats:
-        raise ValueError("vstack of nothing")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("column count mismatch")
-    return Matrix._trusted(sum(m.rows for m in mats), cols,
-                           tuple(x for m in mats for x in m.flatten()))
-
-
 def sparse_rref(rows: Iterable[Mapping[int, Scalar]]
                 ) -> tuple[list[SparseRow], list[int]]:
     """The nonzero rows of the unique RREF of the given sparse rows, in pivot
@@ -428,7 +419,14 @@ class Subspace:
 
 def nullspace(m: Matrix) -> Subspace:
     """Canonical basis of {v : m v = 0}."""
-    return sparse_nullspace(m.cols, _sparse_rows(m))
+    return common_kernel((m,))
+
+
+def common_kernel(mats: Sequence[Matrix]) -> Subspace:
+    """Canonical basis of {v : M v = 0 for every M in mats}, equal-width
+    matrices, from the rows of their nonzeros; no stacked copy is built."""
+    return sparse_nullspace(mats[0].cols,
+                            (dict(row) for m in mats for row in m.nonzeros))
 
 
 def sparse_nullspace(ncols: int, rows: Iterable[Mapping[int, Scalar]]) -> Subspace:

@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 import reference
 from algebras import CATALOG_NAMES, NAMES, algebra, two_step_nilpotent
 
-from liegraph.algebra import abelian, derivation_algebra, make_lie_algebra
+from liegraph.algebra import (InternalConsistencyError, abelian,
+                              derivation_algebra, make_lie_algebra)
 from liegraph.catalog import catalog, lookup, parse_algebra_file, serialize_algebra
 from liegraph.cli import main
 from liegraph.dtheory import d_derivations
 from liegraph.fullgraph import (VerificationReport, _Workspace,
                                 build_full_graph, check_lemma, check_theorem1,
                                 check_theorem2, der_cg_blocks, h_derivation,
-                                verify)
+                                is_block_derivation, verify)
 from liegraph.linalg import Matrix, Subspace
 
 F = Fraction
@@ -219,7 +220,7 @@ def test_verify_all_computes_each_center_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["heisenberg3", "sl2"])
 def test_checks_never_build_the_leibniz_system_of_the_full_graph(name):
-    # the generator check walks the structure constants of C(G), and the
+    # the generator check reads the blocks of each generator, and the
     # dimension of Der(C(G)) comes from the blocks over G
     ws = _Workspace(lookup(name).algebra)
     for check in (check_theorem1, check_lemma, check_theorem2):
@@ -281,8 +282,7 @@ def test_two_step_nilpotent_full_graph_has_the_outer_derivation(seed, n):
         for r in range(m):
             delta[r * size + m + j] = -ad[r, j]
     delta = Matrix(size, size, delta)
-    cg = ws.cg.adjoint
-    assert cg.is_cocycle(delta) and reference.is_cocycle(cg, delta)
+    assert reference.is_cocycle(ws.cg.adjoint, delta)
 
     total = m + ws.dspace.dim
     units = [[F(int(t == i)) for t in range(total)] for i in range(total)]
@@ -367,6 +367,62 @@ def test_heisenberg3_blocks_hold_the_certified_outer_derivation():
     v = [-ad[r, j] for r in range(m) for j in range(n)] + [
         2 if a == b else 0 for a in range(n) for b in range(n)]
     assert der_cg_blocks(ws.der, ws.cg).contains_vector(v)
+
+
+# The block criterion of is_block_derivation against the loop over the basis
+# pairs of C(G), on maps with no G → Der block: the generators of H, the
+# generators with their G rows negated, derivations assembled from drawn
+# elements of Der(G) and Z¹ with A forced, and each of those with one entry
+# changed.
+
+def _with_entry(delta: Matrix, r: int, c: int, x) -> Matrix:
+    entries = list(delta.flatten())
+    entries[r * delta.cols + c] = x
+    return Matrix(delta.rows, delta.cols, entries)
+
+
+def _block_maps(ws, rng) -> list[Matrix]:
+    der, dspace = ws.der, ws.dspace
+    m, n, total = der.dim, der.parent.dim, der.dim + dspace.dim
+    units = [[int(t == i) for t in range(total)] for i in range(total)]
+    gens = [h_derivation(dspace, u[:m], u[m:]) for u in units]
+    maps = gens + [Matrix.from_rows([g.row(r) if r < m else
+                                     tuple(-x for x in g.row(r))
+                                     for r in range(g.rows)]) for g in gens]
+    for _ in range(3):
+        e = der.matrix_of(rand_vec(rng, m))
+        c = dspace.matrix_of(rand_vec(rng, dspace.dim))
+        delta = _assemble(ws, c, e, Matrix.zero(m, n))
+        # any entry but the G → Der block's
+        r = rng.randrange(m + n)
+        col = rng.randrange(m) if r < m else rng.randrange(m + n)
+        x = delta[r, col] + rng.choice([1, F(-1, 2)])
+        maps += [delta, _with_entry(delta, r, col, x)]
+    return maps
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_criterion_matches_the_leibniz_loop(case):
+    g = algebra(case) if isinstance(case, str) else two_step_nilpotent(*case)
+    ws = _Workspace(g)
+    m, size = ws.der.dim, ws.cg.dim
+    maps = _block_maps(ws, random.Random(repr(case)))
+    for delta in maps:
+        assert not any(delta[r, c] for r in range(m) for c in range(m, size))
+        assert (is_block_derivation(ws.dspace, delta)
+                == reference.is_cocycle(ws.cg.adjoint, delta))
+    # the generators of H are derivations
+    assert all(is_block_derivation(ws.dspace, d) for d in maps[:ws.h.dim])
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_block_criterion_refuses_a_map_with_a_g_to_der_block(name):
+    ws = _Workspace(lookup(name).algebra)
+    m = ws.der.dim
+    gen = h_derivation(ws.dspace, [1] + [0] * (m - 1), [0] * ws.dspace.dim)
+    delta = _with_entry(gen, 0, m, 1)
+    with pytest.raises(InternalConsistencyError):
+        is_block_derivation(ws.dspace, delta)
 
 
 # Scalars are ints and Fractions only: every matrix that verify builds,
