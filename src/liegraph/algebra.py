@@ -355,12 +355,7 @@ class MatrixSpan:
         if len(coords) != self.dim:
             raise ValueError(
                 f"{len(coords)} coordinates for a span of dimension {self.dim}")
-        e = [ZERO] * (self.shape[0] * self.shape[1])
-        for c, row in zip(coords, self.flat_span.basis.nonzeros):
-            if c:
-                for t, x in row:
-                    e[t] += c * x
-        return Matrix._trusted(*self.shape, tuple(e))
+        return Matrix._trusted(*self.shape, self.flat_span.combination(coords))
 
     def coordinates(self, m: Matrix) -> Vector:
         """Coordinates of a matrix known to lie in the span; raises otherwise."""
@@ -460,7 +455,8 @@ class CompletenessEvidence(NamedTuple):
 def is_complete(g: LieAlgebra, der_dim: int, z: Subspace) -> CompletenessEvidence:
     """Trivial center z and every derivation inner. The inner derivations
     always lie in Der(G), so they are all of it iff their dimension is
-    der_dim = dim Der(G)."""
-    inner = inner_derivations(g)
-    return CompletenessEvidence(z.dim == 0 and inner.dim == der_dim, z.dim,
-                                der_dim, inner.dim)
+    der_dim = dim Der(G); x -> ad(x) has kernel the center, so that
+    dimension is dim G - dim z."""
+    inner_dim = g.dim - z.dim
+    return CompletenessEvidence(z.dim == 0 and inner_dim == der_dim, z.dim,
+                                der_dim, inner_dim)

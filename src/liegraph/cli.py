@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import fullgraph as fg_mod
 from .algebra import (LieAlgebra, LieError, center, derivation_algebra,
-                      derived_subalgebra, inner_derivations)
+                      derived_subalgebra)
 from .catalog import (CatalogError, catalog, lookup, parse_algebra_file,
                       sparse_brackets)
 from .dtheory import d_center, d_derivations
@@ -109,15 +109,17 @@ def _report_lines(rep: VerificationReport) -> list[str]:
 def _cmd_info(args):
     name, g = _load_algebra(args)
     der = derivation_algebra(g)
-    dspace = d_derivations(der)
+    # the inner maps x -> ad(x) and x -> L_x have kernels the center and
+    # the d-center, so each space's dimension is dim G minus that kernel's
+    z, cd = center(g).dim, d_center(der).dim
     dims = {
-        "center_dim": center(g).dim,
+        "center_dim": z,
         "derived_subalgebra_dim": derived_subalgebra(g).dim,
         "der_dim": der.dim,
-        "inner_der_dim": inner_derivations(g).dim,
-        "d_space_dim": dspace.dim,
-        "inner_d_dim": dspace.inner.dim,
-        "d_center_dim": d_center(der).dim,
+        "inner_der_dim": g.dim - z,
+        "d_space_dim": d_derivations(der).dim,
+        "inner_d_dim": g.dim - cd,
+        "d_center_dim": cd,
     }
     doc = {"algebra": name, "dim": g.dim, "basis_names": list(g.basis_names),
            **dims}
@@ -149,8 +151,9 @@ def _cmd_der(args):
 
 def _cmd_dder(args):
     name, g = _load_algebra(args)
-    dspace = d_derivations(derivation_algebra(g))
-    p, inner = dspace.dim, dspace.inner.dim
+    der = derivation_algebra(g)
+    dspace = d_derivations(der)
+    p, inner = dspace.dim, g.dim - d_center(der).dim
     return _span_result(
         {"algebra": name, "d_space_dim": p, "inner_d_dim": inner}, dspace,
         f"d-derivations of {name}: dimension {p} (inner: {inner})",

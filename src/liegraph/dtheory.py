@@ -6,7 +6,9 @@ Der(G) acting on G (``DerivationAlgebra.natural``). The d-center is the
 common kernel of that action. The d-derivations and the inner ones
 L_x(D) = -D(x) are its cocycles and coboundaries, computed by the
 ``algebra.Representation`` code that gives Der(G) and the inner
-derivations of the adjoint action. They carry a bracket
+derivations of the adjoint action; is_d_complete counts the inner ones
+(x -> L_x has kernel the d-center) instead of spanning them. The
+d-derivations carry a bracket
     [L1,L2](D) = L1(ad(L2(D))) - L2(ad(L1(D)))
 and Der(G) acts on them by D(L) = D∘L - L∘ad(D), which lets the two fit
 together into a semidirect product H, returned by build_h as a LieAlgebra.
@@ -42,10 +44,9 @@ class DDerivationSpace(MatrixSpan):
     """The cocycle space in the canonical basis of the cocycle system's kernel."""
 
     def __init__(self, shape: tuple[int, int], flat_span: Subspace,
-                 der: DerivationAlgebra, inner: Subspace):
+                 der: DerivationAlgebra):
         super().__init__(shape, flat_span)
         self.der = der
-        self.inner = inner  # flattened inner d-derivations, subspace of flat_span
 
     @cached_property
     def as_lie_algebra(self) -> LieAlgebra:
@@ -67,10 +68,9 @@ class DDerivationSpace(MatrixSpan):
 
 
 def d_derivations(der: DerivationAlgebra) -> DDerivationSpace:
-    """The cocycles and the coboundaries of Der(G) acting on G."""
-    natural = der.natural
-    return DDerivationSpace((der.parent.dim, der.dim), natural.cocycles(), der,
-                            natural.coboundaries())
+    """The cocycles of Der(G) acting on G."""
+    return DDerivationSpace((der.parent.dim, der.dim), der.natural.cocycles(),
+                            der)
 
 
 def d_bracket(der: DerivationAlgebra, l1: Matrix, l2: Matrix) -> Matrix:
@@ -115,7 +115,9 @@ class DCompletenessEvidence(NamedTuple):
 
 
 def is_d_complete(dspace: DDerivationSpace, cd: Subspace) -> DCompletenessEvidence:
-    """Trivial d-center cd and every cocycle in dspace inner."""
-    all_inner = dspace.inner == dspace.flat_span
-    return DCompletenessEvidence(cd.dim == 0 and all_inner,
-                                 cd.dim, dspace.dim, dspace.inner.dim)
+    """Trivial d-center cd and every cocycle in dspace inner. The inner
+    cocycles lie in dspace and number dim G - dim cd, so they are all of it
+    iff that is dspace.dim."""
+    coboundary_dim = dspace.shape[0] - cd.dim
+    return DCompletenessEvidence(cd.dim == 0 and coboundary_dim == dspace.dim,
+                                 cd.dim, dspace.dim, coboundary_dim)

@@ -10,8 +10,9 @@ the quotient is integral. Almost every entry of the systems solved here is a
 small integer, and ``int`` arithmetic skips the ``Fraction`` object work.
 ``str``, ``==`` and ``hash`` agree between an ``int`` and the equal
 ``Fraction``, so which type an entry has never shows in an output or in a
-comparison. Every subspace is kept in a canonical RREF basis: two subspaces
-are equal iff their basis matrices are equal.
+comparison. A subspace is kept as the rows of its canonical RREF basis, as
+the kernel gives them: two subspaces are equal iff these rows are equal, and
+a dense basis vector is built only on request (``Subspace.basis_vectors``).
 
 All elimination is done by one sparse Gauss-Jordan kernel, ``sparse_rref``,
 on rows held as ``{column: nonzero entry}``: the systems solved here are
@@ -27,8 +28,8 @@ keeps the reduced rows as equations.
 
 A Matrix keeps one view of its nonzeros, ``Matrix.nonzeros``: per row, the
 nonzero (column, entry) pairs, built on first read. Products, commutators,
-matrix-vector products, the kernel's input rows and subspace coordinates all
-walk that view, so none of them tests a zero entry more than once per matrix.
+matrix-vector products and the kernel's input rows all walk that view, so
+none of them tests a zero entry more than once per matrix.
 """
 
 from __future__ import annotations
@@ -157,9 +158,6 @@ class Matrix:
         return Matrix._trusted(self.rows, self.cols, tuple(
             a - b if b else a for a, b in zip(self._e, other._e)))
 
-    def __neg__(self) -> "Matrix":
-        return Matrix._trusted(self.rows, self.cols, tuple(-a for a in self._e))
-
     def scale(self, s) -> "Matrix":
         s = as_scalar(s)
         return Matrix._trusted(self.rows, self.cols, tuple(s * a for a in self._e))
@@ -284,22 +282,20 @@ def _sparse_rows(m: Matrix) -> list[SparseRow]:
     return [dict(row) for row in m.nonzeros]
 
 
-def _dense(rows: Sequence[SparseRow], ncols: int) -> tuple:
-    """The row-major entries of sparse rows of width ncols."""
-    out = []
-    for row in rows:
-        v = [ZERO] * ncols
-        for c, x in row.items():
-            v[c] = x
-        out.extend(v)
-    return tuple(out)
+def _dense(row: Iterable[tuple[int, Scalar]], ncols: int) -> Vector:
+    """The vector of width ncols with the given (column, entry) pairs."""
+    v = [ZERO] * ncols
+    for c, x in row:
+        v[c] = x
+    return tuple(v)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Unique reduced row echelon form of m (zero rows kept) and pivot columns."""
     rows, pivots = sparse_rref(_sparse_rows(m))
-    zero_rows = (ZERO,) * ((m.rows - len(rows)) * m.cols)
-    return Matrix._trusted(m.rows, m.cols, _dense(rows, m.cols) + zero_rows), pivots
+    entries = [x for row in rows for x in _dense(row.items(), m.cols)]
+    entries += [ZERO] * ((m.rows - len(rows)) * m.cols)
+    return Matrix._trusted(m.rows, m.cols, tuple(entries)), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -325,15 +321,14 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
 
 
 class Subspace:
-    """A subspace of Q^n held as an RREF row basis; equality is syntactic."""
+    """A subspace of Q^n held as its canonical RREF basis: per row, its
+    nonzero (column, entry) pairs in column order, the pivot's 1 first."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "rows")
 
-    def __init__(self, ambient_dim: int, basis: Matrix):
-        if basis.cols != ambient_dim:
-            raise ValueError("basis width != ambient dimension")
+    def __init__(self, ambient_dim: int, rows: tuple):
         self.ambient_dim = ambient_dim
-        self.basis = basis  # trusted canonical; use from_rows to canonicalize
+        self.rows = rows  # trusted canonical; use from_rows to canonicalize
 
     @classmethod
     def from_rows(cls, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
@@ -349,23 +344,32 @@ class Subspace:
     def _span(cls, ambient_dim: int, rows: Iterable[SparseRow]) -> "Subspace":
         """The span of sparse rows, reduced to its canonical basis."""
         reduced, _ = sparse_rref(rows)
-        return cls(ambient_dim, Matrix._trusted(len(reduced), ambient_dim,
-                                                _dense(reduced, ambient_dim)))
+        return cls(ambient_dim, tuple(tuple(sorted(r.items())) for r in reduced))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.zero(0, ambient_dim))
+        return cls(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        return cls(ambient_dim, tuple(((c, ONE),) for c in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     def basis_vectors(self) -> list[Vector]:
-        return self.basis.row_list()
+        """The basis rows as dense vectors."""
+        return [_dense(row, self.ambient_dim) for row in self.rows]
+
+    def combination(self, coords: Sequence[Scalar]) -> Vector:
+        """The dense vector sum_i coords[i] * (basis row i)."""
+        v = [ZERO] * self.ambient_dim
+        for a, row in zip(coords, self.rows):
+            if a:
+                for c, x in row:
+                    v[c] += a * x
+        return tuple(v)
 
     def coordinates(self, v: Sequence) -> Optional[Vector]:
         """Coordinates of v in the basis, or None if v is not in the span.
@@ -383,15 +387,8 @@ class Subspace:
     def _coordinates(self, v: Vector) -> Optional[Vector]:
         """Coordinates of a tuple of ambient_dim scalars, taken as given,
         such as the entries of a Matrix."""
-        coords = []
-        recon = [ZERO] * self.ambient_dim
-        for nz in self.basis.nonzeros:
-            a = v[nz[0][0]]  # the entry at the row's pivot
-            coords.append(a)
-            if a:
-                for c, x in nz:
-                    recon[c] += a * x
-        return tuple(coords) if tuple(recon) == v else None
+        coords = tuple([v[row[0][0]] for row in self.rows])
+        return coords if self.combination(coords) == v else None
 
     def contains_vector(self, v: Sequence) -> bool:
         return self.coordinates(v) is not None
@@ -403,10 +400,10 @@ class Subspace:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:

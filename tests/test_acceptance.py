@@ -21,7 +21,7 @@ from liegraph.algebra import center, derivation_algebra
 from liegraph.catalog import catalog, lookup
 from liegraph.cli import main
 from liegraph.dtheory import (build_h, d_bracket, d_center, d_derivations,
-                              der_action, inner_d_derivation)
+                              der_action, inner_d_derivation, is_d_complete)
 from liegraph.fullgraph import (Theorem1Evidence, Theorem2Evidence,
                                 build_full_graph, h_derivation, verify)
 from liegraph import fullgraph as fg_mod
@@ -194,7 +194,8 @@ PINNED = {
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_oracle_regression_pinned_dims(setups, name):
     g, der, dspace = setups[name]
-    got = (der.dim, dspace.dim, dspace.inner.dim, d_center(der).dim)
+    got = (der.dim, dspace.dim, is_d_complete(dspace, d_center(der)).inner_d_dim,
+           d_center(der).dim)
     report(f"oracle-regression[{name}] dims {got}", got == PINNED[name])
 
 

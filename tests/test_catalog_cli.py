@@ -46,7 +46,7 @@ class TestCatalog:
             built.append(n)
             return make_lie_algebra(n, brackets, basis_names)
 
-        # the package's `catalog` attribute is the function, not the module
+        # lookup reads make_lie_algebra from the catalog module's globals
         module = importlib.import_module("liegraph.catalog")
         monkeypatch.setattr(module, "make_lie_algebra", counting)
         assert lookup("sl2").algebra.basis_names == ("h", "e", "f")

@@ -6,14 +6,15 @@ import pytest
 
 import oracle
 import reference
-from algebras import NAMES, algebra
+from algebras import NAMES, algebra, two_step_nilpotent
 
-from liegraph.algebra import (InternalConsistencyError, abelian,
-                              derivation_algebra)
+from liegraph.algebra import (InternalConsistencyError, abelian, center,
+                              derivation_algebra, inner_derivations)
 from liegraph.catalog import catalog, lookup
 from liegraph.dtheory import (DCompletenessEvidence, build_h, d_bracket,
                               d_center, d_derivations, der_action,
                               inner_d_derivation, is_d_complete)
+from liegraph.fullgraph import build_full_graph
 from liegraph.linalg import Matrix, Subspace
 
 F = Fraction
@@ -48,7 +49,7 @@ class TestDDerivations:
     def test_sl2_dimension_and_innerness(self, sl2_setup):
         _, _, space = sl2_setup
         assert space.dim == 3
-        assert space.inner == space.flat_span
+        assert space.der.natural.coboundaries() == space.flat_span
 
     def test_basis_satisfies_cocycle_identity(self):
         for entry in catalog():
@@ -282,3 +283,23 @@ def test_h_matches_per_pair_der_action(name):
             der_action(der, der.matrices[i], space.matrices[j])))
     h = build_h(space)
     assert h == expected and h.table == expected.table
+
+
+# is_complete and is_d_complete count the inner maps instead of spanning
+# them: x -> ad(x) has kernel the center and x -> L_x the d-center, so each
+# inner space has dimension dim G minus that kernel's. The spans of the
+# coboundaries are the reference, on G and on C(G).
+
+INNER_CASES = [pytest.param(name, id=name) for name in NAMES] + [
+    pytest.param((seed, n), id=f"two_step_{seed}_{n}")
+    for seed in range(6) for n in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("case", INNER_CASES)
+def test_inner_dimensions_are_dim_minus_the_inner_maps_kernel(case):
+    g = algebra(case) if isinstance(case, str) else two_step_nilpotent(*case)
+    der = derivation_algebra(g)
+    cg = build_full_graph(der)
+    for alg, d in ((g, der), (cg, derivation_algebra(cg))):
+        assert inner_derivations(alg).dim == alg.dim - center(alg).dim
+        assert d.natural.coboundaries().dim == alg.dim - d_center(d).dim

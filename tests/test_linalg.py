@@ -149,7 +149,8 @@ def spans_and_vectors(draw):
 @settings(max_examples=150, deadline=None)
 def test_coordinates_agree_with_solve(case):
     span, inside, anywhere = case
-    reference = span.basis.transpose()
+    reference = Matrix(span.dim, span.ambient_dim,
+                       [x for v in span.basis_vectors() for x in v]).transpose()
     coords = span.coordinates(inside)
     assert coords is not None
     assert coords == solve(reference, inside)
@@ -287,6 +288,30 @@ def test_sparse_nullspace_matches_dense_reference(system):
             tuple(v) for v in expected]
 
 
+@given(sparse_systems())
+@settings(max_examples=200, deadline=None)
+def test_subspace_rows_are_the_sorted_nonzeros_of_the_reference_rref(system):
+    ncols, rows = system
+    span = Subspace.from_rows(ncols, rows)
+    ref_rows, _ = reference.rref_rows([list(r) for r in rows])
+    assert span.rows == tuple(tuple((c, x) for c, x in enumerate(r) if x)
+                              for r in ref_rows)
+    assert Subspace.from_rows(ncols, span.basis_vectors()) == span
+
+
+def test_int_and_integral_fraction_entries_give_one_span():
+    ints = [[2, 4, 0], [1, 0, -3]]
+    dense = Subspace.from_rows(3, ints)
+    assert dense == Subspace.from_rows(3, [[F(x) for x in r] for r in ints])
+    # a row already 1 at its pivot is not divided, so the kernel keeps its
+    # entries as given: these rows hold Fractions where the others hold ints
+    as_int = Subspace._span(3, [{0: 1, 1: 2}, {2: -3}])
+    as_fraction = Subspace._span(3, [{0: F(1), 1: F(2)}, {2: F(-3)}])
+    assert any(type(x) is F for row in as_fraction.rows for _, x in row)
+    assert all(type(x) is int for row in as_int.rows for _, x in row)
+    assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
+
+
 def test_sparse_kernel_edge_cases():
     assert sparse_rref([]) == ([], [])
     assert sparse_rref([{}, {0: F(0)}]) == ([], [])
@@ -326,7 +351,7 @@ def test_sparse_rref_on_ints_matches_the_fraction_kernel(system):
     assert pivots == ref_pivots and reduced == ref_rows
     assert all(_exact(x) for r in reduced for x in r.values())
     kernel = sparse_nullspace(ncols, rows)
-    assert all(_exact(x) for x in kernel.basis.flatten())
+    assert all(_exact(x) for v in kernel.basis_vectors() for x in v)
 
 
 def test_as_scalar_gives_an_int_when_integral():
