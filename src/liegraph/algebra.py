@@ -5,8 +5,9 @@ the nonzero (k, c) of [e_i, e_j] = sum_k c e_k. Every reader in the package
 (bracket, ad, the Jacobi check, the cocycle rule, semidirect products, the
 printers) walks these pairs and never touches a zero. The dense table
 c[i][j][k] is only a view, built on first read for tests and oracles.
-Antisymmetry holds by construction and Jacobi is checked in full when an
-algebra is built, so downstream code never rechecks either.
+Antisymmetry holds by construction. Jacobi is scanned in full only on
+structure constants from outside (make_lie_algebra); semidirect scans the
+triples that meet both factors, and matrix commutators need no scan.
 
 A Representation is a Lie algebra acting on Q^n. Its invariants, 1-cocycles
 and 1-coboundaries (Chevalley-Eilenberg) are computed in one place: for the
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .linalg import (ONE, Matrix, Scalar, SparseRow, Subspace, Vector, ZERO,
                      as_vector, common_kernel, rank, rref_kernel, solve,
@@ -67,7 +68,7 @@ class LieAlgebra:
     """Structure constants held once, as the nonzero terms of each bracket:
     pairs[i][j] gives [e_i, e_j] = sum of c e_k over its (k, c), and
     pairs[j][i] is its negation. Build one with make_lie_algebra,
-    lie_algebra_from_table or semidirect, which check Jacobi.
+    lie_algebra_from_table, semidirect or MatrixSpan.lie_algebra.
 
     Equality and hashing read (dim, basis_names, pairs) alone; the views
     built on first read (table, adjoint) never take part."""
@@ -153,13 +154,16 @@ def _negated(terms: Terms) -> Terms:
     return tuple((k, -c) for k, c in terms)
 
 
-def _validate_jacobi(n: int, pairs) -> None:
-    """Raise JacobiViolation on the first basis triple i < j < l, in
-    combinations order, whose cyclic sum [e_i,[e_j,e_l]] + ... is nonzero."""
-    for i, j, l in combinations(range(n), 3):
+def _validate_jacobi(n: int, pairs, triples: Iterable[tuple[int, int, int]]) -> None:
+    """Raise JacobiViolation on the first basis triple i < j < l in
+    triples whose cyclic sum [e_i,[e_j,e_l]] + ... is nonzero."""
+    for i, j, l in triples:
+        jl, li, ij = pairs[j][l], pairs[l][i], pairs[i][j]
+        if not (jl or li or ij):
+            continue
         acc: dict[int, Scalar] = {}
-        for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
-            for t, coeff in pairs[b][c]:
+        for a, inner in ((i, jl), (j, li), (l, ij)):
+            for t, coeff in inner:
                 for k, ck in pairs[a][t]:
                     acc[k] = acc.get(k, ZERO) + coeff * ck
         if any(acc.values()):
@@ -168,15 +172,15 @@ def _validate_jacobi(n: int, pairs) -> None:
 
 
 def _from_brackets(n: int, upper: dict[tuple[int, int], Terms],
-                   basis_names: Optional[Sequence[str]]) -> LieAlgebra:
+                   basis_names: Optional[Sequence[str]], triples=()) -> LieAlgebra:
     """The algebra with [e_i, e_j] = upper[i, j] for i < j (absent pairs
-    commute), after the full Jacobi check."""
+    commute), after the Jacobi check on the basis triples given."""
     rows = [[()] * n for _ in range(n)]
     for (i, j), terms in upper.items():
         rows[i][j] = terms
         rows[j][i] = _negated(terms)
     pairs = tuple(tuple(r) for r in rows)
-    _validate_jacobi(n, pairs)
+    _validate_jacobi(n, pairs, triples)
     names = tuple(basis_names) if basis_names is not None else _default_names(n)
     if len(names) != n:
         raise LieError("basis_names length != dim")
@@ -221,7 +225,7 @@ def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
     for i in range(n):
         if seen.get((i, i)):
             raise AntisymmetryConflict(f"c[{i}][{i}] != -c[{i}][{i}]")
-    return _from_brackets(n, seen, basis_names)
+    return _from_brackets(n, seen, basis_names, combinations(range(n), 3))
 
 
 def semidirect(k: LieAlgebra, v: LieAlgebra,
@@ -230,6 +234,8 @@ def semidirect(k: LieAlgebra, v: LieAlgebra,
 
     k and v keep their own brackets, and [k_i, v_j] = action(i, j), given
     as coordinates in v's basis; action must make k act on v by derivations.
+    Jacobi is scanned only on the triples that meet both k and v: the
+    others lie in k or in v, which are Lie algebras already.
     """
     m, n = k.dim, v.dim
     upper = {(i, j): k.pairs[i][j] for i, j in combinations(range(m), 2)}
@@ -241,7 +247,9 @@ def semidirect(k: LieAlgebra, v: LieAlgebra,
             upper[i, m + j] = tuple((m + t, c) for t, c in enumerate(vec) if c)
     for i, j in combinations(range(n), 2):
         upper[m + i, m + j] = tuple((m + t, c) for t, c in v.pairs[i][j])
-    return _from_brackets(m + n, upper, k.basis_names + v.basis_names)
+    return _from_brackets(m + n, upper, k.basis_names + v.basis_names,
+                          ((i, j, l) for i in range(m) for j in range(i + 1, m + n)
+                           for l in range(max(j + 1, m), m + n)))
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -367,8 +375,8 @@ class MatrixSpan:
 
     def lie_algebra(self, bracket: Callable[[int, int], Matrix],
                     prefix: str) -> LieAlgebra:
-        """The span as a Lie algebra with basis names prefix1, prefix2, ...;
-        bracket(i, j) is the matrix of the bracket of basis elements i < j."""
+        """The span as a Lie algebra, basis names prefix1, prefix2, ..., with
+        bracket(i, j) the matrix of [b_i, b_j], i < j; Jacobi is not scanned."""
         upper = {(i, j): _terms(self.coordinates(bracket(i, j)))
                  for i, j in combinations(range(self.dim), 2)}
         return _from_brackets(
@@ -385,7 +393,7 @@ class DerivationAlgebra(MatrixSpan):
 
     @cached_property
     def as_lie_algebra(self) -> LieAlgebra:
-        """Commutator structure constants in this basis, built on first read."""
+        """Commutator table, built on first read; commutators satisfy Jacobi."""
         b = self.matrices
         return self.lie_algebra(lambda i, j: b[i].commutator(b[j]), "D")
 

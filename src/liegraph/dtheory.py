@@ -23,10 +23,12 @@ Der(G) and matrices.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .linalg import Matrix, Subspace, Vector, common_kernel
-from .algebra import DerivationAlgebra, LieAlgebra, MatrixSpan, semidirect
+from .algebra import (DerivationAlgebra, LieAlgebra, MatrixSpan, semidirect,
+                      _validate_jacobi)
 
 
 def d_center(der: DerivationAlgebra) -> Subspace:
@@ -57,10 +59,13 @@ class DDerivationSpace(MatrixSpan):
         Column j of the m x m matrix A_a is the Der coordinates of
         ad(L_a(D_j)), so [L_a, L_b] = L_a @ A_b - L_b @ A_a. Since ad and
         the coordinates are linear, A_a = C @ L_a, where column t of C is
-        the coordinates of ad(e_t); each A_a is built once."""
+        the coordinates of ad(e_t); each A_a is built once. Its Jacobi
+        identity is part of the paper's claim, so it is scanned in full."""
         b = self.matrices
         a = [self.der.ad_coordinates @ l for l in b]
-        return self.lie_algebra(lambda i, j: b[i] @ a[j] - b[j] @ a[i], "L")
+        alg = self.lie_algebra(lambda i, j: b[i] @ a[j] - b[j] @ a[i], "L")
+        _validate_jacobi(alg.dim, alg.pairs, combinations(range(alg.dim), 3))
+        return alg
 
     # bound here, not inherited: bench/trace_cli.py traces it through
     # this class's __dict__, as it does DerivationAlgebra.coordinates_of

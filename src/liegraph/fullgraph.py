@@ -283,11 +283,10 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
 
 
 def check_lemma(ws: _Workspace) -> LemmaEvidence:
-    cg_center, cd = ws.cg_center, ws.dcenter
-    pad = (ZERO,) * ws.der.dim
-    embedded = Subspace.from_rows(
-        ws.cg.dim, [pad + v for v in cd.basis_vectors()])
-    return LemmaEvidence(cg_center.dim, cd.dim, cg_center == embedded)
+    cg_center, cd, m = ws.cg_center, ws.dcenter, ws.der.dim
+    # x -> (0, x) shifts the d-center's RREF rows past m Der coordinates: an RREF
+    embedded = tuple(tuple((m + c, x) for c, x in row) for row in cd.rows)
+    return LemmaEvidence(cg_center.dim, cd.dim, cg_center.rows == embedded)
 
 
 def check_theorem2(ws: _Workspace) -> tuple[Theorem2Evidence,

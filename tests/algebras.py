@@ -41,3 +41,16 @@ def two_step_nilpotent(seed: int, n: int) -> LieAlgebra:
     brackets = [(i, j, [0] * v + [rng.randint(-2, 2) for _ in range(n - v)])
                 for i, j in combinations(range(v), 2)]
     return make_lie_algebra(n, brackets)
+
+
+# NAMES, then two-step nilpotent draws (seed, n) of dimension 3 to 5
+CASES = NAMES + [(seed, n) for seed in range(6) for n in (3, 4, 5)]
+
+
+def case_id(case) -> str:
+    return case if isinstance(case, str) else "two_step_{}_{}".format(*case)
+
+
+def case_algebra(case) -> LieAlgebra:
+    """The algebra of one of CASES."""
+    return algebra(case) if isinstance(case, str) else two_step_nilpotent(*case)

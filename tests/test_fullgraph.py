@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from algebras import CATALOG_NAMES, NAMES, algebra, two_step_nilpotent
+from algebras import (CASES, CATALOG_NAMES, case_algebra, case_id,
+                      two_step_nilpotent)
 
 from liegraph.algebra import (InternalConsistencyError, abelian,
                               derivation_algebra, make_lie_algebra)
@@ -319,14 +320,9 @@ def _block_derivations(ws) -> list[Matrix]:
     return out
 
 
-BLOCK_CASES = [pytest.param(name, id=name) for name in NAMES] + [
-    pytest.param((seed, n), id=f"two_step_{seed}_{n}")
-    for seed in range(6) for n in (3, 4, 5)]
-
-
-@pytest.mark.parametrize("case", BLOCK_CASES)
+@pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_blocks_assemble_to_the_derivations_of_the_full_graph(case):
-    g = algebra(case) if isinstance(case, str) else two_step_nilpotent(*case)
+    g = case_algebra(case)
     ws = _Workspace(g)
     deltas = _block_derivations(ws)
     size = ws.cg.dim
@@ -401,9 +397,9 @@ def _block_maps(ws, rng) -> list[Matrix]:
     return maps
 
 
-@pytest.mark.parametrize("case", BLOCK_CASES)
+@pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_block_criterion_matches_the_leibniz_loop(case):
-    g = algebra(case) if isinstance(case, str) else two_step_nilpotent(*case)
+    g = case_algebra(case)
     ws = _Workspace(g)
     m, size = ws.der.dim, ws.cg.dim
     maps = _block_maps(ws, random.Random(repr(case)))

@@ -3,10 +3,11 @@
 Every name a package module imports is read in that module. An import
 left behind by a refactor still runs at every start-up, so it costs each
 request its time and hides that the code it served is gone.
-``__init__.py`` re-exports its names, and ``__future__`` imports are
-directives, so both are exempt. A request never loads ``dataclasses``,
-whose own imports (``inspect``, ``ast``, ``dis``, ``tokenize``) cost more
-start-up time than a small check computes.
+``__future__`` imports are directives, so they are exempt. A request never
+loads ``dataclasses``, whose own imports (``inspect``, ``ast``, ``dis``,
+``tokenize``) cost more start-up time than a small check computes. The
+package root imports nothing, so a process that reads only the algebra
+and the catalog loads neither the d-theory nor the checks.
 """
 
 import ast
@@ -21,7 +22,7 @@ import pytest
 from liegraph.algebra import make_lie_algebra
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "liegraph"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -60,6 +61,19 @@ def test_a_request_imports_no_dataclasses_or_inspect():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "0 []\n"
+
+
+def test_the_algebra_and_catalog_load_no_dtheory_or_fullgraph():
+    code = ("import sys\n"
+            "import liegraph.algebra\n"
+            "from liegraph.catalog import lookup\n"
+            "print(lookup('sl2').algebra.dim, sorted(\n"
+            "    {'liegraph.dtheory', 'liegraph.fullgraph'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "3 []\n"
 
 
 def test_the_catalog_attribute_is_the_submodule(monkeypatch):

@@ -2,9 +2,10 @@
 
 A ``Subspace`` holds the sparse RREF rows of its basis, and
 ``basis_vectors`` writes them out dense. ``verify`` needs that only for
-spans of maps of G: Der(G) in Q^(n²), the cocycle space in Q^(n·m) and the
-d-center in Q^n. The spans on C(G), of dimension m + n, are read as rows:
-the image of H in Q^((m+n)²) and the block space S in Q^((m+n)·n).
+the basis matrices of spans of maps of G: Der(G) in Q^(n²) and the cocycle
+space in Q^(n·m). The d-center in Q^n is embedded in C(G) by shifting its
+rows, and the spans on C(G), of dimension m + n, are read as rows: the
+image of H in Q^((m+n)²) and the block space S in Q^((m+n)·n).
 """
 
 import io
@@ -34,5 +35,5 @@ def test_verify_writes_out_only_spans_of_maps_of_g(name, code, tmp_path,
     assert main(args, out=io.StringIO()) == code
     n = algebra(name).dim
     m = derivation_algebra(algebra(name)).dim
-    assert widths and set(widths) <= {n * n, n * m, n}
+    assert widths and set(widths) <= {n * n, n * m}
     assert not set(widths) & {(m + n) ** 2, (m + n) * n}
