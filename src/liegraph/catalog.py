@@ -111,7 +111,7 @@ def parse_algebra_file(text: str) -> LieAlgebra:
     """Parse and fully validate a JSON structure-constant document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise AlgebraFileError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise AlgebraFileError("top level must be an object")

@@ -15,9 +15,9 @@ together into a semidirect product H, returned by build_h as a LieAlgebra.
 
 Every map is a plain Matrix: a derivation is n x n, and a d-derivation is
 the n x m matrix whose column j is its value on the j-th Der basis element.
-The cocycle table and H are built from matrices made once per basis
-element; d_bracket and der_action are their per-pair references, taking
-Der(G) and matrices.
+The cocycle table is built from the n x n maps L∘ad, and H's action is read
+off the inner cocycles, so no m x m matrix of Der(G) is built here;
+d_bracket and der_action are the per-pair references, on matrices.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .linalg import Matrix, Subspace, Vector, common_kernel
+from .linalg import Matrix, Subspace, common_kernel
 from .algebra import (DerivationAlgebra, LieAlgebra, MatrixSpan, semidirect,
-                      _validate_jacobi)
+                      _unit, _validate_jacobi)
 
 
 def d_center(der: DerivationAlgebra) -> Subspace:
@@ -56,14 +56,14 @@ class DDerivationSpace(MatrixSpan):
         read. The space is never zero: a nonzero derivation D moves some
         basis vector x, and the inner cocycle L_x is then nonzero.
 
-        Column j of the m x m matrix A_a is the Der coordinates of
-        ad(L_a(D_j)), so [L_a, L_b] = L_a @ A_b - L_b @ A_a. Since ad and
-        the coordinates are linear, A_a = C @ L_a, where column t of C is
-        the coordinates of ad(e_t); each A_a is built once. Its Jacobi
+        Column t of C = der.ad_coordinates is the Der coordinates of
+        ad(e_t), so column j of L_a @ C @ L_b is L_a(ad(L_b(D_j))), and
+        [L_a, L_b] = E_a @ L_b - E_b @ L_a with the n x n map
+        E_a = L_a∘ad = L_a @ C, built once for each a. The table's Jacobi
         identity is part of the paper's claim, so it is scanned in full."""
         b = self.matrices
-        a = [self.der.ad_coordinates @ l for l in b]
-        alg = self.lie_algebra(lambda i, j: b[i] @ a[j] - b[j] @ a[i], "L")
+        e = [l @ self.der.ad_coordinates for l in b]
+        alg = self.lie_algebra(lambda i, j: e[i] @ b[j] - e[j] @ b[i], "L")
         _validate_jacobi(alg.dim, alg.pairs, combinations(range(alg.dim), 3))
         return alg
 
@@ -100,16 +100,16 @@ def der_action(der: DerivationAlgebra, d: Matrix, l: Matrix) -> Matrix:
 def build_h(dspace: DDerivationSpace) -> LieAlgebra:
     """H = Der(G) ⋉ cocycle space, on the concatenated canonical bases:
         [(D1,L1),(D2,L2)] = ([D1,D2], [L1,L2] + D1(L2) - D2(L1))
-    """
-    # der_action per pair, with each ad(D_i) inside Der(G) built once: it is
-    # D_i's adjoint matrix in the Der(G) structure constants
-    der = dspace.der
-    ad, d, l = der.as_lie_algebra.adjoint.rho, der.matrices, dspace.matrices
-
-    def act(i: int, j: int) -> Vector:
-        return dspace.coordinates(d[i] @ l[j] - l[j] @ ad[i])
-
-    return semidirect(der.as_lie_algebra, dspace.as_lie_algebra, act)
+    The action is inner: D(L) = -L_y with y = L(D), since the cocycle rule
+    L([D,D']) = D(L(D')) - D'(L(D)) makes D(L)(D') = D'(y). So D_i(L_j)
+    has the coordinates P @ (column i of L_j), where column t of P is the
+    coordinates of -L_{e_t}, the cocycle D -> D(e_t)."""
+    der, (n, _), l = dspace.der, dspace.shape, dspace.matrices
+    p = Matrix.from_rows([
+        dspace.coordinates(inner_d_derivation(der, _unit(n, t)).scale(-1))
+        for t in range(n)]).transpose()
+    return semidirect(der.as_lie_algebra, dspace.as_lie_algebra,
+                      lambda i, j: p.apply(l[j].column(i)))
 
 
 class DCompletenessEvidence(NamedTuple):

@@ -181,6 +181,20 @@ class TestAlgebraFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
 
+    def test_deeply_nested_file_exits_2_without_traceback(self, tmp_path):
+        # json.loads recurses once per "[" and runs out of stack long
+        # before the end of the file; a fresh process shows all of stderr
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "liegraph.cli", "info", "--file", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: malformed JSON: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("name", [e.name for e in catalog()])
     def test_round_trip(self, name):
         g = lookup(name).algebra

@@ -6,7 +6,7 @@ import pytest
 
 import oracle
 import reference
-from algebras import NAMES, algebra, two_step_nilpotent
+from algebras import CASES, algebra, case_algebra, case_id
 
 from liegraph.algebra import (InternalConsistencyError, abelian, center,
                               derivation_algebra, inner_derivations)
@@ -14,7 +14,7 @@ from liegraph.catalog import catalog, lookup
 from liegraph.dtheory import (DCompletenessEvidence, build_h, d_bracket,
                               d_center, d_derivations, der_action,
                               inner_d_derivation, is_d_complete)
-from liegraph.fullgraph import build_full_graph
+from liegraph.fullgraph import _Workspace, build_full_graph, check_theorem1
 from liegraph.linalg import Matrix, Subspace
 
 F = Fraction
@@ -259,24 +259,25 @@ class TestDCompleteness:
 # per basis element; the per-pair d_bracket and der_action are the reference.
 
 @functools.lru_cache(maxsize=None)
-def _spaces(name):
-    g = algebra(name)
+def _spaces(case):
+    g = case_algebra(case)
     der = derivation_algebra(g)
     return g, der, d_derivations(der)
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_d_algebra_matches_per_pair_d_bracket(name):
-    _, der, space = _spaces(name)
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_d_algebra_matches_per_pair_d_bracket(case):
+    _, der, space = _spaces(case)
     b = space.matrices
     expected = space.lie_algebra(lambda i, j: d_bracket(der, b[i], b[j]), "L")
     assert space.as_lie_algebra == expected
     assert space.as_lie_algebra.table == expected.table
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_h_matches_per_pair_der_action(name):
-    g, der, space = _spaces(name)
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_h_matches_per_pair_der_action(case):
+    g, der, space = _spaces(case)
+    # coordinates_of raises unless every D(L) lies in the cocycle space
     expected = reference.semidirect(
         der.as_lie_algebra, space.as_lie_algebra,
         lambda i, j: space.coordinates_of(
@@ -285,19 +286,32 @@ def test_h_matches_per_pair_der_action(name):
     assert h == expected and h.table == expected.table
 
 
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_der_acts_on_cocycles_by_inner_cocycles(case):
+    # D(L) = -L_y with y = L(D), the identity build_h reads H's action from
+    _, der, space = _spaces(case)
+    for i, d in enumerate(der.matrices):
+        for l in space.matrices:
+            assert der_action(der, d, l) == inner_d_derivation(
+                der, l.column(i)).scale(-1)
+
+
+def test_theorem1_builds_no_adjoint_of_der():
+    # H's action is read off G, so no m x m adjoint matrix of Der(G) is made
+    for name in ("heisenberg5", "abelian4", "sl2_sum_sl2"):
+        ws = _Workspace(algebra(name))
+        check_theorem1(ws)
+        assert "adjoint" not in vars(ws.der.as_lie_algebra), name
+
+
 # is_complete and is_d_complete count the inner maps instead of spanning
 # them: x -> ad(x) has kernel the center and x -> L_x the d-center, so each
 # inner space has dimension dim G minus that kernel's. The spans of the
 # coboundaries are the reference, on G and on C(G).
 
-INNER_CASES = [pytest.param(name, id=name) for name in NAMES] + [
-    pytest.param((seed, n), id=f"two_step_{seed}_{n}")
-    for seed in range(6) for n in (3, 4, 5)]
-
-
-@pytest.mark.parametrize("case", INNER_CASES)
+@pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_inner_dimensions_are_dim_minus_the_inner_maps_kernel(case):
-    g = algebra(case) if isinstance(case, str) else two_step_nilpotent(*case)
+    g = case_algebra(case)
     der = derivation_algebra(g)
     cg = build_full_graph(der)
     for alg, d in ((g, der), (cg, derivation_algebra(cg))):
