@@ -22,8 +22,8 @@ from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .linalg import (ONE, Matrix, Scalar, SparseRow, Subspace, Vector, ZERO,
-                     as_vector, common_kernel, rank, rref_kernel, solve,
-                     sparse_rref)
+                     _packed, as_vector, common_kernel, rank, rref_kernel,
+                     solve, sparse_rref)
 
 
 class LieError(Exception):
@@ -42,8 +42,8 @@ class JacobiViolation(LieError):
     def __init__(self, triple: tuple[int, int, int], residual: Vector):
         self.triple = triple
         self.residual = residual
-        super().__init__(
-            f"Jacobi identity fails on basis triple {triple}, residual {residual}")
+        super().__init__(f"Jacobi identity fails on basis triple {triple}, "
+                         f"residual ({', '.join(map(str, residual))})")
 
 
 class NotClosed(LieError):
@@ -120,13 +120,13 @@ class LieAlgebra:
         n = self.dim
         if len(x) != n:
             raise ValueError("vector length != dim")
-        e = [ZERO] * (n * n)
+        rows: list[SparseRow] = [{} for _ in range(n)]
         for i, xi in enumerate(x):
             if xi:
                 for j, terms in enumerate(self.pairs[i]):
                     for k, c in terms:
-                        e[k * n + j] += xi * c
-        return Matrix._trusted(n, n, tuple(e))
+                        rows[k][j] = rows[k].get(j, ZERO) + xi * c
+        return Matrix._trusted(n, n, _packed(rows))
 
     @cached_property
     def adjoint(self) -> Representation:
@@ -339,6 +339,20 @@ def derived_subalgebra(g: LieAlgebra) -> Subspace:
                                   for i, j in combinations(range(g.dim), 2)])
 
 
+def _flat(m: Matrix) -> SparseRow:
+    """m's nonzeros keyed by their row-major index r * cols + c."""
+    return {r * m.cols + c: x for r, row in enumerate(m.nonzeros) for c, x in row}
+
+
+def _unflat(shape: tuple[int, int], flat: Iterable[tuple[int, Scalar]]) -> Matrix:
+    """The matrix of (row-major index, nonzero entry) pairs, index increasing."""
+    rows: list[list] = [[] for _ in range(shape[0])]
+    for i, x in flat:
+        r, c = divmod(i, shape[1])
+        rows[r].append((c, x))
+    return Matrix._trusted(*shape, tuple(map(tuple, rows)))
+
+
 class MatrixSpan:
     """A span of equal-shape matrices, held as the canonical RREF basis of
     their row-major flattenings; coordinates are read at its pivots."""
@@ -354,8 +368,7 @@ class MatrixSpan:
     @cached_property
     def matrices(self) -> tuple[Matrix, ...]:
         """The basis matrices, in canonical order."""
-        return tuple(Matrix._trusted(*self.shape, v)
-                     for v in self.flat_span.basis_vectors())
+        return tuple(_unflat(self.shape, row) for row in self.flat_span.rows)
 
     def matrix_of(self, coords: Sequence) -> Matrix:
         """The matrix of a coordinate vector in the canonical basis."""
@@ -363,11 +376,11 @@ class MatrixSpan:
         if len(coords) != self.dim:
             raise ValueError(
                 f"{len(coords)} coordinates for a span of dimension {self.dim}")
-        return Matrix._trusted(*self.shape, self.flat_span.combination(coords))
+        return _unflat(self.shape, sorted(self.flat_span.combination(coords).items()))
 
     def coordinates(self, m: Matrix) -> Vector:
         """Coordinates of a matrix known to lie in the span; raises otherwise."""
-        coords = self.flat_span._coordinates(m.flatten())
+        coords = self.flat_span._coordinates(_flat(m))
         if coords is None:
             raise InternalConsistencyError(
                 f"matrix does not lie in the span of {type(self).__name__}")

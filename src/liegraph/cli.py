@@ -46,7 +46,7 @@ def _load_algebra(args) -> tuple[str, LieAlgebra]:
 
 
 def _matrix_cells(m: Matrix) -> list[list[str]]:
-    return [[str(m[r, c]) for c in range(m.cols)] for r in range(m.rows)]
+    return [[str(x) for x in m.row(r)] for r in range(m.rows)]
 
 
 def _fmt_cells(cells: list[list[str]]) -> str:

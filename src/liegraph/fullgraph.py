@@ -26,7 +26,7 @@ from .linalg import (Matrix, ONE, Scalar, SparseRow, Subspace, ZERO,
 from .algebra import (CompletenessEvidence, DerivationAlgebra,
                       InternalConsistencyError, LieAlgebra, Representation,
                       center, derivation_algebra, is_complete, semidirect,
-                      _unit)
+                      _flat, _unit)
 from .dtheory import (DCompletenessEvidence, DDerivationSpace, build_h,
                       d_center, d_derivations, is_d_complete)
 
@@ -34,8 +34,9 @@ from .dtheory import (DCompletenessEvidence, DDerivationSpace, build_h,
 def build_full_graph(der: DerivationAlgebra) -> LieAlgebra:
     """C(G) for G = der.parent:
         [(D1,x1),(D2,x2)] = ([D1,D2], D1 x2 - D2 x1 + [x1,x2])."""
+    cols = [d.transpose() for d in der.matrices]
     return semidirect(der.as_lie_algebra, der.parent,
-                      lambda i, j: der.matrices[i].column(j))
+                      lambda i, j: cols[i].row(j))
 
 
 def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
@@ -113,12 +114,11 @@ def h_derivation(dspace: DDerivationSpace, d_coords: Sequence,
     ad_d = der.as_lie_algebra.ad(d_coords)
     corr = L @ der.ad_coordinates
     # column j < m is the image of (D_j, 0), column m + j that of (0, e_j)
-    e = [ZERO] * (size * size)
+    rows: list[list] = [[] for _ in range(size)]
     for block, r0, c0 in ((ad_d, 0, 0), (L, m, 0), (D + corr, m, m)):
         for r, row in enumerate(block.nonzeros, r0):
-            for c, x in row:
-                e[r * size + c0 + c] = x
-    return Matrix._trusted(size, size, tuple(e))
+            rows[r] += [(c0 + c, x) for c, x in row]
+    return Matrix._trusted(size, size, tuple(map(tuple, rows)))
 
 
 def is_block_derivation(dspace: DDerivationSpace, delta: Matrix) -> bool:
@@ -136,25 +136,18 @@ def is_block_derivation(dspace: DDerivationSpace, delta: Matrix) -> bool:
     h_derivation never writes B, so a nonzero B raises
     InternalConsistencyError.
     """
-    der = dspace.der
-    m, n = der.dim, der.parent.dim
-    a, c, e = [ZERO] * (m * m), [ZERO] * (n * m), [ZERO] * (n * n)
-    for r, row in enumerate(delta.nonzeros):
-        for col, x in row:
-            if r < m:
-                if col >= m:
-                    raise InternalConsistencyError(
-                        "a map of C(G) from H has a nonzero G -> Der block")
-                a[r * m + col] = x
-            elif col < m:
-                c[(r - m) * m + col] = x
-            else:
-                e[(r - m) * n + col - m] = x
-    e_coords = der.flat_span._coordinates(tuple(e))
-    if e_coords is None or dspace.flat_span._coordinates(tuple(c)) is None:
+    der, (n, m) = dspace.der, dspace.shape
+    top, bottom = delta.nonzeros[:m], delta.nonzeros[m:]
+    if any(row and row[-1][0] >= m for row in top):
+        raise InternalConsistencyError(
+            "a map of C(G) from H has a nonzero G -> Der block")
+    c = Matrix._trusted(n, m, tuple(tuple((k, x) for k, x in row if k < m)
+                                    for row in bottom))
+    e = {r * n + k - m: x for r, row in enumerate(bottom) for k, x in row if k >= m}
+    e_coords = der.flat_span._coordinates(e)
+    if e_coords is None or dspace.flat_span._coordinates(_flat(c)) is None:
         return False
-    c = Matrix._trusted(n, m, tuple(c))
-    return (Matrix._trusted(m, m, tuple(a))
+    return (Matrix._trusted(m, m, top)
             == der.as_lie_algebra.ad(e_coords) - der.ad_coordinates @ c)
 
 
@@ -250,8 +243,7 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
 
     # each generator's nonzero entries, keyed by their row-major index
     size = cg.dim
-    flat = [{r * size + c: x for r, row in enumerate(M.nonzeros) for c, x in row}
-            for M in gens]
+    flat = [_flat(M) for M in gens]
 
     # h_derivation is linear in its coordinates, so the image of
     # [x_i, x_j] = sum_k c_k x_k is sum_k c_k gens[k]: the nonzeros of the

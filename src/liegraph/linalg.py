@@ -10,9 +10,17 @@ the quotient is integral. Almost every entry of the systems solved here is a
 small integer, and ``int`` arithmetic skips the ``Fraction`` object work.
 ``str``, ``==`` and ``hash`` agree between an ``int`` and the equal
 ``Fraction``, so which type an entry has never shows in an output or in a
-comparison. A subspace is kept as the rows of its canonical RREF basis, as
-the kernel gives them: two subspaces are equal iff these rows are equal, and
-a dense basis vector is built only on request (``Subspace.basis_vectors``).
+comparison.
+
+A Matrix is its nonzeros: per row, the (column, entry) pairs in column
+order, with no zero entry. Every operation reads and builds that form, and
+equality and hashing compare it, so no zero entry is stored, tested or
+copied. A subspace is likewise kept as the rows of its canonical RREF
+basis, as the kernel gives them: two subspaces are equal iff these rows are
+equal, and coordinates and combinations read and give ``{column: entry}``.
+The dense forms, ``Matrix.row``, ``column``, ``[r, c]`` and ``flatten`` and
+``Subspace.basis_vectors``, are views built on request, for printing and
+tests.
 
 All elimination is done by one sparse Gauss-Jordan kernel, ``sparse_rref``,
 on rows held as ``{column: nonzero entry}``: the systems solved here are
@@ -20,16 +28,11 @@ almost all zeros (a Leibniz row of G has a few nonzeros among n² columns),
 and the kernel never touches a zero. The RREF of a row space is
 unique, so it gives the same canonical basis as any exact Gauss-Jordan
 elimination. ``rref``, ``rank``, ``solve``, ``nullspace`` and
-``Subspace.from_rows`` call it on dense input; ``sparse_nullspace`` takes
-sparse rows and ``common_kernel`` the nonzeros of several matrices, so a
-system built sparse or held as matrices is never stacked dense, and
-``rref_kernel`` gives the kernel of rows already reduced, for a caller that
-keeps the reduced rows as equations.
-
-A Matrix keeps one view of its nonzeros, ``Matrix.nonzeros``: per row, the
-nonzero (column, entry) pairs, built on first read. Products, commutators,
-matrix-vector products and the kernel's input rows all walk that view, so
-none of them tests a zero entry more than once per matrix.
+``Subspace.from_rows`` call it; ``sparse_nullspace`` takes sparse rows and
+``common_kernel`` the nonzeros of several matrices, so a system built
+sparse or held as matrices is never stacked dense, and ``rref_kernel``
+gives the kernel of rows already reduced, for a caller that keeps the
+reduced rows as equations.
 """
 
 from __future__ import annotations
@@ -68,33 +71,29 @@ def as_vector(v: Iterable) -> Vector:
 
 
 class Matrix:
-    """Immutable row-major matrix of exact rationals (ints and Fractions).
+    """Immutable matrix of exact rationals (ints and Fractions), held as its
+    nonzeros: per row, the (column, entry) pairs in column order, with no
+    zero entry. Equality and hashing read them; row, column, [r, c] and
+    flatten are dense views built on request."""
 
-    Equality and hashing read the entries alone; ``nonzeros`` is a view of
-    them, built once, for the loops that must not walk the zeros."""
-
-    __slots__ = ("rows", "cols", "_e", "_nz")
+    __slots__ = ("rows", "cols", "nonzeros")
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
-        entries = tuple(as_scalar(x) for x in entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        e = [as_scalar(x) for x in entries]
+        if len(e) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(e)}")
         self.rows = rows
         self.cols = cols
-        self._e = entries
-        self._nz = None
+        self.nonzeros = tuple(
+            tuple([(c, x) for c, x in enumerate(e[r * cols:(r + 1) * cols]) if x])
+            for r in range(rows))
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: tuple) -> "Matrix":
-        """Wrap a tuple of rows * cols scalars without coercing or checking.
-
-        Only for results of operations on Matrix entries, which are
-        ints and Fractions already."""
+    def _trusted(cls, rows: int, cols: int, nonzeros: tuple) -> "Matrix":
+        """Wrap per-row nonzeros in the stored form, unchecked: only for
+        results of operations on Matrix entries, which are exact already."""
         m = object.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m._e = entries
-        m._nz = None
+        m.rows, m.cols, m.nonzeros = rows, cols, nonzeros
         return m
 
     @classmethod
@@ -109,71 +108,69 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return cls._trusted(rows, cols, ((),) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        return cls._trusted(n, n, tuple(((i, ONE),) for i in range(n)))
 
     def __getitem__(self, rc: tuple[int, int]) -> Scalar:
         r, c = rc
-        return self._e[r * self.cols + c]
+        return self.row(r)[c]
 
     def row(self, r: int) -> Vector:
-        return self._e[r * self.cols : (r + 1) * self.cols]
-
-    @property
-    def nonzeros(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
-        """Per row, its nonzero (column, entry) pairs in column order;
-        built on first read."""
-        if self._nz is None:
-            e, n = self._e, self.cols
-            self._nz = tuple(
-                tuple([(c, x) for c, x in enumerate(e[r * n:(r + 1) * n]) if x])
-                for r in range(self.rows))
-        return self._nz
+        return _dense(self.nonzeros[r], self.cols)
 
     def column(self, c: int) -> Vector:
-        return tuple(self._e[r * self.cols + c] for r in range(self.rows))
+        return self.transpose().row(c)
 
     def row_list(self) -> list[Vector]:
         return [self.row(r) for r in range(self.rows)]
 
     def flatten(self) -> Vector:
-        """Row-major flattening; the convention for all spans of matrices."""
-        return self._e
+        """Row-major dense view: entry (r, c) at r * cols + c, the index by
+        which a span of matrices keys their nonzeros."""
+        return tuple(x for r in range(self.rows) for x in self.row(r))
 
     def transpose(self) -> "Matrix":
-        e, cols, rows = self._e, self.cols, self.rows
-        return Matrix._trusted(cols, rows, tuple(
-            e[r * cols + c] for c in range(cols) for r in range(rows)))
+        out = [[] for _ in range(self.cols)]
+        for r, row in enumerate(self.nonzeros):
+            for c, x in row:
+                out[c].append((r, x))
+        return Matrix._trusted(self.cols, self.rows, tuple(map(tuple, out)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        return Matrix._trusted(self.rows, self.cols, tuple(
-            a + b if b else a for a, b in zip(self._e, other._e)))
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        out = []
+        for a, b in zip(self.nonzeros, other.nonzeros):
+            acc = dict(a)
+            for c, x in b:
+                acc[c] = acc.get(c, ZERO) + x
+            out.append(acc)
+        return Matrix._trusted(self.rows, self.cols, _packed(out))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        return Matrix._trusted(self.rows, self.cols, tuple(
-            a - b if b else a for a, b in zip(self._e, other._e)))
+        return self + other.scale(-1)
 
     def scale(self, s) -> "Matrix":
         s = as_scalar(s)
-        return Matrix._trusted(self.rows, self.cols, tuple(s * a for a in self._e))
+        if not s:
+            return Matrix.zero(self.rows, self.cols)
+        return Matrix._trusted(self.rows, self.cols, tuple(
+            tuple([(c, s * x) for c, x in row]) for row in self.nonzeros))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        n, right = other.cols, other.nonzeros
-        out = []
+        right, out = other.nonzeros, []
         for row in self.nonzeros:
-            acc = [ZERO] * n
+            acc: SparseRow = {}
             for k, a in row:
                 for c, b in right[k]:
-                    acc[c] += a * b
-            out.extend(acc)
-        return Matrix._trusted(self.rows, n, tuple(out))
+                    acc[c] = acc.get(c, ZERO) + a * b
+            out.append(acc)
+        return Matrix._trusted(self.rows, other.cols, _packed(out))
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix-vector product."""
@@ -199,18 +196,18 @@ class Matrix:
         a_nz, b_nz = self.nonzeros, other.nonzeros
         out = []
         for r in range(n):
-            acc = [ZERO] * n
+            acc: SparseRow = {}
             for k, a in a_nz[r]:
                 for c, b in b_nz[k]:
-                    acc[c] += a * b
+                    acc[c] = acc.get(c, ZERO) + a * b
             for k, b in b_nz[r]:
                 for c, a in a_nz[k]:
-                    acc[c] -= b * a
-            out.extend(acc)
-        return Matrix._trusted(n, n, tuple(out))
+                    acc[c] = acc.get(c, ZERO) - b * a
+            out.append(acc)
+        return Matrix._trusted(n, n, _packed(out))
 
     def is_zero(self) -> bool:
-        return not any(self._e)
+        return not any(self.nonzeros)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -218,18 +215,21 @@ class Matrix:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self._e == other._e)
+                and self.cols == other.cols and self.nonzeros == other.nonzeros)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, self.nonzeros))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(r)) for r in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def _check_shape(self, other: "Matrix"):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+
+def _packed(rows: Iterable[Mapping[int, Scalar]]) -> tuple:
+    """Per {column: entry} row, its nonzero (column, entry) pairs in column
+    order: the stored form of a Matrix."""
+    return tuple([tuple(sorted([(c, x) for c, x in r.items() if x])) if r else ()
+                  for r in rows])
 
 
 def sparse_rref(rows: Iterable[Mapping[int, Scalar]]
@@ -277,11 +277,6 @@ def _subtract(row: SparseRow, f: Scalar, other: Mapping[int, Scalar]) -> None:
             del row[k]
 
 
-def _sparse_rows(m: Matrix) -> list[SparseRow]:
-    """Fresh {column: entry} dicts of m's rows, which solve may extend."""
-    return [dict(row) for row in m.nonzeros]
-
-
 def _dense(row: Iterable[tuple[int, Scalar]], ncols: int) -> Vector:
     """The vector of width ncols with the given (column, entry) pairs."""
     v = [ZERO] * ncols
@@ -292,14 +287,13 @@ def _dense(row: Iterable[tuple[int, Scalar]], ncols: int) -> Vector:
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Unique reduced row echelon form of m (zero rows kept) and pivot columns."""
-    rows, pivots = sparse_rref(_sparse_rows(m))
-    entries = [x for row in rows for x in _dense(row.items(), m.cols)]
-    entries += [ZERO] * ((m.rows - len(rows)) * m.cols)
-    return Matrix._trusted(m.rows, m.cols, tuple(entries)), pivots
+    rows, pivots = sparse_rref(dict(row) for row in m.nonzeros)
+    rows += [{}] * (m.rows - len(rows))
+    return Matrix._trusted(m.rows, m.cols, _packed(rows)), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(sparse_rref(_sparse_rows(m))[1])
+    return len(sparse_rref(dict(row) for row in m.nonzeros)[1])
 
 
 def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
@@ -307,7 +301,7 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
     b = as_vector(b)
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
-    aug = _sparse_rows(m)
+    aug = [dict(row) for row in m.nonzeros]
     for row, x in zip(aug, b):
         if x:
             row[m.cols] = x
@@ -344,7 +338,7 @@ class Subspace:
     def _span(cls, ambient_dim: int, rows: Iterable[SparseRow]) -> "Subspace":
         """The span of sparse rows, reduced to its canonical basis."""
         reduced, _ = sparse_rref(rows)
-        return cls(ambient_dim, tuple(tuple(sorted(r.items())) for r in reduced))
+        return cls(ambient_dim, _packed(reduced))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -362,14 +356,14 @@ class Subspace:
         """The basis rows as dense vectors."""
         return [_dense(row, self.ambient_dim) for row in self.rows]
 
-    def combination(self, coords: Sequence[Scalar]) -> Vector:
-        """The dense vector sum_i coords[i] * (basis row i)."""
-        v = [ZERO] * self.ambient_dim
+    def combination(self, coords: Sequence[Scalar]) -> SparseRow:
+        """sum_i coords[i] * (basis row i), as {column: nonzero entry}."""
+        v: SparseRow = {}
         for a, row in zip(coords, self.rows):
             if a:
                 for c, x in row:
-                    v[c] += a * x
-        return tuple(v)
+                    v[c] = v.get(c, ZERO) + a * x
+        return {c: x for c, x in v.items() if x}
 
     def coordinates(self, v: Sequence) -> Optional[Vector]:
         """Coordinates of v in the basis, or None if v is not in the span.
@@ -382,12 +376,13 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise ValueError(
                 f"vector length {len(v)} != ambient dimension {self.ambient_dim}")
-        return self._coordinates(v)
+        return self._coordinates({c: x for c, x in enumerate(v) if x})
 
-    def _coordinates(self, v: Vector) -> Optional[Vector]:
-        """Coordinates of a tuple of ambient_dim scalars, taken as given,
-        such as the entries of a Matrix."""
-        coords = tuple([v[row[0][0]] for row in self.rows])
+    def _coordinates(self, v: Mapping[int, Scalar]) -> Optional[Vector]:
+        """Coordinates of the vector whose nonzeros are v, {column: entry},
+        taken as given, such as the nonzeros of a Matrix."""
+        get = v.get
+        coords = tuple([get(row[0][0], ZERO) for row in self.rows])
         return coords if self.combination(coords) == v else None
 
     def contains_vector(self, v: Sequence) -> bool:
@@ -395,7 +390,7 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains_vector(v) for v in other.basis_vectors())
+        return all(self._coordinates(dict(row)) is not None for row in other.rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)

@@ -329,6 +329,23 @@ class TestCli:
         assert code == 2
         assert "(0, 1, 2)" in capsys.readouterr().err
 
+    def test_jacobi_residual_is_written_as_file_rationals(self, tmp_path, capsys):
+        # [h,e] = 1/2 e, [h,f] = -1/2 f, [e,f] = 3/2 h - 2/3 e
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dim": 3, "brackets": [
+            {"i": 0, "j": 1, "result": [{"k": 1, "coeff": "1/2"}]},
+            {"i": 0, "j": 2, "result": [{"k": 2, "coeff": "-1/2"}]},
+            {"i": 1, "j": 2, "result": [{"k": 0, "coeff": "3/2"},
+                                        {"k": 1, "coeff": "-2/3"}]}]}))
+        code, text = run_cli("verify", "--file", str(bad))
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            "error: Jacobi identity fails on basis triple (0, 1, 2), "
+            "residual (0, -1/3, 0)\n")
+        with pytest.raises(JacobiViolation) as exc:
+            parse_algebra_file(bad.read_text())
+        assert exc.value.residual == (0, Fraction(-1, 3), 0)
+
     def test_verify_file_roundtrip(self, tmp_path):
         path = tmp_path / "sl2.json"
         path.write_text(serialize_algebra(lookup("sl2").algebra))

@@ -421,26 +421,37 @@ def test_block_criterion_refuses_a_map_with_a_g_to_der_block(name):
         is_block_derivation(ws.dspace, delta)
 
 
-# Scalars are ints and Fractions only: every matrix that verify builds,
-# subspace bases included, on a fresh parse of each catalog entry.
+# Scalars are ints and Fractions only, and every matrix is stored in its
+# canonical form: every matrix that verify builds, subspace bases included,
+# on a fresh parse of each catalog entry.
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_verify_builds_no_float(name, monkeypatch):
-    seen = set()
+    seen, built = set(), []
     init, trusted = Matrix.__init__, Matrix._trusted.__func__
 
     def counting_init(self, rows, cols, entries):
         init(self, rows, cols, entries)
-        seen.update(map(type, self.flatten()))
+        built.append(self)
 
-    def counting_trusted(cls, rows, cols, entries):
-        seen.update(map(type, entries))
-        return trusted(cls, rows, cols, entries)
+    def counting_trusted(cls, rows, cols, nonzeros):
+        built.append(trusted(cls, rows, cols, nonzeros))
+        return built[-1]
 
     monkeypatch.setattr(Matrix, "__init__", counting_init)
     monkeypatch.setattr(Matrix, "_trusted", classmethod(counting_trusted))
     g = parse_algebra_file(serialize_algebra(lookup(name).algebra))
     verify(g, name)
+    assert built
+    for mat in built:
+        assert type(mat.nonzeros) is tuple and len(mat.nonzeros) == mat.rows
+        for row in mat.nonzeros:
+            cols = [c for c, _ in row]
+            # columns strictly increasing and in range, no zero entry
+            assert type(row) is tuple and cols == sorted(set(cols))
+            assert all(0 <= c < mat.cols for c in cols)
+            assert all(x != 0 for _, x in row)
+            seen.update(type(x) for _, x in row)
     assert int in seen and seen <= {int, F}
 
 

@@ -364,3 +364,73 @@ def test_as_scalar_gives_an_int_when_integral():
         with pytest.raises(TypeError):
             as_scalar(x)
     assert all(type(x) is int for x in Matrix.from_rows([[F(2), True], ["4/2", 0]]).flatten())
+
+
+# A Matrix is held as its nonzeros alone. Differential check of every
+# operation against plain dense lists, on int and Fraction entries that
+# include explicit 0 and Fraction(0): results equal, hash equal and are
+# stored canonically, whether built by Matrix(...) or by an operation.
+
+dense_entries = st.one_of(st.just(0), st.just(F(0)), st.integers(-3, 3),
+                          st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
+
+
+def _dense_matrix(draw, r, c):
+    return [draw(st.lists(dense_entries, min_size=c, max_size=c)) for _ in range(r)]
+
+
+@st.composite
+def dense_operands(draw):
+    r, n, k = (draw(st.integers(0, 4)) for _ in range(3))
+    a, b = _dense_matrix(draw, r, n), _dense_matrix(draw, r, n)
+    s, t = _dense_matrix(draw, r, r), _dense_matrix(draw, r, r)
+    return a, b, _dense_matrix(draw, n, k), s, t, (r, n, k)
+
+
+def _built(rows, nrows, ncols):
+    return Matrix(nrows, ncols, [x for r in rows for x in r])
+
+
+def _mul(x, y, inner, ncols):
+    """The dense product of the lists x and y, one sum per entry."""
+    return [[sum((p[t] * y[t][j] for t in range(inner)), 0) for j in range(ncols)]
+            for p in x]
+
+
+def _same(m, rows, nrows, ncols):
+    """m is the matrix of the dense rows: equal and hashed as one built by
+    Matrix(...), with canonical nonzeros and the same dense views."""
+    twin = _built(rows, nrows, ncols)
+    assert m.shape == (nrows, ncols)
+    assert m == twin and twin == m and hash(m) == hash(twin)
+    assert m.nonzeros == tuple(tuple((c, x) for c, x in enumerate(r) if x)
+                               for r in rows)
+    assert m.flatten() == tuple(x for r in rows for x in r)
+
+
+@given(dense_operands())
+@settings(max_examples=200, deadline=None)
+def test_matrix_operations_match_dense_lists(case):
+    a, b, c, s, t, (r, n, k) = case
+    A, B, C = _built(a, r, n), _built(b, r, n), _built(c, n, k)
+    S, T = _built(s, r, r), _built(t, r, r)
+    _same(A, a, r, n)
+    assert [[A[i, j] for j in range(n)] for i in range(r)] == a
+    assert [list(A.row(i)) for i in range(r)] == a
+    assert [list(A.column(j)) for j in range(n)] == [[x[j] for x in a] for j in range(n)]
+    _same(A.transpose(), [[x[j] for x in a] for j in range(n)], n, r)
+    _same(A + B, [[x + y for x, y in zip(p, q)] for p, q in zip(a, b)], r, n)
+    _same(A - B, [[x - y for x, y in zip(p, q)] for p, q in zip(a, b)], r, n)
+    _same(A.scale(0), [[0] * n for _ in range(r)], r, n)
+    _same(A.scale(F(-3, 2)), [[F(-3, 2) * x for x in p] for p in a], r, n)
+    _same(A @ C, _mul(a, c, n, k), r, k)
+    prod_st, prod_ts = _mul(s, t, r, r), _mul(t, s, r, r)
+    _same(S.commutator(T),
+          [[x - y for x, y in zip(p, q)] for p, q in zip(prod_st, prod_ts)], r, r)
+    v = [1 + j for j in range(n)]
+    assert A.apply(v) == tuple(sum((x * y for x, y in zip(p, v)), 0) for p in a)
+    # the same matrix reached through operations equals the one built
+    assert A.transpose().transpose() == A and A + Matrix.zero(r, n) == A
+    assert A - A == Matrix.zero(r, n) == _built([[F(0)] * n] * r, r, n)
+    assert Matrix.identity(r) @ A == A == A.scale(1)
+    assert (A == B) == (a == b) and (A - B).is_zero() == (a == b)

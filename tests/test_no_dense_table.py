@@ -1,7 +1,10 @@
-"""No CLI command builds the dense n x n x n structure-constant table.
+"""No CLI command builds the dense n x n x n structure-constant table, or
+writes a matrix or a span out dense.
 
 ``LieAlgebra.table`` is a dense view for tests and oracles; the package
-reads the sparse ``pairs``. With the view made to raise, every command must
+reads the sparse ``pairs``. Likewise ``Matrix.flatten`` and
+``Subspace.basis_vectors`` are dense views of the nonzeros of a matrix and
+of the rows of a span. With the views made to raise, every command must
 still run to its usual exit code.
 """
 
@@ -13,6 +16,7 @@ from algebras import FIXTURES
 from liegraph.algebra import LieAlgebra
 from liegraph.catalog import parse_algebra_file, serialize_algebra
 from liegraph.cli import _table_lines, main
+from liegraph.linalg import Matrix, Subspace
 
 
 @pytest.fixture
@@ -42,6 +46,24 @@ COMMANDS = [
 @pytest.mark.parametrize("args,code", COMMANDS, ids=[" ".join(c[0]) for c in COMMANDS])
 def test_command_never_reads_the_dense_table(args, code, as_json, inputs,
                                              no_dense_table):
+    out = io.StringIO()
+    assert main((["--json"] if as_json else []) + args, out=out) == code
+    assert out.getvalue()
+
+
+@pytest.fixture
+def no_dense_matrix_or_span(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a matrix or a span was written out dense")
+    monkeypatch.setattr(Matrix, "flatten", refuse)
+    monkeypatch.setattr(Subspace, "basis_vectors", refuse)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("args,code", COMMANDS + [(["corpus-verify"], 1)],
+                         ids=[" ".join(c[0]) for c in COMMANDS] + ["corpus-verify"])
+def test_command_never_writes_a_matrix_or_span_out_dense(
+        args, code, as_json, inputs, no_dense_matrix_or_span):
     out = io.StringIO()
     assert main((["--json"] if as_json else []) + args, out=out) == code
     assert out.getvalue()
