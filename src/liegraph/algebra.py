@@ -6,8 +6,9 @@ the nonzero (k, c) of [e_i, e_j] = sum_k c e_k. Every reader in the package
 printers) walks these pairs and never touches a zero. The dense table
 c[i][j][k] is only a view, built on first read for tests and oracles.
 Antisymmetry holds by construction. Jacobi is scanned in full only on
-structure constants from outside (make_lie_algebra); semidirect scans the
-triples that meet both factors, and matrix commutators need no scan.
+structure constants from outside (make_lie_algebra, parse_algebra_file);
+semidirect scans the triples that meet both factors, and matrix commutators
+need no scan.
 
 A Representation is a Lie algebra acting on Q^n. Its invariants, 1-cocycles
 and 1-coboundaries (Chevalley-Eilenberg) are computed in one place: for the
@@ -21,9 +22,9 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .linalg import (ONE, Matrix, Scalar, SparseRow, Subspace, Vector, ZERO,
-                     _packed, as_vector, common_kernel, rank, rref_kernel,
-                     solve, sparse_rref)
+from .linalg import (ONE, Matrix, Scalar, SparseRow, Subspace, Terms, Vector,
+                     ZERO, _dense, _packed, as_vector, common_kernel, rank,
+                     rref_kernel, solve, sparse_rref)
 
 
 class LieError(Exception):
@@ -61,9 +62,6 @@ class InternalConsistencyError(LieError):
     """A solve that must succeed by construction failed; data is corrupted."""
 
 
-Terms = tuple[tuple[int, Scalar], ...]  # nonzero (k, c), k increasing
-
-
 class LieAlgebra:
     """Structure constants held once, as the nonzero terms of each bracket:
     pairs[i][j] gives [e_i, e_j] = sum of c e_k over its (k, c), and
@@ -91,12 +89,7 @@ class LieAlgebra:
     def table(self) -> tuple:
         """Dense view: table[i][j] is the n coefficients of [e_i, e_j].
         Built on first read, for tests and oracles; the package reads pairs."""
-        def dense(terms: Terms) -> Vector:
-            v = [ZERO] * self.dim
-            for k, c in terms:
-                v[k] = c
-            return tuple(v)
-        return tuple(tuple(dense(t) for t in row) for row in self.pairs)
+        return tuple(tuple(_dense(t, self.dim) for t in row) for row in self.pairs)
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         x, y = as_vector(x), as_vector(y)
@@ -117,15 +110,18 @@ class LieAlgebra:
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of y -> [x, y]: entry (k, j) is the e_k term of [x, e_j]."""
         x = as_vector(x)
-        n = self.dim
-        if len(x) != n:
+        if len(x) != self.dim:
             raise ValueError("vector length != dim")
+        return self._ad([(i, xi) for i, xi in enumerate(x) if xi])
+
+    def _ad(self, x: Iterable[tuple[int, Scalar]]) -> Matrix:
+        """ad of the element whose nonzero coordinates are the (i, x_i) terms."""
+        n = self.dim
         rows: list[SparseRow] = [{} for _ in range(n)]
-        for i, xi in enumerate(x):
-            if xi:
-                for j, terms in enumerate(self.pairs[i]):
-                    for k, c in terms:
-                        rows[k][j] = rows[k].get(j, ZERO) + xi * c
+        for i, xi in x:
+            for j, terms in enumerate(self.pairs[i]):
+                for k, c in terms:
+                    rows[k][j] = rows[k].get(j, ZERO) + xi * c
         return Matrix._trusted(n, n, _packed(rows))
 
     @cached_property
@@ -144,10 +140,6 @@ def _unit(n: int, j: int) -> Vector:
 
 def _default_names(n: int) -> tuple[str, ...]:
     return tuple(f"e{i + 1}" for i in range(n))
-
-
-def _terms(vec: Vector) -> Terms:
-    return tuple((k, c) for k, c in enumerate(vec) if c)
 
 
 def _negated(terms: Terms) -> Terms:
@@ -214,7 +206,7 @@ def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
         vec = as_vector(vec)
         if len(vec) != n:
             raise LieError(f"bracket result for ({i},{j}) has length {len(vec)}, want {n}")
-        terms = _terms(vec)
+        terms = tuple((k, c) for k, c in enumerate(vec) if c)
         key, val = ((i, j), terms) if i < j else ((j, i), _negated(terms))
         if key in seen:
             if seen[key] != val:
@@ -355,7 +347,7 @@ def _unflat(shape: tuple[int, int], flat: Iterable[tuple[int, Scalar]]) -> Matri
 
 class MatrixSpan:
     """A span of equal-shape matrices, held as the canonical RREF basis of
-    their row-major flattenings; coordinates are read at its pivots."""
+    their row-major flattenings; terms_of reads coordinates at its pivots."""
 
     def __init__(self, shape: tuple[int, int], flat_span: Subspace):
         self.shape = shape
@@ -376,21 +368,27 @@ class MatrixSpan:
         if len(coords) != self.dim:
             raise ValueError(
                 f"{len(coords)} coordinates for a span of dimension {self.dim}")
-        return _unflat(self.shape, sorted(self.flat_span.combination(coords).items()))
+        return _unflat(self.shape, sorted(self.flat_span.combination(
+            [(i, a) for i, a in enumerate(coords) if a]).items()))
 
-    def coordinates(self, m: Matrix) -> Vector:
-        """Coordinates of a matrix known to lie in the span; raises otherwise."""
-        coords = self.flat_span._coordinates(_flat(m))
-        if coords is None:
+    def terms_of(self, m: Matrix) -> Terms:
+        """The nonzero coordinates (i, a), i increasing, of a matrix known to
+        lie in the span; raises otherwise."""
+        terms = self.flat_span._coordinates(_flat(m))
+        if terms is None:
             raise InternalConsistencyError(
                 f"matrix does not lie in the span of {type(self).__name__}")
-        return coords
+        return terms
+
+    def coordinates(self, m: Matrix) -> Vector:
+        """Dense view of terms_of, for tests and the per-pair references."""
+        return _dense(self.terms_of(m), self.dim)
 
     def lie_algebra(self, bracket: Callable[[int, int], Matrix],
                     prefix: str) -> LieAlgebra:
         """The span as a Lie algebra, basis names prefix1, prefix2, ..., with
         bracket(i, j) the matrix of [b_i, b_j], i < j; Jacobi is not scanned."""
-        upper = {(i, j): _terms(self.coordinates(bracket(i, j)))
+        upper = {(i, j): self.terms_of(bracket(i, j))
                  for i, j in combinations(range(self.dim), 2)}
         return _from_brackets(
             self.dim, upper, tuple(f"{prefix}{i + 1}" for i in range(self.dim)))
@@ -412,9 +410,10 @@ class DerivationAlgebra(MatrixSpan):
 
     @cached_property
     def ad_coordinates(self) -> Matrix:
-        """The m x n matrix whose column t is the coordinates of ad(e_t)."""
-        return Matrix.from_rows([self.coordinates_of(r)
-                                 for r in self.parent.adjoint.rho]).transpose()
+        """The m x n matrix whose column t is the coordinates of ad(e_t),
+        built as its transpose, whose row t is the terms of ad(e_t)."""
+        return Matrix._trusted(self.parent.dim, self.dim, tuple(
+            map(self.terms_of, self.parent.adjoint.rho))).transpose()
 
     @cached_property
     def natural(self) -> Representation:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import combinations
 from typing import NamedTuple
 
-from .linalg import ZERO, Scalar, as_scalar
-from .algebra import JacobiViolation, LieAlgebra, LieError, make_lie_algebra
+from .linalg import Scalar, Terms, as_scalar
+from .algebra import LieAlgebra, LieError, _from_brackets, make_lie_algebra
 
 
 class CatalogError(KeyError):
@@ -108,7 +109,8 @@ def _list(obj: dict, key: str, where: str) -> list:
 
 
 def parse_algebra_file(text: str) -> LieAlgebra:
-    """Parse and fully validate a JSON structure-constant document."""
+    """Parse and fully validate a JSON structure-constant document into each
+    bracket's sorted nonzero (k, c) terms; Jacobi is scanned on every triple."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
@@ -129,8 +131,7 @@ def parse_algebra_file(text: str) -> LieAlgebra:
             raise AlgebraFileError(f"'basis_names' must be {n} strings")
         if len(set(names)) != n:
             raise AlgebraFileError(f"'basis_names' has duplicates: {names!r}")
-    brackets = []
-    seen = set()
+    upper: dict[tuple[int, int], Terms] = {}
     for pos, item in enumerate(_list(doc, "brackets", "top level")):
         where = f"brackets[{pos}]"
         if not isinstance(item, dict):
@@ -147,9 +148,8 @@ def parse_algebra_file(text: str) -> LieAlgebra:
                                    f"for dim {n}")
         if i >= j:
             raise AlgebraFileError(f"{where}: requires i < j, got ({i},{j})")
-        if (i, j) in seen:
+        if (i, j) in upper:
             raise AlgebraFileError(f"{where}: duplicate pair ({i},{j})")
-        seen.add((i, j))
         terms: dict[int, Scalar] = {}
         for term in _list(item, "result", where):
             if isinstance(term, dict):
@@ -162,13 +162,12 @@ def parse_algebra_file(text: str) -> LieAlgebra:
             if k in terms:
                 raise AlgebraFileError(f"{where}: bracket ({i},{j}) gives k={k} twice")
             terms[k] = _parse_coeff(term["coeff"], where)
-        brackets.append((i, j, [terms.get(k, ZERO) for k in range(n)]))
+        upper[i, j] = tuple(sorted([(k, c) for k, c in terms.items() if c]))
     try:
-        return make_lie_algebra(n, brackets, names)
-    except JacobiViolation:
-        raise
-    except LieError as exc:
-        raise AlgebraFileError(str(exc)) from None
+        # the n x n pair table is the first thing built per dimension
+        return _from_brackets(n, upper, names, combinations(range(n), 3))
+    except (OverflowError, MemoryError):
+        raise AlgebraFileError(f"'dim' {n} is too large") from None
 
 
 def sparse_brackets(g: LieAlgebra) -> list[dict]:

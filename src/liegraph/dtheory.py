@@ -105,9 +105,9 @@ def build_h(dspace: DDerivationSpace) -> LieAlgebra:
     has the coordinates P @ (column i of L_j), where column t of P is the
     coordinates of -L_{e_t}, the cocycle D -> D(e_t)."""
     der, (n, _), l = dspace.der, dspace.shape, dspace.matrices
-    p = Matrix.from_rows([
-        dspace.coordinates(inner_d_derivation(der, _unit(n, t)).scale(-1))
-        for t in range(n)]).transpose()
+    p = Matrix._trusted(n, dspace.dim, tuple(
+        dspace.terms_of(inner_d_derivation(der, _unit(n, t)).scale(-1))
+        for t in range(n))).transpose()
     return semidirect(der.as_lie_algebra, dspace.as_lie_algebra,
                       lambda i, j: p.apply(l[j].column(i)))
 

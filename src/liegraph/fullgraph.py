@@ -144,11 +144,11 @@ def is_block_derivation(dspace: DDerivationSpace, delta: Matrix) -> bool:
     c = Matrix._trusted(n, m, tuple(tuple((k, x) for k, x in row if k < m)
                                     for row in bottom))
     e = {r * n + k - m: x for r, row in enumerate(bottom) for k, x in row if k >= m}
-    e_coords = der.flat_span._coordinates(e)
-    if e_coords is None or dspace.flat_span._coordinates(_flat(c)) is None:
+    e_terms = der.flat_span._coordinates(e)
+    if e_terms is None or dspace.flat_span._coordinates(_flat(c)) is None:
         return False
     return (Matrix._trusted(m, m, top)
-            == der.as_lie_algebra.ad(e_coords) - der.ad_coordinates @ c)
+            == der.as_lie_algebra._ad(e_terms) - der.ad_coordinates @ c)
 
 
 class Theorem1Evidence(NamedTuple):

@@ -17,10 +17,11 @@ order, with no zero entry. Every operation reads and builds that form, and
 equality and hashing compare it, so no zero entry is stored, tested or
 copied. A subspace is likewise kept as the rows of its canonical RREF
 basis, as the kernel gives them: two subspaces are equal iff these rows are
-equal, and coordinates and combinations read and give ``{column: entry}``.
-The dense forms, ``Matrix.row``, ``column``, ``[r, c]`` and ``flatten`` and
-``Subspace.basis_vectors``, are views built on request, for printing and
-tests.
+equal. A vector's coordinates are its nonzero terms ``((i, a), ...)``, read
+at the pivots off its ``{column: entry}`` nonzeros, and combinations take
+terms. The dense forms, ``Matrix.row``, ``column``, ``[r, c]``, ``flatten``,
+``Subspace.basis_vectors`` and ``coordinates``, are views built on request,
+for printing and tests.
 
 All elimination is done by one sparse Gauss-Jordan kernel, ``sparse_rref``,
 on rows held as ``{column: nonzero entry}``: the systems solved here are
@@ -43,6 +44,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 Scalar = Union[int, Fraction]
 Vector = tuple[Scalar, ...]
 SparseRow = dict[int, Scalar]  # column -> nonzero entry
+Terms = tuple[tuple[int, Scalar], ...]  # nonzero (index, entry), index increasing
 
 ZERO = 0
 ONE = 1
@@ -316,13 +318,15 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
 
 class Subspace:
     """A subspace of Q^n held as its canonical RREF basis: per row, its
-    nonzero (column, entry) pairs in column order, the pivot's 1 first."""
+    nonzero (column, entry) pairs in column order, the pivot's 1 first;
+    pivot_row maps each pivot column to its row."""
 
-    __slots__ = ("ambient_dim", "rows")
+    __slots__ = ("ambient_dim", "rows", "pivot_row")
 
     def __init__(self, ambient_dim: int, rows: tuple):
         self.ambient_dim = ambient_dim
         self.rows = rows  # trusted canonical; use from_rows to canonicalize
+        self.pivot_row = {row[0][0]: i for i, row in enumerate(rows)}
 
     @classmethod
     def from_rows(cls, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
@@ -356,34 +360,34 @@ class Subspace:
         """The basis rows as dense vectors."""
         return [_dense(row, self.ambient_dim) for row in self.rows]
 
-    def combination(self, coords: Sequence[Scalar]) -> SparseRow:
-        """sum_i coords[i] * (basis row i), as {column: nonzero entry}."""
+    def combination(self, terms: Iterable[tuple[int, Scalar]]) -> SparseRow:
+        """sum of a * (basis row i) over the terms (i, a), as {column: entry}."""
         v: SparseRow = {}
-        for a, row in zip(coords, self.rows):
-            if a:
-                for c, x in row:
-                    v[c] = v.get(c, ZERO) + a * x
+        for i, a in terms:
+            for c, x in self.rows[i]:
+                v[c] = v.get(c, ZERO) + a * x
         return {c: x for c, x in v.items() if x}
 
     def coordinates(self, v: Sequence) -> Optional[Vector]:
-        """Coordinates of v in the basis, or None if v is not in the span.
-
-        In RREF each basis row is 1 at its pivot column and every other row
-        is 0 there, so the coordinate of a row is the entry of v at its
-        pivot. One exact reconstruction confirms that v lies in the span.
-        """
+        """Dense view of _coordinates: v's coordinates, or None off the span."""
         v = as_vector(v)
         if len(v) != self.ambient_dim:
             raise ValueError(
                 f"vector length {len(v)} != ambient dimension {self.ambient_dim}")
-        return self._coordinates({c: x for c, x in enumerate(v) if x})
+        terms = self._coordinates({c: x for c, x in enumerate(v) if x})
+        return None if terms is None else _dense(terms, self.dim)
 
-    def _coordinates(self, v: Mapping[int, Scalar]) -> Optional[Vector]:
-        """Coordinates of the vector whose nonzeros are v, {column: entry},
-        taken as given, such as the nonzeros of a Matrix."""
-        get = v.get
-        coords = tuple([get(row[0][0], ZERO) for row in self.rows])
-        return coords if self.combination(coords) == v else None
+    def _coordinates(self, v: Mapping[int, Scalar]) -> Optional[Terms]:
+        """The nonzero coordinates (i, a), i increasing, of the vector whose
+        nonzeros are v, {column: entry}, or None if it is not in the span.
+
+        In RREF each basis row is 1 at its pivot column and every other row
+        is 0 there, so the coordinate of a row is the entry of v at its
+        pivot: only v's nonzeros at pivots give terms. One exact
+        reconstruction confirms that v lies in the span."""
+        index = self.pivot_row
+        terms = tuple(sorted([(index[c], x) for c, x in v.items() if c in index]))
+        return terms if self.combination(terms) == v else None
 
     def contains_vector(self, v: Sequence) -> bool:
         return self.coordinates(v) is not None

@@ -195,6 +195,18 @@ class TestAlgebraFile:
         assert proc.stderr.startswith("error: malformed JSON: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
+    def test_huge_dim_exits_2_before_any_per_dimension_work(self, tmp_path, capsys):
+        # 2**70 is past what a list can index, so the pair table is refused
+        # before one entry is allocated; a loop over range(dim) would hang
+        text = json.dumps({"dim": 2 ** 70})
+        with pytest.raises(AlgebraFileError, match="too large"):
+            parse_algebra_file(text)
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        assert main(["info", "--file", str(path)], out=io.StringIO()) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: 'dim' {2 ** 70} is too large\n"
+
     @pytest.mark.parametrize("name", [e.name for e in catalog()])
     def test_round_trip(self, name):
         g = lookup(name).algebra
@@ -239,6 +251,51 @@ def algebra_documents(draw):
             st.lists(st.text(max_size=2), min_size=n, max_size=n, unique=True),
             st.one_of(_WRONG_TYPE, st.lists(st.text(max_size=2), max_size=5)))
     return doc
+
+
+@st.composite
+def bracket_files(draw):
+    """A valid document and the same brackets as make_lie_algebra entries:
+    each result lists its terms in a drawn order, zero coefficients
+    included, so the Jacobi identity may fail."""
+    n = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4)) if pairs else []
+    doc, entries = {"dim": n, "brackets": []}, []
+    for i, j in chosen:
+        ks = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+        coeffs = [draw(st.sampled_from([0, "0", "0/3", 1, -2, "3/2", "-1/3"]))
+                  for _ in ks]
+        doc["brackets"].append({"i": i, "j": j, "result": [
+            {"k": k, "coeff": c} for k, c in zip(ks, coeffs)]})
+        vec = [0] * n
+        for k, c in zip(ks, coeffs):
+            vec[k] = Fraction(c)
+        entries.append((i, j, vec))
+    return doc, entries
+
+
+def _built(build):
+    try:
+        return build()
+    except JacobiViolation as exc:
+        return exc.triple, exc.residual
+
+
+@given(bracket_files())
+@settings(max_examples=150, deadline=None)
+def test_parsed_file_equals_make_lie_algebra(case):
+    # the parser hands its sorted nonzero terms straight to the sparse
+    # table; make_lie_algebra reads the same brackets as dense vectors
+    doc, entries = case
+    parsed = _built(lambda: parse_algebra_file(json.dumps(doc)))
+    assert parsed == _built(lambda: make_lie_algebra(doc["dim"], entries))
+    if isinstance(parsed, tuple):
+        return
+    for row in parsed.pairs:
+        for terms in row:
+            assert all(c for _, c in terms)
+            assert [k for k, _ in terms] == sorted(k for k, _ in terms)
 
 
 @pytest.mark.parametrize("command", ["info", "verify"])

@@ -132,23 +132,36 @@ def test_equality_agrees_with_mutual_containment(m1, m2):
 # coordinates against solve, the sparse product and commutator against the
 # triple loop.
 
+sparse_entries = st.one_of(st.just(F(0)), st.just(F(0)), entries)
+
+
 @st.composite
 def spans_and_vectors(draw):
+    """A drawn span with mostly-zero rows, and vectors to read in it: one
+    inside it (some of its coordinates zero, so it is zero at those
+    pivots), one drawn anywhere, and, when the span is not the whole space,
+    the inside one plus a unit vector at a non-pivot column, which is off
+    the span."""
     d = draw(st.integers(1, 6))
     k = draw(st.integers(0, 5))
-    rows = [draw(st.lists(entries, min_size=d, max_size=d)) for _ in range(k)]
+    rows = [draw(st.lists(sparse_entries, min_size=d, max_size=d)) for _ in range(k)]
     span = Subspace.from_rows(d, rows) if rows else Subspace.zero(d)
-    coeffs = draw(st.lists(entries, min_size=span.dim, max_size=span.dim))
+    coeffs = draw(st.lists(sparse_entries, min_size=span.dim, max_size=span.dim))
     inside = [sum((c * b[t] for c, b in zip(coeffs, span.basis_vectors())), F(0))
               for t in range(d)]
-    anywhere = draw(st.lists(entries, min_size=d, max_size=d))
-    return span, inside, anywhere
+    anywhere = draw(st.lists(sparse_entries, min_size=d, max_size=d))
+    free = [c for c in range(d) if c not in span.pivot_row]
+    off = None
+    if free:
+        off = list(inside)
+        off[draw(st.sampled_from(free))] += draw(entries.filter(bool))
+    return span, inside, anywhere, off
 
 
 @given(spans_and_vectors())
 @settings(max_examples=150, deadline=None)
 def test_coordinates_agree_with_solve(case):
-    span, inside, anywhere = case
+    span, inside, anywhere, off = case
     reference = Matrix(span.dim, span.ambient_dim,
                        [x for v in span.basis_vectors() for x in v]).transpose()
     coords = span.coordinates(inside)
@@ -157,6 +170,26 @@ def test_coordinates_agree_with_solve(case):
     # anywhere may or may not lie in the span; both sides give None when not
     assert span.coordinates(anywhere) == solve(reference, anywhere)
     assert span.contains_vector(anywhere) == (solve(reference, anywhere) is not None)
+    assert off is None or span.coordinates(off) is None
+
+
+@given(spans_and_vectors())
+@settings(max_examples=150, deadline=None)
+def test_coordinate_terms_are_the_nonzeros_of_solve(case):
+    # the sparse reader, on {column: entry} nonzeros, gives exactly the
+    # nonzero (row, coordinate) terms of the dense solution, in row order
+    span, inside, anywhere, off = case
+    reference = Matrix(span.dim, span.ambient_dim,
+                       [x for v in span.basis_vectors() for x in v]).transpose()
+    for v in (inside, anywhere, off):
+        if v is None:
+            continue
+        x = solve(reference, v)
+        terms = span._coordinates({c: a for c, a in enumerate(v) if a})
+        assert terms == (None if x is None
+                         else tuple((i, a) for i, a in enumerate(x) if a))
+        if terms is not None:
+            assert span.combination(terms) == {c: a for c, a in enumerate(v) if a}
 
 
 def test_coordinates_outside_span_is_none():
@@ -167,9 +200,6 @@ def test_coordinates_outside_span_is_none():
     assert Subspace.zero(2).coordinates([0, 1]) is None
     with pytest.raises(ValueError):
         line.coordinates([1, 2])
-
-
-sparse_entries = st.one_of(st.just(F(0)), st.just(F(0)), entries)
 
 
 @st.composite
