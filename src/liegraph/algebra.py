@@ -221,11 +221,11 @@ def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
 
 
 def semidirect(k: LieAlgebra, v: LieAlgebra,
-               action: Callable[[int, int], Vector]) -> LieAlgebra:
+               action: Callable[[int, int], Terms]) -> LieAlgebra:
     """The semidirect product k ⋉ v on k's basis followed by v's.
 
     k and v keep their own brackets, and [k_i, v_j] = action(i, j), given
-    as coordinates in v's basis; action must make k act on v by derivations.
+    as Terms in v's basis; action must make k act on v by derivations.
     Jacobi is scanned only on the triples that meet both k and v: the
     others lie in k or in v, which are Lie algebras already.
     """
@@ -233,10 +233,9 @@ def semidirect(k: LieAlgebra, v: LieAlgebra,
     upper = {(i, j): k.pairs[i][j] for i, j in combinations(range(m), 2)}
     for i in range(m):
         for j in range(n):
-            vec = as_vector(action(i, j))
-            if len(vec) != n:
-                raise LieError(f"action({i},{j}) has length {len(vec)}, want {n}")
-            upper[i, m + j] = tuple((m + t, c) for t, c in enumerate(vec) if c)
+            upper[i, m + j] = terms = tuple((m + t, c) for t, c in action(i, j))
+            if any(not m <= t < m + n for t, _ in terms):
+                raise LieError(f"action({i},{j}) has an index outside range({n})")
     for i, j in combinations(range(n), 2):
         upper[m + i, m + j] = tuple((m + t, c) for t, c in v.pairs[i][j])
     return _from_brackets(m + n, upper, k.basis_names + v.basis_names,

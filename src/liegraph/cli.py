@@ -1,18 +1,19 @@
-"""Command-line interface.
+"""Command-line interface, read off the command table without argparse.
 
 Subcommands: info, der, dder, full-graph, verify, corpus-verify. Each one
 returns its `--json` document, its text lines and its exit code, and
-`main` writes the form that was asked for.
+`main` writes the form that was asked for. `run`, the process entry, then
+flushes both streams and ends with os._exit, skipping interpreter teardown.
 Exit codes: 0 all requested checks pass, 1 a verification failed or
 stdout was closed before all output was written, 2 input/usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import fullgraph as fg_mod
@@ -30,16 +31,16 @@ EXIT_USAGE = 2
 
 
 def _load_algebra(args) -> tuple[str, LieAlgebra]:
-    if args.file and args.algebra:
+    if args.file is not None and args.algebra is not None:
         raise LieError("give an algebra name or --file, not both")
-    if args.file:
+    if args.file is not None:
         try:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise LieError(f"cannot read {args.file}: {exc}") from None
         return args.file, parse_algebra_file(text)
-    if not args.algebra:
+    if args.algebra is None:
         raise LieError("an algebra name or --file is required")
     entry = lookup(args.algebra)
     return entry.name, entry.algebra
@@ -195,45 +196,61 @@ _ALGEBRA_COMMANDS = {
     "full-graph": (_cmd_full_graph, "structure constants of C(G)"),
     "verify": (_cmd_verify, "run the theorem checks on one algebra"),
 }
+_COMMANDS = {**_ALGEBRA_COMMANDS, "corpus-verify": (
+    _cmd_corpus_verify, "run all checks on every catalog entry")}
+USAGE = "\n".join([
+    "usage: liegraph [--json] COMMAND [ALGEBRA | --file FILE] [--theorem T]",
+    "ALGEBRA is a catalog name, FILE a structure-constant JSON file, and T",
+    "(verify only) 1, 2, lemma or all, the default. Commands:",
+    *(f"  {c:<15}{h}" for c, (_, h) in _COMMANDS.items())])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="liegraph",
-        description="Exact verification of holomorph constructions on "
-                    "finite-dimensional Lie algebras over Q.")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text) in _ALGEBRA_COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("algebra", nargs="?",
-                       help="catalog algebra name (see corpus-verify for the list)")
-        p.add_argument("--file", help="structure-constant JSON file")
-        p.set_defaults(func=func)
-    sub.choices["verify"].add_argument(
-        "--theorem", choices=["1", "2", "lemma", "all"], default="all")
-    p = sub.add_parser("corpus-verify",
-                       help="run all checks on every catalog entry")
-    p.set_defaults(func=_cmd_corpus_verify)
-    return parser
+def parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """json, command, algebra, file and theorem, or None for -h or --help.
+    Read left to right as argparse reads it: a bad command or option value
+    raises LieError where it is met, a left-over argument only at the end."""
+    args = SimpleNamespace(json=False, command=None, algebra=None, file=None,
+                           theorem="all")
+    extra, rest = [], iter(argv)
+    for a in rest:
+        key, eq, value = a.partition("=")
+        if a in ("-h", "--help"):
+            return None
+        if a == "--json" and args.command is None:
+            args.json = True
+        elif (key == "--file" and args.command in _ALGEBRA_COMMANDS
+              or key == "--theorem" and args.command == "verify"):
+            if not eq and (value := next(rest, "-")).startswith("-"):
+                raise LieError(f"{key} needs a value")
+            if key == "--theorem" and value not in ("1", "2", "lemma", "all"):
+                raise LieError("--theorem takes 1, 2, lemma or all")
+            setattr(args, key[2:], value)
+        elif args.command is None and not a.startswith("-"):
+            if a not in _COMMANDS:
+                raise LieError(f"unknown command {a!r}; see liegraph --help")
+            args.command = a
+        elif (a.startswith("-") or args.algebra is not None
+              or args.command not in _ALGEBRA_COMMANDS):
+            extra.append(a)
+        else:
+            args.algebra = a
+    if args.command is None or extra:
+        raise LieError(f"unrecognized arguments: {' '.join(extra)}" if args.command
+                       else "a command is required; see liegraph --help")
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        doc, lines, code = args.func(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        doc, lines, code = ((None, [USAGE], EXIT_OK) if args is None
+                            else _COMMANDS[args.command][0](args))
     except (LieError, CatalogError, ValueError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
-        print(f"error: {msg}", file=sys.stderr)
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.json:
+        if args and args.json:
             json.dump(doc, out, indent=2, sort_keys=True)
             out.write("\n")
         else:
@@ -241,8 +258,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         out.flush()
     except BrokenPipeError:
         # The reader closed early (`liegraph ... | head`). Point stdout at
-        # devnull so the flush at interpreter exit cannot raise again, and
-        # exit 1 as Python does after EPIPE.
+        # devnull so the flush after main (run's, or the interpreter's at
+        # exit) cannot raise again, and exit 1 as Python does after EPIPE.
         if out is sys.stdout:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
@@ -251,5 +268,13 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry: main(), flushed, then os._exit without teardown."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

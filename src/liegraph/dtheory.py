@@ -102,14 +102,15 @@ def build_h(dspace: DDerivationSpace) -> LieAlgebra:
         [(D1,L1),(D2,L2)] = ([D1,D2], [L1,L2] + D1(L2) - D2(L1))
     The action is inner: D(L) = -L_y with y = L(D), since the cocycle rule
     L([D,D']) = D(L(D')) - D'(L(D)) makes D(L)(D') = D'(y). So D_i(L_j)
-    has the coordinates P @ (column i of L_j), where column t of P is the
-    coordinates of -L_{e_t}, the cocycle D -> D(e_t)."""
+    has the coordinates P @ (column i of L_j), row i of L_j^T @ P^T, where
+    row t of P^T is the coordinates of -L_{e_t}, the cocycle D -> D(e_t)."""
     der, (n, _), l = dspace.der, dspace.shape, dspace.matrices
-    p = Matrix._trusted(n, dspace.dim, tuple(
+    p_t = Matrix._trusted(n, dspace.dim, tuple(
         dspace.terms_of(inner_d_derivation(der, _unit(n, t)).scale(-1))
-        for t in range(n))).transpose()
+        for t in range(n)))
+    acts = [lj.transpose() @ p_t for lj in l]
     return semidirect(der.as_lie_algebra, dspace.as_lie_algebra,
-                      lambda i, j: p.apply(l[j].column(i)))
+                      lambda i, j: acts[j].nonzeros[i])
 
 
 class DCompletenessEvidence(NamedTuple):

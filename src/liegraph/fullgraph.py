@@ -36,7 +36,7 @@ def build_full_graph(der: DerivationAlgebra) -> LieAlgebra:
         [(D1,x1),(D2,x2)] = ([D1,D2], D1 x2 - D2 x1 + [x1,x2])."""
     cols = [d.transpose() for d in der.matrices]
     return semidirect(der.as_lie_algebra, der.parent,
-                      lambda i, j: cols[i].row(j))
+                      lambda i, j: cols[i].nonzeros[j])
 
 
 def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:

@@ -8,9 +8,11 @@ holds structure constants as the nonzero terms of each bracket
 versions of the same computations, on the dense n x n x n table, and
 ``sparse_rref_fractions`` is the sparse kernel with every scalar a
 Fraction; the differential tests require the fast paths to give exactly
-what these give.
+what these give. ``build_parser`` is the argparse command line that the
+CLI's own parser replaced.
 """
 
+import argparse
 from fractions import Fraction
 from itertools import combinations
 
@@ -220,3 +222,29 @@ def h_derivation(dspace, d_coords, l_coords):
         corr = L.apply(der.coordinates_of(g.adjoint.rho[j]))
         cols.append((ZERO,) * m + tuple(a + b for a, b in zip(D.column(j), corr)))
     return Matrix.from_rows(cols).transpose()
+
+
+def build_parser():
+    """The argparse form of the command line, without prefix abbreviations
+    (--fi for --file), which the CLI's parser does not take."""
+    from liegraph.cli import _ALGEBRA_COMMANDS, _cmd_corpus_verify
+
+    parser = argparse.ArgumentParser(
+        prog="liegraph", allow_abbrev=False,
+        description="Exact verification of holomorph constructions on "
+                    "finite-dimensional Lie algebras over Q.")
+    parser.add_argument("--json", action="store_true",
+                        help="machine-readable output")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text) in _ALGEBRA_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("algebra", nargs="?",
+                       help="catalog algebra name (see corpus-verify for the list)")
+        p.add_argument("--file", help="structure-constant JSON file")
+        p.set_defaults(func=func)
+    sub.choices["verify"].add_argument(
+        "--theorem", choices=["1", "2", "lemma", "all"], default="all")
+    p = sub.add_parser("corpus-verify", allow_abbrev=False,
+                       help="run all checks on every catalog entry")
+    p.set_defaults(func=_cmd_corpus_verify)
+    return parser

@@ -272,14 +272,19 @@ class TestInducedStructure:
 class TestSemidirect:
     def test_line_acting_on_line_by_scaling_is_affine2(self):
         line = abelian(1)
-        alg = semidirect(line, line, lambda i, j: (F(1),))
+        alg = semidirect(line, line, lambda i, j: ((0, F(1)),))
         assert alg.table == lookup("affine2").algebra.table
 
     def test_action_that_is_no_representation_fails_jacobi(self):
         # two commuting generators acting by E12 and E21, which do not commute
         e12, e21 = ((F(0), F(0)), (F(1), F(0))), ((F(0), F(1)), (F(0), F(0)))
         with pytest.raises(JacobiViolation):
-            semidirect(abelian(2), abelian(2), lambda i, j: (e12, e21)[i][j])
+            semidirect(abelian(2), abelian(2),
+                       lambda i, j: Matrix.from_rows([(e12, e21)[i][j]]).nonzeros[0])
+
+    def test_action_index_outside_the_second_factor_raises(self):
+        with pytest.raises(LieError, match="outside range"):
+            semidirect(abelian(1), abelian(2), lambda i, j: ((2, F(1)),))
 
 
 # The sparse cocycle system of a Representation against the dense reference:
@@ -430,7 +435,8 @@ def test_semidirect_matches_padded_reference(name):
     g = algebra(name)
     der = derivation_algebra(g)
     act = lambda i, j: der.matrices[i].column(j)
-    built = semidirect(der.as_lie_algebra, g, act)
+    built = semidirect(der.as_lie_algebra, g,
+                       lambda i, j: der.matrices[i].transpose().nonzeros[j])
     expected = reference.semidirect(der.as_lie_algebra, g, act)
     assert built == expected and built.table == expected.table
 
@@ -445,7 +451,8 @@ def test_semidirect_by_any_action_matches_padded_reference(name, m, data):
                                        max_size=v.dim))
             for i in range(m) for j in range(v.dim)}
     act = lambda i, j: vecs[i, j]
-    built = _jacobi_outcome(lambda: semidirect(abelian(m), v, act))
+    built = _jacobi_outcome(lambda: semidirect(
+        abelian(m), v, lambda i, j: Matrix.from_rows([act(i, j)]).nonzeros[0]))
     expected = _jacobi_outcome(lambda: reference.semidirect(abelian(m), v, act))
     assert built == expected
     if isinstance(built, LieAlgebra):

@@ -377,6 +377,18 @@ class TestCli:
         assert (capsys.readouterr().err
                 == "error: give an algebra name or --file, not both\n")
 
+    def test_empty_file_name_beside_an_algebra_usage_error(self, capsys):
+        code, text = run_cli("info", "sl2", "--file", "")
+        assert code == 2 and text == ""
+        assert (capsys.readouterr().err
+                == "error: give an algebra name or --file, not both\n")
+
+    def test_empty_file_name_is_opened_as_a_file(self, capsys):
+        code, text = run_cli("info", "--file", "")
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read : ") and err.count("\n") == 1
+
     def test_verify_jacobi_violating_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"dim": 3, "brackets": [

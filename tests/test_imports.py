@@ -5,7 +5,9 @@ left behind by a refactor still runs at every start-up, so it costs each
 request its time and hides that the code it served is gone.
 ``__future__`` imports are directives, so they are exempt. A request never
 loads ``dataclasses``, whose own imports (``inspect``, ``ast``, ``dis``,
-``tokenize``) cost more start-up time than a small check computes. The
+``tokenize``) cost more start-up time than a small check computes, nor
+``argparse`` with its ``gettext`` and ``locale``: the CLI reads its
+command line itself. The
 package root imports nothing, so a process that reads only the algebra
 and the catalog loads neither the d-theory nor the checks.
 """
@@ -55,7 +57,8 @@ def test_a_request_imports_no_dataclasses_or_inspect():
     code = ("import io, sys\n"
             "from liegraph.cli import main\n"
             "code = main(['--json', 'verify', 'sl2'], out=io.StringIO())\n"
-            "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+            "print(code, sorted({'dataclasses', 'inspect', 'argparse', 'gettext',\n"
+            "                    'locale'} & set(sys.modules)))\n")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
