@@ -2,13 +2,15 @@
 
 A LieAlgebra holds its structure constants once, sparse: pairs[i][j] is
 the nonzero (k, c) of [e_i, e_j] = sum_k c e_k. Every reader in the package
-(bracket, ad, the Jacobi check, the cocycle rule, semidirect products, the
+(ad, the Jacobi check, the cocycle rule, semidirect products, the
 printers) walks these pairs and never touches a zero. The dense table
 c[i][j][k] is only a view, built on first read for tests and oracles.
-Antisymmetry holds by construction. Jacobi is scanned in full only on
-structure constants from outside (make_lie_algebra, parse_algebra_file);
-semidirect scans the triples that meet both factors, and matrix commutators
-need no scan.
+Antisymmetry holds by construction. _validate_jacobi scans every basis
+triple i < j < l of structure constants from outside (make_lie_algebra,
+parse_algebra_file) and of the d-bracket table, whose Jacobi identity is
+part of the paper's claim (DDerivationSpace.as_lie_algebra); in semidirect
+products (C(G), H) only the triples that meet both factors. A matrix
+commutator table (MatrixSpan.lie_algebra) is not scanned.
 
 A Representation is a Lie algebra acting on Q^n. Its invariants, 1-cocycles
 and 1-coboundaries (Chevalley-Eilenberg) are computed in one place: for the
@@ -92,20 +94,7 @@ class LieAlgebra:
         return tuple(tuple(_dense(t, self.dim) for t in row) for row in self.pairs)
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        x, y = as_vector(x), as_vector(y)
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vector length != dim")
-        out = [ZERO] * self.dim
-        y_nz = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.pairs[i]
-            for j, yj in y_nz:
-                s = xi * yj
-                for k, c in row[j]:
-                    out[k] += s * c
-        return tuple(out)
+        return self.ad(x).apply(y)
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of y -> [x, y]: entry (k, j) is the e_k term of [x, e_j]."""
@@ -308,16 +297,10 @@ class Representation:
                                  for r in self.rho]).transpose()
 
     def coboundaries(self) -> Subspace:
-        """The span of the coboundaries of V's basis vectors. The
-        coboundary of e_k is -rho_i[a][k] at (a, i), read off the
-        nonzeros of rho."""
-        m, n = len(self.rho), self.rho[0].rows
-        flat: list[SparseRow] = [{} for _ in range(n)]
-        for i, r in enumerate(self.rho):
-            for a, row in enumerate(r.nonzeros):
-                for k, c in row:
-                    flat[k][a * m + i] = -c
-        return Subspace._span(n * m, flat)
+        """The span of the coboundaries of V's basis vectors."""
+        n = self.rho[0].rows
+        return Subspace._span(n * len(self.rho), [
+            _flat(self.coboundary(_unit(n, k))) for k in range(n)])
 
 
 def center(g: LieAlgebra) -> Subspace:

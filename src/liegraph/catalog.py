@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from itertools import combinations
 from typing import NamedTuple
 
@@ -75,21 +76,41 @@ def lookup(name: str) -> CatalogEntry:
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
+class _LongInt:
+    """A JSON integer with more digits than int() converts
+    (sys.get_int_max_str_digits), held so that _is_int names its field."""
+
+    def __repr__(self):
+        return "<integer past the digit limit>"
+
+
+def _json_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInt()
+
+
 def _parse_coeff(text, where: str) -> Scalar:
     if isinstance(text, bool) or isinstance(text, float):
         raise AlgebraFileError(f"{where}: coefficient must be an exact "
                                f"rational string or integer, got {text!r}")
-    if isinstance(text, int):
+    if isinstance(text, str) and _RATIONAL.fullmatch(text):
+        try:
+            return as_scalar(text)
+        except ZeroDivisionError:
+            pass
+        except ValueError:  # the digits matched, but are too many for int()
+            text = _LongInt()
+    if _is_int(text, f"{where}: 'coeff'"):
         return text
-    if not (isinstance(text, str) and _RATIONAL.fullmatch(text)):
-        raise AlgebraFileError(f"{where}: bad rational literal {text!r}")
-    try:
-        return as_scalar(text)
-    except (ValueError, ZeroDivisionError):
-        raise AlgebraFileError(f"{where}: bad rational literal {text!r}") from None
+    raise AlgebraFileError(f"{where}: bad rational literal {text!r}")
 
 
-def _is_int(x) -> bool:
+def _is_int(x, field: str) -> bool:
+    if isinstance(x, _LongInt):
+        raise AlgebraFileError(f"{field} has more than "
+                               f"{sys.get_int_max_str_digits()} digits")
     # JSON true and false load as bool, which is a subclass of int
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -112,7 +133,7 @@ def parse_algebra_file(text: str) -> LieAlgebra:
     """Parse and fully validate a JSON structure-constant document into each
     bracket's sorted nonzero (k, c) terms; Jacobi is scanned on every triple."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise AlgebraFileError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -122,7 +143,7 @@ def parse_algebra_file(text: str) -> LieAlgebra:
         n = doc["dim"]
     except KeyError:
         raise AlgebraFileError("missing field 'dim'") from None
-    if not _is_int(n) or n <= 0:
+    if not _is_int(n, "'dim'") or n <= 0:
         raise AlgebraFileError(f"'dim' must be a positive integer, got {n!r}")
     names = doc.get("basis_names")
     if names is not None:
@@ -141,7 +162,7 @@ def parse_algebra_file(text: str) -> LieAlgebra:
             i, j = item["i"], item["j"]
         except KeyError as exc:
             raise AlgebraFileError(f"{where}: missing field {exc}") from None
-        if not (_is_int(i) and _is_int(j)):
+        if not (_is_int(i, f"{where}: 'i'") and _is_int(j, f"{where}: 'j'")):
             raise AlgebraFileError(f"{where}: i and j must be integers")
         if not (0 <= i < n and 0 <= j < n):
             raise AlgebraFileError(f"{where}: indices ({i},{j}) out of range "
@@ -157,7 +178,7 @@ def parse_algebra_file(text: str) -> LieAlgebra:
             if not isinstance(term, dict) or "k" not in term or "coeff" not in term:
                 raise AlgebraFileError(f"{where}: result terms need 'k' and 'coeff'")
             k = term["k"]
-            if not _is_int(k) or not 0 <= k < n:
+            if not _is_int(k, f"{where}: 'k'") or not 0 <= k < n:
                 raise AlgebraFileError(f"{where}: k={k!r} out of range for dim {n}")
             if k in terms:
                 raise AlgebraFileError(f"{where}: bracket ({i},{j}) gives k={k} twice")

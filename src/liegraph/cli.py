@@ -2,14 +2,16 @@
 
 Subcommands: info, der, dder, full-graph, verify, corpus-verify. Each one
 returns its `--json` document, its text lines and its exit code, and
-`main` writes the form that was asked for. `run`, the process entry, then
-flushes both streams and ends with os._exit, skipping interpreter teardown.
+`main` renders the form that was asked for to one string and writes it in
+one call. `run`, the process entry, then flushes both streams and ends
+with os._exit, skipping interpreter teardown.
 Exit codes: 0 all requested checks pass, 1 a verification failed or
 stdout was closed before all output was written, 2 input/usage error.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import sys
@@ -250,11 +252,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args and args.json:
-            json.dump(doc, out, indent=2, sort_keys=True)
-            out.write("\n")
-        else:
-            out.write("\n".join(lines) + "\n")
+        out.write((json.dumps(doc, indent=2, sort_keys=True) if args and args.json
+                   else "\n".join(lines)) + "\n")
         out.flush()
     except BrokenPipeError:
         # The reader closed early (`liegraph ... | head`). Point stdout at
@@ -269,7 +268,13 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 
 def run() -> None:
-    """The process entry: main(), flushed, then os._exit without teardown."""
+    """The process entry: main(), flushed, then os._exit without teardown.
+    Unbuffered (-u), stdout's text layer drops unreported what a raw
+    write(2) leaves; a BufferedWriter writes it, or meets EPIPE."""
+    if isinstance(sys.stdout.buffer, io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(sys.stdout.buffer), sys.stdout.encoding,
+            sys.stdout.errors, newline="\n", write_through=True)
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

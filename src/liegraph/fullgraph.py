@@ -12,7 +12,9 @@ Both theorems read only dim Der(C(G)), and der_cg_blocks gets it from the
 d-theory of G without the Leibniz system of C(G): dim Z¹ + dim S, where Z¹
 is the cocycle space of dtheory and S, in (m+n)·n unknowns, the space of
 δ restricted to G. The same proof decides, on its blocks, whether each
-generator of H is a derivation (is_block_derivation).
+generator of H is a derivation (is_block_derivation), and then lets
+theorem1 compare only the n G rows of each map of C(G): a derivation with
+no G → Der block has Der rows fixed by its G rows (check_theorem1).
 """
 
 from __future__ import annotations
@@ -123,18 +125,11 @@ def h_derivation(dspace: DDerivationSpace, d_coords: Sequence,
 
 def is_block_derivation(dspace: DDerivationSpace, delta: Matrix) -> bool:
     """Whether delta, a map of C(G) with no G → Der(G) block, is a
-    derivation of C(G), decided on its blocks by the proof in der_cg_blocks.
-
-    With m = dim Der(G) and n = dim G, delta has the blocks A: Der(G) →
-    Der(G), B: G → Der(G), C: Der(G) → G and E: G → G. When B = 0 the
-    Leibniz rule on the three kinds of basis pair says:
-    - (x, y): E is a derivation of G, E = sum of e_k D_k;
-    - (D, x): A(D) = [E, D] - ad(C(D)), so column j of A is column j of
-      ad(e) in Der(G) minus the Der coordinates of ad(C(D_j));
-    - (D₁, D₂): C is a cocycle, an element of Z¹; A is then a derivation
-      of Der(G) by itself.
-    h_derivation never writes B, so a nonzero B raises
-    InternalConsistencyError.
+    derivation of C(G), decided on its blocks A: Der(G) → Der(G),
+    B: G → Der(G), C: Der(G) → G and E: G → G by the proof in der_cg_blocks:
+    when B = 0 it is one iff E lies in Der(G), C in Z¹ and
+    A(D) = [E, D] − ad(C(D)). h_derivation never writes B, so a nonzero B
+    raises InternalConsistencyError.
     """
     der, (n, m) = dspace.der, dspace.shape
     top, bottom = delta.nonzeros[:m], delta.nonzeros[m:]
@@ -233,20 +228,33 @@ class _Workspace:
 
 
 def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
-    cg, dspace, h = ws.cg, ws.dspace, ws.h
-    m, p = ws.der.dim, dspace.dim
-    total = m + p
+    """Theorem 1 on one algebra, read off the n G rows of each map.
+
+    Basis element k of H, a pair (D, L), acts on C(G) as gens[k], whose
+    blocks (as in is_block_derivation) are A = ad(D), B = 0, C = L and
+    E = D + L∘ad.
+    - Homomorphism: if every generator passes is_block_derivation, then
+      [gens[i], gens[j]] and each sum of c_k gens[k] are derivations with
+      B = 0 (B of a product is A₁B₂ + B₁E₂), whose A(D) = [E, D] − ad(C(D))
+      is fixed by C and E; so two of them agree iff their G rows do. If a
+      generator fails, so does theorem1, whatever the loop says.
+    - Image: (D, L) ↦ (C, E) = (L, D + L∘ad) is injective and A is a
+      function of D, so the generators' G rows span the image's dimension.
+    """
+    dspace, h = ws.dspace, ws.h
+    m, n, p = ws.der.dim, ws.der.parent.dim, dspace.dim
+    total, size = m + p, m + n
 
     units = [_unit(total, i) for i in range(total)]
     gens = [h_derivation(dspace, u[:m], u[m:]) for u in units]
     each_der = all(is_block_derivation(dspace, M) for M in gens)
 
-    # each generator's nonzero entries, keyed by their row-major index
-    size = cg.dim
-    flat = [_flat(M) for M in gens]
+    # each generator's G-row nonzeros, keyed (r - m) * size + column
+    flat = [{(r - m) * size + c: x for r in range(m, size)
+             for c, x in M.nonzeros[r]} for M in gens]
 
     # h_derivation is linear in its coordinates, so the image of
-    # [x_i, x_j] = sum_k c_k x_k is sum_k c_k gens[k]: the nonzeros of the
+    # [x_i, x_j] = sum_k c_k x_k is sum_k c_k gens[k]: the G rows of the
     # commutator minus that sum must cancel
     homomorphism = True
     for i, j in combinations(range(total), 2):
@@ -255,8 +263,8 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
             for t, x in flat[k].items():
                 acc[t] = acc.get(t, ZERO) - c * x
         a, b = gens[i].nonzeros, gens[j].nonzeros
-        for r in range(size):
-            base = r * size
+        for r in range(m, size):
+            base = (r - m) * size
             for k, x in a[r]:
                 for c, y in b[k]:
                     acc[base + c] = acc.get(base + c, ZERO) + x * y
@@ -269,7 +277,7 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
 
     # every generator in Der(C(G)) puts the image inside it; equal dimension
     # then makes the two equal
-    dim, image = ws.der_cg_dim, Subspace._span(size * size, flat)
+    dim, image = ws.der_cg_dim, Subspace._span(n * size, flat)
     return Theorem1Evidence(each_der, homomorphism, image.dim == total,
                             total, dim, each_der and image.dim == dim)
 

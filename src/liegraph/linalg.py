@@ -28,8 +28,8 @@ on rows held as ``{column: nonzero entry}``: the systems solved here are
 almost all zeros (a Leibniz row of G has a few nonzeros among n² columns),
 and the kernel never touches a zero. The RREF of a row space is
 unique, so it gives the same canonical basis as any exact Gauss-Jordan
-elimination. ``rref``, ``rank``, ``solve``, ``nullspace`` and
-``Subspace.from_rows`` call it; ``sparse_nullspace`` takes sparse rows and
+elimination. ``rank``, ``solve``, ``nullspace`` and ``Subspace.from_rows``
+call it; ``sparse_nullspace`` takes sparse rows and
 ``common_kernel`` the nonzeros of several matrices, so a system built
 sparse or held as matrices is never stacked dense, and ``rref_kernel``
 gives the kernel of rows already reduced, for a caller that keeps the
@@ -126,9 +126,6 @@ class Matrix:
     def column(self, c: int) -> Vector:
         return self.transpose().row(c)
 
-    def row_list(self) -> list[Vector]:
-        return [self.row(r) for r in range(self.rows)]
-
     def flatten(self) -> Vector:
         """Row-major dense view: entry (r, c) at r * cols + c, the index by
         which a span of matrices keys their nonzeros."""
@@ -208,9 +205,6 @@ class Matrix:
             out.append(acc)
         return Matrix._trusted(n, n, _packed(out))
 
-    def is_zero(self) -> bool:
-        return not any(self.nonzeros)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -285,13 +279,6 @@ def _dense(row: Iterable[tuple[int, Scalar]], ncols: int) -> Vector:
     for c, x in row:
         v[c] = x
     return tuple(v)
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Unique reduced row echelon form of m (zero rows kept) and pivot columns."""
-    rows, pivots = sparse_rref(dict(row) for row in m.nonzeros)
-    rows += [{}] * (m.rows - len(rows))
-    return Matrix._trusted(m.rows, m.cols, _packed(rows)), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -389,11 +376,10 @@ class Subspace:
         terms = tuple(sorted([(index[c], x) for c, x in v.items() if c in index]))
         return terms if self.combination(terms) == v else None
 
-    def contains_vector(self, v: Sequence) -> bool:
-        return self.coordinates(v) is not None
-
     def contains(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError(
+                f"ambient mismatch {self.ambient_dim} vs {other.ambient_dim}")
         return all(self._coordinates(dict(row)) is not None for row in other.rows)
 
     def __eq__(self, other) -> bool:
@@ -403,11 +389,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.ambient_dim, self.rows))
-
-    def _check_ambient(self, other: "Subspace"):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError(
-                f"ambient mismatch {self.ambient_dim} vs {other.ambient_dim}")
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

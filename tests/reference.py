@@ -8,16 +8,19 @@ holds structure constants as the nonzero terms of each bracket
 versions of the same computations, on the dense n x n x n table, and
 ``sparse_rref_fractions`` is the sparse kernel with every scalar a
 Fraction; the differential tests require the fast paths to give exactly
-what these give. ``build_parser`` is the argparse command line that the
-CLI's own parser replaced.
+what these give. ``rref`` is the sparse kernel's RREF of a whole Matrix,
+``build_parser`` the argparse command line that the CLI's own parser
+replaced, and ``check_theorem1`` the theorem 1 check on every row of each
+map of C(G), where the package reads only the G rows.
 """
 
 import argparse
 from fractions import Fraction
 from itertools import combinations
 
-from liegraph.algebra import JacobiViolation, make_lie_algebra
-from liegraph.linalg import Matrix, as_vector
+from liegraph import fullgraph
+from liegraph.algebra import JacobiViolation, _flat, _unit, make_lie_algebra
+from liegraph.linalg import Matrix, Subspace, _packed, as_vector, sparse_rref
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -62,6 +65,14 @@ def rref_rows(rows):
             break
     rows = [r for r in rows[:pr]]
     return rows, pivots
+
+
+def rref(m):
+    """The unique RREF of a Matrix (zero rows kept) and its pivot columns,
+    by the package's sparse kernel."""
+    rows, pivots = sparse_rref(dict(row) for row in m.nonzeros)
+    rows += [{}] * (m.rows - len(rows))
+    return Matrix._trusted(m.rows, m.cols, _packed(rows)), pivots
 
 
 def sparse_rref_fractions(rows):
@@ -222,6 +233,39 @@ def h_derivation(dspace, d_coords, l_coords):
         corr = L.apply(der.coordinates_of(g.adjoint.rho[j]))
         cols.append((ZERO,) * m + tuple(a + b for a, b in zip(D.column(j), corr)))
     return Matrix.from_rows(cols).transpose()
+
+
+def check_theorem1(ws):
+    """Theorem1Evidence with the homomorphism compared on all (m+n)² entries
+    of each commutator and the image spanned in Q^((m+n)²). It calls
+    fullgraph's h_derivation, so a patched one reaches it too."""
+    dspace, h = ws.dspace, ws.h
+    m, p, size = ws.der.dim, dspace.dim, ws.cg.dim
+    total = m + p
+    units = [_unit(total, i) for i in range(total)]
+    gens = [fullgraph.h_derivation(dspace, u[:m], u[m:]) for u in units]
+    each_der = all(fullgraph.is_block_derivation(dspace, M) for M in gens)
+    flat = [_flat(M) for M in gens]
+    homomorphism = True
+    for i, j in combinations(range(total), 2):
+        acc = {}
+        for k, c in h.pairs[i][j]:
+            for t, x in flat[k].items():
+                acc[t] = acc.get(t, 0) - c * x
+        a, b = gens[i].nonzeros, gens[j].nonzeros
+        for r in range(size):
+            for k, x in a[r]:
+                for c, y in b[k]:
+                    acc[r * size + c] = acc.get(r * size + c, 0) + x * y
+            for k, y in b[r]:
+                for c, x in a[k]:
+                    acc[r * size + c] = acc.get(r * size + c, 0) - y * x
+        if any(acc.values()):
+            homomorphism = False
+            break
+    dim, image = ws.der_cg_dim, Subspace._span(size * size, flat)
+    return fullgraph.Theorem1Evidence(each_der, homomorphism, image.dim == total,
+                                      total, dim, each_der and image.dim == dim)
 
 
 def build_parser():

@@ -105,7 +105,7 @@ class TestBracketAndAd:
 
     def test_ad_abelian_zero(self):
         g = abelian(3)
-        assert g.ad([1, 2, 3]).is_zero()
+        assert not any(g.ad([1, 2, 3]).nonzeros)
 
     def test_ad_h_is_diagonal(self, sl2):
         m = sl2.ad([1, 0, 0])
@@ -174,8 +174,8 @@ class TestDerivationAlgebra:
         assert reference.is_cocycle(abelian(3).adjoint, Matrix.identity(3))
         # I[h, e] = 2e but [Ih, e] + [h, Ie] = 4e
         assert not reference.is_cocycle(sl2.adjoint, Matrix.identity(3))
-        assert not derivation_algebra(sl2).flat_span.contains_vector(
-            Matrix.identity(3).flatten())
+        assert derivation_algebra(sl2).flat_span.coordinates(
+            Matrix.identity(3).flatten()) is None
 
     @pytest.mark.parametrize("coords", [(1,), (1, 0, 0, 5, 7)])
     def test_matrix_of_rejects_wrong_length(self, sl2, coords):
@@ -325,10 +325,13 @@ def test_one_dimensional_algebra_makes_every_map_a_cocycle():
 @pytest.mark.parametrize("action", ["adjoint", "natural"])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_coboundaries_match_the_span_of_each_coboundary(name, action):
+    # coboundaries() spans coboundary(e_k); the coboundary of e_k is
+    # -rho_i[a][k] at (a, i), read here off the dense entries of rho
     rep = _representation(name, action)
-    n = rep.rho[0].rows
-    expected = Subspace.from_rows(n * len(rep.rho), [
-        rep.coboundary(_unit(n, k)).flatten() for k in range(n)])
+    m, n = len(rep.rho), rep.rho[0].rows
+    expected = Subspace.from_rows(n * m, [
+        [-rep.rho[i][a, k] for a in range(n) for i in range(m)]
+        for k in range(n)])
     assert rep.coboundaries() == expected
 
 
@@ -344,7 +347,7 @@ def test_is_cocycle_on_columns_no_row_touches(name, action):
     touched = {col for row in rep.cocycle_system for col in row}
     phi = Matrix(n, m, [F(0) if col in touched else F(col % 5 + 1, 2)
                         for col in range(n * m)])
-    assert rep.cocycles().contains_vector(phi.flatten())
+    assert rep.cocycles().coordinates(phi.flatten()) is not None
     assert reference.is_cocycle(rep, phi)
 
 
@@ -366,7 +369,7 @@ def test_is_cocycle_matches_loop_reference(name, action, data):
     perturbed = [a + b for a, b in zip(accepted, noise)]
     assert reference.is_cocycle(rep, Matrix(n, m, accepted))
     assert (reference.is_cocycle(rep, Matrix(n, m, perturbed))
-            == space.contains_vector(perturbed))
+            == (space.coordinates(perturbed) is not None))
 
 
 # The sparse structure constants against the dense references: ad, bracket,

@@ -317,6 +317,42 @@ def test_drawn_file_gives_a_report_or_one_error_line(command, doc, tmp_path_fact
         assert err.getvalue() == ""
 
 
+# CPython (3.11 and later) refuses to convert an integer string of more than
+# sys.get_int_max_str_digits() digits, 4300 by default. Such an integer in a
+# file is a file error that names its field, not CPython's ValueError.
+_LONG = "1" * 5000
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no integer digit limit before Python 3.11")
+@pytest.mark.parametrize("doc, field", [
+    ('{"dim": %s}' % _LONG, "'dim'"),
+    ('{"dim": 2, "brackets": [{"i": %s, "j": 1}]}' % _LONG, "brackets[0]: 'i'"),
+    ('{"dim": 2, "brackets": [{"i": 0, "j": 1, "result": [{"k": %s, '
+     '"coeff": 1}]}]}' % _LONG, "brackets[0]: 'k'"),
+    ('{"dim": 2, "brackets": [{"i": 0, "j": 1, "result": [{"k": 1, '
+     '"coeff": %s}]}]}' % _LONG, "brackets[0]: 'coeff'"),
+    ('{"dim": 2, "brackets": [{"i": 0, "j": 1, "result": [{"k": 1, '
+     '"coeff": "%s"}]}]}' % _LONG, "brackets[0]: 'coeff'"),
+    ('{"dim": 2, "brackets": [{"i": 0, "j": 1, "result": [{"k": 1, '
+     '"coeff": "-1/%s"}]}]}' % _LONG, "brackets[0]: 'coeff'"),
+], ids=["dim", "i", "k", "coeff_int", "coeff_string", "coeff_fraction"])
+def test_integer_past_the_digit_limit_is_one_short_error_line(doc, field, tmp_path):
+    message = f"{field} has more than {sys.get_int_max_str_digits()} digits"
+    with pytest.raises(AlgebraFileError) as exc:
+        parse_algebra_file(doc)
+    assert str(exc.value) == message
+    path = tmp_path / "long.json"
+    path.write_text(doc)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "liegraph.cli", "info", "--file", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: {message}\n")
+
+
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
@@ -463,6 +499,41 @@ def test_closed_output_stream_ends_without_traceback(argv, capsys):
     assert capsys.readouterr().err == ""
 
 
+class CountingStream(io.StringIO):
+    """An output stream that counts the calls made to its write."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.fixture(scope="module")
+def heisenberg7_file(tmp_path_factory):
+    from algebras import algebra  # the benchmark's explore fixture
+    path = tmp_path_factory.mktemp("explore") / "heisenberg7.json"
+    path.write_text(serialize_algebra(algebra("heisenberg7")))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["--json", "der"], ["--json", "full-graph"],
+                                  ["der"]])
+def test_each_result_is_written_in_one_call(argv, heisenberg7_file):
+    # unbuffered, each write of stdout is a write(2) of its own
+    argv = [*argv, "--file", heisenberg7_file]
+    out = CountingStream()
+    assert main(argv, out=out) == 0
+    assert out.writes == 1
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "liegraph.cli", *argv], capture_output=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(src),
+                          "PYTHONUNBUFFERED": "1"})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, out.getvalue().encode(), b"")
+
+
 def test_reader_closing_after_one_byte_leaves_stderr_empty():
     import fcntl  # F_SETPIPE_SZ is Linux-only
     src = Path(__file__).resolve().parents[1] / "src"
@@ -485,3 +556,26 @@ def test_reader_closing_after_one_byte_leaves_stderr_empty():
     assert len(first) == 1
     assert err == b""
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_one_write_meets_epipe_buffered_or_not(unbuffered, heisenberg7_file):
+    # an 8 kB result to a 4096-byte pipe: unbuffered, write(2) takes 4096
+    # bytes and returns when the reader closes; the rest must still meet EPIPE
+    import fcntl  # F_SETPIPE_SZ is Linux-only
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    r, w = os.pipe()
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "liegraph.cli", "der", "--file",
+             heisenberg7_file], stdout=w, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(w)
+    try:
+        first = os.read(r, 1)
+    finally:
+        os.close(r)
+    _, err = proc.communicate(timeout=120)
+    assert (len(first), err, proc.returncode) == (1, b"", 1)

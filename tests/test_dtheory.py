@@ -65,7 +65,7 @@ class TestDDerivations:
             for i in range(g.dim):
                 x = [1 if t == i else 0 for t in range(g.dim)]
                 lx = inner_d_derivation(space.der, x)
-                assert space.flat_span.contains_vector(lx.flatten()), entry.name
+                assert space.flat_span.coordinates(lx.flatten()) is not None, entry.name
 
 
 def test_coordinates_of_map_outside_cocycle_space_raises(sl2_setup):
@@ -97,7 +97,7 @@ class TestDCenter:
 class TestInnerDDerivation:
     def test_zero_vector_gives_zero_map(self, sl2_setup):
         g, der, _ = sl2_setup
-        assert inner_d_derivation(der, [0, 0, 0]).is_zero()
+        assert not any(inner_d_derivation(der, [0, 0, 0]).nonzeros)
 
     def test_kernel_equals_d_center(self):
         for entry in catalog():
@@ -120,14 +120,14 @@ class TestDBracket:
     def test_self_bracket_vanishes(self, sl2_setup):
         _, der, space = sl2_setup
         for l in space.matrices:
-            assert d_bracket(der, l, l).is_zero()
+            assert not any(d_bracket(der, l, l).nonzeros)
 
     def test_abelian_brackets_vanish(self):
         g = abelian(2)
         space = d_derivations(derivation_algebra(g))
         for a in space.matrices:
             for b in space.matrices:
-                assert d_bracket(space.der, a, b).is_zero()
+                assert not any(d_bracket(space.der, a, b).nonzeros)
 
     def test_inner_bracket_homomorphism_random(self, sl2_setup):
         g, der, _ = sl2_setup
@@ -151,7 +151,7 @@ class TestDerAction:
         g, der, space = sl2_setup
         zero = Matrix.zero(3, 3)
         for l in space.matrices:
-            assert der_action(der, zero, l).is_zero()
+            assert not any(der_action(der, zero, l).nonzeros)
 
     def test_action_on_inner_random(self, sl2_setup):
         g, der, _ = sl2_setup

@@ -11,6 +11,7 @@ from algebras import (CASES, CATALOG_NAMES, case_algebra, case_id,
 
 from liegraph.algebra import (InternalConsistencyError, abelian,
                               derivation_algebra, make_lie_algebra)
+from liegraph import fullgraph as fg_mod
 from liegraph.catalog import catalog, lookup, parse_algebra_file, serialize_algebra
 from liegraph.cli import main
 from liegraph.dtheory import d_derivations
@@ -82,7 +83,7 @@ class TestHDerivation:
     def test_zero_pair_gives_zero(self, sl2_parts):
         _, der, dspace, _ = sl2_parts
         mat = h_derivation(dspace, [0] * der.dim, [0] * dspace.dim)
-        assert mat.is_zero()
+        assert not any(mat.nonzeros)
 
     def test_linearity(self, sl2_parts):
         _, der, dspace, _ = sl2_parts
@@ -290,7 +291,7 @@ def test_two_step_nilpotent_full_graph_has_the_outer_derivation(seed, n):
     image = Subspace.from_rows(size * size, [
         h_derivation(ws.dspace, u[:m], u[m:]).flatten() for u in units])
     is_abelian = not any(any(row) for row in g.pairs)
-    assert image.contains_vector(delta.flatten()) == is_abelian
+    assert (image.coordinates(delta.flatten()) is not None) == is_abelian
 
 
 # Der(C(G)) from its blocks: each basis element of Z¹ ⊕ S, with A = [E, ·]
@@ -362,7 +363,7 @@ def test_heisenberg3_blocks_hold_the_certified_outer_derivation():
     ad = ws.der.ad_coordinates
     v = [-ad[r, j] for r in range(m) for j in range(n)] + [
         2 if a == b else 0 for a in range(n) for b in range(n)]
-    assert der_cg_blocks(ws.der, ws.cg).contains_vector(v)
+    assert der_cg_blocks(ws.der, ws.cg).coordinates(v) is not None
 
 
 # The block criterion of is_block_derivation against the loop over the basis
@@ -419,6 +420,43 @@ def test_block_criterion_refuses_a_map_with_a_g_to_der_block(name):
     delta = _with_entry(gen, 0, m, 1)
     with pytest.raises(InternalConsistencyError):
         is_block_derivation(ws.dspace, delta)
+
+
+# check_theorem1 reads only the G rows of each map of C(G); the reference
+# compares every row. They must give the same evidence with the real
+# h_derivation and with the sign mutation of the CLI tests, which negates
+# the G rows of each generator.
+
+def _sign_mutation(monkeypatch):
+    real = fg_mod.h_derivation
+
+    def mutated(dspace, d_coords, l_coords):
+        mat = real(dspace, d_coords, l_coords)
+        m = dspace.der.dim
+        return Matrix.from_rows([[-x if r >= m else x for x in mat.row(r)]
+                                 for r in range(mat.rows)])
+
+    monkeypatch.setattr(fg_mod, "h_derivation", mutated)
+
+
+@pytest.mark.parametrize("mutate", [False, True], ids=["real", "sign_mutation"])
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_theorem1_on_g_rows_matches_the_full_matrix_reference(case, mutate,
+                                                              monkeypatch):
+    if mutate:
+        _sign_mutation(monkeypatch)
+    ws = _Workspace(case_algebra(case))
+    evidence = check_theorem1(ws)
+    assert evidence == reference.check_theorem1(ws)
+    # the real generators are derivations; the mutation fails theorem1
+    assert not evidence.passed if mutate else evidence.each_generator_is_derivation
+
+
+def test_theorem1_cases_include_images_short_of_der_cg():
+    # the differential test above must meet both outcomes of the image test
+    short = [case for case in CASES
+             if not check_theorem1(_Workspace(case_algebra(case))).image_equals_der_cg]
+    assert len(CASES) == 31 and len(short) == 14
 
 
 # Scalars are ints and Fractions only, and every matrix is stored in its
