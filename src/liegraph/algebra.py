@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .linalg import (ONE, Matrix, Scalar, SparseRow, Subspace, Terms, Vector,
                      ZERO, _dense, _packed, as_vector, common_kernel, rank,
-                     rref_kernel, solve, sparse_rref)
+                     rref_kernel, solve, sparse_nullspace, sparse_rref)
 
 
 class LieError(Exception):
@@ -196,6 +196,8 @@ def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
         if len(vec) != n:
             raise LieError(f"bracket result for ({i},{j}) has length {len(vec)}, want {n}")
         terms = tuple((k, c) for k, c in enumerate(vec) if c)
+        if i == j and terms:
+            raise AntisymmetryConflict(f"c[{i}][{i}] != -c[{i}][{i}]")
         key, val = ((i, j), terms) if i < j else ((j, i), _negated(terms))
         if key in seen:
             if seen[key] != val:
@@ -203,9 +205,6 @@ def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
                     f"pair {key} given twice with inconsistent values")
             continue
         seen[key] = val
-    for i in range(n):
-        if seen.get((i, i)):
-            raise AntisymmetryConflict(f"c[{i}][{i}] != -c[{i}][{i}]")
     return _from_brackets(n, seen, basis_names, combinations(range(n), 3))
 
 
@@ -243,12 +242,13 @@ class Representation:
 
     algebra is L, whose structure constants only the cocycle rule reads.
 
-    The cocycle rule is built as the sparse rows of cocycle_system, which
-    has two readers. cocycles() reduces them once (cocycle_rref) and takes
-    their common kernel; for the adjoint action of G the reduced rows are
-    the Leibniz rule of G, whose kernel is Der(G), and fullgraph reads them
-    again as equations. fullgraph.der_cg_blocks reads the rows of G acting
-    on C(G) through C(G)'s adjoint: the rule on δ restricted to G.
+    The cocycle rule is streamed as the sparse rows of cocycle_system(),
+    and its readers reduce each row as it comes, so no system is held.
+    cocycles() takes their common kernel. For the adjoint action of G the
+    rows are the Leibniz rule of G: derivation_algebra reduces them once
+    and keeps the reduced rows on Der(G) (DerivationAlgebra.leibniz), where
+    fullgraph.der_cg_blocks reads them again as equations, beside the rows
+    of G acting on C(G), the rule on δ restricted to G.
     """
 
     def __init__(self, rho: tuple[Matrix, ...], algebra: LieAlgebra):
@@ -259,16 +259,14 @@ class Representation:
         """{v : rho_i v = 0 for every i}, the common kernel of rho."""
         return common_kernel(self.rho)
 
-    @cached_property
-    def cocycle_system(self) -> tuple[SparseRow, ...]:
-        """The cocycle rule as sparse rows over the entries of phi: one row
-        per basis pair i < j and coordinate k of
+    def cocycle_system(self) -> Iterator[SparseRow]:
+        """The cocycle rule as sparse rows over the entries of phi, made one
+        at a time: one row per basis pair i < j and coordinate k of
         phi([e_i, e_j]) - rho_i phi(e_j) + rho_j phi(e_i), read off the
         nonzero structure constants and the nonzero entries of rho. Rows
         that are identically zero are left out."""
         rho, s = self.rho, self.algebra.pairs
         m, n = len(rho), rho[0].rows
-        rows = []
         for i, j in combinations(range(m), 2):
             for k in range(n):
                 row = {k * m + t: c for t, c in s[i][j]}
@@ -278,18 +276,12 @@ class Representation:
                     row[a * m + i] = row.get(a * m + i, ZERO) + c
                 row = {col: c for col, c in row.items() if c}
                 if row:
-                    rows.append(row)
-        return tuple(rows)
-
-    @cached_property
-    def cocycle_rref(self) -> tuple[list[SparseRow], list[int]]:
-        """The RREF of the cocycle system and its pivot columns: the same
-        equations, reduced, built once."""
-        return sparse_rref(self.cocycle_system)
+                    yield row
 
     def cocycles(self) -> Subspace:
         """The 1-cocycles, the kernel of the cocycle system."""
-        return rref_kernel(self.rho[0].rows * len(self.rho), *self.cocycle_rref)
+        return sparse_nullspace(self.rho[0].rows * len(self.rho),
+                                self.cocycle_system())
 
     def coboundary(self, v: Sequence) -> Matrix:
         """The cocycle e_i -> -rho_i v."""
@@ -377,12 +369,14 @@ class MatrixSpan:
 
 
 class DerivationAlgebra(MatrixSpan):
-    """Der(G) in the canonical basis of the adjoint cocycle system's kernel."""
+    """Der(G) in the canonical basis of the adjoint cocycle system's kernel,
+    with leibniz, that system's reduced rows: the Leibniz rule of G."""
 
     def __init__(self, shape: tuple[int, int], flat_span: Subspace,
-                 parent: LieAlgebra):
+                 parent: LieAlgebra, leibniz: Sequence[SparseRow]):
         super().__init__(shape, flat_span)
         self.parent = parent
+        self.leibniz = leibniz
 
     @cached_property
     def as_lie_algebra(self) -> LieAlgebra:
@@ -409,12 +403,14 @@ class DerivationAlgebra(MatrixSpan):
 
 def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
     """Der(G): the 1-cocycles of the adjoint action, whose cocycle rule is
-    the Leibniz rule; basis in canonical RREF order of flattenings."""
-    sol = g.adjoint.cocycles()
+    the Leibniz rule; basis in canonical RREF order of flattenings. The
+    rule is reduced here, once, and its reduced rows kept on the result."""
+    leibniz, pivots = sparse_rref(g.adjoint.cocycle_system())
+    sol = rref_kernel(g.dim * g.dim, leibniz, pivots)
     if sol.dim == 0:
         # cannot happen for dim >= 1 over Q (ad(g) or a grading derivation is nonzero)
         raise InternalConsistencyError("empty derivation algebra")
-    return DerivationAlgebra((g.dim, g.dim), sol, g)
+    return DerivationAlgebra((g.dim, g.dim), sol, g, leibniz)
 
 
 def inner_derivations(g: LieAlgebra) -> Subspace:

@@ -20,10 +20,10 @@ from typing import Optional, Sequence
 
 from . import fullgraph as fg_mod
 from .algebra import (LieAlgebra, LieError, center, derivation_algebra,
-                      derived_subalgebra)
+                      derived_subalgebra, is_complete)
 from .catalog import (CatalogError, catalog, lookup, parse_algebra_file,
                       sparse_brackets)
-from .dtheory import d_center, d_derivations
+from .dtheory import d_center, d_derivations, is_d_complete
 from .fullgraph import VerificationReport, build_full_graph
 from .linalg import Matrix
 
@@ -112,17 +112,16 @@ def _report_lines(rep: VerificationReport) -> list[str]:
 def _cmd_info(args):
     name, g = _load_algebra(args)
     der = derivation_algebra(g)
-    # the inner maps x -> ad(x) and x -> L_x have kernels the center and
-    # the d-center, so each space's dimension is dim G minus that kernel's
-    z, cd = center(g).dim, d_center(der).dim
+    cc = is_complete(g, der.dim, center(g))
+    dc = is_d_complete(d_derivations(der), d_center(der))
     dims = {
-        "center_dim": z,
+        "center_dim": cc.center_dim,
         "derived_subalgebra_dim": derived_subalgebra(g).dim,
         "der_dim": der.dim,
-        "inner_der_dim": g.dim - z,
-        "d_space_dim": d_derivations(der).dim,
-        "inner_d_dim": g.dim - cd,
-        "d_center_dim": cd,
+        "inner_der_dim": cc.inner_dim,
+        "d_space_dim": dc.d_space_dim,
+        "inner_d_dim": dc.inner_d_dim,
+        "d_center_dim": dc.d_center_dim,
     }
     doc = {"algebra": name, "dim": g.dim, "basis_names": list(g.basis_names),
            **dims}
@@ -156,7 +155,8 @@ def _cmd_dder(args):
     name, g = _load_algebra(args)
     der = derivation_algebra(g)
     dspace = d_derivations(der)
-    p, inner = dspace.dim, g.dim - d_center(der).dim
+    dc = is_d_complete(dspace, d_center(der))
+    p, inner = dc.d_space_dim, dc.inner_d_dim
     return _span_result(
         {"algebra": name, "d_space_dim": p, "inner_d_dim": inner}, dspace,
         f"d-derivations of {name}: dimension {p} (inner: {inner})",

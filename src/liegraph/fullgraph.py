@@ -62,8 +62,9 @@ def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
     Z¹ ⊕ S, where S is the solution space of:
     - the cocycle rows of G acting on C(G), Representation.cocycle_system;
     - for each basis derivation D_i, the Der rows of D_i·φ, which vanish,
-      and its G rows [E, D_i], on which every reduced Leibniz row of G,
-      kept from the Der(G) solve, vanishes.
+      and its G rows [E, D_i], on which every reduced Leibniz row of G
+      vanishes: der.leibniz, kept by derivation_algebra from its solve.
+    The rows are made one at a time and reduced as they come; none is held.
     S lies in Q^((m+n)·n), in Representation's layout for a map G → C(G):
     φ[k][t] at k·n + t, the m Der rows (B) first and the n G rows (E) after.
 
@@ -73,10 +74,9 @@ def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
     E = 2·id.
     """
     g, m, n, ad = der.parent, der.dim, der.parent.dim, cg.adjoint.rho
-    leibniz, _ = g.adjoint.cocycle_rref
 
     def rows():
-        yield from Representation(ad[m:], g).cocycle_system
+        yield from Representation(ad[m:], g).cocycle_system()
         for d, adi in zip(der.matrices, ad):
             dc, adi = d.transpose().nonzeros, adi.nonzeros
 
@@ -93,7 +93,7 @@ def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
                     row: SparseRow = {}
                     put(row, k, j, ONE)
                     yield row
-            for lrow in leibniz:
+            for lrow in der.leibniz:
                 row = {}
                 for c, y in lrow.items():
                     a, b = divmod(c, n)

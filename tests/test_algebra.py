@@ -1,6 +1,10 @@
 import functools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +93,19 @@ class TestConstruction:
     def test_table_must_be_n_by_n_by_n(self, table):
         with pytest.raises(LieError, match="2 x 2 x 2"):
             lie_algebra_from_table(table)
+
+    def test_huge_dim_raises_without_a_loop_over_it(self):
+        # a nonzero (i, i) is refused where it is read, so no loop runs
+        # over range(dim) and the first allocation of that size raises; a
+        # fresh process under a timeout fails this test, not the suite
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("from liegraph.algebra import make_lie_algebra\n"
+                "try:\n    make_lie_algebra(10 ** 20, [])\n"
+                "except OverflowError:\n    print('refused')")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (proc.returncode, proc.stdout) == (0, "refused\n"), proc.stderr
 
     def test_dim_zero_rejected(self):
         with pytest.raises(LieError):
@@ -304,8 +321,8 @@ def test_cocycle_system_matches_dense_reference(name, action):
     width = rep.rho[0].rows * len(rep.rho)
     dense = reference.cocycle_rows(rep)
     nonzero = [r for r in dense if any(r)]
-    assert reference.dense_rows(rep.cocycle_system, width) == nonzero
-    reduced, pivots = sparse_rref(rep.cocycle_system)
+    assert reference.dense_rows(rep.cocycle_system(), width) == nonzero
+    reduced, pivots = sparse_rref(rep.cocycle_system())
     ref_rows, ref_pivots = reference.rref_rows([list(r) for r in dense])
     assert pivots == ref_pivots and reference.dense_rows(reduced, width) == ref_rows
     assert rep.cocycles().basis_vectors() == [
@@ -315,7 +332,7 @@ def test_cocycle_system_matches_dense_reference(name, action):
 def test_one_dimensional_algebra_makes_every_map_a_cocycle():
     # one basis element: no bracket pairs, so the system has no rows
     rep = Representation((Matrix.from_rows([[1, 2], [0, 3]]),), abelian(1))
-    assert rep.cocycle_system == () and reference.cocycle_rows(rep) == []
+    assert tuple(rep.cocycle_system()) == () and reference.cocycle_rows(rep) == []
     assert rep.cocycles() == Subspace.full(2)
     assert reference.nullspace_basis([], 2) == [[1, 0], [0, 1]]
     for phi in (Matrix.from_rows([[5], [F(-7, 2)]]), Matrix.zero(2, 1)):
@@ -344,7 +361,7 @@ def test_is_cocycle_on_columns_no_row_touches(name, action):
     # column is in some row)
     rep = _representation(name, action)
     n, m = rep.rho[0].rows, len(rep.rho)
-    touched = {col for row in rep.cocycle_system for col in row}
+    touched = {col for row in rep.cocycle_system() for col in row}
     phi = Matrix(n, m, [F(0) if col in touched else F(col % 5 + 1, 2)
                         for col in range(n * m)])
     assert rep.cocycles().coordinates(phi.flatten()) is not None

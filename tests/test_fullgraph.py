@@ -1,6 +1,7 @@
 import io
 import random
 from fractions import Fraction
+from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,8 @@ import reference
 from algebras import (CASES, CATALOG_NAMES, case_algebra, case_id,
                       two_step_nilpotent)
 
-from liegraph.algebra import (InternalConsistencyError, abelian,
-                              derivation_algebra, make_lie_algebra)
+from liegraph.algebra import (InternalConsistencyError, Representation,
+                              abelian, derivation_algebra, make_lie_algebra)
 from liegraph import fullgraph as fg_mod
 from liegraph.catalog import catalog, lookup, parse_algebra_file, serialize_algebra
 from liegraph.cli import main
@@ -221,14 +222,45 @@ def test_verify_all_computes_each_center_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "sl2"])
-def test_checks_never_build_the_leibniz_system_of_the_full_graph(name):
+def test_checks_never_build_the_leibniz_system_of_the_full_graph(
+        monkeypatch, name):
     # the generator check reads the blocks of each generator, and the
-    # dimension of Der(C(G)) comes from the blocks over G
-    ws = _Workspace(lookup(name).algebra)
+    # dimension of Der(C(G)) comes from the blocks over G; G's own Leibniz
+    # system is built once, by the Der(G) solve, and its reduced rows kept
+    built = []
+    real = Representation.cocycle_system
+
+    def spy(rep):
+        built.append(rep)
+        return real(rep)
+
+    monkeypatch.setattr(Representation, "cocycle_system", spy)
+    g = lookup(name).algebra
+    ws = _Workspace(g)
     for check in (check_theorem1, check_lemma, check_theorem2):
         check(ws)
-    assert "cocycle_system" not in vars(ws.cg.adjoint)
-    assert "cocycle_rref" in vars(ws.der.parent.adjoint)
+    assert [rep for rep in built if rep is g.adjoint] == [g.adjoint]
+    assert not any(rep.algebra is ws.cg for rep in built)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "sl2"])
+def test_no_representation_stores_a_system(monkeypatch, name):
+    # each cocycle system is streamed into the kernel: after a full verify
+    # the three representations it reads hold their action and nothing else
+    made = []
+
+    class Recording(_Workspace):
+        def __init__(self, g):
+            super().__init__(g)
+            made.append(self)
+
+    monkeypatch.setattr(fg_mod, "_Workspace", Recording)
+    g = lookup(name).algebra
+    verify(g, name, which="all")
+    (ws,) = made
+    for rep in (g.adjoint, ws.der.natural, ws.cg.adjoint):
+        assert sorted(vars(rep)) == ["algebra", "rho"]
+        assert isinstance(rep.cocycle_system(), GeneratorType)
 
 
 def _heisenberg(k: int):
