@@ -12,10 +12,12 @@ part of the paper's claim (DDerivationSpace.as_lie_algebra); in semidirect
 products (C(G), H) only the triples that meet both factors. A matrix
 commutator table (MatrixSpan.lie_algebra) is not scanned.
 
-A Representation is a Lie algebra acting on Q^n. Its invariants, 1-cocycles
-and 1-coboundaries (Chevalley-Eilenberg) are computed in one place: for the
-adjoint action of G they are the center, Der(G) and the inner derivations,
-and dtheory reads the d-analogues off the natural action of Der(G) on G.
+A Lie algebra L acting on Q^n is given by rho, the n x n matrices of its
+basis elements. Its 1-cocycle rule (cocycle_system) and 1-coboundaries
+(coboundary, coboundaries) are written once, and the invariants are
+linalg.common_kernel(rho). With rho = g.adjoint they give the center,
+Der(G) and the inner derivations; dtheory reads the d-analogues off
+Der(G) acting on G, rho = der.matrices.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .linalg import (ONE, Matrix, Scalar, SparseRow, Subspace, Terms, Vector,
                      ZERO, _dense, _packed, as_vector, common_kernel, rank,
-                     rref_kernel, solve, sparse_nullspace, sparse_rref)
+                     rref_kernel, solve, sparse_rref)
 
 
 class LieError(Exception):
@@ -114,10 +116,11 @@ class LieAlgebra:
         return Matrix._trusted(n, n, _packed(rows))
 
     @cached_property
-    def adjoint(self) -> Representation:
-        """G acting on itself by ad, built on first read."""
-        return Representation(
-            tuple(self.ad(_unit(self.dim, i)) for i in range(self.dim)), self)
+    def adjoint(self) -> tuple[Matrix, ...]:
+        """ad(e_i) for each i, built on first read: pairs[i], whose row j is
+        the terms of [e_i, e_j], is the stored form of ad(e_i) transposed."""
+        n = self.dim
+        return tuple(Matrix._trusted(n, n, row).transpose() for row in self.pairs)
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, basis={list(self.basis_names)})"
@@ -235,69 +238,46 @@ def abelian(n: int) -> LieAlgebra:
     return make_lie_algebra(n, [])
 
 
-class Representation:
-    """A Lie algebra L acting on V = Q^n: rho[i] is the n x n matrix of L's
-    i-th basis element. A linear map phi: L -> V is held as the n x m matrix
-    whose column t is phi(e_t), flattened row-major (phi[k][t] at k*m + t).
+def cocycle_system(rho: Sequence[Matrix],
+                   algebra: LieAlgebra) -> Iterator[SparseRow]:
+    """The 1-cocycle rule of L = algebra acting on V = Q^n, rho[i] the
+    n x n matrix of L's i-th basis element. A linear map phi: L -> V is the
+    n x m matrix whose column t is phi(e_t), flattened row-major (phi[k][t]
+    at k*m + t). The rule is made one sparse row at a time, for its reader
+    to reduce as it comes: one row per basis pair i < j and coordinate k of
+    phi([e_i, e_j]) - rho_i phi(e_j) + rho_j phi(e_i), read off the nonzero
+    structure constants and the nonzero entries of rho. Rows that are
+    identically zero are left out."""
+    s = algebra.pairs
+    m, n = len(rho), rho[0].rows
+    for i, j in combinations(range(m), 2):
+        for k in range(n):
+            row = {k * m + t: c for t, c in s[i][j]}
+            for a, c in rho[i].nonzeros[k]:
+                row[a * m + j] = row.get(a * m + j, ZERO) - c
+            for a, c in rho[j].nonzeros[k]:
+                row[a * m + i] = row.get(a * m + i, ZERO) + c
+            row = {col: c for col, c in row.items() if c}
+            if row:
+                yield row
 
-    algebra is L, whose structure constants only the cocycle rule reads.
 
-    The cocycle rule is streamed as the sparse rows of cocycle_system(),
-    and its readers reduce each row as it comes, so no system is held.
-    cocycles() takes their common kernel. For the adjoint action of G the
-    rows are the Leibniz rule of G: derivation_algebra reduces them once
-    and keeps the reduced rows on Der(G) (DerivationAlgebra.leibniz), where
-    fullgraph.der_cg_blocks reads them again as equations, beside the rows
-    of G acting on C(G), the rule on δ restricted to G.
-    """
+def coboundary(rho: Sequence[Matrix], v: Sequence) -> Matrix:
+    """The cocycle e_i -> -rho_i v."""
+    return Matrix.from_rows([tuple(-c for c in r.apply(v))
+                             for r in rho]).transpose()
 
-    def __init__(self, rho: tuple[Matrix, ...], algebra: LieAlgebra):
-        self.rho = rho
-        self.algebra = algebra
 
-    def invariants(self) -> Subspace:
-        """{v : rho_i v = 0 for every i}, the common kernel of rho."""
-        return common_kernel(self.rho)
-
-    def cocycle_system(self) -> Iterator[SparseRow]:
-        """The cocycle rule as sparse rows over the entries of phi, made one
-        at a time: one row per basis pair i < j and coordinate k of
-        phi([e_i, e_j]) - rho_i phi(e_j) + rho_j phi(e_i), read off the
-        nonzero structure constants and the nonzero entries of rho. Rows
-        that are identically zero are left out."""
-        rho, s = self.rho, self.algebra.pairs
-        m, n = len(rho), rho[0].rows
-        for i, j in combinations(range(m), 2):
-            for k in range(n):
-                row = {k * m + t: c for t, c in s[i][j]}
-                for a, c in rho[i].nonzeros[k]:
-                    row[a * m + j] = row.get(a * m + j, ZERO) - c
-                for a, c in rho[j].nonzeros[k]:
-                    row[a * m + i] = row.get(a * m + i, ZERO) + c
-                row = {col: c for col, c in row.items() if c}
-                if row:
-                    yield row
-
-    def cocycles(self) -> Subspace:
-        """The 1-cocycles, the kernel of the cocycle system."""
-        return sparse_nullspace(self.rho[0].rows * len(self.rho),
-                                self.cocycle_system())
-
-    def coboundary(self, v: Sequence) -> Matrix:
-        """The cocycle e_i -> -rho_i v."""
-        return Matrix.from_rows([tuple(-c for c in r.apply(v))
-                                 for r in self.rho]).transpose()
-
-    def coboundaries(self) -> Subspace:
-        """The span of the coboundaries of V's basis vectors."""
-        n = self.rho[0].rows
-        return Subspace._span(n * len(self.rho), [
-            _flat(self.coboundary(_unit(n, k))) for k in range(n)])
+def coboundaries(rho: Sequence[Matrix]) -> Subspace:
+    """The span of the coboundaries of V's basis vectors."""
+    n = rho[0].rows
+    return Subspace._span(n * len(rho), [
+        _flat(coboundary(rho, _unit(n, k))) for k in range(n)])
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """{x : [x, y] = 0 for all y}: the invariants of the adjoint action."""
-    return g.adjoint.invariants()
+    """{x : [x, y] = 0 for all y}: the common kernel of the adjoint."""
+    return common_kernel(g.adjoint)
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
@@ -389,12 +369,7 @@ class DerivationAlgebra(MatrixSpan):
         """The m x n matrix whose column t is the coordinates of ad(e_t),
         built as its transpose, whose row t is the terms of ad(e_t)."""
         return Matrix._trusted(self.parent.dim, self.dim, tuple(
-            map(self.terms_of, self.parent.adjoint.rho))).transpose()
-
-    @cached_property
-    def natural(self) -> Representation:
-        """Der(G) acting on G."""
-        return Representation(self.matrices, self.as_lie_algebra)
+            map(self.terms_of, self.parent.adjoint))).transpose()
 
     # bound here, not inherited: bench/trace_cli.py traces it through
     # this class's __dict__, as it does DDerivationSpace.coordinates_of
@@ -405,7 +380,7 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
     """Der(G): the 1-cocycles of the adjoint action, whose cocycle rule is
     the Leibniz rule; basis in canonical RREF order of flattenings. The
     rule is reduced here, once, and its reduced rows kept on the result."""
-    leibniz, pivots = sparse_rref(g.adjoint.cocycle_system())
+    leibniz, pivots = sparse_rref(cocycle_system(g.adjoint, g))
     sol = rref_kernel(g.dim * g.dim, leibniz, pivots)
     if sol.dim == 0:
         # cannot happen for dim >= 1 over Q (ad(g) or a grading derivation is nonzero)
@@ -415,7 +390,7 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
 
 def inner_derivations(g: LieAlgebra) -> Subspace:
     """Span in Q^(n^2) of the flattened ad(e_i), the adjoint coboundaries."""
-    return g.adjoint.coboundaries()
+    return coboundaries(g.adjoint)
 
 
 def induced_lie_structure(matrices: Sequence[Matrix],

@@ -5,8 +5,8 @@ returns its `--json` document, its text lines and its exit code, and
 `main` renders the form that was asked for to one string and writes it in
 one call. `run`, the process entry, then flushes both streams and ends
 with os._exit, skipping interpreter teardown.
-Exit codes: 0 all requested checks pass, 1 a verification failed or
-stdout was closed before all output was written, 2 input/usage error.
+Exit codes: 0 all requested checks pass, 1 a verification failed or the
+result could not be written, 2 input/usage error.
 """
 
 from __future__ import annotations
@@ -255,10 +255,13 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         out.write((json.dumps(doc, indent=2, sort_keys=True) if args and args.json
                    else "\n".join(lines)) + "\n")
         out.flush()
-    except BrokenPipeError:
-        # The reader closed early (`liegraph ... | head`). Point stdout at
-        # devnull so the flush after main (run's, or the interpreter's at
-        # exit) cannot raise again, and exit 1 as Python does after EPIPE.
+    except OSError as exc:
+        # EPIPE, a reader that closed early (`liegraph ... | head`), is
+        # silent, and any other failure (a full disk) one error line. Point
+        # stdout at devnull so the flush after main (run's, or the
+        # interpreter's at exit) cannot raise again, and exit 1.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the result: {exc.strerror}", file=sys.stderr)
         if out is sys.stdout:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())

@@ -2,13 +2,13 @@
 
 A "d-derivation" is a linear map L from the derivation algebra to the
 algebra itself with L([D1,D2]) = D1(L(D2)) - D2(L(D1)): a 1-cocycle of
-Der(G) acting on G (``DerivationAlgebra.natural``). The d-center is the
-common kernel of that action. The d-derivations and the inner ones
-L_x(D) = -D(x) are its cocycles and coboundaries, computed by the
-``algebra.Representation`` code that gives Der(G) and the inner
-derivations of the adjoint action; is_d_complete counts the inner ones
-(x -> L_x has kernel the d-center) instead of spanning them. The
-d-derivations carry a bracket
+Der(G) acting on G by der.matrices, as G acts on itself by g.adjoint. The
+d-center is the common kernel of that action. The d-derivations and the
+inner ones L_x(D) = -D(x) are its cocycles and coboundaries, made by the
+algebra.cocycle_system and coboundary that give Der(G) and the inner
+derivations from g.adjoint; is_d_complete counts the inner ones (x -> L_x
+has kernel the d-center) instead of spanning them. The d-derivations carry
+a bracket
     [L1,L2](D) = L1(ad(L2(D))) - L2(ad(L1(D)))
 and Der(G) acts on them by D(L) = D∘L - L∘ad(D), which lets the two fit
 together into a semidirect product H, returned by build_h as a LieAlgebra.
@@ -26,9 +26,9 @@ from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .linalg import Matrix, Subspace, common_kernel
-from .algebra import (DerivationAlgebra, LieAlgebra, MatrixSpan, semidirect,
-                      _unit, _validate_jacobi)
+from .linalg import Matrix, Subspace, common_kernel, sparse_nullspace
+from .algebra import (DerivationAlgebra, LieAlgebra, MatrixSpan, coboundary,
+                      cocycle_system, semidirect, _unit, _validate_jacobi)
 
 
 def d_center(der: DerivationAlgebra) -> Subspace:
@@ -39,7 +39,7 @@ def d_center(der: DerivationAlgebra) -> Subspace:
 
 def inner_d_derivation(der: DerivationAlgebra, x: Sequence) -> Matrix:
     """L_x with L_x(D) = -D(x), the coboundary of x."""
-    return der.natural.coboundary(x)
+    return coboundary(der.matrices, x)
 
 
 class DDerivationSpace(MatrixSpan):
@@ -73,9 +73,10 @@ class DDerivationSpace(MatrixSpan):
 
 
 def d_derivations(der: DerivationAlgebra) -> DDerivationSpace:
-    """The cocycles of Der(G) acting on G."""
-    return DDerivationSpace((der.parent.dim, der.dim), der.natural.cocycles(),
-                            der)
+    """The cocycles of Der(G) acting on G, the kernel of their rule."""
+    n, m = der.parent.dim, der.dim
+    return DDerivationSpace((n, m), sparse_nullspace(
+        n * m, cocycle_system(der.matrices, der.as_lie_algebra)), der)
 
 
 def d_bracket(der: DerivationAlgebra, l1: Matrix, l2: Matrix) -> Matrix:

@@ -26,9 +26,9 @@ from typing import NamedTuple, Optional, Sequence
 from .linalg import (Matrix, ONE, Scalar, SparseRow, Subspace, ZERO,
                      sparse_nullspace)
 from .algebra import (CompletenessEvidence, DerivationAlgebra,
-                      InternalConsistencyError, LieAlgebra, Representation,
-                      center, derivation_algebra, is_complete, semidirect,
-                      _flat, _unit)
+                      InternalConsistencyError, LieAlgebra, center,
+                      cocycle_system, derivation_algebra, is_complete,
+                      semidirect, _flat, _unit)
 from .dtheory import (DCompletenessEvidence, DDerivationSpace, build_h,
                       d_center, d_derivations, is_d_complete)
 
@@ -60,12 +60,13 @@ def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
     normalizer, and D ↦ ad(C(D)) is one when C is a cocycle, because
     [D, ad y] = ad(Dy). So δ ↦ (C, φ) is an isomorphism of Der(C(G)) onto
     Z¹ ⊕ S, where S is the solution space of:
-    - the cocycle rows of G acting on C(G), Representation.cocycle_system;
+    - the cocycle rows of G acting on C(G) by cg.adjoint[m:],
+      algebra.cocycle_system;
     - for each basis derivation D_i, the Der rows of D_i·φ, which vanish,
       and its G rows [E, D_i], on which every reduced Leibniz row of G
       vanishes: der.leibniz, kept by derivation_algebra from its solve.
     The rows are made one at a time and reduced as they come; none is held.
-    S lies in Q^((m+n)·n), in Representation's layout for a map G → C(G):
+    S lies in Q^((m+n)·n), in cocycle_system's layout for a map G → C(G):
     φ[k][t] at k·n + t, the m Der rows (B) first and the n G rows (E) after.
 
     im H is the part of S whose Der rows vanish (E = D + L∘ad, C = L), so
@@ -73,10 +74,10 @@ def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
     Der rows. For heisenberg3 that projection is spanned by B = −ad with
     E = 2·id.
     """
-    g, m, n, ad = der.parent, der.dim, der.parent.dim, cg.adjoint.rho
+    g, m, n, ad = der.parent, der.dim, der.parent.dim, cg.adjoint
 
     def rows():
-        yield from Representation(ad[m:], g).cocycle_system()
+        yield from cocycle_system(ad[m:], g)
         for d, adi in zip(der.matrices, ad):
             dc, adi = d.transpose().nonzeros, adi.nonzeros
 

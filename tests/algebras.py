@@ -43,6 +43,17 @@ def two_step_nilpotent(seed: int, n: int) -> LieAlgebra:
     return make_lie_algebra(n, brackets)
 
 
+def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
+    """G1 ⊕ G2 on G1's basis followed by G2's: each factor keeps its
+    brackets, and the two commute."""
+    m, n = g1.dim, g2.dim
+    brackets = [(i, j, g1.table[i][j] + (0,) * n)
+                for i, j in combinations(range(m), 2)]
+    brackets += [(m + i, m + j, (0,) * m + g2.table[i][j])
+                 for i, j in combinations(range(n), 2)]
+    return make_lie_algebra(m + n, brackets)
+
+
 # NAMES, then two-step nilpotent draws (seed, n) of dimension 3 to 5
 CASES = NAMES + [(seed, n) for seed in range(6) for n in (3, 4, 5)]
 

@@ -135,11 +135,11 @@ def nullspace_basis(rows, ncols):
     return rref_rows(vecs)[0]
 
 
-def cocycle_rows(rep):
-    """The dense cocycle system of a Representation: one row per basis pair
-    i < j and coordinate k of phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i),
-    over the entries phi[k][t] at k*m + t."""
-    m, n, s = len(rep.rho), rep.rho[0].rows, rep.algebra.table
+def cocycle_rows(rho, algebra):
+    """The dense cocycle system of algebra acting by rho: one row per basis
+    pair i < j and coordinate k of phi([e_i, e_j]) = rho_i phi(e_j) -
+    rho_j phi(e_i), over the entries phi[k][t] at k*m + t."""
+    m, n, s = len(rho), rho[0].rows, algebra.table
     rows = []
     for i, j in combinations(range(m), 2):
         for k in range(n):
@@ -147,19 +147,19 @@ def cocycle_rows(rep):
             for t, c in enumerate(s[i][j]):
                 if c:
                     row[k * m + t] += c
-            for a, c in enumerate(rep.rho[i].row(k)):
+            for a, c in enumerate(rho[i].row(k)):
                 if c:
                     row[a * m + j] -= c
-            for a, c in enumerate(rep.rho[j].row(k)):
+            for a, c in enumerate(rho[j].row(k)):
                 if c:
                     row[a * m + i] += c
             rows.append(row)
     return rows
 
 
-def is_cocycle(rep, phi):
+def is_cocycle(rho, algebra, phi):
     """phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i) for every i < j."""
-    s, rho = rep.algebra.table, rep.rho
+    s = algebra.table
     for i, j in combinations(range(len(rho)), 2):
         rhs = tuple(a - b for a, b in zip(rho[i].apply(phi.column(j)),
                                           rho[j].apply(phi.column(i))))
@@ -230,7 +230,7 @@ def h_derivation(dspace, d_coords, l_coords):
     cols = [der.coordinates_of(D.commutator(der.matrices[j])) + L.column(j)
             for j in range(m)]
     for j in range(g.dim):
-        corr = L.apply(der.coordinates_of(g.adjoint.rho[j]))
+        corr = L.apply(der.coordinates_of(g.adjoint[j]))
         cols.append((ZERO,) * m + tuple(a + b for a, b in zip(D.column(j), corr)))
     return Matrix.from_rows(cols).transpose()
 

@@ -16,14 +16,14 @@ from algebras import CASES, CATALOG_NAMES, NAMES, algebra, case_algebra, case_id
 from liegraph.algebra import (AntisymmetryConflict, CompletenessEvidence,
                               DependentBasis, IndexOutOfRange,
                               InternalConsistencyError, JacobiViolation,
-                              LieAlgebra, LieError, NotClosed, Representation,
-                              _unit, abelian, center, derivation_algebra,
-                              derived_subalgebra, induced_lie_structure,
-                              inner_derivations, is_complete,
-                              lie_algebra_from_table, make_lie_algebra,
-                              semidirect)
+                              LieAlgebra, LieError, NotClosed, _unit, abelian,
+                              center, coboundaries, cocycle_system,
+                              derivation_algebra, derived_subalgebra,
+                              induced_lie_structure, inner_derivations,
+                              is_complete, lie_algebra_from_table,
+                              make_lie_algebra, semidirect)
 from liegraph.catalog import lookup
-from liegraph.linalg import Matrix, Subspace, sparse_rref
+from liegraph.linalg import Matrix, Subspace, sparse_nullspace, sparse_rref
 
 F = Fraction
 
@@ -171,7 +171,7 @@ class TestDerivationAlgebra:
         for name in ("sl2", "heisenberg3", "affine2", "sl2_plus_abelian1"):
             g = lookup(name).algebra
             der = derivation_algebra(g)
-            assert all(reference.is_cocycle(g.adjoint, d) for d in der.matrices)
+            assert all(reference.is_cocycle(g.adjoint, g, d) for d in der.matrices)
 
     def test_commutator_closure(self, sl2):
         der = derivation_algebra(sl2)
@@ -188,9 +188,10 @@ class TestDerivationAlgebra:
         assert a.as_lie_algebra.table == b.as_lie_algebra.table
 
     def test_is_cocycle_rejects_a_non_derivation(self, sl2):
-        assert reference.is_cocycle(abelian(3).adjoint, Matrix.identity(3))
+        a3 = abelian(3)
+        assert reference.is_cocycle(a3.adjoint, a3, Matrix.identity(3))
         # I[h, e] = 2e but [Ih, e] + [h, Ie] = 4e
-        assert not reference.is_cocycle(sl2.adjoint, Matrix.identity(3))
+        assert not reference.is_cocycle(sl2.adjoint, sl2, Matrix.identity(3))
         assert derivation_algebra(sl2).flat_span.coordinates(
             Matrix.identity(3).flatten()) is None
 
@@ -304,52 +305,57 @@ class TestSemidirect:
             semidirect(abelian(1), abelian(2), lambda i, j: ((2, F(1)),))
 
 
-# The sparse cocycle system of a Representation against the dense reference:
+# The sparse cocycle system of an action against the dense reference:
 # the same rows (zero rows left out), the same canonical RREF and kernel,
 # and membership in that kernel against the loop over basis pairs.
 
 @functools.lru_cache(maxsize=None)
-def _representation(name: str, action: str) -> Representation:
+def _action(name: str, action: str) -> tuple:
+    """(rho, algebra): G acting on itself, or Der(G) acting on G."""
     g = algebra(name)
-    return g.adjoint if action == "adjoint" else derivation_algebra(g).natural
+    if action == "adjoint":
+        return g.adjoint, g
+    der = derivation_algebra(g)
+    return der.matrices, der.as_lie_algebra
 
 
 @pytest.mark.parametrize("action", ["adjoint", "natural"])
 @pytest.mark.parametrize("name", NAMES)
 def test_cocycle_system_matches_dense_reference(name, action):
-    rep = _representation(name, action)
-    width = rep.rho[0].rows * len(rep.rho)
-    dense = reference.cocycle_rows(rep)
+    rho, alg = _action(name, action)
+    width = rho[0].rows * len(rho)
+    dense = reference.cocycle_rows(rho, alg)
     nonzero = [r for r in dense if any(r)]
-    assert reference.dense_rows(rep.cocycle_system(), width) == nonzero
-    reduced, pivots = sparse_rref(rep.cocycle_system())
+    assert reference.dense_rows(cocycle_system(rho, alg), width) == nonzero
+    reduced, pivots = sparse_rref(cocycle_system(rho, alg))
     ref_rows, ref_pivots = reference.rref_rows([list(r) for r in dense])
     assert pivots == ref_pivots and reference.dense_rows(reduced, width) == ref_rows
-    assert rep.cocycles().basis_vectors() == [
+    assert sparse_nullspace(width, cocycle_system(rho, alg)).basis_vectors() == [
         tuple(v) for v in reference.nullspace_basis(dense, width)]
 
 
 def test_one_dimensional_algebra_makes_every_map_a_cocycle():
     # one basis element: no bracket pairs, so the system has no rows
-    rep = Representation((Matrix.from_rows([[1, 2], [0, 3]]),), abelian(1))
-    assert tuple(rep.cocycle_system()) == () and reference.cocycle_rows(rep) == []
-    assert rep.cocycles() == Subspace.full(2)
+    rho, alg = (Matrix.from_rows([[1, 2], [0, 3]]),), abelian(1)
+    assert (tuple(cocycle_system(rho, alg)) == ()
+            and reference.cocycle_rows(rho, alg) == [])
+    assert sparse_nullspace(2, cocycle_system(rho, alg)) == Subspace.full(2)
     assert reference.nullspace_basis([], 2) == [[1, 0], [0, 1]]
     for phi in (Matrix.from_rows([[5], [F(-7, 2)]]), Matrix.zero(2, 1)):
-        assert reference.is_cocycle(rep, phi)
+        assert reference.is_cocycle(rho, alg, phi)
 
 
 @pytest.mark.parametrize("action", ["adjoint", "natural"])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_coboundaries_match_the_span_of_each_coboundary(name, action):
-    # coboundaries() spans coboundary(e_k); the coboundary of e_k is
+    # coboundaries spans coboundary(e_k); the coboundary of e_k is
     # -rho_i[a][k] at (a, i), read here off the dense entries of rho
-    rep = _representation(name, action)
-    m, n = len(rep.rho), rep.rho[0].rows
+    rho, _ = _action(name, action)
+    m, n = len(rho), rho[0].rows
     expected = Subspace.from_rows(n * m, [
-        [-rep.rho[i][a, k] for a in range(n) for i in range(m)]
+        [-rho[i][a, k] for a in range(n) for i in range(m)]
         for k in range(n)])
-    assert rep.coboundaries() == expected
+    assert coboundaries(rho) == expected
 
 
 @pytest.mark.parametrize("action", ["adjoint", "natural"])
@@ -359,13 +365,14 @@ def test_is_cocycle_on_columns_no_row_touches(name, action):
     # so a map supported there meets no row: it lies in the kernel, and the
     # loop over basis pairs finds it a cocycle (the zero map where every
     # column is in some row)
-    rep = _representation(name, action)
-    n, m = rep.rho[0].rows, len(rep.rho)
-    touched = {col for row in rep.cocycle_system() for col in row}
+    rho, alg = _action(name, action)
+    n, m = rho[0].rows, len(rho)
+    touched = {col for row in cocycle_system(rho, alg) for col in row}
     phi = Matrix(n, m, [F(0) if col in touched else F(col % 5 + 1, 2)
                         for col in range(n * m)])
-    assert rep.cocycles().coordinates(phi.flatten()) is not None
-    assert reference.is_cocycle(rep, phi)
+    space = sparse_nullspace(n * m, cocycle_system(rho, alg))
+    assert space.coordinates(phi.flatten()) is not None
+    assert reference.is_cocycle(rho, alg, phi)
 
 
 entries = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
@@ -376,16 +383,16 @@ sparse_entries = st.one_of(st.just(F(0)), st.just(F(0)), entries)
        st.data())
 @settings(max_examples=150, deadline=None)
 def test_is_cocycle_matches_loop_reference(name, action, data):
-    rep = _representation(name, action)
-    n, m = rep.rho[0].rows, len(rep.rho)
-    space = rep.cocycles()
+    rho, alg = _action(name, action)
+    n, m = rho[0].rows, len(rho)
+    space = sparse_nullspace(n * m, cocycle_system(rho, alg))
     coeffs = data.draw(st.lists(entries, min_size=space.dim, max_size=space.dim))
     accepted = [sum((c * b[t] for c, b in zip(coeffs, space.basis_vectors())), F(0))
                 for t in range(n * m)]
     noise = data.draw(st.lists(sparse_entries, min_size=n * m, max_size=n * m))
     perturbed = [a + b for a, b in zip(accepted, noise)]
-    assert reference.is_cocycle(rep, Matrix(n, m, accepted))
-    assert (reference.is_cocycle(rep, Matrix(n, m, perturbed))
+    assert reference.is_cocycle(rho, alg, Matrix(n, m, accepted))
+    assert (reference.is_cocycle(rho, alg, Matrix(n, m, perturbed))
             == (space.coordinates(perturbed) is not None))
 
 
@@ -427,7 +434,7 @@ def test_sparse_structure_constants_match_dense_reference(table, data):
     assert g.bracket(x, y) == reference.bracket(table, x, y)
     assert g.ad(x) == reference.ad(table, x)
     for j in range(n):
-        assert g.adjoint.rho[j] == reference.ad(table, _unit(n, j))
+        assert g.adjoint[j] == reference.ad(table, _unit(n, j))
     built = _jacobi_outcome(lambda: lie_algebra_from_table(table))
     expected = _jacobi_outcome(lambda: reference.validate_jacobi(n, table))
     if expected is None:
@@ -446,8 +453,27 @@ def test_ad_and_bracket_of_every_sample_algebra_match_dense(name):
     x = [F(i - 2, i + 1) for i in range(n)]
     assert g.ad(x) == reference.ad(g.table, x)
     for i in range(n):
-        assert g.adjoint.rho[i] == reference.ad(g.table, _unit(n, i))
+        assert g.adjoint[i] == reference.ad(g.table, _unit(n, i))
         assert g.bracket(x, _unit(n, i)) == reference.bracket(g.table, x, _unit(n, i))
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_adjoint_is_read_off_the_structure_constants(case, monkeypatch):
+    # pairs[i] is the stored form of ad(e_i) transposed, so building the
+    # adjoint of a fresh algebra computes no ad
+    g = case_algebra(case)
+    fresh = LieAlgebra(g.dim, g.basis_names, g.pairs)
+
+    def refuse(*args):
+        raise AssertionError("the adjoint was built through ad")
+
+    monkeypatch.setattr(LieAlgebra, "ad", refuse)
+    monkeypatch.setattr(LieAlgebra, "_ad", refuse)
+    adjoint = fresh.adjoint
+    monkeypatch.undo()
+    assert type(adjoint) is tuple and len(adjoint) == g.dim
+    for i in range(g.dim):
+        assert adjoint[i] == g.adjoint[i] == reference.ad(g.table, _unit(g.dim, i))
 
 
 @pytest.mark.parametrize("name", NAMES)

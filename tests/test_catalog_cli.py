@@ -579,3 +579,36 @@ def test_one_write_meets_epipe_buffered_or_not(unbuffered, heisenberg7_file):
         os.close(r)
     _, err = proc.communicate(timeout=120)
     assert (len(first), err, proc.returncode) == (1, b"", 1)
+
+
+class FullStream(io.StringIO):
+    """An output stream on a device with no space left."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [["info", "sl2"], ["--json", "corpus-verify"]])
+def test_failed_write_is_one_error_line(argv, capsys):
+    # a write error other than EPIPE is reported, unlike a closed reader
+    assert main(argv, out=FullStream()) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write the result: {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [["info", "sl2"], ["--json", "corpus-verify"]])
+def test_write_to_a_full_device_is_one_error_line(argv, unbuffered):
+    # every write(2) to /dev/full fails with ENOSPC: one error line and
+    # exit 1, with no traceback from main or from the interpreter's flush
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "liegraph.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write")
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -9,7 +9,8 @@ import reference
 from algebras import CASES, algebra, case_algebra, case_id
 
 from liegraph.algebra import (InternalConsistencyError, abelian, center,
-                              derivation_algebra, inner_derivations)
+                              coboundaries, derivation_algebra,
+                              inner_derivations)
 from liegraph.catalog import catalog, lookup
 from liegraph.dtheory import (DCompletenessEvidence, build_h, d_bracket,
                               d_center, d_derivations, der_action,
@@ -49,13 +50,13 @@ class TestDDerivations:
     def test_sl2_dimension_and_innerness(self, sl2_setup):
         _, _, space = sl2_setup
         assert space.dim == 3
-        assert space.der.natural.coboundaries() == space.flat_span
+        assert coboundaries(space.der.matrices) == space.flat_span
 
     def test_basis_satisfies_cocycle_identity(self):
         for entry in catalog():
             space = d_derivations(derivation_algebra(entry.algebra))
-            natural = space.der.natural
-            assert all(reference.is_cocycle(natural, l)
+            der = space.der
+            assert all(reference.is_cocycle(der.matrices, der.as_lie_algebra, l)
                        for l in space.matrices), entry.name
 
     def test_inner_maps_lie_in_span(self):
@@ -77,7 +78,7 @@ def test_coordinates_of_map_outside_cocycle_space_raises(sl2_setup):
                    if Subspace.from_rows(len(v), basis + [v]).dim > space.dim)
     with pytest.raises(InternalConsistencyError):
         space.coordinates_of(outside)
-    assert not reference.is_cocycle(der.natural, outside)
+    assert not reference.is_cocycle(der.matrices, der.as_lie_algebra, outside)
 
 
 class TestDCenter:
@@ -143,7 +144,8 @@ class TestDBracket:
         _, der, space = sl2_setup
         for a in space.matrices:
             for b in space.matrices:
-                assert reference.is_cocycle(der.natural, d_bracket(der, a, b))
+                assert reference.is_cocycle(der.matrices, der.as_lie_algebra,
+                                            d_bracket(der, a, b))
 
 
 class TestDerAction:
@@ -176,7 +178,8 @@ class TestDerAction:
         g, der, space = sl2_setup
         for d in der.matrices:
             for l in space.matrices:
-                assert reference.is_cocycle(der.natural, der_action(der, d, l))
+                assert reference.is_cocycle(der.matrices, der.as_lie_algebra,
+                                            der_action(der, d, l))
 
 
 class TestDAlgebra:
@@ -316,4 +319,4 @@ def test_inner_dimensions_are_dim_minus_the_inner_maps_kernel(case):
     cg = build_full_graph(der)
     for alg, d in ((g, der), (cg, derivation_algebra(cg))):
         assert inner_derivations(alg).dim == alg.dim - center(alg).dim
-        assert d.natural.coboundaries().dim == alg.dim - d_center(d).dim
+        assert coboundaries(d.matrices).dim == alg.dim - d_center(d).dim

@@ -10,9 +10,10 @@ import reference
 from algebras import (CASES, CATALOG_NAMES, case_algebra, case_id,
                       two_step_nilpotent)
 
-from liegraph.algebra import (InternalConsistencyError, Representation,
-                              abelian, derivation_algebra, make_lie_algebra)
-from liegraph import fullgraph as fg_mod
+from liegraph import algebra as alg_mod, dtheory as dt_mod, fullgraph as fg_mod
+from liegraph.algebra import (InternalConsistencyError, abelian,
+                              cocycle_system, derivation_algebra,
+                              make_lie_algebra)
 from liegraph.catalog import catalog, lookup, parse_algebra_file, serialize_algebra
 from liegraph.cli import main
 from liegraph.dtheory import d_derivations
@@ -228,25 +229,26 @@ def test_checks_never_build_the_leibniz_system_of_the_full_graph(
     # dimension of Der(C(G)) comes from the blocks over G; G's own Leibniz
     # system is built once, by the Der(G) solve, and its reduced rows kept
     built = []
-    real = Representation.cocycle_system
 
-    def spy(rep):
-        built.append(rep)
-        return real(rep)
+    def spy(rho, algebra):
+        built.append((rho, algebra))
+        return cocycle_system(rho, algebra)
 
-    monkeypatch.setattr(Representation, "cocycle_system", spy)
+    for module in (alg_mod, dt_mod, fg_mod):
+        monkeypatch.setattr(module, "cocycle_system", spy)
     g = lookup(name).algebra
     ws = _Workspace(g)
     for check in (check_theorem1, check_lemma, check_theorem2):
         check(ws)
-    assert [rep for rep in built if rep is g.adjoint] == [g.adjoint]
-    assert not any(rep.algebra is ws.cg for rep in built)
+    assert [rho for rho, _ in built if rho is g.adjoint] == [g.adjoint]
+    assert not any(algebra is ws.cg for _, algebra in built)
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "sl2"])
 def test_no_representation_stores_a_system(monkeypatch, name):
     # each cocycle system is streamed into the kernel: after a full verify
-    # the three representations it reads hold their action and nothing else
+    # the three actions it reads are tuples of matrices, and the algebras
+    # hold their structure constants and views, not a system
     made = []
 
     class Recording(_Workspace):
@@ -258,9 +260,13 @@ def test_no_representation_stores_a_system(monkeypatch, name):
     g = lookup(name).algebra
     verify(g, name, which="all")
     (ws,) = made
-    for rep in (g.adjoint, ws.der.natural, ws.cg.adjoint):
-        assert sorted(vars(rep)) == ["algebra", "rho"]
-        assert isinstance(rep.cocycle_system(), GeneratorType)
+    actions = ((g.adjoint, g), (ws.der.matrices, ws.der.as_lie_algebra),
+               (ws.cg.adjoint, ws.cg))
+    for rho, algebra in actions:
+        assert type(rho) is tuple and all(type(r) is Matrix for r in rho)
+        assert isinstance(cocycle_system(rho, algebra), GeneratorType)
+        assert set(vars(algebra)) <= {"dim", "basis_names", "pairs", "table",
+                                      "adjoint"}
 
 
 def _heisenberg(k: int):
@@ -316,7 +322,7 @@ def test_two_step_nilpotent_full_graph_has_the_outer_derivation(seed, n):
         for r in range(m):
             delta[r * size + m + j] = -ad[r, j]
     delta = Matrix(size, size, delta)
-    assert reference.is_cocycle(ws.cg.adjoint, delta)
+    assert reference.is_cocycle(ws.cg.adjoint, ws.cg, delta)
 
     total = m + ws.dspace.dim
     units = [[F(int(t == i)) for t in range(total)] for i in range(total)]
@@ -362,8 +368,8 @@ def test_blocks_assemble_to_the_derivations_of_the_full_graph(case):
     full = derivation_algebra(ws.cg)
     assert len(deltas) == ws.der_cg_dim == full.dim
     assert Subspace.from_rows(size * size, [d.flatten() for d in deltas]) == full.flat_span
-    cg = ws.cg.adjoint
-    assert all(reference.is_cocycle(cg, d) for d in deltas)
+    cg = ws.cg
+    assert all(reference.is_cocycle(cg.adjoint, cg, d) for d in deltas)
 
 
 @st.composite
@@ -439,7 +445,7 @@ def test_block_criterion_matches_the_leibniz_loop(case):
     for delta in maps:
         assert not any(delta[r, c] for r in range(m) for c in range(m, size))
         assert (is_block_derivation(ws.dspace, delta)
-                == reference.is_cocycle(ws.cg.adjoint, delta))
+                == reference.is_cocycle(ws.cg.adjoint, ws.cg, delta))
     # the generators of H are derivations
     assert all(is_block_derivation(ws.dspace, d) for d in maps[:ws.h.dim])
 

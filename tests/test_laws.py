@@ -1,0 +1,119 @@
+"""Laws that the computed dimensions obey by theorem, not by reference.
+
+The differential tests compare the package with a second implementation;
+a fault that both share, or that hangs on basis order, passes them. These
+tests instead check identities that follow from the mathematics, each
+proved in its docstring. A failing law is a bug or a finding to record.
+"""
+
+from itertools import combinations_with_replacement
+
+import pytest
+
+from algebras import CASES, case_algebra, case_id, direct_sum
+from liegraph.algebra import (abelian, center, derivation_algebra,
+                              derived_subalgebra)
+from liegraph.fullgraph import verify
+
+
+def test_direct_sum_derivations_and_center():
+    """For G = G₁ ⊕ G₂, with Z the center and G' = [G, G]:
+        dim Der G = dim Der G₁ + dim Der G₂
+                    + dim(G₁/G₁')·dim Z(G₂) + dim(G₂/G₂')·dim Z(G₁),
+    and Z(G) = Z(G₁) ⊕ Z(G₂).
+
+    Proof. Write a linear map D of G as blocks D_ab: G_b → G_a. The
+    Leibniz rule on a pair x, y in G₁ reads D_11 [x, y] = [D_11 x, y] +
+    [x, D_11 y] in G₁ and D_21 [x, y] = [D_21 x, y] + [x, D_21 y] in G₂,
+    where the right side is 0 since G₁ and G₂ commute. On a pair x in G₁,
+    y in G₂ it reads 0 = [D_21 x, y] + [x, D_12 y], whose G₂ part says
+    that D_21 x commutes with G₂ and whose G₁ part says that D_12 y commutes
+    with G₁. So D is a derivation iff D_11 and D_22 are derivations of
+    their factors, D_21 maps G₁ into Z(G₂) and vanishes on G₁', and D_12
+    maps G₂ into Z(G₁) and vanishes on G₂'. Such off-diagonal blocks are
+    the linear maps G₁/G₁' → Z(G₂) and G₂/G₂' → Z(G₁), which gives the
+    count. An element x₁ + x₂ is central iff each x_a commutes with G_a,
+    so the center's canonical RREF rows are those of Z(G₁), then those of
+    Z(G₂) with every column shifted by dim G₁.
+
+    Every unordered pair of CASES entries, repeats allowed, with
+    dim G₁ + dim G₂ ≤ 8.
+    """
+    algebras = [case_algebra(c) for c in CASES]
+    facts = [(derivation_algebra(g).dim, g.dim - derived_subalgebra(g).dim,
+              center(g)) for g in algebras]
+    mismatches, pairs = [], 0
+    for a, b in combinations_with_replacement(range(len(CASES)), 2):
+        g1, g2 = algebras[a], algebras[b]
+        if g1.dim + g2.dim > 8:
+            continue
+        pairs += 1
+        (der1, ab1, z1), (der2, ab2, z2) = facts[a], facts[b]
+        g = direct_sum(g1, g2)
+        want_der = der1 + der2 + ab1 * z2.dim + ab2 * z1.dim
+        shifted = tuple(tuple((g1.dim + c, x) for c, x in row) for row in z2.rows)
+        got_der, got_z = derivation_algebra(g).dim, center(g).rows
+        if got_der != want_der or got_z != z1.rows + shifted:
+            mismatches.append((case_id(CASES[a]), case_id(CASES[b]),
+                               got_der, want_der))
+    assert pairs == 298
+    assert mismatches == []
+
+
+# the 31 CASES and 24 more two-step nilpotent draws of dimension 5 and 6
+THEOREM2_CASES = CASES + [(seed, n) for seed in range(6, 18) for n in (5, 6)]
+
+
+@pytest.mark.parametrize("case", THEOREM2_CASES, ids=case_id)
+def test_theorem2_is_d_completeness_with_no_defect(case):
+    """C(G) is complete iff G is d-complete and the defect
+    dim Der(C(G)) − dim H is 0, given the lemma and theorem1's generators.
+
+    Proof. Let m = dim Der(G), n = dim G, p the dimension of the cocycle
+    space Z¹ and cd the d-center. Assume three things:
+    - the lemma holds, so dim Z(C(G)) = dim cd;
+    - H, of dimension m + p, acts on C(G) injectively by derivations, so
+      dim Der(C(G)) = m + p + defect with defect ≥ 0;
+    - the inner cocycles L_x lie in Z¹, and x ↦ L_x has kernel cd, so
+      p ≥ n − dim cd.
+    C(G), of dimension m + n, is complete iff its center is 0 and its
+    inner derivations, of dimension m + n − dim Z(C(G)), are all of
+    Der(C(G)): iff cd = 0 and m + p + defect = m + n. G is d-complete iff
+    cd = 0 and every cocycle is inner: iff cd = 0 and p = n. When cd = 0,
+    p ≥ n and defect ≥ 0, so p + defect = n iff p = n and defect = 0.
+    Hence C(G) is complete iff G is d-complete and the defect is 0.
+    """
+    rep = verify(case_algebra(case), case_id(case), which="all")
+    t1, lemma, t2 = rep.theorem1, rep.lemma, rep.theorem2
+    assert lemma.match and t1.each_generator_is_derivation and t1.injective
+    defect = t1.dim_der_cg - t1.dim_h
+    assert defect >= 0
+    assert t2.full_graph_complete == (t2.d_complete and defect == 0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_abelian_closed_forms(n):
+    """For G = Qⁿ abelian: dim Der G = n², dim Z¹ = n and
+    dim Der(C(G)) = dim H = n² + n.
+
+    Proof. Every linear map is a derivation of the zero bracket, so
+    Der G = gl(n). The identity I is central in gl(n), so a cocycle L has
+    0 = L([I, D]) = I·L(D) − D·L(I), that is L(D) = D x with x = L(I):
+    L = −L_x is inner, and x ↦ L_x is injective since only 0 is fixed by
+    all of gl(n). So Z¹ ≅ Qⁿ, and H has dimension n² + n, as does
+    C(G) = gl(n) ⋉ Qⁿ = aff(n). That algebra is complete. Its center is
+    0: if A + v is central, [I, A + v] = v = 0 and A kills Qⁿ. For a
+    derivation δ, write δ(I) = A₀ + v₀ and δ' = δ + ad(v₀), so that
+    δ'(I) = A₀, because [v₀, I] = −v₀. ad(I) is 0 on gl(n) and 1 on Qⁿ.
+    For A in gl(n), δ'[I, A] = 0 gives [A₀, A] + [I, δ'A] = 0, whose
+    gl(n) part makes A₀ central, A₀ = cI, and whose Qⁿ part makes
+    δ'(gl(n)) ⊆ gl(n). For v in Qⁿ, δ'v = δ'[I, v] = cv + [I, δ'v] makes
+    δ'v lie in Qⁿ and c = 0. With T = δ'|Qⁿ, δ'(Av) = T A v gives
+    δ'(A) v = [T, A] v, so δ' = ad(T) and δ = ad(T − v₀) is inner. So
+    dim Der(C(G)) = n² + n.
+    """
+    g = abelian(n)
+    rep = verify(g, f"abelian{n}", which="all")
+    assert derivation_algebra(g).dim == n * n
+    assert rep.d_evidence.d_space_dim == n
+    assert rep.theorem1.dim_der_cg == rep.theorem1.dim_h == n * n + n
