@@ -5,12 +5,14 @@ the nonzero (k, c) of [e_i, e_j] = sum_k c e_k. Every reader in the package
 (ad, the Jacobi check, the cocycle rule, semidirect products, the
 printers) walks these pairs and never touches a zero. The dense table
 c[i][j][k] is only a view, built on first read for tests and oracles.
-Antisymmetry holds by construction. _validate_jacobi scans every basis
-triple i < j < l of structure constants from outside (make_lie_algebra,
-parse_algebra_file) and of the d-bracket table, whose Jacobi identity is
-part of the paper's claim (DDerivationSpace.as_lie_algebra); in semidirect
-products (C(G), H) only the triples that meet both factors. A matrix
-commutator table (MatrixSpan.lie_algebra) is not scanned.
+Antisymmetry holds by construction. The Jacobi identity is scanned, on
+every basis triple i < j < l, only where structure constants enter the
+program: _validate_jacobi runs in make_lie_algebra and in
+catalog.parse_algebra_file, and nowhere else. Every table the program
+derives is a Lie algebra by construction, and its builder's docstring
+holds the proof: a commutator table of matrices (MatrixSpan.lie_algebra,
+for Der(G) and the d-bracket), and a semidirect product whose action is
+one by derivations and a homomorphism (semidirect, for C(G) and H).
 
 A Lie algebra L acting on Q^n is given by rho, the n x n matrices of its
 basis elements. Its 1-cocycle rule (cocycle_system) and 1-coboundaries
@@ -70,7 +72,8 @@ class LieAlgebra:
     """Structure constants held once, as the nonzero terms of each bracket:
     pairs[i][j] gives [e_i, e_j] = sum of c e_k over its (k, c), and
     pairs[j][i] is its negation. Build one with make_lie_algebra,
-    lie_algebra_from_table, semidirect or MatrixSpan.lie_algebra.
+    lie_algebra_from_table, catalog.parse_algebra_file, semidirect or
+    MatrixSpan.lie_algebra.
 
     Equality and hashing read (dim, basis_names, pairs) alone; the views
     built on first read (table, adjoint) never take part."""
@@ -138,10 +141,13 @@ def _negated(terms: Terms) -> Terms:
     return tuple((k, -c) for k, c in terms)
 
 
-def _validate_jacobi(n: int, pairs, triples: Iterable[tuple[int, int, int]]) -> None:
-    """Raise JacobiViolation on the first basis triple i < j < l in
-    triples whose cyclic sum [e_i,[e_j,e_l]] + ... is nonzero."""
-    for i, j, l in triples:
+def _validate_jacobi(g: LieAlgebra) -> LieAlgebra:
+    """g, after a scan of every basis triple i < j < l; raise
+    JacobiViolation on the first whose cyclic sum [e_i,[e_j,e_l]] + ... is
+    nonzero. Its only callers are make_lie_algebra and
+    catalog.parse_algebra_file, where structure constants enter."""
+    n, pairs = g.dim, g.pairs
+    for i, j, l in combinations(range(n), 3):
         jl, li, ij = pairs[j][l], pairs[l][i], pairs[i][j]
         if not (jl or li or ij):
             continue
@@ -153,22 +159,21 @@ def _validate_jacobi(n: int, pairs, triples: Iterable[tuple[int, int, int]]) -> 
         if any(acc.values()):
             raise JacobiViolation((i, j, l),
                                   tuple(acc.get(k, ZERO) for k in range(n)))
+    return g
 
 
 def _from_brackets(n: int, upper: dict[tuple[int, int], Terms],
-                   basis_names: Optional[Sequence[str]], triples=()) -> LieAlgebra:
+                   basis_names: Optional[Sequence[str]]) -> LieAlgebra:
     """The algebra with [e_i, e_j] = upper[i, j] for i < j (absent pairs
-    commute), after the Jacobi check on the basis triples given."""
+    commute); its Jacobi identity is the caller's to check or prove."""
     rows = [[()] * n for _ in range(n)]
     for (i, j), terms in upper.items():
         rows[i][j] = terms
         rows[j][i] = _negated(terms)
-    pairs = tuple(tuple(r) for r in rows)
-    _validate_jacobi(n, pairs, triples)
     names = tuple(basis_names) if basis_names is not None else _default_names(n)
     if len(names) != n:
         raise LieError("basis_names length != dim")
-    return LieAlgebra(n, names, pairs)
+    return LieAlgebra(n, names, tuple(tuple(r) for r in rows))
 
 
 def lie_algebra_from_table(table,
@@ -208,7 +213,7 @@ def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
                     f"pair {key} given twice with inconsistent values")
             continue
         seen[key] = val
-    return _from_brackets(n, seen, basis_names, combinations(range(n), 3))
+    return _validate_jacobi(_from_brackets(n, seen, basis_names))
 
 
 def semidirect(k: LieAlgebra, v: LieAlgebra,
@@ -216,9 +221,14 @@ def semidirect(k: LieAlgebra, v: LieAlgebra,
     """The semidirect product k ⋉ v on k's basis followed by v's.
 
     k and v keep their own brackets, and [k_i, v_j] = action(i, j), given
-    as Terms in v's basis; action must make k act on v by derivations.
-    Jacobi is scanned only on the triples that meet both k and v: the
-    others lie in k or in v, which are Lie algebras already.
+    as Terms in v's basis. Only the action's indices are checked. The
+    result is a Lie algebra iff k and v are, each k_i acts by a derivation
+    of v, and i -> action(i, .) is a homomorphism k -> Der(v) (Jacobson,
+    Lie Algebras, 1962, Ch. I): a triple inside k or inside v is Jacobi in
+    its factor, one with two elements of v in it is the derivation rule,
+    and one with two of k is the homomorphism rule. That is the caller's
+    precondition, and nothing here scans a triple: each caller proves it
+    in its own docstring (fullgraph.build_full_graph, dtheory.build_h).
     """
     m, n = k.dim, v.dim
     upper = {(i, j): k.pairs[i][j] for i, j in combinations(range(m), 2)}
@@ -229,9 +239,7 @@ def semidirect(k: LieAlgebra, v: LieAlgebra,
                 raise LieError(f"action({i},{j}) has an index outside range({n})")
     for i, j in combinations(range(n), 2):
         upper[m + i, m + j] = tuple((m + t, c) for t, c in v.pairs[i][j])
-    return _from_brackets(m + n, upper, k.basis_names + v.basis_names,
-                          ((i, j, l) for i in range(m) for j in range(i + 1, m + n)
-                           for l in range(max(j + 1, m), m + n)))
+    return _from_brackets(m + n, upper, k.basis_names + v.basis_names)
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -341,7 +349,11 @@ class MatrixSpan:
     def lie_algebra(self, bracket: Callable[[int, int], Matrix],
                     prefix: str) -> LieAlgebra:
         """The span as a Lie algebra, basis names prefix1, prefix2, ..., with
-        bracket(i, j) the matrix of [b_i, b_j], i < j; Jacobi is not scanned."""
+        bracket(i, j) the matrix of [b_i, b_j], i < j. terms_of reads each
+        bracket back by exact reconstruction, so the span is closed under it.
+        Jacobi is not scanned: each caller's bracket is the commutator of an
+        associative product, which satisfies it (DerivationAlgebra's and
+        DDerivationSpace's as_lie_algebra)."""
         upper = {(i, j): self.terms_of(bracket(i, j))
                  for i, j in combinations(range(self.dim), 2)}
         return _from_brackets(
@@ -360,7 +372,10 @@ class DerivationAlgebra(MatrixSpan):
 
     @cached_property
     def as_lie_algebra(self) -> LieAlgebra:
-        """Commutator table, built on first read; commutators satisfy Jacobi."""
+        """Commutator table, built on first read. It needs no Jacobi scan:
+        the bracket is the matrix commutator, read back at the span's pivots
+        and confirmed by exact reconstruction, and the commutator of any
+        associative product satisfies Jacobi."""
         b = self.matrices
         return self.lie_algebra(lambda i, j: b[i].commutator(b[j]), "D")
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from itertools import combinations
 from typing import NamedTuple
 
 from .linalg import Scalar, Terms, as_scalar
-from .algebra import LieAlgebra, LieError, _from_brackets, make_lie_algebra
+from .algebra import (LieAlgebra, LieError, _from_brackets, _validate_jacobi,
+                      make_lie_algebra)
 
 
 class CatalogError(KeyError):
@@ -186,7 +186,7 @@ def parse_algebra_file(text: str) -> LieAlgebra:
         upper[i, j] = tuple(sorted([(k, c) for k, c in terms.items() if c]))
     try:
         # the n x n pair table is the first thing built per dimension
-        return _from_brackets(n, upper, names, combinations(range(n), 3))
+        return _validate_jacobi(_from_brackets(n, upper, names))
     except (OverflowError, MemoryError):
         raise AlgebraFileError(f"'dim' {n} is too large") from None
 

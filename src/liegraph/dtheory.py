@@ -18,17 +18,21 @@ the n x m matrix whose column j is its value on the j-th Der basis element.
 The cocycle table is built from the n x n maps L∘ad, and H's action is read
 off the inner cocycles, so no m x m matrix of Der(G) is built here;
 d_bracket and der_action are the per-pair references, on matrices.
+
+No Jacobi triple is scanned here. The d-bracket is the commutator of an
+associative product, and H's action is a homomorphism into the
+derivations of the d-bracket, by the cocycle rule: the proofs are in
+DDerivationSpace.as_lie_algebra and build_h.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .linalg import Matrix, Subspace, common_kernel, sparse_nullspace
 from .algebra import (DerivationAlgebra, LieAlgebra, MatrixSpan, coboundary,
-                      cocycle_system, semidirect, _unit, _validate_jacobi)
+                      cocycle_system, semidirect, _unit)
 
 
 def d_center(der: DerivationAlgebra) -> Subspace:
@@ -59,13 +63,16 @@ class DDerivationSpace(MatrixSpan):
         Column t of C = der.ad_coordinates is the Der coordinates of
         ad(e_t), so column j of L_a @ C @ L_b is L_a(ad(L_b(D_j))), and
         [L_a, L_b] = E_a @ L_b - E_b @ L_a with the n x n map
-        E_a = L_a∘ad = L_a @ C, built once for each a. The table's Jacobi
-        identity is part of the paper's claim, so it is scanned in full."""
+        E_a = L_a∘ad = L_a @ C, built once for each a.
+
+        The table is Lie with no scan: [L_a, L_b] = L_a·C·L_b − L_b·C·L_a
+        is the commutator of the product X⋆Y = X·C·Y on n x m matrices,
+        which is associative, (X⋆Y)⋆Z = X·C·Y·C·Z = X⋆(Y⋆Z), and the
+        commutator of an associative product satisfies Jacobi. terms_of
+        confirms that each bracket lies in the space."""
         b = self.matrices
         e = [l @ self.der.ad_coordinates for l in b]
-        alg = self.lie_algebra(lambda i, j: e[i] @ b[j] - e[j] @ b[i], "L")
-        _validate_jacobi(alg.dim, alg.pairs, combinations(range(alg.dim), 3))
-        return alg
+        return self.lie_algebra(lambda i, j: e[i] @ b[j] - e[j] @ b[i], "L")
 
     # bound here, not inherited: bench/trace_cli.py traces it through
     # this class's __dict__, as it does DerivationAlgebra.coordinates_of
@@ -104,7 +111,26 @@ def build_h(dspace: DDerivationSpace) -> LieAlgebra:
     The action is inner: D(L) = -L_y with y = L(D), since the cocycle rule
     L([D,D']) = D(L(D')) - D'(L(D)) makes D(L)(D') = D'(y). So D_i(L_j)
     has the coordinates P @ (column i of L_j), row i of L_j^T @ P^T, where
-    row t of P^T is the coordinates of -L_{e_t}, the cocycle D -> D(e_t)."""
+    row t of P^T is the coordinates of -L_{e_t}, the cocycle D -> D(e_t).
+
+    H is Lie with no scan, by semidirect's criterion: Der(G) and the
+    d-bracket are Lie (their as_lie_algebra), and the action D(L) = -L_y,
+    y = L(D), is a homomorphism into the derivations of the d-bracket.
+    Here (D(L))(D') = D'(L(D)), and ad(y) is taken in Der(G).
+    - Homomorphism: D1(D2(L)) = -L_{D1(L(D2))}, so
+      D1(D2(L)) - D2(D1(L)) = -L_{D1(L(D2)) - D2(L(D1))} = -L_{L([D1,D2])}
+      = [D1,D2](L), by the cocycle rule.
+    - Derivation: evaluated at D', D([L1,L2]) is D'(L1(ad L2(D))) -
+      D'(L2(ad L1(D))), and [D(L1), L2] + [L1, D(L2)] is
+          [L2(D'), L1(D)] - L2(ad D'(L1(D)))
+          + L1(ad D'(L2(D))) - [L1(D'), L2(D)].
+      Since [D', ad x] = ad(D'x), the cocycle rule on (D', ad L2(D)) gives
+      L1(ad D'(L2(D))) = D'(L1(ad L2(D))) + [L1(D'), L2(D)], and likewise
+      with 1 and 2 swapped. Put in, the brackets cancel and the sides agree.
+    H's mixed Jacobi triples are exactly these identities, C(m,2)·p of the
+    first kind and m·C(p,2) of the second. theorem1 checks them in effect:
+    when H's generators act on C(G) by derivations, as a homomorphism and
+    injectively, H is isomorphic to a commutator-closed space of matrices."""
     der, (n, _), l = dspace.der, dspace.shape, dspace.matrices
     p_t = Matrix._trusted(n, dspace.dim, tuple(
         dspace.terms_of(inner_d_derivation(der, _unit(n, t)).scale(-1))

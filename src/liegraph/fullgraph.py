@@ -35,7 +35,13 @@ from .dtheory import (DCompletenessEvidence, DDerivationSpace, build_h,
 
 def build_full_graph(der: DerivationAlgebra) -> LieAlgebra:
     """C(G) for G = der.parent:
-        [(D1,x1),(D2,x2)] = ([D1,D2], D1 x2 - D2 x1 + [x1,x2])."""
+        [(D1,x1),(D2,x2)] = ([D1,D2], D1 x2 - D2 x1 + [x1,x2]).
+
+    C(G) is Lie with no scan, by semidirect's criterion: G's Jacobi
+    identity was checked on input, Der(G)'s bracket is the commutator of
+    its matrices, and Der(G) acts on G by those same matrices. Each is an
+    exact kernel vector of G's Leibniz rule, so it acts by a derivation,
+    and the action of [D1,D2] is D1 D2 - D2 D1, so it is a homomorphism."""
     cols = [d.transpose() for d in der.matrices]
     return semidirect(der.as_lie_algebra, der.parent,
                       lambda i, j: cols[i].nonzeros[j])

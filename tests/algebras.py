@@ -1,6 +1,6 @@
 """The algebras the differential tests run on: the catalog entries, the
-six algebras of the benchmark's ``bench/fixtures.py`` at seed 1, and seeded
-random 2-step nilpotent algebras."""
+six algebras of the benchmark's ``bench/fixtures.py`` at seed 1, seeded
+random 2-step nilpotent algebras, and the Heisenberg family."""
 
 import functools
 import importlib.util
@@ -41,6 +41,13 @@ def two_step_nilpotent(seed: int, n: int) -> LieAlgebra:
     brackets = [(i, j, [0] * v + [rng.randint(-2, 2) for _ in range(n - v)])
                 for i, j in combinations(range(v), 2)]
     return make_lie_algebra(n, brackets)
+
+
+def heisenberg(k: int) -> LieAlgebra:
+    """h_{2k+1}: [x_i, y_i] = z for i = 1..k, basis x1, y1, ..., xk, yk, z."""
+    n = 2 * k + 1
+    z = [1 if t == n - 1 else 0 for t in range(n)]
+    return make_lie_algebra(n, [(2 * i, 2 * i + 1, z) for i in range(k)])
 
 
 def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from liegraph import fullgraph
-from liegraph.algebra import JacobiViolation, _flat, _unit, make_lie_algebra
+from liegraph.algebra import JacobiViolation, LieAlgebra, _flat, _unit
 from liegraph.linalg import Matrix, Subspace, _packed, as_vector, sparse_rref
 
 ZERO = Fraction(0)
@@ -209,16 +209,24 @@ def validate_jacobi(n, table):
 
 
 def semidirect(k, v, action):
-    """k ⋉ v from dense bracket vectors, each padded to dimension m + n."""
+    """k ⋉ v from dense bracket vectors, each padded to dimension m + n,
+    with no Jacobi scan: validate_jacobi on its table decides whether it
+    is a Lie algebra."""
     m, n = k.dim, v.dim
+    total = m + n
+    table = [[(ZERO,) * total for _ in range(total)] for _ in range(total)]
     pad_k, pad_v = (ZERO,) * n, (ZERO,) * m
     brackets = [(i, j, k.table[i][j] + pad_k)
                 for i, j in combinations(range(m), 2)]
-    brackets += [(i, m + j, pad_v + tuple(action(i, j)))
+    brackets += [(i, m + j, pad_v + as_vector(action(i, j)))
                  for i in range(m) for j in range(n)]
     brackets += [(m + i, m + j, pad_v + v.table[i][j])
                  for i, j in combinations(range(n), 2)]
-    return make_lie_algebra(m + n, brackets, k.basis_names + v.basis_names)
+    for i, j, vec in brackets:
+        table[i][j], table[j][i] = vec, tuple(-c for c in vec)
+    pairs = tuple(tuple(tuple((t, c) for t, c in enumerate(vec) if c)
+                        for vec in row) for row in table)
+    return LieAlgebra(total, k.basis_names + v.basis_names, pairs)
 
 
 def h_derivation(dspace, d_coords, l_coords):

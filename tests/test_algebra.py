@@ -16,8 +16,8 @@ from algebras import CASES, CATALOG_NAMES, NAMES, algebra, case_algebra, case_id
 from liegraph.algebra import (AntisymmetryConflict, CompletenessEvidence,
                               DependentBasis, IndexOutOfRange,
                               InternalConsistencyError, JacobiViolation,
-                              LieAlgebra, LieError, NotClosed, _unit, abelian,
-                              center, coboundaries, cocycle_system,
+                              LieAlgebra, LieError, NotClosed, _flat, _unit,
+                              abelian, center, coboundaries, cocycle_system,
                               derivation_algebra, derived_subalgebra,
                               induced_lie_structure, inner_derivations,
                               is_complete, lie_algebra_from_table,
@@ -294,11 +294,19 @@ class TestSemidirect:
         assert alg.table == lookup("affine2").algebra.table
 
     def test_action_that_is_no_representation_fails_jacobi(self):
-        # two commuting generators acting by E12 and E21, which do not commute
+        # two commuting generators acting by E12 and E21, which do not
+        # commute: semidirect checks no precondition and builds the padded
+        # table, and the full scan rejects it on a homomorphism triple
         e12, e21 = ((F(0), F(0)), (F(1), F(0))), ((F(0), F(1)), (F(0), F(0)))
-        with pytest.raises(JacobiViolation):
-            semidirect(abelian(2), abelian(2),
-                       lambda i, j: Matrix.from_rows([(e12, e21)[i][j]]).nonzeros[0])
+        built = semidirect(abelian(2), abelian(2),
+                           lambda i, j: Matrix.from_rows([(e12, e21)[i][j]]).nonzeros[0])
+        expected = reference.semidirect(abelian(2), abelian(2),
+                                        lambda i, j: (e12, e21)[i][j])
+        assert built.pairs == expected.pairs and built.table == expected.table
+        with pytest.raises(JacobiViolation) as exc:
+            reference.validate_jacobi(4, built.table)
+        assert exc.value.triple == (0, 1, 2)
+        assert exc.value.residual == (0, 0, 1, 0)
 
     def test_action_index_outside_the_second_factor_raises(self):
         with pytest.raises(LieError, match="outside range"):
@@ -490,19 +498,29 @@ def test_semidirect_matches_padded_reference(name):
 @given(st.sampled_from(CATALOG_NAMES), st.integers(1, 2), st.data())
 @settings(max_examples=100, deadline=None)
 def test_semidirect_by_any_action_matches_padded_reference(name, m, data):
-    # an arbitrary action is seldom one by derivations: both builders must
-    # then report the same failing triple and residual
+    # semidirect checks no precondition, so any action gives the padded
+    # reference's table. The full scan accepts that table iff the
+    # semidirect criterion holds: each action map is a derivation of v
+    # and, the acting algebra being abelian, the maps commute
     v = algebra(name)
     vecs = {(i, j): data.draw(st.lists(sparse_entries, min_size=v.dim,
                                        max_size=v.dim))
             for i in range(m) for j in range(v.dim)}
     act = lambda i, j: vecs[i, j]
-    built = _jacobi_outcome(lambda: semidirect(
-        abelian(m), v, lambda i, j: Matrix.from_rows([act(i, j)]).nonzeros[0]))
-    expected = _jacobi_outcome(lambda: reference.semidirect(abelian(m), v, act))
-    assert built == expected
-    if isinstance(built, LieAlgebra):
-        assert built.table == expected.table
+    built = semidirect(
+        abelian(m), v, lambda i, j: Matrix.from_rows([act(i, j)]).nonzeros[0])
+    expected = reference.semidirect(abelian(m), v, act)
+    assert built.pairs == expected.pairs and built.table == expected.table
+    maps = [Matrix.from_rows([act(i, j) for j in range(v.dim)]).transpose()
+            for i in range(m)]
+    der = derivation_algebra(v)
+    criterion = (all(der.flat_span._coordinates(_flat(a)) is not None
+                     for a in maps)
+                 and not any(any(a.commutator(b).nonzeros)
+                             for a, b in combinations(maps, 2)))
+    scan = _jacobi_outcome(lambda: reference.validate_jacobi(m + v.dim,
+                                                             built.table))
+    assert (scan is None) == criterion
 
 
 def test_algebra_equality_ignores_views_built_on_first_read():

@@ -451,6 +451,34 @@ class TestCli:
             parse_algebra_file(bad.read_text())
         assert exc.value.residual == (0, Fraction(-1, 3), 0)
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--theorem", "all", "--file"], ["dder", "--file"],
+        ["full-graph", "--file"], ["verify", "sl2"]], ids=" ".join)
+    def test_one_jacobi_scan_per_request_on_its_input(self, argv, tmp_path,
+                                                      monkeypatch):
+        # every table the program derives is Lie by construction, so a
+        # request scans only the structure constants it was given
+        given = lookup("sl2" if argv[-1] == "sl2" else "heisenberg3").algebra
+        if argv[-1] == "--file":
+            path = tmp_path / "g.json"
+            path.write_text(serialize_algebra(given))
+            argv = argv + [str(path)]
+        algebra_module = importlib.import_module("liegraph.algebra")
+        original, scanned = algebra_module._validate_jacobi, []
+
+        def spy(g):
+            scanned.append(g)
+            return original(g)
+
+        # patched wherever a module of the package bound the name
+        for name in ("algebra", "catalog", "dtheory", "fullgraph", "cli"):
+            module = importlib.import_module(f"liegraph.{name}")
+            if getattr(module, "_validate_jacobi", None) is original:
+                monkeypatch.setattr(module, "_validate_jacobi", spy)
+        code, _ = run_cli(*argv)
+        assert code in (0, 1)
+        assert scanned == [given]
+
     def test_verify_file_roundtrip(self, tmp_path):
         path = tmp_path / "sl2.json"
         path.write_text(serialize_algebra(lookup("sl2").algebra))

@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from algebras import CASES, case_algebra, case_id, direct_sum
+from algebras import CASES, case_algebra, case_id, direct_sum, heisenberg
 from liegraph.algebra import (abelian, center, derivation_algebra,
                               derived_subalgebra)
 from liegraph.fullgraph import verify
@@ -117,3 +117,49 @@ def test_abelian_closed_forms(n):
     assert derivation_algebra(g).dim == n * n
     assert rep.d_evidence.d_space_dim == n
     assert rep.theorem1.dim_der_cg == rep.theorem1.dim_h == n * n + n
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_heisenberg_closed_forms(k):
+    """For G = h_{2k+1}, V = span{x_i, y_i} and [u, w] = ω(u, w)·z with ω
+    the standard symplectic form: dim Der G = 2k²+3k+1, dim Z¹ = 2k+1,
+    dim H = 2k²+5k+2 and dim Der(C(G)) = 2k²+5k+3, a defect of 1.
+
+    Proof of dim Der G. A derivation D has Dz = D[x₁, y₁] in [G, G] = Qz,
+    say Dz = cz. Write D on V as A: V → V plus f: V → Qz. Every bracket
+    lies in the center Qz, so the Leibniz rule on u, w in V reads
+    c·ω(u, w) = ω(Au, w) + ω(u, Aw), and on pairs with z it holds
+    whatever A, f and c are. So A − (c/2)·I lies in sp(2k), and f and c
+    are free: Der G = sp(2k) ⊕ Q·E ⊕ Hom(V, Qz), with E the grading
+    derivation (1 on V, 2 on z), of dimension (2k²+k) + 1 + 2k.
+
+    Proof of dim Z¹ and dim H. The d-center is 0, since E is invertible.
+    Der G = Der₀ ⊕ Der₁, with Der₀ = sp(2k) ⊕ Q·E, commuting with E, and
+    Der₁ = Hom(V, Qz), where [E, D] = D. For a cocycle L, subtracting the
+    inner cocycle D ↦ D(E⁻¹L(E)) makes L(E) = 0, and then the cocycle rule
+    L([E, D]) = E·L(D) gives L = 0 on Der₀ and L(Der₁) ⊆ V, the
+    1-eigenspace of E. Write φ_w = ω(w, ·)·z in Der₁ and T(w) = L(φ_w).
+    For S in sp(2k), [S, φ_w] = φ_{Sw}, so the rule gives TS = ST. For
+    φ_a, φ_b, which compose to 0, it gives ω(a, Tb) = ω(b, Ta), so T lies
+    in sp(2k). T is then in the center of sp(2k), which is 0. So every
+    cocycle is inner, and dim Z¹ = dim G − dim(d-center) = 2k+1, which
+    gives dim H = dim Der G + dim Z¹.
+
+    Proof of defect ≥ 1. δ = 0 on Der G and δ(x) = 2x − ad(x) on G, with
+    ad(x) placed in Der G, is a derivation of C(G): on a pair in Der G both
+    sides are 0, on (D, x) the rule is [D, ad x] = ad(Dx), and on (x, y)
+    both sides are 2[x, y], because [x, y] is central. Every element of H maps G into G, while δ's
+    G → Der block is −ad, nonzero as G is not abelian. With H acting
+    injectively, δ is outside its image, so dim Der(C(G)) ≥ dim H + 1.
+
+    That the defect is exactly 1 is a checked law, without a proof here.
+    """
+    g = heisenberg(k)
+    rep = verify(g, f"h{2 * k + 1}", which="all")
+    t1 = rep.theorem1
+    assert t1.each_generator_is_derivation and t1.injective
+    assert derivation_algebra(g).dim == 2 * k * k + 3 * k + 1
+    assert rep.d_evidence.d_center_dim == 0
+    assert rep.d_evidence.d_space_dim == 2 * k + 1
+    assert t1.dim_h == 2 * k * k + 5 * k + 2
+    assert t1.dim_der_cg == 2 * k * k + 5 * k + 3
