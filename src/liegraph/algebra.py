@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .linalg import (ONE, Matrix, Scalar, SparseRow, Subspace, Terms, Vector,
                      ZERO, _dense, _packed, as_vector, common_kernel, rank,
-                     rref_kernel, solve, sparse_rref)
+                     solve, sparse_nullspace)
 
 
 class LieError(Exception):
@@ -361,14 +361,13 @@ class MatrixSpan:
 
 
 class DerivationAlgebra(MatrixSpan):
-    """Der(G) in the canonical basis of the adjoint cocycle system's kernel,
-    with leibniz, that system's reduced rows: the Leibniz rule of G."""
+    """Der(G), for G = parent, in the canonical basis of the adjoint cocycle
+    system's kernel; only that span is kept, not the system."""
 
     def __init__(self, shape: tuple[int, int], flat_span: Subspace,
-                 parent: LieAlgebra, leibniz: Sequence[SparseRow]):
+                 parent: LieAlgebra):
         super().__init__(shape, flat_span)
         self.parent = parent
-        self.leibniz = leibniz
 
     @cached_property
     def as_lie_algebra(self) -> LieAlgebra:
@@ -393,14 +392,13 @@ class DerivationAlgebra(MatrixSpan):
 
 def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
     """Der(G): the 1-cocycles of the adjoint action, whose cocycle rule is
-    the Leibniz rule; basis in canonical RREF order of flattenings. The
-    rule is reduced here, once, and its reduced rows kept on the result."""
-    leibniz, pivots = sparse_rref(cocycle_system(g.adjoint, g))
-    sol = rref_kernel(g.dim * g.dim, leibniz, pivots)
+    the Leibniz rule, streamed into the kernel; basis in canonical RREF
+    order of flattenings."""
+    sol = sparse_nullspace(g.dim * g.dim, cocycle_system(g.adjoint, g))
     if sol.dim == 0:
         # cannot happen for dim >= 1 over Q (ad(g) or a grading derivation is nonzero)
         raise InternalConsistencyError("empty derivation algebra")
-    return DerivationAlgebra((g.dim, g.dim), sol, g, leibniz)
+    return DerivationAlgebra((g.dim, g.dim), sol, g)
 
 
 def inner_derivations(g: LieAlgebra) -> Subspace:

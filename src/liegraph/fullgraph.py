@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .linalg import (Matrix, ONE, Scalar, SparseRow, Subspace, ZERO,
+from .linalg import (Matrix, Scalar, SparseRow, Subspace, ZERO,
                      sparse_nullspace)
 from .algebra import (CompletenessEvidence, DerivationAlgebra,
                       InternalConsistencyError, LieAlgebra, center,
@@ -67,11 +67,16 @@ def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
     [D, ad y] = ad(Dy). So δ ↦ (C, φ) is an isomorphism of Der(C(G)) onto
     Z¹ ⊕ S, where S is the solution space of:
     - the cocycle rows of G acting on C(G) by cg.adjoint[m:],
-      algebra.cocycle_system;
-    - for each basis derivation D_i, the Der rows of D_i·φ, which vanish,
-      and its G rows [E, D_i], on which every reduced Leibniz row of G
-      vanishes: der.leibniz, kept by derivation_algebra from its solve.
-    The rows are made one at a time and reduced as they come; none is held.
+      algebra.cocycle_system: B([x, y]) = 0 and
+      E[x, y] = [x, Ey] + [Ex, y] + (Bx)y − (By)x;
+    - for each basis derivation D_i, the Der rows of D_i·φ, which vanish:
+      B(D_i x) = D_i∘(Bx) − (Bx)∘D_i.
+    These make the G rows F = [E, D] a derivation for every D in Der(G).
+    Expand F[x, y] by the cocycle rows for E and the Leibniz rule for D:
+      F[x, y] − [Fx, y] − [x, Fy] = P(x, y) − P(y, x), where
+      P(x, y) = (B(Dx))y + (Bx)(Dy) − D((Bx)y),
+    and P = 0 by the Der rows. So G's Leibniz rows on [E, D_i] cut nothing
+    from S, and none is made; the rows above are reduced as they come.
     S lies in Q^((m+n)·n), in cocycle_system's layout for a map G → C(G):
     φ[k][t] at k·n + t, the m Der rows (B) first and the n G rows (E) after.
 
@@ -84,28 +89,15 @@ def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
 
     def rows():
         yield from cocycle_system(ad[m:], g)
+        # entry (k, j), k < m, of D_i·φ = φ∘D_i − ad(D_i)∘φ
         for d, adi in zip(der.matrices, ad):
             dc, adi = d.transpose().nonzeros, adi.nonzeros
-
-            def put(row: SparseRow, k: int, j: int, y: Scalar) -> None:
-                # row += y · entry (k, j) of φ∘D_i − ad(D_i)∘φ
-                for t, x in dc[j]:
-                    row[k * n + t] = row.get(k * n + t, ZERO) + y * x
-                for a, x in adi[k]:
-                    row[a * n + j] = row.get(a * n + j, ZERO) - y * x
-
-            # the Der rows vanish, the G rows [E, D_i] lie in Der(G)
             for k in range(m):
                 for j in range(n):
-                    row: SparseRow = {}
-                    put(row, k, j, ONE)
+                    row: SparseRow = {k * n + t: x for t, x in dc[j]}
+                    for a, x in adi[k]:
+                        row[a * n + j] = row.get(a * n + j, ZERO) - x
                     yield row
-            for lrow in der.leibniz:
-                row = {}
-                for c, y in lrow.items():
-                    a, b = divmod(c, n)
-                    put(row, m + a, b, y)
-                yield row
 
     return sparse_nullspace((m + n) * n, rows())
 
@@ -299,8 +291,24 @@ def check_lemma(ws: _Workspace) -> LemmaEvidence:
 def check_theorem2(ws: _Workspace) -> tuple[Theorem2Evidence,
                                             DCompletenessEvidence,
                                             CompletenessEvidence]:
+    """Theorem 2, with its identity checked: for m = dim Der(G), n = dim G,
+    p = dim Z¹ and cd the d-center, C(G) is complete iff G is d-complete
+    and dim Der(C(G)) = m + p; InternalConsistencyError if that fails.
+
+    Proof. (D, x) is central in C(G) iff D = −ad x (pairs with (0, y)) and
+    Der(G)·x = 0 (pairs with (D₁, 0)), so x is central, D = 0 and
+    Z(C(G)) = 0 ⊕ cd. The S of der_cg_blocks contains 0 ⊕ Der(G), so
+    dim Der(C(G)) ≥ m + p. The inner cocycles L_x lie in Z¹, and x ↦ L_x
+    has kernel cd, so p ≥ n − dim cd. C(G) is complete iff cd = 0 and its
+    m + n inner derivations are all of Der(C(G)); G is d-complete iff
+    cd = 0 and p = n. When cd = 0, m + n ≤ m + p ≤ dim Der(C(G)), so
+    dim Der(C(G)) = m + n iff p = n and dim Der(C(G)) = m + p."""
     dc = is_d_complete(ws.dspace, ws.dcenter)
     cc = is_complete(ws.cg, ws.der_cg_dim, ws.cg_center)
+    if cc.complete != (dc.d_complete
+                       and ws.der_cg_dim == ws.der.dim + ws.dspace.dim):
+        raise InternalConsistencyError(
+            "completeness of C(G) disagrees with the theorem2 identity")
     return (Theorem2Evidence(dc.d_complete, cc.complete,
                              dc.d_complete == cc.complete), dc, cc)
 

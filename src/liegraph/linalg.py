@@ -31,9 +31,7 @@ unique, so it gives the same canonical basis as any exact Gauss-Jordan
 elimination. ``rank``, ``solve``, ``nullspace`` and ``Subspace.from_rows``
 call it; ``sparse_nullspace`` takes sparse rows and
 ``common_kernel`` the nonzeros of several matrices, so a system built
-sparse or held as matrices is never stacked dense, and ``rref_kernel``
-gives the kernel of rows already reduced, for a caller that keeps the
-reduced rows as equations.
+sparse or held as matrices is never stacked dense.
 """
 
 from __future__ import annotations
@@ -407,17 +405,11 @@ def common_kernel(mats: Sequence[Matrix]) -> Subspace:
 
 
 def sparse_nullspace(ncols: int, rows: Iterable[Mapping[int, Scalar]]) -> Subspace:
-    """Canonical basis of the common kernel of sparse rows of width ncols."""
-    return rref_kernel(ncols, *sparse_rref(rows))
+    """Canonical basis of the common kernel of sparse rows of width ncols.
 
-
-def rref_kernel(ncols: int, reduced: Sequence[Mapping[int, Scalar]],
-                pivots: Sequence[int]) -> Subspace:
-    """Canonical basis of the kernel of rows in RREF with the given pivots,
-    as sparse_rref returns them.
-
-    Each free column f of the RREF gives the kernel vector that is 1 at f
-    and minus the RREF's column f at the pivots."""
+    Each free column f of the rows' RREF gives the kernel vector that is 1
+    at f and minus the RREF's column f at the pivots."""
+    reduced, pivots = sparse_rref(rows)
     pivot_set = set(pivots)
     kernel = {f: {f: ONE} for f in range(ncols) if f not in pivot_set}
     for p, row in zip(pivots, reduced):

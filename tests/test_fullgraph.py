@@ -227,7 +227,7 @@ def test_checks_never_build_the_leibniz_system_of_the_full_graph(
         monkeypatch, name):
     # the generator check reads the blocks of each generator, and the
     # dimension of Der(C(G)) comes from the blocks over G; G's own Leibniz
-    # system is built once, by the Der(G) solve, and its reduced rows kept
+    # system is built once, streamed into the Der(G) kernel and not kept
     built = []
 
     def spy(rho, algebra):
@@ -247,8 +247,9 @@ def test_checks_never_build_the_leibniz_system_of_the_full_graph(
 @pytest.mark.parametrize("name", ["heisenberg3", "sl2"])
 def test_no_representation_stores_a_system(monkeypatch, name):
     # each cocycle system is streamed into the kernel: after a full verify
-    # the three actions it reads are tuples of matrices, and the algebras
-    # hold their structure constants and views, not a system
+    # the three actions it reads are tuples of matrices, the algebras hold
+    # their structure constants and views, and Der(G) its span, its parent
+    # and its views, not a system
     made = []
 
     class Recording(_Workspace):
@@ -267,6 +268,22 @@ def test_no_representation_stores_a_system(monkeypatch, name):
         assert isinstance(cocycle_system(rho, algebra), GeneratorType)
         assert set(vars(algebra)) <= {"dim", "basis_names", "pairs", "table",
                                       "adjoint"}
+    assert set(vars(ws.der)) <= {"shape", "flat_span", "parent", "matrices",
+                                 "as_lie_algebra", "ad_coordinates"}
+
+
+@pytest.mark.parametrize("which", ["2", "all"])
+def test_theorem2_identity_failure_exits_2(monkeypatch, capsys, which):
+    # a center of C(G) other than 0 ⊕ cd breaks the identity that
+    # check_theorem2 proves: sl2 is d-complete with dim Der(C(G)) = m + p,
+    # so a nonzero center must be refused, not reported as a finding
+    monkeypatch.setattr(fg_mod._Workspace, "cg_center",
+                        property(lambda ws: Subspace.full(ws.cg.dim)))
+    out = io.StringIO()
+    assert main(["verify", "--theorem", which, "sl2"], out) == 2
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

@@ -10,10 +10,12 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import reference
 from algebras import CASES, case_algebra, case_id, direct_sum, heisenberg
 from liegraph.algebra import (abelian, center, derivation_algebra,
                               derived_subalgebra)
-from liegraph.fullgraph import verify
+from liegraph.fullgraph import build_full_graph, der_cg_blocks, verify
+from liegraph.linalg import Matrix
 
 
 def test_direct_sum_derivations_and_center():
@@ -58,6 +60,40 @@ def test_direct_sum_derivations_and_center():
                                got_der, want_der))
     assert pairs == 298
     assert mismatches == []
+
+
+@pytest.mark.parametrize("case", CASES + [(5, 6)], ids=case_id)
+def test_der_rows_make_each_commutator_of_e_a_derivation(case):
+    """For φ = (B, E) in the space S of der_cg_blocks, with B: G → Der(G)
+    and E: G → G, and for every D in Der(G), F = [E, D] is a derivation of
+    G, so S needs no Leibniz rows of G on F.
+
+    Proof. S's cocycle rows say B([x, y]) = 0 and
+    E[x, y] = [x, Ey] + [Ex, y] + (Bx)y − (By)x, and its Der rows say
+    B(Dx) = D∘(Bx) − (Bx)∘D. Expand F[x, y] = E(D[x, y]) − D(E[x, y]) by
+    the Leibniz rule for D and the cocycle rows for E; the terms in E and D
+    alone give [Fx, y] + [x, Fy], and what is left is
+        F[x, y] − [Fx, y] − [x, Fy]
+          = [(B(Dx))y + (Bx)(Dy) − D((Bx)y)]
+            − [(B(Dy))x + (By)(Dx) − D((By)x)].
+    By the Der rows, (B(Dx))y = D((Bx)y) − (Bx)(Dy), so the first bracket
+    is 0, and the second is the first with x and y swapped.
+
+    Checked with the reference Leibniz rule on each basis vector of S and
+    each basis derivation D_i, on every CASES entry and on
+    two_step_nilpotent(5, 6).
+    """
+    g = case_algebra(case)
+    der = derivation_algebra(g)
+    m, n = der.dim, g.dim
+    s = der_cg_blocks(der, build_full_graph(der))
+    bad = []
+    for b, v in enumerate(s.basis_vectors()):
+        e = Matrix.from_rows([v[(m + a) * n:(m + a + 1) * n] for a in range(n)])
+        for i, d in enumerate(der.matrices):
+            if not reference.is_cocycle(g.adjoint, g, e @ d - d @ e):
+                bad.append((b, i))
+    assert bad == []
 
 
 # the 31 CASES and 24 more two-step nilpotent draws of dimension 5 and 6
