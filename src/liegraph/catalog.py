@@ -7,7 +7,7 @@ Files are JSON:
      "brackets": [{"i": 0, "j": 1, "result": [{"k": 2, "coeff": "1"}]}]}
 
 with i < j and coefficients given as exact rational strings ("3/2", "-1")
-or integers.
+or integers. No field may be repeated within an object.
 """
 
 from __future__ import annotations
@@ -115,6 +115,17 @@ def _is_int(x, field: str) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _unique(pairs: list) -> dict:
+    """Each JSON object's fields; json would keep only a repeated key's last
+    value, so a repeat is refused."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise AlgebraFileError(f"repeated field {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _known(obj: dict, keys: tuple[str, ...], where: str) -> None:
     """Reject a key outside keys: a misspelled one would be ignored."""
     for key in obj:
@@ -133,7 +144,7 @@ def parse_algebra_file(text: str) -> LieAlgebra:
     """Parse and fully validate a JSON structure-constant document into each
     bracket's sorted nonzero (k, c) terms; Jacobi is scanned on every triple."""
     try:
-        doc = json.loads(text, parse_int=_json_int)
+        doc = json.loads(text, parse_int=_json_int, object_pairs_hook=_unique)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise AlgebraFileError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -23,8 +23,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .linalg import (Matrix, Scalar, SparseRow, Subspace, ZERO,
-                     sparse_nullspace)
+from .linalg import Matrix, SparseRow, Subspace, ZERO, sparse_nullspace
 from .algebra import (CompletenessEvidence, DerivationAlgebra,
                       InternalConsistencyError, LieAlgebra, center,
                       cocycle_system, derivation_algebra, is_complete,
@@ -248,28 +247,19 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
     gens = [h_derivation(dspace, u[:m], u[m:]) for u in units]
     each_der = all(is_block_derivation(dspace, M) for M in gens)
 
-    # each generator's G-row nonzeros, keyed (r - m) * size + column
-    flat = [{(r - m) * size + c: x for r in range(m, size)
-             for c, x in M.nonzeros[r]} for M in gens]
+    # each generator's G rows, keyed by their row-major index r * size + c
+    flat = [_flat(Matrix._trusted(n, size, M.nonzeros[m:])) for M in gens]
 
     # h_derivation is linear in its coordinates, so the image of
-    # [x_i, x_j] = sum_k c_k x_k is sum_k c_k gens[k]: the G rows of the
-    # commutator minus that sum must cancel
+    # [x_i, x_j] = sum_k c_k x_k is sum_k c_k gens[k]: the commutator's G
+    # rows, read by Matrix.commutator from row m on, minus that sum's must
+    # cancel
     homomorphism = True
     for i, j in combinations(range(total), 2):
-        acc: dict[int, Scalar] = {}
+        acc = _flat(gens[i].commutator(gens[j], m))
         for k, c in h.pairs[i][j]:
             for t, x in flat[k].items():
                 acc[t] = acc.get(t, ZERO) - c * x
-        a, b = gens[i].nonzeros, gens[j].nonzeros
-        for r in range(m, size):
-            base = (r - m) * size
-            for k, x in a[r]:
-                for c, y in b[k]:
-                    acc[base + c] = acc.get(base + c, ZERO) + x * y
-            for k, y in b[r]:
-                for c, x in a[k]:
-                    acc[base + c] = acc.get(base + c, ZERO) - y * x
         if any(acc.values()):
             homomorphism = False
             break

@@ -184,15 +184,16 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def commutator(self, other: "Matrix") -> "Matrix":
-        """self @ other - other @ self, summed row by row into one
-        accumulator; both must be square of the same size."""
+    def commutator(self, other: "Matrix", first: int = 0) -> "Matrix":
+        """Rows first … n−1 of self @ other − other @ self, an (n − first) × n
+        Matrix, each row summed into one accumulator; both must be square of
+        the same size n. first = 0 gives the whole commutator."""
         n = self.rows
         if self.shape != other.shape or self.cols != n:
             raise ValueError(f"no commutator of {self.shape} and {other.shape}")
         a_nz, b_nz = self.nonzeros, other.nonzeros
         out = []
-        for r in range(n):
+        for r in range(first, n):
             acc: SparseRow = {}
             for k, a in a_nz[r]:
                 for c, b in b_nz[k]:
@@ -201,7 +202,7 @@ class Matrix:
                 for c, a in a_nz[k]:
                     acc[c] = acc.get(c, ZERO) - b * a
             out.append(acc)
-        return Matrix._trusted(n, n, _packed(out))
+        return Matrix._trusted(n - first, n, _packed(out))
 
     @property
     def shape(self) -> tuple[int, int]:

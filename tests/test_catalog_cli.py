@@ -174,6 +174,29 @@ class TestAlgebraFile:
         with pytest.raises(AlgebraFileError, match=f"unknown field '{key}'"):
             parse_algebra_file(json.dumps(doc))
 
+    # json keeps only the last copy of a repeated key, so each of these
+    # would load quietly as another algebra: the first as abelian3, the
+    # last with [x, y] = 0
+    @pytest.mark.parametrize("key, text", [
+        ("brackets", '{"dim": 3, "brackets": [{"i": 0, "j": 1, "result": '
+                     '[{"k": 2, "coeff": "1"}]}], "brackets": []}'),
+        ("i", '{"dim": 3, "brackets": [{"i": 1, "j": 1, "i": 0, "result": '
+              '[{"k": 2, "coeff": "1"}]}]}'),
+        ("coeff", '{"dim": 3, "brackets": [{"i": 0, "j": 1, "result": '
+                  '[{"k": 2, "coeff": "1", "coeff": "0"}]}]}'),
+    ], ids=["top-brackets", "bracket-i", "term-coeff"])
+    def test_repeated_field_is_named_and_exits_2(self, key, text, tmp_path,
+                                                 capsys):
+        with pytest.raises(AlgebraFileError, match=f"repeated field '{key}'"):
+            parse_algebra_file(text)
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        out = io.StringIO()
+        assert main(["info", "--file", str(path)], out=out) == 2
+        err = capsys.readouterr().err
+        assert out.getvalue() == ""
+        assert err == f"error: repeated field '{key}'\n"
+
     def test_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe")

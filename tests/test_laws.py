@@ -6,16 +6,18 @@ tests instead check identities that follow from the mathematics, each
 proved in its docstring. A failing law is a bug or a finding to record.
 """
 
+import functools
 from itertools import combinations_with_replacement
 
 import pytest
 
 import reference
-from algebras import CASES, case_algebra, case_id, direct_sum, heisenberg
+from algebras import (CASES, algebra, case_algebra, case_id, direct_sum,
+                      heisenberg, two_step_nilpotent)
 from liegraph.algebra import (abelian, center, derivation_algebra,
                               derived_subalgebra)
 from liegraph.fullgraph import build_full_graph, der_cg_blocks, verify
-from liegraph.linalg import Matrix
+from liegraph.linalg import Matrix, sparse_nullspace
 
 
 def test_direct_sum_derivations_and_center():
@@ -199,3 +201,67 @@ def test_heisenberg_closed_forms(k):
     assert rep.d_evidence.d_space_dim == 2 * k + 1
     assert t1.dim_h == 2 * k * k + 5 * k + 2
     assert t1.dim_der_cg == 2 * k * k + 5 * k + 3
+
+
+def _centroid_defect(g) -> int:
+    """dim{ad∘J : J ∈ Γ(G), J[G, G] ⊆ Z(G)} as dim V − dim K, where V is
+    that set of J and K its part with J(G) ⊆ Z(G), the kernel of J ↦ ad∘J.
+    J e_b = Σ_a J[a][b] e_a, with J[a][b] the unknown a·n + b; a vector of
+    G in these unknowns is, per component, a {unknown: coefficient} form."""
+    n, pairs = g.dim, g.pairs
+
+    def add(acc, form, s):
+        for u, x in form.items():
+            acc[u] = acc.get(u, 0) + s * x
+        return acc
+
+    def j_of(terms):  # J applied to the vector Σ x e_t over terms (t, x)
+        return [{a * n + t: x for t, x in terms} for a in range(n)]
+
+    def bracket_with(vec, l):  # [vec, e_l]
+        out = [{} for _ in range(n)]
+        for a, form in enumerate(vec):
+            for k, c in pairs[a][l]:
+                add(out[k], form, c)
+        return out
+
+    # J[e_i, e_j] = [J e_i, e_j] (Γ(G)), then [J[e_i, e_j], e_l] = 0
+    rows = [add(dict(x), y, -1) for i in range(n) for j in range(n)
+            for x, y in zip(j_of(pairs[i][j]), bracket_with(j_of(((i, 1),)), j))]
+    rows += [r for i in range(n) for j in range(i + 1, n) for l in range(n)
+             for r in bracket_with(j_of(pairs[i][j]), l)]
+    # [J e_b, e_l] = 0: ad∘J = 0
+    inner = [r for b in range(n) for l in range(n)
+             for r in bracket_with(j_of(((b, 1),)), l)]
+    return (sparse_nullspace(n * n, rows).dim
+            - sparse_nullspace(n * n, rows + inner).dim)
+
+
+CENTROID_CASES = (
+    [(case_id(c), functools.partial(case_algebra, c)) for c in CASES]
+    + [(case_id((seed, n)), functools.partial(two_step_nilpotent, seed, n))
+       for seed in range(6, 30) for n in (4, 5, 6)]
+    + [(f"h{2 * k + 1}", functools.partial(heisenberg, k)) for k in (1, 2, 3)]
+    + [(f"{a}+{b}", functools.partial(direct_sum, algebra(a), algebra(b)))
+       for a, b in (("sl2", "heisenberg3"), ("affine2", "heisenberg3"),
+                    ("heisenberg3", "heisenberg3"), ("affine2", "abelian1"))])
+
+
+@pytest.mark.parametrize("build", [b for _, b in CENTROID_CASES],
+                         ids=[i for i, _ in CENTROID_CASES])
+def test_defect_is_the_centroid_rule(build):
+    """dim Der(C(G)) − dim H = dim{ad∘J : J ∈ Γ(G), J[G, G] ⊆ Z(G)}, where
+    Γ(G) = {J : J[x, y] = [Jx, y]} is the centroid of G (Melville 1992 on
+    centroids of nilpotent Lie algebras; Leger and Luks 2000 on generalized
+    derivations).
+
+    A checked law, not a proved one: no proof is given here. It is checked
+    on every CASES entry, two_step_nilpotent(seed, n) for seeds 6–29 and
+    n = 4, 5, 6, h₃, h₅ and h₇, and sl2 ⊕ h₃, affine2 ⊕ h₃, h₃ ⊕ h₃ and
+    affine2 ⊕ abelian1: 110 algebras. The defect is dim of the projection
+    of der_cg_blocks' S onto its Der rows, so the rule, once proved, would
+    give it from n² unknowns in place of S's (m + n)·n.
+    """
+    g = build()
+    t1 = verify(g, which="1").theorem1
+    assert t1.dim_der_cg - t1.dim_h == _centroid_defect(g)

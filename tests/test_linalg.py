@@ -260,6 +260,31 @@ def test_commutator_of_empty_and_one_by_one():
 def test_commutator_shape_mismatch_raises(a, b):
     with pytest.raises(ValueError):
         a.commutator(b)
+    with pytest.raises(ValueError):
+        a.commutator(b, 1)
+
+
+@st.composite
+def square_pairs_from_a_row(draw):
+    n = draw(st.integers(0, 6))
+    a, b = (Matrix(n, n, draw(st.lists(mixed_entries, min_size=n * n,
+                                       max_size=n * n)))
+            for _ in range(2))
+    return a, b, draw(st.integers(0, n))
+
+
+@given(square_pairs_from_a_row())
+@settings(max_examples=200, deadline=None)
+def test_commutator_from_a_row_is_those_rows_of_the_full_product(case):
+    # rows first... of a @ b - b @ a, on int and Fraction entries
+    a, b, first = case
+    n = a.rows
+    got = a.commutator(b, first)
+    assert got.shape == (n - first, n)
+    full = a @ b - b @ a
+    assert got == Matrix._trusted(n - first, n, full.nonzeros[first:])
+    assert [got.row(r) for r in range(n - first)] == [full.row(r)
+                                                      for r in range(first, n)]
 
 
 @given(matmul_pairs())
