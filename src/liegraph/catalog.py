@@ -7,7 +7,9 @@ Files are JSON:
      "brackets": [{"i": 0, "j": 1, "result": [{"k": 2, "coeff": "1"}]}]}
 
 with i < j and coefficients given as exact rational strings ("3/2", "-1")
-or integers. No field may be repeated within an object.
+or integers. No field may be repeated within an object. basis_names may be
+left out, for e1, e2, ...; when given, it lists dim distinct names, each
+nonempty and printable, with no whitespace.
 """
 
 from __future__ import annotations
@@ -157,10 +159,16 @@ def parse_algebra_file(text: str) -> LieAlgebra:
     if not _is_int(n, "'dim'") or n <= 0:
         raise AlgebraFileError(f"'dim' must be a positive integer, got {n!r}")
     names = doc.get("basis_names")
-    if names is not None:
+    if "basis_names" in doc:
         if (not isinstance(names, list) or len(names) != n
                 or not all(isinstance(s, str) for s in names)):
             raise AlgebraFileError(f"'basis_names' must be {n} strings")
+        for pos, s in enumerate(names):
+            # each name is printed bare, in lists and bracket lines
+            if not s or not s.isprintable() or any(map(str.isspace, s)):
+                raise AlgebraFileError(
+                    f"basis_names[{pos}]: {s!r} is not a name: a name is "
+                    f"nonempty and printable, with no whitespace")
         if len(set(names)) != n:
             raise AlgebraFileError(f"'basis_names' has duplicates: {names!r}")
     upper: dict[tuple[int, int], Terms] = {}

@@ -167,6 +167,12 @@ def _cmd_full_graph(args):
     name, g = _load_algebra(args)
     der = derivation_algebra(g)
     cg = build_full_graph(der)
+    # G's names are distinct, and so are those of the Der block, D1 ... Dm
+    der_names = set(cg.basis_names[:der.dim])
+    for x in g.basis_names:
+        if x in der_names:
+            raise LieError(f"C({name}) would name two basis elements {x!r}: "
+                           f"its Der block is named D1 to D{der.dim}")
     doc = {"algebra": name, "dim": cg.dim, "basis_names": list(cg.basis_names),
            "structure_constants": sparse_brackets(cg)}
     lines = [f"C({name}): dimension {cg.dim} "

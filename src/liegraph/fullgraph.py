@@ -19,7 +19,7 @@ no G → Der block has Der rows fixed by its G rows (check_theorem1).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
@@ -247,26 +247,22 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
     gens = [h_derivation(dspace, u[:m], u[m:]) for u in units]
     each_der = all(is_block_derivation(dspace, M) for M in gens)
 
-    # each generator's G rows, keyed by their row-major index r * size + c
-    flat = [_flat(Matrix._trusted(n, size, M.nonzeros[m:])) for M in gens]
+    # each generator's G rows, the n x (m+n) Matrix below its m Der rows
+    rows = [Matrix._trusted(n, size, M.nonzeros[m:]) for M in gens]
+    zero = Matrix.zero(n, size)
 
     # h_derivation is linear in its coordinates, so the image of
     # [x_i, x_j] = sum_k c_k x_k is sum_k c_k gens[k]: the commutator's G
-    # rows, read by Matrix.commutator from row m on, minus that sum's must
-    # cancel
-    homomorphism = True
-    for i, j in combinations(range(total), 2):
-        acc = _flat(gens[i].commutator(gens[j], m))
-        for k, c in h.pairs[i][j]:
-            for t, x in flat[k].items():
-                acc[t] = acc.get(t, ZERO) - c * x
-        if any(acc.values()):
-            homomorphism = False
-            break
+    # rows, the Matrix that Matrix.commutator reads from row m on, must
+    # equal that sum's; it is built from the bracket's terms alone, with no
+    # zero Matrix added, as most brackets of H have at most one term
+    homomorphism = all(gens[i].commutator(gens[j], m) == reduce(
+        Matrix.__add__, [rows[k].scale(c) for k, c in h.pairs[i][j]] or [zero])
+        for i, j in combinations(range(total), 2))
 
     # every generator in Der(C(G)) puts the image inside it; equal dimension
     # then makes the two equal
-    dim, image = ws.der_cg_dim, Subspace._span(n * size, flat)
+    dim, image = ws.der_cg_dim, Subspace._span(n * size, map(_flat, rows))
     return Theorem1Evidence(each_der, homomorphism, image.dim == total,
                             total, dim, each_der and image.dim == dim)
 

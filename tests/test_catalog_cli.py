@@ -145,6 +145,7 @@ class TestAlgebraFile:
             {"i": 0, "j": 1, "result": [{"k": True, "coeff": 1}]}]},
         {"dim": 3, "basis_names": ["x", "x", "x"], "brackets": [
             {"i": 0, "j": 1, "result": [{"k": 2, "coeff": 1}]}]},
+        {"dim": 2, "basis_names": None},
         {"dim": 3, "bracket": [{"i": 0, "j": 1, "result": [{"k": 2, "coeff": 1}]}]},
         {"dim": 3, "brackets": [{"i": 0, "j": 1, "results": [{"k": 2, "coeff": 1}]}]},
         {"dim": 3, "brackets": [
@@ -153,6 +154,7 @@ class TestAlgebraFile:
             {"k": 2, "coeff": "1"}, {"k": 2, "coeff": "-1"}]}]},
     ], ids=["brackets-int", "brackets-null", "result-int", "result-object",
             "dim-bool", "i-bool", "j-bool", "k-bool", "duplicate-names",
+            "names-null",
             "unknown-top-key", "unknown-bracket-key", "unknown-term-key",
             "repeated-k"])
     def test_wrong_json_types_are_file_errors(self, doc, tmp_path, capsys):
@@ -161,8 +163,9 @@ class TestAlgebraFile:
             parse_algebra_file(text)
         path = tmp_path / "bad.json"
         path.write_text(text)
-        assert main(["info", "--file", str(path)], out=io.StringIO()) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert run_cli("info", "--file", str(path)) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("key, doc", [
         ("bracket", {"dim": 2, "bracket": []}),
@@ -229,6 +232,19 @@ class TestAlgebraFile:
         assert main(["info", "--file", str(path)], out=io.StringIO()) == 2
         err = capsys.readouterr().err
         assert err == f"error: 'dim' {2 ** 70} is too large\n"
+
+    # each basis name is printed bare, so an empty name or one with
+    # whitespace would blur or split info's lines
+    @pytest.mark.parametrize("bad", ["", " ", "a b", "a\nb", "\t"])
+    def test_name_that_prints_ambiguously_exits_2(self, bad, tmp_path, capsys):
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps({"dim": 2, "basis_names": ["x", bad]}))
+        with pytest.raises(AlgebraFileError, match=r"^basis_names\[1\]: "):
+            parse_algebra_file(path.read_text())
+        assert run_cli("info", "--file", str(path)) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: basis_names[1]: {bad!r} is not a name")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("name", [e.name for e in catalog()])
     def test_round_trip(self, name):
@@ -408,6 +424,35 @@ class TestCli:
     def test_full_graph(self):
         code, text = run_cli("full-graph", "abelian1")
         assert code == 0 and "dimension 2" in text
+
+    # C(G) names its Der block D1 ... Dm, so G's own names may clash with
+    # them: full-graph, which prints both, refuses the clash, and the other
+    # commands print as they do under G's default names
+    @staticmethod
+    def _affine2_file(path, names):
+        doc = json.loads(serialize_algebra(lookup("affine2").algebra))
+        path.write_text(json.dumps({**doc, "basis_names": names}))
+        return str(path)
+
+    def test_full_graph_refuses_a_name_of_the_der_block(self, tmp_path, capsys):
+        path = self._affine2_file(tmp_path / "g.json", ["D1", "D2"])
+        assert run_cli("full-graph", "--file", path) == (2, "")
+        assert run_cli("--json", "full-graph", "--file", path) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0].startswith("error: ") and "'D1'" in err[0]
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("command", ["info", "der", "dder", "verify"])
+    def test_other_commands_read_names_of_the_der_block(self, command,
+                                                        json_flag, tmp_path):
+        path = tmp_path / "g.json"
+        argv = [*json_flag, command, "--file", str(path)]
+        self._affine2_file(path, ["e1", "e2"])
+        code, want = run_cli(*argv)
+        self._affine2_file(path, ["D1", "D2"])
+        assert code == 0
+        assert run_cli(*argv) == (0, want.replace("e1", "D1").replace("e2", "D2"))
 
     def test_verify_sl2_all_passes(self):
         code, text = run_cli("verify", "sl2", "--theorem", "all")

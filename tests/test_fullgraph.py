@@ -511,6 +511,32 @@ def test_theorem1_on_g_rows_matches_the_full_matrix_reference(case, mutate,
     assert not evidence.passed if mutate else evidence.each_generator_is_derivation
 
 
+# The sign mutation breaks the generators and the homomorphism together.
+# Negating one nonzero bracket [x_i, x_j] of H leaves each generator a
+# derivation and the map injective, so the commutator of gens[i] and
+# gens[j], the image of [x_i, x_j], is not that of its negation: the
+# homomorphism fails alone. H has a nonzero bracket on every case.
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_theorem1_fails_on_a_bracket_of_h_with_its_sign_flipped(case,
+                                                                 monkeypatch):
+    real = _Workspace.h.func
+
+    def flipped(ws):
+        h = real(ws)
+        i, j = next((i, j) for i, row in enumerate(h.pairs)
+                    for j, terms in enumerate(row) if i < j and terms)
+        pairs = [list(row) for row in h.pairs]
+        pairs[i][j], pairs[j][i] = pairs[j][i], pairs[i][j]
+        return alg_mod.LieAlgebra(h.dim, h.basis_names, tuple(map(tuple, pairs)))
+
+    monkeypatch.setattr(_Workspace, "h", property(flipped))
+    ws = _Workspace(case_algebra(case))
+    evidence = check_theorem1(ws)
+    assert evidence[:3] == (True, False, True)
+    assert evidence == reference.check_theorem1(ws)
+
+
 def test_theorem1_cases_include_images_short_of_der_cg():
     # the differential test above must meet both outcomes of the image test
     short = [case for case in CASES
