@@ -9,7 +9,7 @@ Files are JSON:
 with i < j and coefficients given as exact rational strings ("3/2", "-1")
 or integers. No field may be repeated within an object. basis_names may be
 left out, for e1, e2, ...; when given, it lists dim distinct names, each
-nonempty and printable, with no whitespace.
+nonempty and printable, with no whitespace and no leading "(".
 """
 
 from __future__ import annotations
@@ -164,11 +164,14 @@ def parse_algebra_file(text: str) -> LieAlgebra:
                 or not all(isinstance(s, str) for s in names)):
             raise AlgebraFileError(f"'basis_names' must be {n} strings")
         for pos, s in enumerate(names):
-            # each name is printed bare, in lists and bracket lines
-            if not s or not s.isprintable() or any(map(str.isspace, s)):
+            # each name is printed bare, in lists and bracket lines, where
+            # a term "(c)*name" is a coefficient c times name
+            if (not s or not s.isprintable() or any(map(str.isspace, s))
+                    or s.startswith("(")):
                 raise AlgebraFileError(
                     f"basis_names[{pos}]: {s!r} is not a name: a name is "
-                    f"nonempty and printable, with no whitespace")
+                    f"nonempty and printable, with no whitespace, and does "
+                    f"not begin with '('")
         if len(set(names)) != n:
             raise AlgebraFileError(f"'basis_names' has duplicates: {names!r}")
     upper: dict[tuple[int, int], Terms] = {}

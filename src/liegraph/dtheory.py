@@ -16,8 +16,10 @@ together into a semidirect product H, returned by build_h as a LieAlgebra.
 Every map is a plain Matrix: a derivation is n x n, and a d-derivation is
 the n x m matrix whose column j is its value on the j-th Der basis element.
 The cocycle table is built from the n x n maps L∘ad, and H's action is read
-off the inner cocycles, so no m x m matrix of Der(G) is built here;
-d_bracket and der_action are the per-pair references, on matrices.
+off the inner cocycles, whose coordinates build_h takes from the columns of
+Der(G)'s basis, so no m x m matrix of Der(G) and no dense vector is built
+here; inner_d_derivation, d_bracket and der_action are the per-pair
+references, on matrices.
 
 No Jacobi triple is scanned here. The d-bracket is the commutator of an
 associative product, and H's action is a homomorphism into the
@@ -32,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 from .linalg import Matrix, Subspace, common_kernel, sparse_nullspace
 from .algebra import (DerivationAlgebra, LieAlgebra, MatrixSpan, coboundary,
-                      cocycle_system, semidirect, _unit)
+                      cocycle_system, semidirect)
 
 
 def d_center(der: DerivationAlgebra) -> Subspace:
@@ -111,7 +113,9 @@ def build_h(dspace: DDerivationSpace) -> LieAlgebra:
     The action is inner: D(L) = -L_y with y = L(D), since the cocycle rule
     L([D,D']) = D(L(D')) - D'(L(D)) makes D(L)(D') = D'(y). So D_i(L_j)
     has the coordinates P @ (column i of L_j), row i of L_j^T @ P^T, where
-    row t of P^T is the coordinates of -L_{e_t}, the cocycle D -> D(e_t).
+    row t of P^T is the coordinates of -L_{e_t}, the cocycle D -> D(e_t):
+    the n x m map whose entry (k, i) is D_i[k][t], read off column t of
+    each basis derivation D_i, so no vector or cocycle is built dense.
 
     H is Lie with no scan, by semidirect's criterion: Der(G) and the
     d-bracket are Lie (their as_lie_algebra), and the action D(L) = -L_y,
@@ -131,11 +135,11 @@ def build_h(dspace: DDerivationSpace) -> LieAlgebra:
     first kind and m·C(p,2) of the second. theorem1 checks them in effect:
     when H's generators act on C(G) by derivations, as a homomorphism and
     injectively, H is isomorphic to a commutator-closed space of matrices."""
-    der, (n, _), l = dspace.der, dspace.shape, dspace.matrices
-    p_t = Matrix._trusted(n, dspace.dim, tuple(
-        dspace.terms_of(inner_d_derivation(der, _unit(n, t)).scale(-1))
-        for t in range(n)))
-    acts = [lj.transpose() @ p_t for lj in l]
+    (n, m), der = dspace.shape, dspace.der
+    cols = [d.transpose().nonzeros for d in der.matrices]
+    p_t = Matrix._trusted(n, dspace.dim, tuple(dspace.terms_of(Matrix._trusted(
+        m, n, tuple(c[t] for c in cols)).transpose()) for t in range(n)))
+    acts = [lj.transpose() @ p_t for lj in dspace.matrices]
     return semidirect(der.as_lie_algebra, dspace.as_lie_algebra,
                       lambda i, j: acts[j].nonzeros[i])
 

@@ -104,21 +104,19 @@ def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
 def h_derivation(dspace: DDerivationSpace, d_coords: Sequence,
                  l_coords: Sequence) -> Matrix:
     """Matrix on C(G) of the pair (D, L):
-        (D1, g) -> ([D,D1], D(g) + L(ad(g)) + L(D1))
-    """
+        (D1, g) -> ([D,D1], D(g) + L(ad(g)) + L(D1)),
+    the block matrix [[ad D, 0], [L, E]] with E = D + L∘ad, joined from the
+    blocks' nonzero rows: the m rows of ad D, then each G row as L's row
+    followed by E's, shifted past the m Der columns."""
     der, (n, m) = dspace.der, dspace.shape
-    size = m + n
-    D, L = der.matrix_of(d_coords), dspace.matrix_of(l_coords)
-    # column j of ad_d is the coordinates of [D, D_j]; column j of corr is
-    # L(ad(e_j)), both read off structures built once per algebra
+    L = dspace.matrix_of(l_coords)
+    # column j of ad(D) is the coordinates of [D, D_j], and column j of
+    # L∘ad is L(ad(e_j)): both read off structures built once per algebra
     ad_d = der.as_lie_algebra.ad(d_coords)
-    corr = L @ der.ad_coordinates
-    # column j < m is the image of (D_j, 0), column m + j that of (0, e_j)
-    rows: list[list] = [[] for _ in range(size)]
-    for block, r0, c0 in ((ad_d, 0, 0), (L, m, 0), (D + corr, m, m)):
-        for r, row in enumerate(block.nonzeros, r0):
-            rows[r] += [(c0 + c, x) for c, x in row]
-    return Matrix._trusted(size, size, tuple(map(tuple, rows)))
+    e = der.matrix_of(d_coords) + L @ der.ad_coordinates
+    return Matrix._trusted(m + n, m + n, ad_d.nonzeros + tuple(
+        lr + tuple((m + c, x) for c, x in er)
+        for lr, er in zip(L.nonzeros, e.nonzeros)))
 
 
 def is_block_derivation(dspace: DDerivationSpace, delta: Matrix) -> bool:

@@ -234,8 +234,9 @@ class TestAlgebraFile:
         assert err == f"error: 'dim' {2 ** 70} is too large\n"
 
     # each basis name is printed bare, so an empty name or one with
-    # whitespace would blur or split info's lines
-    @pytest.mark.parametrize("bad", ["", " ", "a b", "a\nb", "\t"])
+    # whitespace would blur or split info's lines, and one that begins with
+    # "(" would read as a coefficient term "(c)*name"
+    @pytest.mark.parametrize("bad", ["", " ", "a b", "a\nb", "\t", "(2)*z"])
     def test_name_that_prints_ambiguously_exits_2(self, bad, tmp_path, capsys):
         path = tmp_path / "names.json"
         path.write_text(json.dumps({"dim": 2, "basis_names": ["x", bad]}))

@@ -16,7 +16,9 @@ from algebras import (CASES, algebra, case_algebra, case_id, direct_sum,
                       heisenberg, two_step_nilpotent)
 from liegraph.algebra import (abelian, center, derivation_algebra,
                               derived_subalgebra)
-from liegraph.fullgraph import build_full_graph, der_cg_blocks, verify
+from liegraph.dtheory import d_derivations
+from liegraph.fullgraph import (build_full_graph, der_cg_blocks, h_derivation,
+                                verify)
 from liegraph.linalg import Matrix, sparse_nullspace
 
 
@@ -96,6 +98,29 @@ def test_der_rows_make_each_commutator_of_e_a_derivation(case):
             if not reference.is_cocycle(g.adjoint, g, e @ d - d @ e):
                 bad.append((b, i))
     assert bad == []
+
+
+@pytest.mark.parametrize("case", CASES + [(5, 6)], ids=case_id)
+def test_h_der_generators_act_as_inner_derivations_of_cg(case):
+    """H's generator (D_i, 0) acts on C(G) as ad(D_i, 0), C(G)'s own inner
+    derivation, and each generator (0, L_j) has no Der rows.
+
+    Proof. In C(G), [(D, 0), (D′, x)] = ([D, D′], Dx), so ad(D, 0) is the
+    block matrix [[ad D, 0], [0, D]]. h_derivation gives the pair (D, L)
+    the blocks [[ad D, 0], [L, D + L∘ad]], which for L = 0 is that matrix;
+    for D = 0 its Der rows, those of ad 0, are all zero.
+
+    On every CASES entry and on two_step_nilpotent(5, 6).
+    """
+    der = derivation_algebra(case_algebra(case))
+    cg, dspace = build_full_graph(der), d_derivations(der)
+    m, p = der.dim, dspace.dim
+    for i in range(m):
+        unit = [1 if t == i else 0 for t in range(m)]
+        assert h_derivation(dspace, unit, [0] * p) == cg.adjoint[i]
+    for j in range(p):
+        unit = [1 if t == j else 0 for t in range(p)]
+        assert h_derivation(dspace, [0] * m, unit).nonzeros[:m] == ((),) * m
 
 
 # the 31 CASES and 24 more two-step nilpotent draws of dimension 5 and 6

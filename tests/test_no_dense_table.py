@@ -9,13 +9,18 @@ of the rows of a span, and ``Subspace.coordinates``,
 views of the coordinate terms that ``Subspace._coordinates`` and
 ``MatrixSpan.terms_of`` read. With the views made to raise, every command
 must still run to its usual exit code.
+
+A Matrix is built from dense entries only by ``Matrix(rows, cols,
+entries)``, which ``Matrix.from_rows`` calls, and a span only by
+``Subspace.from_rows``; with both made to raise, every command must give
+the same output as without.
 """
 
 import io
 
 import pytest
 
-from algebras import FIXTURES
+from algebras import CATALOG_NAMES, FIXTURES
 from liegraph.algebra import DerivationAlgebra, LieAlgebra, MatrixSpan
 from liegraph.catalog import parse_algebra_file, serialize_algebra
 from liegraph.cli import _table_lines, main
@@ -101,3 +106,38 @@ def test_a_large_abelian_file_parses_and_prints_without_the_table(no_dense_table
     g = parse_algebra_file('{"dim": 60}')
     assert g.dim == 60 and _table_lines(g) == ["(abelian)"]
     assert parse_algebra_file(serialize_algebra(g)) == g
+
+
+@pytest.fixture
+def no_matrix_from_dense_entries(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Matrix or a span was built from dense entries")
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(Subspace, "from_rows", classmethod(refuse))
+
+
+SPY_COMMANDS = [["info"], ["der"], ["dder"], ["full-graph"]] + [
+    ["verify", "--theorem", t] for t in ("1", "2", "lemma", "all")]
+SPY_TARGETS = CATALOG_NAMES + [f"{n}.json" for n in sorted(FIXTURES.SPECS)]
+
+
+def _run_json(args, capsys):
+    out = io.StringIO()
+    code = main(["--json"] + args, out=out)
+    return code, out.getvalue(), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", SPY_TARGETS + [None],
+                         ids=SPY_TARGETS + ["corpus-verify"])
+def test_no_command_builds_a_matrix_from_dense_entries(
+        target, tmp_path, monkeypatch, capsys, request):
+    FIXTURES.write_inputs(sorted(FIXTURES.SPECS), 1, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    if target is None:
+        runs = [["corpus-verify"]]
+    else:
+        where = ["--file", target] if target.endswith(".json") else [target]
+        runs = [cmd + where for cmd in SPY_COMMANDS]
+    want = [_run_json(args, capsys) for args in runs]
+    request.getfixturevalue("no_matrix_from_dense_entries")
+    assert [_run_json(args, capsys) for args in runs] == want
