@@ -102,7 +102,9 @@ class LieAlgebra:
         return self.ad(x).apply(y)
 
     def ad(self, x: Sequence) -> Matrix:
-        """Matrix of y -> [x, y]: entry (k, j) is the e_k term of [x, e_j]."""
+        """Matrix of y -> [x, y]: entry (k, j) is the e_k term of [x, e_j].
+        A dense view of _ad, for tests and the per-pair reference
+        dtheory.d_bracket; the package passes _ad the nonzero terms."""
         x = as_vector(x)
         if len(x) != self.dim:
             raise ValueError("vector length != dim")
@@ -309,7 +311,8 @@ def _unflat(shape: tuple[int, int], flat: Iterable[tuple[int, Scalar]]) -> Matri
 
 class MatrixSpan:
     """A span of equal-shape matrices, held as the canonical RREF basis of
-    their row-major flattenings; terms_of reads coordinates at its pivots."""
+    their row-major flattenings; terms_of reads coordinates at its pivots,
+    as nonzero terms, and matrix_of takes such terms back to the matrix."""
 
     def __init__(self, shape: tuple[int, int], flat_span: Subspace):
         self.shape = shape
@@ -324,14 +327,11 @@ class MatrixSpan:
         """The basis matrices, in canonical order."""
         return tuple(_unflat(self.shape, row) for row in self.flat_span.rows)
 
-    def matrix_of(self, coords: Sequence) -> Matrix:
-        """The matrix of a coordinate vector in the canonical basis."""
-        coords = as_vector(coords)
-        if len(coords) != self.dim:
-            raise ValueError(
-                f"{len(coords)} coordinates for a span of dimension {self.dim}")
-        return _unflat(self.shape, sorted(self.flat_span.combination(
-            [(i, a) for i, a in enumerate(coords) if a]).items()))
+    def matrix_of(self, terms: Terms) -> Matrix:
+        """The matrix whose canonical coordinates are the nonzero terms
+        (i, a), as terms_of gives them: its inverse on the span."""
+        return _unflat(self.shape,
+                       sorted(self.flat_span.combination(terms).items()))
 
     def terms_of(self, m: Matrix) -> Terms:
         """The nonzero coordinates (i, a), i increasing, of a matrix known to

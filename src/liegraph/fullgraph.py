@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
-from .linalg import Matrix, SparseRow, Subspace, ZERO, sparse_nullspace
+from .linalg import Matrix, SparseRow, Subspace, Terms, ZERO, sparse_nullspace
 from .algebra import (CompletenessEvidence, DerivationAlgebra,
                       InternalConsistencyError, LieAlgebra, center,
                       cocycle_system, derivation_algebra, is_complete,
-                      semidirect, _flat, _unit)
+                      semidirect, _flat)
 from .dtheory import (DCompletenessEvidence, DDerivationSpace, build_h,
                       d_center, d_derivations, is_d_complete)
 
@@ -75,7 +75,9 @@ def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
       F[x, y] − [Fx, y] − [x, Fy] = P(x, y) − P(y, x), where
       P(x, y) = (B(Dx))y + (Bx)(Dy) − D((Bx)y),
     and P = 0 by the Der rows. So G's Leibniz rows on [E, D_i] cut nothing
-    from S, and none is made; the rows above are reduced as they come.
+    from S, and none is made; the rows above are reduced as they come, and,
+    as in cocycle_system, an empty one is not made: Der row (k, j) of D_i·φ
+    is empty when column j of D_i and row k of ad(D_i) both are.
     S lies in Q^((m+n)·n), in cocycle_system's layout for a map G → C(G):
     φ[k][t] at k·n + t, the m Der rows (B) first and the n G rows (E) after.
 
@@ -96,24 +98,28 @@ def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
                     row: SparseRow = {k * n + t: x for t, x in dc[j]}
                     for a, x in adi[k]:
                         row[a * n + j] = row.get(a * n + j, ZERO) - x
-                    yield row
+                    if row:
+                        yield row
 
     return sparse_nullspace((m + n) * n, rows())
 
 
-def h_derivation(dspace: DDerivationSpace, d_coords: Sequence,
-                 l_coords: Sequence) -> Matrix:
-    """Matrix on C(G) of the pair (D, L):
+def h_derivation(dspace: DDerivationSpace, d_terms: Terms,
+                 l_terms: Terms) -> Matrix:
+    """Matrix on C(G) of the pair (D, L), each given by its nonzero
+    coordinate terms (i, a) in the canonical bases of Der(G) and Z¹:
         (D1, g) -> ([D,D1], D(g) + L(ad(g)) + L(D1)),
     the block matrix [[ad D, 0], [L, E]] with E = D + L∘ad, joined from the
     blocks' nonzero rows: the m rows of ad D, then each G row as L's row
-    followed by E's, shifted past the m Der columns."""
+    followed by E's, shifted past the m Der columns. No coordinate vector
+    is built dense: ad D is read off Der(G)'s bracket terms, and D and L
+    off their spans' basis rows."""
     der, (n, m) = dspace.der, dspace.shape
-    L = dspace.matrix_of(l_coords)
+    L = dspace.matrix_of(l_terms)
     # column j of ad(D) is the coordinates of [D, D_j], and column j of
     # L∘ad is L(ad(e_j)): both read off structures built once per algebra
-    ad_d = der.as_lie_algebra.ad(d_coords)
-    e = der.matrix_of(d_coords) + L @ der.ad_coordinates
+    ad_d = der.as_lie_algebra._ad(d_terms)
+    e = der.matrix_of(d_terms) + L @ der.ad_coordinates
     return Matrix._trusted(m + n, m + n, ad_d.nonzeros + tuple(
         lr + tuple((m + c, x) for c, x in er)
         for lr, er in zip(L.nonzeros, e.nonzeros)))
@@ -228,7 +234,9 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
 
     Basis element k of H, a pair (D, L), acts on C(G) as gens[k], whose
     blocks (as in is_block_derivation) are A = ad(D), B = 0, C = L and
-    E = D + L∘ad.
+    E = D + L∘ad. h_derivation reads each generator as its one coordinate
+    term: ((i, 1),) in Der(G) for k = i < m, ((j, 1),) in Z¹ for k = m + j,
+    so no unit coordinate vector is built.
     - Homomorphism: if every generator passes is_block_derivation, then
       [gens[i], gens[j]] and each sum of c_k gens[k] are derivations with
       B = 0 (B of a product is A₁B₂ + B₁E₂), whose A(D) = [E, D] − ad(C(D))
@@ -241,8 +249,8 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
     m, n, p = ws.der.dim, ws.der.parent.dim, dspace.dim
     total, size = m + p, m + n
 
-    units = [_unit(total, i) for i in range(total)]
-    gens = [h_derivation(dspace, u[:m], u[m:]) for u in units]
+    gens = [h_derivation(dspace, ((i, 1),), ()) for i in range(m)] + [
+        h_derivation(dspace, (), ((j, 1),)) for j in range(p)]
     each_der = all(is_block_derivation(dspace, M) for M in gens)
 
     # each generator's G rows, the n x (m+n) Matrix below its m Der rows

@@ -229,12 +229,17 @@ def semidirect(k, v, action):
     return LieAlgebra(total, k.basis_names + v.basis_names, pairs)
 
 
-def h_derivation(dspace, d_coords, l_coords):
+def terms(v):
+    """The nonzero coordinate terms (i, a) of a dense vector."""
+    return tuple((i, a) for i, a in enumerate(v) if a)
+
+
+def h_derivation(dspace, d_terms, l_terms):
     """The matrix of (D, L) on C(G), each column found by its own
     coordinates_of: (D_j, 0) -> ([D, D_j], L(D_j)), (0, e_j) -> D e_j + L(ad e_j)."""
     der = dspace.der
     g, m = der.parent, der.dim
-    D, L = der.matrix_of(d_coords), dspace.matrix_of(l_coords)
+    D, L = der.matrix_of(d_terms), dspace.matrix_of(l_terms)
     cols = [der.coordinates_of(D.commutator(der.matrices[j])) + L.column(j)
             for j in range(m)]
     for j in range(g.dim):
@@ -251,7 +256,8 @@ def check_theorem1(ws):
     m, p, size = ws.der.dim, dspace.dim, ws.cg.dim
     total = m + p
     units = [_unit(total, i) for i in range(total)]
-    gens = [fullgraph.h_derivation(dspace, u[:m], u[m:]) for u in units]
+    gens = [fullgraph.h_derivation(dspace, terms(u[:m]), terms(u[m:]))
+            for u in units]
     each_der = all(fullgraph.is_block_derivation(dspace, M) for M in gens)
     flat = [_flat(M) for M in gens]
     homomorphism = True

@@ -29,6 +29,7 @@ from liegraph.linalg import Matrix
 
 import oracle
 import sympy as sp
+from reference import terms
 
 F = Fraction
 CATALOG_NAMES = [e.name for e in catalog()]
@@ -161,7 +162,7 @@ def test_heisenberg3_outer_derivation_certificate(setups):
         assert lhs == rhs, (cg.basis_names[i], cg.basis_names[j])
 
     flat = [delta[r][c] for r in range(total) for c in range(total)]
-    h_image = [h_derivation(dspace, u[:m], u[m:]).flatten()
+    h_image = [h_derivation(dspace, terms(u[:m]), terms(u[m:])).flatten()
                for u in _units(m + p)]
     assert _rank(h_image) == m + p == 9
     assert _rank(h_image + [flat]) == 10
@@ -233,8 +234,8 @@ def test_law_cocycle_identity_on_random_pairs(setups):
     for g, der, dspace in _cases(setups, rng, 100):
         a = _rand_vec(rng, der.dim)
         b = _rand_vec(rng, der.dim)
-        d1 = der.matrix_of(a)
-        d2 = der.matrix_of(b)
+        d1 = der.matrix_of(terms(a))
+        d2 = der.matrix_of(terms(b))
         comm = der.coordinates_of(d1.commutator(d2))
         for l in dspace.matrices:
             lhs = l.apply(comm)
@@ -264,7 +265,7 @@ def test_law_action_on_inner(setups):
     checked = 0
     for g, der, _ in _cases(setups, rng, 100):
         x = _rand_vec(rng, g.dim)
-        d = der.matrix_of(_rand_vec(rng, der.dim))
+        d = der.matrix_of(terms(_rand_vec(rng, der.dim)))
         lhs = der_action(der, d, inner_d_derivation(der, x))
         rhs = inner_d_derivation(der, d.apply(x))
         assert lhs == rhs
@@ -276,8 +277,8 @@ def test_law_action_is_lie_action(setups):
     rng = random.Random(104)
     checked = 0
     for g, der, dspace in _cases(setups, rng, 100):
-        d1 = der.matrix_of(_rand_vec(rng, der.dim))
-        d2 = der.matrix_of(_rand_vec(rng, der.dim))
+        d1 = der.matrix_of(terms(_rand_vec(rng, der.dim)))
+        d2 = der.matrix_of(terms(_rand_vec(rng, der.dim)))
         comm = d1.commutator(d2)
         for l in dspace.matrices:
             lhs = der_action(der, comm, l)
@@ -293,9 +294,9 @@ def test_law_action_is_derivation_of_cocycle_bracket(setups):
     rng = random.Random(105)
     checked = 0
     for g, der, dspace in _cases(setups, rng, 100):
-        d = der.matrix_of(_rand_vec(rng, der.dim))
-        l1 = dspace.matrix_of(_rand_vec(rng, dspace.dim))
-        l2 = dspace.matrix_of(_rand_vec(rng, dspace.dim))
+        d = der.matrix_of(terms(_rand_vec(rng, der.dim)))
+        l1 = dspace.matrix_of(terms(_rand_vec(rng, dspace.dim)))
+        l2 = dspace.matrix_of(terms(_rand_vec(rng, dspace.dim)))
         lhs = der_action(der, d, d_bracket(der, l1, l2))
         rhs = (d_bracket(der, der_action(der, d, l1), l2)
                + d_bracket(der, l1, der_action(der, d, l2)))

@@ -1,5 +1,6 @@
 import functools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ from liegraph.algebra import (AntisymmetryConflict, CompletenessEvidence,
                               is_complete, lie_algebra_from_table,
                               make_lie_algebra, semidirect)
 from liegraph.catalog import lookup
+from liegraph.dtheory import d_derivations
 from liegraph.linalg import Matrix, Subspace, sparse_nullspace, sparse_rref
 
 F = Fraction
@@ -179,7 +181,7 @@ class TestDerivationAlgebra:
             for j in range(der.dim):
                 comm = der.matrices[i].commutator(der.matrices[j])
                 coords = der.coordinates_of(comm)
-                assert der.matrix_of(coords) == comm
+                assert der.matrix_of(reference.terms(coords)) == comm
 
     def test_deterministic(self, sl2):
         a = derivation_algebra(sl2)
@@ -195,10 +197,19 @@ class TestDerivationAlgebra:
         assert derivation_algebra(sl2).flat_span.coordinates(
             Matrix.identity(3).flatten()) is None
 
-    @pytest.mark.parametrize("coords", [(1,), (1, 0, 0, 5, 7)])
-    def test_matrix_of_rejects_wrong_length(self, sl2, coords):
-        with pytest.raises(ValueError, match="dimension 3"):
-            derivation_algebra(sl2).matrix_of(coords)
+    @pytest.mark.parametrize("case", CASES, ids=case_id)
+    def test_matrix_of_and_terms_of_are_inverse(self, case):
+        # on Der(G) and Z¹: each basis term, one drawn combination of
+        # nonzero terms, and each basis matrix make the round trip
+        rng = random.Random(repr(case))
+        der = derivation_algebra(case_algebra(case))
+        for span in (der, d_derivations(der)):
+            drawn = tuple((i, F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])))
+                          for i in range(span.dim) if rng.random() < 0.5)
+            for t in [((i, 1),) for i in range(span.dim)] + [drawn]:
+                assert span.terms_of(span.matrix_of(t)) == t
+            for mat in span.matrices:
+                assert span.matrix_of(span.terms_of(mat)) == mat
 
     def test_coordinates_of_matrix_outside_span_raises(self, h3):
         # the identity is no derivation of heisenberg3: D[x,y] = z, not 2z

@@ -160,7 +160,7 @@ class TestDerAction:
         rng = random.Random(11)
         for _ in range(50):
             x = rand_vec(rng, 3)
-            d = der.matrix_of(rand_vec(rng, der.dim))
+            d = der.matrix_of(reference.terms(rand_vec(rng, der.dim)))
             lhs = der_action(der, d, inner_d_derivation(der, x))
             rhs = inner_d_derivation(der, d.apply(x))
             assert lhs == rhs

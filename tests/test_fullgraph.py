@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from reference import terms
 from algebras import (CASES, CATALOG_NAMES, case_algebra, case_id, heisenberg,
                       two_step_nilpotent)
 
@@ -84,7 +85,7 @@ class TestBuildFullGraph:
 class TestHDerivation:
     def test_zero_pair_gives_zero(self, sl2_parts):
         _, der, dspace, _ = sl2_parts
-        mat = h_derivation(dspace, [0] * der.dim, [0] * dspace.dim)
+        mat = h_derivation(dspace, terms([0] * der.dim), terms([0] * dspace.dim))
         assert not any(mat.nonzeros)
 
     def test_linearity(self, sl2_parts):
@@ -95,15 +96,15 @@ class TestHDerivation:
             d2, l2 = rand_vec(rng, der.dim), rand_vec(rng, dspace.dim)
             s = F(rng.randint(-3, 3))
             lhs = h_derivation(dspace,
-                               [a + s * b for a, b in zip(d1, d2)],
-                               [a + s * b for a, b in zip(l1, l2)])
-            rhs = (h_derivation(dspace, d1, l1)
-                   + h_derivation(dspace, d2, l2).scale(s))
+                               terms([a + s * b for a, b in zip(d1, d2)]),
+                               terms([a + s * b for a, b in zip(l1, l2)]))
+            rhs = (h_derivation(dspace, terms(d1), terms(l1))
+                   + h_derivation(dspace, terms(d2), terms(l2)).scale(s))
             assert lhs == rhs
 
     def test_abelian1_identity_derivation(self):
         dspace = d_derivations(derivation_algebra(abelian(1)))
-        mat = h_derivation(dspace, [1], [0])
+        mat = h_derivation(dspace, terms([1]), terms([0]))
         # [D, D] = 0 on the Der block; acts as the identity on the G block
         assert mat == Matrix.from_rows([[0, 0], [0, 1]])
 
@@ -322,8 +323,8 @@ def test_h_derivation_matches_per_column_reference(name, data):
     d = data.draw(st.lists(coeffs, min_size=dspace.der.dim,
                            max_size=dspace.der.dim))
     l = data.draw(st.lists(coeffs, min_size=dspace.dim, max_size=dspace.dim))
-    assert (h_derivation(dspace, d, l)
-            == reference.h_derivation(dspace, d, l))
+    assert (h_derivation(dspace, terms(d), terms(l))
+            == reference.h_derivation(dspace, terms(d), terms(l)))
 
 
 @given(st.integers(0, 10**6), st.sampled_from([3, 4]))
@@ -348,7 +349,8 @@ def test_two_step_nilpotent_full_graph_has_the_outer_derivation(seed, n):
     total = m + ws.dspace.dim
     units = [[F(int(t == i)) for t in range(total)] for i in range(total)]
     image = Subspace.from_rows(size * size, [
-        h_derivation(ws.dspace, u[:m], u[m:]).flatten() for u in units])
+        h_derivation(ws.dspace, terms(u[:m]), terms(u[m:])).flatten()
+        for u in units])
     is_abelian = not any(any(row) for row in g.pairs)
     assert (image.coordinates(delta.flatten()) is not None) == is_abelian
 
@@ -391,6 +393,24 @@ def test_blocks_assemble_to_the_derivations_of_the_full_graph(case):
     assert Subspace.from_rows(size * size, [d.flatten() for d in deltas]) == full.flat_span
     cg = ws.cg
     assert all(reference.is_cocycle(cg.adjoint, cg, d) for d in deltas)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_der_cg_blocks_hands_the_kernel_no_empty_row(case, monkeypatch):
+    # as cocycle_system does, der_cg_blocks leaves out every empty row: a Der
+    # row (k, j) where column j of D_i and row k of ad D_i are both empty
+    handed = []
+    real = fg_mod.sparse_nullspace
+
+    def spy(ncols, rows):
+        rows = list(rows)
+        handed.extend(rows)
+        return real(ncols, rows)
+
+    monkeypatch.setattr(fg_mod, "sparse_nullspace", spy)
+    ws = _Workspace(case_algebra(case))
+    der_cg_blocks(ws.der, ws.cg)
+    assert handed and all(handed)
 
 
 @st.composite
@@ -441,13 +461,13 @@ def _block_maps(ws, rng) -> list[Matrix]:
     der, dspace = ws.der, ws.dspace
     m, n, total = der.dim, der.parent.dim, der.dim + dspace.dim
     units = [[int(t == i) for t in range(total)] for i in range(total)]
-    gens = [h_derivation(dspace, u[:m], u[m:]) for u in units]
+    gens = [h_derivation(dspace, terms(u[:m]), terms(u[m:])) for u in units]
     maps = gens + [Matrix.from_rows([g.row(r) if r < m else
                                      tuple(-x for x in g.row(r))
                                      for r in range(g.rows)]) for g in gens]
     for _ in range(3):
-        e = der.matrix_of(rand_vec(rng, m))
-        c = dspace.matrix_of(rand_vec(rng, dspace.dim))
+        e = der.matrix_of(terms(rand_vec(rng, m)))
+        c = dspace.matrix_of(terms(rand_vec(rng, dspace.dim)))
         delta = _assemble(ws, c, e, Matrix.zero(m, n))
         # any entry but the G → Der block's
         r = rng.randrange(m + n)
@@ -475,7 +495,8 @@ def test_block_criterion_matches_the_leibniz_loop(case):
 def test_block_criterion_refuses_a_map_with_a_g_to_der_block(name):
     ws = _Workspace(lookup(name).algebra)
     m = ws.der.dim
-    gen = h_derivation(ws.dspace, [1] + [0] * (m - 1), [0] * ws.dspace.dim)
+    gen = h_derivation(ws.dspace, terms([1] + [0] * (m - 1)),
+                       terms([0] * ws.dspace.dim))
     delta = _with_entry(gen, 0, m, 1)
     with pytest.raises(InternalConsistencyError):
         is_block_derivation(ws.dspace, delta)

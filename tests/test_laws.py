@@ -117,10 +117,12 @@ def test_h_der_generators_act_as_inner_derivations_of_cg(case):
     m, p = der.dim, dspace.dim
     for i in range(m):
         unit = [1 if t == i else 0 for t in range(m)]
-        assert h_derivation(dspace, unit, [0] * p) == cg.adjoint[i]
+        assert (h_derivation(dspace, reference.terms(unit),
+                             reference.terms([0] * p)) == cg.adjoint[i])
     for j in range(p):
         unit = [1 if t == j else 0 for t in range(p)]
-        assert h_derivation(dspace, [0] * m, unit).nonzeros[:m] == ((),) * m
+        assert h_derivation(dspace, reference.terms([0] * m),
+                            reference.terms(unit)).nonzeros[:m] == ((),) * m
 
 
 # the 31 CASES and 24 more two-step nilpotent draws of dimension 5 and 6

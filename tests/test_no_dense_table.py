@@ -14,6 +14,14 @@ A Matrix is built from dense entries only by ``Matrix(rows, cols,
 entries)``, which ``Matrix.from_rows`` calls, and a span only by
 ``Subspace.from_rows``; with both made to raise, every command must give
 the same output as without.
+
+Coordinates enter the package as nonzero terms, the form ``terms_of``
+gives them out: ``MatrixSpan.matrix_of`` and ``h_derivation`` take terms.
+``LieAlgebra.ad`` reads a dense coordinate vector, and so does
+``liegraph.algebra.as_vector``, which otherwise reads only a catalog
+entry's bracket vectors; with ``ad`` made to raise on every input, and
+``as_vector`` too where the structure constants come from a file, every
+command must give the same output as without.
 """
 
 import io
@@ -21,6 +29,7 @@ import io
 import pytest
 
 from algebras import CATALOG_NAMES, FIXTURES
+from liegraph import algebra as alg_mod
 from liegraph.algebra import DerivationAlgebra, LieAlgebra, MatrixSpan
 from liegraph.catalog import parse_algebra_file, serialize_algebra
 from liegraph.cli import _table_lines, main
@@ -140,4 +149,32 @@ def test_no_command_builds_a_matrix_from_dense_entries(
         runs = [cmd + where for cmd in SPY_COMMANDS]
     want = [_run_json(args, capsys) for args in runs]
     request.getfixturevalue("no_matrix_from_dense_entries")
+    assert [_run_json(args, capsys) for args in runs] == want
+
+
+@pytest.fixture
+def no_dense_coordinate_read(monkeypatch):
+    """Make LieAlgebra.ad raise; the returned function makes
+    liegraph.algebra.as_vector raise too."""
+    def refuse(*args):
+        raise AssertionError("a coordinate vector was read dense")
+    monkeypatch.setattr(LieAlgebra, "ad", refuse)
+    return lambda: monkeypatch.setattr(alg_mod, "as_vector", refuse)
+
+
+@pytest.mark.parametrize("target", SPY_TARGETS + [None],
+                         ids=SPY_TARGETS + ["corpus-verify"])
+def test_no_command_reads_a_coordinate_vector_dense(
+        target, tmp_path, monkeypatch, capsys, request):
+    FIXTURES.write_inputs(sorted(FIXTURES.SPECS), 1, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    if target is None:
+        runs = [["corpus-verify"]]
+    else:
+        where = ["--file", target] if target.endswith(".json") else [target]
+        runs = [cmd + where for cmd in SPY_COMMANDS]
+    want = [_run_json(args, capsys) for args in runs]
+    refuse_as_vector = request.getfixturevalue("no_dense_coordinate_read")
+    if target is not None and target.endswith(".json"):
+        refuse_as_vector()
     assert [_run_json(args, capsys) for args in runs] == want
