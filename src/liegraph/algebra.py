@@ -95,11 +95,9 @@ class LieAlgebra:
     @cached_property
     def table(self) -> tuple:
         """Dense view: table[i][j] is the n coefficients of [e_i, e_j].
-        Built on first read, for tests and oracles; the package reads pairs."""
+        Built on first read, for tests, oracles and the benchmark's trace
+        counter; the package reads pairs."""
         return tuple(tuple(_dense(t, self.dim) for t in row) for row in self.pairs)
-
-    def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        return self.ad(x).apply(y)
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of y -> [x, y]: entry (k, j) is the e_k term of [x, e_j].
@@ -244,10 +242,6 @@ def semidirect(k: LieAlgebra, v: LieAlgebra,
     return _from_brackets(m + n, upper, k.basis_names + v.basis_names)
 
 
-def abelian(n: int) -> LieAlgebra:
-    return make_lie_algebra(n, [])
-
-
 def cocycle_system(rho: Sequence[Matrix],
                    algebra: LieAlgebra) -> Iterator[SparseRow]:
     """The 1-cocycle rule of L = algebra acting on V = Q^n, rho[i] the
@@ -377,6 +371,13 @@ class DerivationAlgebra(MatrixSpan):
         associative product satisfies Jacobi."""
         b = self.matrices
         return self.lie_algebra(lambda i, j: b[i].commutator(b[j]), "D")
+
+    @cached_property
+    def columns(self) -> tuple[tuple[Terms, ...], ...]:
+        """columns[i][t], the nonzero terms (k, D_i[k][t]) of column t of
+        basis derivation D_i: the form in which C(G)'s bracket, S's Der rows
+        and H's action read Der(G) acting on G, built once."""
+        return tuple(d.transpose().nonzeros for d in self.matrices)
 
     @cached_property
     def ad_coordinates(self) -> Matrix:

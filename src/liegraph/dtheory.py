@@ -136,9 +136,8 @@ def build_h(dspace: DDerivationSpace) -> LieAlgebra:
     when H's generators act on C(G) by derivations, as a homomorphism and
     injectively, H is isomorphic to a commutator-closed space of matrices."""
     (n, m), der = dspace.shape, dspace.der
-    cols = [d.transpose().nonzeros for d in der.matrices]
     p_t = Matrix._trusted(n, dspace.dim, tuple(dspace.terms_of(Matrix._trusted(
-        m, n, tuple(c[t] for c in cols)).transpose()) for t in range(n)))
+        m, n, tuple(c[t] for c in der.columns)).transpose()) for t in range(n)))
     acts = [lj.transpose() @ p_t for lj in dspace.matrices]
     return semidirect(der.as_lie_algebra, dspace.as_lie_algebra,
                       lambda i, j: acts[j].nonzeros[i])

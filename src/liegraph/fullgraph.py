@@ -41,9 +41,7 @@ def build_full_graph(der: DerivationAlgebra) -> LieAlgebra:
     its matrices, and Der(G) acts on G by those same matrices. Each is an
     exact kernel vector of G's Leibniz rule, so it acts by a derivation,
     and the action of [D1,D2] is D1 D2 - D2 D1, so it is a homomorphism."""
-    cols = [d.transpose() for d in der.matrices]
-    return semidirect(der.as_lie_algebra, der.parent,
-                      lambda i, j: cols[i].nonzeros[j])
+    return semidirect(der.as_lie_algebra, der.parent, lambda i, j: der.columns[i][j])
 
 
 def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
@@ -76,8 +74,10 @@ def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
       P(x, y) = (B(Dx))y + (Bx)(Dy) − D((Bx)y),
     and P = 0 by the Der rows. So G's Leibniz rows on [E, D_i] cut nothing
     from S, and none is made; the rows above are reduced as they come, and,
-    as in cocycle_system, an empty one is not made: Der row (k, j) of D_i·φ
-    is empty when column j of D_i and row k of ad(D_i) both are.
+    as in cocycle_system, a row holds no zero entry and an empty one is not
+    made. Der row (k, j) of D_i·φ is column j of D_i, in B's row k, less
+    row k of ad(D_i), in B's column j: the two meet only at entry (k, j),
+    which is dropped where it cancels, and the row is empty when both are.
     S lies in Q^((m+n)·n), in cocycle_system's layout for a map G → C(G):
     φ[k][t] at k·n + t, the m Der rows (B) first and the n G rows (E) after.
 
@@ -91,13 +91,13 @@ def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
     def rows():
         yield from cocycle_system(ad[m:], g)
         # entry (k, j), k < m, of D_i·φ = φ∘D_i − ad(D_i)∘φ
-        for d, adi in zip(der.matrices, ad):
-            dc, adi = d.transpose().nonzeros, adi.nonzeros
-            for k in range(m):
+        for dc, adi in zip(der.columns, ad):
+            for k, adk in enumerate(adi.nonzeros[:m]):
                 for j in range(n):
                     row: SparseRow = {k * n + t: x for t, x in dc[j]}
-                    for a, x in adi[k]:
-                        row[a * n + j] = row.get(a * n + j, ZERO) - x
+                    for a, x in adk:
+                        if x := row.pop(a * n + j, ZERO) - x:
+                            row[a * n + j] = x
                     if row:
                         yield row
 

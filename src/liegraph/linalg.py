@@ -19,9 +19,9 @@ copied. A subspace is likewise kept as the rows of its canonical RREF
 basis, as the kernel gives them: two subspaces are equal iff these rows are
 equal. A vector's coordinates are its nonzero terms ``((i, a), ...)``, read
 at the pivots off its ``{column: entry}`` nonzeros, and combinations take
-terms. The dense forms, ``Matrix.row``, ``column``, ``[r, c]``, ``flatten``,
-``Subspace.basis_vectors`` and ``coordinates``, are views built on request,
-for printing and tests.
+terms. A matrix's dense forms, ``Matrix.row``, ``column`` and ``flatten``,
+are views built on request, for printing, the benchmark's trace counters
+and tests; a subspace has none.
 
 All elimination is done by one sparse Gauss-Jordan kernel, ``sparse_rref``,
 on rows held as ``{column: nonzero entry}``: the systems solved here are
@@ -73,8 +73,8 @@ def as_vector(v: Iterable) -> Vector:
 class Matrix:
     """Immutable matrix of exact rationals (ints and Fractions), held as its
     nonzeros: per row, the (column, entry) pairs in column order, with no
-    zero entry. Equality and hashing read them; row, column, [r, c] and
-    flatten are dense views built on request."""
+    zero entry. Equality and hashing read them; row, column and flatten are
+    dense views built on request."""
 
     __slots__ = ("rows", "cols", "nonzeros")
 
@@ -109,14 +109,6 @@ class Matrix:
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls._trusted(rows, cols, ((),) * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls._trusted(n, n, tuple(((i, ONE),) for i in range(n)))
-
-    def __getitem__(self, rc: tuple[int, int]) -> Scalar:
-        r, c = rc
-        return self.row(r)[c]
 
     def row(self, r: int) -> Vector:
         return _dense(self.nonzeros[r], self.cols)
@@ -305,7 +297,8 @@ def solve(m: Matrix, b: Sequence) -> Optional[Vector]:
 class Subspace:
     """A subspace of Q^n held as its canonical RREF basis: per row, its
     nonzero (column, entry) pairs in column order, the pivot's 1 first;
-    pivot_row maps each pivot column to its row."""
+    pivot_row maps each pivot column to its row. It has no dense view: the
+    rows, and the coordinates _coordinates reads, are nonzero terms."""
 
     __slots__ = ("ambient_dim", "rows", "pivot_row")
 
@@ -330,21 +323,9 @@ class Subspace:
         reduced, _ = sparse_rref(rows)
         return cls(ambient_dim, _packed(reduced))
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(((c, ONE),) for c in range(ambient_dim)))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def basis_vectors(self) -> list[Vector]:
-        """The basis rows as dense vectors."""
-        return [_dense(row, self.ambient_dim) for row in self.rows]
 
     def combination(self, terms: Iterable[tuple[int, Scalar]]) -> SparseRow:
         """sum of a * (basis row i) over the terms (i, a), as {column: entry}."""
@@ -353,15 +334,6 @@ class Subspace:
             for c, x in self.rows[i]:
                 v[c] = v.get(c, ZERO) + a * x
         return {c: x for c, x in v.items() if x}
-
-    def coordinates(self, v: Sequence) -> Optional[Vector]:
-        """Dense view of _coordinates: v's coordinates, or None off the span."""
-        v = as_vector(v)
-        if len(v) != self.ambient_dim:
-            raise ValueError(
-                f"vector length {len(v)} != ambient dimension {self.ambient_dim}")
-        terms = self._coordinates({c: x for c, x in enumerate(v) if x})
-        return None if terms is None else _dense(terms, self.dim)
 
     def _coordinates(self, v: Mapping[int, Scalar]) -> Optional[Terms]:
         """The nonzero coordinates (i, a), i increasing, of the vector whose
@@ -374,12 +346,6 @@ class Subspace:
         index = self.pivot_row
         terms = tuple(sorted([(index[c], x) for c, x in v.items() if c in index]))
         return terms if self.combination(terms) == v else None
-
-    def contains(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError(
-                f"ambient mismatch {self.ambient_dim} vs {other.ambient_dim}")
-        return all(self._coordinates(dict(row)) is not None for row in other.rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)

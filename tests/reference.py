@@ -120,6 +120,12 @@ def dense_rows(rows, ncols):
     return out
 
 
+def contains(a, b):
+    """Whether the Subspace b lies in the Subspace a: b's rows added to a's
+    span the same space."""
+    return Subspace._span(a.ambient_dim, map(dict, a.rows + b.rows)) == a
+
+
 def nullspace_basis(rows, ncols):
     """Canonical (RREF) basis of the kernel of dense rows of width ncols."""
     reduced, pivots = rref_rows([list(r) for r in rows])

@@ -14,8 +14,8 @@ import pytest
 import reference
 from algebras import (CASES, algebra, case_algebra, case_id, direct_sum,
                       heisenberg, two_step_nilpotent)
-from liegraph.algebra import (abelian, center, derivation_algebra,
-                              derived_subalgebra)
+from liegraph.algebra import (center, derivation_algebra, derived_subalgebra,
+                              make_lie_algebra)
 from liegraph.dtheory import d_derivations
 from liegraph.fullgraph import (build_full_graph, der_cg_blocks, h_derivation,
                                 verify)
@@ -92,7 +92,7 @@ def test_der_rows_make_each_commutator_of_e_a_derivation(case):
     m, n = der.dim, g.dim
     s = der_cg_blocks(der, build_full_graph(der))
     bad = []
-    for b, v in enumerate(s.basis_vectors()):
+    for b, v in enumerate(reference.dense_rows(map(dict, s.rows), s.ambient_dim)):
         e = Matrix.from_rows([v[(m + a) * n:(m + a + 1) * n] for a in range(n)])
         for i, d in enumerate(der.matrices):
             if not reference.is_cocycle(g.adjoint, g, e @ d - d @ e):
@@ -177,7 +177,7 @@ def test_abelian_closed_forms(n):
     δ'(A) v = [T, A] v, so δ' = ad(T) and δ = ad(T − v₀) is inner. So
     dim Der(C(G)) = n² + n.
     """
-    g = abelian(n)
+    g = make_lie_algebra(n, [])
     rep = verify(g, f"abelian{n}", which="all")
     assert derivation_algebra(g).dim == n * n
     assert rep.d_evidence.d_space_dim == n

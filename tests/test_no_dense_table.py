@@ -2,13 +2,12 @@
 writes a matrix or a span out dense, or reads a coordinate vector dense.
 
 ``LieAlgebra.table`` is a dense view for tests and oracles; the package
-reads the sparse ``pairs``. Likewise ``Matrix.flatten`` and
-``Subspace.basis_vectors`` are dense views of the nonzeros of a matrix and
-of the rows of a span, and ``Subspace.coordinates``,
-``MatrixSpan.coordinates`` and its ``coordinates_of`` aliases are dense
-views of the coordinate terms that ``Subspace._coordinates`` and
-``MatrixSpan.terms_of`` read. With the views made to raise, every command
-must still run to its usual exit code.
+reads the sparse ``pairs``. Likewise ``Matrix.flatten`` is a dense view of
+the nonzeros of a matrix, and ``MatrixSpan.coordinates`` and its
+``coordinates_of`` aliases are dense views of the coordinate terms that
+``MatrixSpan.terms_of`` reads. With the views made to raise, every command
+must still run to its usual exit code. A span has no dense view: its rows
+and the coordinates ``Subspace._coordinates`` reads are nonzero terms.
 
 A Matrix is built from dense entries only by ``Matrix(rows, cols,
 entries)``, which ``Matrix.from_rows`` calls, and a span only by
@@ -75,7 +74,6 @@ def no_dense_matrix_or_span(monkeypatch):
     def refuse(self):
         raise AssertionError("a matrix or a span was written out dense")
     monkeypatch.setattr(Matrix, "flatten", refuse)
-    monkeypatch.setattr(Subspace, "basis_vectors", refuse)
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
@@ -94,8 +92,7 @@ def no_dense_coordinates(monkeypatch):
         raise AssertionError("a coordinate vector was read dense")
     for cls, name in ((MatrixSpan, "coordinates"),
                       (DerivationAlgebra, "coordinates_of"),
-                      (DDerivationSpace, "coordinates_of"),
-                      (Subspace, "coordinates")):
+                      (DDerivationSpace, "coordinates_of")):
         monkeypatch.setattr(cls, name, refuse)
 
 
