@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from liegraph.linalg import (Matrix, Subspace, as_scalar, nullspace, rank,
-                             solve, sparse_nullspace, sparse_rref)
+from liegraph.linalg import (Matrix, Subspace, _dense, as_scalar, nullspace,
+                             rank, solve, sparse_nullspace, sparse_rref)
 from reference import rref
 
 F = Fraction
@@ -160,16 +160,34 @@ def spans_and_vectors(draw):
     return span, inside, anywhere, off
 
 
+def _dense_coordinates(span, v):
+    terms = span._coordinates({c: a for c, a in enumerate(v) if a})
+    return None if terms is None else _dense(terms, span.dim)
+
+
+@given(spans_and_vectors())
+@settings(max_examples=150, deadline=None)
+def test_coordinates_agree_with_solve(case):
+    span, inside, anywhere, off = case
+    basis_columns = Matrix._trusted(span.dim, span.ambient_dim, span.rows).transpose()
+    coords = _dense_coordinates(span, inside)
+    assert coords is not None
+    assert coords == solve(basis_columns, inside)
+    # anywhere may or may not lie in the span; both sides give None when not
+    assert _dense_coordinates(span, anywhere) == solve(basis_columns, anywhere)
+    assert ((_dense_coordinates(span, anywhere) is not None)
+            == (solve(basis_columns, anywhere) is not None))
+    assert off is None or _dense_coordinates(span, off) is None
+    assert off is None or solve(basis_columns, off) is None
+
+
 @given(spans_and_vectors())
 @settings(max_examples=150, deadline=None)
 def test_coordinate_terms_are_the_nonzeros_of_solve(case):
     # the sparse reader, on {column: entry} nonzeros, gives exactly the
-    # nonzero (row, coordinate) terms of the dense solution, in row order:
-    # None where solve finds none, as for off, and never for inside
+    # nonzero (row, coordinate) terms of the dense solution, in row order
     span, inside, anywhere, off = case
     basis_columns = Matrix._trusted(span.dim, span.ambient_dim, span.rows).transpose()
-    assert solve(basis_columns, inside) is not None
-    assert off is None or solve(basis_columns, off) is None
     for v in (inside, anywhere, off):
         if v is None:
             continue
