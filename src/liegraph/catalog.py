@@ -10,6 +10,9 @@ with i < j and coefficients given as exact rational strings ("3/2", "-1")
 or integers. No field may be repeated within an object. basis_names may be
 left out, for e1, e2, ...; when given, it lists dim distinct names, each
 nonempty and printable, with no whitespace and no leading "(".
+
+Each catalog entry is such a document, held as text and built by
+parse_algebra_file, as a file is, when it is asked for.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import sys
 from typing import NamedTuple
 
 from .linalg import Scalar, Terms, as_scalar
-from .algebra import (LieAlgebra, LieError, _from_brackets, _validate_jacobi,
-                      make_lie_algebra)
+from .algebra import LieAlgebra, LieError, _from_brackets, _validate_jacobi
 
 
 class CatalogError(KeyError):
@@ -37,28 +39,29 @@ class CatalogEntry(NamedTuple):
     algebra: LieAlgebra
 
 
-_SL2_BRACKETS = [
-    (0, 1, [0, 2, 0]),    # [h, e] = 2e
-    (0, 2, [0, 0, -2]),   # [h, f] = -2f
-    (1, 2, [1, 0, 0]),    # [e, f] = h
-]
+# sl2's brackets in the file format: [h, e] = 2e, [h, f] = -2f, [e, f] = h
+_SL2 = ('{"i": 0, "j": 1, "result": [{"k": 1, "coeff": 2}]}, '
+        '{"i": 0, "j": 2, "result": [{"k": 2, "coeff": -2}]}, '
+        '{"i": 1, "j": 2, "result": [{"k": 0, "coeff": 1}]}')
 
-# name -> (dim, sparse (i, j, [e_i, e_j]) brackets, basis names); an
-# entry's algebra is built, and its Jacobi identity checked, only on request
+# name -> its structure constants, a document in the file format above; an
+# entry's algebra is parsed, and its Jacobi identity scanned, only on request
 _ENTRIES = {
-    "abelian1": (1, [], None),
-    "abelian2": (2, [], None),
-    "abelian3": (3, [], None),
-    "affine2": (2, [(0, 1, [0, 1])], None),
-    "heisenberg3": (3, [(0, 1, [0, 0, 1])], ("x", "y", "z")),
-    "sl2": (3, _SL2_BRACKETS, ("h", "e", "f")),
-    "sl2_plus_abelian1": (4, [(i, j, vec + [0]) for i, j, vec in _SL2_BRACKETS],
-                          ("h", "e", "f", "u")),
+    "abelian1": '{"dim": 1}',
+    "abelian2": '{"dim": 2}',
+    "abelian3": '{"dim": 3}',
+    "affine2": '{"dim": 2, "brackets": '
+               '[{"i": 0, "j": 1, "result": [{"k": 1, "coeff": 1}]}]}',
+    "heisenberg3": '{"dim": 3, "basis_names": ["x", "y", "z"], "brackets": '
+                   '[{"i": 0, "j": 1, "result": [{"k": 2, "coeff": 1}]}]}',
+    "sl2": '{"dim": 3, "basis_names": ["h", "e", "f"], "brackets": [%s]}' % _SL2,
+    "sl2_plus_abelian1": '{"dim": 4, "basis_names": ["h", "e", "f", "u"], '
+                         '"brackets": [%s]}' % _SL2,
 }
 
 
 def _entry(name: str) -> CatalogEntry:
-    return CatalogEntry(name, make_lie_algebra(*_ENTRIES[name]))
+    return CatalogEntry(name, parse_algebra_file(_ENTRIES[name]))
 
 
 def catalog() -> list[CatalogEntry]:

@@ -1,6 +1,7 @@
-"""The algebras the differential tests run on: the catalog entries, the
-six algebras of the benchmark's ``bench/fixtures.py`` at seed 1, seeded
-random 2-step nilpotent algebras, and the Heisenberg family."""
+"""The algebras the differential tests run on: the catalog entries (and
+the dense forms they must parse to), the six algebras of the benchmark's
+``bench/fixtures.py`` at seed 1, seeded random 2-step nilpotent algebras,
+and the Heisenberg family."""
 
 import functools
 import importlib.util
@@ -21,6 +22,24 @@ def _load_fixtures():
 
 
 FIXTURES = _load_fixtures()
+
+_SL2_BRACKETS = [
+    (0, 1, [0, 2, 0]),    # [h, e] = 2e
+    (0, 2, [0, 0, -2]),   # [h, f] = -2f
+    (1, 2, [1, 0, 0]),    # [e, f] = h
+]
+# name -> make_lie_algebra's (dim, dense (i, j, [e_i, e_j]) brackets, basis
+# names): the algebra each catalog document must parse to
+CATALOG_DENSE = {
+    "abelian1": (1, [], None),
+    "abelian2": (2, [], None),
+    "abelian3": (3, [], None),
+    "affine2": (2, [(0, 1, [0, 1])], None),
+    "heisenberg3": (3, [(0, 1, [0, 0, 1])], ("x", "y", "z")),
+    "sl2": (3, _SL2_BRACKETS, ("h", "e", "f")),
+    "sl2_plus_abelian1": (4, [(i, j, vec + [0]) for i, j, vec in _SL2_BRACKETS],
+                          ("h", "e", "f", "u")),
+}
 CATALOG_NAMES = [e.name for e in catalog()]
 NAMES = CATALOG_NAMES + sorted(FIXTURES.SPECS)
 

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liegraph.algebra import JacobiViolation, make_lie_algebra
+from algebras import CATALOG_DENSE
+from liegraph.algebra import JacobiViolation, LieAlgebra, make_lie_algebra
 from liegraph.catalog import (AlgebraFileError, CatalogError, catalog, lookup,
                               parse_algebra_file, serialize_algebra)
-from liegraph.cli import main
+from liegraph.cli import _table_lines, main
 from liegraph import fullgraph as fg_mod
 
 
@@ -42,18 +43,24 @@ class TestCatalog:
     def test_lookup_builds_only_the_entry_it_returns(self, monkeypatch):
         built = []
 
-        def counting(n, brackets, basis_names=None):
-            built.append(n)
-            return make_lie_algebra(n, brackets, basis_names)
+        def counting(text):
+            g = parse_algebra_file(text)
+            built.append(g.dim)
+            return g
 
-        # lookup reads make_lie_algebra from the catalog module's globals
+        # lookup reads parse_algebra_file from the catalog module's globals
         module = importlib.import_module("liegraph.catalog")
-        monkeypatch.setattr(module, "make_lie_algebra", counting)
+        monkeypatch.setattr(module, "parse_algebra_file", counting)
         assert lookup("sl2").algebra.basis_names == ("h", "e", "f")
         assert built == [3]
         with pytest.raises(CatalogError):
             lookup("so8")
         assert built == [3]
+
+    def test_each_entry_parses_to_its_dense_form(self):
+        got = {e.name: (e.algebra.pairs, e.algebra.basis_names) for e in catalog()}
+        dense = {name: make_lie_algebra(*form) for name, form in CATALOG_DENSE.items()}
+        assert got == {name: (g.pairs, g.basis_names) for name, g in dense.items()}
 
 
 class TestAlgebraFile:
@@ -252,6 +259,21 @@ class TestAlgebraFile:
         g = lookup(name).algebra
         again = parse_algebra_file(serialize_algebra(g))
         assert again.table == g.table and again.basis_names == g.basis_names
+
+
+@pytest.fixture
+def no_dense_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense structure-constant table was built")
+    monkeypatch.setattr(LieAlgebra, "table", property(refuse))
+
+
+def test_a_large_abelian_file_parses_and_prints_without_the_table(no_dense_table):
+    # info's bracket listing of a 60-dim file; its Der(G) (3600 unknowns)
+    # is beyond what info finishes in reasonable time, so it is not run
+    g = parse_algebra_file('{"dim": 60}')
+    assert g.dim == 60 and _table_lines(g) == ["(abelian)"]
+    assert parse_algebra_file(serialize_algebra(g)) == g
 
 
 # JSON values of the wrong type for a field that wants an integer or a list

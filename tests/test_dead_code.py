@@ -1,6 +1,12 @@
 """The package functions that no request runs are exactly ALLOWED, each
 with the reason it stays; one that only tests reach belongs in tests/.
 
+So this guard also stands for dense-view spies: a request that built the
+dense structure-constant table, wrote a matrix out dense, read a coordinate
+vector dense, built a Matrix or a span from dense entries, or read dense
+bracket vectors (make_lie_algebra, as_vector) would run a function that
+ALLOWED lists, and fail it.
+
 Every command (info, der, dder, full-graph, verify --theorem 1|2|lemma|all),
 text and --json, runs in-process under sys.setprofile on the catalog names
 and the six bench/fixtures.py algebras at seed 1, and so do corpus-verify,
@@ -25,6 +31,7 @@ ALLOWED = {
     **dict.fromkeys([
         "algebra.MatrixSpan.coordinates", "algebra.induced_lie_structure",
         "algebra.inner_derivations", "algebra.lie_algebra_from_table",
+        "algebra.make_lie_algebra",
         "dtheory.d_bracket", "dtheory.der_action", "dtheory.inner_d_derivation",
         "linalg.Subspace.from_rows", "linalg.nullspace", "linalg.rank",
         "linalg.solve"], TRACED),
@@ -39,6 +46,8 @@ ALLOWED = {
     "algebra.coboundaries": "called only by the traced inner_derivations",
     "algebra.coboundary": "called only by the traced inner_d_derivation, coboundaries",
     "linalg.Matrix.__init__": "called only by Matrix.from_rows",
+    "linalg.as_vector": "called only by make_lie_algebra, LieAlgebra.ad, "
+                        "Matrix.apply, solve and Subspace.from_rows",
     "linalg.Matrix.apply": "called only by the traced d_bracket and coboundary",
     "linalg.Matrix.column": "called only by the traced d_bracket",
     "linalg.Matrix.from_rows": "called only by traced names and coboundary",

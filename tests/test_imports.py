@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from liegraph.algebra import make_lie_algebra
+from liegraph.catalog import parse_algebra_file
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "liegraph"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -87,10 +87,11 @@ def test_the_catalog_attribute_is_the_submodule(monkeypatch):
     assert liegraph.catalog is module
     built = []
 
-    def counting(n, brackets, basis_names=None):
-        built.append(n)
-        return make_lie_algebra(n, brackets, basis_names)
+    def counting(text):
+        g = parse_algebra_file(text)
+        built.append(g.dim)
+        return g
 
-    monkeypatch.setattr("liegraph.catalog.make_lie_algebra", counting)
+    monkeypatch.setattr("liegraph.catalog.parse_algebra_file", counting)
     assert module.lookup("affine2").algebra.dim == 2
     assert built == [2]
