@@ -2,8 +2,8 @@
 
 A LieAlgebra holds its structure constants once, sparse: pairs[i][j] is
 the nonzero (k, c) of [e_i, e_j] = sum_k c e_k. Every reader in the package
-(ad, the Jacobi check, the cocycle rule, semidirect products, the
-printers) walks these pairs and never touches a zero. The dense table
+(_ad and adjoint, the Jacobi check, the cocycle rule, semidirect products,
+the printers) walks these pairs and never touches a zero. The dense table
 c[i][j][k] is only a view, built on first read for tests and oracles.
 Antisymmetry holds by construction. The Jacobi identity is scanned, on
 every basis triple i < j < l, only where structure constants enter the
@@ -15,11 +15,12 @@ for Der(G) and the d-bracket), and a semidirect product whose action is
 one by derivations and a homomorphism (semidirect, for C(G) and H).
 
 A Lie algebra L acting on Q^n is given by rho, the n x n matrices of its
-basis elements. Its 1-cocycle rule (cocycle_system) and 1-coboundaries
-(coboundary, coboundaries) are written once, and the invariants are
-linalg.common_kernel(rho). With rho = g.adjoint they give the center,
-Der(G) and the inner derivations; dtheory reads the d-analogues off
-Der(G) acting on G, rho = der.matrices.
+basis elements. Its 1-cocycle rule (cocycle_system) and 1-coboundary
+(coboundary) are written once, and the invariants are
+linalg.common_kernel(rho). With rho = g.adjoint they give the center and
+Der(G), and the adjoint coboundaries are the ad(e_k) that span the inner
+derivations; dtheory reads the d-analogues off Der(G) acting on G,
+rho = der.matrices.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .linalg import (ONE, Matrix, Scalar, SparseRow, Subspace, Terms, Vector,
-                     ZERO, _dense, _packed, as_vector, common_kernel, rank,
-                     solve, sparse_nullspace)
+from .linalg import (Matrix, Scalar, SparseRow, Subspace, Terms, Vector, ZERO,
+                     _dense, _packed, as_vector, common_kernel, rank, solve,
+                     sparse_nullspace)
 
 
 class LieError(Exception):
@@ -51,17 +52,6 @@ class JacobiViolation(LieError):
         self.residual = residual
         super().__init__(f"Jacobi identity fails on basis triple {triple}, "
                          f"residual ({', '.join(map(str, residual))})")
-
-
-class NotClosed(LieError):
-    def __init__(self, pair: tuple[int, int], witness: Matrix):
-        self.pair = pair
-        self.witness = witness
-        super().__init__(f"commutator of basis elements {pair} escapes the span")
-
-
-class DependentBasis(LieError):
-    pass
 
 
 class InternalConsistencyError(LieError):
@@ -99,17 +89,9 @@ class LieAlgebra:
         counter; the package reads pairs."""
         return tuple(tuple(_dense(t, self.dim) for t in row) for row in self.pairs)
 
-    def ad(self, x: Sequence) -> Matrix:
-        """Matrix of y -> [x, y]: entry (k, j) is the e_k term of [x, e_j].
-        A dense view of _ad, for tests and the per-pair reference
-        dtheory.d_bracket; the package passes _ad the nonzero terms."""
-        x = as_vector(x)
-        if len(x) != self.dim:
-            raise ValueError("vector length != dim")
-        return self._ad([(i, xi) for i, xi in enumerate(x) if xi])
-
     def _ad(self, x: Iterable[tuple[int, Scalar]]) -> Matrix:
-        """ad of the element whose nonzero coordinates are the (i, x_i) terms."""
+        """Matrix of y -> [x, y], x the element whose nonzero coordinates
+        are the (i, x_i) terms: entry (k, j) is the e_k term of [x, e_j]."""
         n = self.dim
         rows: list[SparseRow] = [{} for _ in range(n)]
         for i, xi in x:
@@ -127,10 +109,6 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, basis={list(self.basis_names)})"
-
-
-def _unit(n: int, j: int) -> Vector:
-    return tuple(ONE if t == j else ZERO for t in range(n))
 
 
 def _default_names(n: int) -> tuple[str, ...]:
@@ -267,16 +245,15 @@ def cocycle_system(rho: Sequence[Matrix],
 
 
 def coboundary(rho: Sequence[Matrix], v: Sequence) -> Matrix:
-    """The cocycle e_i -> -rho_i v."""
-    return Matrix.from_rows([tuple(-c for c in r.apply(v))
-                             for r in rho]).transpose()
-
-
-def coboundaries(rho: Sequence[Matrix]) -> Subspace:
-    """The span of the coboundaries of V's basis vectors."""
-    n = rho[0].rows
-    return Subspace._span(n * len(rho), [
-        _flat(coboundary(rho, _unit(n, k))) for k in range(n)])
+    """The cocycle e_i -> -rho_i v: its column i holds, for each nonzero
+    row k of rho_i, minus that row's product with the entries of v."""
+    n = rho[0].cols
+    if len(v) != n:
+        raise ValueError(f"vector length {len(v)} != cols {n}")
+    cols = [[(k, x) for k, row in enumerate(r.nonzeros)
+             if (x := -sum(a * v[c] for c, a in row))] for r in rho]
+    return Matrix._trusted(len(rho), rho[0].rows,
+                           tuple(map(tuple, cols))).transpose()
 
 
 def center(g: LieAlgebra) -> Subspace:
@@ -337,7 +314,8 @@ class MatrixSpan:
         return terms
 
     def coordinates(self, m: Matrix) -> Vector:
-        """Dense view of terms_of, for tests and the per-pair references."""
+        """Dense view of terms_of, for tests and for bench/trace_cli.py,
+        which traces it as coordinates_of."""
         return _dense(self.terms_of(m), self.dim)
 
     def lie_algebra(self, bracket: Callable[[int, int], Matrix],
@@ -403,30 +381,33 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
 
 
 def inner_derivations(g: LieAlgebra) -> Subspace:
-    """Span in Q^(n^2) of the flattened ad(e_i), the adjoint coboundaries."""
-    return coboundaries(g.adjoint)
+    """Span in Q^(n^2) of the flattened ad(e_k), the adjoint coboundaries:
+    the coboundary of e_k maps e_i to -[e_i, e_k] = [e_k, e_i], so it is
+    ad(e_k)."""
+    return Subspace._span(g.dim * g.dim, map(_flat, g.adjoint))
 
 
 def induced_lie_structure(matrices: Sequence[Matrix],
                           basis_names: Optional[Sequence[str]] = None) -> LieAlgebra:
     """Structure constants of a list of matrices closed under commutators.
 
-    Raises DependentBasis if the flattenings are dependent, NotClosed (with
-    the offending pair and commutator) if a commutator leaves the span.
+    Raises LieError if the flattenings are dependent or if a commutator
+    leaves the span, naming the pair of basis elements.
     """
     m = len(matrices)
     if m == 0:
         raise LieError("empty basis")
     flat = Matrix.from_rows([mat.flatten() for mat in matrices])
     if rank(flat) != m:
-        raise DependentBasis("flattened matrices are linearly dependent")
+        raise LieError("flattened matrices are linearly dependent")
     cols = flat.transpose()
     table = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
     for i, j in combinations(range(m), 2):
         comm = matrices[i].commutator(matrices[j])
         coords = solve(cols, comm.flatten())
         if coords is None:
-            raise NotClosed((i, j), comm)
+            raise LieError(
+                f"commutator of basis elements ({i}, {j}) escapes the span")
         table[i][j] = list(coords)
         table[j][i] = [-c for c in coords]
     return lie_algebra_from_table(table, basis_names)

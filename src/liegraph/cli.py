@@ -213,6 +213,13 @@ USAGE = "\n".join([
     *(f"  {c:<15}{h}" for c, (_, h) in _COMMANDS.items())])
 
 
+def _is_option(a: str) -> bool:
+    """Whether argparse reads a as an option: it starts with "-" and is
+    neither a lone "-" nor a negative integer, which argparse takes as
+    values while no option of its own looks like a negative number."""
+    return a.startswith("-") and a != "-" and not a[1:].isdecimal()
+
+
 def parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     """json, command, algebra, file and theorem, or None for -h or --help.
     Read left to right as argparse reads it: a bad command or option value
@@ -228,16 +235,17 @@ def parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
             args.json = True
         elif (key == "--file" and args.command in _ALGEBRA_COMMANDS
               or key == "--theorem" and args.command == "verify"):
-            if not eq and (value := next(rest, "-")).startswith("-"):
+            # a missing value reads as the option "--"
+            if not eq and _is_option(value := next(rest, "--")):
                 raise LieError(f"{key} needs a value")
             if key == "--theorem" and value not in ("1", "2", "lemma", "all"):
                 raise LieError("--theorem takes 1, 2, lemma or all")
             setattr(args, key[2:], value)
-        elif args.command is None and not a.startswith("-"):
+        elif args.command is None and not _is_option(a):
             if a not in _COMMANDS:
                 raise LieError(f"unknown command {a!r}; see liegraph --help")
             args.command = a
-        elif (a.startswith("-") or args.algebra is not None
+        elif (_is_option(a) or args.algebra is not None
               or args.command not in _ALGEBRA_COMMANDS):
             extra.append(a)
         else:

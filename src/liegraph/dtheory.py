@@ -18,8 +18,9 @@ the n x m matrix whose column j is its value on the j-th Der basis element.
 The cocycle table is built from the n x n maps L∘ad, and H's action is read
 off the inner cocycles, whose coordinates build_h takes from the columns of
 Der(G)'s basis, so no m x m matrix of Der(G) and no dense vector is built
-here; inner_d_derivation, d_bracket and der_action are the per-pair
-references, on matrices.
+here. inner_d_derivation, d_bracket and der_action are the per-pair
+references, on matrices: they read columns and coordinates as nonzero
+terms too.
 
 No Jacobi triple is scanned here. The d-bracket is the commutator of an
 associative product, and H's action is a homomorphism into the
@@ -90,20 +91,21 @@ def d_derivations(der: DerivationAlgebra) -> DDerivationSpace:
 
 def d_bracket(der: DerivationAlgebra, l1: Matrix, l2: Matrix) -> Matrix:
     """[L1,L2](D) = L1(ad(L2(D))) - L2(ad(L1(D))), one Der basis element
-    D at a time."""
-    g = der.parent
-    cols = []
-    for j in range(der.dim):
-        a1 = der.coordinates_of(g.ad(l2.column(j)))
-        a2 = der.coordinates_of(g.ad(l1.column(j)))
-        cols.append(tuple(x - y for x, y in zip(l1.apply(a1), l2.apply(a2))))
-    return Matrix.from_rows(cols).transpose()
+    D = D_j at a time: [L1,L2] = L1 @ A(L2) - L2 @ A(L1), where column j of
+    the m x m map A(L) is the Der coordinates of ad(L(D_j)). L(D_j) is read
+    as the terms of column j of L, and A(L) is built as its transpose,
+    whose row j is those coordinates as terms."""
+    g, m = der.parent, der.dim
+    a = lambda l: Matrix._trusted(m, m, tuple(
+        der.terms_of(g._ad(c)) for c in l.transpose().nonzeros)).transpose()
+    return l1 @ a(l2) - l2 @ a(l1)
 
 
 def der_action(der: DerivationAlgebra, d: Matrix, l: Matrix) -> Matrix:
-    """D(L) = D∘L - L∘ad(D), ad(D) taken inside Der(G)."""
-    ad_d = Matrix.from_rows([der.coordinates_of(d.commutator(b))
-                             for b in der.matrices]).transpose()
+    """D(L) = D∘L - L∘ad(D), ad(D) taken inside Der(G): row i of its
+    transpose is the Der terms of [D, D_i]."""
+    ad_d = Matrix._trusted(der.dim, der.dim, tuple(
+        der.terms_of(d.commutator(b)) for b in der.matrices)).transpose()
     return d @ l - l @ ad_d
 
 

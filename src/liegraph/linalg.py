@@ -1,14 +1,15 @@
 """Exact rational matrices, reduced row echelon form, and canonical subspaces.
 
 Everything downstream is a rank decision, so all arithmetic is exact: a
-scalar is an ``int`` when it is integral and a ``fractions.Fraction``
-otherwise, never a float. ``as_scalar`` is the one way in, and gives an
-``int`` for every integral value; sums, differences and products keep that
-type without help, and the one division, ``sparse_rref``'s scaling of a new
-pivot row, goes through ``Fraction`` and hands back an ``int`` again when
-the quotient is integral. Almost every entry of the systems solved here is a
-small integer, and ``int`` arithmetic skips the ``Fraction`` object work.
-``str``, ``==`` and ``hash`` agree between an ``int`` and the equal
+scalar is an ``int`` or a ``fractions.Fraction``, never a float.
+``as_scalar`` is the one way in, and gives an ``int`` for every integral
+value; the one division, ``sparse_rref``'s scaling of a new pivot row, goes
+through ``Fraction`` and hands back an ``int`` again when the quotient is
+integral. Nothing else normalises: sums, differences and products of ints
+stay ints, but arithmetic on Fractions can leave an integral ``Fraction``
+such as ``Fraction(2, 1)``. Almost every entry of the systems solved here
+is a small integer, and ``int`` arithmetic skips the ``Fraction`` object
+work. ``str``, ``==`` and ``hash`` agree between an ``int`` and the equal
 ``Fraction``, so which type an entry has never shows in an output or in a
 comparison.
 
@@ -19,9 +20,9 @@ copied. A subspace is likewise kept as the rows of its canonical RREF
 basis, as the kernel gives them: two subspaces are equal iff these rows are
 equal. A vector's coordinates are its nonzero terms ``((i, a), ...)``, read
 at the pivots off its ``{column: entry}`` nonzeros, and combinations take
-terms. A matrix's dense forms, ``Matrix.row``, ``column`` and ``flatten``,
-are views built on request, for printing, the benchmark's trace counters
-and tests; a subspace has none.
+terms. A matrix's dense forms, ``Matrix.row`` and ``flatten``, are views
+built on request, for printing, the benchmark's trace counters and tests;
+a subspace has none.
 
 All elimination is done by one sparse Gauss-Jordan kernel, ``sparse_rref``,
 on rows held as ``{column: nonzero entry}``: the systems solved here are
@@ -73,8 +74,8 @@ def as_vector(v: Iterable) -> Vector:
 class Matrix:
     """Immutable matrix of exact rationals (ints and Fractions), held as its
     nonzeros: per row, the (column, entry) pairs in column order, with no
-    zero entry. Equality and hashing read them; row, column and flatten are
-    dense views built on request."""
+    zero entry. Equality and hashing read them; row and flatten are dense
+    views built on request."""
 
     __slots__ = ("rows", "cols", "nonzeros")
 
@@ -112,9 +113,6 @@ class Matrix:
 
     def row(self, r: int) -> Vector:
         return _dense(self.nonzeros[r], self.cols)
-
-    def column(self, c: int) -> Vector:
-        return self.transpose().row(c)
 
     def flatten(self) -> Vector:
         """Row-major dense view: entry (r, c) at r * cols + c, the index by
@@ -160,21 +158,6 @@ class Matrix:
                     acc[c] = acc.get(c, ZERO) + a * b
             out.append(acc)
         return Matrix._trusted(self.rows, other.cols, _packed(out))
-
-    def apply(self, v: Sequence) -> Vector:
-        """Matrix-vector product."""
-        v = as_vector(v)
-        if len(v) != self.cols:
-            raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        out = []
-        for row in self.nonzeros:
-            acc = ZERO
-            for c, a in row:
-                x = v[c]
-                if x:
-                    acc += a * x
-            out.append(acc)
-        return tuple(out)
 
     def commutator(self, other: "Matrix", first: int = 0) -> "Matrix":
         """Rows first … n−1 of self @ other − other @ self, an (n − first) × n

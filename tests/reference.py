@@ -11,7 +11,10 @@ Fraction; the differential tests require the fast paths to give exactly
 what these give. ``rref`` is the sparse kernel's RREF of a whole Matrix,
 ``build_parser`` the argparse command line that the CLI's own parser
 replaced, and ``check_theorem1`` the theorem 1 check on every row of each
-map of C(G), where the package reads only the G rows.
+map of C(G), where the package reads only the G rows. ``column`` and
+``apply`` are the dense column and matrix-vector product that the package's
+Matrix does not offer, and ``coboundaries`` spans the coboundaries one
+unit vector at a time.
 """
 
 import argparse
@@ -19,11 +22,33 @@ from fractions import Fraction
 from itertools import combinations
 
 from liegraph import fullgraph
-from liegraph.algebra import JacobiViolation, LieAlgebra, _flat, _unit
+from liegraph.algebra import JacobiViolation, LieAlgebra, _flat, coboundary
 from liegraph.linalg import Matrix, Subspace, _packed, as_vector, sparse_rref
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def unit(n, j):
+    """The j-th unit vector of Q^n."""
+    return tuple(int(t == j) for t in range(n))
+
+
+def column(m, j):
+    """Column j of the Matrix m, dense."""
+    return m.transpose().row(j)
+
+
+def apply(m, v):
+    """m v for the Matrix m and a dense vector v."""
+    return tuple(sum(x * v[c] for c, x in row) for row in m.nonzeros)
+
+
+def coboundaries(rho):
+    """The span of the coboundaries of V's unit vectors."""
+    n = rho[0].rows
+    return Subspace._span(n * len(rho), [
+        _flat(coboundary(rho, unit(n, k))) for k in range(n)])
 
 
 def rref_rows(rows):
@@ -167,9 +192,9 @@ def is_cocycle(rho, algebra, phi):
     """phi([e_i, e_j]) = rho_i phi(e_j) - rho_j phi(e_i) for every i < j."""
     s = algebra.table
     for i, j in combinations(range(len(rho)), 2):
-        rhs = tuple(a - b for a, b in zip(rho[i].apply(phi.column(j)),
-                                          rho[j].apply(phi.column(i))))
-        if phi.apply(s[i][j]) != rhs:
+        rhs = tuple(a - b for a, b in zip(apply(rho[i], column(phi, j)),
+                                          apply(rho[j], column(phi, i))))
+        if apply(phi, s[i][j]) != rhs:
             return False
     return True
 
@@ -246,11 +271,11 @@ def h_derivation(dspace, d_terms, l_terms):
     der = dspace.der
     g, m = der.parent, der.dim
     D, L = der.matrix_of(d_terms), dspace.matrix_of(l_terms)
-    cols = [der.coordinates_of(D.commutator(der.matrices[j])) + L.column(j)
+    cols = [der.coordinates_of(D.commutator(der.matrices[j])) + column(L, j)
             for j in range(m)]
     for j in range(g.dim):
-        corr = L.apply(der.coordinates_of(g.adjoint[j]))
-        cols.append((ZERO,) * m + tuple(a + b for a, b in zip(D.column(j), corr)))
+        corr = apply(L, der.coordinates_of(g.adjoint[j]))
+        cols.append((ZERO,) * m + tuple(a + b for a, b in zip(column(D, j), corr)))
     return Matrix.from_rows(cols).transpose()
 
 
@@ -261,7 +286,7 @@ def check_theorem1(ws):
     dspace, h = ws.dspace, ws.h
     m, p, size = ws.der.dim, dspace.dim, ws.cg.dim
     total = m + p
-    units = [_unit(total, i) for i in range(total)]
+    units = [unit(total, i) for i in range(total)]
     gens = [fullgraph.h_derivation(dspace, terms(u[:m]), terms(u[m:]))
             for u in units]
     each_der = all(fullgraph.is_block_derivation(dspace, M) for M in gens)

@@ -27,14 +27,16 @@ COMMANDS = ["info", "der", "dder", "full-graph", "verify", "corpus-verify"]
 FIELDS = ("json", "command", "algebra", "file", "theorem")
 
 # each token is one or more argv entries: "--file x" stays one pair, and
-# --theorem comes alone, before each of its values and joined to two
+# --theorem comes alone, before each of its values and joined to two. A
+# lone "-" and a negative integer start with "-" but are values to argparse
 THEOREMS = ("1", "2", "lemma", "all", "3")
 TOKENS = st.sampled_from(
     [(c,) for c in COMMANDS] + [(e.name,) for e in catalog()]
     + [(t,) for t in ("nope", "--json", "--file=x", "--theorem", *THEOREMS,
                       "--theorem=lemma", "--theorem=3", "-h", "--help",
-                      "--bogus")]
-    + [("--file", "x")] + [("--theorem", t) for t in THEOREMS])
+                      "--bogus", "-", "-5")]
+    + [("--file", f) for f in ("x", "-", "-5")]
+    + [("--theorem", t) for t in THEOREMS])
 
 
 @st.composite
@@ -117,6 +119,22 @@ def test_usage_error_is_one_line_and_exit_2(argv):
     code, out, err = run_main(argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, field, error", [
+    (["info", "-"], "algebra", "no catalog algebra named '-'"),
+    (["info", "-5"], "algebra", "no catalog algebra named '-5'"),
+    (["info", "--file", "-"], "file", "cannot read -: "),
+    (["info", "--file", "-5"], "file", "cannot read -5: "),
+])
+def test_a_lone_dash_and_a_negative_integer_are_values(argv, field, error):
+    # argparse reads both as values, so they parse as the algebra name or
+    # the file, and only the lookup or the read refuses them
+    expected = reference_outcome(argv)
+    assert outcome(argv) == expected and expected[field] == argv[-1]
+    code, out, err = run_main(argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, code", [

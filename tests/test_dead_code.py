@@ -1,5 +1,8 @@
 """The package functions that no request runs are exactly ALLOWED, each
-with the reason it stays; one that only tests reach belongs in tests/.
+with the reason it stays; one that only tests reach belongs in tests/. A
+"called only by" reason names its callers by module.qualname, and each of
+them must still be a def in the package that no request runs either, so a
+reason cannot outlive a deleted caller.
 
 So this guard also stands for dense-view spies: a request that built the
 dense structure-constant table, wrote a matrix out dense, read a coordinate
@@ -27,6 +30,7 @@ from test_trace_targets import _load_trace_cli
 
 SRC = Path(liegraph.__file__).resolve().parent
 TRACED, DUNDER = "a bench/trace_cli.py TARGETS name", "a value-object dunder"
+CALLED = "called only by "
 ALLOWED = {
     **dict.fromkeys([
         "algebra.MatrixSpan.coordinates", "algebra.induced_lie_structure",
@@ -40,17 +44,11 @@ ALLOWED = {
         "algebra.LieAlgebra.__repr__", "linalg.Matrix.__hash__",
         "linalg.Matrix.__repr__", "linalg.Subspace.__eq__",
         "linalg.Subspace.__hash__", "linalg.Subspace.__repr__"], DUNDER),
-    "algebra.LieAlgebra.ad": "called only by the traced d_bracket",
-    "algebra.NotClosed.__init__": "raised only by the traced induced_lie_structure",
-    "algebra._unit": "called only by coboundaries",
-    "algebra.coboundaries": "called only by the traced inner_derivations",
-    "algebra.coboundary": "called only by the traced inner_d_derivation, coboundaries",
-    "linalg.Matrix.__init__": "called only by Matrix.from_rows",
-    "linalg.as_vector": "called only by make_lie_algebra, LieAlgebra.ad, "
-                        "Matrix.apply, solve and Subspace.from_rows",
-    "linalg.Matrix.apply": "called only by the traced d_bracket and coboundary",
-    "linalg.Matrix.column": "called only by the traced d_bracket",
-    "linalg.Matrix.from_rows": "called only by traced names and coboundary",
+    "algebra.coboundary": CALLED + "dtheory.inner_d_derivation",
+    "linalg.Matrix.__init__": CALLED + "linalg.Matrix.from_rows",
+    "linalg.as_vector": CALLED + "algebra.make_lie_algebra, linalg.solve, "
+                                 "linalg.Subspace.from_rows",
+    "linalg.Matrix.from_rows": CALLED + "algebra.induced_lie_structure",
     "algebra.LieAlgebra.table": "read by the trace counter of derivation_algebra",
     "linalg.Matrix.flatten": "read by the trace counter of nullspace",
     "catalog.serialize_algebra": "imported by bench/fixtures.py",
@@ -117,3 +115,9 @@ def test_every_function_no_request_runs_is_allowed(tmp_path, monkeypatch, capsys
     functions = _functions()
     assert sorted(functions[key] for key in functions.keys() - ran) == sorted(ALLOWED)
     assert {name for name, why in ALLOWED.items() if why == TRACED} <= _traced()
+
+
+def test_each_named_caller_is_a_function_no_request_runs():
+    callers = {c for why in ALLOWED.values() if why.startswith(CALLED)
+               for c in why[len(CALLED):].split(", ")}
+    assert callers and callers <= set(_functions().values()) & ALLOWED.keys()

@@ -78,7 +78,7 @@ class TestBuildFullGraph:
                 d_part = [1 if t == i else 0 for t in range(m)]
                 x_part = [1 if t == j else 0 for t in range(n)]
                 out = reference.bracket(cg.table, d_part + [0] * n, embed_g(m, x_part))
-                assert out == embed_g(m, der.matrices[i].column(j))
+                assert out == embed_g(m, reference.column(der.matrices[i], j))
 
 
 class TestHDerivation:
@@ -366,7 +366,8 @@ def _assemble(ws, c: Matrix, e: Matrix, b: Matrix) -> Matrix:
     der = ws.der
     a = Matrix.from_rows([
         tuple(x - y for x, y in zip(der.coordinates_of(e.commutator(d)),
-                                    der.ad_coordinates.apply(c.column(j))))
+                                    reference.apply(der.ad_coordinates,
+                                                    reference.column(c, j))))
         for j, d in enumerate(der.matrices)]).transpose()
     return Matrix.from_rows([a.row(r) + b.row(r) for r in range(a.rows)]
                             + [c.row(r) + e.row(r) for r in range(c.rows)])
