@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import sys
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -213,11 +214,21 @@ USAGE = "\n".join([
     *(f"  {c:<15}{h}" for c, (_, h) in _COMMANDS.items())])
 
 
-def _is_option(a: str) -> bool:
-    """Whether argparse reads a as an option: it starts with "-" and is
-    neither a lone "-" nor a negative integer, which argparse takes as
-    values while no option of its own looks like a negative number."""
-    return a.startswith("-") and a != "-" and not a[1:].isdecimal()
+# argparse's pattern of a negative number, which it reads as a value while
+# no option of the parser looks like one
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_option(a: str, command: Optional[str]) -> bool:
+    """Whether argparse (3.11) reads a as an option in command's parser: a
+    starts with "-" and is not a lone "-", and it begins with -h or with
+    one of the parser's options and "=", or else it is no negative number
+    (-5, -.5) and holds no space."""
+    key = a.partition("=")[0]
+    return a.startswith("-") and a != "-" and (
+        a.startswith("-h") or key in ("--help", "--file")
+        or key == "--theorem" and command == "verify"
+        or " " not in a and not _NEGATIVE_NUMBER.match(a))
 
 
 def parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
@@ -236,16 +247,16 @@ def parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
         elif (key == "--file" and args.command in _ALGEBRA_COMMANDS
               or key == "--theorem" and args.command == "verify"):
             # a missing value reads as the option "--"
-            if not eq and _is_option(value := next(rest, "--")):
+            if not eq and _is_option(value := next(rest, "--"), args.command):
                 raise LieError(f"{key} needs a value")
-            if key == "--theorem" and value not in ("1", "2", "lemma", "all"):
+            if key == "--theorem" and value not in fg_mod.CHECKS:
                 raise LieError("--theorem takes 1, 2, lemma or all")
             setattr(args, key[2:], value)
-        elif args.command is None and not _is_option(a):
+        elif args.command is None and not _is_option(a, None):
             if a not in _COMMANDS:
                 raise LieError(f"unknown command {a!r}; see liegraph --help")
             args.command = a
-        elif (_is_option(a) or args.algebra is not None
+        elif (_is_option(a, args.command) or args.algebra is not None
               or args.command not in _ALGEBRA_COMMANDS):
             extra.append(a)
         else:
@@ -269,13 +280,15 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         out.write((json.dumps(doc, indent=2, sort_keys=True) if args and args.json
                    else "\n".join(lines)) + "\n")
         out.flush()
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         # EPIPE, a reader that closed early (`liegraph ... | head`), is
-        # silent, and any other failure (a full disk) one error line. Point
-        # stdout at devnull so the flush after main (run's, or the
-        # interpreter's at exit) cannot raise again, and exit 1.
+        # silent, and any other failure (a full disk, a basis name that
+        # stdout's encoding cannot hold) one error line. Point stdout at
+        # devnull so the flush after main (run's, or the interpreter's at
+        # exit) cannot raise again, and exit 1.
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write the result: {exc.strerror}", file=sys.stderr)
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            print(f"error: cannot write the result: {reason}", file=sys.stderr)
         if out is sys.stdout:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())

@@ -199,7 +199,10 @@ class VerificationReport(NamedTuple):
 
 
 class _Workspace:
-    """Shared intermediates, each built once and only when a check reads it."""
+    """Shared intermediates, each built once. Der(G) and C(G), which every
+    check reads, are built with the workspace, before any check starts, so
+    a trace of the checks counts neither; the rest when a check first reads
+    it."""
 
     def __init__(self, g: LieAlgebra):
         self.der = derivation_algebra(g)
@@ -305,10 +308,15 @@ def check_theorem2(ws: _Workspace) -> tuple[Theorem2Evidence,
                              dc.d_complete == cc.complete), dc, cc)
 
 
+# what verify (and the CLI's --theorem) takes: theorem 1, theorem 2, the
+# lemma, or all three
+CHECKS = ("1", "2", "lemma", "all")
+
+
 def verify(g: LieAlgebra, name: str = "",
            which: str = "all") -> VerificationReport:
     """Run the requested checks; which is one of 1 / 2 / lemma / all."""
-    if which not in ("1", "2", "lemma", "all"):
+    if which not in CHECKS:
         raise ValueError(f"which must be 1, 2, lemma or all, got {which!r}")
     ws = _Workspace(g)
     t1 = lemma = t2 = dc = cc = None

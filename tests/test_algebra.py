@@ -1,15 +1,14 @@
 import functools
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import child
 import oracle
 import reference
 import sympy as sp
@@ -100,13 +99,11 @@ class TestConstruction:
         # a nonzero (i, i) is refused where it is read, so no loop runs
         # over range(dim) and the first allocation of that size raises; a
         # fresh process under a timeout fails this test, not the suite
-        src = Path(__file__).resolve().parents[1] / "src"
         code = ("from liegraph.algebra import make_lie_algebra\n"
                 "try:\n    make_lie_algebra(10 ** 20, [])\n"
                 "except OverflowError:\n    print('refused')")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=60,
-                              env=dict(os.environ, PYTHONPATH=str(src)))
+                              text=True, timeout=60, env=child.env())
         assert (proc.returncode, proc.stdout) == (0, "refused\n"), proc.stderr
 
     def test_dim_zero_rejected(self):

@@ -7,11 +7,11 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import child
 from algebras import CATALOG_DENSE
 from liegraph.algebra import JacobiViolation, LieAlgebra, make_lie_algebra
 from liegraph.catalog import (AlgebraFileError, CatalogError, catalog, lookup,
@@ -219,11 +219,9 @@ class TestAlgebraFile:
         # before the end of the file; a fresh process shows all of stderr
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000)
-        src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "liegraph.cli", "info", "--file", str(path)],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=str(src)))
+            capture_output=True, text=True, timeout=120, env=child.env())
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: malformed JSON: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
@@ -406,11 +404,9 @@ def test_integer_past_the_digit_limit_is_one_short_error_line(doc, field, tmp_pa
     assert str(exc.value) == message
     path = tmp_path / "long.json"
     path.write_text(doc)
-    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "liegraph.cli", "info", "--file", str(path)],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(src)))
+        capture_output=True, text=True, timeout=120, env=child.env())
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", f"error: {message}\n")
 
@@ -428,11 +424,15 @@ class TestCli:
         assert "der dim: 3" in text
 
     def test_info_json(self):
+        # the inner dimensions are dim G minus the center and minus the
+        # d-center (rank-nullity), not ranks of spanned coboundaries
         code, text = run_cli("--json", "info", "heisenberg3")
         assert code == 0
         data = json.loads(text)
-        assert data["der_dim"] == 6 and data["d_space_dim"] == 3
-        assert data["d_center_dim"] == 0
+        assert {k: data[k] for k in ("center_dim", "der_dim", "inner_der_dim",
+                                     "d_space_dim", "inner_d_dim", "d_center_dim")
+                } == {"center_dim": 1, "der_dim": 6, "inner_der_dim": 2,
+                      "d_space_dim": 3, "inner_d_dim": 3, "d_center_dim": 0}
 
     def test_der(self):
         code, text = run_cli("der", "sl2")
@@ -523,7 +523,9 @@ class TestCli:
             {"i": 0, "j": 2, "result": [{"k": 0, "coeff": "1"}]}]}))
         code, _ = run_cli("verify", "--file", str(bad))
         assert code == 2
-        assert "(0, 1, 2)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: Jacobi identity fails on basis triple (0, 1, 2)")
+        assert err.count("\n") == 1
 
     def test_jacobi_residual_is_written_as_file_rationals(self, tmp_path, capsys):
         # [h,e] = 1/2 e, [h,f] = -1/2 f, [e,f] = 3/2 h - 2/3 e
@@ -569,6 +571,22 @@ class TestCli:
         code, _ = run_cli(*argv)
         assert code in (0, 1)
         assert scanned == [given]
+
+    # h_{2k+1} from a file with no basis names fails theorem 1 as the
+    # catalog's heisenberg3 does: dim H = 2k²+5k+2 misses one dimension of
+    # Der(C(G)); at k = 4 Der(C(G)) is solved from its blocks alone
+    @pytest.mark.parametrize("k, theorem", [(1, "all"), (4, "1")])
+    def test_heisenberg_file_misses_one_derivation(self, k, theorem, tmp_path):
+        n = 2 * k + 1
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"dim": n, "brackets": [
+            {"i": 2 * i, "j": 2 * i + 1, "result": [{"k": n - 1, "coeff": "1"}]}
+            for i in range(k)]}))
+        code, text = run_cli("--json", "verify", "--theorem", theorem,
+                             "--file", str(path))
+        t1 = json.loads(text)["theorem1"]
+        assert (code, t1["dim_h"], t1["dim_der_cg"]) == (
+            1, 2 * k * k + 5 * k + 2, 2 * k * k + 5 * k + 3)
 
     def test_verify_file_roundtrip(self, tmp_path):
         path = tmp_path / "sl2.json"
@@ -644,19 +662,15 @@ def test_each_result_is_written_in_one_call(argv, heisenberg7_file):
     out = CountingStream()
     assert main(argv, out=out) == 0
     assert out.writes == 1
-    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "liegraph.cli", *argv], capture_output=True,
-        timeout=120, env={**os.environ, "PYTHONPATH": str(src),
-                          "PYTHONUNBUFFERED": "1"})
+        timeout=120, env=child.env(PYTHONUNBUFFERED="1"))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, out.getvalue().encode(), b"")
 
 
 def test_reader_closing_after_one_byte_leaves_stderr_empty():
     import fcntl  # F_SETPIPE_SZ is Linux-only
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
     r, w = os.pipe()
     # a 4096-byte pipe holds less than the 4.5 kB report, so the writer is
     # still blocked when the reader closes and must see EPIPE
@@ -664,7 +678,7 @@ def test_reader_closing_after_one_byte_leaves_stderr_empty():
     try:
         proc = subprocess.Popen(
             [sys.executable, "-m", "liegraph.cli", "--json", "der", "abelian3"],
-            stdout=w, stderr=subprocess.PIPE, env=env)
+            stdout=w, stderr=subprocess.PIPE, env=child.env())
     finally:
         os.close(w)
     try:
@@ -682,8 +696,7 @@ def test_one_write_meets_epipe_buffered_or_not(unbuffered, heisenberg7_file):
     # an 8 kB result to a 4096-byte pipe: unbuffered, write(2) takes 4096
     # bytes and returns when the reader closes; the rest must still meet EPIPE
     import fcntl  # F_SETPIPE_SZ is Linux-only
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    env = child.env(PYTHONUNBUFFERED=unbuffered)
     r, w = os.pipe()
     fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
     try:
@@ -715,14 +728,44 @@ def test_failed_write_is_one_error_line(argv, capsys):
         f"error: cannot write the result: {os.strerror(errno.ENOSPC)}\n")
 
 
+@pytest.fixture
+def greek_file(tmp_path):
+    path = tmp_path / "greek.json"
+    path.write_text(json.dumps({"dim": 2, "basis_names": ["α", "β"], "brackets": [
+        {"i": 0, "j": 1, "result": [{"k": 1, "coeff": "1"}]}]}), encoding="utf-8")
+    return str(path)
+
+
+def test_a_name_stdout_cannot_encode_is_one_error_line(greek_file, capsys):
+    # the text form prints the names as they are; --json escapes them
+    out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    assert main(["info", "--file", greek_file], out=out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the result: 'ascii' codec")
+    assert err.count("\n") == 1
+    out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    assert main(["--json", "info", "--file", greek_file], out=out) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_an_ascii_stdout_meets_the_name_as_one_error_line(unbuffered, greek_file):
+    proc = subprocess.run(
+        [sys.executable, "-m", "liegraph.cli", "info", "--file", greek_file],
+        capture_output=True, text=True, timeout=120,
+        env=child.env(PYTHONIOENCODING="ascii", PYTHONUNBUFFERED=unbuffered))
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr.startswith("error: cannot write the result: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 @pytest.mark.parametrize("argv", [["info", "sl2"], ["--json", "corpus-verify"]])
 def test_write_to_a_full_device_is_one_error_line(argv, unbuffered):
     # every write(2) to /dev/full fails with ENOSPC: one error line and
     # exit 1, with no traceback from main or from the interpreter's flush
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    env = child.env(PYTHONUNBUFFERED=unbuffered)
     with open("/dev/full", "wb") as full:
         proc = subprocess.run([sys.executable, "-m", "liegraph.cli", *argv],
                               stdout=full, stderr=subprocess.PIPE, env=env,

@@ -1,6 +1,7 @@
 """Byte-identical `--json` and text output of every subcommand on the
-catalog, and `--json` output of the benchmark's ladder and explore requests
-on its larger algebras.
+catalog, `--json` output of the benchmark's ladder and explore requests
+on its larger algebras, and text output of every algebra subcommand on
+the files of those algebras.
 
 The `--json` hashes were recorded before the derivation spans and the
 semidirect products were rebuilt on shared code, and the text hashes
@@ -182,3 +183,60 @@ def test_bench_request_matches_pin(req, tmp_path, monkeypatch):
     out = io.StringIO()
     assert main(["--json", *req.args], out=out) == pin["exit"]
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == pin["sha256"]
+
+
+# (command and algebra, exit code, sha256 of stdout) of the text form on
+# the six files bench/fixtures.py writes at seed 1, each read as
+# <name>.json from the working directory, as the first line prints the
+# file's name; recorded before the CLI's argument rule and its handling of
+# a failed write last changed
+FIXTURE_TEXT_GOLDEN = [
+    ('info abelian4', 0, "09b70608937b0b7918329e8891049d4c91e2735bdd0cca706b9f2e778666d142"),
+    ('der abelian4', 0, "3d702d0a3c4a5586f51d0adefb4bd53f53f2407b7bd5c61f5422239e1b760efb"),
+    ('dder abelian4', 0, "7f950d272027341d9021f5171a7e021609b35aceacc07bcdb662474a979b90a4"),
+    ('full-graph abelian4', 0, "2f51ac7b8ce753c7066460f499d9c734fbb9a568404fd360c42652091d810c74"),
+    ('verify abelian4', 0, "97c7f18e608d1f2581ec43ce4024947299c1918bdef0bb84b8ff00847b7da62d"),
+    ('info heisenberg5', 0, "a770ba754402b44582ddd835b877997ee518fd73a42272545b881a48d73ade73"),
+    ('der heisenberg5', 0, "b938e6e7ca609cd472c6d370f69d9741e3db15244c8ead3be503e45f89a5c222"),
+    ('dder heisenberg5', 0, "c63651a754539781134537a091d9444938c8e415caf6d986fb6b707a14b7d58a"),
+    ('full-graph heisenberg5', 0, "63b3eacdf89e9862948e5cfe8975393aaaaad16ca3aa28623bb09381cbd05594"),
+    ('verify heisenberg5', 1, "e5407c8fa858d5fc9a449b5f1ee0f83263808e70eb3420fadcf82e742ae8fa9c"),
+    ('info sl2_sum_sl2', 0, "cc79fe7c64b0089184040c65f6cbab1de8f0270bd17685109d3b808160957d8c"),
+    ('der sl2_sum_sl2', 0, "0dc34d5e656d12784b60f2c675dc3307eb49a7e0918533b09ff52bcf7df6eb62"),
+    ('dder sl2_sum_sl2', 0, "c706264f138cc10bb30c4ab478aed6113b8003fa983de5d683b4674220d63a42"),
+    ('full-graph sl2_sum_sl2', 0, "263e13c888fbd6df8b2c92e128b597ab6ccf765c3b72be5b620f7e94f724f156"),
+    ('verify sl2_sum_sl2', 0, "e2f590467a6ca86768f91ec4b24a18f71a951dbf366c3d2e4b8f74bc6e0c1611"),
+    ('info filiform8', 0, "7f5506b374c3ecb6ba674acacf0550701aadde98faa4dec9a0925218c67012da"),
+    ('der filiform8', 0, "9cd28a3bd41ba6ac550a043d9cca365e824296d21bc138881a2294b7fbc556bd"),
+    ('dder filiform8', 0, "2b4b89870cd8537073887e6f0c9511619357bbf8447bea836e9562749816e49e"),
+    ('full-graph filiform8', 0, "65c787e4e052a50df859bc9b432e6706e91429e17d80e44bb0eb5924a0dd231a"),
+    ('verify filiform8', 0, "390848977c93d8aa37fadc9eaadc9fa25595cbfe3e0755edf9aef36714cd80bf"),
+    ('info diagonal8', 0, "e157a30d4cd703c1cc4f10ff4e6f1f1e232eda28d652da0792be4c063bea3e57"),
+    ('der diagonal8', 0, "b8d5aa8a270735442ac29f41c2ab72939211c1334ddfa7cd2eef49c0702a7cc2"),
+    ('dder diagonal8', 0, "5bcc8d9c44e4122305a57ba3f70820dd689d135780827c86093e47b16d05eeb1"),
+    ('full-graph diagonal8', 0, "03490da293477828791a67c38fde318781961d76654137cb3db1e15b83637266"),
+    ('verify diagonal8', 0, "5d52cfc565eca6420373627dd001bd819109af11ebcb13d773b926b0e04dd18e"),
+    ('info heisenberg7', 0, "65e4d2c1f8f650bc4c249898911bf4673deaf817ffb9b009ffc6141e6be89ae7"),
+    ('der heisenberg7', 0, "fd561a93c0e49c495ce3ca23f6aa92486336562b848d61fb08e4016ef7d83407"),
+    ('dder heisenberg7', 0, "e41b87b9ced2a1f7dae6bcca540272178f6a9eece0c13c2de37b4882c09b1e91"),
+    ('full-graph heisenberg7', 0, "f4a952d92dd557533f3467fb9332da90f4ee877a570cb96aded4d0d586a03bd6"),
+    ('verify heisenberg7', 1, "a9910a5f0b1fb711a4bc491b380a2bd59c3ac4e77dbd207e28c322f2ef9a0e9e"),
+]
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fixtures")
+    fixtures.write_inputs(fixtures.LADDER + fixtures.EXPLORE, 1, directory)
+    return directory
+
+
+@pytest.mark.parametrize("args,code,digest", FIXTURE_TEXT_GOLDEN,
+                         ids=[g[0] for g in FIXTURE_TEXT_GOLDEN])
+def test_fixture_text_output_matches_recorded_hash(args, code, digest,
+                                                   fixture_dir, monkeypatch):
+    command, name = args.split()
+    monkeypatch.chdir(fixture_dir)
+    out = io.StringIO()
+    assert main([command, "--file", f"{name}.json"], out=out) == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

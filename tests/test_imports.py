@@ -13,18 +13,16 @@ and the catalog loads neither the d-theory nor the checks.
 """
 
 import ast
-import os
 import subprocess
 import sys
 import types
-from pathlib import Path
 
 import pytest
 
+import child
 from liegraph.catalog import parse_algebra_file
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "liegraph"
-MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = sorted(child.PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -59,8 +57,7 @@ def test_a_request_imports_no_dataclasses_or_inspect():
             "code = main(['--json', 'verify', 'sl2'], out=io.StringIO())\n"
             "print(code, sorted({'dataclasses', 'inspect', 'argparse', 'gettext',\n"
             "                    'locale'} & set(sys.modules)))\n")
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=child.env(),
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "0 []\n"
@@ -72,8 +69,7 @@ def test_the_algebra_and_catalog_load_no_dtheory_or_fullgraph():
             "from liegraph.catalog import lookup\n"
             "print(lookup('sl2').algebra.dim, sorted(\n"
             "    {'liegraph.dtheory', 'liegraph.fullgraph'} & set(sys.modules)))\n")
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=child.env(),
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "3 []\n"

@@ -11,13 +11,13 @@ and each counter is called once on a real call of its target.
 import importlib
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import child
 from liegraph.algebra import derivation_algebra
 from liegraph.catalog import lookup
 from liegraph.linalg import ZERO, Matrix, Subspace, nullspace, rank, solve
@@ -48,9 +48,7 @@ def test_trace_target_resolves(module_name, attr):
 def test_traced_verify_reaches_both_completeness_spans(tmp_path):
     # theorem2 calls is_complete and is_d_complete once each; a span that
     # reads 0 here means the call path goes round the traced name
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env = child.env()
     args = ["--json", "verify", "heisenberg3"]
     spans = tmp_path / "spans.json"
     traced = subprocess.run([sys.executable, str(TRACE_CLI), str(spans), *args],
