@@ -26,7 +26,7 @@ from .linalg import Scalar, Terms, as_scalar
 from .algebra import LieAlgebra, LieError, _from_brackets, _validate_jacobi
 
 
-class CatalogError(KeyError):
+class CatalogError(LieError):
     pass
 
 

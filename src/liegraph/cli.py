@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 from . import fullgraph as fg_mod
 from .algebra import (LieAlgebra, LieError, center, derivation_algebra,
                       derived_subalgebra, is_complete)
-from .catalog import (CatalogError, catalog, lookup, parse_algebra_file,
-                      sparse_brackets)
+from .catalog import catalog, lookup, parse_algebra_file, sparse_brackets
 from .dtheory import d_center, d_derivations, is_d_complete
 from .fullgraph import VerificationReport, build_full_graph
 from .linalg import Matrix
@@ -231,18 +230,46 @@ def _is_option(a: str, command: Optional[str]) -> bool:
         or " " not in a and not _NEGATIVE_NUMBER.match(a))
 
 
+def _asks_for_help(a: str) -> bool:
+    """Whether argparse (3.11) reads a as -h or --help: -h, --help, or -h
+    run together with more h's (-hh, -h=h). Raises LieError where it reads
+    -h or --help with an explicit argument, which help takes none of."""
+    key, eq, value = a.partition("=")
+    if a.startswith("-h") and a != "-h=":
+        # each h after -h is one more -h; the first other character is not
+        ignored = (value if key == "-h" else a[2:]).lstrip("h")
+        if not ignored:
+            return True
+    elif key == "--help" and eq or a == "-h=":
+        ignored = value
+    else:
+        return a == "--help"
+    raise LieError(f"argument -h/--help: ignored explicit argument {ignored!r}")
+
+
 def parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     """json, command, algebra, file and theorem, or None for -h or --help.
     Read left to right as argparse reads it: a bad command or option value
-    raises LieError where it is met, a left-over argument only at the end."""
+    raises LieError where it is met, a left-over argument only at the end.
+    After the command, "--" makes every later argument a value; it is
+    itself dropped where the algebra comes just before it or not yet."""
     args = SimpleNamespace(json=False, command=None, algebra=None, file=None,
                            theorem="all")
     extra, rest = [], iter(argv)
+    values_only = last_was_algebra = False
     for a in rest:
         key, eq, value = a.partition("=")
-        if a in ("-h", "--help"):
+        after_algebra, last_was_algebra = last_was_algebra, False
+        takes_algebra = (args.algebra is None
+                         and args.command in _ALGEBRA_COMMANDS)
+        if values_only:
+            if takes_algebra:
+                args.algebra = a
+            else:
+                extra.append(a)
+        elif _asks_for_help(a):
             return None
-        if a == "--json" and args.command is None:
+        elif a == "--json" and args.command is None:
             args.json = True
         elif (key == "--file" and args.command in _ALGEBRA_COMMANDS
               or key == "--theorem" and args.command == "verify"):
@@ -252,15 +279,19 @@ def parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
             if key == "--theorem" and value not in fg_mod.CHECKS:
                 raise LieError("--theorem takes 1, 2, lemma or all")
             setattr(args, key[2:], value)
-        elif args.command is None and not _is_option(a, None):
+        elif args.command is None and (a == "--" or not _is_option(a, None)):
             if a not in _COMMANDS:
                 raise LieError(f"unknown command {a!r}; see liegraph --help")
             args.command = a
-        elif (_is_option(a, args.command) or args.algebra is not None
-              or args.command not in _ALGEBRA_COMMANDS):
+        elif a == "--":
+            values_only = True
+            if not (takes_algebra or after_algebra):
+                extra.append(a)
+        elif _is_option(a, args.command) or not takes_algebra:
             extra.append(a)
         else:
             args.algebra = a
+            last_was_algebra = True
     if args.command is None or extra:
         raise LieError(f"unrecognized arguments: {' '.join(extra)}" if args.command
                        else "a command is required; see liegraph --help")
@@ -273,8 +304,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         doc, lines, code = ((None, [USAGE], EXIT_OK) if args is None
                             else _COMMANDS[args.command][0](args))
-    except (LieError, CatalogError, ValueError) as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+    except (LieError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         out.write((json.dumps(doc, indent=2, sort_keys=True) if args and args.json

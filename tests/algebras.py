@@ -4,24 +4,19 @@ the dense forms they must parse to), the six algebras of the benchmark's
 and the Heisenberg family."""
 
 import functools
-import importlib.util
 import random
+import sys
 from itertools import combinations
 from pathlib import Path
 
 from liegraph.algebra import LieAlgebra, make_lie_algebra
 from liegraph.catalog import catalog, lookup
 
-
-def _load_fixtures():
-    path = Path(__file__).resolve().parents[1] / "bench" / "fixtures.py"
-    spec = importlib.util.spec_from_file_location("bench_fixtures", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-FIXTURES = _load_fixtures()
+# bench/ on the path, so that its fixtures are loaded once, here, under the
+# name bench/run.py imports them by
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+import fixtures as FIXTURES  # noqa: E402
 
 _SL2_BRACKETS = [
     (0, 1, [0, 2, 0]),    # [h, e] = 2e

@@ -11,7 +11,9 @@ Fraction; the differential tests require the fast paths to give exactly
 what these give. ``rref`` is the sparse kernel's RREF of a whole Matrix,
 ``build_parser`` the argparse command line that the CLI's own parser
 replaced, and ``check_theorem1`` the theorem 1 check on every row of each
-map of C(G), where the package reads only the G rows. ``column`` and
+map of C(G), where the package reads only the G rows. ``sign_mutation``
+is the one deliberate fault of the tests: it wraps ``h_derivation`` to
+negate the G rows of each generator. ``column`` and
 ``apply`` are the dense column and matrix-vector product that the package's
 Matrix does not offer, and ``coboundaries`` spans the coboundaries one
 unit vector at a time.
@@ -277,6 +279,21 @@ def h_derivation(dspace, d_terms, l_terms):
         corr = apply(L, der.coordinates_of(g.adjoint[j]))
         cols.append((ZERO,) * m + tuple(a + b for a, b in zip(column(D, j), corr)))
     return Matrix.from_rows(cols).transpose()
+
+
+def negate_g_rows(mat, m):
+    """mat, a map of C(G), with its G rows (from row m on) negated."""
+    return Matrix.from_rows([[-x if r >= m else x for x in mat.row(r)]
+                             for r in range(mat.rows)])
+
+
+def sign_mutation(h_derivation):
+    """h_derivation with the G rows of each generator's matrix negated: a
+    sign error in H's action on G that theorem 1 must catch."""
+    def mutated(dspace, d_terms, l_terms):
+        return negate_g_rows(h_derivation(dspace, d_terms, l_terms),
+                             dspace.der.dim)
+    return mutated
 
 
 def check_theorem1(ws):

@@ -91,7 +91,8 @@ def test_parser_accepts_what_argparse_accepts(argv):
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--json", "--help"],
-                                  ["verify", "-h"], ["info", "nope", "--help"]])
+                                  ["verify", "-h"], ["info", "nope", "--help"],
+                                  ["info", "-hh"], ["info", "-h=h"]])
 def test_help_exits_0_and_names_every_command(argv):
     code, out, err = run_main(argv)
     assert code == 0 and err == ""
@@ -159,15 +160,44 @@ def test_a_negative_decimal_and_a_spaced_argument_are_values(argv, field, error)
 @pytest.mark.parametrize("argv, error", [
     (["info", "-1e3"], "unrecognized arguments: -1e3"),
     (["info", "-5."], "unrecognized arguments: -5."),
-    (["info", "sl2", "-h x"], "unrecognized arguments: -h x"),
-    (["info", "sl2", "--help=a b"], "unrecognized arguments: --help=a b"),
+    (["info", "sl2", "-h x"], "argument -h/--help: ignored explicit argument ' x'"),
+    (["info", "sl2", "--help=a b"],
+     "argument -h/--help: ignored explicit argument 'a b'"),
     (["info", "--file", "--help=a b"], "--file needs a value"),
     (["verify", "--file", "--theorem=a b"], "--file needs a value"),
+    (["info", "-hx", "-h"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["info", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["info", "--help=a b"], "argument -h/--help: ignored explicit argument 'a b'"),
+    (["-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["info", "-hhx"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["info", "-h="], "argument -h/--help: ignored explicit argument ''"),
+    (["verify", "--", "sl2", "--theorem", "1"], "unrecognized arguments: --theorem 1"),
+    (["info", "--", "--", "sl2"], "unrecognized arguments: sl2"),
+    (["info", "sl2", "--file", "x", "--"], "unrecognized arguments: --"),
+    (["corpus-verify", "--"], "unrecognized arguments: --"),
+    (["--", "info", "sl2"], "unknown command '--'; see liegraph --help"),
 ])
 def test_other_arguments_that_start_with_a_dash_are_options(argv, error):
     # -h with anything after it, and an option of the parser before "=",
-    # are options even with a space; an exponent is no negative number
+    # are options even with a space; an exponent is no negative number.
+    # -h or --help with an explicit argument is an error where it is met,
+    # even before a later -h. A second "--" is a value, and a first one is
+    # left over where the algebra was read before an option, or where the
+    # command reads none
     assert run_main(argv) == (2, "", f"error: {error}\n")
+
+
+# after the command, "--" makes every later argument a value, and the
+# algebra takes the first one
+@pytest.mark.parametrize("argv, algebra, file", [
+    (["info", "--", "sl2"], "sl2", None),
+    (["info", "sl2", "--"], "sl2", None),
+    (["info", "--", "-h"], "-h", None),
+    (["info", "--file", "x", "--", "sl2"], "sl2", "x"),
+])
+def test_double_dash_makes_every_later_argument_a_value(argv, algebra, file):
+    args = parse_args(argv)
+    assert (args.command, args.algebra, args.file) == ("info", algebra, file)
 
 
 @pytest.mark.parametrize("argv, code", [

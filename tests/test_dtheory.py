@@ -1,5 +1,4 @@
 import functools
-import random
 from fractions import Fraction
 
 import pytest
@@ -35,10 +34,6 @@ def sl2():
 def sl2_setup(sl2):
     der = derivation_algebra(sl2)
     return sl2, der, d_derivations(der)
-
-
-def rand_vec(rng, n):
-    return [F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for _ in range(n)]
 
 
 class TestDDerivations:
@@ -83,13 +78,6 @@ def test_coordinates_of_map_outside_cocycle_space_raises(sl2_setup):
 
 
 class TestDCenter:
-    @pytest.mark.parametrize("name", ["abelian1", "abelian2", "abelian3",
-                                      "affine2", "heisenberg3", "sl2",
-                                      "sl2_plus_abelian1"])
-    def test_trivial_on_catalog(self, name):
-        g = lookup(name).algebra
-        assert d_center(derivation_algebra(g)).dim == 0
-
     def test_does_not_build_der_table(self, sl2):
         der = derivation_algebra(sl2)
         d_center(der)
@@ -100,17 +88,6 @@ class TestInnerDDerivation:
     def test_zero_vector_gives_zero_map(self, sl2_setup):
         g, der, _ = sl2_setup
         assert not any(inner_d_derivation(der, [0, 0, 0]).nonzeros)
-
-    def test_kernel_equals_d_center(self):
-        for entry in catalog():
-            g = entry.algebra
-            der = derivation_algebra(g)
-            rows = [inner_d_derivation(der,
-                                       [1 if t == i else 0 for t in range(g.dim)]
-                                       ).flatten()
-                    for i in range(g.dim)]
-            kernel_dim = g.dim - Subspace.from_rows(g.dim * der.dim, rows).dim
-            assert kernel_dim == d_center(der).dim, entry.name
 
     def test_wrong_length_vector_raises(self, sl2_setup):
         _, der, _ = sl2_setup
@@ -136,16 +113,6 @@ class TestDBracket:
             for b in space.matrices:
                 assert not any(d_bracket(space.der, a, b).nonzeros)
 
-    def test_inner_bracket_homomorphism_random(self, sl2_setup):
-        g, der, _ = sl2_setup
-        rng = random.Random(7)
-        for _ in range(50):
-            x, y = rand_vec(rng, 3), rand_vec(rng, 3)
-            lhs = d_bracket(der, inner_d_derivation(der, x),
-                            inner_d_derivation(der, y))
-            rhs = inner_d_derivation(der, reference.bracket(g.table, x, y))
-            assert lhs == rhs
-
     def test_result_is_cocycle(self, sl2_setup):
         _, der, space = sl2_setup
         for a in space.matrices:
@@ -160,16 +127,6 @@ class TestDerAction:
         zero = Matrix.zero(3, 3)
         for l in space.matrices:
             assert not any(der_action(der, zero, l).nonzeros)
-
-    def test_action_on_inner_random(self, sl2_setup):
-        g, der, _ = sl2_setup
-        rng = random.Random(11)
-        for _ in range(50):
-            x = rand_vec(rng, 3)
-            d = der.matrix_of(reference.terms(rand_vec(rng, der.dim)))
-            lhs = der_action(der, d, inner_d_derivation(der, x))
-            rhs = inner_d_derivation(der, reference.apply(d, x))
-            assert lhs == rhs
 
     def test_sl2_adh_on_l_e_golden(self, sl2_setup):
         g, der, _ = sl2_setup

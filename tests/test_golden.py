@@ -1,86 +1,67 @@
-"""Byte-identical `--json` and text output of every subcommand on the
-catalog, `--json` output of the benchmark's ladder and explore requests
-on its larger algebras, and text output of every algebra subcommand on
-the files of those algebras.
+"""Byte-identical output of the CLI: every request of the benchmark
+against its pin in `bench/pins.json`, `--json` output of the algebra
+subcommands on the catalog that the benchmark does not request, and text
+output of every subcommand on the catalog and of every algebra subcommand
+on the files of the benchmark's larger algebras.
 
-The `--json` hashes were recorded before the derivation spans and the
-semidirect products were rebuilt on shared code, and the text hashes
-before the structure constants were held sparse; a refactor that changes
-a basis order, a structure constant, a printed bracket or a report field
-changes a hash here. The partial reports of `verify --theorem 1|2|lemma`
-were pinned before the `--json` report was derived from the evidence
-dataclasses, since each shape has its own subset of blocks.
+The benchmark requests `verify --theorem 1|2|lemma` on each catalog entry
+and `corpus-verify` (its corpus workload), and the ladder and explore
+requests on its larger algebras; each `--json` output is checked once,
+against its pin. The other `--json` hashes were recorded before the
+derivation spans and the semidirect products were rebuilt on shared code,
+and the text hashes before the structure constants were held sparse; a
+refactor that changes a basis order, a structure constant, a printed
+bracket or a report field changes a hash here.
 """
 
 import hashlib
 import io
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
+from algebras import BENCH, FIXTURES
 from liegraph.cli import main
+from run import workload_requests  # bench/run.py, on the path from algebras
 
-# (arguments after --json, exit code, sha256 of stdout)
+# (arguments after --json, exit code, sha256 of stdout) of the algebra
+# subcommands on the catalog, but for the benchmark's requests
 GOLDEN = [
     ('info abelian1', 0, "2d116d988225e31556f7ff8884a04f4f3c458602e527d4cfd17584b15a3f9c47"),
     ('der abelian1', 0, "63f83dfe7c1e911c0e4c9d8e4210eee7c615cdb275de631d4bfb9e3a787aeb9e"),
     ('dder abelian1', 0, "f17a13532d1bec32a298e159182ad8bd6f2b3c35a5341854491ee67c9da6d5fc"),
     ('full-graph abelian1', 0, "583bef37572528d11c20c8cdce5169d6277889e795fe5bf636cbc1ac877b71ed"),
     ('verify abelian1', 0, "aeb23383b1df83bd53adacf33561146d0575a63e24548de519e60913a247a1d1"),
-    ('verify abelian1 --theorem 1', 0, "b21f4ed1c70791ab9f31da21cb10f1bd51e7e0e7efc302a4827d695fafa90cc0"),
-    ('verify abelian1 --theorem 2', 0, "2107e80b3fa12d2c4e5fe5e85cdf488a3077a4fee50ef6a712de82e7dd9073f6"),
-    ('verify abelian1 --theorem lemma', 0, "2441af1c99861d1f041ce7bb5017488761c0c957c7627d564b1b985faa670419"),
     ('info abelian2', 0, "9cea8056f21e49ea62816aaa8dc34f23d50b4f771b7893142f4034c538f89db2"),
     ('der abelian2', 0, "bb4eb6828dd320bcd2cb19238ecc3ac70af99e2040f504a39f35d2433b3b9b3a"),
     ('dder abelian2', 0, "73789d01c88213f952dbd773de1f2d53354b1ea4be00c8b3d2001946b102d395"),
     ('full-graph abelian2', 0, "4efc3129502acf1ed3601701844db7d14dd6e444c842380ae491e078fdaedd83"),
     ('verify abelian2', 0, "e2bb9f4577223a30b99cfa7ec5ee263530016637202cc994e0aa79695f25a1e8"),
-    ('verify abelian2 --theorem 1', 0, "cfeced2a5cc97d703038899f15de1cae2456feb1fbe4c16b5a3bd96c256f83dd"),
-    ('verify abelian2 --theorem 2', 0, "685963092a050fd670bf64ce63f4f5b2ba875bcfdf1150c09e204b3aa52c74bb"),
-    ('verify abelian2 --theorem lemma', 0, "479ddbe48f8139d8ca8af6529aec7765306c275c070e187c11b4c9fd089e8773"),
     ('info abelian3', 0, "c1382005d3c7c390498064a8b472503d99c398fd0538d5de7e7896f3d383169a"),
     ('der abelian3', 0, "699d073a40796d95f1e05c23533620dd3eb7dc37f404bb1cf74d83275f62573f"),
     ('dder abelian3', 0, "fbe371672964316e05a320d304ad91cf3dcfcb88001c8cbd8a82e64a8481bcbd"),
     ('full-graph abelian3', 0, "289e1a3e11fbd2c5ce9a540427f07965df23b6552ab1f5a71142748a08b9702b"),
     ('verify abelian3', 0, "056e141dceca24ab9c3c4fcaaa0afe8199c6fbdfbddf6f1d2958dbdf2c2a1ec1"),
-    ('verify abelian3 --theorem 1', 0, "e453963f96c3508e340550774623d320c3adc89dc32ee92d8b532e916fa782ea"),
-    ('verify abelian3 --theorem 2', 0, "22489bd20d21370d635accfccb529ce3fde633d87eb5f6eb81d0b328e78dd4de"),
-    ('verify abelian3 --theorem lemma', 0, "f8951f9b8b4d0d65ed2a80f70a230e7817079aa2044f5d02afd0cf850fa0d9b1"),
     ('info affine2', 0, "016268e3d02d222f5be45b2fea5f57d91e3fc49a2302067ba611bc36836389d5"),
     ('der affine2', 0, "264adf554ca71f7f622ba784ef5f3be9cb473dcd2310d511a67842a0208591f5"),
     ('dder affine2', 0, "50ddc76f76454f3394337210a050efbfe37429e2a685f7015802b753c082648e"),
     ('full-graph affine2', 0, "c2cba53c35c65a4673b628efc8fbcc017b6c6f7df2c0fa199203ca367582e14f"),
     ('verify affine2', 0, "614d5ac3cce01d9a736589c382e173fd4b465cef38ea0b3ee2ecc5c2f6104233"),
-    ('verify affine2 --theorem 1', 0, "6ed41c891cd5bf8fce8b839aa683a6fabc2380a07c8bbce5b8196bcd1fde9b14"),
-    ('verify affine2 --theorem 2', 0, "eb199cd5f2e924cbe4cfc63f5cd96d6176c4869780579317881e0ce515a860c2"),
-    ('verify affine2 --theorem lemma', 0, "cd461ab33ee0bc487fc249832ca3ca79523d3584816b851b87787d07fd2cc50e"),
     ('info heisenberg3', 0, "c82a4e2c1668c7ba6c1688aaf7a9fb23970c5a6a67cac82b2f016b29bc25599c"),
     ('der heisenberg3', 0, "a72c516f3e5df19db1e6b0bf308a0ed0279d818f2edb75be29b08169c8d979cc"),
     ('dder heisenberg3', 0, "f8352f00ff8fb7798a615eb262df0730914ea00b093db889bd4b6209ef571762"),
     ('full-graph heisenberg3', 0, "8d61ab32cc070552517b537598e7e8f30497ea9a36d230cee3c7a6c146179b0a"),
     ('verify heisenberg3', 1, "4e24d9d1d06994099693be761ce7cae252c170b45fc29c97a8b7f263d25a27c2"),
-    ('verify heisenberg3 --theorem 1', 1, "8d867efbf3c7660823c00386036cda48c57dd6c9d7f70d9b95e7f18cd729ebeb"),
-    ('verify heisenberg3 --theorem 2', 1, "3d32c541b452234320dbfa27a9782ecd05858b4ca8be6d17ecd1323e1c242825"),
-    ('verify heisenberg3 --theorem lemma', 0, "beb2db7ebea354b8796c1506eee2e65b381fa3ae5482c23e51b109a121e75be7"),
     ('info sl2', 0, "ce2f19c6071160cf404f3eea3adf7260d204721a5d0f88b5744a371d9a3e02a2"),
     ('der sl2', 0, "ffdf46cf6fcae9241fb427fe199df0b66710cd176c933bcff94830dfa2c1714b"),
     ('dder sl2', 0, "6eade676c437cff40a02f12e37dcb4a493038d122a296a7e9b38a583c6bdc95f"),
     ('full-graph sl2', 0, "25ae4980d27dccd3cd4fc6efa42185986b9442cdbc72ea76264edc79b2139d30"),
     ('verify sl2', 0, "fe6f9f2977e2fa5cb2ae9f39aeb18205e4f7d555547f10268eba137ece152c5c"),
-    ('verify sl2 --theorem 1', 0, "b68058699229170a817ba2989179b57e8284fcca9ca0bc6ea2a8a10a3aa55256"),
-    ('verify sl2 --theorem 2', 0, "3f768280dbc070b9a5a3a93e025064d876e56ce53c03da783f46f3c7c9f473ac"),
-    ('verify sl2 --theorem lemma', 0, "b0a78efbab8322f7ff2ac70ffd69b6bad2fd60612319ac2b6578c7652d4f0e1f"),
     ('info sl2_plus_abelian1', 0, "bfbaecf948d7471cde287d5175c339fc770597c8718ab9420350d0f4b2609644"),
     ('der sl2_plus_abelian1', 0, "d9985d699531c4947b0d2820c2f5deed04c023d433f3cc2ef1e5d951cba32b77"),
     ('dder sl2_plus_abelian1', 0, "69e758d4b725f60a5625bc1522bb2ed4e1fe86cc2e3382c325a850a46f97c16b"),
     ('full-graph sl2_plus_abelian1', 0, "d462edc68d64dd3ca40c5b1748c70ec5d23f2cb5c2887d755155223e69daaa4a"),
     ('verify sl2_plus_abelian1', 0, "169b224c43cf1cae6ebb8e4739747e0fff9cd0bf5cba56b47029027690e9b281"),
-    ('verify sl2_plus_abelian1 --theorem 1', 0, "b602c29f7d3a5089326d2e77cf4df1bfa8b90671e2400277040e5ab79f160c39"),
-    ('verify sl2_plus_abelian1 --theorem 2', 0, "1ee4a79c093319f3298f05076927ccbb11964c751bdee9286aaaaf24999739d0"),
-    ('verify sl2_plus_abelian1 --theorem lemma', 0, "de483de03fd9af2e3e14bc4a84f5f66b91a6d2c06a7a84e24edad14a413c7dd2"),
-    ('corpus-verify', 1, "25f21795b2996cc634a41f4433c6dfa183c44f2a06dd8e00524c4417ae9bc7f9"),
 ]
 
 
@@ -162,23 +143,20 @@ def test_text_output_matches_recorded_hash(args, code, digest):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
-# The larger algebras of the benchmark: the ladder and explore requests of
-# bench/run.py, on the inputs bench/fixtures.py writes at the default seed,
-# against the exit codes and hashes pinned in bench/pins.json.
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-sys.path.insert(0, str(BENCH))  # bench/run.py imports its fixtures by name
-import fixtures  # noqa: E402
-from run import workload_requests  # noqa: E402
-
+# Every request of bench/run.py's corpus, ladder and explore workloads, on
+# the inputs bench/fixtures.py writes at the default seed, against the exit
+# code and hash pinned in bench/pins.json.
 PINS = json.loads((BENCH / "pins.json").read_text())
-BENCH_REQUESTS = workload_requests("ladder") + workload_requests("explore")
+BENCH_REQUESTS = [req for workload in ("corpus", "ladder", "explore")
+                  for req in workload_requests(workload)]
 
 
 @pytest.mark.parametrize("req", BENCH_REQUESTS, ids=[r.id for r in BENCH_REQUESTS])
 def test_bench_request_matches_pin(req, tmp_path, monkeypatch):
     pin = PINS["requests"][req.id]
-    fixtures.write_inputs(fixtures.LADDER + fixtures.EXPLORE,
-                          PINS["default_seed"], tmp_path)
+    # the one input file a ladder or explore request reads, none for corpus
+    FIXTURES.write_inputs([a.removesuffix(".json") for a in req.args
+                           if a.endswith(".json")], PINS["default_seed"], tmp_path)
     monkeypatch.chdir(tmp_path)
     out = io.StringIO()
     assert main(["--json", *req.args], out=out) == pin["exit"]
@@ -227,7 +205,7 @@ FIXTURE_TEXT_GOLDEN = [
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("fixtures")
-    fixtures.write_inputs(fixtures.LADDER + fixtures.EXPLORE, 1, directory)
+    FIXTURES.write_inputs(FIXTURES.LADDER + FIXTURES.EXPLORE, 1, directory)
     return directory
 
 
