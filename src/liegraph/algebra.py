@@ -35,15 +35,8 @@ from .linalg import (Matrix, Scalar, SparseRow, Subspace, Terms, Vector, ZERO,
 
 
 class LieError(Exception):
-    """Base class for construction/validation failures."""
-
-
-class IndexOutOfRange(LieError):
-    pass
-
-
-class AntisymmetryConflict(LieError):
-    pass
+    """Rejected input, or a failed construction; cli.main prints the
+    message, not the class, on one error line and exits 2."""
 
 
 class JacobiViolation(LieError):
@@ -170,25 +163,24 @@ def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
     """Build an algebra from sparse (i, j, [e_i,e_j]-coefficients) entries.
 
     The antisymmetric completion is automatic; giving both (i,j) and (j,i)
-    inconsistently, or a nonzero (i,i), raises AntisymmetryConflict.
+    inconsistently, or a nonzero (i,i), raises LieError.
     """
     if n <= 0:
         raise LieError("dimension must be positive")
     seen: dict[tuple[int, int], Terms] = {}
     for (i, j, vec) in brackets:
         if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRange(f"bracket indices ({i},{j}) out of range for dim {n}")
+            raise LieError(f"bracket indices ({i},{j}) out of range for dim {n}")
         vec = as_vector(vec)
         if len(vec) != n:
             raise LieError(f"bracket result for ({i},{j}) has length {len(vec)}, want {n}")
         terms = tuple((k, c) for k, c in enumerate(vec) if c)
         if i == j and terms:
-            raise AntisymmetryConflict(f"c[{i}][{i}] != -c[{i}][{i}]")
+            raise LieError(f"c[{i}][{i}] != -c[{i}][{i}]")
         key, val = ((i, j), terms) if i < j else ((j, i), _negated(terms))
         if key in seen:
             if seen[key] != val:
-                raise AntisymmetryConflict(
-                    f"pair {key} given twice with inconsistent values")
+                raise LieError(f"pair {key} given twice with inconsistent values")
             continue
         seen[key] = val
     return _validate_jacobi(_from_brackets(n, seen, basis_names))

@@ -26,14 +26,6 @@ from .linalg import Scalar, Terms, as_scalar
 from .algebra import LieAlgebra, LieError, _from_brackets, _validate_jacobi
 
 
-class CatalogError(LieError):
-    pass
-
-
-class AlgebraFileError(LieError):
-    pass
-
-
 class CatalogEntry(NamedTuple):
     name: str
     algebra: LieAlgebra
@@ -72,7 +64,7 @@ def lookup(name: str) -> CatalogEntry:
     # accept "abelian(2)" style spellings
     wanted = name.strip().lower().replace("(", "").replace(")", "")
     if wanted not in _ENTRIES:
-        raise CatalogError(f"no catalog algebra named {name!r}")
+        raise LieError(f"no catalog algebra named {name!r}")
     return _entry(wanted)
 
 
@@ -98,8 +90,8 @@ def _json_int(text: str):
 
 def _parse_coeff(text, where: str) -> Scalar:
     if isinstance(text, bool) or isinstance(text, float):
-        raise AlgebraFileError(f"{where}: coefficient must be an exact "
-                               f"rational string or integer, got {text!r}")
+        raise LieError(f"{where}: coefficient must be an exact "
+                       f"rational string or integer, got {text!r}")
     if isinstance(text, str) and _RATIONAL.fullmatch(text):
         try:
             return as_scalar(text)
@@ -109,13 +101,12 @@ def _parse_coeff(text, where: str) -> Scalar:
             text = _LongInt()
     if _is_int(text, f"{where}: 'coeff'"):
         return text
-    raise AlgebraFileError(f"{where}: bad rational literal {text!r}")
+    raise LieError(f"{where}: bad rational literal {text!r}")
 
 
 def _is_int(x, field: str) -> bool:
     if isinstance(x, _LongInt):
-        raise AlgebraFileError(f"{field} has more than "
-                               f"{sys.get_int_max_str_digits()} digits")
+        raise LieError(f"{field} has more than {sys.get_int_max_str_digits()} digits")
     # JSON true and false load as bool, which is a subclass of int
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -126,7 +117,7 @@ def _unique(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise AlgebraFileError(f"repeated field {key!r}")
+            raise LieError(f"repeated field {key!r}")
         obj[key] = value
     return obj
 
@@ -135,13 +126,13 @@ def _known(obj: dict, keys: tuple[str, ...], where: str) -> None:
     """Reject a key outside keys: a misspelled one would be ignored."""
     for key in obj:
         if key not in keys:
-            raise AlgebraFileError(f"{where}: unknown field {key!r}")
+            raise LieError(f"{where}: unknown field {key!r}")
 
 
 def _list(obj: dict, key: str, where: str) -> list:
     value = obj.get(key, [])
     if not isinstance(value, list):
-        raise AlgebraFileError(f"{where}: '{key}' must be a list, got {value!r}")
+        raise LieError(f"{where}: '{key}' must be a list, got {value!r}")
     return value
 
 
@@ -151,69 +142,68 @@ def parse_algebra_file(text: str) -> LieAlgebra:
     try:
         doc = json.loads(text, parse_int=_json_int, object_pairs_hook=_unique)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise AlgebraFileError(f"malformed JSON: {exc}") from None
+        raise LieError(f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise AlgebraFileError("top level must be an object")
+        raise LieError("top level must be an object")
     _known(doc, ("dim", "basis_names", "brackets"), "top level")
     try:
         n = doc["dim"]
     except KeyError:
-        raise AlgebraFileError("missing field 'dim'") from None
+        raise LieError("missing field 'dim'") from None
     if not _is_int(n, "'dim'") or n <= 0:
-        raise AlgebraFileError(f"'dim' must be a positive integer, got {n!r}")
+        raise LieError(f"'dim' must be a positive integer, got {n!r}")
     names = doc.get("basis_names")
     if "basis_names" in doc:
         if (not isinstance(names, list) or len(names) != n
                 or not all(isinstance(s, str) for s in names)):
-            raise AlgebraFileError(f"'basis_names' must be {n} strings")
+            raise LieError(f"'basis_names' must be {n} strings")
         for pos, s in enumerate(names):
             # each name is printed bare, in lists and bracket lines, where
             # a term "(c)*name" is a coefficient c times name
             if (not s or not s.isprintable() or any(map(str.isspace, s))
                     or s.startswith("(")):
-                raise AlgebraFileError(
+                raise LieError(
                     f"basis_names[{pos}]: {s!r} is not a name: a name is "
                     f"nonempty and printable, with no whitespace, and does "
                     f"not begin with '('")
         if len(set(names)) != n:
-            raise AlgebraFileError(f"'basis_names' has duplicates: {names!r}")
+            raise LieError(f"'basis_names' has duplicates: {names!r}")
     upper: dict[tuple[int, int], Terms] = {}
     for pos, item in enumerate(_list(doc, "brackets", "top level")):
         where = f"brackets[{pos}]"
         if not isinstance(item, dict):
-            raise AlgebraFileError(f"{where}: must be an object")
+            raise LieError(f"{where}: must be an object")
         _known(item, ("i", "j", "result"), where)
         try:
             i, j = item["i"], item["j"]
         except KeyError as exc:
-            raise AlgebraFileError(f"{where}: missing field {exc}") from None
+            raise LieError(f"{where}: missing field {exc}") from None
         if not (_is_int(i, f"{where}: 'i'") and _is_int(j, f"{where}: 'j'")):
-            raise AlgebraFileError(f"{where}: i and j must be integers")
+            raise LieError(f"{where}: i and j must be integers")
         if not (0 <= i < n and 0 <= j < n):
-            raise AlgebraFileError(f"{where}: indices ({i},{j}) out of range "
-                                   f"for dim {n}")
+            raise LieError(f"{where}: indices ({i},{j}) out of range for dim {n}")
         if i >= j:
-            raise AlgebraFileError(f"{where}: requires i < j, got ({i},{j})")
+            raise LieError(f"{where}: requires i < j, got ({i},{j})")
         if (i, j) in upper:
-            raise AlgebraFileError(f"{where}: duplicate pair ({i},{j})")
+            raise LieError(f"{where}: duplicate pair ({i},{j})")
         terms: dict[int, Scalar] = {}
         for term in _list(item, "result", where):
             if isinstance(term, dict):
                 _known(term, ("k", "coeff"), where)
             if not isinstance(term, dict) or "k" not in term or "coeff" not in term:
-                raise AlgebraFileError(f"{where}: result terms need 'k' and 'coeff'")
+                raise LieError(f"{where}: result terms need 'k' and 'coeff'")
             k = term["k"]
             if not _is_int(k, f"{where}: 'k'") or not 0 <= k < n:
-                raise AlgebraFileError(f"{where}: k={k!r} out of range for dim {n}")
+                raise LieError(f"{where}: k={k!r} out of range for dim {n}")
             if k in terms:
-                raise AlgebraFileError(f"{where}: bracket ({i},{j}) gives k={k} twice")
+                raise LieError(f"{where}: bracket ({i},{j}) gives k={k} twice")
             terms[k] = _parse_coeff(term["coeff"], where)
         upper[i, j] = tuple(sorted([(k, c) for k, c in terms.items() if c]))
     try:
         # the n x n pair table is the first thing built per dimension
         return _validate_jacobi(_from_brackets(n, upper, names))
     except (OverflowError, MemoryError):
-        raise AlgebraFileError(f"'dim' {n} is too large") from None
+        raise LieError(f"'dim' {n} is too large") from None
 
 
 def sparse_brackets(g: LieAlgebra) -> list[dict]:

@@ -11,6 +11,7 @@ result could not be written, 2 input/usage error.
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -269,7 +270,9 @@ def parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
                 extra.append(a)
         elif _asks_for_help(a):
             return None
-        elif a == "--json" and args.command is None:
+        elif key == "--json" and args.command is None:
+            if eq:  # a flag, as -h and --help, takes no explicit argument
+                raise LieError(f"argument --json: ignored explicit argument {value!r}")
             args.json = True
         elif (key == "--file" and args.command in _ALGEBRA_COMMANDS
               or key == "--theorem" and args.command == "verify"):
@@ -308,6 +311,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if out is None:  # the process started with fd 1 closed
+            raise OSError(errno.EBADF, "standard output is closed")
         out.write((json.dumps(doc, indent=2, sort_keys=True) if args and args.json
                    else "\n".join(lines)) + "\n")
         out.flush()
@@ -320,7 +325,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         if not isinstance(exc, BrokenPipeError):
             reason = exc.strerror if isinstance(exc, OSError) else exc
             print(f"error: cannot write the result: {reason}", file=sys.stderr)
-        if out is sys.stdout:
+        if out is not None and out is sys.stdout:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
@@ -332,12 +337,13 @@ def run() -> None:
     """The process entry: main(), flushed, then os._exit without teardown.
     Unbuffered (-u), stdout's text layer drops unreported what a raw
     write(2) leaves; a BufferedWriter writes it, or meets EPIPE."""
-    if isinstance(sys.stdout.buffer, io.RawIOBase):
+    if sys.stdout is not None and isinstance(sys.stdout.buffer, io.RawIOBase):
         sys.stdout = io.TextIOWrapper(
             io.BufferedWriter(sys.stdout.buffer), sys.stdout.encoding,
             sys.stdout.errors, newline="\n", write_through=True)
     code = main()
-    sys.stdout.flush()
+    if sys.stdout is not None:
+        sys.stdout.flush()
     sys.stderr.flush()
     os._exit(code)
 

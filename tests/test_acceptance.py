@@ -17,11 +17,11 @@ from itertools import combinations
 
 import pytest
 
-from liegraph.algebra import JacobiViolation, center, derivation_algebra
+from liegraph.algebra import center, derivation_algebra
 from liegraph.catalog import catalog, lookup
 from liegraph.cli import main
-from liegraph.dtheory import (build_h, d_bracket, d_center, d_derivations,
-                              der_action, inner_d_derivation, is_d_complete)
+from liegraph.dtheory import (d_bracket, d_center, d_derivations, der_action,
+                              inner_d_derivation, is_d_complete)
 from liegraph.fullgraph import (Theorem1Evidence, Theorem2Evidence,
                                 build_full_graph, h_derivation, verify)
 from liegraph import fullgraph as fg_mod
@@ -306,22 +306,6 @@ def test_law_action_is_derivation_of_cocycle_bracket(setups):
         checked += 1
     report(f"law[action is a derivation of the cocycle bracket, {checked} cases]",
            checked >= 100)
-
-
-def test_law_jacobi_of_derived_tables(setups):
-    # no derived table is scanned when it is built, as each is Lie by
-    # construction; the dense reference scan checks that it is
-    failures = []
-    for name, (g, der, dspace) in setups.items():
-        for label, alg in (("Der", der.as_lie_algebra),
-                           ("cocycle", dspace.as_lie_algebra),
-                           ("H", build_h(dspace)), ("C", build_full_graph(der))):
-            try:
-                reference.validate_jacobi(alg.dim, alg.table)
-            except JacobiViolation as exc:
-                failures.append(f"{label}({name}) on {exc.triple}")
-    report(f"law[Jacobi holds for Der/cocycle/H/C(G) tables of "
-           f"{len(setups)} algebras; fails: {failures}]", not failures)
 
 
 def test_law_d_center_inside_center(setups):

@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 import child
 from algebras import CATALOG_DENSE
-from liegraph.algebra import JacobiViolation, LieAlgebra, make_lie_algebra
-from liegraph.catalog import (AlgebraFileError, CatalogError, catalog, lookup,
-                              parse_algebra_file, serialize_algebra)
+from liegraph.algebra import (JacobiViolation, LieAlgebra, LieError,
+                              make_lie_algebra)
+from liegraph.catalog import (catalog, lookup, parse_algebra_file,
+                              serialize_algebra)
 from liegraph.cli import _table_lines, main
 
 
@@ -36,7 +37,7 @@ class TestCatalog:
         assert all(not any(e.algebra.table[i][j]) for i in range(2) for j in range(2))
 
     def test_lookup_unknown(self):
-        with pytest.raises(CatalogError):
+        with pytest.raises(LieError, match="^no catalog algebra named 'so8'$"):
             lookup("so8")
 
     def test_lookup_builds_only_the_entry_it_returns(self, monkeypatch):
@@ -52,7 +53,7 @@ class TestCatalog:
         monkeypatch.setattr(module, "parse_algebra_file", counting)
         assert lookup("sl2").algebra.basis_names == ("h", "e", "f")
         assert built == [3]
-        with pytest.raises(CatalogError):
+        with pytest.raises(LieError, match="^no catalog algebra named 'so8'$"):
             lookup("so8")
         assert built == [3]
 
@@ -75,20 +76,21 @@ class TestAlgebraFile:
     def test_bad_rational_literal(self):
         text = json.dumps({"dim": 2, "brackets": [
             {"i": 0, "j": 1, "result": [{"k": 0, "coeff": "1/0"}]}]})
-        with pytest.raises(AlgebraFileError, match="1/0"):
+        with pytest.raises(LieError, match="1/0"):
             parse_algebra_file(text)
 
     def test_float_coefficient_rejected(self):
         text = json.dumps({"dim": 2, "brackets": [
             {"i": 0, "j": 1, "result": [{"k": 0, "coeff": 0.5}]}]})
-        with pytest.raises(AlgebraFileError):
+        with pytest.raises(LieError, match="coefficient must be an exact "
+                                           "rational string or integer, got 0.5"):
             parse_algebra_file(text)
 
     @pytest.mark.parametrize("literal", ["1e3", "0.5", "1e999999999"])
     def test_decimal_and_exponent_strings_rejected(self, literal, tmp_path):
         text = json.dumps({"dim": 2, "brackets": [
             {"i": 0, "j": 1, "result": [{"k": 0, "coeff": literal}]}]})
-        with pytest.raises(AlgebraFileError, match="bad rational literal"):
+        with pytest.raises(LieError, match="bad rational literal"):
             parse_algebra_file(text)
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -113,30 +115,30 @@ class TestAlgebraFile:
     def test_requires_i_less_than_j(self):
         text = json.dumps({"dim": 2, "brackets": [
             {"i": 1, "j": 0, "result": []}]})
-        with pytest.raises(AlgebraFileError, match="i < j"):
+        with pytest.raises(LieError, match="i < j"):
             parse_algebra_file(text)
 
     def test_duplicate_pair(self):
         text = json.dumps({"dim": 2, "brackets": [
             {"i": 0, "j": 1, "result": []}, {"i": 0, "j": 1, "result": []}]})
-        with pytest.raises(AlgebraFileError, match="duplicate"):
+        with pytest.raises(LieError, match="duplicate"):
             parse_algebra_file(text)
 
     def test_repeated_k_names_the_bracket(self):
         # adding the two terms up would load this as abelian
         text = json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "result": [
             {"k": 2, "coeff": "1"}, {"k": 2, "coeff": "-1"}]}]})
-        with pytest.raises(AlgebraFileError, match=r"\(0,1\) gives k=2 twice"):
+        with pytest.raises(LieError, match=r"\(0,1\) gives k=2 twice"):
             parse_algebra_file(text)
 
     def test_index_out_of_range(self):
         text = json.dumps({"dim": 2, "brackets": [
             {"i": 0, "j": 5, "result": []}]})
-        with pytest.raises(AlgebraFileError, match="out of range"):
+        with pytest.raises(LieError, match="out of range"):
             parse_algebra_file(text)
 
     def test_malformed_json(self):
-        with pytest.raises(AlgebraFileError, match="malformed"):
+        with pytest.raises(LieError, match="malformed"):
             parse_algebra_file("{not json")
 
     @pytest.mark.parametrize("doc", [
@@ -165,7 +167,7 @@ class TestAlgebraFile:
             "repeated-k"])
     def test_wrong_json_types_are_file_errors(self, doc, tmp_path, capsys):
         text = json.dumps(doc)
-        with pytest.raises(AlgebraFileError):
+        with pytest.raises(LieError):
             parse_algebra_file(text)
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -180,7 +182,7 @@ class TestAlgebraFile:
             {"i": 0, "j": 1, "result": [{"k": 1, "coef": 1}]}]}),
     ])
     def test_unknown_field_is_named(self, key, doc):
-        with pytest.raises(AlgebraFileError, match=f"unknown field '{key}'"):
+        with pytest.raises(LieError, match=f"unknown field '{key}'"):
             parse_algebra_file(json.dumps(doc))
 
     # json keeps only the last copy of a repeated key, so each of these
@@ -196,7 +198,7 @@ class TestAlgebraFile:
     ], ids=["top-brackets", "bracket-i", "term-coeff"])
     def test_repeated_field_is_named_and_exits_2(self, key, text, tmp_path,
                                                  capsys):
-        with pytest.raises(AlgebraFileError, match=f"repeated field '{key}'"):
+        with pytest.raises(LieError, match=f"repeated field '{key}'"):
             parse_algebra_file(text)
         path = tmp_path / "dup.json"
         path.write_text(text)
@@ -229,7 +231,7 @@ class TestAlgebraFile:
         # 2**70 is past what a list can index, so the pair table is refused
         # before one entry is allocated; a loop over range(dim) would hang
         text = json.dumps({"dim": 2 ** 70})
-        with pytest.raises(AlgebraFileError, match="too large"):
+        with pytest.raises(LieError, match="too large"):
             parse_algebra_file(text)
         path = tmp_path / "huge.json"
         path.write_text(text)
@@ -244,7 +246,7 @@ class TestAlgebraFile:
     def test_name_that_prints_ambiguously_exits_2(self, bad, tmp_path, capsys):
         path = tmp_path / "names.json"
         path.write_text(json.dumps({"dim": 2, "basis_names": ["x", bad]}))
-        with pytest.raises(AlgebraFileError, match=r"^basis_names\[1\]: "):
+        with pytest.raises(LieError, match=r"^basis_names\[1\]: "):
             parse_algebra_file(path.read_text())
         assert run_cli("info", "--file", str(path)) == (2, "")
         err = capsys.readouterr().err
@@ -398,7 +400,7 @@ _LONG = "1" * 5000
 ], ids=["dim", "i", "k", "coeff_int", "coeff_string", "coeff_fraction"])
 def test_integer_past_the_digit_limit_is_one_short_error_line(doc, field, tmp_path):
     message = f"{field} has more than {sys.get_int_max_str_digits()} digits"
-    with pytest.raises(AlgebraFileError) as exc:
+    with pytest.raises(LieError) as exc:
         parse_algebra_file(doc)
     assert str(exc.value) == message
     path = tmp_path / "long.json"
@@ -711,3 +713,15 @@ def test_write_to_a_full_device_is_one_error_line(argv, unbuffered):
     assert proc.returncode == 1, err
     assert len(err.splitlines()) == 1 and err.startswith("error: cannot write")
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_is_one_error_line(unbuffered):
+    # with fd 1 closed at start-up Python sets sys.stdout to None, which
+    # main and run meet as a failed write: one error line and exit 1
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "liegraph.cli",
+         "info", "sl2"], stderr=subprocess.PIPE, text=True, timeout=120,
+        env=child.env(PYTHONUNBUFFERED=unbuffered))
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: cannot write the result: standard output is closed\n")

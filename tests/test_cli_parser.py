@@ -176,14 +176,17 @@ def test_a_negative_decimal_and_a_spaced_argument_are_values(argv, field, error)
     (["info", "sl2", "--file", "x", "--"], "unrecognized arguments: --"),
     (["corpus-verify", "--"], "unrecognized arguments: --"),
     (["--", "info", "sl2"], "unknown command '--'; see liegraph --help"),
+    (["--json=x", "-h"], "argument --json: ignored explicit argument 'x'"),
+    (["--json=", "--help"], "argument --json: ignored explicit argument ''"),
+    (["--json=x", "info", "sl2"], "argument --json: ignored explicit argument 'x'"),
 ])
 def test_other_arguments_that_start_with_a_dash_are_options(argv, error):
     # -h with anything after it, and an option of the parser before "=",
     # are options even with a space; an exponent is no negative number.
-    # -h or --help with an explicit argument is an error where it is met,
-    # even before a later -h. A second "--" is a value, and a first one is
-    # left over where the algebra was read before an option, or where the
-    # command reads none
+    # -h, --help or --json with an explicit argument is an error where it
+    # is met, even before a later -h. A second "--" is a value, and a first
+    # one is left over where the algebra was read before an option, or where
+    # the command reads none
     assert run_main(argv) == (2, "", f"error: {error}\n")
 
 
