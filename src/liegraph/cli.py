@@ -1,4 +1,4 @@
-"""Command-line interface, read off the command table without argparse.
+"""Command-line interface; argparse reads only an unusual command line.
 
 Subcommands: info, der, dder, full-graph, verify, corpus-verify. Each one
 returns its `--json` document, its text lines and its exit code, and
@@ -15,7 +15,6 @@ import errno
 import io
 import json
 import os
-import re
 import sys
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -214,91 +213,57 @@ USAGE = "\n".join([
     *(f"  {c:<15}{h}" for c, (_, h) in _COMMANDS.items())])
 
 
-# argparse's pattern of a negative number, which it reads as a value while
-# no option of the parser looks like one
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-def _is_option(a: str, command: Optional[str]) -> bool:
-    """Whether argparse (3.11) reads a as an option in command's parser: a
-    starts with "-" and is not a lone "-", and it begins with -h or with
-    one of the parser's options and "=", or else it is no negative number
-    (-5, -.5) and holds no space."""
-    key = a.partition("=")[0]
-    return a.startswith("-") and a != "-" and (
-        a.startswith("-h") or key in ("--help", "--file")
-        or key == "--theorem" and command == "verify"
-        or " " not in a and not _NEGATIVE_NUMBER.match(a))
-
-
-def _asks_for_help(a: str) -> bool:
-    """Whether argparse (3.11) reads a as -h or --help: -h, --help, or -h
-    run together with more h's (-hh, -h=h). Raises LieError where it reads
-    -h or --help with an explicit argument, which help takes none of."""
-    key, eq, value = a.partition("=")
-    if a.startswith("-h") and a != "-h=":
-        # each h after -h is one more -h; the first other character is not
-        ignored = (value if key == "-h" else a[2:]).lstrip("h")
-        if not ignored:
-            return True
-    elif key == "--help" and eq or a == "-h=":
-        ignored = value
-    else:
-        return a == "--help"
-    raise LieError(f"argument -h/--help: ignored explicit argument {ignored!r}")
-
-
 def parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     """json, command, algebra, file and theorem, or None for -h or --help.
-    Read left to right as argparse reads it: a bad command or option value
-    raises LieError where it is met, a left-over argument only at the end.
-    After the command, "--" makes every later argument a value; it is
-    itself dropped where the algebra comes just before it or not yet."""
-    args = SimpleNamespace(json=False, command=None, algebra=None, file=None,
-                           theorem="all")
-    extra, rest = [], iter(argv)
-    values_only = last_was_algebra = False
-    for a in rest:
-        key, eq, value = a.partition("=")
-        after_algebra, last_was_algebra = last_was_algebra, False
-        takes_algebra = (args.algebra is None
-                         and args.command in _ALGEBRA_COMMANDS)
-        if values_only:
-            if takes_algebra:
-                args.algebra = a
-            else:
-                extra.append(a)
-        elif _asks_for_help(a):
-            return None
-        elif key == "--json" and args.command is None:
-            if eq:  # a flag, as -h and --help, takes no explicit argument
-                raise LieError(f"argument --json: ignored explicit argument {value!r}")
-            args.json = True
-        elif (key == "--file" and args.command in _ALGEBRA_COMMANDS
-              or key == "--theorem" and args.command == "verify"):
-            # a missing value reads as the option "--"
-            if not eq and _is_option(value := next(rest, "--"), args.command):
-                raise LieError(f"{key} needs a value")
-            if key == "--theorem" and value not in fg_mod.CHECKS:
-                raise LieError("--theorem takes 1, 2, lemma or all")
-            setattr(args, key[2:], value)
-        elif args.command is None and (a == "--" or not _is_option(a, None)):
-            if a not in _COMMANDS:
-                raise LieError(f"unknown command {a!r}; see liegraph --help")
-            args.command = a
-        elif a == "--":
-            values_only = True
-            if not (takes_algebra or after_algebra):
-                extra.append(a)
-        elif _is_option(a, args.command) or not takes_algebra:
-            extra.append(a)
-        else:
-            args.algebra = a
-            last_was_algebra = True
-    if args.command is None or extra:
-        raise LieError(f"unrecognized arguments: {' '.join(extra)}" if args.command
-                       else "a command is required; see liegraph --help")
-    return args
+    The common form, [--json] COMMAND [ALGEBRA] [--file F] [--theorem T]
+    with each option once and no value that starts with "-", is read here;
+    any other argv goes whole to _argparse, so that it reads as the running
+    Python's argparse reads it."""
+    json_flag = argv[:1] == ["--json"]
+    command, *rest = argv[json_flag:] or [None]
+    args = SimpleNamespace(json=json_flag, command=command, algebra=None,
+                           file=None, theorem="all")
+    if command in _ALGEBRA_COMMANDS and rest and not rest[0].startswith("-"):
+        args.algebra = rest.pop(0)
+    # the options the command takes, each popped when read
+    options = {"--file": command in _ALGEBRA_COMMANDS,
+               "--theorem": command == "verify"}
+    while (rest[1:] and options.pop(rest[0], False)
+           and not rest[1].startswith("-")
+           and (rest[0] == "--file" or rest[1] in fg_mod.CHECKS)):
+        key, value, *rest = rest
+        setattr(args, key[2:], value)
+    return args if command in _COMMANDS and not rest else _argparse(argv)
+
+
+def _argparse(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """parse_args's fields by argparse, built only for an argv that
+    parse_args does not read itself: a usage error raises LieError, and -h
+    or --help gives None, for main to print USAGE."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise LieError(message)
+
+        def print_help(self, file=None):
+            pass
+
+    parser = Parser(prog="liegraph", allow_abbrev=False)
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(algebra=None, file=None, theorem="all")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS:
+        p = sub.add_parser(name, allow_abbrev=False)
+        if name in _ALGEBRA_COMMANDS:
+            p.add_argument("algebra", nargs="?")
+            p.add_argument("--file")
+    sub.choices["verify"].add_argument("--theorem", choices=fg_mod.CHECKS,
+                                       default="all")
+    try:
+        return SimpleNamespace(**vars(parser.parse_args(argv)))
+    except SystemExit:  # the help action, after print_help
+        return None
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
@@ -308,7 +273,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         doc, lines, code = ((None, [USAGE], EXIT_OK) if args is None
                             else _COMMANDS[args.command][0](args))
     except (LieError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if sys.stderr is not None:  # None: fd 2 was closed at start-up
+            print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         if out is None:  # the process started with fd 1 closed
@@ -322,7 +288,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         # stdout's encoding cannot hold) one error line. Point stdout at
         # devnull so the flush after main (run's, or the interpreter's at
         # exit) cannot raise again, and exit 1.
-        if not isinstance(exc, BrokenPipeError):
+        if not isinstance(exc, BrokenPipeError) and sys.stderr is not None:
             reason = exc.strerror if isinstance(exc, OSError) else exc
             print(f"error: cannot write the result: {reason}", file=sys.stderr)
         if out is not None and out is sys.stdout:
@@ -342,9 +308,9 @@ def run() -> None:
             io.BufferedWriter(sys.stdout.buffer), sys.stdout.encoding,
             sys.stdout.errors, newline="\n", write_through=True)
     code = main()
-    if sys.stdout is not None:
-        sys.stdout.flush()
-    sys.stderr.flush()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # a stream whose fd was closed at start-up
+            stream.flush()
     os._exit(code)
 
 

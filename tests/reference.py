@@ -9,17 +9,14 @@ versions of the same computations, on the dense n x n x n table, and
 ``sparse_rref_fractions`` is the sparse kernel with every scalar a
 Fraction; the differential tests require the fast paths to give exactly
 what these give. ``rref`` is the sparse kernel's RREF of a whole Matrix,
-``build_parser`` the argparse command line that the CLI's own parser
-replaced, and ``check_theorem1`` the theorem 1 check on every row of each
-map of C(G), where the package reads only the G rows. ``sign_mutation``
-is the one deliberate fault of the tests: it wraps ``h_derivation`` to
-negate the G rows of each generator. ``column`` and
-``apply`` are the dense column and matrix-vector product that the package's
-Matrix does not offer, and ``coboundaries`` spans the coboundaries one
-unit vector at a time.
+and ``check_theorem1`` the theorem 1 check on every row of each map of
+C(G), where the package reads only the G rows. ``sign_mutation`` is the
+one deliberate fault of the tests: it wraps ``h_derivation`` to negate the
+G rows of each generator. ``column`` and ``apply`` are the dense column and
+matrix-vector product that the package's Matrix does not offer, and
+``coboundaries`` spans the coboundaries one unit vector at a time.
 """
 
-import argparse
 from fractions import Fraction
 from itertools import combinations
 
@@ -329,28 +326,3 @@ def check_theorem1(ws):
     return fullgraph.Theorem1Evidence(each_der, homomorphism, image.dim == total,
                                       total, dim, each_der and image.dim == dim)
 
-
-def build_parser():
-    """The argparse form of the command line, without prefix abbreviations
-    (--fi for --file), which the CLI's parser does not take."""
-    from liegraph.cli import _ALGEBRA_COMMANDS, _cmd_corpus_verify
-
-    parser = argparse.ArgumentParser(
-        prog="liegraph", allow_abbrev=False,
-        description="Exact verification of holomorph constructions on "
-                    "finite-dimensional Lie algebras over Q.")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text) in _ALGEBRA_COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.add_argument("algebra", nargs="?",
-                       help="catalog algebra name (see corpus-verify for the list)")
-        p.add_argument("--file", help="structure-constant JSON file")
-        p.set_defaults(func=func)
-    sub.choices["verify"].add_argument(
-        "--theorem", choices=["1", "2", "lemma", "all"], default="all")
-    p = sub.add_parser("corpus-verify", allow_abbrev=False,
-                       help="run all checks on every catalog entry")
-    p.set_defaults(func=_cmd_corpus_verify)
-    return parser

@@ -725,3 +725,21 @@ def test_closed_stdout_is_one_error_line(unbuffered):
         env=child.env(PYTHONUNBUFFERED=unbuffered))
     assert (proc.returncode, proc.stderr) == (
         1, "error: cannot write the result: standard output is closed\n")
+
+
+@pytest.mark.parametrize("argv", [["info", "nope"], ["nope"]])
+def test_closed_stderr_still_exits_2(argv):
+    # with fd 2 closed at start-up Python sets sys.stderr to None: the error
+    # line has nowhere to go, not even to stdout, and the exit code stays 2
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable, "-m", "liegraph.cli",
+         *argv], stdout=subprocess.PIPE, text=True, timeout=120, env=child.env())
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+@pytest.mark.parametrize("argv", [["info", "nope"], ["nope"]])
+def test_no_stderr_puts_no_error_line_on_stdout(argv, monkeypatch, capsys):
+    # print(file=None) would write to sys.stdout instead
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""

@@ -13,8 +13,9 @@ ALLOWED lists, and fail it.
 Every command (info, der, dder, full-graph, verify --theorem 1|2|lemma|all),
 text and --json, runs in-process under sys.setprofile on the catalog names
 and the six bench/fixtures.py algebras at seed 1, and so do corpus-verify,
---help and two refused files: one breaks Jacobi on (e1, e2, e3), and one has
-an integer past the digit limit.
+--help, a usage error (an unknown command), an argv that argparse reads
+(info -- sl2) and two refused files: one breaks Jacobi on (e1, e2, e3), and
+one has an integer past the digit limit.
 """
 
 import ast
@@ -59,7 +60,8 @@ COMMANDS = [["info"], ["der"], ["dder"], ["full-graph"]] + [
 WHERE = [[name] for name in CATALOG_NAMES] + [
     ["--file", f"{name}.json"] for name in sorted(FIXTURES.SPECS)]
 RUNS = [form + cmd + where for form in ([], ["--json"]) for cmd in COMMANDS
-        for where in WHERE] + [["corpus-verify"], ["--json", "corpus-verify"], ["--help"]]
+        for where in WHERE] + [["corpus-verify"], ["--json", "corpus-verify"], ["--help"],
+                               ["nope"], ["info", "--", "sl2"]]
 REFUSED = {"jacobi.json": '{"dim": 3, "brackets": [{"i": 0, "j": 1, "result": '
                           '[{"k": 2, "coeff": 1}]}, {"i": 0, "j": 2, "result": '
                           '[{"k": 0, "coeff": 1}]}]}',

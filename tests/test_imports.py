@@ -6,8 +6,8 @@ request its time and hides that the code it served is gone.
 ``__future__`` imports are directives, so they are exempt. A request never
 loads ``dataclasses``, whose own imports (``inspect``, ``ast``, ``dis``,
 ``tokenize``) cost more start-up time than a small check computes, nor
-``argparse`` with its ``gettext`` and ``locale``: the CLI reads its
-command line itself. The
+``argparse`` with its ``gettext`` and ``locale``: the CLI reads the common
+command line itself and imports argparse only for any other. The
 package root imports nothing, so a process that reads only the algebra
 and the catalog loads neither the d-theory nor the checks.
 """
