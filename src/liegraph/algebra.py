@@ -54,26 +54,26 @@ class InternalConsistencyError(LieError):
 class LieAlgebra:
     """Structure constants held once, as the nonzero terms of each bracket:
     pairs[i][j] gives [e_i, e_j] = sum of c e_k over its (k, c), and
-    pairs[j][i] is its negation. Build one with make_lie_algebra,
-    lie_algebra_from_table, catalog.parse_algebra_file, semidirect or
-    MatrixSpan.lie_algebra.
+    pairs[j][i] is its negation. dim is len(pairs), so it cannot disagree
+    with them. Build one with make_lie_algebra, lie_algebra_from_table,
+    catalog.parse_algebra_file, semidirect or MatrixSpan.lie_algebra.
 
-    Equality and hashing read (dim, basis_names, pairs) alone; the views
-    built on first read (table, adjoint) never take part."""
+    Equality and hashing read (basis_names, pairs) alone; the views built
+    on first read (table, adjoint) never take part."""
 
-    def __init__(self, dim: int, basis_names: tuple[str, ...],
+    def __init__(self, basis_names: tuple[str, ...],
                  pairs: tuple[tuple[Terms, ...], ...]):
-        self.dim = dim
+        self.dim = len(pairs)
         self.basis_names = basis_names
         self.pairs = pairs
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, LieAlgebra) and self.dim == other.dim
+        return (isinstance(other, LieAlgebra)
                 and self.basis_names == other.basis_names
                 and self.pairs == other.pairs)
 
     def __hash__(self):
-        return hash((self.dim, self.basis_names, self.pairs))
+        return hash((self.basis_names, self.pairs))
 
     @cached_property
     def table(self) -> tuple:
@@ -91,14 +91,13 @@ class LieAlgebra:
             for j, terms in enumerate(self.pairs[i]):
                 for k, c in terms:
                     rows[k][j] = rows[k].get(j, ZERO) + xi * c
-        return Matrix._trusted(n, n, _packed(rows))
+        return Matrix(n, _packed(rows))
 
     @cached_property
     def adjoint(self) -> tuple[Matrix, ...]:
         """ad(e_i) for each i, built on first read: pairs[i], whose row j is
         the terms of [e_i, e_j], is the stored form of ad(e_i) transposed."""
-        n = self.dim
-        return tuple(Matrix._trusted(n, n, row).transpose() for row in self.pairs)
+        return tuple(Matrix(self.dim, row).transpose() for row in self.pairs)
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, basis={list(self.basis_names)})"
@@ -144,7 +143,7 @@ def _from_brackets(n: int, upper: dict[tuple[int, int], Terms],
     names = tuple(basis_names) if basis_names is not None else _default_names(n)
     if len(names) != n:
         raise LieError("basis_names length != dim")
-    return LieAlgebra(n, names, tuple(tuple(r) for r in rows))
+    return LieAlgebra(names, tuple(tuple(r) for r in rows))
 
 
 def lie_algebra_from_table(table,
@@ -244,8 +243,7 @@ def coboundary(rho: Sequence[Matrix], v: Sequence) -> Matrix:
         raise ValueError(f"vector length {len(v)} != cols {n}")
     cols = [[(k, x) for k, row in enumerate(r.nonzeros)
              if (x := -sum(a * v[c] for c, a in row))] for r in rho]
-    return Matrix._trusted(len(rho), rho[0].rows,
-                           tuple(map(tuple, cols))).transpose()
+    return Matrix(rho[0].rows, tuple(map(tuple, cols))).transpose()
 
 
 def center(g: LieAlgebra) -> Subspace:
@@ -269,13 +267,14 @@ def _unflat(shape: tuple[int, int], flat: Iterable[tuple[int, Scalar]]) -> Matri
     for i, x in flat:
         r, c = divmod(i, shape[1])
         rows[r].append((c, x))
-    return Matrix._trusted(*shape, tuple(map(tuple, rows)))
+    return Matrix(shape[1], tuple(map(tuple, rows)))
 
 
 class MatrixSpan:
     """A span of equal-shape matrices, held as the canonical RREF basis of
     their row-major flattenings; terms_of reads coordinates at its pivots,
-    as nonzero terms, and matrix_of takes such terms back to the matrix."""
+    as nonzero terms, and matrix_of takes such terms back to the matrix.
+    Each subclass passes its shape, read off what it spans over."""
 
     def __init__(self, shape: tuple[int, int], flat_span: Subspace):
         self.shape = shape
@@ -326,11 +325,11 @@ class MatrixSpan:
 
 class DerivationAlgebra(MatrixSpan):
     """Der(G), for G = parent, in the canonical basis of the adjoint cocycle
-    system's kernel; only that span is kept, not the system."""
+    system's kernel; only that span is kept, not the system. Its matrices
+    are n x n, n = parent.dim."""
 
-    def __init__(self, shape: tuple[int, int], flat_span: Subspace,
-                 parent: LieAlgebra):
-        super().__init__(shape, flat_span)
+    def __init__(self, flat_span: Subspace, parent: LieAlgebra):
+        super().__init__((parent.dim, parent.dim), flat_span)
         self.parent = parent
 
     @cached_property
@@ -353,7 +352,7 @@ class DerivationAlgebra(MatrixSpan):
     def ad_coordinates(self) -> Matrix:
         """The m x n matrix whose column t is the coordinates of ad(e_t),
         built as its transpose, whose row t is the terms of ad(e_t)."""
-        return Matrix._trusted(self.parent.dim, self.dim, tuple(
+        return Matrix(self.dim, tuple(
             map(self.terms_of, self.parent.adjoint))).transpose()
 
     # bound here, not inherited: bench/trace_cli.py traces it through
@@ -369,7 +368,7 @@ def derivation_algebra(g: LieAlgebra) -> DerivationAlgebra:
     if sol.dim == 0:
         # cannot happen for dim >= 1 over Q (ad(g) or a grading derivation is nonzero)
         raise InternalConsistencyError("empty derivation algebra")
-    return DerivationAlgebra((g.dim, g.dim), sol, g)
+    return DerivationAlgebra(sol, g)
 
 
 def inner_derivations(g: LieAlgebra) -> Subspace:

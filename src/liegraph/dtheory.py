@@ -50,11 +50,11 @@ def inner_d_derivation(der: DerivationAlgebra, x: Sequence) -> Matrix:
 
 
 class DDerivationSpace(MatrixSpan):
-    """The cocycle space in the canonical basis of the cocycle system's kernel."""
+    """The cocycle space in the canonical basis of the cocycle system's
+    kernel. Its matrices are n x m, n = dim G and m = der.dim."""
 
-    def __init__(self, shape: tuple[int, int], flat_span: Subspace,
-                 der: DerivationAlgebra):
-        super().__init__(shape, flat_span)
+    def __init__(self, flat_span: Subspace, der: DerivationAlgebra):
+        super().__init__((der.parent.dim, der.dim), flat_span)
         self.der = der
 
     @cached_property
@@ -84,9 +84,9 @@ class DDerivationSpace(MatrixSpan):
 
 def d_derivations(der: DerivationAlgebra) -> DDerivationSpace:
     """The cocycles of Der(G) acting on G, the kernel of their rule."""
-    n, m = der.parent.dim, der.dim
-    return DDerivationSpace((n, m), sparse_nullspace(
-        n * m, cocycle_system(der.matrices, der.as_lie_algebra)), der)
+    span = sparse_nullspace(der.parent.dim * der.dim,
+                            cocycle_system(der.matrices, der.as_lie_algebra))
+    return DDerivationSpace(span, der)
 
 
 def d_bracket(der: DerivationAlgebra, l1: Matrix, l2: Matrix) -> Matrix:
@@ -96,7 +96,7 @@ def d_bracket(der: DerivationAlgebra, l1: Matrix, l2: Matrix) -> Matrix:
     as the terms of column j of L, and A(L) is built as its transpose,
     whose row j is those coordinates as terms."""
     g, m = der.parent, der.dim
-    a = lambda l: Matrix._trusted(m, m, tuple(
+    a = lambda l: Matrix(m, tuple(
         der.terms_of(g._ad(c)) for c in l.transpose().nonzeros)).transpose()
     return l1 @ a(l2) - l2 @ a(l1)
 
@@ -104,7 +104,7 @@ def d_bracket(der: DerivationAlgebra, l1: Matrix, l2: Matrix) -> Matrix:
 def der_action(der: DerivationAlgebra, d: Matrix, l: Matrix) -> Matrix:
     """D(L) = D∘L - L∘ad(D), ad(D) taken inside Der(G): row i of its
     transpose is the Der terms of [D, D_i]."""
-    ad_d = Matrix._trusted(der.dim, der.dim, tuple(
+    ad_d = Matrix(der.dim, tuple(
         der.terms_of(d.commutator(b)) for b in der.matrices)).transpose()
     return d @ l - l @ ad_d
 
@@ -137,9 +137,9 @@ def build_h(dspace: DDerivationSpace) -> LieAlgebra:
     first kind and m·C(p,2) of the second. theorem1 checks them in effect:
     when H's generators act on C(G) by derivations, as a homomorphism and
     injectively, H is isomorphic to a commutator-closed space of matrices."""
-    (n, m), der = dspace.shape, dspace.der
-    p_t = Matrix._trusted(n, dspace.dim, tuple(dspace.terms_of(Matrix._trusted(
-        m, n, tuple(c[t] for c in der.columns)).transpose()) for t in range(n)))
+    n, der = dspace.shape[0], dspace.der
+    p_t = Matrix(dspace.dim, tuple(dspace.terms_of(Matrix(
+        n, tuple(c[t] for c in der.columns)).transpose()) for t in range(n)))
     acts = [lj.transpose() @ p_t for lj in dspace.matrices]
     return semidirect(der.as_lie_algebra, dspace.as_lie_algebra,
                       lambda i, j: acts[j].nonzeros[i])

@@ -120,7 +120,7 @@ def h_derivation(dspace: DDerivationSpace, d_terms: Terms,
     # L∘ad is L(ad(e_j)): both read off structures built once per algebra
     ad_d = der.as_lie_algebra._ad(d_terms)
     e = der.matrix_of(d_terms) + L @ der.ad_coordinates
-    return Matrix._trusted(m + n, m + n, ad_d.nonzeros + tuple(
+    return Matrix(m + n, ad_d.nonzeros + tuple(
         lr + tuple((m + c, x) for c, x in er)
         for lr, er in zip(L.nonzeros, e.nonzeros)))
 
@@ -138,13 +138,12 @@ def is_block_derivation(dspace: DDerivationSpace, delta: Matrix) -> bool:
     if any(row and row[-1][0] >= m for row in top):
         raise InternalConsistencyError(
             "a map of C(G) from H has a nonzero G -> Der block")
-    c = Matrix._trusted(n, m, tuple(tuple((k, x) for k, x in row if k < m)
-                                    for row in bottom))
+    c = Matrix(m, tuple(tuple((k, x) for k, x in row if k < m) for row in bottom))
     e = {r * n + k - m: x for r, row in enumerate(bottom) for k, x in row if k >= m}
     e_terms = der.flat_span._coordinates(e)
     if e_terms is None or dspace.flat_span._coordinates(_flat(c)) is None:
         return False
-    return (Matrix._trusted(m, m, top)
+    return (Matrix(m, top)
             == der.as_lie_algebra._ad(e_terms) - der.ad_coordinates @ c)
 
 
@@ -257,7 +256,7 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
     each_der = all(is_block_derivation(dspace, M) for M in gens)
 
     # each generator's G rows, the n x (m+n) Matrix below its m Der rows
-    rows = [Matrix._trusted(n, size, M.nonzeros[m:]) for M in gens]
+    rows = [Matrix(size, M.nonzeros[m:]) for M in gens]
     zero = Matrix.zero(n, size)
 
     # h_derivation is linear in its coordinates, so the image of

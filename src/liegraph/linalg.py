@@ -14,15 +14,17 @@ work. ``str``, ``==`` and ``hash`` agree between an ``int`` and the equal
 comparison.
 
 A Matrix is its nonzeros: per row, the (column, entry) pairs in column
-order, with no zero entry. Every operation reads and builds that form, and
-equality and hashing compare it, so no zero entry is stored, tested or
-copied. A subspace is likewise kept as the rows of its canonical RREF
-basis, as the kernel gives them: two subspaces are equal iff these rows are
-equal. A vector's coordinates are its nonzero terms ``((i, a), ...)``, read
-at the pivots off its ``{column: entry}`` nonzeros, and combinations take
-terms. A matrix's dense forms, ``Matrix.row`` and ``flatten``, are views
-built on request, for printing, the benchmark's trace counters and tests;
-a subspace has none.
+order, with no zero entry. Every operation reads that form and builds its
+result from it alone, ``Matrix(cols, nonzeros)``, whose row count is the
+number of rows given; ``Matrix.from_rows`` is the one way in from dense
+entries. Equality and hashing compare the stored form, so no zero entry is
+stored, tested or copied. A subspace is likewise kept as the rows of its
+canonical RREF basis, as the kernel gives them: two subspaces are equal iff
+these rows are equal. A vector's coordinates are its nonzero terms
+``((i, a), ...)``, read at the pivots off its ``{column: entry}``
+nonzeros, and combinations take terms. A matrix's dense forms,
+``Matrix.row`` and ``flatten``, are views built on request, for printing,
+the benchmark's trace counters and tests; a subspace has none.
 
 All elimination is done by one sparse Gauss-Jordan kernel, ``sparse_rref``,
 on rows held as ``{column: nonzero entry}``: the systems solved here are
@@ -74,42 +76,34 @@ def as_vector(v: Iterable) -> Vector:
 class Matrix:
     """Immutable matrix of exact rationals (ints and Fractions), held as its
     nonzeros: per row, the (column, entry) pairs in column order, with no
-    zero entry. Equality and hashing read them; row and flatten are dense
-    views built on request."""
+    zero entry. Matrix(cols, nonzeros) takes that stored form as it is and
+    checks nothing, and rows is len(nonzeros): every operation builds its
+    result this way from entries that are exact already. from_rows is the
+    one way in from dense entries. Equality and hashing read (cols,
+    nonzeros); row and flatten are dense views built on request."""
 
     __slots__ = ("rows", "cols", "nonzeros")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence):
-        e = [as_scalar(x) for x in entries]
-        if len(e) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(e)}")
-        self.rows = rows
+    def __init__(self, cols: int, nonzeros: tuple):
+        self.rows = len(nonzeros)
         self.cols = cols
-        self.nonzeros = tuple(
-            tuple([(c, x) for c, x in enumerate(e[r * cols:(r + 1) * cols]) if x])
-            for r in range(rows))
-
-    @classmethod
-    def _trusted(cls, rows: int, cols: int, nonzeros: tuple) -> "Matrix":
-        """Wrap per-row nonzeros in the stored form, unchecked: only for
-        results of operations on Matrix entries, which are exact already."""
-        m = object.__new__(cls)
-        m.rows, m.cols, m.nonzeros = rows, cols, nonzeros
-        return m
+        self.nonzeros = nonzeros
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        rows = [tuple(r) for r in rows]
+        """The matrix of dense rows, each entry made exact by as_scalar."""
+        rows = [as_vector(r) for r in rows]
         if not rows:
             raise ValueError("from_rows needs at least one row")
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        return cls(len(rows), ncols, [x for r in rows for x in r])
+        return cls(ncols, tuple(tuple([(c, x) for c, x in enumerate(r) if x])
+                                for r in rows))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls._trusted(rows, cols, ((),) * rows)
+        return cls(cols, ((),) * rows)
 
     def row(self, r: int) -> Vector:
         return _dense(self.nonzeros[r], self.cols)
@@ -124,7 +118,7 @@ class Matrix:
         for r, row in enumerate(self.nonzeros):
             for c, x in row:
                 out[c].append((r, x))
-        return Matrix._trusted(self.cols, self.rows, tuple(map(tuple, out)))
+        return Matrix(self.rows, tuple(map(tuple, out)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
@@ -135,7 +129,7 @@ class Matrix:
             for c, x in b:
                 acc[c] = acc.get(c, ZERO) + x
             out.append(acc)
-        return Matrix._trusted(self.rows, self.cols, _packed(out))
+        return Matrix(self.cols, _packed(out))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(-1)
@@ -144,8 +138,8 @@ class Matrix:
         s = as_scalar(s)
         if not s:
             return Matrix.zero(self.rows, self.cols)
-        return Matrix._trusted(self.rows, self.cols, tuple(
-            tuple([(c, s * x) for c, x in row]) for row in self.nonzeros))
+        return Matrix(self.cols, tuple(tuple([(c, s * x) for c, x in row])
+                                       for row in self.nonzeros))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -157,7 +151,7 @@ class Matrix:
                 for c, b in right[k]:
                     acc[c] = acc.get(c, ZERO) + a * b
             out.append(acc)
-        return Matrix._trusted(self.rows, other.cols, _packed(out))
+        return Matrix(other.cols, _packed(out))
 
     def commutator(self, other: "Matrix", first: int = 0) -> "Matrix":
         """Rows first … n−1 of self @ other − other @ self, an (n − first) × n
@@ -177,18 +171,18 @@ class Matrix:
                 for c, a in a_nz[k]:
                     acc[c] = acc.get(c, ZERO) - b * a
             out.append(acc)
-        return Matrix._trusted(n - first, n, _packed(out))
+        return Matrix(n, _packed(out))
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.nonzeros == other.nonzeros)
+        return (isinstance(other, Matrix) and self.cols == other.cols
+                and self.nonzeros == other.nonzeros)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.nonzeros))
+        return hash((self.cols, self.nonzeros))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(r)) for r in range(self.rows))

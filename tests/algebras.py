@@ -1,7 +1,8 @@
 """The algebras the differential tests run on: the catalog entries (and
 the dense forms they must parse to), the six algebras of the benchmark's
 ``bench/fixtures.py`` at seed 1, seeded random 2-step nilpotent algebras,
-and the Heisenberg family."""
+the Heisenberg family, and the complete families sl_n and b(sl_n) in the
+matrix-unit basis, whose answers are known at every size."""
 
 import functools
 import random
@@ -73,6 +74,55 @@ def direct_sum(g1: LieAlgebra, g2: LieAlgebra) -> LieAlgebra:
     brackets += [(m + i, m + j, (0,) * m + g2.table[i][j])
                  for i, j in combinations(range(n), 2)]
     return make_lie_algebra(m + n, brackets)
+
+
+def _matrix_units(n: int, upper_only: bool) -> LieAlgebra:
+    """The span of H_i = E_ii − E_{i+1,i+1} (i < n − 1) and then the E_ij,
+    i ≠ j (i < j only, if upper_only), in row-major order, under the
+    commutator [E_ij, E_kl] = δ_jk E_il − δ_li E_kj. A traceless diagonal
+    diag(d) has H-coordinates the partial sums d_0 + ... + d_i."""
+    units = [(i, j) for i in range(n) for j in range(n)
+             if i != j and (i < j or not upper_only)]
+    basis = [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
+    basis += [{ij: 1} for ij in units]
+    index = {ij: n - 1 + t for t, ij in enumerate(units)}
+    dim = len(basis)
+
+    def coordinates(mat):
+        v, partial = [0] * dim, 0
+        for i in range(n - 1):
+            partial += mat.get((i, i), 0)
+            v[i] = partial
+        for (i, j), c in mat.items():
+            if i != j:
+                v[index[i, j]] += c
+        return v
+
+    def commutator(x, y):
+        out = {}
+        for (i, j), a in x.items():
+            for (k, l), b in y.items():
+                if j == k:
+                    out[i, l] = out.get((i, l), 0) + a * b
+                if l == i:
+                    out[k, j] = out.get((k, j), 0) - a * b
+        return out
+
+    return make_lie_algebra(dim, [(a, b, coordinates(commutator(basis[a], basis[b])))
+                                  for a, b in combinations(range(dim), 2)])
+
+
+def special_linear(n: int) -> LieAlgebra:
+    """sl_n, n >= 2, in the matrix-unit basis: H_1 .. H_{n−1}, then the E_ij,
+    i ≠ j. It is complete (Whitehead's lemma: Z = 0 and Der = ad)."""
+    return _matrix_units(n, upper_only=False)
+
+
+def borel(n: int) -> LieAlgebra:
+    """b(sl_n), n >= 2, the upper triangular traceless matrices: H_1 ..
+    H_{n−1}, then the E_ij, i < j. It is complete, a classical result for
+    Borel subalgebras (Meng Daoji, Comm. Algebra 22, 1994)."""
+    return _matrix_units(n, upper_only=True)
 
 
 # NAMES, then two-step nilpotent draws (seed, n) of dimension 3 to 5

@@ -13,7 +13,8 @@ and ``check_theorem1`` the theorem 1 check on every row of each map of
 C(G), where the package reads only the G rows. ``sign_mutation`` is the
 one deliberate fault of the tests: it wraps ``h_derivation`` to negate the
 G rows of each generator. ``column`` and ``apply`` are the dense column and
-matrix-vector product that the package's Matrix does not offer, and
+matrix-vector product that the package's Matrix does not offer,
+``dense`` builds a Matrix from row-major dense entries, and
 ``coboundaries`` spans the coboundaries one unit vector at a time.
 """
 
@@ -26,6 +27,17 @@ from liegraph.linalg import Matrix, Subspace, _packed, as_vector, sparse_rref
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def dense(rows, cols, entries):
+    """The rows x cols Matrix of row-major dense entries, through
+    Matrix.from_rows, the package's one dense way in; with no rows, the
+    empty Matrix of width cols."""
+    entries = list(entries)
+    assert len(entries) == rows * cols, (rows, cols, len(entries))
+    if not rows:
+        return Matrix(cols, ())
+    return Matrix.from_rows([entries[r * cols:(r + 1) * cols] for r in range(rows)])
 
 
 def unit(n, j):
@@ -96,7 +108,7 @@ def rref(m):
     by the package's sparse kernel."""
     rows, pivots = sparse_rref(dict(row) for row in m.nonzeros)
     rows += [{}] * (m.rows - len(rows))
-    return Matrix._trusted(m.rows, m.cols, _packed(rows)), pivots
+    return Matrix(m.cols, _packed(rows)), pivots
 
 
 def sparse_rref_fractions(rows):
@@ -221,7 +233,7 @@ def ad(table, x):
     n = len(table)
     units = [tuple(ONE if t == j else ZERO for t in range(n)) for j in range(n)]
     cols = [bracket(table, x, u) for u in units]
-    return Matrix(n, n, [cols[c][r] for r in range(n) for c in range(n)])
+    return dense(n, n, [cols[c][r] for r in range(n) for c in range(n)])
 
 
 def validate_jacobi(n, table):
@@ -256,7 +268,7 @@ def semidirect(k, v, action):
         table[i][j], table[j][i] = vec, tuple(-c for c in vec)
     pairs = tuple(tuple(tuple((t, c) for t, c in enumerate(vec) if c)
                         for vec in row) for row in table)
-    return LieAlgebra(total, k.basis_names + v.basis_names, pairs)
+    return LieAlgebra(k.basis_names + v.basis_names, pairs)
 
 
 def terms(v):

@@ -29,6 +29,7 @@ from liegraph.linalg import Matrix
 
 import oracle
 import sympy as sp
+from algebras import borel
 import reference
 from reference import terms
 
@@ -215,6 +216,12 @@ def test_oracle_der_of_full_graph_abelian1(setups):
         build_full_graph(derivation_algebra(lookup("abelian1").algebra)))
     report(f"oracle[dim Der(C(abelian1)) = {der_cg}]",
            der_cg == 2 and main_build.dim == 2)
+
+
+def test_oracle_der_of_full_graph_borel3():
+    # b(sl3) is complete, so dim Der(C(G)) = 2 dim G = 10
+    der_cg = len(oracle.derivation_matrices(oracle.holomorph_table(borel(3).table)))
+    report(f"oracle[dim Der(C(b(sl3))) = {der_cg}]", der_cg == 10)
 
 
 # --- Criterion 5: algebraic-law suite, >=100 seeded cases per law ----------

@@ -386,8 +386,8 @@ def test_is_cocycle_on_columns_no_row_touches(name, action):
     rho, alg = _action(name, action)
     n, m = rho[0].rows, len(rho)
     touched = {col for row in cocycle_system(rho, alg) for col in row}
-    phi = Matrix(n, m, [F(0) if col in touched else F(col % 5 + 1, 2)
-                        for col in range(n * m)])
+    phi = reference.dense(n, m, [F(0) if col in touched else F(col % 5 + 1, 2)
+                                 for col in range(n * m)])
     space = sparse_nullspace(n * m, cocycle_system(rho, alg))
     assert space._coordinates(_flat(phi)) is not None
     assert reference.is_cocycle(rho, alg, phi)
@@ -410,9 +410,10 @@ def test_is_cocycle_matches_loop_reference(name, action, data):
                 for t in range(n * m)]
     noise = data.draw(st.lists(sparse_entries, min_size=n * m, max_size=n * m))
     perturbed = [a + b for a, b in zip(accepted, noise)]
-    assert reference.is_cocycle(rho, alg, Matrix(n, m, accepted))
-    assert (reference.is_cocycle(rho, alg, Matrix(n, m, perturbed))
-            == (space._coordinates(_flat(Matrix(n, m, perturbed))) is not None))
+    perturbed = reference.dense(n, m, perturbed)
+    assert reference.is_cocycle(rho, alg, reference.dense(n, m, accepted))
+    assert (reference.is_cocycle(rho, alg, perturbed)
+            == (space._coordinates(_flat(perturbed)) is not None))
 
 
 # The sparse structure constants against the dense references: ad, bracket,
@@ -446,7 +447,7 @@ def _jacobi_outcome(build):
 def test_sparse_structure_constants_match_dense_reference(table, data):
     n = len(table)
     # ad and bracket need no Jacobi, so the table is wrapped unchecked
-    g = LieAlgebra(n, tuple(f"e{i + 1}" for i in range(n)), _pairs(table))
+    g = LieAlgebra(tuple(f"e{i + 1}" for i in range(n)), _pairs(table))
     assert g.table == table
     x, y = (data.draw(st.lists(sparse_entries, min_size=n, max_size=n))
             for _ in range(2))
@@ -479,7 +480,7 @@ def test_adjoint_is_read_off_the_structure_constants(case, monkeypatch):
     # pairs[i] is the stored form of ad(e_i) transposed, so building the
     # adjoint of a fresh algebra computes no ad
     g = case_algebra(case)
-    fresh = LieAlgebra(g.dim, g.basis_names, g.pairs)
+    fresh = LieAlgebra(g.basis_names, g.pairs)
 
     def refuse(*args):
         raise AssertionError("the adjoint was built through ad")

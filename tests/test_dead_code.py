@@ -46,9 +46,8 @@ ALLOWED = {
         "linalg.Matrix.__repr__", "linalg.Subspace.__eq__",
         "linalg.Subspace.__hash__", "linalg.Subspace.__repr__"], DUNDER),
     "algebra.coboundary": CALLED + "dtheory.inner_d_derivation",
-    "linalg.Matrix.__init__": CALLED + "linalg.Matrix.from_rows",
     "linalg.as_vector": CALLED + "algebra.make_lie_algebra, linalg.solve, "
-                                 "linalg.Subspace.from_rows",
+                                 "linalg.Matrix.from_rows, linalg.Subspace.from_rows",
     "linalg.Matrix.from_rows": CALLED + "algebra.induced_lie_structure",
     "algebra.LieAlgebra.table": "read by the trace counter of derivation_algebra",
     "linalg.Matrix.flatten": "read by the trace counter of nullspace",

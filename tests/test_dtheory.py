@@ -69,7 +69,7 @@ def test_coordinates_of_map_outside_cocycle_space_raises(sl2_setup):
     width = g.dim * der.dim
     basis = reference.dense_rows(map(dict, space.flat_span.rows), width)
     # a unit vector that raises the rank lies outside the span
-    outside = next(Matrix(g.dim, der.dim, v)
+    outside = next(reference.dense(g.dim, der.dim, v)
                    for v in ([int(t == c) for t in range(width)] for c in range(width))
                    if Subspace.from_rows(width, basis + [v]).dim > space.dim)
     with pytest.raises(InternalConsistencyError):
@@ -97,7 +97,7 @@ class TestInnerDDerivation:
     def test_sl2_l_h_golden(self, sl2_setup):
         g, der, _ = sl2_setup
         lh = inner_d_derivation(der, [1, 0, 0])
-        assert lh == Matrix(3, 3, [0, 0, 0, 0, 2, 0, 2, 0, 0])
+        assert lh == Matrix.from_rows([[0, 0, 0], [0, 2, 0], [2, 0, 0]])
 
 
 class TestDBracket:
@@ -135,7 +135,7 @@ class TestDerAction:
         acted = der_action(der, adh, le)
         l2e = inner_d_derivation(der, [0, 2, 0])
         assert acted == l2e
-        assert acted == Matrix(3, 3, [-2, 0, 0, 0, 0, -2, 0, 0, 0])
+        assert acted == Matrix.from_rows([[-2, 0, 0], [0, 0, -2], [0, 0, 0]])
 
     def test_lands_in_cocycle_space(self, sl2_setup):
         g, der, space = sl2_setup

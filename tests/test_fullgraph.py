@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from reference import terms
-from algebras import (CASES, CATALOG_NAMES, case_algebra, case_id, heisenberg,
+from algebras import (CASES, CATALOG_NAMES, NAMES, algebra, borel, case_algebra,
+                      case_id, direct_sum, heisenberg, special_linear,
                       two_step_nilpotent)
 
 from liegraph import algebra as alg_mod, dtheory as dt_mod, fullgraph as fg_mod
-from liegraph.algebra import (InternalConsistencyError, _flat, cocycle_system,
-                              derivation_algebra, make_lie_algebra)
-from liegraph.catalog import catalog, lookup, parse_algebra_file, serialize_algebra
+from liegraph.algebra import (InternalConsistencyError, _flat, center,
+                              cocycle_system, derivation_algebra,
+                              make_lie_algebra)
+from liegraph.catalog import catalog, lookup, serialize_algebra
 from liegraph.cli import main
 from liegraph.dtheory import d_derivations
 from liegraph.fullgraph import (VerificationReport, _Workspace,
@@ -257,6 +259,30 @@ def test_heisenberg_family_closed_forms(k):
         assert derivation_algebra(ws.cg).dim == ws.der_cg_dim
 
 
+COMPLETE_LADDER = {
+    "borel3": lambda: borel(3), "borel4": lambda: borel(4),
+    "borel5": lambda: borel(5), "sl3": lambda: special_linear(3),
+    "sl4": lambda: special_linear(4),
+    "sl2_sum_borel3": lambda: direct_sum(special_linear(2), borel(3)),
+}
+
+
+@pytest.mark.parametrize("name", COMPLETE_LADDER)
+def test_complete_ladder_known_answers(name):
+    # G complete (Z = 0, Der = ad), so dim Der(G) = n, every cocycle is
+    # inner (p = n), dim H = dim Der(C(G)) = 2n, and G and C(G) are both
+    # complete: every check passes with these exact dimensions
+    g = COMPLETE_LADDER[name]()
+    n = g.dim
+    assert center(g).dim == 0 and derivation_algebra(g).dim == n
+    rep = verify(g, name)
+    assert rep.d_evidence.d_space_dim == n
+    assert rep.theorem1.dim_h == rep.theorem1.dim_der_cg == 2 * n
+    assert rep.lemma == (0, 0, True)
+    assert rep.theorem2 == (True, True, True)
+    assert rep.passed
+
+
 @pytest.mark.parametrize("case", CASES + [(5, 6)], ids=case_id)
 def test_every_derived_table_passes_the_full_jacobi_scan(case):
     # the package scans no table it derives: Der(G), Z¹, C(G) and H are Lie
@@ -297,7 +323,7 @@ def test_two_step_nilpotent_full_graph_has_the_outer_derivation(seed, n):
         delta[(m + j) * size + m + j] = F(2)
         for r in range(m):
             delta[r * size + m + j] = -ad.row(r)[j]
-    delta = Matrix(size, size, delta)
+    delta = reference.dense(size, size, delta)
     assert reference.is_cocycle(ws.cg.adjoint, ws.cg, delta)
 
     total = m + ws.dspace.dim
@@ -333,8 +359,8 @@ def _block_derivations(ws) -> list[Matrix]:
     out = [_assemble(ws, c, zero_e, zero_b) for c in ws.dspace.matrices]
     s = der_cg_blocks(ws.der, ws.cg)
     for v in reference.dense_rows(map(dict, s.rows), s.ambient_dim):
-        out.append(_assemble(ws, zero_c, Matrix(n, n, v[m * n:]),
-                             Matrix(m, n, v[:m * n])))
+        out.append(_assemble(ws, zero_c, reference.dense(n, n, v[m * n:]),
+                             reference.dense(m, n, v[:m * n])))
     return out
 
 
@@ -412,7 +438,7 @@ def test_heisenberg3_blocks_hold_the_certified_outer_derivation():
 def _with_entry(delta: Matrix, r: int, c: int, x) -> Matrix:
     entries = list(delta.flatten())
     entries[r * delta.cols + c] = x
-    return Matrix(delta.rows, delta.cols, entries)
+    return reference.dense(delta.rows, delta.cols, entries)
 
 
 def _block_maps(ws, rng) -> list[Matrix]:
@@ -494,7 +520,7 @@ def test_theorem1_fails_on_a_bracket_of_h_with_its_sign_flipped(case,
                     for j, terms in enumerate(row) if i < j and terms)
         pairs = [list(row) for row in h.pairs]
         pairs[i][j], pairs[j][i] = pairs[j][i], pairs[i][j]
-        return alg_mod.LieAlgebra(h.dim, h.basis_names, tuple(map(tuple, pairs)))
+        return alg_mod.LieAlgebra(h.basis_names, tuple(map(tuple, pairs)))
 
     monkeypatch.setattr(_Workspace, "h", property(flipped))
     ws = _Workspace(case_algebra(case))
@@ -511,29 +537,27 @@ def test_theorem1_cases_include_images_short_of_der_cg():
 
 
 # Scalars are ints and Fractions only, and every matrix is stored in its
-# canonical form: every matrix that verify builds, subspace bases included,
-# on a fresh parse of each catalog entry.
+# canonical form. Matrix(cols, nonzeros) checks nothing, so this is the
+# guard of that form: every matrix that a request builds, subspace bases
+# included, for each subcommand on a fresh parse of each catalog entry and
+# of each bench/fixtures.py algebra at seed 1.
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_verify_builds_no_float(name, monkeypatch):
+@pytest.mark.parametrize("name", NAMES)
+def test_verify_builds_no_float(name, tmp_path, monkeypatch):
+    (tmp_path / "g.json").write_text(serialize_algebra(algebra(name)))
     seen, built = set(), []
-    init, trusted = Matrix.__init__, Matrix._trusted.__func__
+    init = Matrix.__init__
 
-    def counting_init(self, rows, cols, entries):
-        init(self, rows, cols, entries)
+    def counting_init(self, cols, nonzeros):
+        init(self, cols, nonzeros)
         built.append(self)
 
-    def counting_trusted(cls, rows, cols, nonzeros):
-        built.append(trusted(cls, rows, cols, nonzeros))
-        return built[-1]
-
     monkeypatch.setattr(Matrix, "__init__", counting_init)
-    monkeypatch.setattr(Matrix, "_trusted", classmethod(counting_trusted))
-    g = parse_algebra_file(serialize_algebra(lookup(name).algebra))
-    verify(g, name)
-    assert built
+    codes = {main([cmd, "--file", str(tmp_path / "g.json")], io.StringIO())
+             for cmd in ("info", "der", "dder", "full-graph", "verify")}
+    assert built and codes <= {0, 1}
     for mat in built:
-        assert type(mat.nonzeros) is tuple and len(mat.nonzeros) == mat.rows
+        assert type(mat.nonzeros) is tuple
         for row in mat.nonzeros:
             cols = [c for c, _ in row]
             # columns strictly increasing and in range, no zero entry

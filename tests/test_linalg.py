@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from liegraph.linalg import (Matrix, Subspace, _dense, as_scalar, nullspace,
                              rank, solve, sparse_nullspace, sparse_rref)
-from reference import rref
+from reference import dense, rref
 
 F = Fraction
 
@@ -98,7 +98,7 @@ def matrices(draw, max_dim=8):
     r = draw(st.integers(1, max_dim))
     c = draw(st.integers(1, max_dim))
     e = draw(st.lists(entries, min_size=r * c, max_size=r * c))
-    return Matrix(r, c, e)
+    return dense(r, c, e)
 
 
 @given(matrices())
@@ -169,7 +169,7 @@ def _dense_coordinates(span, v):
 @settings(max_examples=150, deadline=None)
 def test_coordinates_agree_with_solve(case):
     span, inside, anywhere, off = case
-    basis_columns = Matrix._trusted(span.dim, span.ambient_dim, span.rows).transpose()
+    basis_columns = Matrix(span.ambient_dim, span.rows).transpose()
     coords = _dense_coordinates(span, inside)
     assert coords is not None
     assert coords == solve(basis_columns, inside)
@@ -187,7 +187,7 @@ def test_coordinate_terms_are_the_nonzeros_of_solve(case):
     # the sparse reader, on {column: entry} nonzeros, gives exactly the
     # nonzero (row, coordinate) terms of the dense solution, in row order
     span, inside, anywhere, off = case
-    basis_columns = Matrix._trusted(span.dim, span.ambient_dim, span.rows).transpose()
+    basis_columns = Matrix(span.ambient_dim, span.rows).transpose()
     for v in (inside, anywhere, off):
         if v is None:
             continue
@@ -210,8 +210,8 @@ def test_coordinates_outside_span_is_none():
 @st.composite
 def matmul_pairs(draw):
     r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
-    a = Matrix(r, k, draw(st.lists(sparse_entries, min_size=r * k, max_size=r * k)))
-    b = Matrix(k, c, draw(st.lists(sparse_entries, min_size=k * c, max_size=k * c)))
+    a = dense(r, k, draw(st.lists(sparse_entries, min_size=r * k, max_size=r * k)))
+    b = dense(k, c, draw(st.lists(sparse_entries, min_size=k * c, max_size=k * c)))
     return a, b
 
 
@@ -225,7 +225,7 @@ def _triple_loop(a, b):
 @settings(max_examples=150, deadline=None)
 def test_matmul_matches_triple_loop(pair):
     a, b = pair
-    assert a @ b == Matrix(a.rows, b.cols, _triple_loop(a, b))
+    assert a @ b == dense(a.rows, b.cols, _triple_loop(a, b))
 
 
 def test_matmul_shape_mismatch_raises():
@@ -236,8 +236,8 @@ def test_matmul_shape_mismatch_raises():
 @st.composite
 def square_pairs(draw):
     n = draw(st.integers(0, 6))
-    a, b = (Matrix(n, n, draw(st.lists(sparse_entries, min_size=n * n,
-                                       max_size=n * n)))
+    a, b = (dense(n, n, draw(st.lists(sparse_entries, min_size=n * n,
+                                      max_size=n * n)))
             for _ in range(2))
     return a, b
 
@@ -247,11 +247,11 @@ def square_pairs(draw):
 def test_commutator_matches_triple_loop(pair):
     a, b = pair
     expected = [x - y for x, y in zip(_triple_loop(a, b), _triple_loop(b, a))]
-    assert a.commutator(b) == Matrix(a.rows, a.cols, expected)
+    assert a.commutator(b) == dense(a.rows, a.cols, expected)
 
 
 def test_commutator_of_empty_and_one_by_one():
-    assert Matrix(0, 0, []).commutator(Matrix(0, 0, [])) == Matrix(0, 0, [])
+    assert Matrix(0, ()).commutator(Matrix(0, ())) == Matrix(0, ())
     assert mat([[3]]).commutator(mat([[F(-1, 2)]])) == mat([[0]])
 
 
@@ -270,8 +270,8 @@ def test_commutator_shape_mismatch_raises(a, b):
 @st.composite
 def square_pairs_from_a_row(draw):
     n = draw(st.integers(0, 6))
-    a, b = (Matrix(n, n, draw(st.lists(mixed_entries, min_size=n * n,
-                                       max_size=n * n)))
+    a, b = (dense(n, n, draw(st.lists(mixed_entries, min_size=n * n,
+                                      max_size=n * n)))
             for _ in range(2))
     return a, b, draw(st.integers(0, n))
 
@@ -285,7 +285,7 @@ def test_commutator_from_a_row_is_those_rows_of_the_full_product(case):
     got = a.commutator(b, first)
     assert got.shape == (n - first, n)
     full = a @ b - b @ a
-    assert got == Matrix._trusted(n - first, n, full.nonzeros[first:])
+    assert got == Matrix(n, full.nonzeros[first:])
     assert [got.row(r) for r in range(n - first)] == [full.row(r)
                                                       for r in range(first, n)]
 
@@ -294,7 +294,7 @@ def test_commutator_from_a_row_is_those_rows_of_the_full_product(case):
 @settings(max_examples=100, deadline=None)
 def test_nonzero_view_changes_neither_equality_nor_hash(pair):
     a, _ = pair
-    twin = Matrix(a.rows, a.cols, a.flatten())
+    twin = dense(a.rows, a.cols, a.flatten())
     before, rows = hash(a), [a.row(r) for r in range(a.rows)]
     assert a.nonzeros == tuple(tuple((c, x) for c, x in enumerate(r) if x)
                                for r in rows)
@@ -427,10 +427,25 @@ def test_as_scalar_gives_an_int_when_integral():
     assert all(type(x) is int for x in Matrix.from_rows([[F(2), True], ["4/2", 0]]).flatten())
 
 
+def test_matrix_takes_its_stored_form_and_from_rows_takes_dense_rows():
+    # rows is read off the stored form; dense entries go through from_rows
+    m = Matrix(3, (((1, 5),), ()))
+    assert m.shape == (2, 3) and m == Matrix.from_rows([[0, 5, 0], [0, 0, 0]])
+    assert Matrix(4, ()).shape == (0, 4)
+    with pytest.raises(TypeError):
+        Matrix(2, 2, [1, 0, 0, 1])
+    with pytest.raises(ValueError):
+        Matrix.from_rows([])
+    with pytest.raises(ValueError):
+        Matrix.from_rows([[1, 2], [3]])
+    with pytest.raises(TypeError):
+        Matrix.from_rows([[0.5]])
+
+
 # A Matrix is held as its nonzeros alone. Differential check of every
 # operation against plain dense lists, on int and Fraction entries that
 # include explicit 0 and Fraction(0): results equal, hash equal and are
-# stored canonically, whether built by Matrix(...) or by an operation.
+# stored canonically, whether built by Matrix.from_rows or by an operation.
 
 dense_entries = st.one_of(st.just(0), st.just(F(0)), st.integers(-3, 3),
                           st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
@@ -449,7 +464,7 @@ def dense_operands(draw):
 
 
 def _built(rows, nrows, ncols):
-    return Matrix(nrows, ncols, [x for r in rows for x in r])
+    return dense(nrows, ncols, [x for r in rows for x in r])
 
 
 def _mul(x, y, inner, ncols):
@@ -460,7 +475,7 @@ def _mul(x, y, inner, ncols):
 
 def _same(m, rows, nrows, ncols):
     """m is the matrix of the dense rows: equal and hashed as one built by
-    Matrix(...), with canonical nonzeros and the same dense views."""
+    Matrix.from_rows, with canonical nonzeros and the same dense views."""
     twin = _built(rows, nrows, ncols)
     assert m.shape == (nrows, ncols)
     assert m == twin and twin == m and hash(m) == hash(twin)
