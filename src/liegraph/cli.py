@@ -20,11 +20,9 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import fullgraph as fg_mod
-from .algebra import (LieAlgebra, LieError, center, derivation_algebra,
-                      derived_subalgebra, is_complete)
+from .algebra import (LieAlgebra, LieError, center, derived_subalgebra,
+                      is_complete)
 from .catalog import catalog, lookup, parse_algebra_file, sparse_brackets
-from .dtheory import d_center, d_derivations, is_d_complete
-from .fullgraph import VerificationReport, build_full_graph
 from .linalg import Matrix
 
 EXIT_OK = 0
@@ -70,7 +68,7 @@ def _table_lines(alg: LieAlgebra) -> list[str]:
     return out or ["(abelian)"]
 
 
-def report_to_dict(rep: VerificationReport) -> dict:
+def report_to_dict(rep: fg_mod.VerificationReport) -> dict:
     """Each check's evidence fields and verdict, and the dimensions behind
     the two completeness tests that theorem2 compares."""
     doc: dict = {"algebra": rep.algebra_name, "passed": rep.passed}
@@ -85,7 +83,7 @@ def report_to_dict(rep: VerificationReport) -> dict:
     return doc
 
 
-def _report_lines(rep: VerificationReport) -> list[str]:
+def _report_lines(rep: fg_mod.VerificationReport) -> list[str]:
     ok = lambda b: "pass" if b else "FAIL"
     lines = [f"== {rep.algebra_name} =="]
     if rep.theorem1 is not None:
@@ -111,13 +109,12 @@ def _report_lines(rep: VerificationReport) -> list[str]:
 
 def _cmd_info(args):
     name, g = _load_algebra(args)
-    der = derivation_algebra(g)
-    cc = is_complete(g, der.dim, center(g))
-    dc = is_d_complete(d_derivations(der), d_center(der))
+    ws = fg_mod._Workspace(g)
+    cc, dc = is_complete(g, ws.der.dim, center(g)), ws.d_completeness
     dims = {
         "center_dim": cc.center_dim,
         "derived_subalgebra_dim": derived_subalgebra(g).dim,
-        "der_dim": der.dim,
+        "der_dim": ws.der.dim,
         "inner_der_dim": cc.inner_dim,
         "d_space_dim": dc.d_space_dim,
         "inner_d_dim": dc.inner_d_dim,
@@ -146,27 +143,25 @@ def _span_result(doc: dict, span, header: str, label: str):
 
 def _cmd_der(args):
     name, g = _load_algebra(args)
-    der = derivation_algebra(g)
+    der = fg_mod._Workspace(g).der
     return _span_result({"algebra": name, "der_dim": der.dim}, der,
                         f"Der({name}): dimension {der.dim}", "D{} =")
 
 
 def _cmd_dder(args):
     name, g = _load_algebra(args)
-    der = derivation_algebra(g)
-    dspace = d_derivations(der)
-    dc = is_d_complete(dspace, d_center(der))
-    p, inner = dc.d_space_dim, dc.inner_d_dim
+    ws = fg_mod._Workspace(g)
+    p, inner = ws.d_completeness.d_space_dim, ws.d_completeness.inner_d_dim
     return _span_result(
-        {"algebra": name, "d_space_dim": p, "inner_d_dim": inner}, dspace,
+        {"algebra": name, "d_space_dim": p, "inner_d_dim": inner}, ws.dspace,
         f"d-derivations of {name}: dimension {p} (inner: {inner})",
         "L{} (columns indexed by the Der basis) =")
 
 
 def _cmd_full_graph(args):
     name, g = _load_algebra(args)
-    der = derivation_algebra(g)
-    cg = build_full_graph(der)
+    ws = fg_mod._Workspace(g)
+    der, cg = ws.der, ws.cg
     # G's names are distinct, and so are those of the Der block, D1 ... Dm
     der_names = set(cg.basis_names[:der.dim])
     for x in g.basis_names:

@@ -15,6 +15,10 @@ is the cocycle space of dtheory and S, in (m+n)·n unknowns, the space of
 generator of H is a derivation (is_block_derivation), and then lets
 theorem1 compare only the n G rows of each map of C(G): a derivation with
 no G → Der block has Der rows fixed by its G rows (check_theorem1).
+
+_Workspace builds what every command reads of one algebra, the CLI's info,
+der, dder and full-graph as well as verify: each object once, and only
+when a command first reads it.
 """
 
 from __future__ import annotations
@@ -198,14 +202,17 @@ class VerificationReport(NamedTuple):
 
 
 class _Workspace:
-    """Shared intermediates, each built once. Der(G) and C(G), which every
-    check reads, are built with the workspace, before any check starts, so
-    a trace of the checks counts neither; the rest when a check first reads
-    it."""
+    """What the commands read of one algebra G, each object built once:
+    Der(G), which every command reads, when the workspace is made, and the
+    rest, C(G) included, when first read. So der builds Der(G) alone, info
+    and dder never build C(G), and the lemma builds no Z¹."""
 
     def __init__(self, g: LieAlgebra):
         self.der = derivation_algebra(g)
-        self.cg = build_full_graph(self.der)
+
+    @cached_property
+    def cg(self) -> LieAlgebra:
+        return build_full_graph(self.der)
 
     @cached_property
     def dspace(self) -> DDerivationSpace:
@@ -227,8 +234,18 @@ class _Workspace:
 
     @cached_property
     def dcenter(self) -> Subspace:
-        """The d-center of G, read by the lemma and theorem2."""
+        """The d-center of G, read by the lemma, theorem2, info and dder."""
         return d_center(self.der)
+
+    @cached_property
+    def d_completeness(self) -> DCompletenessEvidence:
+        """Whether G is d-complete, read by theorem2, info and dder."""
+        return is_d_complete(self.dspace, self.dcenter)
+
+    @cached_property
+    def cg_completeness(self) -> CompletenessEvidence:
+        """Whether C(G) is complete, read by theorem2."""
+        return is_complete(self.cg, self.der_cg_dim, self.cg_center)
 
 
 def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
@@ -282,9 +299,7 @@ def check_lemma(ws: _Workspace) -> LemmaEvidence:
     return LemmaEvidence(cg_center.dim, cd.dim, cg_center.rows == embedded)
 
 
-def check_theorem2(ws: _Workspace) -> tuple[Theorem2Evidence,
-                                            DCompletenessEvidence,
-                                            CompletenessEvidence]:
+def check_theorem2(ws: _Workspace) -> Theorem2Evidence:
     """Theorem 2, with its identity checked: for m = dim Der(G), n = dim G,
     p = dim Z¹ and cd the d-center, C(G) is complete iff G is d-complete
     and dim Der(C(G)) = m + p; InternalConsistencyError if that fails.
@@ -297,14 +312,13 @@ def check_theorem2(ws: _Workspace) -> tuple[Theorem2Evidence,
     m + n inner derivations are all of Der(C(G)); G is d-complete iff
     cd = 0 and p = n. When cd = 0, m + n ≤ m + p ≤ dim Der(C(G)), so
     dim Der(C(G)) = m + n iff p = n and dim Der(C(G)) = m + p."""
-    dc = is_d_complete(ws.dspace, ws.dcenter)
-    cc = is_complete(ws.cg, ws.der_cg_dim, ws.cg_center)
+    dc, cc = ws.d_completeness, ws.cg_completeness
     if cc.complete != (dc.d_complete
                        and ws.der_cg_dim == ws.der.dim + ws.dspace.dim):
         raise InternalConsistencyError(
             "completeness of C(G) disagrees with the theorem2 identity")
-    return (Theorem2Evidence(dc.d_complete, cc.complete,
-                             dc.d_complete == cc.complete), dc, cc)
+    return Theorem2Evidence(dc.d_complete, cc.complete,
+                            dc.d_complete == cc.complete)
 
 
 # what verify (and the CLI's --theorem) takes: theorem 1, theorem 2, the
@@ -318,11 +332,9 @@ def verify(g: LieAlgebra, name: str = "",
     if which not in CHECKS:
         raise ValueError(f"which must be 1, 2, lemma or all, got {which!r}")
     ws = _Workspace(g)
-    t1 = lemma = t2 = dc = cc = None
-    if which in ("1", "all"):
-        t1 = check_theorem1(ws)
-    if which in ("lemma", "all"):
-        lemma = check_lemma(ws)
-    if which in ("2", "all"):
-        t2, dc, cc = check_theorem2(ws)
+    t1 = check_theorem1(ws) if which in ("1", "all") else None
+    lemma = check_lemma(ws) if which in ("lemma", "all") else None
+    t2 = check_theorem2(ws) if which in ("2", "all") else None
+    # the report keeps the two completeness records that theorem2 read
+    dc, cc = (ws.d_completeness, ws.cg_completeness) if t2 else (None, None)
     return VerificationReport(name, t1, lemma, t2, dc, cc)

@@ -1,17 +1,21 @@
 """The algebras the differential tests run on: the catalog entries (and
 the dense forms they must parse to), the six algebras of the benchmark's
 ``bench/fixtures.py`` at seed 1, seeded random 2-step nilpotent algebras,
-the Heisenberg family, and the complete families sl_n and b(sl_n) in the
-matrix-unit basis, whose answers are known at every size."""
+the Heisenberg family, the complete families sl_n and b(sl_n) in the
+matrix-unit basis, whose answers are known at every size, and seeded
+central extensions, which reach every nilpotent algebra."""
 
 import functools
+import math
 import random
 import sys
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 from liegraph.algebra import LieAlgebra, make_lie_algebra
 from liegraph.catalog import catalog, lookup
+from liegraph.linalg import sparse_nullspace
 
 # bench/ on the path, so that its fixtures are loaded once, here, under the
 # name bench/run.py imports them by
@@ -123,6 +127,49 @@ def borel(n: int) -> LieAlgebra:
     H_{n−1}, then the E_ij, i < j. It is complete, a classical result for
     Borel subalgebras (Meng Daoji, Comm. Algebra 22, 1994)."""
     return _matrix_units(n, upper_only=True)
+
+
+def central_extension(g: LieAlgebra, seed: int) -> LieAlgebra:
+    """G ⊕ Qz, z central and last, with [x, y]' = [x, y] + ω(x, y)z for a
+    seeded nonzero integer 2-cocycle ω of G with values in Q. Z²(G, Q) is
+    the kernel of ω([x,y],z) + ω([y,z],x) + ω([z,x],y) = 0, one row per
+    basis triple, in the C(n, 2) unknowns ω(e_a, e_b), a < b. ω sums its
+    canonical basis with coefficients drawn from ±1, ±2, so it is not 0,
+    and is then scaled to integers. Jacobi holds by the cocycle rule, and
+    make_lie_algebra scans it again. Every nilpotent algebra is reached
+    from an abelian one by such steps, since each has a central element to
+    divide out (Skjelbred and Sund, C. R. Acad. Sci. Paris 286, 1978)."""
+    n = g.dim
+    pairs = list(combinations(range(n), 2))
+    index = {ab: u for u, ab in enumerate(pairs)}
+
+    def rows():
+        for i, j, k in combinations(range(n), 3):
+            row = {}
+            # ω([a, b], c) = Σ_t c_ab^t ω(e_t, e_c), and ω(e_c, e_t) = −ω(e_t, e_c)
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for t, x in g.pairs[a][b]:
+                    if t != c:
+                        u = index[min(t, c), max(t, c)]
+                        row[u] = row.get(u, 0) + (x if t < c else -x)
+            if row := {u: x for u, x in row.items() if x}:
+                yield row
+
+    rng = random.Random(f"central-extension:{seed}:{n}")
+    omega = [Fraction(0)] * len(pairs)
+    for basis_row in sparse_nullspace(len(pairs), rows()).rows:
+        c = rng.choice((-2, -1, 1, 2))
+        for u, x in basis_row:
+            omega[u] += c * x
+    scale = math.lcm(*(x.denominator for x in omega))
+    brackets = []
+    for (i, j), x in zip(pairs, omega):
+        vec = [0] * (n + 1)
+        for t, c in g.pairs[i][j]:
+            vec[t] = c
+        vec[n] = int(x * scale)
+        brackets.append((i, j, vec))
+    return make_lie_algebra(n + 1, brackets)
 
 
 # NAMES, then two-step nilpotent draws (seed, n) of dimension 3 to 5

@@ -13,7 +13,7 @@ from liegraph.algebra import (InternalConsistencyError, _flat, center,
 from liegraph.catalog import catalog, lookup
 from liegraph.dtheory import (DCompletenessEvidence, build_h, d_bracket,
                               d_center, d_derivations, der_action,
-                              inner_d_derivation, is_d_complete)
+                              inner_d_derivation)
 from liegraph.fullgraph import _Workspace, build_full_graph, check_theorem1
 from liegraph.linalg import Matrix, Subspace
 
@@ -21,8 +21,7 @@ F = Fraction
 
 
 def d_evidence(g):
-    der = derivation_algebra(g)
-    return is_d_complete(d_derivations(der), d_center(der))
+    return _Workspace(g).d_completeness
 
 
 @pytest.fixture(scope="module")

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 import reference
 from reference import terms
 from algebras import (CASES, CATALOG_NAMES, NAMES, algebra, borel, case_algebra,
-                      case_id, direct_sum, heisenberg, special_linear,
-                      two_step_nilpotent)
+                      case_id, central_extension, direct_sum, heisenberg,
+                      special_linear, two_step_nilpotent)
 
-from liegraph import algebra as alg_mod, dtheory as dt_mod, fullgraph as fg_mod
+from liegraph import (algebra as alg_mod, cli as cli_mod, dtheory as dt_mod,
+                      fullgraph as fg_mod)
 from liegraph.algebra import (InternalConsistencyError, _flat, center,
                               cocycle_system, derivation_algebra,
                               make_lie_algebra)
@@ -116,66 +117,76 @@ def test_verify_rejects_unknown_check(which):
         verify(lookup("sl2").algebra, "sl2", which)
 
 
-def _count_derivation_algebras(monkeypatch) -> list:
-    """The inputs of every derivation_algebra call from now on, patched in
-    each package module that imports it."""
-    import liegraph.algebra as algebra_mod
-    import liegraph.cli as cli_mod
-    import liegraph.fullgraph as fullgraph_mod
-    inputs = []
-    real = algebra_mod.derivation_algebra
-
-    def counting(g):
-        inputs.append(g)
-        return real(g)
-
-    for mod in (algebra_mod, cli_mod, fullgraph_mod):
-        monkeypatch.setattr(mod, "derivation_algebra", counting)
-    return inputs
-
-
-def test_verify_all_builds_each_derivation_algebra_once(monkeypatch):
-    inputs = _count_derivation_algebras(monkeypatch)
-    g = lookup("heisenberg3").algebra
-    verify(g, "heisenberg3", which="all")
-    # Der(G) only: theorem1 and theorem2 share dim Der(C(G)), which comes
-    # from the blocks over G, not from a derivation algebra of C(G)
-    assert inputs == [g]
+# Each builder a command may run, by the module that defines it, and the
+# package modules that may bind one. Der(G) is built for every command and
+# everything else only where the command reads it, each at most once: the
+# rows are the builders each command runs on heisenberg3.
+MODULES = (alg_mod, dt_mod, fg_mod, cli_mod)
+BUILDERS = {"derivation_algebra": alg_mod, "d_derivations": dt_mod,
+            "d_center": dt_mod, "build_full_graph": fg_mod,
+            "der_cg_blocks": fg_mod, "build_h": dt_mod, "center": alg_mod,
+            "is_complete": alg_mod, "is_d_complete": dt_mod}
+BUILT = {
+    "info": {"derivation_algebra", "d_derivations", "d_center", "center",
+             "is_complete", "is_d_complete"},
+    "der": {"derivation_algebra"},
+    "dder": {"derivation_algebra", "d_derivations", "d_center",
+             "is_d_complete"},
+    "full-graph": {"derivation_algebra", "build_full_graph"},
+    "verify --theorem 1": {"derivation_algebra", "build_full_graph",
+                           "d_derivations", "der_cg_blocks", "build_h"},
+    "verify --theorem 2": set(BUILDERS) - {"build_h"},
+    "verify --theorem lemma": {"derivation_algebra", "build_full_graph",
+                               "center", "d_center"},
+    "verify --theorem all": set(BUILDERS),
+}
 
 
-@pytest.mark.parametrize("command", [
-    "info", "der", "dder", "full-graph", "verify --theorem 1",
-    "verify --theorem 2", "verify --theorem lemma", "verify --theorem all"],
-    ids=lambda c: c.replace(" --theorem ", "-"))
-def test_each_subcommand_builds_der_once(monkeypatch, command):
-    inputs = _count_derivation_algebras(monkeypatch)
-    # heisenberg3 fails theorem1 and theorem2, so verify may exit 1
-    assert main(command.split() + ["heisenberg3"], io.StringIO()) in (0, 1)
-    assert inputs == [lookup("heisenberg3").algebra]
+def _spy_builders(monkeypatch) -> dict[str, list]:
+    """The first argument of every call of each builder from now on,
+    patched in each package module that binds it: derivation_algebra in
+    algebra and fullgraph, for instance."""
+    calls = {name: [] for name in BUILDERS}
+    for name, home in BUILDERS.items():
+        real = getattr(home, name)
 
-
-def test_verify_all_computes_each_center_once(monkeypatch):
-    import liegraph.algebra as algebra_mod
-    import liegraph.dtheory as dtheory_mod
-    import liegraph.fullgraph as fullgraph_mod
-    calls = {"center": [], "d_center": []}
-
-    def counting(name, real):
-        def wrapper(x, *args):
+        def spy(x, *args, name=name, real=real):
             calls[name].append(x)
             return real(x, *args)
-        return wrapper
 
-    for name, real in (("center", algebra_mod.center),
-                       ("d_center", dtheory_mod.d_center)):
-        for mod in (algebra_mod, dtheory_mod, fullgraph_mod):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, counting(name, real))
+        for module in MODULES:
+            if vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_the_cli_reads_the_workspace_and_wires_no_builder():
+    # cli.py binds none of the builders that _Workspace calls; each is bound
+    # only where it is defined and in fullgraph
+    for name in ("derivation_algebra", "d_derivations", "d_center",
+                 "is_d_complete", "build_full_graph"):
+        real = getattr(BUILDERS[name], name)
+        assert {m for m in MODULES if vars(m).get(name) is real} == {
+            BUILDERS[name], fg_mod}
+
+
+@pytest.mark.parametrize("command", BUILT,
+                         ids=lambda c: c.replace(" --theorem ", "-"))
+def test_each_subcommand_builds_der_once(monkeypatch, command):
+    calls = _spy_builders(monkeypatch)
     g = lookup("heisenberg3").algebra
-    verify(g, "heisenberg3", which="all")
-    # center(C(G)) and d_center(G), each shared by the lemma and theorem2
-    assert [h.dim for h in calls["center"]] == [3 + 6]
-    assert [der.parent for der in calls["d_center"]] == [g]
+    # heisenberg3 fails theorem1 and theorem2, so verify may exit 1
+    assert main(command.split() + ["heisenberg3"], io.StringIO()) in (0, 1)
+    assert {name: len(c) for name, c in calls.items()} == {
+        name: int(name in BUILT[command]) for name in BUILDERS}
+    # Der(G) only: theorem1 and theorem2 share dim Der(C(G)), which comes
+    # from the blocks over G, not from a derivation algebra of C(G)
+    assert calls["derivation_algebra"] == [g]
+    assert all(der.parent == g for der in calls["d_center"])
+    # info reads the center of G; the lemma and theorem2 share that of the
+    # 9-dim C(G)
+    assert all(z.dim == (3 if command == "info" else 3 + 6)
+               for z in calls["center"])
 
 
 @pytest.mark.parametrize("name", ["heisenberg3", "sl2"])
@@ -364,9 +375,24 @@ def _block_derivations(ws) -> list[Matrix]:
     return out
 
 
-@pytest.mark.parametrize("case", CASES, ids=case_id)
+def _central_chains() -> dict:
+    """Three seeded chains of nilpotent algebras, from abelian2 up to
+    dimension 6, each rung a central extension of the one before."""
+    chains = {}
+    for seed in range(3):
+        g = make_lie_algebra(2, [])
+        while g.dim < 6:
+            g = central_extension(g, seed)
+            chains[f"central_{seed}_{g.dim}"] = g
+    return chains
+
+
+CENTRAL_CHAINS = _central_chains()
+
+
+@pytest.mark.parametrize("case", CASES + list(CENTRAL_CHAINS), ids=case_id)
 def test_blocks_assemble_to_the_derivations_of_the_full_graph(case):
-    g = case_algebra(case)
+    g = CENTRAL_CHAINS.get(case) or case_algebra(case)
     ws = _Workspace(g)
     deltas = _block_derivations(ws)
     size = ws.cg.dim
