@@ -189,6 +189,24 @@ def test_each_subcommand_builds_der_once(monkeypatch, command):
                for z in calls["center"])
 
 
+def test_verify_all_builds_each_derivation_algebra_once(monkeypatch):
+    calls = _spy_builders(monkeypatch)
+    g = lookup("heisenberg3").algebra
+    verify(g, "heisenberg3", which="all")
+    # Der(G) only: theorem1 and theorem2 share dim Der(C(G)), which comes
+    # from the blocks over G, not from a derivation algebra of C(G)
+    assert calls["derivation_algebra"] == [g]
+
+
+def test_verify_all_computes_each_center_once(monkeypatch):
+    calls = _spy_builders(monkeypatch)
+    g = lookup("heisenberg3").algebra
+    verify(g, "heisenberg3", which="all")
+    # center(C(G)) and d_center(G), each shared by the lemma and theorem2
+    assert [h.dim for h in calls["center"]] == [3 + 6]
+    assert [der.parent for der in calls["d_center"]] == [g]
+
+
 @pytest.mark.parametrize("name", ["heisenberg3", "sl2"])
 def test_checks_never_build_the_leibniz_system_of_the_full_graph(
         monkeypatch, name):
