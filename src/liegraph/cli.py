@@ -2,9 +2,9 @@
 
 Subcommands: info, der, dder, full-graph, verify, corpus-verify. Each one
 returns its `--json` document, its text lines and its exit code, and
-`main` renders the form that was asked for to one string and writes it in
-one call. `run`, the process entry, then flushes both streams and ends
-with os._exit, skipping interpreter teardown.
+`main` renders the form that was asked for to one string and writes all of
+it to the descriptor of sys.stdout, so nothing is left in a buffer. `run`,
+the process entry, then ends with os._exit, skipping interpreter teardown.
 Exit codes: 0 all requested checks pass, 1 a verification failed or the
 result could not be written, 2 input/usage error.
 """
@@ -12,7 +12,6 @@ result could not be written, 2 input/usage error.
 from __future__ import annotations
 
 import errno
-import io
 import json
 import os
 import sys
@@ -261,8 +260,7 @@ def _argparse(argv: Sequence[str]) -> Optional[SimpleNamespace]:
         return None
 
 
-def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    out = out or sys.stdout
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         doc, lines, code = ((None, [USAGE], EXIT_OK) if args is None
@@ -271,42 +269,31 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         if sys.stderr is not None:  # None: fd 2 was closed at start-up
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    text = (json.dumps(doc, indent=2, sort_keys=True) if args and args.json
+            else "\n".join(lines)) + "\n"
     try:
-        if out is None:  # the process started with fd 1 closed
+        if sys.stdout is None:  # the process started with fd 1 closed
             raise OSError(errno.EBADF, "standard output is closed")
-        out.write((json.dumps(doc, indent=2, sort_keys=True) if args and args.json
-                   else "\n".join(lines)) + "\n")
-        out.flush()
+        fd = sys.stdout.fileno()
+        data = text.encode(sys.stdout.encoding, sys.stdout.errors)
+        while data:  # write(2) may take only a part
+            data = data[os.write(fd, data):]
     except (OSError, UnicodeEncodeError) as exc:
         # EPIPE, a reader that closed early (`liegraph ... | head`), is
         # silent, and any other failure (a full disk, a basis name that
-        # stdout's encoding cannot hold) one error line. Point stdout at
-        # devnull so the flush after main (run's, or the interpreter's at
-        # exit) cannot raise again, and exit 1.
+        # stdout's encoding cannot hold, a stdout with no descriptor) one
+        # error line, and exit 1
         if not isinstance(exc, BrokenPipeError) and sys.stderr is not None:
-            reason = exc.strerror if isinstance(exc, OSError) else exc
+            reason = getattr(exc, "strerror", None) or exc
             print(f"error: cannot write the result: {reason}", file=sys.stderr)
-        if out is not None and out is sys.stdout:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
         return EXIT_VERIFY_FAILED
     return code
 
 
 def run() -> None:
-    """The process entry: main(), flushed, then os._exit without teardown.
-    Unbuffered (-u), stdout's text layer drops unreported what a raw
-    write(2) leaves; a BufferedWriter writes it, or meets EPIPE."""
-    if sys.stdout is not None and isinstance(sys.stdout.buffer, io.RawIOBase):
-        sys.stdout = io.TextIOWrapper(
-            io.BufferedWriter(sys.stdout.buffer), sys.stdout.encoding,
-            sys.stdout.errors, newline="\n", write_through=True)
-    code = main()
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:  # a stream whose fd was closed at start-up
-            stream.flush()
-    os._exit(code)
+    """The process entry: main(), then os._exit without teardown. main
+    leaves nothing in stdout's buffer, and stderr flushes each line."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

@@ -2,12 +2,16 @@
 test run imported: the checkout's ``src/`` under ``PYTHONPATH=src``, or an
 installed copy when the tests run against one. A child that built its path
 from the checkout instead would test the checkout while the parent tests
-the install."""
+the install. ``main_output`` runs the CLI in this process instead, writing
+to a real file as a process writes to its fd 1."""
 
+import contextlib
 import os
+import tempfile
 from pathlib import Path
 
 import liegraph
+from liegraph.cli import main
 
 PACKAGE = Path(liegraph.__file__).resolve().parent
 
@@ -17,3 +21,13 @@ def env(**extra: str) -> dict:
     on PYTHONPATH, and with the given variables set."""
     path = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(path), **extra}
+
+
+def main_output(argv, encoding: str = "utf-8") -> tuple[int, str]:
+    """main(argv)'s exit code and what it wrote to standard output, a
+    temporary file in the given encoding."""
+    with tempfile.TemporaryFile("w+", encoding=encoding, newline="") as out:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        out.seek(0)
+        return code, out.read()

@@ -336,12 +336,12 @@ def test_law_kernel_of_inner_map_is_d_center(setups):
 
 # --- Criterion 6: CLI contract ---------------------------------------------
 
-def test_cli_corpus_verify_exits_zero(capsys):
+def test_cli_corpus_verify_exits_zero(capfd):
     codes = {name: main(["verify", name]) for name in CATALOG_NAMES
              if name not in COUNTEREXAMPLES}
-    capsys.readouterr()
+    capfd.readouterr()
     code = main(["--json", "corpus-verify"])
-    failed = {r["algebra"]: r for r in json.loads(capsys.readouterr().out)
+    failed = {r["algebra"]: r for r in json.loads(capfd.readouterr().out)
               if not r["passed"]}
     h3 = failed.get("heisenberg3", {})
     ok = (set(codes.values()) == {0} and code == 1
@@ -352,10 +352,10 @@ def test_cli_corpus_verify_exits_zero(capsys):
            f"{code}, failing only heisenberg3 theorem1/theorem2]", ok)
 
 
-def test_cli_mutation_is_detected(monkeypatch, capsys):
+def test_cli_mutation_is_detected(monkeypatch, capfd):
     monkeypatch.setattr(fg_mod, "h_derivation",
                         reference.sign_mutation(fg_mod.h_derivation))
     code = main(["verify", "sl2", "--theorem", "1"])
-    text = capsys.readouterr().out
+    text = capfd.readouterr().out
     report(f"cli[sign mutation makes theorem1 fail, exit code = {code}]",
            code == 1 and "FAIL" in text)

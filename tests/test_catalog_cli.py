@@ -94,7 +94,7 @@ class TestAlgebraFile:
             parse_algebra_file(text)
         path = tmp_path / "bad.json"
         path.write_text(text)
-        assert main(["info", "--file", str(path)], out=io.StringIO()) == 2
+        assert run_cli("info", "--file", str(path)) == (2, "")
 
     @pytest.mark.parametrize("literal,value", [
         ("3/2", Fraction(3, 2)), ("-3/2", Fraction(-3, 2)), ("+4", Fraction(4)),
@@ -202,16 +202,13 @@ class TestAlgebraFile:
             parse_algebra_file(text)
         path = tmp_path / "dup.json"
         path.write_text(text)
-        out = io.StringIO()
-        assert main(["info", "--file", str(path)], out=out) == 2
-        err = capsys.readouterr().err
-        assert out.getvalue() == ""
-        assert err == f"error: repeated field '{key}'\n"
+        assert run_cli("info", "--file", str(path)) == (2, "")
+        assert capsys.readouterr().err == f"error: repeated field '{key}'\n"
 
     def test_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe")
-        assert main(["info", "--file", str(path)], out=io.StringIO()) == 2
+        assert run_cli("info", "--file", str(path)) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
 
@@ -235,7 +232,7 @@ class TestAlgebraFile:
             parse_algebra_file(text)
         path = tmp_path / "huge.json"
         path.write_text(text)
-        assert main(["info", "--file", str(path)], out=io.StringIO()) == 2
+        assert run_cli("info", "--file", str(path)) == (2, "")
         err = capsys.readouterr().err
         assert err == f"error: 'dim' {2 ** 70} is too large\n"
 
@@ -365,16 +362,16 @@ def test_parsed_file_equals_make_lie_algebra(case):
 def test_drawn_file_gives_a_report_or_one_error_line(command, doc, tmp_path_factory):
     path = tmp_path_factory.mktemp("doc") / "algebra.json"
     path.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
+    err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(["--json", command, "--file", str(path)], out=out)
+        code, out = run_cli("--json", command, "--file", str(path))
     assert code in (0, 1, 2)
     if code == 2:
-        assert out.getvalue() == ""
+        assert out == ""
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     else:
-        json.loads(out.getvalue())
+        json.loads(out)
         assert err.getvalue() == ""
 
 
@@ -413,9 +410,7 @@ def test_integer_past_the_digit_limit_is_one_short_error_line(doc, field, tmp_pa
 
 
 def run_cli(*argv):
-    out = io.StringIO()
-    code = main(list(argv), out=out)
-    return code, out.getvalue()
+    return child.main_output(list(argv))
 
 
 class TestCli:
@@ -562,27 +557,40 @@ class TestCli:
         assert code == 0
 
 
-class ClosedStream(io.StringIO):
-    """An output stream whose reader has gone away."""
-
-    def write(self, text):
-        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
-
-
 @pytest.mark.parametrize("argv", [["--json", "corpus-verify"], ["der", "abelian3"]])
 def test_closed_output_stream_ends_without_traceback(argv, capsys):
-    assert main(argv, out=ClosedStream()) == 1
+    # a pipe whose reader has gone away
+    r, w = os.pipe()
+    os.close(r)
+    with open(w, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+        assert main(argv) == 1
     assert capsys.readouterr().err == ""
 
 
-class CountingStream(io.StringIO):
-    """An output stream that counts the calls made to its write."""
+def test_a_short_write_is_continued(monkeypatch):
+    # write(2) may take only a part of what it is given: here at most 7
+    # bytes of stdout's descriptor in each call
+    argv = ["--json", "der", "abelian3"]
+    whole, write, calls = child.main_output(argv), os.write, []
 
-    writes = 0
+    def short_write(fd, data):
+        if fd == sys.stdout.fileno():
+            calls.append(fd)
+            data = data[:7]
+        return write(fd, data)
 
-    def write(self, text):
-        self.writes += 1
-        return super().write(text)
+    monkeypatch.setattr(os, "write", short_write)
+    assert child.main_output(argv) == whole
+    assert len(calls) == -(-len(whole[1].encode()) // 7)
+
+
+def test_a_stdout_with_no_descriptor_is_one_error_line(capsys):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["info", "sl2"]) == 1
+    err = capsys.readouterr().err
+    assert out.getvalue() == ""
+    assert err.startswith("error: cannot write the result: ")
+    assert err.count("\n") == 1 and "None" not in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -595,17 +603,15 @@ def heisenberg7_file(tmp_path_factory):
 
 @pytest.mark.parametrize("argv", [["--json", "der"], ["--json", "full-graph"],
                                   ["der"]])
-def test_each_result_is_written_in_one_call(argv, heisenberg7_file):
-    # unbuffered, each write of stdout is a write(2) of its own
+def test_each_result_is_written_whole(argv, heisenberg7_file):
+    # unbuffered, a process writes to fd 1 what main writes to a file
     argv = [*argv, "--file", heisenberg7_file]
-    out = CountingStream()
-    assert main(argv, out=out) == 0
-    assert out.writes == 1
+    code, out = child.main_output(argv)
     proc = subprocess.run(
         [sys.executable, "-m", "liegraph.cli", *argv], capture_output=True,
         timeout=120, env=child.env(PYTHONUNBUFFERED="1"))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        0, out.getvalue().encode(), b"")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+    assert code == 0
 
 
 def test_reader_closing_after_one_byte_leaves_stderr_empty():
@@ -652,17 +658,13 @@ def test_one_write_meets_epipe_buffered_or_not(unbuffered, heisenberg7_file):
     assert (len(first), err, proc.returncode) == (1, b"", 1)
 
 
-class FullStream(io.StringIO):
-    """An output stream on a device with no space left."""
-
-    def write(self, text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("argv", [["info", "sl2"], ["--json", "corpus-verify"]])
 def test_failed_write_is_one_error_line(argv, capsys):
-    # a write error other than EPIPE is reported, unlike a closed reader
-    assert main(argv, out=FullStream()) == 1
+    # a write error other than EPIPE is reported, unlike a closed reader:
+    # every write(2) to /dev/full fails with ENOSPC
+    with open("/dev/full", "w") as full, contextlib.redirect_stdout(full):
+        assert main(argv) == 1
     assert capsys.readouterr().err == (
         f"error: cannot write the result: {os.strerror(errno.ENOSPC)}\n")
 
@@ -677,13 +679,13 @@ def greek_file(tmp_path):
 
 def test_a_name_stdout_cannot_encode_is_one_error_line(greek_file, capsys):
     # the text form prints the names as they are; --json escapes them
-    out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
-    assert main(["info", "--file", greek_file], out=out) == 1
+    argv = ["info", "--file", greek_file]
+    assert child.main_output(argv, encoding="ascii") == (1, "")
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write the result: 'ascii' codec")
     assert err.count("\n") == 1
-    out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
-    assert main(["--json", "info", "--file", greek_file], out=out) == 0
+    code, out = child.main_output(["--json", *argv], encoding="ascii")
+    assert (code, json.loads(out)["basis_names"]) == (0, ["α", "β"])
     assert capsys.readouterr().err == ""
 
 

@@ -23,7 +23,6 @@ to loosen the test.
 """
 
 import functools
-import io
 import json
 import os
 import tempfile
@@ -34,9 +33,9 @@ import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from algebras import CASES, case_algebra, case_id
+from child import main_output
 from liegraph.algebra import LieAlgebra, make_lie_algebra
 from liegraph.catalog import serialize_algebra
-from liegraph.cli import main
 from liegraph.fullgraph import verify
 
 SMALL = [c for c in CASES if case_algebra(c).dim <= 6]
@@ -67,10 +66,10 @@ def cli_results(g: LieAlgebra):
         path = os.path.join(tmp, "g.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(serialize_algebra(g))
-        out = io.StringIO()
-        assert main(["--json", "info", "--file", path], out) == 0
-        info = json.loads(out.getvalue())
-        code = main(["verify", "--file", path], io.StringIO())
+        code, out = main_output(["--json", "info", "--file", path])
+        assert code == 0
+        info = json.loads(out)
+        code = main_output(["verify", "--file", path])[0]
     return {k: info[k] for k in INFO_DIMS}, code
 
 

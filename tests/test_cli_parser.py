@@ -20,7 +20,7 @@ import child
 from liegraph import cli
 from liegraph.algebra import LieError
 from liegraph.catalog import catalog
-from liegraph.cli import main, parse_args
+from liegraph.cli import parse_args
 
 COMMANDS = ["info", "der", "dder", "full-graph", "verify", "corpus-verify"]
 
@@ -60,10 +60,10 @@ def outcome(parse, argv):
 
 
 def run_main(argv):
-    out, err = io.StringIO(), io.StringIO()
+    err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(argv, out=out)
-    return code, out.getvalue(), err.getvalue()
+        code, out = child.main_output(argv)
+    return code, out, err.getvalue()
 
 
 @given(command_lines())
@@ -192,8 +192,9 @@ def test_double_dash_makes_every_later_argument_a_value(argv, algebra, file):
     (["--help"], 0),
 ])
 def test_entry_output_equals_main(argv, code):
-    # run() flushes both streams before os._exit, which would drop
-    # anything left in a buffer
+    # run() ends with os._exit, which would drop anything left in a
+    # buffer: main writes the result to fd 1 itself, and stderr flushes
+    # each line
     proc = subprocess.run([sys.executable, "-m", "liegraph.cli", *argv],
                           capture_output=True, timeout=120, env=child.env())
     expected = run_main(argv)

@@ -20,13 +20,12 @@ one has an integer past the digit limit.
 
 import ast
 import importlib
-import io
 import sys
 from pathlib import Path
 
 import liegraph
 from algebras import CATALOG_NAMES, FIXTURES
-from liegraph.cli import main
+from child import main_output
 from test_trace_targets import _load_trace_cli
 
 SRC = Path(liegraph.__file__).resolve().parent
@@ -105,12 +104,12 @@ def test_every_function_no_request_runs_is_allowed(tmp_path, monkeypatch, capsys
     sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
     try:
         for args in RUNS:
-            main(args, out=io.StringIO())
-        refused = [main(["info", "--file", name]) for name in REFUSED]
+            main_output(args)
+        refused = [main_output(["info", "--file", name]) for name in REFUSED]
     finally:
         sys.setprofile(None)
     err = capsys.readouterr().err
-    assert refused == [2, 2] and "Jacobi" in err and "digit limit" in err
+    assert refused == [(2, ""), (2, "")] and "Jacobi" in err and "digit limit" in err
     ran = {(Path(c.co_filename).stem, c.co_firstlineno) for c in called
            if Path(c.co_filename).resolve().parent == SRC and c.co_name[0] != "<"}
     functions = _functions()

@@ -1,4 +1,3 @@
-import io
 import random
 from fractions import Fraction
 from types import GeneratorType
@@ -11,6 +10,7 @@ from reference import terms
 from algebras import (CASES, CATALOG_NAMES, NAMES, algebra, borel, case_algebra,
                       case_id, central_extension, direct_sum, heisenberg,
                       special_linear, two_step_nilpotent)
+from child import main_output
 
 from liegraph import (algebra as alg_mod, cli as cli_mod, dtheory as dt_mod,
                       fullgraph as fg_mod)
@@ -18,7 +18,6 @@ from liegraph.algebra import (InternalConsistencyError, _flat, center,
                               cocycle_system, derivation_algebra,
                               make_lie_algebra)
 from liegraph.catalog import catalog, lookup, serialize_algebra
-from liegraph.cli import main
 from liegraph.dtheory import d_derivations
 from liegraph.fullgraph import (VerificationReport, _Workspace,
                                 build_full_graph, check_lemma, check_theorem1,
@@ -176,7 +175,7 @@ def test_each_subcommand_builds_der_once(monkeypatch, command):
     calls = _spy_builders(monkeypatch)
     g = lookup("heisenberg3").algebra
     # heisenberg3 fails theorem1 and theorem2, so verify may exit 1
-    assert main(command.split() + ["heisenberg3"], io.StringIO()) in (0, 1)
+    assert main_output(command.split() + ["heisenberg3"])[0] in (0, 1)
     assert {name: len(c) for name, c in calls.items()} == {
         name: int(name in BUILT[command]) for name in BUILDERS}
     # Der(G) only: theorem1 and theorem2 share dim Der(C(G)), which comes
@@ -265,9 +264,7 @@ def test_theorem2_identity_failure_exits_2(monkeypatch, capsys, which):
     monkeypatch.setattr(fg_mod._Workspace, "cg_center",
                         property(lambda ws: Subspace(ws.cg.dim, tuple(
                             ((c, 1),) for c in range(ws.cg.dim)))))
-    out = io.StringIO()
-    assert main(["verify", "--theorem", which, "sl2"], out) == 2
-    assert out.getvalue() == ""
+    assert main_output(["verify", "--theorem", which, "sl2"]) == (2, "")
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
 
@@ -597,7 +594,7 @@ def test_verify_builds_no_float(name, tmp_path, monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(Matrix, "__init__", counting_init)
-    codes = {main([cmd, "--file", str(tmp_path / "g.json")], io.StringIO())
+    codes = {main_output([cmd, "--file", str(tmp_path / "g.json")])[0]
              for cmd in ("info", "der", "dder", "full-graph", "verify")}
     assert built and codes <= {0, 1}
     for mat in built:

@@ -15,14 +15,20 @@ bracket or a report field changes a hash here.
 """
 
 import hashlib
-import io
 import json
 
 import pytest
 
 from algebras import BENCH, FIXTURES
-from liegraph.cli import main
+from child import main_output
 from run import workload_requests  # bench/run.py, on the path from algebras
+
+
+def hashed(argv):
+    """main(argv)'s exit code and the sha256 of its stdout."""
+    code, out = main_output(argv)
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
 
 # (arguments after --json, exit code, sha256 of stdout) of the algebra
 # subcommands on the catalog, but for the benchmark's requests
@@ -67,9 +73,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("args,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_json_output_matches_recorded_hash(args, code, digest):
-    out = io.StringIO()
-    assert main(["--json", *args.split()], out=out) == code
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert hashed(["--json", *args.split()]) == (code, digest)
 
 
 # (arguments, exit code, sha256 of stdout) of the same subcommands without
@@ -138,9 +142,7 @@ TEXT_GOLDEN = [
 @pytest.mark.parametrize("args,code,digest", TEXT_GOLDEN,
                          ids=[g[0] for g in TEXT_GOLDEN])
 def test_text_output_matches_recorded_hash(args, code, digest):
-    out = io.StringIO()
-    assert main(args.split(), out=out) == code
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert hashed(args.split()) == (code, digest)
 
 
 # Every request of bench/run.py's corpus, ladder and explore workloads, on
@@ -164,9 +166,7 @@ def test_bench_request_matches_pin(req, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # every request is read without argparse, whose import no request pays
     monkeypatch.setattr("liegraph.cli._argparse", _no_argparse)
-    out = io.StringIO()
-    assert main(["--json", *req.args], out=out) == pin["exit"]
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == pin["sha256"]
+    assert hashed(["--json", *req.args]) == (pin["exit"], pin["sha256"])
 
 
 # (command and algebra, exit code, sha256 of stdout) of the text form on
@@ -221,6 +221,4 @@ def test_fixture_text_output_matches_recorded_hash(args, code, digest,
                                                    fixture_dir, monkeypatch):
     command, name = args.split()
     monkeypatch.chdir(fixture_dir)
-    out = io.StringIO()
-    assert main([command, "--file", f"{name}.json"], out=out) == code
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    assert hashed([command, "--file", f"{name}.json"]) == (code, digest)
