@@ -2,15 +2,18 @@
 
 Subcommands: info, der, dder, full-graph, verify, corpus-verify. Each one
 returns its `--json` document, its text lines and its exit code, and
-`main` renders the form that was asked for to one string and writes all of
-it to the descriptor of sys.stdout, so nothing is left in a buffer. `run`,
-the process entry, then ends with os._exit, skipping interpreter teardown.
+`main` renders the form that was asked for to one string. It writes all of
+it, or an error line, to the descriptor of sys.stdout or sys.stderr, so
+nothing is left in a buffer; an error line that stderr cannot take is
+dropped, and the exit code stays. `run`, the process entry, then ends with
+os._exit, skipping interpreter teardown.
 Exit codes: 0 all requested checks pass, 1 a verification failed or the
 result could not be written, 2 input/usage error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import os
@@ -260,39 +263,49 @@ def _argparse(argv: Sequence[str]) -> Optional[SimpleNamespace]:
         return None
 
 
+def _write(stream, text: str, name: str) -> None:
+    """Write all of text to the descriptor of stream, sys.stdout or
+    sys.stderr, encoded as stream encodes, so nothing waits in its buffer.
+    A None stream, whose descriptor was closed at start-up, raises OSError
+    "<name> is closed"; a failed write raises OSError or ValueError."""
+    if stream is None:
+        raise OSError(errno.EBADF, f"{name} is closed")
+    fd = stream.fileno()
+    data = text.encode(stream.encoding, stream.errors)
+    while data:  # write(2) may take only a part
+        data = data[os.write(fd, data):]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         doc, lines, code = ((None, [USAGE], EXIT_OK) if args is None
                             else _COMMANDS[args.command][0](args))
     except (LieError, ValueError) as exc:
-        if sys.stderr is not None:  # None: fd 2 was closed at start-up
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    text = (json.dumps(doc, indent=2, sort_keys=True) if args and args.json
-            else "\n".join(lines)) + "\n"
-    try:
-        if sys.stdout is None:  # the process started with fd 1 closed
-            raise OSError(errno.EBADF, "standard output is closed")
-        fd = sys.stdout.fileno()
-        data = text.encode(sys.stdout.encoding, sys.stdout.errors)
-        while data:  # write(2) may take only a part
-            data = data[os.write(fd, data):]
-    except (OSError, UnicodeEncodeError) as exc:
-        # EPIPE, a reader that closed early (`liegraph ... | head`), is
-        # silent, and any other failure (a full disk, a basis name that
-        # stdout's encoding cannot hold, a stdout with no descriptor) one
-        # error line, and exit 1
-        if not isinstance(exc, BrokenPipeError) and sys.stderr is not None:
+        code, error = EXIT_USAGE, f"error: {exc}\n"
+    else:
+        text = (json.dumps(doc, indent=2, sort_keys=True) if args and args.json
+                else "\n".join(lines)) + "\n"
+        try:
+            _write(sys.stdout, text, "standard output")
+            return code
+        except BrokenPipeError:  # a reader that closed early (`... | head`)
+            return EXIT_VERIFY_FAILED
+        except (OSError, ValueError) as exc:
+            # a full disk, a basis name that stdout's encoding cannot hold,
+            # a stdout with no descriptor
             reason = getattr(exc, "strerror", None) or exc
-            print(f"error: cannot write the result: {reason}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+            code = EXIT_VERIFY_FAILED
+            error = f"error: cannot write the result: {reason}\n"
+    # the exit code is fixed: an error line that stderr cannot take is dropped
+    with contextlib.suppress(OSError, ValueError):
+        _write(sys.stderr, error, "standard error")
     return code
 
 
 def run() -> None:
     """The process entry: main(), then os._exit without teardown. main
-    leaves nothing in stdout's buffer, and stderr flushes each line."""
+    leaves nothing in the buffer of stdout or stderr."""
     os._exit(main())
 
 

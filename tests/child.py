@@ -2,8 +2,8 @@
 test run imported: the checkout's ``src/`` under ``PYTHONPATH=src``, or an
 installed copy when the tests run against one. A child that built its path
 from the checkout instead would test the checkout while the parent tests
-the install. ``main_output`` runs the CLI in this process instead, writing
-to a real file as a process writes to its fd 1."""
+the install. ``main_output`` and ``main_streams`` run the CLI in this process
+instead, writing to real files as a process writes to its fd 1 and fd 2."""
 
 import contextlib
 import os
@@ -31,3 +31,13 @@ def main_output(argv, encoding: str = "utf-8") -> tuple[int, str]:
             code = main(argv)
         out.seek(0)
         return code, out.read()
+
+
+def main_streams(argv) -> tuple[int, str, str]:
+    """main(argv)'s exit code and what it wrote to standard output and to
+    standard error, each a temporary file."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as err:
+        with contextlib.redirect_stderr(err):
+            code, out = main_output(argv)
+        err.seek(0)
+        return code, out, err.read()

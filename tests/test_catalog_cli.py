@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,14 +166,14 @@ class TestAlgebraFile:
             "names-null",
             "unknown-top-key", "unknown-bracket-key", "unknown-term-key",
             "repeated-k"])
-    def test_wrong_json_types_are_file_errors(self, doc, tmp_path, capsys):
+    def test_wrong_json_types_are_file_errors(self, doc, tmp_path, capfd):
         text = json.dumps(doc)
         with pytest.raises(LieError):
             parse_algebra_file(text)
         path = tmp_path / "bad.json"
         path.write_text(text)
         assert run_cli("info", "--file", str(path)) == (2, "")
-        err = capsys.readouterr().err
+        err = capfd.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("key, doc", [
@@ -197,19 +198,19 @@ class TestAlgebraFile:
                   '[{"k": 2, "coeff": "1", "coeff": "0"}]}]}'),
     ], ids=["top-brackets", "bracket-i", "term-coeff"])
     def test_repeated_field_is_named_and_exits_2(self, key, text, tmp_path,
-                                                 capsys):
+                                                 capfd):
         with pytest.raises(LieError, match=f"repeated field '{key}'"):
             parse_algebra_file(text)
         path = tmp_path / "dup.json"
         path.write_text(text)
         assert run_cli("info", "--file", str(path)) == (2, "")
-        assert capsys.readouterr().err == f"error: repeated field '{key}'\n"
+        assert capfd.readouterr().err == f"error: repeated field '{key}'\n"
 
-    def test_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+    def test_file_that_is_not_utf8_names_the_file(self, tmp_path, capfd):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe")
         assert run_cli("info", "--file", str(path)) == (2, "")
-        err = capsys.readouterr().err
+        err = capfd.readouterr().err
         assert err.startswith("error: ") and str(path) in err
 
     def test_deeply_nested_file_exits_2_without_traceback(self, tmp_path):
@@ -224,7 +225,7 @@ class TestAlgebraFile:
         assert proc.stderr.startswith("error: malformed JSON: ")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
-    def test_huge_dim_exits_2_before_any_per_dimension_work(self, tmp_path, capsys):
+    def test_huge_dim_exits_2_before_any_per_dimension_work(self, tmp_path, capfd):
         # 2**70 is past what a list can index, so the pair table is refused
         # before one entry is allocated; a loop over range(dim) would hang
         text = json.dumps({"dim": 2 ** 70})
@@ -233,20 +234,20 @@ class TestAlgebraFile:
         path = tmp_path / "huge.json"
         path.write_text(text)
         assert run_cli("info", "--file", str(path)) == (2, "")
-        err = capsys.readouterr().err
+        err = capfd.readouterr().err
         assert err == f"error: 'dim' {2 ** 70} is too large\n"
 
     # each basis name is printed bare, so an empty name or one with
     # whitespace would blur or split info's lines, and one that begins with
     # "(" would read as a coefficient term "(c)*name"
     @pytest.mark.parametrize("bad", ["", " ", "a b", "a\nb", "\t", "(2)*z"])
-    def test_name_that_prints_ambiguously_exits_2(self, bad, tmp_path, capsys):
+    def test_name_that_prints_ambiguously_exits_2(self, bad, tmp_path, capfd):
         path = tmp_path / "names.json"
         path.write_text(json.dumps({"dim": 2, "basis_names": ["x", bad]}))
         with pytest.raises(LieError, match=r"^basis_names\[1\]: "):
             parse_algebra_file(path.read_text())
         assert run_cli("info", "--file", str(path)) == (2, "")
-        err = capsys.readouterr().err
+        err = capfd.readouterr().err
         assert err.startswith(f"error: basis_names[1]: {bad!r} is not a name")
         assert err.count("\n") == 1
 
@@ -362,17 +363,15 @@ def test_parsed_file_equals_make_lie_algebra(case):
 def test_drawn_file_gives_a_report_or_one_error_line(command, doc, tmp_path_factory):
     path = tmp_path_factory.mktemp("doc") / "algebra.json"
     path.write_text(json.dumps(doc))
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code, out = run_cli("--json", command, "--file", str(path))
+    code, out, err = child.main_streams(["--json", command, "--file", str(path)])
     assert code in (0, 1, 2)
     if code == 2:
         assert out == ""
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
     else:
         json.loads(out)
-        assert err.getvalue() == ""
+        assert err == ""
 
 
 # CPython (3.11 and later) refuses to convert an integer string of more than
@@ -423,11 +422,11 @@ class TestCli:
         path.write_text(json.dumps({**doc, "basis_names": names}))
         return str(path)
 
-    def test_full_graph_refuses_a_name_of_the_der_block(self, tmp_path, capsys):
+    def test_full_graph_refuses_a_name_of_the_der_block(self, tmp_path, capfd):
         path = self._affine2_file(tmp_path / "g.json", ["D1", "D2"])
         assert run_cli("full-graph", "--file", path) == (2, "")
         assert run_cli("--json", "full-graph", "--file", path) == (2, "")
-        err = capsys.readouterr().err.splitlines()
+        err = capfd.readouterr().err.splitlines()
         assert len(err) == 2 and err[0] == err[1]
         assert err[0].startswith("error: ") and "'D1'" in err[0]
 
@@ -458,38 +457,38 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["info", "der", "dder", "full-graph",
                                          "verify"])
-    def test_name_and_file_together_usage_error(self, command, tmp_path, capsys):
+    def test_name_and_file_together_usage_error(self, command, tmp_path, capfd):
         path = tmp_path / "sl2.json"
         path.write_text(serialize_algebra(lookup("sl2").algebra))
         code, text = run_cli(command, "abelian1", "--file", str(path))
         assert code == 2 and text == ""
-        assert (capsys.readouterr().err
+        assert (capfd.readouterr().err
                 == "error: give an algebra name or --file, not both\n")
 
-    def test_empty_file_name_beside_an_algebra_usage_error(self, capsys):
+    def test_empty_file_name_beside_an_algebra_usage_error(self, capfd):
         code, text = run_cli("info", "sl2", "--file", "")
         assert code == 2 and text == ""
-        assert (capsys.readouterr().err
+        assert (capfd.readouterr().err
                 == "error: give an algebra name or --file, not both\n")
 
-    def test_empty_file_name_is_opened_as_a_file(self, capsys):
+    def test_empty_file_name_is_opened_as_a_file(self, capfd):
         code, text = run_cli("info", "--file", "")
         assert code == 2 and text == ""
-        err = capsys.readouterr().err
+        err = capfd.readouterr().err
         assert err.startswith("error: cannot read : ") and err.count("\n") == 1
 
-    def test_verify_jacobi_violating_file(self, tmp_path, capsys):
+    def test_verify_jacobi_violating_file(self, tmp_path, capfd):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"dim": 3, "brackets": [
             {"i": 0, "j": 1, "result": [{"k": 2, "coeff": "1"}]},
             {"i": 0, "j": 2, "result": [{"k": 0, "coeff": "1"}]}]}))
         code, _ = run_cli("verify", "--file", str(bad))
         assert code == 2
-        err = capsys.readouterr().err
+        err = capfd.readouterr().err
         assert err.startswith("error: Jacobi identity fails on basis triple (0, 1, 2)")
         assert err.count("\n") == 1
 
-    def test_jacobi_residual_is_written_as_file_rationals(self, tmp_path, capsys):
+    def test_jacobi_residual_is_written_as_file_rationals(self, tmp_path, capfd):
         # [h,e] = 1/2 e, [h,f] = -1/2 f, [e,f] = 3/2 h - 2/3 e
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"dim": 3, "brackets": [
@@ -499,7 +498,7 @@ class TestCli:
                                         {"k": 1, "coeff": "-2/3"}]}]}))
         code, text = run_cli("verify", "--file", str(bad))
         assert code == 2 and text == ""
-        assert capsys.readouterr().err == (
+        assert capfd.readouterr().err == (
             "error: Jacobi identity fails on basis triple (0, 1, 2), "
             "residual (0, -1/3, 0)\n")
         with pytest.raises(JacobiViolation) as exc:
@@ -558,23 +557,24 @@ class TestCli:
 
 
 @pytest.mark.parametrize("argv", [["--json", "corpus-verify"], ["der", "abelian3"]])
-def test_closed_output_stream_ends_without_traceback(argv, capsys):
+def test_closed_output_stream_ends_without_traceback(argv, capfd):
     # a pipe whose reader has gone away
     r, w = os.pipe()
     os.close(r)
     with open(w, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
         assert main(argv) == 1
-    assert capsys.readouterr().err == ""
+    assert capfd.readouterr().err == ""
 
 
-def test_a_short_write_is_continued(monkeypatch):
+def test_a_short_write_is_continued(monkeypatch, capfd):
     # write(2) may take only a part of what it is given: here at most 7
-    # bytes of stdout's descriptor in each call
+    # bytes of the descriptor of stdout or stderr in each call
     argv = ["--json", "der", "abelian3"]
     whole, write, calls = child.main_output(argv), os.write, []
+    line = "error: no catalog algebra named 'nope'\n"
 
     def short_write(fd, data):
-        if fd == sys.stdout.fileno():
+        if fd in (sys.stdout.fileno(), sys.stderr.fileno()):
             calls.append(fd)
             data = data[:7]
         return write(fd, data)
@@ -582,30 +582,56 @@ def test_a_short_write_is_continued(monkeypatch):
     monkeypatch.setattr(os, "write", short_write)
     assert child.main_output(argv) == whole
     assert len(calls) == -(-len(whole[1].encode()) // 7)
+    assert main(["info", "nope"]) == 2
+    assert capfd.readouterr().err == line
+    assert len(calls) == -(-len(whole[1].encode()) // 7) + -(-len(line) // 7)
 
 
-def test_a_stdout_with_no_descriptor_is_one_error_line(capsys):
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_stderr_that_cannot_take_the_line_keeps_the_exit_code():
+    # a pipe whose reader has gone away: the line is dropped, nothing raised
+    r, w = os.pipe()
+    os.close(r)
+    with open(w, "w") as gone, contextlib.redirect_stderr(gone):
+        assert main(["info", "nope"]) == 2
+        with open("/dev/full", "w") as full, contextlib.redirect_stdout(full):
+            assert main(["info", "sl2"]) == 1
+    # main writes to descriptors: a stream with none drops the line too
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["info", "nope"]) == 2
+    assert err.getvalue() == ""
+
+
+def test_a_stdout_with_no_descriptor_is_one_error_line(capfd):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(["info", "sl2"]) == 1
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     assert out.getvalue() == ""
     assert err.startswith("error: cannot write the result: ")
     assert err.count("\n") == 1 and "None" not in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
-def heisenberg7_file(tmp_path_factory):
-    from algebras import algebra  # the benchmark's explore fixture
-    path = tmp_path_factory.mktemp("explore") / "heisenberg7.json"
-    path.write_text(serialize_algebra(algebra("heisenberg7")))
-    return str(path)
+def files(tmp_path_factory):
+    """A directory of input files: the benchmark's explore fixture
+    heisenberg7.json, an 8 kB der report; greek.json, whose basis names
+    ascii cannot encode; and bad.json, which is not JSON."""
+    from algebras import algebra
+    path = tmp_path_factory.mktemp("inputs")
+    (path / "heisenberg7.json").write_text(serialize_algebra(algebra("heisenberg7")))
+    (path / "greek.json").write_text(json.dumps({
+        "dim": 2, "basis_names": ["α", "β"],
+        "brackets": [{"i": 0, "j": 1, "result": [{"k": 1, "coeff": "1"}]}]}),
+        encoding="utf-8")
+    (path / "bad.json").write_text('{"dim": 2,')
+    return path
 
 
 @pytest.mark.parametrize("argv", [["--json", "der"], ["--json", "full-graph"],
                                   ["der"]])
-def test_each_result_is_written_whole(argv, heisenberg7_file):
+def test_each_result_is_written_whole(argv, files):
     # unbuffered, a process writes to fd 1 what main writes to a file
-    argv = [*argv, "--file", heisenberg7_file]
+    argv = [*argv, "--file", str(files / "heisenberg7.json")]
     code, out = child.main_output(argv)
     proc = subprocess.run(
         [sys.executable, "-m", "liegraph.cli", *argv], capture_output=True,
@@ -614,134 +640,130 @@ def test_each_result_is_written_whole(argv, heisenberg7_file):
     assert code == 0
 
 
-def test_reader_closing_after_one_byte_leaves_stderr_empty():
-    import fcntl  # F_SETPIPE_SZ is Linux-only
-    r, w = os.pipe()
-    # a 4096-byte pipe holds less than the 4.5 kB report, so the writer is
-    # still blocked when the reader closes and must see EPIPE
-    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
-    try:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "liegraph.cli", "--json", "der", "abelian3"],
-            stdout=w, stderr=subprocess.PIPE, env=child.env())
-    finally:
-        os.close(w)
-    try:
-        first = os.read(r, 1)
-    finally:
-        os.close(r)
-    _, err = proc.communicate(timeout=120)
-    assert len(first) == 1
-    assert err == b""
-    assert proc.returncode == 1
+# Every state of fd 1 and fd 2 that a process may start in, through both
+# entries, buffered and not. A row is (argv, fd 1, fd 2) -> (exit code,
+# stdout, stderr), and a descriptor is
+# - "pipe", all of which is read;
+# - "early", a 4096-byte pipe whose reader closes after one byte, so that a
+#   longer result meets EPIPE after a partial write(2);
+# - "gone", a pipe whose reader closed before the start;
+# - "full", /dev/full, where every write(2) fails with ENOSPC;
+# - "closed" at start-up, so that Python sets sys.stdout or sys.stderr to None.
+# Nothing is read from the last three (None). Whatever fd 2 is, input and
+# usage errors exit 2 and a result that cannot be written exits 1; an error
+# line that stderr cannot take is dropped.
+CANNOT_WRITE = "error: cannot write the result: "
+ENOSPC = f"{CANNOT_WRITE}{os.strerror(errno.ENOSPC)}\n"
+DESCRIPTOR_ROWS = {
+    # EPIPE is silent: the reader closed on purpose (`liegraph ... | head`)
+    "json-early": (["--json", "der", "abelian3"], "early", "pipe", (1, "{", "")),
+    "text-early": (["der", "--file", "heisenberg7.json"], "early", "pipe",
+                   (1, "D", "")),
+    "ascii-stdout": (["info", "--file", "greek.json"], "pipe", "pipe", (
+        1, "", f"{CANNOT_WRITE}'ascii' codec can't encode character '\\u03b1' "
+        "in position 25: ordinal not in range(128)\n"),
+        {"PYTHONIOENCODING": "ascii"}),
+    "full-stdout": (["info", "sl2"], "full", "pipe", (1, None, ENOSPC)),
+    "full-stdout-json": (["--json", "corpus-verify"], "full", "pipe",
+                         (1, None, ENOSPC)),
+    "closed-stdout": (["info", "sl2"], "closed", "pipe",
+                      (1, None, f"{CANNOT_WRITE}standard output is closed\n")),
+    "closed-stderr-name": (["info", "nope"], "pipe", "closed", (2, "", None)),
+    "closed-stderr-usage": (["nope"], "pipe", "closed", (2, "", None)),
+    # the file may be opened as fd 2, which nothing must write to
+    "closed-stderr-file": (["info", "--file", "bad.json"], "pipe", "closed",
+                           (2, "", None)),
+    "gone-stderr": (["info", "nope"], "pipe", "gone", (2, "", None)),
+    "full-stderr": (["nope"], "pipe", "full", (2, "", None)),
+    "full-both": (["info", "sl2"], "full", "full", (1, None, None)),
+    "full-stdout-gone-stderr": (["info", "sl2"], "full", "gone", (1, None, None)),
+}
+TRACE_CLI = Path(__file__).resolve().parents[1] / "bench" / "trace_cli.py"
+TRACED_CLOSED_STDOUT = pytest.mark.xfail(strict=True, reason=(
+    "bench/trace_cli.py main's finally calls sys.stdout.flush(), and "
+    "sys.stdout is None when fd 1 was closed at start-up: an AttributeError "
+    "traceback follows the error line and no spans file is written"))
 
 
-@pytest.mark.parametrize("unbuffered", ["1", ""])
-def test_one_write_meets_epipe_buffered_or_not(unbuffered, heisenberg7_file):
-    # an 8 kB result to a 4096-byte pipe: unbuffered, write(2) takes 4096
-    # bytes and returns when the reader closes; the rest must still meet EPIPE
+def run_with_descriptors(argv, fd1, fd2, cwd, env):
+    """Start argv in cwd with fd 1 and fd 2 in the given states: its exit
+    code and what was read from each descriptor."""
     import fcntl  # F_SETPIPE_SZ is Linux-only
-    env = child.env(PYTHONUNBUFFERED=unbuffered)
-    r, w = os.pipe()
-    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    states, writers, readers, closes = {1: fd1, 2: fd2}, {}, {}, ""
+    for fd, state in states.items():
+        if state == "closed":
+            closes += f" {fd}>&-"
+        elif state == "full":
+            writers[fd] = os.open("/dev/full", os.O_WRONLY)
+        else:
+            readers[fd], writers[fd] = os.pipe()
+            if state == "early":
+                fcntl.fcntl(writers[fd], fcntl.F_SETPIPE_SZ, 4096)
+            if state == "gone":
+                os.close(readers.pop(fd))
     try:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "liegraph.cli", "der", "--file",
-             heisenberg7_file], stdout=w, stderr=subprocess.PIPE, env=env)
+        proc = subprocess.Popen(["sh", "-c", 'exec "$0" "$@"' + closes, *argv],
+                                stdout=writers.get(1), stderr=writers.get(2),
+                                cwd=cwd, env=env)
     finally:
-        os.close(w)
-    try:
-        first = os.read(r, 1)
-    finally:
-        os.close(r)
-    _, err = proc.communicate(timeout=120)
-    assert (len(first), err, proc.returncode) == (1, b"", 1)
+        for w in writers.values():
+            os.close(w)
+    read = {1: None, 2: None}
+    for fd, r in readers.items():  # fd 1 first; stderr holds at most a line
+        with open(r, "rb") as pipe:
+            read[fd] = pipe.read(1 if states[fd] == "early" else -1).decode()
+    return proc.wait(timeout=120), read[1], read[2]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="F_SETPIPE_SZ and /dev/full")
+@pytest.mark.parametrize("row, entry, unbuffered", [
+    pytest.param(row, entry, unbuffered, id=f"{row}-{entry}-{mode}", marks=(
+        [TRACED_CLOSED_STDOUT] if entry == "traced"
+        and DESCRIPTOR_ROWS[row][1] == "closed" else []))
+    for row in DESCRIPTOR_ROWS for entry in ("module", "traced")
+    for unbuffered, mode in (("", "buffered"), ("1", "unbuffered"))])
+def test_each_descriptor_state_gives_its_exit_code(row, entry, unbuffered,
+                                                   files, tmp_path):
+    argv, fd1, fd2, expected, *env = DESCRIPTOR_ROWS[row]
+    spans = tmp_path / "spans.json"
+    head = (["-m", "liegraph.cli"] if entry == "module"
+            else [str(TRACE_CLI), str(spans)])
+    inputs = {path: path.read_bytes() for path in files.iterdir()}
+    got = run_with_descriptors(
+        [sys.executable, *head, *argv], fd1, fd2, files,
+        child.env(PYTHONUNBUFFERED=unbuffered, **(env[0] if env else {})))
+    assert got == expected
+    assert {path: path.read_bytes() for path in files.iterdir()} == inputs
+    assert entry == "module" or spans.exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("argv", [["info", "sl2"], ["--json", "corpus-verify"]])
-def test_failed_write_is_one_error_line(argv, capsys):
+def test_failed_write_is_one_error_line(argv, capfd):
     # a write error other than EPIPE is reported, unlike a closed reader:
     # every write(2) to /dev/full fails with ENOSPC
     with open("/dev/full", "w") as full, contextlib.redirect_stdout(full):
         assert main(argv) == 1
-    assert capsys.readouterr().err == (
+    assert capfd.readouterr().err == (
         f"error: cannot write the result: {os.strerror(errno.ENOSPC)}\n")
 
 
-@pytest.fixture
-def greek_file(tmp_path):
-    path = tmp_path / "greek.json"
-    path.write_text(json.dumps({"dim": 2, "basis_names": ["α", "β"], "brackets": [
-        {"i": 0, "j": 1, "result": [{"k": 1, "coeff": "1"}]}]}), encoding="utf-8")
-    return str(path)
-
-
-def test_a_name_stdout_cannot_encode_is_one_error_line(greek_file, capsys):
+def test_a_name_stdout_cannot_encode_is_one_error_line(files, capfd):
     # the text form prints the names as they are; --json escapes them
-    argv = ["info", "--file", greek_file]
+    argv = ["info", "--file", str(files / "greek.json")]
     assert child.main_output(argv, encoding="ascii") == (1, "")
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     assert err.startswith("error: cannot write the result: 'ascii' codec")
     assert err.count("\n") == 1
     code, out = child.main_output(["--json", *argv], encoding="ascii")
     assert (code, json.loads(out)["basis_names"]) == (0, ["α", "β"])
-    assert capsys.readouterr().err == ""
-
-
-@pytest.mark.parametrize("unbuffered", ["1", ""])
-def test_an_ascii_stdout_meets_the_name_as_one_error_line(unbuffered, greek_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "liegraph.cli", "info", "--file", greek_file],
-        capture_output=True, text=True, timeout=120,
-        env=child.env(PYTHONIOENCODING="ascii", PYTHONUNBUFFERED=unbuffered))
-    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
-    assert proc.stderr.startswith("error: cannot write the result: ")
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("unbuffered", ["1", ""])
-@pytest.mark.parametrize("argv", [["info", "sl2"], ["--json", "corpus-verify"]])
-def test_write_to_a_full_device_is_one_error_line(argv, unbuffered):
-    # every write(2) to /dev/full fails with ENOSPC: one error line and
-    # exit 1, with no traceback from main or from the interpreter's flush
-    env = child.env(PYTHONUNBUFFERED=unbuffered)
-    with open("/dev/full", "wb") as full:
-        proc = subprocess.run([sys.executable, "-m", "liegraph.cli", *argv],
-                              stdout=full, stderr=subprocess.PIPE, env=env,
-                              timeout=120)
-    err = proc.stderr.decode()
-    assert proc.returncode == 1, err
-    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write")
-    assert "Traceback" not in err and "Exception ignored" not in err
-
-
-@pytest.mark.parametrize("unbuffered", ["1", ""])
-def test_closed_stdout_is_one_error_line(unbuffered):
-    # with fd 1 closed at start-up Python sets sys.stdout to None, which
-    # main and run meet as a failed write: one error line and exit 1
-    proc = subprocess.run(
-        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "liegraph.cli",
-         "info", "sl2"], stderr=subprocess.PIPE, text=True, timeout=120,
-        env=child.env(PYTHONUNBUFFERED=unbuffered))
-    assert (proc.returncode, proc.stderr) == (
-        1, "error: cannot write the result: standard output is closed\n")
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [["info", "nope"], ["nope"]])
-def test_closed_stderr_still_exits_2(argv):
-    # with fd 2 closed at start-up Python sets sys.stderr to None: the error
-    # line has nowhere to go, not even to stdout, and the exit code stays 2
-    proc = subprocess.run(
-        ["sh", "-c", 'exec "$0" "$@" 2>&-', sys.executable, "-m", "liegraph.cli",
-         *argv], stdout=subprocess.PIPE, text=True, timeout=120, env=child.env())
-    assert (proc.returncode, proc.stdout) == (2, "")
-
-
-@pytest.mark.parametrize("argv", [["info", "nope"], ["nope"]])
-def test_no_stderr_puts_no_error_line_on_stdout(argv, monkeypatch, capsys):
-    # print(file=None) would write to sys.stdout instead
+def test_no_stderr_puts_no_error_line_on_stdout(argv, monkeypatch, capfd):
+    # with no stream to take it, the line is dropped, not sent to stdout
     monkeypatch.setattr(sys, "stderr", None)
     assert main(argv) == 2
-    assert capsys.readouterr().out == ""
+    assert capfd.readouterr().out == ""

@@ -8,8 +8,6 @@ either path. ``python -m liegraph.cli`` runs ``cli.run``, which ends the
 process with ``os._exit``; its output must be byte-identical to ``main``'s.
 """
 
-import contextlib
-import io
 import subprocess
 import sys
 
@@ -59,20 +57,13 @@ def outcome(parse, argv):
     return "help" if args is None else vars(args)
 
 
-def run_main(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code, out = child.main_output(argv)
-    return code, out, err.getvalue()
-
-
 @given(command_lines())
 @settings(max_examples=400, deadline=None)
 def test_parser_accepts_what_argparse_accepts(argv):
     expected = outcome(cli._argparse, argv)
     assert outcome(parse_args, argv) == expected
     if expected == "error":
-        code, out, err = run_main(argv)
+        code, out, err = child.main_streams(argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
@@ -82,7 +73,7 @@ def test_parser_accepts_what_argparse_accepts(argv):
                                   ["verify", "-h"], ["info", "nope", "--help"],
                                   ["info", "-hh"], ["info", "-h=h"]])
 def test_help_exits_0_and_names_every_command(argv):
-    code, out, err = run_main(argv)
+    code, out, err = child.main_streams(argv)
     assert code == 0 and err == ""
     assert out.startswith("usage: liegraph ")
     assert all(f"  {c} " in out for c in COMMANDS)
@@ -130,7 +121,7 @@ def test_help_exits_0_and_names_every_command(argv):
     ["info", "--file", "x", "--", "sl2"],
 ])
 def test_usage_error_is_one_line_and_exit_2(argv):
-    code, out, err = run_main(argv)
+    code, out, err = child.main_streams(argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -145,7 +136,7 @@ def test_a_lone_dash_and_a_negative_integer_are_values(argv, field, error):
     # argparse reads both as values, so they parse as the algebra name or
     # the file, and only the lookup or the read refuses them
     assert getattr(parse_args(argv), field) == argv[-1]
-    code, out, err = run_main(argv)
+    code, out, err = child.main_streams(argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {error}") and err.count("\n") == 1
 
@@ -167,7 +158,7 @@ def test_other_arguments_that_start_with_a_dash_are_options(argv, error):
     # -h with anything after it is an option even with a space, so never the
     # algebra name: argparse 3.10 to 3.12 refuse its explicit argument where
     # it is met, even before a later -h, and 3.13.0 reads it as help
-    code, out, err = run_main(argv)
+    code, out, err = child.main_streams(argv)
     if code == 0:
         assert err == "" and out.startswith("usage: liegraph ")
     else:
@@ -193,11 +184,10 @@ def test_double_dash_makes_every_later_argument_a_value(argv, algebra, file):
 ])
 def test_entry_output_equals_main(argv, code):
     # run() ends with os._exit, which would drop anything left in a
-    # buffer: main writes the result to fd 1 itself, and stderr flushes
-    # each line
+    # buffer: main writes the result to fd 1 and an error line to fd 2 itself
     proc = subprocess.run([sys.executable, "-m", "liegraph.cli", *argv],
                           capture_output=True, timeout=120, env=child.env())
-    expected = run_main(argv)
+    expected = child.main_streams(argv)
     assert expected[0] == code
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         code, expected[1].encode(), expected[2].encode())

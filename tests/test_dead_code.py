@@ -95,7 +95,7 @@ def _traced() -> set[str]:
     return names
 
 
-def test_every_function_no_request_runs_is_allowed(tmp_path, monkeypatch, capsys):
+def test_every_function_no_request_runs_is_allowed(tmp_path, monkeypatch, capfd):
     FIXTURES.write_inputs(sorted(FIXTURES.SPECS), 1, tmp_path)
     for file_name, text in REFUSED.items():
         (tmp_path / file_name).write_text(text)
@@ -108,7 +108,7 @@ def test_every_function_no_request_runs_is_allowed(tmp_path, monkeypatch, capsys
         refused = [main_output(["info", "--file", name]) for name in REFUSED]
     finally:
         sys.setprofile(None)
-    err = capsys.readouterr().err
+    err = capfd.readouterr().err
     assert refused == [(2, ""), (2, "")] and "Jacobi" in err and "digit limit" in err
     ran = {(Path(c.co_filename).stem, c.co_firstlineno) for c in called
            if Path(c.co_filename).resolve().parent == SRC and c.co_name[0] != "<"}

@@ -257,7 +257,7 @@ def test_no_representation_stores_a_system(monkeypatch, name):
 
 
 @pytest.mark.parametrize("which", ["2", "all"])
-def test_theorem2_identity_failure_exits_2(monkeypatch, capsys, which):
+def test_theorem2_identity_failure_exits_2(monkeypatch, capfd, which):
     # a center of C(G) other than 0 ⊕ cd breaks the identity that
     # check_theorem2 proves: sl2 is d-complete with dim Der(C(G)) = m + p,
     # so a nonzero center must be refused, not reported as a finding
@@ -265,7 +265,7 @@ def test_theorem2_identity_failure_exits_2(monkeypatch, capsys, which):
                         property(lambda ws: Subspace(ws.cg.dim, tuple(
                             ((c, 1),) for c in range(ws.cg.dim)))))
     assert main_output(["verify", "--theorem", which, "sl2"]) == (2, "")
-    err = capsys.readouterr().err.splitlines()
+    err = capfd.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
