@@ -14,8 +14,8 @@ Every command (info, der, dder, full-graph, verify --theorem 1|2|lemma|all),
 text and --json, runs in-process under sys.setprofile on the catalog names
 and the six bench/fixtures.py algebras at seed 1, and so do corpus-verify,
 --help, a usage error (an unknown command), an argv that argparse reads
-(info -- sl2) and two refused files: one breaks Jacobi on (e1, e2, e3), and
-one has an integer past the digit limit.
+(info -- sl2) and every input that tests/test_catalog_cli.py's REFUSED
+lists, each in a directory of its own.
 """
 
 import ast
@@ -26,6 +26,7 @@ from pathlib import Path
 import liegraph
 from algebras import CATALOG_NAMES, FIXTURES
 from child import main_output
+from test_catalog_cli import REFUSED, write_inputs
 from test_trace_targets import _load_trace_cli
 
 SRC = Path(liegraph.__file__).resolve().parent
@@ -60,10 +61,6 @@ WHERE = [[name] for name in CATALOG_NAMES] + [
 RUNS = [form + cmd + where for form in ([], ["--json"]) for cmd in COMMANDS
         for where in WHERE] + [["corpus-verify"], ["--json", "corpus-verify"], ["--help"],
                                ["nope"], ["info", "--", "sl2"]]
-REFUSED = {"jacobi.json": '{"dim": 3, "brackets": [{"i": 0, "j": 1, "result": '
-                          '[{"k": 2, "coeff": 1}]}, {"i": 0, "j": 2, "result": '
-                          '[{"k": 0, "coeff": 1}]}]}',
-           "long.json": '{"dim": 1, "brackets": %s}' % ("1" * 5000)}
 
 
 def _functions() -> dict[tuple[str, int], str]:
@@ -95,21 +92,23 @@ def _traced() -> set[str]:
     return names
 
 
-def test_every_function_no_request_runs_is_allowed(tmp_path, monkeypatch, capfd):
+def test_every_function_no_request_runs_is_allowed(tmp_path, monkeypatch):
     FIXTURES.write_inputs(sorted(FIXTURES.SPECS), 1, tmp_path)
-    for file_name, text in REFUSED.items():
-        (tmp_path / file_name).write_text(text)
+    for row, (_, files, _, _) in REFUSED.items():
+        (tmp_path / row).mkdir()
+        write_inputs(files, tmp_path / row)
     monkeypatch.chdir(tmp_path)
-    called = set()
+    called, refused = set(), {}
     sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
     try:
         for args in RUNS:
             main_output(args)
-        refused = [main_output(["info", "--file", name]) for name in REFUSED]
+        for row, (argv, _, _, _) in REFUSED.items():
+            monkeypatch.chdir(tmp_path / row)
+            refused[row] = main_output(argv)
     finally:
         sys.setprofile(None)
-    err = capfd.readouterr().err
-    assert refused == [(2, ""), (2, "")] and "Jacobi" in err and "digit limit" in err
+    assert refused == dict.fromkeys(REFUSED, (2, ""))
     ran = {(Path(c.co_filename).stem, c.co_firstlineno) for c in called
            if Path(c.co_filename).resolve().parent == SRC and c.co_name[0] != "<"}
     functions = _functions()

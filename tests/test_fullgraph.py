@@ -3,7 +3,7 @@ from fractions import Fraction
 from types import GeneratorType
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from reference import terms
@@ -333,15 +333,22 @@ def test_h_derivation_matches_per_column_reference(name, data):
             == reference.h_derivation(dspace, terms(d), terms(l)))
 
 
-@given(st.integers(0, 10**6), st.sampled_from([3, 4]))
+# beside the draws: h_3, h_5, h_7, h_3 with one or two abelian factors, and
+# a draw whose defect is 2
+@given(st.builds(two_step_nilpotent, st.integers(0, 10**6), st.sampled_from([3, 4])))
+@example(heisenberg(1))
+@example(heisenberg(2))
+@example(heisenberg(3))
+@example(direct_sum(heisenberg(1), algebra("abelian1")))
+@example(direct_sum(heisenberg(1), algebra("abelian2")))
+@example(two_step_nilpotent(5, 6))
 @settings(max_examples=25, deadline=None)
-def test_two_step_nilpotent_full_graph_has_the_outer_derivation(seed, n):
+def test_two_step_nilpotent_full_graph_has_the_outer_derivation(g):
     # [G, G] central: delta, 0 on Der(G) and g -> 2g - ad g on G, is a
     # derivation of C(G); the image of H holds it only when G is abelian,
     # where delta = 2 ad(id) is inner
-    g = two_step_nilpotent(seed, n)
     ws = _Workspace(g)
-    m = ws.der.dim
+    n, m = g.dim, ws.der.dim
     size = m + n
     ad = ws.der.ad_coordinates  # column j: the Der coordinates of ad(e_j)
     delta = [F(0)] * (size * size)
@@ -351,13 +358,15 @@ def test_two_step_nilpotent_full_graph_has_the_outer_derivation(seed, n):
             delta[r * size + m + j] = -ad.row(r)[j]
     delta = reference.dense(size, size, delta)
     assert reference.is_cocycle(ws.cg.adjoint, ws.cg, delta)
+    is_abelian = not any(any(row) for row in g.pairs)
+    total = m + ws.dspace.dim  # dim H
+    # delta lies outside the image of H (below), so the defect is at least 1
+    assert is_abelian or ws.der_cg_dim - total >= 1
 
-    total = m + ws.dspace.dim
     units = [[F(int(t == i)) for t in range(total)] for i in range(total)]
     image = Subspace.from_rows(size * size, [
         h_derivation(ws.dspace, terms(u[:m]), terms(u[m:])).flatten()
         for u in units])
-    is_abelian = not any(any(row) for row in g.pairs)
     assert (image._coordinates(_flat(delta)) is not None) == is_abelian
 
 
