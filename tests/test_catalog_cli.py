@@ -106,10 +106,12 @@ _DOCUMENTS = [
      "must be an exact rational string or integer, got 0.5"),
     *((f"coeff-{s}", _one_term({"k": 0, "coeff": s}),
        f"brackets[0]: bad rational literal {s!r}") for s in ("1e3", "0.5", "1e999999999")),
-    ("jacobi", {"dim": 3, "brackets": [
+    # the violation passes through the parser to every command
+    *((name, {"dim": 3, "brackets": [
         {"i": 0, "j": 1, "result": [{"k": 2, "coeff": 1}]},
         {"i": 0, "j": 2, "result": [{"k": 0, "coeff": 1}]}]},
-     "Jacobi identity fails on basis triple (0, 1, 2), residual (0, 0, 1)", "verify"),
+       "Jacobi identity fails on basis triple (0, 1, 2), residual (0, 0, 1)", command)
+      for name, command in [("jacobi", "verify"), ("jacobi-info", "info")]),
     # [h,e] = 1/2 e, [h,f] = -1/2 f, [e,f] = 3/2 h - 2/3 e: the residual is
     # written as the file writes rationals
     ("jacobi-rational-residual", {"dim": 3, "brackets": [
@@ -158,6 +160,13 @@ _DOCUMENTS = [
      "brackets[0]: unknown field 'results'"),
     ("unknown-term-key", _one_term({"k": 1, "coef": 1}),
      "brackets[0]: unknown field 'coef'"),
+    # the same in heisenberg3's document, which would load as abelian3
+    ("unknown-top-key-heisenberg3", {"dim": 3, "bracket": [{"i": 0, "j": 1, "result": [
+        {"k": 2, "coeff": 1}]}]}, "top level: unknown field 'bracket'"),
+    ("unknown-bracket-key-heisenberg3", {"dim": 3, "brackets": [{"i": 0, "j": 1, "results": [
+        {"k": 2, "coeff": 1}]}]}, "brackets[0]: unknown field 'results'"),
+    ("unknown-term-key-heisenberg3", {"dim": 3, "brackets": [{"i": 0, "j": 1, "result": [
+        {"k": 2, "coeff": 1, "c": 1}]}]}, "brackets[0]: unknown field 'c'"),
     # json keeps only the last copy of a repeated field, so each of these
     # would load quietly as another algebra: the first as abelian3, the last
     # with [x, y] = 0
