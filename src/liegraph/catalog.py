@@ -193,7 +193,9 @@ def parse_algebra_file(text: str) -> LieAlgebra:
             if not isinstance(term, dict) or "k" not in term or "coeff" not in term:
                 raise LieError(f"{where}: result terms need 'k' and 'coeff'")
             k = term["k"]
-            if not _is_int(k, f"{where}: 'k'") or not 0 <= k < n:
+            if not _is_int(k, f"{where}: 'k'"):
+                raise LieError(f"{where}: k must be an integer")
+            if not 0 <= k < n:
                 raise LieError(f"{where}: k={k!r} out of range for dim {n}")
             if k in terms:
                 raise LieError(f"{where}: bracket ({i},{j}) gives k={k} twice")

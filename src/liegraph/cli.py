@@ -1,4 +1,4 @@
-"""Command-line interface; argparse reads only an unusual command line.
+"""Command-line interface: parse_args reads argv, and main runs the command.
 
 Subcommands: info, der, dder, full-graph, verify, corpus-verify. Each one
 returns its `--json` document, its text lines and its exit code, and
@@ -33,8 +33,6 @@ EXIT_USAGE = 2
 
 
 def _load_algebra(args) -> tuple[str, LieAlgebra]:
-    if args.file is not None and args.algebra is not None:
-        raise LieError("give an algebra name or --file, not both")
     if args.file is not None:
         try:
             with open(args.file, encoding="utf-8") as fh:
@@ -42,8 +40,6 @@ def _load_algebra(args) -> tuple[str, LieAlgebra]:
         except (OSError, UnicodeDecodeError) as exc:
             raise LieError(f"cannot read {args.file}: {exc}") from None
         return args.file, parse_algebra_file(text)
-    if args.algebra is None:
-        raise LieError("an algebra name or --file is required")
     entry = lookup(args.algebra)
     return entry.name, entry.algebra
 
@@ -211,56 +207,47 @@ USAGE = "\n".join([
 
 
 def parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
-    """json, command, algebra, file and theorem, or None for -h or --help.
-    The common form, [--json] COMMAND [ALGEBRA] [--file F] [--theorem T]
-    with each option once and no value that starts with "-", is read here;
-    any other argv goes whole to _argparse, so that it reads as the running
-    Python's argparse reads it."""
+    """json, command, algebra, file and theorem, or None for -h or --help
+    anywhere in argv. After [--json] COMMAND come, in any order and each at
+    most once, the ALGEBRA name, a word that does not start with "-", and
+    each option the command takes, as --OPTION VALUE or --OPTION=VALUE; a
+    value after a space does not start with "-" either. Any other argv, and
+    an algebra command given both or neither of ALGEBRA and --file, raises
+    LieError."""
+    if "-h" in argv or "--help" in argv:
+        return None
     json_flag = argv[:1] == ["--json"]
     command, *rest = argv[json_flag:] or [None]
+    if command not in _COMMANDS:
+        raise LieError("a command is required" if command is None
+                       else f"unknown command {command!r}")
     args = SimpleNamespace(json=json_flag, command=command, algebra=None,
                            file=None, theorem="all")
-    if command in _ALGEBRA_COMMANDS and rest and not rest[0].startswith("-"):
-        args.algebra = rest.pop(0)
-    # the options the command takes, each popped when read
+    # the options the command takes
     options = {"--file": command in _ALGEBRA_COMMANDS,
                "--theorem": command == "verify"}
-    while (rest[1:] and options.pop(rest[0], False)
-           and not rest[1].startswith("-")
-           and (rest[0] == "--file" or rest[1] in fg_mod.CHECKS)):
-        key, value, *rest = rest
-        setattr(args, key[2:], value)
-    return args if command in _COMMANDS and not rest else _argparse(argv)
-
-
-def _argparse(argv: Sequence[str]) -> Optional[SimpleNamespace]:
-    """parse_args's fields by argparse, built only for an argv that
-    parse_args does not read itself: a usage error raises LieError, and -h
-    or --help gives None, for main to print USAGE."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise LieError(message)
-
-        def print_help(self, file=None):
-            pass
-
-    parser = Parser(prog="liegraph", allow_abbrev=False)
-    parser.add_argument("--json", action="store_true")
-    parser.set_defaults(algebra=None, file=None, theorem="all")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, allow_abbrev=False)
-        if name in _ALGEBRA_COMMANDS:
-            p.add_argument("algebra", nargs="?")
-            p.add_argument("--file")
-    sub.choices["verify"].add_argument("--theorem", choices=fg_mod.CHECKS,
-                                       default="all")
-    try:
-        return SimpleNamespace(**vars(parser.parse_args(argv)))
-    except SystemExit:  # the help action, after print_help
-        return None
+    given, rest = set(), iter(rest)
+    for arg in rest:
+        key, eq, value = arg.partition("=")
+        if command in _ALGEBRA_COMMANDS and not arg.startswith("-"):
+            key, value = "ALGEBRA", arg
+        elif not options.get(key):
+            raise LieError(f"{command} does not take {arg!r}")
+        elif not eq:  # the next argument, and "-" if there is none
+            value = next(rest, "-")
+            if value.startswith("-"):
+                raise LieError(f"{key} needs a value")
+        if key in given:
+            raise LieError(f"{key} is given twice")
+        if key == "--theorem" and value not in fg_mod.CHECKS:
+            raise LieError(f"--theorem must be one of "
+                           f"{', '.join(fg_mod.CHECKS)}, not {value!r}")
+        given.add(key)
+        setattr(args, key.lstrip("-").lower(), value)
+    if command in _ALGEBRA_COMMANDS and (args.file is None) == (args.algebra is None):
+        raise LieError("an algebra name or --file is required" if args.file is None
+                       else "give an algebra name or --file, not both")
+    return args
 
 
 def _write(stream, text: str, name: str) -> None:

@@ -18,7 +18,7 @@ from liegraph.algebra import (JacobiViolation, LieAlgebra, LieError,
                               make_lie_algebra)
 from liegraph.catalog import (catalog, lookup, parse_algebra_file,
                               serialize_algebra)
-from liegraph.cli import _table_lines, main
+from liegraph.cli import _table_lines, main, parse_args
 
 
 class TestCatalog:
@@ -149,8 +149,9 @@ _DOCUMENTS = [
      "brackets[0]: i and j must be integers"),
     ("j-bool", {"dim": 2, "brackets": [{"i": 0, "j": True, "result": []}]},
      "brackets[0]: i and j must be integers"),
-    ("k-bool", _one_term({"k": True, "coeff": 1}),
-     "brackets[0]: k=True out of range for dim 2"),
+    *((f"k-{name}", _one_term({"k": k, "coeff": 1}), "brackets[0]: k must be an integer")
+      for name, k in [("bool", True), ("string", "1"), ("float", 1.0), ("null", None)]),
+    ("k-out-of-range", _one_term({"k": 2, "coeff": 1}), "brackets[0]: k=2 out of range for dim 2"),
     ("duplicate-names", {"dim": 3, "basis_names": ["x", "x", "x"]},
      "'basis_names' has duplicates: ['x', 'x', 'x']"),
     ("names-null", {"dim": 2, "basis_names": None}, "'basis_names' must be 2 strings"),
@@ -214,7 +215,73 @@ def _document(doc, line: str, command: str = "info"):
             lambda: parse_algebra_file(text))
 
 
-_NOT_BOTH = "error: give an algebra name or --file, not both"
+def _usage(argv: list, line: str, files=()):
+    """The row of an argv, run beside files, that parse_args refuses with line."""
+    return argv, dict(files), f"error: {line}", lambda: parse_args(argv)
+
+
+_NOT_BOTH = "give an algebra name or --file, not both"
+_FILE_VALUE = "--file needs a value"
+# Each argv that parse_args refuses: name, argv and its message
+_ARGV = [
+    ("no-command", [], "a command is required"),
+    ("json-alone", ["--json"], "a command is required"),
+    ("unknown-command", ["nope"], "unknown command 'nope'"),
+    ("name-as-command", ["sl2"], "unknown command 'sl2'"),
+    ("double-dash-first", ["--", "info", "sl2"], "unknown command '--'"),
+    ("json-with-a-value", ["--json=x", "info", "sl2"], "unknown command '--json=x'"),
+    ("cluster-alone", ["-hx"], "unknown command '-hx'"),
+    # options are written in full, --json goes before the command, and
+    # --theorem is for verify only
+    ("prefix-file", ["info", "sl2", "--fi", "x"], "info does not take '--fi'"),
+    ("prefix-theorem", ["verify", "sl2", "--theo", "1"], "verify does not take '--theo'"),
+    ("json-after-command", ["info", "--json", "sl2"], "info does not take '--json'"),
+    ("theorem-for-info", ["info", "sl2", "--theorem", "1"], "info does not take '--theorem'"),
+    ("theorem-joined-for-info", ["info", "--theorem=a b"], "info does not take '--theorem=a b'"),
+    ("corpus-file", ["corpus-verify", "--file", "x"], "corpus-verify does not take '--file'"),
+    ("corpus-double-dash", ["corpus-verify", "--"], "corpus-verify does not take '--'"),
+    # an argument that starts with "-" is no algebra name, "--" separates
+    # nothing, and -h and --help take no value
+    *((f"info-{name}", ["info", arg], f"info does not take {arg!r}") for name, arg in [
+        ("dash", "-"), ("minus-5", "-5"), ("minus-.5", "-.5"), ("minus-1.5", "-1.5"),
+        ("minus-1e3", "-1e3"), ("minus-5.", "-5."), ("spaced-option", "-x y"),
+        ("unknown-option", "--bogus=a b"), ("help-with-a-value", "--help=a b"),
+        ("hx", "-hx"), ("hh", "-hh"), ("hhx", "-hhx"), ("h-equals", "-h="),
+        ("h-equals-h", "-h=h")]),
+    ("name-then-help-with-a-value", ["info", "sl2", "--help=a b"],
+     "info does not take '--help=a b'"),
+    ("name-then-spaced-h", ["info", "sl2", "-h x"], "info does not take '-h x'"),
+    ("double-dash-before-name", ["info", "--", "sl2"], "info does not take '--'"),
+    ("double-dash-after-name", ["info", "sl2", "--"], "info does not take '--'"),
+    ("double-dash-twice", ["info", "--", "--", "sl2"], "info does not take '--'"),
+    ("double-dash-before-theorem", ["verify", "--", "sl2", "--theorem", "1"],
+     "verify does not take '--'"),
+    ("double-dash-after-file", ["info", "sl2", "--file", "x", "--"], "info does not take '--'"),
+    ("double-dash-before-name-after-file", ["info", "--file", "x", "--", "sl2"],
+     "info does not take '--'"),
+    # a value after a space does not start with "-": --file=-5 names that file
+    *((f"file-{name}", [command, "--file", *value], _FILE_VALUE) for name, command, value in [
+        ("missing", "info", []), ("dash", "info", ["-"]), ("minus-5", "info", ["-5"]),
+        ("minus-.5", "info", ["-.5"]), ("json", "info", ["--json"]),
+        ("spaced-option", "info", ["-x y"]), ("theorem-joined", "info", ["--theorem=a b"]),
+        ("help-with-a-value", "info", ["--help=a b"]),
+        ("theorem-joined-verify", "verify", ["--theorem=a b"])]),
+    ("theorem-missing", ["verify", "sl2", "--theorem"], "--theorem needs a value"),
+    ("theorem-json", ["verify", "sl2", "--theorem", "--json"], "--theorem needs a value"),
+    ("theorem-3", ["verify", "sl2", "--theorem", "3"],
+     "--theorem must be one of 1, 2, lemma, all, not '3'"),
+    ("theorem-joined-empty", ["verify", "sl2", "--theorem="],
+     "--theorem must be one of 1, 2, lemma, all, not ''"),
+    # a part given twice is refused: reading the last copy would run
+    # theorem 2 alone
+    ("theorem-twice", ["verify", "sl2", "--theorem", "1", "--theorem", "2"],
+     "--theorem is given twice"),
+    ("file-twice", ["info", "--file", "x", "--file=y"], "--file is given twice"),
+    ("name-twice", ["info", "sl2", "heisenberg3"], "ALGEBRA is given twice"),
+    ("missing-algebra", ["verify"], "an algebra name or --file is required"),
+    ("theorem-without-algebra", ["verify", "--theorem=1"], "an algebra name or --file is required"),
+    ("empty-file-name-beside-a-name", ["info", "sl2", "--file", ""], _NOT_BOTH),
+]
 
 # Every input that the CLI refuses, one row each: name -> (argv, the files it
 # names, each text or, where it is not UTF-8, bytes, the one error line, and
@@ -234,13 +301,11 @@ REFUSED = {
         "is named D1 to D2", None) for form, flag in [("", []), ("-json", ["--json"])]},
     "unknown-name": (["verify", "nope"], {}, "error: no catalog algebra named 'nope'",
                      lambda: lookup("nope")),
-    "missing-algebra": (["verify"], {}, "error: an algebra name or --file is required",
-                        None),
-    **{f"name-and-file-{command}": (
-        [command, "abelian1", "--file", "sl2.json"],
-        {"sl2.json": serialize_algebra(lookup("sl2").algebra)}, _NOT_BOTH, None)
+    **{name: _usage(argv, line) for name, argv, line in _ARGV},
+    **{f"name-and-file-{command}": _usage(
+        [command, "abelian1", "--file", "sl2.json"], _NOT_BOTH,
+        {"sl2.json": serialize_algebra(lookup("sl2").algebra)})
        for command in ["info", "der", "dder", "full-graph", "verify"]},
-    "empty-file-name-beside-a-name": (["info", "sl2", "--file", ""], {}, _NOT_BOTH, None),
     "empty-file-name": (["info", "--file", ""], {}, "error: cannot read : …", None),
 }
 # these run in a fresh process too, which shows all of stderr

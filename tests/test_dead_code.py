@@ -13,9 +13,10 @@ ALLOWED lists, and fail it.
 Every command (info, der, dder, full-graph, verify --theorem 1|2|lemma|all),
 text and --json, runs in-process under sys.setprofile on the catalog names
 and the six bench/fixtures.py algebras at seed 1, and so do corpus-verify,
---help, a usage error (an unknown command), an argv that argparse reads
-(info -- sl2) and every input that tests/test_catalog_cli.py's REFUSED
-lists, each in a directory of its own.
+--help, a usage error (an unknown command), two argv with an option
+before the algebra, joined by "=" (verify --theorem=1 sl2 and verify
+--theorem=lemma --file=heisenberg7.json), and every input that
+tests/test_catalog_cli.py's REFUSED lists, each in a directory of its own.
 """
 
 import ast
@@ -60,7 +61,8 @@ WHERE = [[name] for name in CATALOG_NAMES] + [
     ["--file", f"{name}.json"] for name in sorted(FIXTURES.SPECS)]
 RUNS = [form + cmd + where for form in ([], ["--json"]) for cmd in COMMANDS
         for where in WHERE] + [["corpus-verify"], ["--json", "corpus-verify"], ["--help"],
-                               ["nope"], ["info", "--", "sl2"]]
+                               ["nope"], ["verify", "--theorem=1", "sl2"],
+                               ["verify", "--theorem=lemma", "--file=heisenberg7.json"]]
 
 
 def _functions() -> dict[tuple[str, int], str]:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from types import GeneratorType
 
@@ -368,6 +369,39 @@ def test_two_step_nilpotent_full_graph_has_the_outer_derivation(g):
         h_derivation(ws.dspace, terms(u[:m]), terms(u[m:])).flatten()
         for u in units])
     assert (image._coordinates(_flat(delta)) is not None) == is_abelian
+
+
+# the census: (dim G, d-complete, defect) -> how many of CENSUS_ALGEBRAS
+CENSUS = {(2, True, 0): 1, (3, True, 0): 13, (3, True, 1): 17, (4, True, 0): 16,
+          (4, True, 1): 14, (5, True, 0): 14, (5, True, 1): 17, (6, True, 0): 13,
+          (6, True, 1): 13, (6, True, 2): 4, (7, False, 0): 4, (7, True, 0): 6,
+          (9, True, 0): 1}
+
+
+def _census_algebras() -> list:
+    """133 algebras: two_step_nilpotent(seed, n) for seeds 0-19 and n = 3-6,
+    ten central_extension chains (seeds 0-9) from abelian2 to dimension 7,
+    and b(sl2), b(sl3), b(sl4)."""
+    out = [two_step_nilpotent(seed, n) for seed in range(20) for n in range(3, 7)]
+    for seed in range(10):
+        g = make_lie_algebra(2, [])
+        while g.dim < 7:
+            g = central_extension(g, seed)
+            out.append(g)
+    return out + [borel(n) for n in (2, 3, 4)]
+
+
+def test_theorem2_fails_iff_d_complete_with_a_defect():
+    # the defect is dim Der(C(G)) - dim H; the census takes about 5 s on a
+    # 2-core host
+    census = Counter()
+    for g in _census_algebras():
+        ws = _Workspace(g)
+        defect = ws.der_cg_dim - ws.der.dim - ws.dspace.dim
+        d_complete = ws.d_completeness.d_complete
+        assert check_theorem2(ws).passed != (d_complete and defect > 0)
+        census[g.dim, d_complete, defect] += 1
+    assert census == CENSUS
 
 
 # Der(C(G)) from its blocks: each basis element of Z¹ ⊕ S, with A = [E, ·]

@@ -7,8 +7,8 @@ a test, it hides which API the test no longer calls.
 ``__future__`` imports are directives, so they are exempt. A request never
 loads ``dataclasses``, whose own imports (``inspect``, ``ast``, ``dis``,
 ``tokenize``) cost more start-up time than a small check computes, nor
-``argparse`` with its ``gettext`` and ``locale``: the CLI reads the common
-command line itself and imports argparse only for any other. The
+``argparse`` with its ``gettext`` and ``locale``: ``cli.parse_args`` reads
+every command line itself, and no package module imports argparse. The
 package root imports nothing, so a process that reads only the algebra
 and the catalog loads neither the d-theory nor the checks.
 """
