@@ -95,6 +95,8 @@ def test_an_argv_is_read_by_the_grammar_or_refused_in_one_line(argv):
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--json", "--help"],
                                   ["verify", "-h"], ["info", "nope", "--help"],
+                                  ["corpus-verify", "--help"],
+                                  ["verify", "sl2", "--theorem", "1", "-h"],
                                   ["info", "--file", "-h"], ["--json=x", "-h"],
                                   ["--json=", "--help"], ["info", "--", "-h"],
                                   ["info", "-hx", "-h"]])
