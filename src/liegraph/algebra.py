@@ -15,12 +15,12 @@ for Der(G) and the d-bracket), and a semidirect product whose action is
 one by derivations and a homomorphism (semidirect, for C(G) and H).
 
 A Lie algebra L acting on Q^n is given by rho, the n x n matrices of its
-basis elements. Its 1-cocycle rule (cocycle_system) and 1-coboundary
-(coboundary) are written once, and the invariants are
-linalg.common_kernel(rho). With rho = g.adjoint they give the center and
-Der(G), and the adjoint coboundaries are the ad(e_k) that span the inner
-derivations; dtheory reads the d-analogues off Der(G) acting on G,
-rho = der.matrices.
+basis elements. Its 1-cocycle rule (cocycle_system) is written once, and
+the invariants are linalg.common_kernel(rho). With rho = g.adjoint they
+give the center and Der(G), and the adjoint coboundaries are the ad(e_k)
+that span the inner derivations; dtheory reads the d-analogues off Der(G)
+acting on G, rho = der.matrices, where inner_d_derivation is the
+coboundary.
 """
 
 from __future__ import annotations
@@ -233,17 +233,6 @@ def cocycle_system(rho: Sequence[Matrix],
             row = {col: c for col, c in row.items() if c}
             if row:
                 yield row
-
-
-def coboundary(rho: Sequence[Matrix], v: Sequence) -> Matrix:
-    """The cocycle e_i -> -rho_i v: its column i holds, for each nonzero
-    row k of rho_i, minus that row's product with the entries of v."""
-    n = rho[0].cols
-    if len(v) != n:
-        raise ValueError(f"vector length {len(v)} != cols {n}")
-    cols = [[(k, x) for k, row in enumerate(r.nonzeros)
-             if (x := -sum(a * v[c] for c, a in row))] for r in rho]
-    return Matrix(rho[0].rows, tuple(map(tuple, cols))).transpose()
 
 
 def center(g: LieAlgebra) -> Subspace:

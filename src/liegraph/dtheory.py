@@ -4,11 +4,11 @@ A "d-derivation" is a linear map L from the derivation algebra to the
 algebra itself with L([D1,D2]) = D1(L(D2)) - D2(L(D1)): a 1-cocycle of
 Der(G) acting on G by der.matrices, as G acts on itself by g.adjoint. The
 d-center is the common kernel of that action. The d-derivations and the
-inner ones L_x(D) = -D(x) are its cocycles and coboundaries, made by the
-algebra.cocycle_system and coboundary that give Der(G) and the inner
-derivations from g.adjoint; is_d_complete counts the inner ones (x -> L_x
-has kernel the d-center) instead of spanning them. The d-derivations carry
-a bracket
+inner ones L_x(D) = -D(x) are its cocycles and coboundaries: the first
+made by the algebra.cocycle_system that gives Der(G) from g.adjoint, the
+second by inner_d_derivation; is_d_complete counts the inner ones
+(x -> L_x has kernel the d-center) instead of spanning them. The
+d-derivations carry a bracket
     [L1,L2](D) = L1(ad(L2(D))) - L2(ad(L1(D)))
 and Der(G) acts on them by D(L) = D∘L - L∘ad(D), which lets the two fit
 together into a semidirect product H, returned by build_h as a LieAlgebra.
@@ -34,8 +34,8 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .linalg import Matrix, Subspace, common_kernel, sparse_nullspace
-from .algebra import (DerivationAlgebra, LieAlgebra, MatrixSpan, coboundary,
-                      cocycle_system, semidirect)
+from .algebra import (DerivationAlgebra, LieAlgebra, MatrixSpan, cocycle_system,
+                      semidirect)
 
 
 def d_center(der: DerivationAlgebra) -> Subspace:
@@ -45,8 +45,15 @@ def d_center(der: DerivationAlgebra) -> Subspace:
 
 
 def inner_d_derivation(der: DerivationAlgebra, x: Sequence) -> Matrix:
-    """L_x with L_x(D) = -D(x), the coboundary of x."""
-    return coboundary(der.matrices, x)
+    """L_x with L_x(D) = -D(x), the coboundary of x: its column i holds, for
+    each nonzero row k of D_i, minus that row's product with the entries
+    of x."""
+    n = der.parent.dim
+    if len(x) != n:
+        raise ValueError(f"vector length {len(x)} != cols {n}")
+    cols = [[(k, v) for k, row in enumerate(d.nonzeros)
+             if (v := -sum(a * x[c] for c, a in row))] for d in der.matrices]
+    return Matrix(n, tuple(map(tuple, cols))).transpose()
 
 
 class DDerivationSpace(MatrixSpan):

@@ -5,24 +5,26 @@ The package reduces every linear system with one sparse Gauss-Jordan kernel
 as sparse rows, checks a cocycle by walking the structure constants, and
 holds structure constants as the nonzero terms of each bracket
 (``LieAlgebra.pairs``). The dense forms below are the straightforward
-versions of the same computations, on the dense n x n x n table, and
-``sparse_rref_fractions`` is the sparse kernel with every scalar a
-Fraction; the differential tests require the fast paths to give exactly
-what these give. ``rref`` is the sparse kernel's RREF of a whole Matrix,
-and ``check_theorem1`` the theorem 1 check on every row of each map of
-C(G), where the package reads only the G rows. ``sign_mutation`` is the
-one deliberate fault of the tests: it wraps ``h_derivation`` to negate the
-G rows of each generator. ``column`` and ``apply`` are the dense column and
-matrix-vector product that the package's Matrix does not offer,
-``dense`` builds a Matrix from row-major dense entries, and
-``coboundaries`` spans the coboundaries one unit vector at a time.
+versions of the same computations, on the dense n x n x n table; the
+differential tests require the fast paths to give exactly what these
+give. ``rref_rows`` is the kernel's one reference, which the tests run on
+rows that mix ints, integral Fractions and p/q. ``rref`` is the sparse
+kernel's RREF of a whole Matrix, and ``check_theorem1`` the theorem 1
+check on every row of each map of C(G), where the package reads only the
+G rows. ``sign_mutation`` is the one deliberate fault of the tests: it
+wraps ``h_derivation`` to negate the G rows of each generator. ``column``
+and ``apply`` are the dense column and matrix-vector product that the
+package's Matrix does not offer, ``dense`` builds a Matrix from row-major
+dense entries, and ``coboundaries`` spans the coboundaries of the unit
+vectors, each read off the dense columns of the action, against which the
+package's inner maps are compared.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from liegraph import fullgraph
-from liegraph.algebra import JacobiViolation, LieAlgebra, _flat, coboundary
+from liegraph.algebra import JacobiViolation, LieAlgebra, _flat
 from liegraph.linalg import Matrix, Subspace, _packed, as_vector, sparse_rref
 
 ZERO = Fraction(0)
@@ -56,10 +58,12 @@ def apply(m, v):
 
 
 def coboundaries(rho):
-    """The span of the coboundaries of V's unit vectors."""
-    n = rho[0].rows
-    return Subspace._span(n * len(rho), [
-        _flat(coboundary(rho, unit(n, k))) for k in range(n)])
+    """The span of the coboundaries of V's unit vectors: the coboundary of
+    e_k maps e_i to -rho_i e_k, column k of rho_i negated, at (a, i)."""
+    n, m = rho[0].rows, len(rho)
+    return Subspace.from_rows(n * m, [
+        [-column(rho[i], k)[a] for a in range(n) for i in range(m)]
+        for k in range(n)])
 
 
 def rref_rows(rows):
@@ -109,40 +113,6 @@ def rref(m):
     rows, pivots = sparse_rref(dict(row) for row in m.nonzeros)
     rows += [{}] * (m.rows - len(rows))
     return Matrix(m.cols, _packed(rows)), pivots
-
-
-def sparse_rref_fractions(rows):
-    """The sparse Gauss-Jordan kernel with every scalar a Fraction: the RREF
-    rows of {column: entry} rows, in pivot order, and their pivot columns.
-
-    Each incoming row is cleared at the existing pivot columns; what is
-    left, if nonzero, is scaled to 1 at its smallest column, which becomes
-    a new pivot and is cleared from the other pivot rows."""
-    def subtract(row, f, other):
-        for k, v in other.items():
-            x = row.get(k, ZERO) - f * v
-            if x:
-                row[k] = x
-            else:
-                del row[k]
-
-    piv = {}
-    for src in rows:
-        r = {c: Fraction(x) for c, x in src.items() if x}
-        for c in [c for c in r if c in piv]:
-            subtract(r, r[c], piv[c])
-        if not r:
-            continue
-        p = min(r)
-        lead = r[p]
-        if lead != ONE:
-            r = {k: x / lead for k, x in r.items()}
-        for row in piv.values():
-            if p in row:
-                subtract(row, row[p], r)
-        piv[p] = r
-    pivots = sorted(piv)
-    return [piv[p] for p in pivots], pivots
 
 
 def dense_rows(rows, ncols):

@@ -197,15 +197,16 @@ PINNED = {
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_oracle_regression_pinned_dims(setups, name):
     g, der, dspace = setups[name]
-    got = (der.dim, dspace.dim, is_d_complete(dspace, d_center(der)).inner_d_dim,
-           d_center(der).dim)
-    report(f"oracle-regression[{name}] dims {got}", got == PINNED[name])
+    ev = is_d_complete(dspace, d_center(der))
+    got = (der.dim, ev.d_space_dim, ev.inner_d_dim, ev.d_center_dim)
+    _, p, inner, cd = PINNED[name]
+    report(f"oracle-regression[{name}] dims {got}, d-complete {ev.d_complete}",
+           got == PINNED[name] and ev.d_complete == (cd == 0 and inner == p))
 
 
-@pytest.mark.parametrize("name", ["abelian2", "heisenberg3", "sl2"])
-def test_oracle_live_recompute(setups, name):
-    table = oracle.lie_table(lookup(name))
-    got = oracle.cocycle_dims(table)
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_oracle_live_recompute(name):
+    got = oracle.cocycle_dims(oracle.lie_table(lookup(name)))
     report(f"oracle-live[{name}] dims {got}", got == PINNED[name])
 
 

@@ -46,7 +46,6 @@ ALLOWED = {
         "algebra.LieAlgebra.__repr__", "linalg.Matrix.__hash__",
         "linalg.Matrix.__repr__", "linalg.Subspace.__eq__",
         "linalg.Subspace.__hash__", "linalg.Subspace.__repr__"], DUNDER),
-    "algebra.coboundary": CALLED + "dtheory.inner_d_derivation",
     "linalg.as_vector": CALLED + "algebra.make_lie_algebra, linalg.solve, "
                                  "linalg.Matrix.from_rows, linalg.Subspace.from_rows",
     "linalg.Matrix.from_rows": CALLED + "algebra.induced_lie_structure",

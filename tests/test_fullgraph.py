@@ -17,7 +17,7 @@ from liegraph import (algebra as alg_mod, cli as cli_mod, dtheory as dt_mod,
                       fullgraph as fg_mod)
 from liegraph.algebra import (InternalConsistencyError, _flat, center,
                               cocycle_system, derivation_algebra,
-                              make_lie_algebra)
+                              derived_subalgebra, make_lie_algebra)
 from liegraph.catalog import catalog, lookup, serialize_algebra
 from liegraph.dtheory import d_derivations
 from liegraph.fullgraph import (VerificationReport, _Workspace,
@@ -270,22 +270,6 @@ def test_theorem2_identity_failure_exits_2(monkeypatch, capfd, which):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-def test_heisenberg_family_closed_forms(k):
-    # dim Der(h_{2k+1}) = 2k²+3k+1, dim H = dim C(G) = 2k²+5k+2, and
-    # Der(C(G)) is one larger: the outer derivation 2·id_G − ad_G on G
-    # (test_laws.test_heisenberg_closed_forms proves all but the last).
-    # An oracle for sizes where the sympy one is too slow: at k = 3, C(G)
-    # is 35-dim and its Leibniz rule is 20825 equations in 1225 unknowns,
-    # which the full system still checks; k = 4 and 5 read the blocks only.
-    ws = _Workspace(heisenberg(k))
-    assert ws.der.dim == 2 * k * k + 3 * k + 1
-    assert ws.h.dim == ws.cg.dim == 2 * k * k + 5 * k + 2
-    assert ws.der_cg_dim == 2 * k * k + 5 * k + 3
-    if k <= 3:
-        assert derivation_algebra(ws.cg).dim == ws.der_cg_dim
-
-
 COMPLETE_LADDER = {
     "borel3": lambda: borel(3), "borel4": lambda: borel(4),
     "borel5": lambda: borel(5), "sl3": lambda: special_linear(3),
@@ -392,16 +376,21 @@ def _census_algebras() -> list:
 
 
 def test_theorem2_fails_iff_d_complete_with_a_defect():
-    # the defect is dim Der(C(G)) - dim H; the census takes about 5 s on a
-    # 2-core host
-    census = Counter()
+    # the defect is dim Der(C(G)) - dim H, and at least 1 on each of the 65
+    # non-abelian algebras with [G, G] in Z(G) (ROADMAP item 14 (a)); the
+    # census takes about 5 s on a 2-core host
+    census, two_step = Counter(), 0
     for g in _census_algebras():
         ws = _Workspace(g)
         defect = ws.der_cg_dim - ws.der.dim - ws.dspace.dim
         d_complete = ws.d_completeness.d_complete
         assert check_theorem2(ws).passed != (d_complete and defect > 0)
+        derived = derived_subalgebra(g)
+        if derived.dim and reference.contains(center(g), derived):
+            assert defect >= 1
+            two_step += 1
         census[g.dim, d_complete, defect] += 1
-    assert census == CENSUS
+    assert census == CENSUS and two_step == 65
 
 
 # Der(C(G)) from its blocks: each basis element of Z¹ ⊕ S, with A = [E, ·]

@@ -10,7 +10,10 @@ loads ``dataclasses``, whose own imports (``inspect``, ``ast``, ``dis``,
 ``argparse`` with its ``gettext`` and ``locale``: ``cli.parse_args`` reads
 every command line itself, and no package module imports argparse. The
 package root imports nothing, so a process that reads only the algebra
-and the catalog loads neither the d-theory nor the checks.
+and the catalog loads neither the d-theory nor the checks. Every top-level
+function of the tests' two references, ``reference.py`` and ``oracle.py``,
+is called in tests/, so a fold that deletes a reference's last caller
+cannot leave the reference behind.
 """
 
 import ast
@@ -51,6 +54,43 @@ def test_every_import_is_read(path):
 def test_an_unread_import_is_caught():
     source = "from __future__ import annotations\nimport os\nfrom x import a, b\nb()\n"
     assert unused_imports(source) == ["a", "os"]
+
+
+def uncalled(module: str, sources: dict[str, str]) -> list[str]:
+    """The top-level functions of sources[module] that no source calls: by
+    module.name, by a name imported from module, or by name from module
+    itself."""
+    tree = ast.parse(sources[module])
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    called = set()
+    for stem, source in sources.items():
+        tree = ast.parse(source)
+        # each name a call may use -> the function of module it calls
+        local = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == module
+                 for alias in node.names}
+        local.update({name: name for name in defined if stem == module})
+        for node in ast.walk(tree):
+            f = getattr(node, "func", None)
+            if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and f.value.id == module):
+                called.add(f.attr)
+            elif isinstance(f, ast.Name) and f.id in local:
+                called.add(local[f.id])
+    return sorted(defined - called)
+
+
+@pytest.mark.parametrize("module", ["reference", "oracle"])
+def test_every_reference_function_is_called(module):
+    # a fold that deletes a reference's last caller deletes the reference too
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in TESTS}
+    assert uncalled(module, sources) == []
+
+
+def test_an_uncalled_reference_is_caught():
+    sources = {"ref": "def a(): b()\ndef b(): pass\ndef c(): pass\ndef d(): pass\n",
+               "test_x": "import ref\nfrom ref import d as e\nref.a()\ne()\n"}
+    assert uncalled("ref", sources) == ["c"]
 
 
 def test_a_request_imports_no_dataclasses_or_inspect():

@@ -17,8 +17,8 @@ from algebras import (CASES, algebra, case_algebra, case_id, direct_sum,
 from liegraph.algebra import (center, derivation_algebra, derived_subalgebra,
                               make_lie_algebra)
 from liegraph.dtheory import d_derivations
-from liegraph.fullgraph import (build_full_graph, der_cg_blocks, h_derivation,
-                                verify)
+from liegraph.fullgraph import (_Workspace, build_full_graph, check_theorem1,
+                                der_cg_blocks, h_derivation, verify)
 from liegraph.linalg import Matrix, sparse_nullspace
 
 
@@ -184,7 +184,7 @@ def test_abelian_closed_forms(n):
     assert rep.theorem1.dim_der_cg == rep.theorem1.dim_h == n * n + n
 
 
-@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("k", range(1, 6))
 def test_heisenberg_closed_forms(k):
     """For G = h_{2k+1}, V = span{x_i, y_i} and [u, w] = ω(u, w)·z with ω
     the standard symplectic form: dim Der G = 2k²+3k+1, dim Z¹ = 2k+1,
@@ -218,16 +218,19 @@ def test_heisenberg_closed_forms(k):
     injectively, δ is outside its image, so dim Der(C(G)) ≥ dim H + 1.
 
     That the defect is exactly 1 is a checked law, without a proof here.
+    dim Der(C(G)) is read off its blocks; at k ≤ 3 the full Leibniz system
+    of C(G) gives it too (at k = 3, C(G) is 35-dim and the system is 20825
+    equations in 1225 unknowns). dim H = dim C(G) = 2k²+5k+2.
     """
-    g = heisenberg(k)
-    rep = verify(g, f"h{2 * k + 1}", which="all")
-    t1 = rep.theorem1
+    ws = _Workspace(heisenberg(k))
+    t1 = check_theorem1(ws)
     assert t1.each_generator_is_derivation and t1.injective
-    assert derivation_algebra(g).dim == 2 * k * k + 3 * k + 1
-    assert rep.d_evidence.d_center_dim == 0
-    assert rep.d_evidence.d_space_dim == 2 * k + 1
-    assert t1.dim_h == 2 * k * k + 5 * k + 2
+    assert ws.der.dim == 2 * k * k + 3 * k + 1
+    assert ws.dcenter.dim == 0 and ws.dspace.dim == 2 * k + 1
+    assert t1.dim_h == ws.h.dim == ws.cg.dim == 2 * k * k + 5 * k + 2
     assert t1.dim_der_cg == 2 * k * k + 5 * k + 3
+    if k <= 3:
+        assert derivation_algebra(ws.cg).dim == t1.dim_der_cg
 
 
 def _centroid_defect(g) -> int:

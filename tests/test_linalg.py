@@ -135,6 +135,9 @@ def test_equality_agrees_with_mutual_containment(m1, m2):
 # triple loop.
 
 sparse_entries = st.one_of(st.just(F(0)), st.just(F(0)), entries)
+# ints, integral Fractions and p/q
+mixed_entries = st.one_of(st.just(0), st.just(0), st.integers(-6, 6),
+                          st.builds(F, st.integers(-6, 6), st.integers(1, 4)))
 
 
 @st.composite
@@ -303,12 +306,19 @@ def test_nonzero_view_changes_neither_equality_nor_hash(pair):
 
 # The sparse kernel against the dense Gauss-Jordan reference: the same
 # canonical rows and pivots on random sparse systems, including no rows,
-# all-zero rows, repeated rows and a single column.
+# all-zero rows, repeated rows and a single column. The rows mix ints,
+# integral Fractions and p/q; the kernel keeps integral scalars as ints and
+# divides through Fraction, so every entry it gives is an int or a Fraction
+# (never a bool or a float, which would compare equal to the reference).
+
+def _exact(x) -> bool:
+    return type(x) is int or type(x) is F
+
 
 @st.composite
 def sparse_systems(draw):
     ncols = draw(st.integers(1, 7))
-    rows = draw(st.lists(st.lists(sparse_entries, min_size=ncols, max_size=ncols),
+    rows = draw(st.lists(st.lists(mixed_entries, min_size=ncols, max_size=ncols),
                          max_size=9))
     if rows and draw(st.booleans()):
         rows += [list(rows[draw(st.integers(0, len(rows) - 1))])]
@@ -333,6 +343,7 @@ def test_sparse_rref_matches_dense_reference(system):
     assert pivots == ref_pivots
     assert reference.dense_rows(reduced, ncols) == ref_rows
     assert all(min(r) == p and r[p] == 1 for r, p in zip(reduced, pivots))
+    assert all(_exact(x) and x for r in reduced for x in r.values())
 
 
 @given(sparse_systems())
@@ -345,6 +356,7 @@ def test_sparse_nullspace_matches_dense_reference(system):
         kernels.append(nullspace(Matrix.from_rows(rows)))
     for kernel in kernels:
         assert reference.dense_rows(map(dict, kernel.rows), ncols) == expected
+        assert all(_exact(x) for row in kernel.rows for _, x in row)
 
 
 @given(sparse_systems())
@@ -380,39 +392,6 @@ def test_sparse_kernel_edge_cases():
     assert sparse_nullspace(1, [{0: F(2)}]) == Subspace(1, ())
     assert sparse_nullspace(3, []) == Subspace.from_rows(
         3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-
-# The kernel keeps integral scalars as ints and divides through Fraction:
-# against the all-Fraction kernel it replaced, on rows that mix ints,
-# integral Fractions and p/q, the same RREF with every entry an int or a
-# Fraction (never a bool or a float).
-
-def _exact(x) -> bool:
-    return type(x) is int or type(x) is F
-
-
-mixed_entries = st.one_of(st.just(0), st.just(0), st.integers(-6, 6),
-                          st.builds(F, st.integers(-6, 6), st.integers(1, 4)))
-
-
-@st.composite
-def mixed_sparse_systems(draw):
-    ncols = draw(st.integers(1, 8))
-    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), mixed_entries,
-                                         max_size=ncols), max_size=10))
-    return ncols, rows
-
-
-@given(mixed_sparse_systems())
-@settings(max_examples=300, deadline=None)
-def test_sparse_rref_on_ints_matches_the_fraction_kernel(system):
-    ncols, rows = system
-    reduced, pivots = sparse_rref(rows)
-    ref_rows, ref_pivots = reference.sparse_rref_fractions(rows)
-    assert pivots == ref_pivots and reduced == ref_rows
-    assert all(_exact(x) for r in reduced for x in r.values())
-    kernel = sparse_nullspace(ncols, rows)
-    assert all(_exact(x) for row in kernel.rows for _, x in row)
 
 
 def test_as_scalar_gives_an_int_when_integral():
