@@ -204,7 +204,7 @@ def test_oracle_regression_pinned_dims(setups, name):
            got == PINNED[name] and ev.d_complete == (cd == 0 and inner == p))
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("name", ["abelian2", "heisenberg3", "sl2"])
 def test_oracle_live_recompute(name):
     got = oracle.cocycle_dims(oracle.lie_table(lookup(name)))
     report(f"oracle-live[{name}] dims {got}", got == PINNED[name])

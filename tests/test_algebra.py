@@ -28,6 +28,10 @@ F = Fraction
 I3 = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
+def completeness(g):
+    return is_complete(g, derivation_algebra(g).dim, center(g))
+
+
 @pytest.fixture(scope="module")
 def sl2():
     return lookup("sl2").algebra
@@ -152,6 +156,15 @@ class TestCenterAndDerived:
 
 
 class TestDerivationAlgebra:
+    def test_abelian2_is_gl2(self):
+        der = derivation_algebra(make_lie_algebra(2, []))
+        assert der.dim == 4
+        assert der.flat_span.dim == 4
+
+    @pytest.mark.parametrize("name,dim", [("sl2", 3), ("heisenberg3", 6)])
+    def test_dimensions(self, name, dim):
+        assert derivation_algebra(lookup(name).algebra).dim == dim
+
     def test_every_basis_element_is_leibniz(self):
         for name in ("sl2", "heisenberg3", "affine2", "sl2_plus_abelian1"):
             g = lookup(name).algebra
@@ -221,6 +234,18 @@ class TestInnerDerivations:
 
 
 class TestCompleteness:
+    def test_abelian1_not_complete(self):
+        ev = completeness(make_lie_algebra(1, []))
+        assert not ev.complete and ev.center_dim == 1
+
+    def test_sl2_complete(self, sl2):
+        ev = completeness(sl2)
+        assert ev.complete and (ev.center_dim, ev.der_dim, ev.inner_dim) == (0, 3, 3)
+
+    def test_affine2_complete(self):
+        ev = completeness(lookup("affine2").algebra)
+        assert ev.complete and ev.der_dim == ev.inner_dim == 2
+
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_given_der_and_center_give_the_same_evidence(self, name):
         # the verdict from dim Der(G) and the center, against the sympy
@@ -230,9 +255,8 @@ class TestCompleteness:
         der = len(oracle.derivation_matrices(table))
         inner = sp.Matrix([list(oracle.ad(table, oracle._unit(n, i)))
                            for i in range(n)]).rank()
-        g = lookup(name).algebra
-        assert is_complete(g, derivation_algebra(g).dim, center(g)) == (
-            CompletenessEvidence(inner == n and inner == der, n - inner, der, inner))
+        assert completeness(lookup(name).algebra) == CompletenessEvidence(
+            inner == n and inner == der, n - inner, der, inner)
 
 
 class TestInducedStructure:

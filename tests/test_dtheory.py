@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 import reference
 from algebras import CASES, algebra, case_algebra, case_id
 
@@ -10,12 +11,17 @@ from liegraph.algebra import (InternalConsistencyError, _flat, center,
                               derivation_algebra, inner_derivations,
                               make_lie_algebra)
 from liegraph.catalog import catalog, lookup
-from liegraph.dtheory import (build_h, d_bracket, d_center, d_derivations,
-                              der_action, inner_d_derivation)
+from liegraph.dtheory import (DCompletenessEvidence, build_h, d_bracket,
+                              d_center, d_derivations, der_action,
+                              inner_d_derivation)
 from liegraph.fullgraph import _Workspace, build_full_graph, check_theorem1
 from liegraph.linalg import Matrix, Subspace
 
 F = Fraction
+
+
+def d_evidence(g):
+    return _Workspace(g).d_completeness
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +36,11 @@ def sl2_setup(sl2):
 
 
 class TestDDerivations:
+    def test_abelian1_everything_qualifies(self):
+        g = make_lie_algebra(1, [])
+        space = d_derivations(derivation_algebra(g))
+        assert space.der.dim == 1 and space.dim == 1
+
     def test_sl2_dimension_and_innerness(self, sl2_setup):
         _, _, space = sl2_setup
         assert space.dim == 3
@@ -175,6 +186,31 @@ class TestBuildH:
                 assert not any(h.table[m + i][m + j][:m])
                 assert (h.table[m + i][m + j][m:]
                         == space.as_lie_algebra.table[i][j])
+
+
+class TestDCompleteness:
+    def test_abelian1(self):
+        ev = d_evidence(make_lie_algebra(1, []))
+        assert ev.d_complete
+        assert (ev.d_center_dim, ev.d_space_dim, ev.inner_d_dim) == (0, 1, 1)
+
+    def test_sl2(self, sl2):
+        ev = d_evidence(sl2)
+        assert ev.d_complete and ev.d_space_dim == ev.inner_d_dim == 3
+
+    def test_heisenberg3_pinned(self):
+        # regression values frozen from an independent brute-force solve
+        ev = d_evidence(lookup("heisenberg3").algebra)
+        assert (ev.d_center_dim, ev.d_space_dim, ev.inner_d_dim) == (0, 3, 3)
+        assert ev.d_complete
+
+    @pytest.mark.parametrize("name", [e.name for e in catalog()])
+    def test_given_parts_give_the_same_evidence(self, name):
+        # the verdict from the cocycle space and d-center, against the
+        # dimensions the sympy oracle computes on its own
+        _, p, inner, cd = oracle.cocycle_dims(oracle.lie_table(lookup(name)))
+        assert d_evidence(lookup(name).algebra) == DCompletenessEvidence(
+            cd == 0 and inner == p, cd, p, inner)
 
 
 # The tables of the cocycle space and of H are built from matrices made once

@@ -270,6 +270,19 @@ def test_theorem2_identity_failure_exits_2(monkeypatch, capfd, which):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_heisenberg_family_closed_forms(k):
+    # C(G) itself against test_laws.test_heisenberg_closed_forms, which
+    # proves dim H = 2k²+5k+2 and reads dim Der(C(G)) = 2k²+5k+3 off the
+    # blocks: C(G) is as large as H, and at k ≤ 3 its full Leibniz system
+    # (at k = 3, C(G) is 35-dim and the system is 20825 equations in 1225
+    # unknowns) gives the blocks' dim Der(C(G)).
+    ws = _Workspace(heisenberg(k))
+    assert ws.cg.dim == ws.h.dim == 2 * k * k + 5 * k + 2
+    if k <= 3:
+        assert derivation_algebra(ws.cg).dim == ws.der_cg_dim
+
+
 COMPLETE_LADDER = {
     "borel3": lambda: borel(3), "borel4": lambda: borel(4),
     "borel5": lambda: borel(5), "sl3": lambda: special_linear(3),

@@ -371,6 +371,19 @@ def test_subspace_rows_are_the_sorted_nonzeros_of_the_reference_rref(system):
     assert Subspace.from_rows(ncols, dense) == span
 
 
+# The kernel keeps integral scalars as ints: the drawn rows and the same
+# rows with every entry a Fraction give equal RREFs and kernels.
+
+@given(sparse_systems())
+@settings(max_examples=200, deadline=None)
+def test_sparse_rref_on_ints_matches_the_fraction_kernel(system):
+    ncols, rows = system
+    fractions = [[F(x) for x in r] for r in rows]
+    assert sparse_rref(_sparse(rows)) == sparse_rref(_sparse(fractions))
+    assert (sparse_nullspace(ncols, _sparse(rows))
+            == sparse_nullspace(ncols, _sparse(fractions)))
+
+
 def test_int_and_integral_fraction_entries_give_one_span():
     ints = [[2, 4, 0], [1, 0, -3]]
     dense = Subspace.from_rows(3, ints)
