@@ -11,8 +11,9 @@ program: _validate_jacobi runs in make_lie_algebra and in
 catalog.parse_algebra_file, and nowhere else. Every table the program
 derives is a Lie algebra by construction, and its builder's docstring
 holds the proof: a commutator table of matrices (MatrixSpan.lie_algebra,
-for Der(G) and the d-bracket), and a semidirect product whose action is
-one by derivations and a homomorphism (semidirect, for C(G) and H).
+for Der(G) and the d-bracket, and induced_lie_structure, for any span of
+matrices closed under commutators), and a semidirect product whose action
+is one by derivations and a homomorphism (semidirect, for C(G) and H).
 
 A Lie algebra L acting on Q^n is given by rho, the n x n matrices of its
 basis elements. Its 1-cocycle rule (cocycle_system) is written once, and
@@ -372,7 +373,9 @@ def induced_lie_structure(matrices: Sequence[Matrix],
     """Structure constants of a list of matrices closed under commutators.
 
     Raises LieError if the flattenings are dependent or if a commutator
-    leaves the span, naming the pair of basis elements.
+    leaves the span, naming the pair of basis elements. Jacobi is not
+    scanned: the bracket is the matrix commutator, solved for exactly in
+    the span, and the commutator of an associative product satisfies it.
     """
     m = len(matrices)
     if m == 0:
@@ -380,17 +383,14 @@ def induced_lie_structure(matrices: Sequence[Matrix],
     flat = Matrix.from_rows([mat.flatten() for mat in matrices])
     if rank(flat) != m:
         raise LieError("flattened matrices are linearly dependent")
-    cols = flat.transpose()
-    table = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+    cols, upper = flat.transpose(), {}
     for i, j in combinations(range(m), 2):
-        comm = matrices[i].commutator(matrices[j])
-        coords = solve(cols, comm.flatten())
+        coords = solve(cols, matrices[i].commutator(matrices[j]).flatten())
         if coords is None:
             raise LieError(
                 f"commutator of basis elements ({i}, {j}) escapes the span")
-        table[i][j] = list(coords)
-        table[j][i] = [-c for c in coords]
-    return lie_algebra_from_table(table, basis_names)
+        upper[i, j] = tuple((k, c) for k, c in enumerate(coords) if c)
+    return _from_brackets(m, upper, basis_names)
 
 
 class CompletenessEvidence(NamedTuple):

@@ -8,20 +8,13 @@ central extensions, which reach every nilpotent algebra."""
 import functools
 import math
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
+import fixtures as FIXTURES  # bench/fixtures.py, on the path from conftest.py
 from liegraph.algebra import LieAlgebra, make_lie_algebra
 from liegraph.catalog import catalog, lookup
 from liegraph.linalg import sparse_nullspace
-
-# bench/ on the path, so that its fixtures are loaded once, here, under the
-# name bench/run.py imports them by
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-sys.path.insert(0, str(BENCH))
-import fixtures as FIXTURES  # noqa: E402
 
 _SL2_BRACKETS = [
     (0, 1, [0, 2, 0]),    # [h, e] = 2e

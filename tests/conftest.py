@@ -1,4 +1,6 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))  # for the sympy oracle module
+# tests/ for the shared test modules, bench/ for fixtures, run and trace_cli
+TESTS = Path(__file__).resolve().parent
+sys.path[:0] = [str(TESTS), str(TESTS.parent / "bench")]

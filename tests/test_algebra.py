@@ -23,6 +23,7 @@ from liegraph.algebra import (CompletenessEvidence, InternalConsistencyError,
 from liegraph.catalog import lookup
 from liegraph.dtheory import d_derivations, inner_d_derivation
 from liegraph.linalg import Matrix, Subspace, sparse_nullspace, sparse_rref
+from test_linalg import entries, sparse_entries
 
 F = Fraction
 I3 = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -394,10 +395,6 @@ def test_is_cocycle_on_columns_no_row_touches(name, action):
     space = sparse_nullspace(n * m, cocycle_system(rho, alg))
     assert space._coordinates(_flat(phi)) is not None
     assert reference.is_cocycle(rho, alg, phi)
-
-
-entries = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
-sparse_entries = st.one_of(st.just(F(0)), st.just(F(0)), entries)
 
 
 @given(st.sampled_from(CATALOG_NAMES), st.sampled_from(["adjoint", "natural"]),

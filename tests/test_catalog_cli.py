@@ -15,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 import child
 from algebras import CATALOG_DENSE
 from liegraph.algebra import (JacobiViolation, LieAlgebra, LieError,
-                              make_lie_algebra)
+                              _validate_jacobi, make_lie_algebra)
 from liegraph.catalog import (catalog, lookup, parse_algebra_file,
                               serialize_algebra)
 from liegraph.cli import _table_lines, main, parse_args
+from test_trace_targets import TRACE_CLI
 
 
 class TestCatalog:
@@ -335,10 +336,7 @@ def test_each_refused_input_is_one_error_line(row, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     runs = [child.main_streams(argv)]
     if row in IN_A_PROCESS:
-        proc = subprocess.run([sys.executable, "-m", "liegraph.cli", *argv],
-                              capture_output=True, text=True, timeout=120,
-                              env=child.env())
-        runs.append((proc.returncode, proc.stdout, proc.stderr))
+        runs.append(child.run_module(argv))
     for code, out, err in runs:
         assert (code, out) == (2, "")
         assert_line(err, line)
@@ -508,18 +506,13 @@ class TestCli:
             path = tmp_path / "g.json"
             path.write_text(serialize_algebra(given))
             argv = argv + [str(path)]
-        algebra_module = importlib.import_module("liegraph.algebra")
-        original, scanned = algebra_module._validate_jacobi, []
+        scanned = []
 
         def spy(g):
             scanned.append(g)
-            return original(g)
+            return _validate_jacobi(g)
 
-        # patched wherever a module of the package bound the name
-        for name in ("algebra", "catalog", "dtheory", "fullgraph", "cli"):
-            module = importlib.import_module(f"liegraph.{name}")
-            if getattr(module, "_validate_jacobi", None) is original:
-                monkeypatch.setattr(module, "_validate_jacobi", spy)
+        child.patch_bindings(monkeypatch, _validate_jacobi, spy)
         code, _ = run_cli(*argv)
         assert code in (0, 1)
         assert scanned == [given]
@@ -624,10 +617,7 @@ def test_each_result_is_written_whole(argv, files):
     # unbuffered, a process writes to fd 1 what main writes to a file
     argv = [*argv, "--file", str(files / "heisenberg7.json")]
     code, out = child.main_output(argv)
-    proc = subprocess.run(
-        [sys.executable, "-m", "liegraph.cli", *argv], capture_output=True,
-        timeout=120, env=child.env(PYTHONUNBUFFERED="1"))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+    assert child.run_module(argv, PYTHONUNBUFFERED="1") == (0, out, "")
     assert code == 0
 
 
@@ -669,7 +659,6 @@ DESCRIPTOR_ROWS = {
     "full-both": (["info", "sl2"], "full", "full", (1, None, None)),
     "full-stdout-gone-stderr": (["info", "sl2"], "full", "gone", (1, None, None)),
 }
-TRACE_CLI = Path(__file__).resolve().parents[1] / "bench" / "trace_cli.py"
 TRACED_CLOSED_STDOUT = pytest.mark.xfail(strict=True, reason=(
     "bench/trace_cli.py main's finally calls sys.stdout.flush(), and "
     "sys.stdout is None when fd 1 was closed at start-up: an AttributeError "

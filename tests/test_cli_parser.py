@@ -13,8 +13,6 @@ byte-identical to ``main``'s.
 """
 
 import itertools
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,9 +114,6 @@ def test_help_exits_0_and_names_every_command(argv):
 def test_entry_output_equals_main(argv, code):
     # run() ends with os._exit, which would drop anything left in a
     # buffer: main writes the result to fd 1 and an error line to fd 2 itself
-    proc = subprocess.run([sys.executable, "-m", "liegraph.cli", *argv],
-                          capture_output=True, timeout=120, env=child.env())
     expected = child.main_streams(argv)
     assert expected[0] == code
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        code, expected[1].encode(), expected[2].encode())
+    assert child.run_module(argv) == expected

@@ -20,15 +20,15 @@ tests/test_catalog_cli.py's REFUSED lists, each in a directory of its own.
 """
 
 import ast
-import importlib
 import sys
 from pathlib import Path
 
 import liegraph
+import trace_cli
 from algebras import CATALOG_NAMES, FIXTURES
 from child import main_output
 from test_catalog_cli import REFUSED, write_inputs
-from test_trace_targets import _load_trace_cli
+from test_trace_targets import resolve
 
 SRC = Path(liegraph.__file__).resolve().parent
 TRACED, DUNDER = "a bench/trace_cli.py TARGETS name", "a value-object dunder"
@@ -84,13 +84,8 @@ def _functions() -> dict[tuple[str, int], str]:
 
 def _traced() -> set[str]:
     """The functions that bench/trace_cli.py wraps, resolved as install does."""
-    names = set()
-    for mod_name, attr in _load_trace_cli().TARGETS:
-        obj = importlib.import_module(f"liegraph.{mod_name}")
-        for part in attr.split("."):
-            obj = vars(obj)[part]
-        names.add(f"{mod_name}.{getattr(obj, '__func__', obj).__qualname__}")
-    return names
+    return {f"{mod_name}.{resolve(mod_name, attr).__qualname__}"
+            for mod_name, attr in trace_cli.TARGETS}
 
 
 def test_every_function_no_request_runs_is_allowed(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from reference import terms
 from algebras import (CASES, CATALOG_NAMES, NAMES, algebra, borel, case_algebra,
                       case_id, central_extension, direct_sum, heisenberg,
                       special_linear, two_step_nilpotent)
-from child import main_output
+from child import main_output, patch_bindings
 
 from liegraph import (algebra as alg_mod, cli as cli_mod, dtheory as dt_mod,
                       fullgraph as fg_mod)
@@ -154,9 +154,7 @@ def _spy_builders(monkeypatch) -> dict[str, list]:
             calls[name].append(x)
             return real(x, *args)
 
-        for module in MODULES:
-            if vars(module).get(name) is real:
-                monkeypatch.setattr(module, name, spy)
+        patch_bindings(monkeypatch, real, spy)
     return calls
 
 
@@ -219,8 +217,7 @@ def test_checks_never_build_the_leibniz_system_of_the_full_graph(
         built.append((rho, algebra))
         return cocycle_system(rho, algebra)
 
-    for module in (alg_mod, dt_mod, fg_mod):
-        monkeypatch.setattr(module, "cocycle_system", spy)
+    patch_bindings(monkeypatch, cocycle_system, spy)
     g = lookup(name).algebra
     ws = _Workspace(g)
     for check in (check_theorem1, check_lemma, check_theorem2):
@@ -373,6 +370,9 @@ CENSUS = {(2, True, 0): 1, (3, True, 0): 13, (3, True, 1): 17, (4, True, 0): 16,
           (4, True, 1): 14, (5, True, 0): 14, (5, True, 1): 17, (6, True, 0): 13,
           (6, True, 1): 13, (6, True, 2): 4, (7, False, 0): 4, (7, True, 0): 6,
           (9, True, 0): 1}
+# and (nilpotency class, defect) -> how many, None for the three b(sl_n)
+CLASSES = {(1, 0): 25, (2, 1): 61, (2, 2): 4, (3, 0): 10, (4, 0): 10,
+           (5, 0): 17, (6, 0): 3, (None, 0): 3}
 
 
 def _census_algebras() -> list:
@@ -388,11 +388,26 @@ def _census_algebras() -> list:
     return out + [borel(n) for n in (2, 3, 4)]
 
 
+def _nilpotency_class(g) -> int | None:
+    """The length c of G's lower central series, G^(c+1) = 0 where G^1 = G
+    and G^(k+1) = [G, G^k]; None if the series stops above 0."""
+    units = [reference.unit(g.dim, i) for i in range(g.dim)]
+    term, c = units, 0
+    while term:
+        span = Subspace.from_rows(g.dim, [reference.bracket(g.table, x, y)
+                                          for x in units for y in term])
+        if span.dim == len(term):
+            return None
+        term, c = reference.dense_rows(map(dict, span.rows), g.dim), c + 1
+    return c
+
+
 def test_theorem2_fails_iff_d_complete_with_a_defect():
     # the defect is dim Der(C(G)) - dim H, and at least 1 on each of the 65
     # non-abelian algebras with [G, G] in Z(G) (ROADMAP item 14 (a)); the
-    # census takes about 5 s on a 2-core host
-    census, two_step = Counter(), 0
+    # census takes about 5 s on a 2-core host. A positive defect occurs
+    # exactly on nilpotency class 2
+    census, classes, two_step = Counter(), Counter(), 0
     for g in _census_algebras():
         ws = _Workspace(g)
         defect = ws.der_cg_dim - ws.der.dim - ws.dspace.dim
@@ -402,8 +417,11 @@ def test_theorem2_fails_iff_d_complete_with_a_defect():
         if derived.dim and reference.contains(center(g), derived):
             assert defect >= 1
             two_step += 1
+        nilpotency = _nilpotency_class(g)
+        assert (defect > 0) == (nilpotency == 2)
         census[g.dim, d_complete, defect] += 1
-    assert census == CENSUS and two_step == 65
+        classes[nilpotency, defect] += 1
+    assert census == CENSUS and two_step == 65 and classes == CLASSES
 
 
 # Der(C(G)) from its blocks: each basis element of Z¹ ⊕ S, with A = [E, ·]

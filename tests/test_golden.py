@@ -19,9 +19,9 @@ import json
 
 import pytest
 
-from algebras import BENCH, FIXTURES
+import run  # bench/run.py, on the path from conftest.py
+from algebras import FIXTURES
 from child import main_output
-from run import workload_requests  # bench/run.py, on the path from algebras
 
 
 def hashed(argv):
@@ -148,9 +148,9 @@ def test_text_output_matches_recorded_hash(args, code, digest):
 # Every request of bench/run.py's corpus, ladder and explore workloads, on
 # the inputs bench/fixtures.py writes at the default seed, against the exit
 # code and hash pinned in bench/pins.json.
-PINS = json.loads((BENCH / "pins.json").read_text())
+PINS = json.loads(run.PINS.read_text())
 BENCH_REQUESTS = [req for workload in ("corpus", "ladder", "explore")
-                  for req in workload_requests(workload)]
+                  for req in run.workload_requests(workload)]
 
 
 @pytest.mark.parametrize("req", BENCH_REQUESTS, ids=[r.id for r in BENCH_REQUESTS])

@@ -13,7 +13,9 @@ package root imports nothing, so a process that reads only the algebra
 and the catalog loads neither the d-theory nor the checks. Every top-level
 function of the tests' two references, ``reference.py`` and ``oracle.py``,
 is called in tests/, so a fold that deletes a reference's last caller
-cannot leave the reference behind.
+cannot leave the reference behind. Only ``conftest.py`` puts a directory
+on ``sys.path`` (tests/ and bench/), and no test loads a module by file
+location, so each module of tests/ and bench/ is loaded once, by its name.
 """
 
 import ast
@@ -85,6 +87,31 @@ def test_every_reference_function_is_called(module):
     # a fold that deletes a reference's last caller deletes the reference too
     sources = {p.stem: p.read_text(encoding="utf-8") for p in TESTS}
     assert uncalled(module, sources) == []
+
+
+def path_edits(source: str) -> list[str]:
+    """Each use of sys.path and each name spec_from_file_location in source,
+    sorted: a module that edits the path reads sys.path."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.path":
+            found.append("sys.path")
+        elif "spec_from_file_location" in names:
+            found.append("spec_from_file_location")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in TESTS if p.name != "conftest.py"],
+                         ids=lambda p: f"tests/{p.name}")
+def test_only_conftest_edits_the_import_path(path):
+    assert path_edits(path.read_text(encoding="utf-8")) == []
+
+
+def test_a_path_edit_is_caught():
+    source = ("import sys, importlib.util\nsys.path.insert(0, 'bench')\n"
+              "from importlib.util import spec_from_file_location as load\n")
+    assert path_edits(source) == ["spec_from_file_location", "sys.path"]
 
 
 def test_an_uncalled_reference_is_caught():

@@ -9,7 +9,6 @@ and each counter is called once on a real call of its target.
 """
 
 import importlib
-import importlib.util
 import json
 import subprocess
 import sys
@@ -18,46 +17,39 @@ from pathlib import Path
 import pytest
 
 import child
+import trace_cli  # bench/trace_cli.py, on the path from conftest.py
 from liegraph.algebra import derivation_algebra
 from liegraph.catalog import lookup
 from liegraph.linalg import ZERO, Matrix, Subspace, nullspace, rank, solve
 
-TRACE_CLI = Path(__file__).resolve().parents[1] / "bench" / "trace_cli.py"
+TRACE_CLI = Path(trace_cli.__file__)
 
 
-def _load_trace_cli():
-    spec = importlib.util.spec_from_file_location("trace_cli", TRACE_CLI)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def resolve(module_name: str, attr: str):
+    """The function trace_cli.install wraps for (module_name, attr): a module
+    attribute, or for ``Class.method`` the class ``__dict__`` entry, unwrapped."""
+    obj = importlib.import_module(f"liegraph.{module_name}")
+    for part in attr.split("."):
+        obj = vars(obj)[part]
+    return getattr(obj, "__func__", obj)
 
 
-TARGETS = sorted(_load_trace_cli().TARGETS)
-
-
-@pytest.mark.parametrize("module_name,attr", TARGETS)
+@pytest.mark.parametrize("module_name,attr", sorted(trace_cli.TARGETS))
 def test_trace_target_resolves(module_name, attr):
-    module = importlib.import_module(f"liegraph.{module_name}")
-    if "." in attr:
-        cls_name, method = attr.split(".")
-        assert method in vars(getattr(module, cls_name))
-    else:
-        assert callable(getattr(module, attr))
+    assert callable(resolve(module_name, attr))
 
 
 def test_traced_verify_reaches_both_completeness_spans(tmp_path):
     # theorem2 calls is_complete and is_d_complete once each; a span that
     # reads 0 here means the call path goes round the traced name
-    env = child.env()
     args = ["--json", "verify", "heisenberg3"]
     spans = tmp_path / "spans.json"
     traced = subprocess.run([sys.executable, str(TRACE_CLI), str(spans), *args],
-                            capture_output=True, text=True, env=env)
-    plain = subprocess.run([sys.executable, "-m", "liegraph.cli", *args],
-                           capture_output=True, text=True, env=env)
-    assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
-    assert plain.returncode == 1
-    counts = _load_trace_cli().aggregate(json.loads(spans.read_text()))
+                            capture_output=True, env=child.env())
+    code, out, _ = child.run_module(args)
+    assert (traced.returncode, traced.stdout.decode()) == (code, out)
+    assert code == 1
+    counts = trace_cli.aggregate(json.loads(spans.read_text()))
     assert counts.get("algebra.is_complete.calls") == 1
     assert counts.get("dtheory.is_d_complete.calls") == 1
 
@@ -66,7 +58,6 @@ def test_each_trace_counter_reads_a_real_call_of_its_target():
     # no request reaches the linalg counters, so without this a deleted name
     # that a counter reads (Matrix.flatten, LieAlgebra.table) would make
     # every --trace 1 request crash with no test failing
-    trace_cli = _load_trace_cli()
     counters = trace_cli._counters(trace_cli.Tracer(ZERO))
     m, b, rows = Matrix.from_rows([[1, 2], [2, 4]]), [1, 2], [[1, 2]]
     g = lookup("sl2").algebra
