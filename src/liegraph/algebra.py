@@ -2,8 +2,8 @@
 
 A LieAlgebra holds its structure constants once, sparse: pairs[i][j] is
 the nonzero (k, c) of [e_i, e_j] = sum_k c e_k. Every reader in the package
-(_ad and adjoint, the Jacobi check, the cocycle rule, semidirect products,
-the printers) walks these pairs and never touches a zero. The dense table
+(_ad and adjoint, the Jacobi check, the cocycle rule, C(G)'s bracket, the
+printers) walks these pairs and never touches a zero. The dense table
 c[i][j][k] is only a view, built on first read for tests and oracles.
 Antisymmetry holds by construction. The Jacobi identity is scanned, on
 every basis triple i < j < l, only where structure constants enter the
@@ -12,8 +12,8 @@ catalog.parse_algebra_file, and nowhere else. Every table the program
 derives is a Lie algebra by construction, and its builder's docstring
 holds the proof: a commutator table of matrices (MatrixSpan.lie_algebra,
 for Der(G) and the d-bracket, and induced_lie_structure, for any span of
-matrices closed under commutators), and a semidirect product whose action
-is one by derivations and a homomorphism (semidirect, for C(G) and H).
+matrices closed under commutators), and the one semidirect product,
+C(G) = Der(G) ⋉ G (fullgraph.build_full_graph).
 
 A Lie algebra L acting on Q^n is given by rho, the n x n matrices of its
 basis elements. Its 1-cocycle rule (cocycle_system) is written once, and
@@ -57,7 +57,8 @@ class LieAlgebra:
     pairs[i][j] gives [e_i, e_j] = sum of c e_k over its (k, c), and
     pairs[j][i] is its negation. dim is len(pairs), so it cannot disagree
     with them. Build one with make_lie_algebra, lie_algebra_from_table,
-    catalog.parse_algebra_file, semidirect or MatrixSpan.lie_algebra.
+    catalog.parse_algebra_file, fullgraph.build_full_graph or
+    MatrixSpan.lie_algebra.
 
     Equality and hashing read (basis_names, pairs) alone; the views built
     on first read (table, adjoint) never take part."""
@@ -184,32 +185,6 @@ def make_lie_algebra(n: int, brackets: Sequence[tuple[int, int, Sequence]],
             continue
         seen[key] = val
     return _validate_jacobi(_from_brackets(n, seen, basis_names))
-
-
-def semidirect(k: LieAlgebra, v: LieAlgebra,
-               action: Callable[[int, int], Terms]) -> LieAlgebra:
-    """The semidirect product k ⋉ v on k's basis followed by v's.
-
-    k and v keep their own brackets, and [k_i, v_j] = action(i, j), given
-    as Terms in v's basis. Only the action's indices are checked. The
-    result is a Lie algebra iff k and v are, each k_i acts by a derivation
-    of v, and i -> action(i, .) is a homomorphism k -> Der(v) (Jacobson,
-    Lie Algebras, 1962, Ch. I): a triple inside k or inside v is Jacobi in
-    its factor, one with two elements of v in it is the derivation rule,
-    and one with two of k is the homomorphism rule. That is the caller's
-    precondition, and nothing here scans a triple: each caller proves it
-    in its own docstring (fullgraph.build_full_graph, dtheory.build_h).
-    """
-    m, n = k.dim, v.dim
-    upper = {(i, j): k.pairs[i][j] for i, j in combinations(range(m), 2)}
-    for i in range(m):
-        for j in range(n):
-            upper[i, m + j] = terms = tuple((m + t, c) for t, c in action(i, j))
-            if any(not m <= t < m + n for t, _ in terms):
-                raise LieError(f"action({i},{j}) has an index outside range({n})")
-    for i, j in combinations(range(n), 2):
-        upper[m + i, m + j] = tuple((m + t, c) for t, c in v.pairs[i][j])
-    return _from_brackets(m + n, upper, k.basis_names + v.basis_names)
 
 
 def cocycle_system(rho: Sequence[Matrix],

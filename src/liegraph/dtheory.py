@@ -10,17 +10,17 @@ second by inner_d_derivation; is_d_complete counts the inner ones
 (x -> L_x has kernel the d-center) instead of spanning them. The
 d-derivations carry a bracket
     [L1,L2](D) = L1(ad(L2(D))) - L2(ad(L1(D)))
-and Der(G) acts on them by D(L) = D∘L - L∘ad(D), which lets the two fit
-together into a semidirect product H, returned by build_h as a LieAlgebra.
+and Der(G) acts on them by D(L) = D∘L - L∘ad(D); H = Der(G) ⋉ cocycles
+is held as that action, which build_h returns, and not as a table.
 
 Every map is a plain Matrix: a derivation is n x n, and a d-derivation is
 the n x m matrix whose column j is its value on the j-th Der basis element.
-The cocycle table is built from the n x n maps L∘ad, and H's action is read
-off the inner cocycles, whose coordinates build_h takes from the columns of
-Der(G)'s basis, so no m x m matrix of Der(G) and no dense vector is built
-here. inner_d_derivation, d_bracket and der_action are the per-pair
-references, on matrices: they read columns and coordinates as nonzero
-terms too.
+The cocycle table, which only the dder command prints, is built from the
+n x n maps L∘ad, and H's action is read off the inner cocycles, whose
+coordinates build_h takes from the columns of Der(G)'s basis, so no m x m
+matrix of Der(G) and no dense vector is built here. inner_d_derivation,
+d_bracket and der_action are the per-pair references, on matrices: they
+read columns and coordinates as nonzero terms too.
 
 No Jacobi triple is scanned here. The d-bracket is the commutator of an
 associative product, and H's action is a homomorphism into the
@@ -34,8 +34,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .linalg import Matrix, Subspace, common_kernel, sparse_nullspace
-from .algebra import (DerivationAlgebra, LieAlgebra, MatrixSpan, cocycle_system,
-                      semidirect)
+from .algebra import DerivationAlgebra, LieAlgebra, MatrixSpan, cocycle_system
 
 
 def d_center(der: DerivationAlgebra) -> Subspace:
@@ -116,9 +115,13 @@ def der_action(der: DerivationAlgebra, d: Matrix, l: Matrix) -> Matrix:
     return d @ l - l @ ad_d
 
 
-def build_h(dspace: DDerivationSpace) -> LieAlgebra:
+def build_h(dspace: DDerivationSpace) -> tuple[Matrix, ...]:
     """H = Der(G) ⋉ cocycle space, on the concatenated canonical bases:
-        [(D1,L1),(D2,L2)] = ([D1,D2], [L1,L2] + D1(L2) - D2(L1))
+        [(D1,L1),(D2,L2)] = ([D1,D2], [L1,L2] + D1(L2) - D2(L1)),
+    held as its action: acts[j] is the m x p matrix whose row i is the
+    coordinate terms of D_i(L_j). H's other brackets are those of Der(G)
+    and of the d-bracket, and no table of H is built.
+
     The action is inner: D(L) = -L_y with y = L(D), since the cocycle rule
     L([D,D']) = D(L(D')) - D'(L(D)) makes D(L)(D') = D'(y). So D_i(L_j)
     has the coordinates P @ (column i of L_j), row i of L_j^T @ P^T, where
@@ -126,9 +129,10 @@ def build_h(dspace: DDerivationSpace) -> LieAlgebra:
     the n x m map whose entry (k, i) is D_i[k][t], read off column t of
     each basis derivation D_i, so no vector or cocycle is built dense.
 
-    H is Lie with no scan, by semidirect's criterion: Der(G) and the
-    d-bracket are Lie (their as_lie_algebra), and the action D(L) = -L_y,
-    y = L(D), is a homomorphism into the derivations of the d-bracket.
+    H is a Lie algebra, by the semidirect criterion of
+    fullgraph.build_full_graph: Der(G) and the d-bracket are Lie (their
+    as_lie_algebra), and the action D(L) = -L_y, y = L(D), is a
+    homomorphism into the derivations of the d-bracket.
     Here (D(L))(D') = D'(L(D)), and ad(y) is taken in Der(G).
     - Homomorphism: D1(D2(L)) = -L_{D1(L(D2))}, so
       D1(D2(L)) - D2(D1(L)) = -L_{D1(L(D2)) - D2(L(D1))} = -L_{L([D1,D2])}
@@ -141,15 +145,14 @@ def build_h(dspace: DDerivationSpace) -> LieAlgebra:
       L1(ad D'(L2(D))) = D'(L1(ad L2(D))) + [L1(D'), L2(D)], and likewise
       with 1 and 2 swapped. Put in, the brackets cancel and the sides agree.
     H's mixed Jacobi triples are exactly these identities, C(m,2)·p of the
-    first kind and m·C(p,2) of the second. theorem1 checks them in effect:
-    when H's generators act on C(G) by derivations, as a homomorphism and
-    injectively, H is isomorphic to a commutator-closed space of matrices."""
+    first kind and m·C(p,2) of the second. theorem1 tests the action
+    itself on each of the m·p pairs (D_i, L_j), and H's other brackets by
+    proof (fullgraph.check_theorem1); tests/reference.py builds H's full
+    table from this action and scans its Jacobi identity."""
     n, der = dspace.shape[0], dspace.der
     p_t = Matrix(dspace.dim, tuple(dspace.terms_of(Matrix(
         n, tuple(c[t] for c in der.columns)).transpose()) for t in range(n)))
-    acts = [lj.transpose() @ p_t for lj in dspace.matrices]
-    return semidirect(der.as_lie_algebra, dspace.as_lie_algebra,
-                      lambda i, j: acts[j].nonzeros[i])
+    return tuple(lj.transpose() @ p_t for lj in dspace.matrices)
 
 
 class DCompletenessEvidence(NamedTuple):

@@ -1,7 +1,9 @@
 """The holomorph C(G) = Der(G) ⋉ G and the three machine checks.
 
 build_full_graph returns C(G) as a plain LieAlgebra: the basis of Der(G),
-then that of G, so x in G sits at (0, x).
+then that of G, so x in G sits at (0, x). It is the one semidirect product
+the package builds; H = Der(G) ⋉ cocycles is held as its action
+(dtheory.build_h), and no table of H is built.
 
 verify runs any of them on one algebra: theorem1 tests that the explicit
 action of H = Der(G) ⋉ cocycles on C(G) gives exactly the derivation
@@ -14,7 +16,10 @@ is the cocycle space of dtheory and S, in (m+n)·n unknowns, the space of
 δ restricted to G. The same proof decides, on its blocks, whether each
 generator of H is a derivation (is_block_derivation), and then lets
 theorem1 compare only the n G rows of each map of C(G): a derivation with
-no G → Der block has Der rows fixed by its G rows (check_theorem1).
+no G → Der block has Der rows fixed by its G rows. Of H's basis pairs,
+theorem1 compares only the m·p mixed ones, a derivation against a
+cocycle: the rest hold by how Der(G)'s table and the d-bracket are built
+(check_theorem1).
 
 _Workspace builds what every command reads of one algebra, the CLI's info,
 der, dder and full-graph as well as verify: each object once, and only
@@ -31,21 +36,34 @@ from .linalg import Matrix, SparseRow, Subspace, Terms, ZERO, sparse_nullspace
 from .algebra import (CompletenessEvidence, DerivationAlgebra,
                       InternalConsistencyError, LieAlgebra, center,
                       cocycle_system, derivation_algebra, is_complete,
-                      semidirect, _flat)
+                      _flat, _from_brackets)
 from .dtheory import (DCompletenessEvidence, DDerivationSpace, build_h,
                       d_center, d_derivations, is_d_complete)
 
 
 def build_full_graph(der: DerivationAlgebra) -> LieAlgebra:
-    """C(G) for G = der.parent:
+    """C(G) for G = der.parent, the semidirect product Der(G) ⋉ G on Der(G)'s
+    basis followed by G's:
         [(D1,x1),(D2,x2)] = ([D1,D2], D1 x2 - D2 x1 + [x1,x2]).
+    Der(G) and G keep their own brackets, and [D_i, e_j] is column j of D_i.
 
-    C(G) is Lie with no scan, by semidirect's criterion: G's Jacobi
-    identity was checked on input, Der(G)'s bracket is the commutator of
-    its matrices, and Der(G) acts on G by those same matrices. Each is an
-    exact kernel vector of G's Leibniz rule, so it acts by a derivation,
-    and the action of [D1,D2] is D1 D2 - D2 D1, so it is a homomorphism."""
-    return semidirect(der.as_lie_algebra, der.parent, lambda i, j: der.columns[i][j])
+    A semidirect product k ⋉ v is a Lie algebra iff k and v are, each k_i
+    acts by a derivation of v, and the action is a homomorphism
+    k -> Der(v) (Jacobson, Lie Algebras, 1962, Ch. I): a triple inside k
+    or inside v is Jacobi in its factor, one with two elements of v in it
+    is the derivation rule, and one with two of k is the homomorphism rule.
+    So C(G) is Lie with no scan: G's Jacobi identity was checked on input,
+    Der(G)'s bracket is the commutator of its matrices, and Der(G) acts on
+    G by those same matrices. Each is an exact kernel vector of G's
+    Leibniz rule, so it acts by a derivation, and the action of [D1,D2] is
+    D1 D2 - D2 D1, so it is a homomorphism."""
+    k, g, m = der.as_lie_algebra, der.parent, der.dim
+    upper = {(i, j): k.pairs[i][j] for i, j in combinations(range(m), 2)}
+    upper.update(((i, m + j), tuple((m + t, c) for t, c in col))
+                 for i, cols in enumerate(der.columns) for j, col in enumerate(cols))
+    upper.update(((m + i, m + j), tuple((m + t, c) for t, c in g.pairs[i][j]))
+                 for i, j in combinations(range(g.dim), 2))
+    return _from_brackets(m + g.dim, upper, k.basis_names + g.basis_names)
 
 
 def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
@@ -219,7 +237,8 @@ class _Workspace:
         return d_derivations(self.der)
 
     @cached_property
-    def h(self) -> LieAlgebra:
+    def action(self) -> tuple[Matrix, ...]:
+        """H's action, D_i(L_j) in Z¹ as row i of action[j], read by theorem1."""
         return build_h(self.dspace)
 
     @cached_property
@@ -261,10 +280,27 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
       B = 0 (B of a product is A₁B₂ + B₁E₂), whose A(D) = [E, D] − ad(C(D))
       is fixed by C and E; so two of them agree iff their G rows do. If a
       generator fails, so does theorem1, whatever the loop says.
+    - Only the m·p mixed pairs are compared: [gens[i], gens[m + j]] against
+      the image of D_i(L_j), whose terms are row i of ws.action[j]. The G
+      rows of a product are C₁A₂ + E₁C₂ and E₁E₂, and with K the Der
+      coordinates of ad, L∘ad = L·K. Every other pair agrees by how H's
+      factors are built:
+      - (D_i, D_j): both generators have C = 0, so the commutator's G rows
+        are (0, [D_i, D_j]), and those of Σ c_k gens[k] are (0, Σ c_k D_k)
+        over the terms of Der(G)'s bracket. DerivationAlgebra.as_lie_algebra
+        read those terms off [D_i, D_j] by exact reconstruction, and C(G),
+        built in the same request, reads that table.
+      - (L_i, L_j): with A = 0, C = L and E = L·K, the commutator's G rows
+        are (M, M·K), M = L_i⋆L_j − L_j⋆L_i for the product X⋆Y = X·K·Y,
+        which is associative, so M is the d-bracket, a Lie bracket. It is
+        the image of (0, M) under h_derivation, which is linear in L. The
+        commutator of two derivations is one, with B = 0, so by the block
+        criterion its C block M lies in Z¹, and M = Σ c_k L_k gives the
+        G rows of Σ c_k gens[m + k].
     - Image: (D, L) ↦ (C, E) = (L, D + L∘ad) is injective and A is a
       function of D, so the generators' G rows span the image's dimension.
     """
-    dspace, h = ws.dspace, ws.h
+    dspace, acts = ws.dspace, ws.action
     m, n, p = ws.der.dim, ws.der.parent.dim, dspace.dim
     total, size = m + p, m + n
 
@@ -277,13 +313,14 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
     zero = Matrix.zero(n, size)
 
     # h_derivation is linear in its coordinates, so the image of
-    # [x_i, x_j] = sum_k c_k x_k is sum_k c_k gens[k]: the commutator's G
+    # D_i(L_j) = sum_k c_k L_k is sum_k c_k gens[m + k]: the commutator's G
     # rows, the Matrix that Matrix.commutator reads from row m on, must
-    # equal that sum's; it is built from the bracket's terms alone, with no
-    # zero Matrix added, as most brackets of H have at most one term
-    homomorphism = all(gens[i].commutator(gens[j], m) == reduce(
-        Matrix.__add__, [rows[k].scale(c) for k, c in h.pairs[i][j]] or [zero])
-        for i, j in combinations(range(total), 2))
+    # equal that sum's; it is built from the action's terms alone, with no
+    # zero Matrix added, as most of them have at most one term
+    homomorphism = all(gens[i].commutator(gens[m + j], m) == reduce(
+        Matrix.__add__,
+        [rows[m + k].scale(c) for k, c in acts[j].nonzeros[i]] or [zero])
+        for i in range(m) for j in range(p))
 
     # every generator in Der(C(G)) puts the image inside it; equal dimension
     # then makes the two equal

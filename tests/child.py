@@ -2,7 +2,7 @@
 test run imported: the checkout's ``src/`` under ``PYTHONPATH=src``, or an
 installed copy when the tests run against one. A child that built its path
 from the checkout instead would test the checkout while the parent tests
-the install; ``run_module`` starts one. ``main_output`` and ``main_streams``
+the install; ``run_python`` starts one. ``main_output`` and ``main_streams``
 run the CLI in this process instead, writing to real files as a process
 writes to its fd 1 and fd 2, and ``patch_bindings`` spies on a function."""
 
@@ -26,10 +26,11 @@ def env(**extra: str) -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(path), **extra}
 
 
-def run_module(argv, **extra: str) -> tuple[int, str, str]:
-    """The exit code, stdout and stderr of ``python -m liegraph.cli`` argv in
-    a child with env(**extra), decoded as UTF-8 with no newline translation."""
-    proc = subprocess.run([sys.executable, "-m", "liegraph.cli", *argv],
+def run_python(*args: str, **extra: str) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``python`` args in a child with
+    env(**extra), decoded as UTF-8 with no newline translation; the CLI is
+    run_python("-m", "liegraph.cli", *argv)."""
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, timeout=120, env=env(**extra))
     return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 

@@ -9,9 +9,12 @@ versions of the same computations, on the dense n x n x n table; the
 differential tests require the fast paths to give exactly what these
 give. ``rref_rows`` is the kernel's one reference, which the tests run on
 rows that mix ints, integral Fractions and p/q. ``rref`` is the sparse
-kernel's RREF of a whole Matrix, and ``check_theorem1`` the theorem 1
-check on every row of each map of C(G), where the package reads only the
-G rows. ``sign_mutation`` is the one deliberate fault of the tests: it
+kernel's RREF of a whole Matrix. ``h_algebra`` builds H's full table,
+which the package never builds, from Der(G)'s table, the d-bracket table
+and the action ``dtheory.build_h`` returns, and ``check_theorem1`` is the
+theorem 1 check on every row of each map of C(G) and every basis pair of
+H, where the package reads only the G rows of the m·p mixed pairs.
+``sign_mutation`` is the one deliberate fault of the tests: it
 wraps ``h_derivation`` to negate the G rows of each generator. ``column``
 and ``apply`` are the dense column and matrix-vector product that the
 package's Matrix does not offer, ``dense`` builds a Matrix from row-major
@@ -241,6 +244,14 @@ def semidirect(k, v, action):
     return LieAlgebra(k.basis_names + v.basis_names, pairs)
 
 
+def h_algebra(ws):
+    """H = Der(G) ⋉ Z¹ as a LieAlgebra on the concatenated bases: the
+    padded semidirect product of Der(G)'s table and the d-bracket table by
+    the workspace's action, [D_i, L_j] = row i of ws.action[j]."""
+    return semidirect(ws.der.as_lie_algebra, ws.dspace.as_lie_algebra,
+                      lambda i, j: ws.action[j].row(i))
+
+
 def terms(v):
     """The nonzero coordinate terms (i, a) of a dense vector."""
     return tuple((i, a) for i, a in enumerate(v) if a)
@@ -277,9 +288,10 @@ def sign_mutation(h_derivation):
 
 def check_theorem1(ws):
     """Theorem1Evidence with the homomorphism compared on all (m+n)² entries
-    of each commutator and the image spanned in Q^((m+n)²). It calls
-    fullgraph's h_derivation, so a patched one reaches it too."""
-    dspace, h = ws.dspace, ws.h
+    of each commutator, for every basis pair of h_algebra(ws), and the image
+    spanned in Q^((m+n)²). It calls fullgraph's h_derivation, so a patched
+    one reaches it too."""
+    dspace, h = ws.dspace, h_algebra(ws)
     m, p, size = ws.der.dim, dspace.dim, ws.cg.dim
     total = m + p
     units = [unit(total, i) for i in range(total)]

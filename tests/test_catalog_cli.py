@@ -336,7 +336,7 @@ def test_each_refused_input_is_one_error_line(row, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     runs = [child.main_streams(argv)]
     if row in IN_A_PROCESS:
-        runs.append(child.run_module(argv))
+        runs.append(child.run_python("-m", "liegraph.cli", *argv))
     for code, out, err in runs:
         assert (code, out) == (2, "")
         assert_line(err, line)
@@ -617,7 +617,8 @@ def test_each_result_is_written_whole(argv, files):
     # unbuffered, a process writes to fd 1 what main writes to a file
     argv = [*argv, "--file", str(files / "heisenberg7.json")]
     code, out = child.main_output(argv)
-    assert child.run_module(argv, PYTHONUNBUFFERED="1") == (0, out, "")
+    assert child.run_python("-m", "liegraph.cli", *argv,
+                            PYTHONUNBUFFERED="1") == (0, out, "")
     assert code == 0
 
 

@@ -116,4 +116,4 @@ def test_entry_output_equals_main(argv, code):
     # buffer: main writes the result to fd 1 and an error line to fd 2 itself
     expected = child.main_streams(argv)
     assert expected[0] == code
-    assert child.run_module(argv) == expected
+    assert child.run_python("-m", "liegraph.cli", *argv) == expected

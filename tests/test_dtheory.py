@@ -163,24 +163,26 @@ class TestDAlgebra:
 
 class TestBuildH:
     def test_abelian1_two_dimensional(self):
-        h = build_h(d_derivations(derivation_algebra(make_lie_algebra(1, []))))
+        ws = _Workspace(make_lie_algebra(1, []))
+        assert build_h(ws.dspace) == (Matrix.from_rows([[1]]),)
+        h = reference.h_algebra(ws)
         assert h.dim == 2
         # [(D,0),(0,L)] = (0, D(L)); here both generators are the scalar 1
         assert h.table[0][1] == (F(0), F(1))
 
-    def test_der_embedding_is_subalgebra(self, sl2_setup):
-        g, der, space = sl2_setup
-        h = build_h(space)
+    def test_der_embedding_is_subalgebra(self, sl2):
+        ws = _Workspace(sl2)
+        der, h = ws.der, reference.h_algebra(ws)
         m = der.dim
         for i in range(m):
             for j in range(m):
                 assert not any(h.table[i][j][m:])
                 assert h.table[i][j][:m] == der.as_lie_algebra.table[i][j]
 
-    def test_cocycle_embedding_is_subalgebra(self, sl2_setup):
-        g, der, space = sl2_setup
-        h = build_h(space)
-        m, p = der.dim, space.dim
+    def test_cocycle_embedding_is_subalgebra(self, sl2):
+        ws = _Workspace(sl2)
+        space, h = ws.dspace, reference.h_algebra(ws)
+        m, p = ws.der.dim, space.dim
         for i in range(p):
             for j in range(p):
                 assert not any(h.table[m + i][m + j][:m])
@@ -213,8 +215,9 @@ class TestDCompleteness:
             cd == 0 and inner == p, cd, p, inner)
 
 
-# The tables of the cocycle space and of H are built from matrices made once
-# per basis element; the per-pair d_bracket and der_action are the reference.
+# The table of the cocycle space and H's action are built from matrices made
+# once per basis element; the per-pair d_bracket and der_action are the
+# reference.
 
 @functools.lru_cache(maxsize=None)
 def _spaces(case):
@@ -234,13 +237,14 @@ def test_d_algebra_matches_per_pair_d_bracket(case):
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_h_matches_per_pair_der_action(case):
-    g, der, space = _spaces(case)
+    ws = _Workspace(case_algebra(case))
+    der, space = ws.der, ws.dspace
     # coordinates_of raises unless every D(L) lies in the cocycle space
     expected = reference.semidirect(
         der.as_lie_algebra, space.as_lie_algebra,
         lambda i, j: space.coordinates_of(
             der_action(der, der.matrices[i], space.matrices[j])))
-    h = build_h(space)
+    h = reference.h_algebra(ws)
     assert h == expected and h.table == expected.table
 
 

@@ -275,7 +275,7 @@ def test_heisenberg_family_closed_forms(k):
     # (at k = 3, C(G) is 35-dim and the system is 20825 equations in 1225
     # unknowns) gives the blocks' dim Der(C(G)).
     ws = _Workspace(heisenberg(k))
-    assert ws.cg.dim == ws.h.dim == 2 * k * k + 5 * k + 2
+    assert ws.cg.dim == ws.der.dim + ws.dspace.dim == 2 * k * k + 5 * k + 2
     if k <= 3:
         assert derivation_algebra(ws.cg).dim == ws.der_cg_dim
 
@@ -308,9 +308,10 @@ def test_complete_ladder_known_answers(name):
 def test_every_derived_table_passes_the_full_jacobi_scan(case):
     # the package scans no table it derives: Der(G), Z¹, C(G) and H are Lie
     # by the proofs in their builders' docstrings, checked here on every
-    # basis triple of the dense tables
+    # basis triple of the dense tables; H's is built from build_h's action
     ws = _Workspace(case_algebra(case))
-    for alg in (ws.der.as_lie_algebra, ws.dspace.as_lie_algebra, ws.cg, ws.h):
+    for alg in (ws.der.as_lie_algebra, ws.dspace.as_lie_algebra, ws.cg,
+                reference.h_algebra(ws)):
         assert reference.validate_jacobi(alg.dim, alg.table) is None
 
 
@@ -574,7 +575,8 @@ def test_block_criterion_matches_the_leibniz_loop(case):
         assert (is_block_derivation(ws.dspace, delta)
                 == reference.is_cocycle(ws.cg.adjoint, ws.cg, delta))
     # the generators of H are derivations
-    assert all(is_block_derivation(ws.dspace, d) for d in maps[:ws.h.dim])
+    assert all(is_block_derivation(ws.dspace, d)
+               for d in maps[:ws.der.dim + ws.dspace.dim])
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -608,25 +610,28 @@ def test_theorem1_on_g_rows_matches_the_full_matrix_reference(case, mutate,
 
 
 # The sign mutation breaks the generators and the homomorphism together.
-# Negating one nonzero bracket [x_i, x_j] of H leaves each generator a
-# derivation and the map injective, so the commutator of gens[i] and
-# gens[j], the image of [x_i, x_j], is not that of its negation: the
-# homomorphism fails alone. H has a nonzero bracket on every case.
+# Negating one nonzero entry of H's action, a term of D_i(L_j) = [x_i,
+# x_(m+j)], leaves each generator a derivation and the map injective, so
+# the commutator of gens[i] and gens[m + j], the image of D_i(L_j), is not
+# that of the changed bracket: the homomorphism fails alone. H's action has
+# a nonzero entry on every case.
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_theorem1_fails_on_a_bracket_of_h_with_its_sign_flipped(case,
                                                                  monkeypatch):
-    real = _Workspace.h.func
+    real = _Workspace.action.func
 
     def flipped(ws):
-        h = real(ws)
-        i, j = next((i, j) for i, row in enumerate(h.pairs)
-                    for j, terms in enumerate(row) if i < j and terms)
-        pairs = [list(row) for row in h.pairs]
-        pairs[i][j], pairs[j][i] = pairs[j][i], pairs[i][j]
-        return alg_mod.LieAlgebra(h.basis_names, tuple(map(tuple, pairs)))
+        acts = list(real(ws))
+        j, i = next((j, i) for j, act in enumerate(acts)
+                    for i, row in enumerate(act.nonzeros) if row)
+        rows = list(acts[j].nonzeros)
+        (k, c), *rest = rows[i]
+        rows[i] = ((k, -c), *rest)
+        acts[j] = Matrix(acts[j].cols, tuple(rows))
+        return tuple(acts)
 
-    monkeypatch.setattr(_Workspace, "h", property(flipped))
+    monkeypatch.setattr(_Workspace, "action", property(flipped))
     ws = _Workspace(case_algebra(case))
     evidence = check_theorem1(ws)
     assert evidence[:3] == (True, False, True)
@@ -638,6 +643,45 @@ def test_theorem1_cases_include_images_short_of_der_cg():
     short = [case for case in CASES
              if not check_theorem1(_Workspace(case_algebra(case))).image_equals_der_cg]
     assert len(CASES) == 31 and len(short) == 14
+
+
+# Theorem 1 compares H's mixed pairs only, (D_i, L_j) for i < m and j < p:
+# the other brackets of H hold by how Der(G)'s table and the d-bracket are
+# built (check_theorem1's docstring). So a full verify reads H's action and
+# never builds the d-bracket table, which only dder prints.
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_theorem1_makes_one_commutator_per_mixed_pair(case, monkeypatch):
+    ws = _Workspace(case_algebra(case))
+    ws.action, ws.der_cg_dim  # built before the spy
+    firsts = []
+    real = Matrix.commutator
+
+    def spy(self, other, first=0):
+        firsts.append(first)
+        return real(self, other, first)
+
+    monkeypatch.setattr(Matrix, "commutator", spy)
+    assert check_theorem1(ws).bracket_homomorphism
+    assert firsts == [ws.der.dim] * (ws.der.dim * ws.dspace.dim)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "sl2"])
+def test_verify_builds_no_d_bracket_table_and_dder_does(monkeypatch, name):
+    made = []
+
+    class Recording(_Workspace):
+        def __init__(self, g):
+            super().__init__(g)
+            made.append(self)
+
+    monkeypatch.setattr(fg_mod, "_Workspace", Recording)
+    verify(lookup(name).algebra, name, which="all")
+    assert main_output(["dder", name])[0] == 0
+    verified, printed = made
+    assert "action" in vars(verified)
+    assert "as_lie_algebra" not in vars(verified.dspace)
+    assert "as_lie_algebra" in vars(printed.dspace)
 
 
 # Scalars are ints and Fractions only, and every matrix is stored in its

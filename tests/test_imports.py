@@ -19,8 +19,6 @@ location, so each module of tests/ and bench/ is loaded once, by its name.
 """
 
 import ast
-import subprocess
-import sys
 import types
 from pathlib import Path
 
@@ -128,10 +126,9 @@ def test_a_request_imports_no_dataclasses_or_inspect():
             "code = main(['--json', 'verify', 'sl2'])\n"
             "print(code, sorted({'dataclasses', 'inspect', 'argparse', 'gettext',\n"
             "                    'locale'} & set(sys.modules)))\n")
-    run = subprocess.run([sys.executable, "-S", "-c", code], env=child.env(),
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.endswith("}\n0 []\n")
+    status, out, err = child.run_python("-S", "-c", code)
+    assert status == 0, err
+    assert out.endswith("}\n0 []\n")
 
 
 def test_the_algebra_and_catalog_load_no_dtheory_or_fullgraph():
@@ -140,10 +137,9 @@ def test_the_algebra_and_catalog_load_no_dtheory_or_fullgraph():
             "from liegraph.catalog import lookup\n"
             "print(lookup('sl2').algebra.dim, sorted(\n"
             "    {'liegraph.dtheory', 'liegraph.fullgraph'} & set(sys.modules)))\n")
-    run = subprocess.run([sys.executable, "-S", "-c", code], env=child.env(),
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "3 []\n"
+    status, out, err = child.run_python("-S", "-c", code)
+    assert status == 0, err
+    assert out == "3 []\n"
 
 
 def test_the_catalog_attribute_is_the_submodule(monkeypatch):

@@ -12,8 +12,8 @@ from itertools import combinations_with_replacement
 import pytest
 
 import reference
-from algebras import (CASES, algebra, case_algebra, case_id, direct_sum,
-                      heisenberg, two_step_nilpotent)
+from algebras import (CASES, algebra, case_algebra, case_id, central_extension,
+                      direct_sum, heisenberg, two_step_nilpotent)
 from liegraph.algebra import (center, derivation_algebra, derived_subalgebra,
                               make_lie_algebra)
 from liegraph.dtheory import d_derivations
@@ -282,13 +282,34 @@ def test_defect_is_the_centroid_rule(build):
     centroids of nilpotent Lie algebras; Leger and Luks 2000 on generalized
     derivations).
 
-    A checked law, not a proved one: no proof is given here. It is checked
-    on every CASES entry, two_step_nilpotent(seed, n) for seeds 6–29 and
-    n = 4, 5, 6, h₃, h₅ and h₇, and sl2 ⊕ h₃, affine2 ⊕ h₃, h₃ ⊕ h₃ and
-    affine2 ⊕ abelian1: 110 algebras. The defect is dim of the projection
-    of der_cg_blocks' S onto its Der rows, so the rule, once proved, would
-    give it from n² unknowns in place of S's (m + n)·n.
+    An observation on these draws, not a law: it holds on every CASES
+    entry, two_step_nilpotent(seed, n) for seeds 6–29 and n = 4, 5, 6, h₃,
+    h₅ and h₇, and sl2 ⊕ h₃, affine2 ⊕ h₃, h₃ ⊕ h₃ and affine2 ⊕ abelian1:
+    110 algebras. test_centroid_rule_fails_at_dimension_8 refutes it. The
+    defect is dim of the projection of der_cg_blocks' S onto its Der rows.
     """
     g = build()
     t1 = verify(g, which="1").theorem1
     assert t1.dim_der_cg - t1.dim_h == _centroid_defect(g)
+
+
+# seed -> (m, p, d-complete, defect, centroid count) of its rung at dim 8
+CENTROID_COUNTEREXAMPLES = {0: (10, 13, False, 4, 0), 8: (11, 8, True, 0, 1)}
+
+
+@pytest.mark.parametrize("seed", CENTROID_COUNTEREXAMPLES)
+def test_centroid_rule_fails_at_dimension_8(seed):
+    """The rung of dimension 8 of the central_extension chain from abelian2
+    breaks the centroid rule both ways: seed 0 has defect 4 where the rule
+    counts 0, and seed 8 defect 0 where it counts 1. Each defect is read
+    off the blocks and checked against dim Der(C(G)) from the Leibniz
+    system of the 18- or 19-dim C(G) itself."""
+    g = make_lie_algebra(2, [])
+    while g.dim < 8:
+        g = central_extension(g, seed)
+    ws = _Workspace(g)
+    m, p = ws.der.dim, ws.dspace.dim
+    defect = ws.der_cg_dim - m - p
+    assert derivation_algebra(ws.cg).dim == ws.der_cg_dim
+    assert (m, p, ws.d_completeness.d_complete, defect,
+            _centroid_defect(g)) == CENTROID_COUNTEREXAMPLES[seed]

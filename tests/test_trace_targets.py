@@ -10,8 +10,6 @@ and each counter is called once on a real call of its target.
 
 import importlib
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -44,10 +42,9 @@ def test_traced_verify_reaches_both_completeness_spans(tmp_path):
     # reads 0 here means the call path goes round the traced name
     args = ["--json", "verify", "heisenberg3"]
     spans = tmp_path / "spans.json"
-    traced = subprocess.run([sys.executable, str(TRACE_CLI), str(spans), *args],
-                            capture_output=True, env=child.env())
-    code, out, _ = child.run_module(args)
-    assert (traced.returncode, traced.stdout.decode()) == (code, out)
+    traced = child.run_python(str(TRACE_CLI), str(spans), *args)
+    code, out, _ = child.run_python("-m", "liegraph.cli", *args)
+    assert traced[:2] == (code, out)
     assert code == 1
     counts = trace_cli.aggregate(json.loads(spans.read_text()))
     assert counts.get("algebra.is_complete.calls") == 1
