@@ -235,35 +235,33 @@ def _unflat(shape: tuple[int, int], flat: Iterable[tuple[int, Scalar]]) -> Matri
     return Matrix(shape[1], tuple(map(tuple, rows)))
 
 
-class MatrixSpan:
-    """A span of equal-shape matrices, held as the canonical RREF basis of
-    their row-major flattenings; terms_of reads coordinates at its pivots,
-    as nonzero terms, and matrix_of takes such terms back to the matrix.
-    Each subclass passes its shape, read off what it spans over."""
+class MatrixSpan(Subspace):
+    """A span of equal-shape matrices: the Subspace of their row-major
+    flattenings in Q^(rows * cols), so its canonical RREF rows, pivots,
+    dim, combinations, coordinates, equality and hash are those of that
+    subspace. It adds shape and the matrix views: terms_of reads a
+    matrix's coordinates at the pivots, as nonzero terms, and matrix_of
+    takes such terms back to the matrix. Each subclass passes its shape,
+    read off what it spans over, and the span of the flattenings."""
 
-    def __init__(self, shape: tuple[int, int], flat_span: Subspace):
+    def __init__(self, shape: tuple[int, int], span: Subspace):
+        super().__init__(span.ambient_dim, span.rows)
         self.shape = shape
-        self.flat_span = flat_span  # in Q^(rows * cols)
-
-    @property
-    def dim(self) -> int:
-        return self.flat_span.dim
 
     @cached_property
     def matrices(self) -> tuple[Matrix, ...]:
         """The basis matrices, in canonical order."""
-        return tuple(_unflat(self.shape, row) for row in self.flat_span.rows)
+        return tuple(_unflat(self.shape, row) for row in self.rows)
 
     def matrix_of(self, terms: Terms) -> Matrix:
         """The matrix whose canonical coordinates are the nonzero terms
         (i, a), as terms_of gives them: its inverse on the span."""
-        return _unflat(self.shape,
-                       sorted(self.flat_span.combination(terms).items()))
+        return _unflat(self.shape, sorted(self.combination(terms).items()))
 
     def terms_of(self, m: Matrix) -> Terms:
         """The nonzero coordinates (i, a), i increasing, of a matrix known to
         lie in the span; raises otherwise."""
-        terms = self.flat_span._coordinates(_flat(m))
+        terms = self._coordinates(_flat(m))
         if terms is None:
             raise InternalConsistencyError(
                 f"matrix does not lie in the span of {type(self).__name__}")
@@ -293,8 +291,8 @@ class DerivationAlgebra(MatrixSpan):
     system's kernel; only that span is kept, not the system. Its matrices
     are n x n, n = parent.dim."""
 
-    def __init__(self, flat_span: Subspace, parent: LieAlgebra):
-        super().__init__((parent.dim, parent.dim), flat_span)
+    def __init__(self, span: Subspace, parent: LieAlgebra):
+        super().__init__((parent.dim, parent.dim), span)
         self.parent = parent
 
     @cached_property

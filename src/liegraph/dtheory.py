@@ -59,8 +59,8 @@ class DDerivationSpace(MatrixSpan):
     """The cocycle space in the canonical basis of the cocycle system's
     kernel. Its matrices are n x m, n = dim G and m = der.dim."""
 
-    def __init__(self, flat_span: Subspace, der: DerivationAlgebra):
-        super().__init__((der.parent.dim, der.dim), flat_span)
+    def __init__(self, span: Subspace, der: DerivationAlgebra):
+        super().__init__((der.parent.dim, der.dim), span)
         self.der = der
 
     @cached_property

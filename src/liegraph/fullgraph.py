@@ -162,8 +162,8 @@ def is_block_derivation(dspace: DDerivationSpace, delta: Matrix) -> bool:
             "a map of C(G) from H has a nonzero G -> Der block")
     c = Matrix(m, tuple(tuple((k, x) for k, x in row if k < m) for row in bottom))
     e = {r * n + k - m: x for r, row in enumerate(bottom) for k, x in row if k >= m}
-    e_terms = der.flat_span._coordinates(e)
-    if e_terms is None or dspace.flat_span._coordinates(_flat(c)) is None:
+    e_terms = der._coordinates(e)
+    if e_terms is None or dspace._coordinates(_flat(c)) is None:
         return False
     return (Matrix(m, top)
             == der.as_lie_algebra._ad(e_terms) - der.ad_coordinates @ c)

@@ -250,7 +250,7 @@ def test_no_representation_stores_a_system(monkeypatch, name):
         assert isinstance(cocycle_system(rho, algebra), GeneratorType)
         assert set(vars(algebra)) <= {"dim", "basis_names", "pairs", "table",
                                       "adjoint"}
-    assert set(vars(ws.der)) <= {"shape", "flat_span", "parent", "matrices",
+    assert set(vars(ws.der)) <= {"shape", "parent", "matrices",
                                  "columns", "as_lie_algebra", "ad_coordinates"}
 
 
@@ -425,6 +425,35 @@ def test_theorem2_fails_iff_d_complete_with_a_defect():
     assert census == CENSUS and two_step == 65 and classes == CLASSES
 
 
+# chain seed -> (nilpotency class, Der(G) nilpotent, defect, d-complete) of
+# the rung of dimension 8 of the central_extension chain from abelian2
+RUNGS_8 = {0: (7, True, 4, False), 1: (6, True, 4, False), 2: (7, True, 2, False),
+           3: (7, True, 4, False), 4: (6, True, 4, False), 5: (5, True, 8, False),
+           6: (6, True, 4, False), 7: (6, True, 4, False), 8: (6, False, 0, True),
+           9: (6, False, 0, True)}
+
+
+def test_dimension_8_chain_rungs():
+    # past dimension 7 the defect is no longer a class-2 effect: these
+    # rungs have class 5-7, and the defect is positive exactly where Der(G)
+    # is nilpotent (G characteristically nilpotent), and then G is not
+    # d-complete. Seed 5's defect of 8 is checked once against the Leibniz
+    # system of its 20-dim C(G)
+    rungs = {}
+    for seed in RUNGS_8:
+        g = make_lie_algebra(2, [])
+        while g.dim < 8:
+            g = central_extension(g, seed)
+        ws = _Workspace(g)
+        rungs[seed] = (_nilpotency_class(g),
+                       _nilpotency_class(ws.der.as_lie_algebra) is not None,
+                       ws.der_cg_dim - ws.der.dim - ws.dspace.dim,
+                       ws.d_completeness.d_complete)
+        if seed == 5:
+            assert derivation_algebra(ws.cg).dim == ws.der_cg_dim == 37
+    assert rungs == RUNGS_8
+
+
 # Der(C(G)) from its blocks: each basis element of Z¹ ⊕ S, with A = [E, ·]
 # − ad∘C on Der(G), assembled into a map of C(G), must give exactly the
 # canonical span of the full Leibniz system of C(G), and each must pass
@@ -477,7 +506,7 @@ def test_blocks_assemble_to_the_derivations_of_the_full_graph(case):
     size = ws.cg.dim
     full = derivation_algebra(ws.cg)
     assert len(deltas) == ws.der_cg_dim == full.dim
-    assert Subspace.from_rows(size * size, [d.flatten() for d in deltas]) == full.flat_span
+    assert Subspace.from_rows(size * size, [d.flatten() for d in deltas]) == full
     cg = ws.cg
     assert all(reference.is_cocycle(cg.adjoint, cg, d) for d in deltas)
 
@@ -520,7 +549,7 @@ def test_blocks_span_the_derivations_of_drawn_semidirect_sums(g):
     size = ws.cg.dim
     full = derivation_algebra(ws.cg)
     assert len(deltas) == full.dim
-    assert Subspace.from_rows(size * size, [d.flatten() for d in deltas]) == full.flat_span
+    assert Subspace.from_rows(size * size, [d.flatten() for d in deltas]) == full
 
 
 def test_heisenberg3_blocks_hold_the_certified_outer_derivation():
