@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .linalg import (Matrix, Scalar, SparseRow, Subspace, Terms, Vector, ZERO,
                      _dense, _packed, as_vector, common_kernel, rank, solve,
-                     sparse_nullspace)
+                     span, sparse_nullspace)
 
 
 class LieError(Exception):
@@ -217,8 +217,8 @@ def center(g: LieAlgebra) -> Subspace:
 
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
-    return Subspace._span(g.dim, [dict(g.pairs[i][j])
-                                  for i, j in combinations(range(g.dim), 2)])
+    return span(g.dim, [dict(g.pairs[i][j])
+                        for i, j in combinations(range(g.dim), 2)])
 
 
 def _flat(m: Matrix) -> SparseRow:
@@ -338,7 +338,7 @@ def inner_derivations(g: LieAlgebra) -> Subspace:
     """Span in Q^(n^2) of the flattened ad(e_k), the adjoint coboundaries:
     the coboundary of e_k maps e_i to -[e_i, e_k] = [e_k, e_i], so it is
     ad(e_k)."""
-    return Subspace._span(g.dim * g.dim, map(_flat, g.adjoint))
+    return span(g.dim * g.dim, map(_flat, g.adjoint))
 
 
 def induced_lie_structure(matrices: Sequence[Matrix],

@@ -32,7 +32,7 @@ from functools import cached_property, reduce
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .linalg import Matrix, SparseRow, Subspace, Terms, ZERO, sparse_nullspace
+from .linalg import Matrix, SparseRow, Subspace, Terms, ZERO, span, sparse_nullspace
 from .algebra import (CompletenessEvidence, DerivationAlgebra,
                       InternalConsistencyError, LieAlgebra, center,
                       cocycle_system, derivation_algebra, is_complete,
@@ -324,7 +324,7 @@ def check_theorem1(ws: _Workspace) -> Theorem1Evidence:
 
     # every generator in Der(C(G)) puts the image inside it; equal dimension
     # then makes the two equal
-    dim, image = ws.der_cg_dim, Subspace._span(n * size, map(_flat, rows))
+    dim, image = ws.der_cg_dim, span(n * size, map(_flat, rows))
     return Theorem1Evidence(each_der, homomorphism, image.dim == total,
                             total, dim, each_der and image.dim == dim)
 

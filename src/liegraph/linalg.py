@@ -31,10 +31,11 @@ on rows held as ``{column: nonzero entry}``: the systems solved here are
 almost all zeros (a Leibniz row of G has a few nonzeros among n² columns),
 and the kernel never touches a zero. The RREF of a row space is
 unique, so it gives the same canonical basis as any exact Gauss-Jordan
-elimination. ``rank``, ``solve``, ``nullspace`` and ``Subspace.from_rows``
-call it; ``sparse_nullspace`` takes sparse rows and
-``common_kernel`` the nonzeros of several matrices, so a system built
-sparse or held as matrices is never stacked dense.
+elimination. ``rank``, ``solve``, ``sparse_nullspace`` and ``span`` call
+it. ``span`` is the one way to canonicalize rows into a ``Subspace``;
+``Subspace.from_rows`` hands it dense vectors. ``sparse_nullspace`` takes
+sparse rows and ``common_kernel`` the nonzeros of several matrices, so a
+system built sparse or held as matrices is never stacked dense.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ SparseRow = dict[int, Scalar]  # column -> nonzero entry
 Terms = tuple[tuple[int, Scalar], ...]  # nonzero (index, entry), index increasing
 
 ZERO = 0
-ONE = 1
 
 
 def as_scalar(x) -> Scalar:
@@ -221,7 +221,7 @@ def sparse_rref(rows: Iterable[Mapping[int, Scalar]]
             continue
         p = min(r)
         lead = r[p]
-        if lead != ONE:
+        if lead != 1:
             r = {k: _quotient(x, lead) for k, x in r.items()}
         for row in piv.values():
             if p in row:
@@ -281,24 +281,20 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, rows: tuple):
         self.ambient_dim = ambient_dim
-        self.rows = rows  # trusted canonical; use from_rows to canonicalize
+        self.rows = rows  # trusted canonical; use span to canonicalize
         self.pivot_row = {row[0][0]: i for i, row in enumerate(rows)}
 
     @classmethod
     def from_rows(cls, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
+        """The span of dense vectors of length ambient_dim, through span: a
+        plain Subspace, on whichever class it is called."""
         rows = []
         for v in vectors:
             v = as_vector(v)
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient dimension")
             rows.append({c: x for c, x in enumerate(v) if x})
-        return cls._span(ambient_dim, rows)
-
-    @classmethod
-    def _span(cls, ambient_dim: int, rows: Iterable[SparseRow]) -> "Subspace":
-        """The span of sparse rows, reduced to its canonical basis."""
-        reduced, _ = sparse_rref(rows)
-        return cls(ambient_dim, _packed(reduced))
+        return span(ambient_dim, rows)
 
     @property
     def dim(self) -> int:
@@ -336,6 +332,12 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
+def span(ambient_dim: int, rows: Iterable[Mapping[int, Scalar]]) -> Subspace:
+    """The span of sparse {column: entry} rows in Q^ambient_dim, reduced to
+    its canonical basis: the one way to canonicalize rows."""
+    return Subspace(ambient_dim, _packed(sparse_rref(rows)[0]))
+
+
 def nullspace(m: Matrix) -> Subspace:
     """Canonical basis of {v : m v = 0}."""
     return common_kernel((m,))
@@ -355,9 +357,9 @@ def sparse_nullspace(ncols: int, rows: Iterable[Mapping[int, Scalar]]) -> Subspa
     at f and minus the RREF's column f at the pivots."""
     reduced, pivots = sparse_rref(rows)
     pivot_set = set(pivots)
-    kernel = {f: {f: ONE} for f in range(ncols) if f not in pivot_set}
+    kernel = {f: {f: 1} for f in range(ncols) if f not in pivot_set}
     for p, row in zip(pivots, reduced):
         for c, x in row.items():
             if c != p:
                 kernel[c][p] = -x
-    return Subspace._span(ncols, kernel.values())
+    return span(ncols, kernel.values())

@@ -14,8 +14,10 @@ which the package never builds, from Der(G)'s table, the d-bracket table
 and the action ``dtheory.build_h`` returns, and ``check_theorem1`` is the
 theorem 1 check on every row of each map of C(G) and every basis pair of
 H, where the package reads only the G rows of the m·p mixed pairs.
-``sign_mutation`` is the one deliberate fault of the tests: it
-wraps ``h_derivation`` to negate the G rows of each generator. ``column``
+``w_dim`` solves for the bilinear maps that make up the defect
+dim Der(C(G)) − dim H, in one system of its own, not the package's.
+``sign_mutation`` wraps ``h_derivation`` to negate the G rows of each
+generator, a fault that theorem 1 must catch. ``column``
 and ``apply`` are the dense column and matrix-vector product that the
 package's Matrix does not offer, ``dense`` builds a Matrix from row-major
 dense entries, and ``coboundaries`` spans the coboundaries of the unit
@@ -24,11 +26,12 @@ package's inner maps are compared.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from liegraph import fullgraph
 from liegraph.algebra import JacobiViolation, LieAlgebra, _flat
-from liegraph.linalg import Matrix, Subspace, _packed, as_vector, sparse_rref
+from liegraph.linalg import (Matrix, Subspace, _packed, as_vector, span,
+                             sparse_nullspace, sparse_rref)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -132,7 +135,7 @@ def dense_rows(rows, ncols):
 def contains(a, b):
     """Whether the Subspace b lies in the Subspace a: b's rows added to a's
     span the same space."""
-    return Subspace._span(a.ambient_dim, map(dict, a.rows + b.rows)) == a
+    return span(a.ambient_dim, map(dict, a.rows + b.rows)) == a
 
 
 def nullspace_basis(rows, ncols):
@@ -316,7 +319,53 @@ def check_theorem1(ws):
         if any(acc.values()):
             homomorphism = False
             break
-    dim, image = ws.der_cg_dim, Subspace._span(size * size, flat)
+    dim, image = ws.der_cg_dim, span(size * size, flat)
     return fullgraph.Theorem1Evidence(each_der, homomorphism, image.dim == total,
                                       total, dim, each_der and image.dim == dim)
 
+
+def _summed(terms):
+    """The {unknown: coefficient} row of (unknown, coefficient) terms,
+    repeated unknowns added."""
+    row = {}
+    for u, x in terms:
+        row[u] = row.get(u, 0) + x
+    return row
+
+
+def w_dim(g, der):
+    """dim W, W the bilinear maps β: G × G → Z(G) that vanish on [G, G] in
+    each slot, are Der(G)-invariant, Dβ(x, y) = β(Dx, y) + β(x, Dy) for
+    each basis derivation D, and whose skew part is an adjoint coboundary,
+    β(x, y) − β(y, x) = E[x, y] − [Ex, y] − [x, Ey] for some E in gl(G).
+
+    One system in the n³ + n² unknowns (β, E), read off the dense table:
+    the e_c coordinate of β(e_a, e_b) at (a·n + b)·n + c and E[r][t], the
+    e_r coordinate of E e_t, at n³ + r·n + t. Its solutions with β = 0 are
+    the E in Der(G), so dim W = dim(solutions) − dim Der(G)."""
+    n, s = g.dim, g.table
+    beta = lambda a, b, c: (a * n + b) * n + c
+    e = lambda r, t: n ** 3 + r * n + t
+    every = range(n)
+    # β(e_a, e_b) is central: [β(e_a, e_b), e_l] = 0, coordinate k
+    rows = [[(beta(a, b, c), s[c][l][k]) for c in every]
+            for a, b, l, k in product(every, repeat=4)]
+    # β([e_i, e_j], e_t) = β(e_t, [e_i, e_j]) = 0, coordinate c
+    for (i, j), t, c in product(combinations(every, 2), every, every):
+        rows.append([(beta(u, t, c), s[i][j][u]) for u in every])
+        rows.append([(beta(t, u, c), s[i][j][u]) for u in every])
+    # D β(e_a, e_b) − β(D e_a, e_b) − β(e_a, D e_b) = 0, coordinate c
+    for d in der.matrices:
+        cols = d.transpose().nonzeros  # cols[a] holds the terms of D e_a
+        for a, b, c in product(every, repeat=3):
+            rows.append([(beta(a, b, t), x) for t, x in d.nonzeros[c]]
+                        + [(beta(t, b, c), -x) for t, x in cols[a]]
+                        + [(beta(a, t, c), -x) for t, x in cols[b]])
+    # β(e_a, e_b) − β(e_b, e_a) − E[e_a, e_b] + [E e_a, e_b] + [e_a, E e_b] = 0
+    for (a, b), c in product(combinations(every, 2), every):
+        rows.append([(beta(a, b, c), 1), (beta(b, a, c), -1)]
+                    + [(e(c, t), -s[a][b][t]) for t in every]
+                    + [(e(t, a), s[t][b][c]) for t in every]
+                    + [(e(t, b), s[a][t][c]) for t in every])
+    return (sparse_nullspace(n ** 3 + n * n, (_summed(r) for r in rows)).dim
+            - der.dim)

@@ -11,17 +11,17 @@ import oracle
 import reference
 import sympy as sp
 from algebras import CASES, CATALOG_NAMES, NAMES, algebra, case_algebra, case_id
-from liegraph.algebra import (CompletenessEvidence, InternalConsistencyError,
-                              JacobiViolation, LieAlgebra, LieError, _flat,
-                              center, cocycle_system,
+from liegraph.algebra import (CompletenessEvidence, DerivationAlgebra,
+                              InternalConsistencyError, JacobiViolation,
+                              LieAlgebra, LieError, _flat, center, cocycle_system,
                               derivation_algebra, derived_subalgebra,
                               induced_lie_structure, inner_derivations,
                               is_complete, lie_algebra_from_table,
                               make_lie_algebra)
 from liegraph.catalog import lookup
-from liegraph.dtheory import d_derivations, inner_d_derivation
+from liegraph.dtheory import DDerivationSpace, d_derivations, inner_d_derivation
 from liegraph.fullgraph import build_full_graph
-from liegraph.linalg import Matrix, Subspace, sparse_nullspace, sparse_rref
+from liegraph.linalg import Matrix, Subspace, span, sparse_nullspace, sparse_rref
 from test_linalg import entries, sparse_entries
 
 F = Fraction
@@ -159,6 +159,14 @@ class TestDerivationAlgebra:
         der = derivation_algebra(make_lie_algebra(2, []))
         assert der.dim == 4
         assert isinstance(der, Subspace) and der.ambient_dim == 4
+
+    @pytest.mark.parametrize("cls", [DerivationAlgebra, DDerivationSpace])
+    def test_from_rows_on_a_span_of_matrices_gives_a_plain_subspace(self, cls):
+        # a MatrixSpan takes (shape, span), so a constructor that built cls
+        # itself would fail here
+        line = cls.from_rows(4, [[1, 0, 0, 0]])
+        assert type(line) is Subspace
+        assert line == Subspace.from_rows(4, [[1, 0, 0, 0]])
 
     @pytest.mark.parametrize("name,dim", [("sl2", 3), ("heisenberg3", 6)])
     def test_dimensions(self, name, dim):
@@ -360,7 +368,7 @@ def test_coboundaries_match_the_span_of_each_coboundary(name, action):
         inner = inner_derivations(g)
     else:
         der = derivation_algebra(g)
-        inner = Subspace._span(n * der.dim, [
+        inner = span(n * der.dim, [
             _flat(inner_d_derivation(der, reference.unit(n, k))) for k in range(n)])
     assert reference.coboundaries(rho) == inner
 

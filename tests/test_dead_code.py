@@ -17,10 +17,17 @@ and the six bench/fixtures.py algebras at seed 1, and so do corpus-verify,
 before the algebra, joined by "=" (verify --theorem=1 sl2 and verify
 --theorem=lemma --file=heisenberg7.json), and every input that
 tests/test_catalog_cli.py's REFUSED lists, each in a directory of its own.
+
+The package's size is pinned too: CODE_LINES counts the lines of
+src/liegraph/*.py that hold code, outside docstrings, comments and blank
+lines. A change that moves the count re-pins it and gives the count before
+and after in CHANGES.md.
 """
 
 import ast
+import io
 import sys
+import tokenize
 from pathlib import Path
 
 import liegraph
@@ -62,6 +69,32 @@ RUNS = [form + cmd + where for form in ([], ["--json"]) for cmd in COMMANDS
         for where in WHERE] + [["corpus-verify"], ["--json", "corpus-verify"], ["--help"],
                                ["nope"], ["verify", "--theorem=1", "sl2"],
                                ["verify", "--theorem=lemma", "--file=heisenberg7.json"]]
+
+
+CODE_LINES = 992
+NO_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _code_lines(source: str) -> int:
+    """The number of lines that a code token touches (tokenize), less the
+    lines of each module, class and function docstring (ast)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            first = node.body[0]
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NO_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
+def test_package_code_lines_are_pinned():
+    assert sum(_code_lines(path.read_text()) for path in SRC.glob("*.py")) == CODE_LINES
 
 
 def _functions() -> dict[tuple[str, int], str]:

@@ -264,14 +264,17 @@ def _centroid_defect(g) -> int:
             - sparse_nullspace(n * n, rows + inner).dim)
 
 
-CENTROID_CASES = (
-    [(case_id(c), functools.partial(case_algebra, c)) for c in CASES]
-    + [(case_id((seed, n)), functools.partial(two_step_nilpotent, seed, n))
-       for seed in range(6, 30) for n in (4, 5, 6)]
-    + [(f"h{2 * k + 1}", functools.partial(heisenberg, k)) for k in (1, 2, 3)]
+CASE_BUILDS = [(case_id(c), functools.partial(case_algebra, c)) for c in CASES]
+HEISENBERG_AND_SUMS = (
+    [(f"h{2 * k + 1}", functools.partial(heisenberg, k)) for k in (1, 2, 3)]
     + [(f"{a}+{b}", functools.partial(direct_sum, algebra(a), algebra(b)))
        for a, b in (("sl2", "heisenberg3"), ("affine2", "heisenberg3"),
                     ("heisenberg3", "heisenberg3"), ("affine2", "abelian1"))])
+CENTROID_CASES = (
+    CASE_BUILDS
+    + [(case_id((seed, n)), functools.partial(two_step_nilpotent, seed, n))
+       for seed in range(6, 30) for n in (4, 5, 6)]
+    + HEISENBERG_AND_SUMS)
 
 
 @pytest.mark.parametrize("build", [b for _, b in CENTROID_CASES],
@@ -313,3 +316,51 @@ def test_centroid_rule_fails_at_dimension_8(seed):
     assert derivation_algebra(ws.cg).dim == ws.der_cg_dim
     assert (m, p, ws.d_completeness.d_complete, defect,
             _centroid_defect(g)) == CENTROID_COUNTEREXAMPLES[seed]
+
+
+def _rung_8(seed):
+    """The rung of dimension 8 of the central_extension chain from abelian2."""
+    g = make_lie_algebra(2, [])
+    while g.dim < 8:
+        g = central_extension(g, seed)
+    return g
+
+
+W_CASES = CASE_BUILDS + HEISENBERG_AND_SUMS + [
+    (f"central_{seed}_8", functools.partial(_rung_8, seed)) for seed in range(10)]
+
+
+@pytest.mark.parametrize("build", [b for _, b in W_CASES],
+                         ids=[i for i, _ in W_CASES])
+def test_defect_is_dim_w(build):
+    """dim Der(C(G)) = dim Der(G) + dim Z¹ + dim W, where W is the space of
+    bilinear β: G × G → Z(G) with
+    - β([G, G], ·) = β(·, [G, G]) = 0;
+    - Dβ(x, y) = β(Dx, y) + β(x, Dy) for every D in Der(G);
+    - β(x, y) − β(y, x) = E[x, y] − [Ex, y] − [x, Ey] for some E in gl(G).
+    The last says that β − βᵀ is an adjoint coboundary, so it vanishes in
+    H²(G, G), the cohomology that classifies infinitesimal deformations
+    (Nijenhuis and Richardson, Bull. AMS 72, 1966). So the defect is dim W.
+
+    Proof. der_cg_blocks proves dim Der(C(G)) = dim Z¹ + dim S, where S is
+    the space of maps φ of G into C(G), with Der rows B: G → Der(G) and G
+    rows E: G → G, cut out by the cocycle rows B([x, y]) = 0 and
+    E[x, y] = [x, Ey] + [Ex, y] + (Bx)y − (By)x, and by the Der rows
+    B(Dx) = D∘(Bx) − (Bx)∘D. With B = 0 they say that E is a derivation,
+    so dim S = dim Der(G) + dim of the projection of S onto B. Put
+    β(x, y) = (Bx)y. The Der row for D = ad y, with B([y, x]) = 0, gives
+    (Bx)[y, z] = [y, (Bx)z]; as Bx is a derivation, [(Bx)y, z] = 0, so β
+    takes values in Z(G). Bx, a derivation into the center, then kills
+    [G, G], and B([G, G]) = 0: β vanishes on [G, G] in each slot.
+    Conversely every such β gives derivations Bx = β(x, ·), and B is
+    determined by β. On such B the Der rows read Dβ(x, y) = β(Dx, y) +
+    β(x, Dy) and the cocycle rows β(x, y) − β(y, x) = E[x, y] − [Ex, y] −
+    [x, Ey]. So the projection is W.
+
+    dim W is solved by reference.w_dim, apart from S's rows, on every
+    CASES entry, h₃, h₅ and h₇, four direct sums and the dimension-8 chain
+    rungs of seeds 0–9, whose defects are 0, 1, 2, 4 and 8.
+    """
+    g = build()
+    ws = _Workspace(g)
+    assert ws.der_cg_dim == ws.der.dim + ws.dspace.dim + reference.w_dim(g, ws.der)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from liegraph.linalg import (Matrix, Subspace, _dense, as_scalar, nullspace,
-                             rank, solve, sparse_nullspace, sparse_rref)
+                             rank, solve, span, sparse_nullspace, sparse_rref)
 from reference import dense, rref
 
 F = Fraction
@@ -390,8 +390,8 @@ def test_int_and_integral_fraction_entries_give_one_span():
     assert dense == Subspace.from_rows(3, [[F(x) for x in r] for r in ints])
     # a row already 1 at its pivot is not divided, so the kernel keeps its
     # entries as given: these rows hold Fractions where the others hold ints
-    as_int = Subspace._span(3, [{0: 1, 1: 2}, {2: -3}])
-    as_fraction = Subspace._span(3, [{0: F(1), 1: F(2)}, {2: F(-3)}])
+    as_int = span(3, [{0: 1, 1: 2}, {2: -3}])
+    as_fraction = span(3, [{0: F(1), 1: F(2)}, {2: F(-3)}])
     assert any(type(x) is F for row in as_fraction.rows for _, x in row)
     assert all(type(x) is int for row in as_int.rows for _, x in row)
     assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
