@@ -21,6 +21,11 @@ theorem1 compares only the m·p mixed ones, a derivation against a
 cocycle: the rest hold by how Der(G)'s table and the d-bracket are built
 (check_theorem1).
 
+The defect dim Der(C(G)) − dim H is dim W, the projection of S onto its
+Der rows (der_cg_blocks). So, when theorem1's generator, homomorphism and
+injectivity checks pass, h(H) is all of Der(C(G)) iff W = 0; and C(G) is
+complete iff G is d-complete and W = 0 (check_theorem2).
+
 _Workspace builds what every command reads of one algebra, the CLI's info,
 der, dder and full-graph as well as verify: each object once, and only
 when a command first reads it.
@@ -105,8 +110,11 @@ def der_cg_blocks(der: DerivationAlgebra, cg: LieAlgebra) -> Subspace:
 
     im H is the part of S whose Der rows vanish (E = D + L∘ad, C = L), so
     dim Der(C(G)) − dim H is the dimension of the projection of S onto the
-    Der rows. For heisenberg3 that projection is spanned by B = −ad with
-    E = 2·id.
+    Der rows. That projection is W: with β(x, y) = (Bx)y, it is the space
+    of Der(G)-invariant bilinear β: G × G → Z(G) that vanish on [G, G] in
+    each slot and whose skew part β − βᵀ is an adjoint coboundary, as
+    tests/test_laws.py::test_defect_is_dim_w proves. For heisenberg3 that
+    projection is spanned by B = −ad with E = 2·id.
     """
     g, m, n, ad = der.parent, der.dim, der.parent.dim, cg.adjoint
 
@@ -348,7 +356,12 @@ def check_theorem2(ws: _Workspace) -> Theorem2Evidence:
     has kernel cd, so p ≥ n − dim cd. C(G) is complete iff cd = 0 and its
     m + n inner derivations are all of Der(C(G)); G is d-complete iff
     cd = 0 and p = n. When cd = 0, m + n ≤ m + p ≤ dim Der(C(G)), so
-    dim Der(C(G)) = m + n iff p = n and dim Der(C(G)) = m + p."""
+    dim Der(C(G)) = m + n iff p = n and dim Der(C(G)) = m + p.
+
+    As dim Der(C(G)) − m − p is dim W (der_cg_blocks), C(G) is complete iff
+    G is d-complete and W = 0. And when theorem1's generator, homomorphism
+    and injectivity checks pass, h(H) has dimension m + p inside
+    Der(C(G)), so h(H) is all of Der(C(G)) iff W = 0."""
     dc, cc = ws.d_completeness, ws.cg_completeness
     if cc.complete != (dc.d_complete
                        and ws.der_cg_dim == ws.der.dim + ws.dspace.dim):

@@ -2,8 +2,9 @@
 the dense forms they must parse to), the six algebras of the benchmark's
 ``bench/fixtures.py`` at seed 1, seeded random 2-step nilpotent algebras,
 the Heisenberg family, the complete families sl_n and b(sl_n) in the
-matrix-unit basis, whose answers are known at every size, and seeded
-central extensions, which reach every nilpotent algebra."""
+matrix-unit basis, whose answers are known at every size, and chains of
+seeded central extensions from the abelian Q² (chain_rung), which reach
+every nilpotent algebra."""
 
 import functools
 import math
@@ -163,6 +164,17 @@ def central_extension(g: LieAlgebra, seed: int) -> LieAlgebra:
         vec[n] = int(x * scale)
         brackets.append((i, j, vec))
     return make_lie_algebra(n + 1, brackets)
+
+
+@functools.lru_cache(maxsize=None)
+def chain_rung(seed: int, dim: int) -> LieAlgebra:
+    """The rung of dimension dim >= 2 of the central_extension chain of
+    seed: the abelian Q² at dimension 2, and above it the central extension
+    by seed of the rung below. Rungs are cached, as algebra() is, so each
+    is built once and every test reads the same one."""
+    if dim == 2:
+        return make_lie_algebra(2, [])
+    return central_extension(chain_rung(seed, dim - 1), seed)
 
 
 # NAMES, then two-step nilpotent draws (seed, n) of dimension 3 to 5

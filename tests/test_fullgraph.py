@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference
 from reference import terms
 from algebras import (CASES, CATALOG_NAMES, NAMES, algebra, borel, case_algebra,
-                      case_id, central_extension, direct_sum, heisenberg,
+                      case_id, chain_rung, direct_sum, heisenberg,
                       special_linear, two_step_nilpotent)
 from child import main_output, patch_bindings
 
@@ -380,13 +380,9 @@ def _census_algebras() -> list:
     """133 algebras: two_step_nilpotent(seed, n) for seeds 0-19 and n = 3-6,
     ten central_extension chains (seeds 0-9) from abelian2 to dimension 7,
     and b(sl2), b(sl3), b(sl4)."""
-    out = [two_step_nilpotent(seed, n) for seed in range(20) for n in range(3, 7)]
-    for seed in range(10):
-        g = make_lie_algebra(2, [])
-        while g.dim < 7:
-            g = central_extension(g, seed)
-            out.append(g)
-    return out + [borel(n) for n in (2, 3, 4)]
+    return ([two_step_nilpotent(seed, n) for seed in range(20) for n in range(3, 7)]
+            + [chain_rung(seed, dim) for seed in range(10) for dim in range(3, 8)]
+            + [borel(n) for n in (2, 3, 4)])
 
 
 def _nilpotency_class(g) -> int | None:
@@ -406,8 +402,9 @@ def _nilpotency_class(g) -> int | None:
 def test_theorem2_fails_iff_d_complete_with_a_defect():
     # the defect is dim Der(C(G)) - dim H, and at least 1 on each of the 65
     # non-abelian algebras with [G, G] in Z(G) (ROADMAP item 14 (a)); the
-    # census takes about 5 s on a 2-core host. A positive defect occurs
-    # exactly on nilpotency class 2
+    # census takes about 5 s on a 2-core host. On these 133 algebras, all of
+    # dimension at most 7, a positive defect occurs exactly on nilpotency
+    # class 2; test_dimension_8_chain_rungs shows that it does not in general
     census, classes, two_step = Counter(), Counter(), 0
     for g in _census_algebras():
         ws = _Workspace(g)
@@ -426,7 +423,7 @@ def test_theorem2_fails_iff_d_complete_with_a_defect():
 
 
 # chain seed -> (nilpotency class, Der(G) nilpotent, defect, d-complete) of
-# the rung of dimension 8 of the central_extension chain from abelian2
+# chain_rung(seed, 8)
 RUNGS_8 = {0: (7, True, 4, False), 1: (6, True, 4, False), 2: (7, True, 2, False),
            3: (7, True, 4, False), 4: (6, True, 4, False), 5: (5, True, 8, False),
            6: (6, True, 4, False), 7: (6, True, 4, False), 8: (6, False, 0, True),
@@ -441,9 +438,7 @@ def test_dimension_8_chain_rungs():
     # system of its 20-dim C(G)
     rungs = {}
     for seed in RUNGS_8:
-        g = make_lie_algebra(2, [])
-        while g.dim < 8:
-            g = central_extension(g, seed)
+        g = chain_rung(seed, 8)
         ws = _Workspace(g)
         rungs[seed] = (_nilpotency_class(g),
                        _nilpotency_class(ws.der.as_lie_algebra) is not None,
@@ -483,19 +478,9 @@ def _block_derivations(ws) -> list[Matrix]:
     return out
 
 
-def _central_chains() -> dict:
-    """Three seeded chains of nilpotent algebras, from abelian2 up to
-    dimension 6, each rung a central extension of the one before."""
-    chains = {}
-    for seed in range(3):
-        g = make_lie_algebra(2, [])
-        while g.dim < 6:
-            g = central_extension(g, seed)
-            chains[f"central_{seed}_{g.dim}"] = g
-    return chains
-
-
-CENTRAL_CHAINS = _central_chains()
+# the rungs of dimension 3-6 of three seeded chains of nilpotent algebras
+CENTRAL_CHAINS = {f"central_{seed}_{dim}": chain_rung(seed, dim)
+                  for seed in range(3) for dim in range(3, 7)}
 
 
 @pytest.mark.parametrize("case", CASES + list(CENTRAL_CHAINS), ids=case_id)
