@@ -63,12 +63,6 @@ def as_scalar(x) -> Scalar:
     return x.numerator if x.denominator == 1 else x
 
 
-def _quotient(x: Scalar, d: Scalar) -> Scalar:
-    """x / d, exactly: an int when the quotient is integral."""
-    q = Fraction(x) / d
-    return q.numerator if q.denominator == 1 else q
-
-
 def as_vector(v: Iterable) -> Vector:
     return tuple(as_scalar(x) for x in v)
 
@@ -222,7 +216,7 @@ def sparse_rref(rows: Iterable[Mapping[int, Scalar]]
         p = min(r)
         lead = r[p]
         if lead != 1:
-            r = {k: _quotient(x, lead) for k, x in r.items()}
+            r = {k: as_scalar(Fraction(x) / lead) for k, x in r.items()}
         for row in piv.values():
             if p in row:
                 _subtract(row, row[p], r)

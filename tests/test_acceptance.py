@@ -29,12 +29,11 @@ from liegraph.linalg import Matrix
 
 import oracle
 import sympy as sp
-from algebras import borel
+from algebras import CATALOG_NAMES, borel
 import reference
 from reference import terms
 
 F = Fraction
-CATALOG_NAMES = [e.name for e in catalog()]
 
 # Expected evidence for the checks that do not pass; every other (entry,
 # check) pair must pass. The lemma holds on heisenberg3.

@@ -6,6 +6,7 @@ from types import GeneratorType
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracle
 import reference
 from reference import terms
 from algebras import (CASES, CATALOG_NAMES, NAMES, algebra, borel, case_algebra,
@@ -18,7 +19,7 @@ from liegraph import (algebra as alg_mod, cli as cli_mod, dtheory as dt_mod,
 from liegraph.algebra import (InternalConsistencyError, _flat, center,
                               cocycle_system, derivation_algebra,
                               derived_subalgebra, make_lie_algebra)
-from liegraph.catalog import catalog, lookup, serialize_algebra
+from liegraph.catalog import CatalogEntry, catalog, lookup, serialize_algebra
 from liegraph.dtheory import d_derivations
 from liegraph.fullgraph import (VerificationReport, _Workspace,
                                 build_full_graph, check_lemma, check_theorem1,
@@ -428,14 +429,18 @@ RUNGS_8 = {0: (7, True, 4, False), 1: (6, True, 4, False), 2: (7, True, 2, False
            3: (7, True, 4, False), 4: (6, True, 4, False), 5: (5, True, 8, False),
            6: (6, True, 4, False), 7: (6, True, 4, False), 8: (6, False, 0, True),
            9: (6, False, 0, True)}
+# chain seed -> dim Der(C(G)) of chain_rung(seed, 8), from the Leibniz system
+# of its 18-, 20- or 19-dim C(G)
+DER_CG_8 = {0: 27, 5: 37, 8: 19}
 
 
 def test_dimension_8_chain_rungs():
     # past dimension 7 the defect is no longer a class-2 effect: these
     # rungs have class 5-7, and the defect is positive exactly where Der(G)
     # is nilpotent (G characteristically nilpotent), and then G is not
-    # d-complete. Seed 5's defect of 8 is checked once against the Leibniz
-    # system of its 20-dim C(G)
+    # d-complete. On seeds 0, 5 and 8 the blocks' dim Der(C(G)) is checked
+    # against the Leibniz system of C(G) itself, and on seeds 0 and 8
+    # (dim Der(G), dim Z¹, inner cocycles, d-center) against the sympy oracle
     rungs = {}
     for seed in RUNGS_8:
         g = chain_rung(seed, 8)
@@ -444,8 +449,13 @@ def test_dimension_8_chain_rungs():
                        _nilpotency_class(ws.der.as_lie_algebra) is not None,
                        ws.der_cg_dim - ws.der.dim - ws.dspace.dim,
                        ws.d_completeness.d_complete)
-        if seed == 5:
-            assert derivation_algebra(ws.cg).dim == ws.der_cg_dim == 37
+        if seed in DER_CG_8:
+            assert derivation_algebra(ws.cg).dim == ws.der_cg_dim == DER_CG_8[seed]
+        if seed in (0, 8):
+            table = oracle.lie_table(CatalogEntry(f"central_{seed}_8", g))
+            assert oracle.cocycle_dims(table) == (
+                ws.der.dim, ws.dspace.dim, ws.d_completeness.inner_d_dim,
+                ws.dcenter.dim)
     assert rungs == RUNGS_8
 
 

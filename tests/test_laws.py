@@ -19,7 +19,7 @@ from liegraph.algebra import (center, derivation_algebra, derived_subalgebra,
 from liegraph.dtheory import d_derivations
 from liegraph.fullgraph import (_Workspace, build_full_graph, check_theorem1,
                                 der_cg_blocks, h_derivation, verify)
-from liegraph.linalg import Matrix, sparse_nullspace
+from liegraph.linalg import Matrix
 
 
 def test_direct_sum_derivations_and_center():
@@ -230,94 +230,16 @@ def test_heisenberg_closed_forms(k):
     assert t1.dim_der_cg == 2 * k * k + 5 * k + 3
 
 
-def _centroid_defect(g) -> int:
-    """dim{ad∘J : J ∈ Γ(G), J[G, G] ⊆ Z(G)} as dim V − dim K, where V is
-    that set of J and K its part with J(G) ⊆ Z(G), the kernel of J ↦ ad∘J.
-    J e_b = Σ_a J[a][b] e_a, with J[a][b] the unknown a·n + b; a vector of
-    G in these unknowns is, per component, a {unknown: coefficient} form."""
-    n, pairs = g.dim, g.pairs
-
-    def add(acc, form, s):
-        for u, x in form.items():
-            acc[u] = acc.get(u, 0) + s * x
-        return acc
-
-    def j_of(terms):  # J applied to the vector Σ x e_t over terms (t, x)
-        return [{a * n + t: x for t, x in terms} for a in range(n)]
-
-    def bracket_with(vec, l):  # [vec, e_l]
-        out = [{} for _ in range(n)]
-        for a, form in enumerate(vec):
-            for k, c in pairs[a][l]:
-                add(out[k], form, c)
-        return out
-
-    # J[e_i, e_j] = [J e_i, e_j] (Γ(G)), then [J[e_i, e_j], e_l] = 0
-    rows = [add(dict(x), y, -1) for i in range(n) for j in range(n)
-            for x, y in zip(j_of(pairs[i][j]), bracket_with(j_of(((i, 1),)), j))]
-    rows += [r for i in range(n) for j in range(i + 1, n) for l in range(n)
-             for r in bracket_with(j_of(pairs[i][j]), l)]
-    # [J e_b, e_l] = 0: ad∘J = 0
-    inner = [r for b in range(n) for l in range(n)
-             for r in bracket_with(j_of(((b, 1),)), l)]
-    return (sparse_nullspace(n * n, rows).dim
-            - sparse_nullspace(n * n, rows + inner).dim)
-
-
-CASE_BUILDS = [(case_id(c), functools.partial(case_algebra, c)) for c in CASES]
-HEISENBERG_AND_SUMS = (
-    [(f"h{2 * k + 1}", functools.partial(heisenberg, k)) for k in (1, 2, 3)]
-    + [(f"{a}+{b}", functools.partial(direct_sum, algebra(a), algebra(b)))
-       for a, b in (("sl2", "heisenberg3"), ("affine2", "heisenberg3"),
-                    ("heisenberg3", "heisenberg3"), ("affine2", "abelian1"))])
-CENTROID_CASES = (
-    CASE_BUILDS
+W_CASES = (
+    [(case_id(c), functools.partial(case_algebra, c)) for c in CASES]
     + [(case_id((seed, n)), functools.partial(two_step_nilpotent, seed, n))
        for seed in range(6, 30) for n in (4, 5, 6)]
-    + HEISENBERG_AND_SUMS)
-
-
-@pytest.mark.parametrize("build", [b for _, b in CENTROID_CASES],
-                         ids=[i for i, _ in CENTROID_CASES])
-def test_defect_is_the_centroid_rule(build):
-    """dim Der(C(G)) − dim H = dim{ad∘J : J ∈ Γ(G), J[G, G] ⊆ Z(G)}, where
-    Γ(G) = {J : J[x, y] = [Jx, y]} is the centroid of G (Melville 1992 on
-    centroids of nilpotent Lie algebras; Leger and Luks 2000 on generalized
-    derivations).
-
-    An observation on these draws, not a law: it holds on every CASES
-    entry, two_step_nilpotent(seed, n) for seeds 6–29 and n = 4, 5, 6, h₃,
-    h₅ and h₇, and sl2 ⊕ h₃, affine2 ⊕ h₃, h₃ ⊕ h₃ and affine2 ⊕ abelian1:
-    110 algebras. test_centroid_rule_fails_at_dimension_8 refutes it. The
-    defect is dim of the projection of der_cg_blocks' S onto its Der rows.
-    """
-    g = build()
-    t1 = verify(g, which="1").theorem1
-    assert t1.dim_der_cg - t1.dim_h == _centroid_defect(g)
-
-
-# seed -> (m, p, d-complete, defect, centroid count) of its rung at dim 8
-CENTROID_COUNTEREXAMPLES = {0: (10, 13, False, 4, 0), 8: (11, 8, True, 0, 1)}
-
-
-@pytest.mark.parametrize("seed", CENTROID_COUNTEREXAMPLES)
-def test_centroid_rule_fails_at_dimension_8(seed):
-    """The rung of dimension 8 of the central_extension chain from abelian2
-    breaks the centroid rule both ways: seed 0 has defect 4 where the rule
-    counts 0, and seed 8 defect 0 where it counts 1. Each defect is read
-    off the blocks and checked against dim Der(C(G)) from the Leibniz
-    system of the 18- or 19-dim C(G) itself."""
-    g = chain_rung(seed, 8)
-    ws = _Workspace(g)
-    m, p = ws.der.dim, ws.dspace.dim
-    defect = ws.der_cg_dim - m - p
-    assert derivation_algebra(ws.cg).dim == ws.der_cg_dim
-    assert (m, p, ws.d_completeness.d_complete, defect,
-            _centroid_defect(g)) == CENTROID_COUNTEREXAMPLES[seed]
-
-
-W_CASES = CENTROID_CASES + [
-    (f"central_{seed}_8", functools.partial(chain_rung, seed, 8)) for seed in range(10)]
+    + [(f"h{2 * k + 1}", functools.partial(heisenberg, k)) for k in (1, 2, 3)]
+    + [(f"{a}+{b}", functools.partial(direct_sum, algebra(a), algebra(b)))
+       for a, b in (("sl2", "heisenberg3"), ("affine2", "heisenberg3"),
+                    ("heisenberg3", "heisenberg3"), ("affine2", "abelian1"))]
+    + [(f"central_{seed}_8", functools.partial(chain_rung, seed, 8))
+       for seed in range(10)])
 
 
 @pytest.mark.parametrize("build", [b for _, b in W_CASES],
@@ -347,11 +269,8 @@ def test_defect_is_dim_w(build):
     β(x, Dy) and the cocycle rows β(x, y) − β(y, x) = E[x, y] − [Ex, y] −
     [x, Ey]. So the projection is W.
 
-    dim W is solved by reference.w_dim, apart from S's rows, on the 110
-    draws of test_defect_is_the_centroid_rule, where this law is the true
-    form of that observation, and on the dimension-8 chain rungs of seeds
-    0–9, where the observation fails: 120 algebras, whose defects are 0,
-    1, 2, 4 and 8.
+    dim W is solved by reference.w_dim, apart from S's rows, on the 120
+    algebras of W_CASES, whose defects are 0, 1, 2, 4 and 8.
     """
     g = build()
     ws = _Workspace(g)

@@ -218,17 +218,27 @@ def matmul_pairs(draw):
     return a, b
 
 
-def _triple_loop(a, b):
-    """The entries of a @ b, one sum over every index."""
-    return [sum((a.row(i)[t] * b.row(t)[j] for t in range(a.cols)), F(0))
-            for i in range(a.rows) for j in range(b.cols)]
+def _mul(x, y, inner, ncols):
+    """The dense product of the lists x and y, one sum per entry."""
+    return [[sum((p[t] * y[t][j] for t in range(inner)), 0) for j in range(ncols)]
+            for p in x]
+
+
+def _built(rows, nrows, ncols):
+    return dense(nrows, ncols, [x for r in rows for x in r])
+
+
+def _lists(m):
+    """The dense rows of m, written out from its stored nonzeros."""
+    return reference.dense_rows(map(dict, m.nonzeros), m.cols)
 
 
 @given(matmul_pairs())
 @settings(max_examples=150, deadline=None)
 def test_matmul_matches_triple_loop(pair):
     a, b = pair
-    assert a @ b == dense(a.rows, b.cols, _triple_loop(a, b))
+    prod = _mul(_lists(a), _lists(b), a.cols, b.cols)
+    assert a @ b == _built(prod, a.rows, b.cols)
 
 
 def test_matmul_shape_mismatch_raises():
@@ -249,8 +259,10 @@ def square_pairs(draw):
 @settings(max_examples=200, deadline=None)
 def test_commutator_matches_triple_loop(pair):
     a, b = pair
-    expected = [x - y for x, y in zip(_triple_loop(a, b), _triple_loop(b, a))]
-    assert a.commutator(b) == dense(a.rows, a.cols, expected)
+    x, y, n = _lists(a), _lists(b), a.rows
+    expected = [[p - q for p, q in zip(r, s)]
+                for r, s in zip(_mul(x, y, n, n), _mul(y, x, n, n))]
+    assert a.commutator(b) == _built(expected, n, n)
 
 
 def test_commutator_of_empty_and_one_by_one():
@@ -453,16 +465,6 @@ def dense_operands(draw):
     a, b = _dense_matrix(draw, r, n), _dense_matrix(draw, r, n)
     s, t = _dense_matrix(draw, r, r), _dense_matrix(draw, r, r)
     return a, b, _dense_matrix(draw, n, k), s, t, (r, n, k)
-
-
-def _built(rows, nrows, ncols):
-    return dense(nrows, ncols, [x for r in rows for x in r])
-
-
-def _mul(x, y, inner, ncols):
-    """The dense product of the lists x and y, one sum per entry."""
-    return [[sum((p[t] * y[t][j] for t in range(inner)), 0) for j in range(ncols)]
-            for p in x]
 
 
 def _same(m, rows, nrows, ncols):
